@@ -1,11 +1,16 @@
-"""Pure Python fallback for the compiled kernels.
+"""Dense polynomial arithmetic modulo N, point counting and point search.
 
-Same contracts as _ckernels: dense little-endian integer coefficient lists,
-all arithmetic modulo a (possibly huge) modulus passed explicitly.
+This is the one home of the hot arithmetic behind Frobenius, Cantor
+addition and root isolation.  Polynomials are little-endian integer
+coefficient lists; every function takes its (possibly huge) modulus
+explicitly.  Callers look these names up as ``kernels.<name>`` at call
+time, so a wrapper installed on the module (as perfbench/tracing.py does)
+sees every call.
 """
 
 from math import gcd, isqrt
 
+# recorded on the benchmark's info line (perfbench/worker.py)
 BACKEND = "python"
 
 
@@ -14,6 +19,37 @@ def poly_trim(a):
     while n and a[n - 1] == 0:
         n -= 1
     return a[:n]
+
+
+def poly_add_mod(a, b, mod):
+    """a + b; coefficients past the shorter operand are copied unreduced."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % mod
+    return poly_trim(out)
+
+
+def poly_sub_mod(a, b, mod):
+    """a - b; coefficients of a past the end of b are copied unreduced."""
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % mod
+    return poly_trim(out)
+
+
+def poly_scale_mod(a, c, mod):
+    return poly_trim([ai * c % mod for ai in a])
+
+
+def poly_shift(a, k):
+    """a * x^k."""
+    return [0] * k + list(a) if a else []
+
+
+def poly_deriv_mod(a, mod):
+    return poly_trim([i * a[i] % mod for i in range(1, len(a))])
 
 
 def poly_mul_mod(a, b, mod):
@@ -47,6 +83,35 @@ def poly_divmod_monic_mod(a, b, mod):
         for j in range(db):
             r[i - db + j] = (r[i - db + j] - c * b[j]) % mod
     return poly_trim(q), poly_trim(r[:db])
+
+
+def poly_pow_mod(base, e, mod):
+    result = [1]
+    b = list(base)
+    while e:
+        if e & 1:
+            result = poly_mul_mod(result, b, mod)
+        e >>= 1
+        if e:
+            b = poly_mul_mod(b, b, mod)
+    return result
+
+
+def poly_xgcd_mod(a, b, p):
+    """(g, s, t) over F_p with g = gcd(a, b) monic and s*a + t*b = g."""
+    r0, r1 = poly_trim([c % p for c in a]), poly_trim([c % p for c in b])
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        q, r = poly_divmod_monic_mod(r0, poly_scale_mod(r1, inv, p), p)
+        q = poly_scale_mod(q, inv, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub_mod(s0, poly_mul_mod(q, s1, p), p)
+        t0, t1 = t1, poly_sub_mod(t0, poly_mul_mod(q, t1, p), p)
+    inv = pow(r0[-1], -1, p) if r0 else 1
+    return (poly_scale_mod(r0, inv, p), poly_scale_mod(s0, inv, p),
+            poly_scale_mod(t0, inv, p))
 
 
 def poly_eval_mod(coeffs, x, mod):

@@ -83,22 +83,37 @@ def _job_curve(job):
     return CurveModel.from_json(job["curve"]).validate()
 
 
+def _job_int(job, key, default=None):
+    value = job.get(key, default)
+    if value is not None and type(value) is not int:
+        raise InputError("job field %r must be an integer, got %r"
+                         % (key, value))
+    return value
+
+
+def _check_job_id(job_id):
+    """Job ids name report files, so they must stay inside the out dir."""
+    if job_id in ("", ".", "..") or "/" in job_id or "\\" in job_id:
+        raise InputError("job id %r is not a plain file name" % job_id)
+    return job_id
+
+
 def run_job(job, p=None, prec=None):
     """Analysis report for one job dict; CLI overrides win over job keys."""
     if not isinstance(job, dict):
         raise InputError("job must be a JSON object")
-    curve = _job_curve(job)
     if p is None:
-        p = job.get("p")
+        p = _job_int(job, "p")
     if prec is None:
-        prec = job.get("precision")
+        prec = _job_int(job, "precision")
+    height = _job_int(job, "search_height", 1000)
+    curve = _job_curve(job)
     knowns = job.get("known_points")
     if knowns is not None:
         knowns = [RationalPoint.from_json(k) for k in knowns]
     base = job.get("base_point")
     if base is not None:
         base = RationalPoint.from_json(base)
-    height = job.get("search_height", 1000)
     return analyze_curve(curve, p=p, prec=prec, knowns=knowns,
                          base_point=base, search_height=height)
 
@@ -113,11 +128,13 @@ def _write_report(out_dir, job_id, report):
 
 def cmd_analyze(args):
     job = _load_json(args.job)
+    if args.out:
+        job_id = job.get("id") if isinstance(job, dict) else None
+        job_id = _check_job_id(
+            Path(args.job).stem if job_id is None else str(job_id))
     report = run_job(job, p=args.p, prec=args.N)
     if args.out:
-        job_id = job.get("id") or Path(args.job).stem
-        path = _write_report(args.out, str(job_id), report)
-        print(path)
+        print(_write_report(args.out, job_id, report))
     else:
         print(report.to_json())
     return 0
@@ -150,7 +167,7 @@ def _load_jobs(path):
         raise InputError("cannot read %s: %s" % (path, exc)) from None
     if not jobs:
         raise InputError("no jobs in %s" % path)
-    ids = [str(j["id"]) for j in jobs]
+    ids = [_check_job_id(str(j["id"])) for j in jobs]
     if len(set(ids)) != len(ids):
         raise InputError("duplicate job ids in %s" % path)
     return jobs

@@ -23,6 +23,14 @@ def _fractions(coeffs):
     return tuple(Fraction(c) for c in coeffs)
 
 
+def eval_exact(coeffs, x):
+    """Exact Horner value of a constant-first coefficient list at x."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True, order=True)
 class RationalPoint:
     """Exact point: affine (x, y) with Fractions, or the point at infinity."""
@@ -142,8 +150,8 @@ class CurveModel:
         self.original = g
         if scaling is not None:
             u, v = Fraction(scaling[0]), Fraction(scaling[1])
-            if v * v != g[7] * u ** 7:
-                raise InputError("scaling must satisfy v^2 = g7 * u^7")
+            if v == 0 or v * v != g[7] * u ** 7:
+                raise InputError("scaling must satisfy v^2 = g7 * u^7 != 0")
         else:
             den = 1
             for c in g:
@@ -208,26 +216,10 @@ class CurveModel:
             return pt
         return RationalPoint.affine(pt.x / self.scale_x, pt.y / self.scale_y)
 
-    def to_original(self, pt: RationalPoint) -> RationalPoint:
-        if pt.is_infinity:
-            return pt
-        return RationalPoint.affine(pt.x * self.scale_x, pt.y * self.scale_y)
-
     def is_on_curve_original(self, pt: RationalPoint) -> bool:
         if pt.is_infinity:
             return True
-        rhs = Fraction(0)
-        for c in reversed(self.original):
-            rhs = rhs * pt.x + c
-        return pt.y * pt.y == rhs
-
-    def is_on_curve_monic(self, pt: RationalPoint) -> bool:
-        if pt.is_infinity:
-            return True
-        rhs = Fraction(0)
-        for c in reversed(self.F):
-            rhs = rhs * pt.x + c
-        return pt.y * pt.y == rhs
+        return pt.y * pt.y == eval_exact(self.original, pt.x)
 
     # -- primes and reduction --------------------------------------------------
 
@@ -366,9 +358,7 @@ class CurveModel:
         pts = [RationalPoint.infinity()]
         for a, b in hits:
             x = Fraction(a, b)
-            rhs = Fraction(0)
-            for c in reversed(self.original):
-                rhs = rhs * x + c
+            rhs = eval_exact(self.original, x)
             if rhs < 0:
                 continue
             ynum = isqrt(rhs.numerator)
@@ -404,5 +394,10 @@ class CurveModel:
             raise InputError("bad coefficient: %s" % exc) from None
         sc = None
         if scaling is not None:
-            sc = (Fraction(str(scaling[0])), Fraction(str(scaling[1])))
+            if not isinstance(scaling, (list, tuple)) or len(scaling) != 2:
+                raise InputError("curve 'scaling' must be a pair [sx, sy]")
+            try:
+                sc = tuple(Fraction(str(c)) for c in scaling)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError("bad scaling entry: %s" % exc) from None
         return CurveModel(cs, sc).validate()

@@ -29,58 +29,7 @@ from fractions import Fraction
 
 from . import _kernels as kernels
 from .errors import BadReductionError, PrecisionError
-from .padic import PadicNumber, sqrt_mod_pn
-
-
-def _ord_int(n, p):
-    n = abs(n)
-    if n == 0:
-        raise ValueError("valuation of zero")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def _padd(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return kernels.poly_trim(out)
-
-
-def _psub(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return kernels.poly_trim(out)
-
-
-def _pscale(a, c, m):
-    return kernels.poly_trim([ai * c % m for ai in a])
-
-
-def _pshift(a, k):
-    return [0] * k + list(a) if a else []
-
-
-def _pderiv(a, m):
-    return kernels.poly_trim([i * a[i] % m for i in range(1, len(a))])
-
-
-def _ppow(base, e, m):
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = kernels.poly_mul_mod(result, b, m)
-        e >>= 1
-        if e:
-            b = kernels.poly_mul_mod(b, b, m)
-    return result
+from .padic import PadicNumber, ord_p, sqrt_mod_pn
 
 
 def _exact_pdiv(c, p, e):
@@ -99,45 +48,27 @@ def _exact_poly_div(a, q, m):
     return quo
 
 
-def _field_xgcd(a, b, p):
-    """(s, t) with s*a + t*b = 1 over F_p for coprime a, b."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while kernels.poly_trim(r1):
-        r1 = kernels.poly_trim(r1)
-        lc = r1[-1]
-        inv = pow(lc, -1, p)
-        r1n = [c * inv % p for c in r1]
-        q, r = kernels.poly_divmod_monic_mod(kernels.poly_trim(r0), r1n, p)
-        q = [c * inv % p for c in q]
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, kernels.poly_mul_mod(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, kernels.poly_mul_mod(q, t1, p), p)
-    g = kernels.poly_trim(r0)
-    if len(g) != 1:
-        raise BadReductionError("curve polynomial not squarefree mod p")
-    ginv = pow(g[0], -1, p)
-    return _pscale(s0, ginv, p), _pscale(t0, ginv, p)
-
-
 def _lift_cofactor(Q, Qd, p, W):
     """beta with deg beta <= 6 and 1 - beta Q' divisible by Q mod p^W.
 
     Newton on the defect r = (1 - beta Q') mod Q: replacing beta by
     beta (1 + r) mod Q squares r, so the defect vanishes quadratically.
     """
-    _, beta = _field_xgcd(Q, Qd, p)
+    g, _, beta = kernels.poly_xgcd_mod(Q, Qd, p)
+    if g != [1]:
+        raise BadReductionError("curve polynomial not squarefree mod p")
     known = 1
     while known < W:
         known = min(2 * known, W)
         mm = p ** known
-        r = kernels.poly_divmod_monic_mod(
-            _psub([1], kernels.poly_mul_mod(beta, Qd, mm), mm), Q, mm)[1]
-        beta = kernels.poly_divmod_monic_mod(
-            _padd(beta, kernels.poly_mul_mod(beta, r, mm), mm), Q, mm)[1]
+        r = kernels.poly_sub_mod([1], kernels.poly_mul_mod(beta, Qd, mm), mm)
+        r = kernels.poly_divmod_monic_mod(r, Q, mm)[1]
+        beta = kernels.poly_add_mod(
+            beta, kernels.poly_mul_mod(beta, r, mm), mm)
+        beta = kernels.poly_divmod_monic_mod(beta, Q, mm)[1]
     m = p ** W
-    _exact_poly_div(_psub([1], kernels.poly_mul_mod(beta, Qd, m), m), Q, m)
+    _exact_poly_div(
+        kernels.poly_sub_mod([1], kernels.poly_mul_mod(beta, Qd, m), m), Q, m)
     return beta
 
 
@@ -213,8 +144,8 @@ class FrobeniusData:
     def primitive_dx(self, col, x_int, y_int):
         """d h_col / dx at a point, using y' = F'(x) / 2y."""
         m = self.p ** self.work_exp
-        Qd = [i * c % m for i, c in
-              enumerate(self.curve.f_coeffs_mod(self.p, self.work_exp))][1:]
+        Qd = kernels.poly_deriv_mod(
+            self.curve.f_coeffs_mod(self.p, self.work_exp), m)
         qd_val = kernels.poly_eval_mod(Qd, x_int, m)
         yinv = pow(y_int, -1, m)
         yinv2 = yinv * yinv % m
@@ -223,7 +154,7 @@ class FrobeniusData:
         for s, b in self.pole_prims[col]:
             e = (s - 1) // 2
             ye = pow(yinv2, e, m)
-            bd = kernels.poly_trim([i * b[i] % m for i in range(1, len(b))])
+            bd = kernels.poly_deriv_mod(b, m)
             bval = kernels.poly_eval_mod(list(b), x_int, m)
             bdval = kernels.poly_eval_mod(bd, x_int, m)
             # d(b y^(2-s))/dx = b' y^(2-s) + (2-s)/2 b F' y^(-s)
@@ -282,19 +213,14 @@ def _compute(curve, p, N, delta, scale_bump):
 
     Q1 = curve.f_coeffs_mod(p, W + 1)
     Q = [c % m for c in Q1]
-    Qd = [i * Q[i] % m for i in range(1, 8)]
+    Qd = kernels.poly_deriv_mod(Q, m)
 
     qxp = [0] * (7 * p + 1)
     for i, c in enumerate(Q1):
         qxp[i * p] = c
-    qpow = _ppow(Q1, p, m1)
-    dt = []
-    for i in range(max(len(qxp), len(qpow))):
-        a = qxp[i] if i < len(qxp) else 0
-        b = qpow[i] if i < len(qpow) else 0
-        diff = (a - b) % m1
-        dt.append(_exact_pdiv(diff, p, 1) % m)
-    dt = kernels.poly_trim(dt)
+    qpow = kernels.poly_pow_mod(Q1, p, m1)
+    dt = [_exact_pdiv(c, p, 1) % m
+          for c in kernels.poly_sub_mod(qxp, qpow, m1)]
 
     beta = _lift_cofactor(Q, Qd, p, W)
     cks = _half_binomial_units(k_max, m)
@@ -318,9 +244,10 @@ def _compute(curve, p, N, delta, scale_bump):
         prims = []
         for k in range(k_max, -1, -1):
             if pref[k]:
-                term = _pshift(_pscale(dpow[k], pref[k], m),
-                               p * col + p - 1)
-                A = _padd(A, term, m)
+                term = kernels.poly_shift(
+                    kernels.poly_scale_mod(dpow[k], pref[k], m),
+                    p * col + p - 1)
+                A = kernels.poly_add_mod(A, term, m)
             target = 2 * p * (k - 1) + p if k else 1
             while s > target:
                 A = _pole_step(A, s, Q, Qd, beta, p, m, prims)
@@ -370,16 +297,16 @@ def _pole_step(A, s, Q, Qd, beta, p, m, prims):
     b = kernels.poly_divmod_monic_mod(
         kernels.poly_mul_mod(r, beta, m), Q, m)[1]
     rem = _exact_poly_div(
-        _psub(r, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
-    a = _padd(q, rem, m)
+        kernels.poly_sub_mod(r, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
+    a = kernels.poly_add_mod(q, rem, m)
     d = s - 2
-    e = _ord_int(d, p) if d % p == 0 else 0
+    e = ord_p(d, p)
     dtild = d // p ** e
     inv_dt = pow(dtild, -1, m)
     two_over = 2 * inv_dt % m
-    bd = _pderiv(b, m)
+    bd = kernels.poly_deriv_mod(b, m)
     corr = [_exact_pdiv(c * two_over % m, p, e) % m for c in bd]
-    A_next = _padd(a, kernels.poly_trim(corr), m)
+    A_next = kernels.poly_add_mod(a, kernels.poly_trim(corr), m)
     if b:
         neg_over = -inv_dt % m
         prim = tuple(_exact_pdiv(c * neg_over % m, p, e) % m for c in b)
@@ -397,11 +324,12 @@ def _degree_reduce(A, Q, Qd, p, m):
         lc = A[n]
         if lc:
             d = 2 * j + 7
-            e = _ord_int(d, p) if d % p == 0 else 0
+            e = ord_p(d, p)
             mu = _exact_pdiv(lc * pow(d // p ** e, -1, m) % m, p, e) % m
-            g = _pshift(_pscale(Q, 2 * j % m, m), j - 1) if j else []
-            g = _padd(g, _pshift(Qd, j), m)
-            sub = _pscale(g, mu, m)
+            g = (kernels.poly_shift(kernels.poly_scale_mod(Q, 2 * j % m, m),
+                                    j - 1) if j else [])
+            g = kernels.poly_add_mod(g, kernels.poly_shift(Qd, j), m)
+            sub = kernels.poly_scale_mod(g, mu, m)
             for i in range(min(len(sub), n)):
                 A[i] = (A[i] - sub[i]) % m
             prims.append((j, mu))

@@ -7,93 +7,13 @@ Divisor classes are pairs (u, v) of F_p polynomials with u monic of degree
 
 from __future__ import annotations
 
+from . import _kernels as kernels
 from .curve import FpPoint
 from .errors import InputError
 
 
-def _trim(a):
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _padd(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
-
-
-def _pneg(a, p):
-    return [(-c) % p for c in a]
-
-
-def _psub(a, b, p):
-    return _padd(a, _pneg(b, p), p)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _pdivmod(a, b, p):
-    """Division with remainder; b need not be monic."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = pow(b[-1], -1, p)
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(_trim(r)) >= len(b):
-        r = _trim(r)
-        c = r[-1] * binv % p
-        d = len(r) - len(b)
-        q[d] = c
-        for i, bc in enumerate(b):
-            r[d + i] = (r[d + i] - c * bc) % p
-    return _trim(q), _trim(r)
-
-
-def _pmonic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _pxgcd(a, b, p):
-    """Monic g = gcd(a, b) and s, t with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    scale = lambda c: [x * inv % p for x in c]
-    return scale(r0), scale(s0), scale(t0)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
 def _pexactdiv(a, b, p):
-    q, r = _pdivmod(a, b, p)
+    q, r = kernels.poly_divmod_monic_mod(a, b, p)
     if r:
         raise InputError("division was not exact")
     return q
@@ -107,8 +27,8 @@ class MumfordDivisorFp:
     def __init__(self, p, f, u, v, reduce=False):
         self.p = p
         self.f = tuple(f)
-        u = _trim([c % p for c in u])
-        v = _trim([c % p for c in v])
+        u = kernels.poly_trim([c % p for c in u])
+        v = kernels.poly_trim([c % p for c in v])
         if reduce:
             u, v = self._reduce(u, v)
         if not u or u[-1] != 1:
@@ -117,19 +37,21 @@ class MumfordDivisorFp:
             raise InputError("unreduced divisor")
         if len(v) >= len(u):
             raise InputError("deg v must be < deg u")
-        chk = _pmod(_psub(_pmul(v, v, p), list(self.f), p), u, p)
-        if chk:
+        chk = kernels.poly_sub_mod(kernels.poly_mul_mod(v, v, p),
+                                   list(self.f), p)
+        if kernels.poly_divmod_monic_mod(chk, u, p)[1]:
             raise InputError("v^2 - f not divisible by u")
         self.u = tuple(u)
         self.v = tuple(v)
 
     def _reduce(self, u, v):
         p, f = self.p, list(self.f)
-        u = _pmonic(u, p)
         while len(u) - 1 > 3:
-            u2 = _pexactdiv(_psub(f, _pmul(v, v, p), p), u, p)
-            u2 = _pmonic(u2, p)
-            v = _pneg(_pmod(v, u2, p), p)
+            vv = kernels.poly_mul_mod(v, v, p)
+            u2 = _pexactdiv(kernels.poly_sub_mod(f, vv, p), u, p)
+            u2 = kernels.poly_scale_mod(u2, pow(u2[-1], -1, p), p)
+            v = kernels.poly_divmod_monic_mod(v, u2, p)[1]
+            v = kernels.poly_scale_mod(v, -1, p)
             u = u2
         return u, v
 
@@ -161,7 +83,7 @@ class MumfordDivisorFp:
 
     def __neg__(self):
         return MumfordDivisorFp(self.p, self.f, list(self.u),
-                                _pneg(list(self.v), self.p))
+                                kernels.poly_scale_mod(self.v, -1, self.p))
 
     def __add__(self, other):
         if not isinstance(other, MumfordDivisorFp):
@@ -171,21 +93,21 @@ class MumfordDivisorFp:
         p, f = self.p, list(self.f)
         u1, v1 = list(self.u), list(self.v)
         u2, v2 = list(other.u), list(other.v)
-        g1, e1, e2 = _pxgcd(u1, u2, p)
-        vsum = _padd(v1, v2, p)
+        g1, e1, e2 = kernels.poly_xgcd_mod(u1, u2, p)
+        vsum = kernels.poly_add_mod(v1, v2, p)
         if g1 == [1]:
             d, c1, c2 = [1], [1], []
         else:
-            d, c1, c2 = _pxgcd(g1, vsum, p)
-        s1 = _pmul(c1, e1, p)
-        s2 = _pmul(c1, e2, p)
+            d, c1, c2 = kernels.poly_xgcd_mod(g1, vsum, p)
+        mul, add = kernels.poly_mul_mod, kernels.poly_add_mod
+        s1 = mul(c1, e1, p)
+        s2 = mul(c1, e2, p)
         s3 = c2
-        dd = _pmul(d, d, p)
-        u = _pexactdiv(_pmul(u1, u2, p), dd, p)
-        num = _padd(_padd(_pmul(_pmul(s1, u1, p), v2, p),
-                          _pmul(_pmul(s2, u2, p), v1, p), p),
-                    _pmul(s3, _padd(_pmul(v1, v2, p), f, p), p), p)
-        v = _pmod(_pexactdiv(num, d, p), u, p)
+        u = _pexactdiv(mul(u1, u2, p), mul(d, d, p), p)
+        num = add(add(mul(mul(s1, u1, p), v2, p),
+                      mul(mul(s2, u2, p), v1, p), p),
+                  mul(s3, add(mul(v1, v2, p), f, p), p), p)
+        v = kernels.poly_divmod_monic_mod(_pexactdiv(num, d, p), u, p)[1]
         return MumfordDivisorFp(p, self.f, u, v, reduce=True)
 
     def __sub__(self, other):
@@ -247,14 +169,3 @@ def reduction_class(curve, point, p):
     else:
         red = curve.reduce_point(point, p)
     return MumfordDivisorFp.from_point(red, p, f)
-
-
-def anomaly_flags(curve, p, divisor, jac_order):
-    """Flags used by precision lemmas: class order coprime to p, and
-    p^2 not dividing #J(F_p)."""
-    o = divisor.order(jac_order)
-    return {
-        "class_order": o,
-        "order_prime_to_p": o % p != 0,
-        "jac_order_p2_free": jac_order % (p * p) != 0,
-    }

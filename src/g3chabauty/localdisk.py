@@ -55,10 +55,6 @@ class DifferentialForm:
             out.append(c.residue(1))
         return tuple(out)
 
-    def min_valuation(self):
-        vals = [c.valuation for c in self.coefficients if not c.is_zero]
-        return min(vals) if vals else INF
-
 
 def _poly_on_series(coeffs, x_series, prime, prec):
     """Horner evaluation of exact-coefficient poly at a series."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
+from . import _kernels as kernels
 from .errors import InputError, PrecisionError
 
 INF = inf
@@ -310,52 +311,6 @@ class PadicNumber:
     def __repr__(self):
         return "PadicNumber(%s)" % self.expansion_str()
 
-    def to_dict(self):
-        return {
-            "prime": self.prime,
-            "valuation": None if self.valuation == INF else self.valuation,
-            "unit": self.unit,
-            "rel_prec": self.rel_prec,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        v = d["valuation"]
-        return PadicNumber(d["prime"], INF if v is None else v, d["unit"], d["rel_prec"])
-
-
-def arith(a, b, op):
-    """Dispatch helper: op in {'+', '-', '*', '/'}."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise InputError("unknown operation %r" % op)
-
-
-def teichmuller(a, prec=None):
-    """Teichmuller representative of a unit: the (p-1)st root of unity
-    congruent to a mod p, to `prec` digits (default: a's relative precision)."""
-    if a.is_zero:
-        return a
-    if a.valuation != 0:
-        raise InputError("teichmuller lift needs a unit")
-    if prec is None:
-        prec = a.rel_prec
-    p = a.prime
-    m = p ** prec
-    x = a.unit % m
-    while True:
-        x2 = pow(x, p, m)
-        if x2 == x:
-            break
-        x = x2
-    return PadicNumber(p, 0, x, prec)
-
 
 def teichmuller_int(residue, p, prec):
     """Integer Teichmuller lift of a nonzero residue mod p, mod p^prec."""
@@ -437,26 +392,17 @@ def hensel_lift_root(coeffs, x0, prec):
             raise InputError("coefficient not p-integral")
         ints.append(c.numerator * pow(c.denominator, -1, m) % m)
 
-    def f(x, mod):
-        acc = 0
-        for c in reversed(ints):
-            acc = (acc * x + c) % mod
-        return acc
-
-    def fp(x, mod):
-        acc = 0
-        for i in range(len(ints) - 1, 0, -1):
-            acc = (acc * x + i * ints[i]) % mod
-        return acc
+    dints = kernels.poly_deriv_mod(ints, m)
 
     x = x0.residue(min(x0.abs_prec, prec)) if x0.abs_prec != INF else x0.residue(prec)
-    if f(x, p) % p != 0:
+    if kernels.poly_eval_mod(ints, x, p):
         raise InputError("not a root mod p")
-    if fp(x, p) % p == 0:
+    if not kernels.poly_eval_mod(dints, x, p):
         raise InputError("derivative vanishes mod p: root not simple")
     k = 1
     while k < prec:
         k = min(2 * k, prec)
         mod = p ** k
-        x = (x - f(x, mod) * pow(fp(x, mod), -1, mod)) % mod
+        x = (x - kernels.poly_eval_mod(ints, x, mod)
+             * pow(kernels.poly_eval_mod(dints, x, mod), -1, mod)) % mod
     return PadicNumber.from_rational(x, p, abs_prec=prec) if x else PadicNumber.zero(p, prec)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .coleman import ColemanContext
-from .curve import RationalPoint
+from .curve import RationalPoint, eval_exact
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
@@ -383,10 +383,7 @@ class _Analysis:
         if rel_y is None or not is_irreducible_quadratic(rel_y):
             return False
         y_el = QuadraticElement.generator(rel_y)
-        rhs = Fraction(0)
-        for c in reversed(g):
-            rhs = rhs * qx + c
-        if not (y_el * y_el - rhs).is_zero:
+        if not (y_el * y_el - eval_exact(g, qx)).is_zero:
             return False
         base["x"] = str(qx)
         base["y"] = y_o.expansion_str()

@@ -14,8 +14,9 @@ v(coeff_j) >= -ord_p(j) the dropped tail of a degree-M truncation is
 O(p^prec) on the disk as soon as j - ord_p(j) >= prec for all j >= M.
 """
 
+from . import _kernels as kernels
 from .errors import InputError, PrecisionError
-from .padic import INF, PadicNumber
+from .padic import INF, PadicNumber, ord_p
 from .series import min_tail_valuation
 
 
@@ -48,13 +49,6 @@ def _scaled_residue(coeff, j, p, prec):
     return coeff.unit % p ** (prec - v) * p ** v % p ** prec
 
 
-def _poly_eval(h, x, mod):
-    acc = 0
-    for c in reversed(h):
-        acc = (acc * x + c) % mod
-    return acc
-
-
 def _taylor_shift(h, r, mod):
     """Coefficients of h(s + r) mod `mod` by iterated synthetic division."""
     out = list(h)
@@ -65,22 +59,13 @@ def _taylor_shift(h, r, mod):
     return out
 
 
-def _ord_int(n, p, cap):
-    if n == 0:
-        return cap
-    v = 0
-    while n % p == 0 and v < cap:
-        n //= p
-        v += 1
-    return v
-
-
 def _hensel(h, hd, r, p, budget):
     x, e = r, 1
     while e < budget:
         e = min(2 * e, budget)
         m = p ** e
-        x = (x - _poly_eval(h, x, m) * pow(_poly_eval(hd, x, m), -1, m)) % m
+        x = (x - kernels.poly_eval_mod(h, x, m)
+             * pow(kernels.poly_eval_mod(hd, x, m), -1, m)) % m
     return x
 
 
@@ -89,18 +74,18 @@ def _zp_roots(h, p, budget):
     within O(p^budget) of the integral polynomial h; each coset mod
     p^exponent contains exactly one zero, and it is simple."""
     mod = p ** budget
-    hd = [j * h[j] % mod for j in range(1, len(h))]
+    hd = kernels.poly_deriv_mod(h, mod)
     found = []
     for r in range(p):
-        if _poly_eval(h, r, p):
+        if kernels.poly_eval_mod(h, r, p):
             continue
-        if hd and _poly_eval(hd, r, p):
+        if kernels.poly_eval_mod(hd, r, p):
             found.append((_hensel(h, hd, r, p, budget), budget))
             continue
         # repeated residue: zoom in on r + p Z_p and shed the content
         shifted = _taylor_shift(h, r, mod)
         scaled = [shifted[j] * p ** j % mod for j in range(len(shifted))]
-        k = min((_ord_int(c, p, budget) for c in scaled), default=budget)
+        k = min([budget] + [ord_p(c, p) for c in scaled])
         if k >= budget:
             raise PrecisionError(
                 "series vanishes on a whole disk at working precision")
@@ -137,7 +122,7 @@ def series_roots_in_disk(series, prec):
     if not any(ints):
         raise PrecisionError(
             "series is indistinguishable from zero at this precision")
-    k = min(_ord_int(c, p, prec) for c in ints if c)
+    k = min([prec] + [ord_p(c, p) for c in ints if c])
     budget = prec - k
     if budget < 2:
         raise PrecisionError("dominant coefficient eats the precision budget")

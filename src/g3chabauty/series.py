@@ -152,18 +152,6 @@ class PadicPowerSeries:
         zeros = [PadicNumber.zero(self.prime)] * k
         return PadicPowerSeries(self.prime, zeros + list(self.coeffs), self.t_prec + k)
 
-    def compose(self, inner):
-        """self(inner(t)); inner must have strictly positive t-order."""
-        self._check(inner)
-        if inner.coeffs and not (inner.coeffs[0].is_zero):
-            raise InputError("composition needs inner series with zero constant term")
-        t = min(self.t_prec, inner.t_prec)
-        acc = PadicPowerSeries.zero(self.prime, t)
-        for c in reversed(self.coeffs):
-            acc = acc * inner
-            acc = acc + PadicPowerSeries.constant(c, self.prime, acc.t_prec)
-        return acc.truncate(t)
-
     def invert_unit(self):
         """Multiplicative inverse; the constant term must be a unit-or-better
         invertible element (nonzero)."""
@@ -242,10 +230,6 @@ class PadicPowerSeries:
             if c.is_zero and c.valuation <= 0:
                 raise PrecisionError("coefficient not known mod p")
         return None
-
-    def min_valuation(self):
-        vals = [c.valuation for c in self.coeffs if not c.is_zero]
-        return min(vals) if vals else INF
 
     def __repr__(self):
         parts = []

@@ -150,8 +150,31 @@ def test_exit_code_recognition(job_a):
     assert main(["analyze", "--job", job_a, "--N", "6"]) == 5
 
 
-def test_rejects_malformed_job(tmp_path):
+def test_rejects_malformed_job(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["analyze", "--job", str(path)]) == 2
     assert main(["analyze", "--job", str(tmp_path / "missing.json")]) == 2
+    scaled = {"coeffs": CURVE_B_JSON["coeffs"], "scaling": ["1"]}
+    for bad in ({"curve": scaled, "p": 7},
+                {"curve": CURVE_A_JSON, "p": "7"},
+                {"curve": CURVE_A_JSON, "p": 7.0},
+                {"curve": CURVE_A_JSON, "p": 7, "search_height": "x"},
+                {"curve": CURVE_A_JSON, "p": 7, "precision": "x"}):
+        job = write_json(tmp_path / "bad.json", bad)
+        assert main(["analyze", "--job", job]) == 2, bad
+    capsys.readouterr()
+
+
+def test_job_ids_stay_inside_out(tmp_path):
+    out = tmp_path / "nest" / "out"
+    out.mkdir(parents=True)
+    for job_id in ("../escaped", "", ".", "..", "a/b", "a\\b"):
+        job = {"id": job_id, "curve": CURVE_A_JSON, "p": 7}
+        jobs = write_jobs(tmp_path / "jobs.jsonl", [job])
+        assert main(["batch", "--jobs", jobs, "--out", str(out)]) == 2
+        single = write_json(tmp_path / "job.json", job)
+        assert main(["analyze", "--job", single, "--out", str(out)]) == 2
+    written = {q.relative_to(tmp_path).as_posix()
+               for q in tmp_path.rglob("*")}
+    assert written == {"nest", "nest/out", "jobs.jsonl", "job.json"}

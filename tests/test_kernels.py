@@ -1,33 +1,18 @@
-"""Backend-agreement and oracle tests for the hot kernels."""
+"""Oracle tests for the polynomial-mod-N kernels."""
 
-import importlib
 import random
 from fractions import Fraction
 
-import pytest
-
-from g3chabauty._kernels import _pykernels
-
-BACKENDS = [_pykernels]
-try:
-    from g3chabauty._kernels import _ckernels
-    BACKENDS.append(_ckernels)
-except ImportError:
-    pass
+from g3chabauty import _kernels as kernels
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.BACKEND)
-def impl(request):
-    return request.param
-
-
-def test_poly_mul_oracle(impl):
+def test_poly_mul_oracle():
     rng = random.Random(11)
     mod = 7 ** 20
     for _ in range(30):
         a = [rng.randrange(mod) for _ in range(rng.randint(0, 9))]
         b = [rng.randrange(mod) for _ in range(rng.randint(0, 9))]
-        got = impl.poly_mul_mod(a, b, mod)
+        got = kernels.poly_mul_mod(a, b, mod)
         want = [0] * (len(a) + len(b) - 1 if a and b else 0)
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
@@ -37,44 +22,44 @@ def test_poly_mul_oracle(impl):
         assert got == want
 
 
-def test_poly_divmod_oracle(impl):
+def test_poly_divmod_oracle():
     rng = random.Random(13)
     mod = 11 ** 12
     for _ in range(30):
         b = [rng.randrange(mod) for _ in range(rng.randint(1, 5))] + [1]
         q = [rng.randrange(mod) for _ in range(rng.randint(0, 6))]
         r = [rng.randrange(mod) for _ in range(len(b) - 1)]
-        a = impl.poly_mul_mod(q, b, mod)
+        a = kernels.poly_mul_mod(q, b, mod)
         a = a + [0] * (max(0, len(b) - 1 + len(q) - len(a)))
         for i, c in enumerate(r):
             if i < len(a):
                 a[i] = (a[i] + c) % mod
             else:
                 a.append(c)
-        qq, rr = impl.poly_divmod_monic_mod(a, b, mod)
-        assert qq == impl.poly_trim([c % mod for c in q])
-        assert rr == impl.poly_trim([c % mod for c in r])
+        qq, rr = kernels.poly_divmod_monic_mod(a, b, mod)
+        assert qq == kernels.poly_trim([c % mod for c in q])
+        assert rr == kernels.poly_trim([c % mod for c in r])
 
 
-def test_poly_eval_oracle(impl):
+def test_poly_eval_oracle():
     mod = 7 ** 8
     coeffs = [3, 0, 5, 1]
     for x in (0, 1, 5, 7 ** 4 + 2):
         want = (3 + 5 * x * x + x ** 3) % mod
-        assert impl.poly_eval_mod(coeffs, x, mod) == want
+        assert kernels.poly_eval_mod(coeffs, x, mod) == want
 
 
-def test_fp_curve_points_brute(impl):
+def test_fp_curve_points_brute():
     rng = random.Random(17)
     for p in (7, 11, 13):
         f = [rng.randrange(p) for _ in range(7)] + [1]
-        got = impl.fp_curve_points(f, p)
+        got = kernels.fp_curve_points(f, p)
         want = sorted((x, y) for x in range(p) for y in range(p)
                       if (y * y - sum(f[i] * x ** i for i in range(8))) % p == 0)
         assert got == want
 
 
-def test_count_points_gf_quadratic_extension(impl):
+def test_count_points_gf_quadratic_extension():
     # GF(49) = F_7[T]/(T^2 + 6T + 3) (T^2 = -6T - 3); brute-force oracle
     p, k = 7, 2
     modulus_low = [3, 6]
@@ -97,17 +82,17 @@ def test_count_points_gf_quadratic_extension(impl):
             yy = fmul(y, y)
             if yy == fx:
                 count += 1
-    assert impl.count_points_gf(f, p, k, modulus_low) == count
+    assert kernels.count_points_gf(f, p, k, modulus_low) == count
 
 
-def test_search_x_squares_oracle(impl):
+def test_search_x_squares_oracle():
     # y^2 = x^7 + 1: rational points with small height have x in {-1, 0}
     cnum = [1, 0, 0, 0, 0, 0, 0, 1]
-    hits = impl.search_x_squares(cnum, 1, 3)
+    hits = kernels.search_x_squares(cnum, 1, 3)
     assert set(hits) == {(-1, 1), (0, 1)}
     # denominator case: y^2 = x^7 + x: x = 1/4 gives (1 + 4^6)/4^7, non-square
     cnum2 = [0, 1, 0, 0, 0, 0, 0, 1]
-    hits2 = impl.search_x_squares(cnum2, 1, 4)
+    hits2 = kernels.search_x_squares(cnum2, 1, 4)
     brute = set()
     from math import gcd
     for b in range(1, 5):
@@ -124,15 +109,45 @@ def test_search_x_squares_oracle(impl):
     assert set(hits2) == brute
 
 
-def test_backends_agree_if_both_present():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend unavailable")
-    rng = random.Random(23)
-    mod = 7 ** 30
-    for _ in range(10):
-        a = [rng.randrange(mod) for _ in range(12)]
-        b = [rng.randrange(mod) for _ in range(9)] + [1]
-        assert BACKENDS[0].poly_mul_mod(a, b, mod) == \
-            BACKENDS[1].poly_mul_mod(a, b, mod)
-        assert BACKENDS[0].poly_divmod_monic_mod(a, b, mod) == \
-            BACKENDS[1].poly_divmod_monic_mod(a, b, mod)
+def test_poly_helpers_oracle():
+    # add/sub/pow against naive lists; extended gcd against Bezout
+    rng = random.Random(29)
+
+    def naive_mul(a, b, m):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % m
+        return kernels.poly_trim(out)
+
+    def rand_poly(p, deg):
+        return [rng.randrange(p) for _ in range(deg + 1)]
+
+    for p in (7, 11, 13):
+        for _ in range(40):
+            a = rand_poly(p, rng.randint(-1, 7))
+            b = rand_poly(p, rng.randint(-1, 7))
+            n = max(len(a), len(b))
+            pa, pb = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+            assert kernels.poly_add_mod(a, b, p) == \
+                kernels.poly_trim([(x + y) % p for x, y in zip(pa, pb)])
+            assert kernels.poly_sub_mod(a, b, p) == \
+                kernels.poly_trim([(x - y) % p for x, y in zip(pa, pb)])
+            e = rng.randint(0, 5)
+            want = [1]
+            for _ in range(e):
+                want = naive_mul(want, a, p)
+            assert kernels.poly_pow_mod(a, e, p) == want
+
+            common = rand_poly(p, rng.randint(0, 2))[:-1] + [1]
+            a = naive_mul(rand_poly(p, rng.randint(0, 5)), common, p)
+            b = naive_mul(rand_poly(p, rng.randint(0, 5)), common, p)
+            if not a and not b:
+                continue
+            g, s, t = kernels.poly_xgcd_mod(a, b, p)
+            assert g[-1] == 1
+            assert kernels.poly_add_mod(naive_mul(s, a, p),
+                                        naive_mul(t, b, p), p) == g
+            for h in (a, b):
+                assert not kernels.poly_divmod_monic_mod(h, g, p)[1]
+            assert not kernels.poly_divmod_monic_mod(g, common, p)[1]
