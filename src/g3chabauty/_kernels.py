@@ -3,9 +3,12 @@
 This is the one home of the hot arithmetic behind Frobenius, Cantor
 addition and root isolation.  Polynomials are little-endian integer
 coefficient lists; every function takes its (possibly huge) modulus
-explicitly.  Callers look these names up as ``kernels.<name>`` at call
-time, so a wrapper installed on the module (as perfbench/tracing.py does)
-sees every call.
+explicitly.  Products of long operands use Kronecker substitution: both
+are packed into one Python int, so one C-level big-int multiplication does
+the work of the schoolbook loop; division by a monic polynomial of large
+degree runs block by block on such products.  Callers look these names
+up as ``kernels.<name>`` at call time, so a wrapper installed on the module
+(as perfbench/tracing.py does) sees every call.
 """
 
 from math import gcd, isqrt
@@ -52,17 +55,63 @@ def poly_deriv_mod(a, mod):
     return poly_trim([i * a[i] % mod for i in range(1, len(a))])
 
 
+# From these sizes on, products run as one big-int multiplication
+# (Kronecker substitution) and monic division runs block by block on them.
+KRONECKER_MIN_LEN = 16
+BLOCK_DIV_MIN_DEG = 32
+
+
+def _product(a, b, mod):
+    """a * b for nonempty a and b, coefficients not yet reduced mod mod.
+
+    Once both operands have KRONECKER_MIN_LEN coefficients they are reduced
+    into [0, mod) and packed into one int each, in byte-aligned slots wide
+    enough for any coefficient of the product; one multiplication then does
+    the work of the whole schoolbook loop.
+    """
+    if min(len(a), len(b)) < KRONECKER_MIN_LEN:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return out
+    slot = (2 * mod.bit_length() + min(len(a), len(b)).bit_length() + 15) // 8
+    pa = int.from_bytes(b"".join((c % mod).to_bytes(slot, "little")
+                                 for c in a), "little")
+    pb = int.from_bytes(b"".join((c % mod).to_bytes(slot, "little")
+                                 for c in b), "little")
+    size = (len(a) + len(b) - 1) * slot
+    raw = (pa * pb).to_bytes(size, "little")
+    return [int.from_bytes(raw[i:i + slot], "little")
+            for i in range(0, size, slot)]
+
+
 def poly_mul_mod(a, b, mod):
     """Dense product of coefficient lists modulo mod."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return poly_trim([c % mod for c in out])
+    return poly_trim([c % mod for c in _product(a, b, mod)])
+
+
+def _mul_low(a, b, n, mod):
+    """The first n coefficients of a * b mod mod, zero-padded to length n."""
+    out = [c % mod for c in _product(a, b, mod)[:n]]
+    return out + [0] * (n - len(out))
+
+
+def _series_inverse(c, n, mod):
+    """g with c * g = 1 mod (x^n, mod), for c[0] = 1; Newton steps
+    g <- g (2 - c g) double the number of correct coefficients."""
+    g = [1]
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        e = [-v % mod for v in _mul_low(c[:k], g, k, mod)]
+        e[0] = (e[0] + 2) % mod
+        g = _mul_low(g, e, k, mod)
+    return g
 
 
 def poly_divmod_monic_mod(a, b, mod):
@@ -73,6 +122,8 @@ def poly_divmod_monic_mod(a, b, mod):
     r = [c % mod for c in a]
     if len(r) <= db:
         return [], poly_trim(r)
+    if db >= BLOCK_DIV_MIN_DEG:
+        return _divmod_blocks(r, [c % mod for c in b], mod)
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
@@ -82,6 +133,29 @@ def poly_divmod_monic_mod(a, b, mod):
         r[i] = 0
         for j in range(db):
             r[i - db + j] = (r[i - db + j] - c * b[j]) % mod
+    return poly_trim(q), poly_trim(r[:db])
+
+
+def _divmod_blocks(r, b, mod):
+    """Monic division of reduced r by reduced b, top down, up to deg b
+    quotient coefficients per block.  Reversed, the block's quotient is the
+    reversed top of r times 1/rev(b), truncated; its product with b then
+    cancels that top and changes only the deg b coefficients below it."""
+    db = len(b) - 1
+    nq = len(r) - db
+    inv = _series_inverse(b[::-1], min(db, nq), mod)
+    q = [0] * nq
+    hi = nq
+    while hi:
+        lo = max(0, hi - db)
+        n = hi - lo
+        top = r[lo + db:hi + db][::-1]
+        blk = _mul_low(top, inv[:n], n, mod)[::-1]
+        q[lo:hi] = blk
+        sub = _mul_low(blk, b[:db], db, mod)
+        for i in range(db):
+            r[lo + i] = (r[lo + i] - sub[i]) % mod
+        hi = lo
     return poly_trim(q), poly_trim(r[:db])
 
 

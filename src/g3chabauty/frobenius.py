@@ -5,17 +5,29 @@ y^p (1 + p Dt(x) / F(x)^p)^(1/2) with Dt = (F(x^p) - F(x)^p) / p integral.
 Expanding the inverse square root binomially writes the pullback of each
 basis form w_j = x^j dx/2y (j = 0..5) as a sum of terms
 
-    c_k p^(k+1) x^(pj+p-1) Dt(x)^k dx / (2 y^(2pk+p)),
+    c_k p^(k+1) x^(pj+p-1) Dt(x)^k dx / (2 y^(2pk+p)),   k = 0..k_max,
 
-which are reduced back to the span of the w_i by two telescopes: lowering
-the y-exponent s two at a time via A = aF + bF' and
+that is x^(pj+p-1) Psi dx / (2 y^s_max) with s_max = 2p k_max + p and
+Psi = sum_k c_k p^(k+1) Dt^k F^(p (k_max - k)).  Two telescopes reduce it
+back to the span of the w_i (Kedlaya's algorithm, as in Balakrishnan,
+Bradshaw and Kedlaya, Explicit Coleman integration for hyperelliptic
+curves, ANTS IX).  The first lowers the y-exponent s two at a time via
+A = aF + bF' and
 
-    A dx/(2y^s) = (a + 2b'/(s-2)) dx/(2y^(s-2)) + d(-b y^(2-s) / (s-2)),
+    A dx/(2y^s) = (a + 2b'/(s-2)) dx/(2y^(s-2)) + d(-b y^(2-s) / (s-2)).
 
-then lowering the x-degree via d(x^j y).  All arithmetic runs over
-Z/p^W with a p^C prescale absorbing the small denominators the telescopes
-introduce; the exact forms are kept so Coleman integration can evaluate the
-primitive h_j with phi^* w_j = sum_i M[i][j] w_i + d h_j.
+In F-adic digits A = sum_t A_t F^t, deg A_t < 7 (unique, as F is monic),
+only the lowest digit needs that decomposition: a step sends the digits
+(A_0, A_1, A_2, ...) to (A_1 + f_s(A_0), A_2, ...) with deg f_s(A_0) <= 5.
+So the digits of Psi are computed once, p at a time by division by F^p;
+each column's digits follow from the previous column's by multiplying by
+x (x A_t = lc F + rest, the x^6 coefficient lc carrying into the next
+digit); and every pole step works on a polynomial of degree below 7.  At
+s = 1 the remaining digits are reassembled and the second telescope lowers
+the x-degree via d(x^j y).  All arithmetic runs over Z/p^W with a p^C
+prescale absorbing the small denominators the telescopes introduce; the
+exact forms are kept so Coleman integration can evaluate the primitive h_j
+with phi^* w_j = sum_i M[i][j] w_i + d h_j.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the functional equation and the point count over
@@ -224,37 +236,33 @@ def _compute(curve, p, N, delta, scale_bump):
 
     beta = _lift_cofactor(Q, Qd, p, W)
     cks = _half_binomial_units(k_max, m)
-    pref = []
-    for k in range(k_max + 1):
-        e = C + k + 1
-        pref.append(cks[k] * pow(p, e, m) % m if e < W else 0)
+    # C + k + 1 < W for every k <= k_max, so no prefactor vanishes mod m
+    pref = [cks[k] * pow(p, C + k + 1, m) % m for k in range(k_max + 1)]
 
-    dpow = [[1]]
-    for _k in range(k_max):
-        dpow.append(kernels.poly_mul_mod(dpow[-1], dt, m))
-
+    J = (s_max - 1) // 2
+    digits = _psi_digits(Q, dt, pref, p, m)
     matrix_ints = [[0] * 6 for _ in range(6)]
     pole_prims = []
     deg_prims = []
     pC = p ** C
 
     for col in range(6):
-        A = []
-        s = s_max
+        # digits of x^(p col + p - 1) Psi
+        for _ in range(p if col else p - 1):
+            digits = _times_x(digits, Q, m)
         prims = []
-        for k in range(k_max, -1, -1):
-            if pref[k]:
-                term = kernels.poly_shift(
-                    kernels.poly_scale_mod(dpow[k], pref[k], m),
-                    p * col + p - 1)
-                A = kernels.poly_add_mod(A, term, m)
-            target = 2 * p * (k - 1) + p if k else 1
-            while s > target:
-                A = _pole_step(A, s, Q, Qd, beta, p, m, prims)
-                s -= 2
-        if s != 1:
-            raise PrecisionError("pole reduction did not terminate")
-        A, dprims = _degree_reduce(A, Q, Qd, p, m)
+        carry = []
+        for j in range(J):
+            c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]), carry, m)
+                 if j < len(digits) else carry)
+            carry = _pole_step(c, s_max - 2 * j, Q, Qd, beta, p, m, prims)
+        # the numerator over y^1: carry plus the digits from J on
+        A = []
+        for d in reversed(digits[J:]):
+            A = kernels.poly_add_mod(kernels.poly_mul_mod(A, Q, m),
+                                     kernels.poly_trim(d), m)
+        A, dprims = _degree_reduce(kernels.poly_add_mod(A, carry, m),
+                                   Q, Qd, p, m)
         if len(A) > 6:
             raise PrecisionError("degree reduction did not terminate")
         for i in range(6):
@@ -291,27 +299,76 @@ def _ceil_log(n, p):
     return e
 
 
-def _pole_step(A, s, Q, Qd, beta, p, m, prims):
-    """One y-exponent drop s -> s-2; appends the subtracted primitive."""
-    q, r = kernels.poly_divmod_monic_mod(A, Q, m)
+def _psi_digits(Q, dt, pref, p, m):
+    """Q-adic digits (7-coefficient lists) of
+    Psi = sum_k pref[k] Dt^k Q^(p (k_max - k)), k_max = len(pref) - 1.
+
+    Term k starts at digit p (k_max - k), so the digits come out p at a
+    time from k = k_max down: add the term to what is left over, split off
+    Q^p, and expand the remainder (degree < 7p) digit by digit.
+    """
+    k_max = len(pref) - 1
+    dpow = [[1]]
+    for _k in range(k_max):
+        dpow.append(kernels.poly_mul_mod(dpow[-1], dt, m))
+    qp = kernels.poly_pow_mod(Q, p, m)
+    digits = []
+    rest = []
+    for k in range(k_max, -1, -1):
+        rest = kernels.poly_add_mod(
+            rest, kernels.poly_scale_mod(dpow[k], pref[k], m), m)
+        if k:
+            rest, low = kernels.poly_divmod_monic_mod(rest, qp, m)
+            n = p
+        else:
+            low, n = rest, 0
+        while low or n > 0:
+            low, d = kernels.poly_divmod_monic_mod(low, Q, m)
+            digits.append(d + [0] * (7 - len(d)))
+            n -= 1
+    return digits
+
+
+def _times_x(digits, Q, m):
+    """Digits of x * sum_t d_t Q^t: x d_t = lc Q + rest with lc the x^6
+    coefficient of d_t, and lc carries into the next digit."""
+    q_up = Q[1:7]
+    out = []
+    carry = 0
+    for d in digits:
+        lc = d[6]
+        if lc:
+            out.append([(carry - lc * Q[0]) % m]
+                       + [(v - lc * q) % m for v, q in zip(d, q_up)])
+        else:
+            out.append([carry] + d[:6])
+        carry = lc
+    if carry:
+        out.append([carry, 0, 0, 0, 0, 0, 0])
+    return out
+
+
+def _pole_step(c, s, Q, Qd, beta, p, m, prims):
+    """One y-exponent drop s -> s-2 on the lowest Q-adic digit c of the
+    numerator: c = aQ + bQ' with deg a <= 5, and c dx/2y^s leaves
+    a + 2b'/(s-2) at y^(s-2).  Returns that polynomial (degree <= 5) and
+    appends the subtracted primitive."""
     b = kernels.poly_divmod_monic_mod(
-        kernels.poly_mul_mod(r, beta, m), Q, m)[1]
-    rem = _exact_poly_div(
-        kernels.poly_sub_mod(r, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
-    a = kernels.poly_add_mod(q, rem, m)
+        kernels.poly_mul_mod(c, beta, m), Q, m)[1]
+    a = _exact_poly_div(
+        kernels.poly_sub_mod(c, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
     d = s - 2
     e = ord_p(d, p)
     dtild = d // p ** e
     inv_dt = pow(dtild, -1, m)
     two_over = 2 * inv_dt % m
     bd = kernels.poly_deriv_mod(b, m)
-    corr = [_exact_pdiv(c * two_over % m, p, e) % m for c in bd]
-    A_next = kernels.poly_add_mod(a, kernels.poly_trim(corr), m)
+    corr = [_exact_pdiv(v * two_over % m, p, e) % m for v in bd]
     if b:
         neg_over = -inv_dt % m
-        prim = tuple(_exact_pdiv(c * neg_over % m, p, e) % m for c in b)
+        prim = tuple(_exact_pdiv(v * neg_over % m, p, e) % m for v in b)
         prims.append((s, prim))
-    return A_next
+    return kernels.poly_add_mod(a, kernels.poly_trim(corr), m)
 
 
 def _degree_reduce(A, Q, Qd, p, m):

@@ -97,7 +97,11 @@ def small_integer_relation(values, max_height=None):
         else:
             row = [0] * k
             row[i] = 1
-            row[pivot] = -(res[i] * inv) % m
+            # balanced representative, same lattice: with entries in
+            # [0, m) sympy's lll() fails its own size-reduction assert on
+            # some bases (curve A at p = 7, N >= 38)
+            r = -(res[i] * inv) % m
+            row[pivot] = r - m if r > m // 2 else r
         rows.append(row)
     reduced = DomainMatrix(rows, (k, k), ZZ).lll().to_list()
     best = None

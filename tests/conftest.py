@@ -1,14 +1,18 @@
 """Shared fixtures: the three demo curves and cached pipeline runs.
 
 The demo curves are identified by minimal discriminant (544256, 48519 and
-1573040).  Coefficients are constant-first.
+1573040).  Coefficients are constant-first.  Each reference analysis runs
+once per session and is shared by test_acceptance and test_pipeline; tests
+only read the reports.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from g3chabauty.curve import CurveModel, RationalPoint
+from g3chabauty.pipeline import analyze_curve
 
 # y^2 = 4x^7 + 9x^6 - 8x^5 - 36x^4 - 16x^3 + 32x^2 + 32x + 8
 CURVE_A_COEFFS = [8, 32, 32, -16, -36, -8, 9, 4]
@@ -50,3 +54,33 @@ def curve_b():
 @pytest.fixture(scope="session")
 def curve_c():
     return make_curve(CURVE_C_COEFFS)
+
+
+@pytest.fixture(scope="session")
+def ex1_p7(curve_a):
+    """Example 1 at p = 7, known points from a height-1000 search."""
+    return analyze_curve(curve_a, p=7)
+
+
+@pytest.fixture(scope="session")
+def ex2_p7_timed(curve_b):
+    """Example 2 at p = 7 and the seconds its analysis took."""
+    t0 = time.perf_counter()
+    report = analyze_curve(curve_b, p=7)
+    return report, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def ex2_p7(ex2_p7_timed):
+    return ex2_p7_timed[0]
+
+
+@pytest.fixture(scope="session")
+def ex2_p11(curve_b):
+    return analyze_curve(curve_b, p=11)
+
+
+@pytest.fixture(scope="session")
+def ex3_p11(curve_c):
+    return analyze_curve(curve_c, p=11, knowns=parse_points(CURVE_C_KNOWN),
+                         base_point=RationalPoint.affine(1, -2))

@@ -11,7 +11,6 @@ the integration layer and the batch harness.
 import json
 import pathlib
 import random
-import time
 from fractions import Fraction
 
 import numpy
@@ -19,16 +18,13 @@ import pytest
 
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
-from g3chabauty.curve import CurveModel, CurvePoint, RationalPoint
+from g3chabauty.curve import CurveModel, CurvePoint
 from g3chabauty.errors import InputError
 from g3chabauty.frobenius import brute_zeta_numerator, zeta_numerator
 from g3chabauty.localdisk import DifferentialForm
 from g3chabauty.padic import PadicNumber, ord_p
-from g3chabauty.pipeline import analyze_curve
 from g3chabauty.rootfinding import series_roots_in_disk
 from g3chabauty.series import PadicPowerSeries
-
-from conftest import CURVE_C_KNOWN
 
 
 class criterion:
@@ -44,30 +40,6 @@ class criterion:
         status = "PASS" if exc_type is None else "FAIL"
         print("criterion %2d %s: %s" % (self.num, status, self.desc))
         return False
-
-
-@pytest.fixture(scope="module")
-def ex2_p7_timed(curve_b):
-    t0 = time.perf_counter()
-    report = analyze_curve(curve_b, p=7)
-    return report, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def ex1_p7(curve_a):
-    return analyze_curve(curve_a, p=7)
-
-
-@pytest.fixture(scope="module")
-def ex2_p11(curve_b):
-    return analyze_curve(curve_b, p=11)
-
-
-@pytest.fixture(scope="module")
-def ex3_p11(curve_c):
-    knowns = [RationalPoint.from_json(k) for k in CURVE_C_KNOWN]
-    return analyze_curve(curve_c, p=11, knowns=knowns,
-                         base_point=RationalPoint.affine(1, -2))
 
 
 @pytest.fixture(scope="module")

@@ -160,9 +160,19 @@ def test_rejects_malformed_job(tmp_path, capsys):
                 {"curve": CURVE_A_JSON, "p": "7"},
                 {"curve": CURVE_A_JSON, "p": 7.0},
                 {"curve": CURVE_A_JSON, "p": 7, "search_height": "x"},
-                {"curve": CURVE_A_JSON, "p": 7, "precision": "x"}):
+                {"curve": CURVE_A_JSON, "p": 7, "precision": "x"},
+                {"curve": CURVE_A_JSON, "p": 7, "precision": -3},
+                {"curve": CURVE_A_JSON, "p": 7, "precision": 0},
+                {"curve": CURVE_A_JSON, "p": 7, "search_height": -1}):
         job = write_json(tmp_path / "bad.json", bad)
         assert main(["analyze", "--job", job]) == 2, bad
+    job = write_json(tmp_path / "job.json", {"curve": CURVE_A_JSON, "p": 7})
+    for n in ("-3", "0"):
+        assert main(["analyze", "--job", job, "--N", n]) == 2
+    curve = write_json(tmp_path / "curve.json", CURVE_A_JSON)
+    for n in ("-3", "0"):
+        assert main(["integrate", "--curve", curve, "--p", "7", "--N", n,
+                     "--from", "infinity", "--to=-1,-1"]) == 2
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """Cohomology-side zeta numerators against naive point counting, plus the
 pullback identity that ties matrix and primitives together."""
 
+import hashlib
 import math
 
 import pytest
@@ -55,6 +56,26 @@ def test_jacobian_order_annihilates(curve_a, fd_a7):
     for q in curve_a.fp_points(p)[:8]:
         d = MumfordDivisorFp.from_point(q, p, f)
         assert (n * d).is_identity
+
+
+# SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)), from the
+# per-column pole reduction that preceded the shared Q-adic digits
+FROBENIUS_DIGESTS = {
+    ("curve_a", 7, 10):
+        "dbd7500fdf6bd1f0ebce470fd9ea23ed5e5daa69d5b19f51cc3456499fe23630",
+    ("curve_b", 7, 18):
+        "ab85177823f2f4d03d05a454133dac01862264c1d241303efbef167ab66df8ca",
+    ("curve_c", 11, 26):
+        "22e5538754cf3b20eee8e4cb7f1c817aa9e982224ee190eaa7f4d6674ca6fd26",
+}
+
+
+@pytest.mark.parametrize("curve,p,prec", sorted(FROBENIUS_DIGESTS))
+def test_frobenius_bookkeeping_pinned(curve, p, prec, request):
+    fd = frobenius_data(request.getfixturevalue(curve), p, prec)
+    data = (fd.matrix_ints, fd.pole_prims, fd.deg_prims, fd.zeta)
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == FROBENIUS_DIGESTS[curve, p, prec]
 
 
 def test_matrix_is_integral(fd_a7):

@@ -151,3 +151,55 @@ def test_poly_helpers_oracle():
             for h in (a, b):
                 assert not kernels.poly_divmod_monic_mod(h, g, p)[1]
             assert not kernels.poly_divmod_monic_mod(g, common, p)[1]
+
+
+MODULI = (13, 2 ** 61 - 1, 11 ** 54)
+
+
+def schoolbook_mul(a, b, mod):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return kernels.poly_trim([c % mod for c in out])
+
+
+def schoolbook_divmod(a, b, mod):
+    db = len(b) - 1
+    r = [c % mod for c in a]
+    q = [0] * max(0, len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = q[i - db] = r[i]
+        for j in range(db + 1):
+            r[i - db + j] = (r[i - db + j] - c * b[j]) % mod
+    return kernels.poly_trim(q), kernels.poly_trim(r[:db])
+
+
+def test_kronecker_mul_against_schoolbook():
+    # both sides of KRONECKER_MIN_LEN; negative and unreduced coefficients
+    rng = random.Random(31)
+    t = kernels.KRONECKER_MIN_LEN
+    lengths = (1, 2, t - 1, t, t + 1, 2 * t, 100, 600)
+    for mod in MODULI:
+        for la in lengths:
+            for lb in lengths:
+                a = [rng.randrange(-3 * mod, 3 * mod) for _ in range(la)]
+                b = [rng.randrange(-3 * mod, 3 * mod) for _ in range(lb)]
+                assert kernels.poly_mul_mod(a, b, mod) == \
+                    schoolbook_mul(a, b, mod), (mod, la, lb)
+        # a product that vanishes mod mod trims to the empty list
+        assert kernels.poly_mul_mod([mod] * 40, [-1] * 40, mod) == []
+
+
+def test_block_divmod_against_schoolbook():
+    # divisor degrees on both sides of BLOCK_DIV_MIN_DEG, dividends from
+    # shorter than the divisor to many blocks long
+    rng = random.Random(37)
+    t = kernels.BLOCK_DIV_MIN_DEG
+    for mod in MODULI:
+        for db in (1, 7, t - 1, t, t + 1, 77, 120):
+            b = [rng.randrange(-2 * mod, 2 * mod) for _ in range(db)] + [1]
+            for la in (0, 1, db, db + 1, 2 * db + 3, 600):
+                a = [rng.randrange(-2 * mod, 2 * mod) for _ in range(la)]
+                assert kernels.poly_divmod_monic_mod(a, b, mod) == \
+                    schoolbook_divmod(a, b, mod), (mod, db, la)

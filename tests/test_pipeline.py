@@ -15,7 +15,7 @@ from g3chabauty.curve import CurveModel, RationalPoint
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.pipeline import analyze_curve, default_precision
 
-from conftest import CURVE_C_KNOWN
+from conftest import CURVE_A_KNOWN, CURVE_C_KNOWN
 
 
 def expansion_value(s, p, n):
@@ -42,28 +42,6 @@ def disk_record(report, label):
         if d["disk"] == label:
             return d
     raise AssertionError("no disk %s" % label)
-
-
-@pytest.fixture(scope="module")
-def ex2_p7(curve_b):
-    return analyze_curve(curve_b, p=7)
-
-
-@pytest.fixture(scope="module")
-def ex1_p7(curve_a):
-    return analyze_curve(curve_a, p=7)
-
-
-@pytest.fixture(scope="module")
-def ex2_p11(curve_b):
-    return analyze_curve(curve_b, p=11)
-
-
-@pytest.fixture(scope="module")
-def ex3_p11(curve_c):
-    knowns = [RationalPoint.from_json(k) for k in CURVE_C_KNOWN]
-    return analyze_curve(curve_c, p=11, knowns=knowns,
-                         base_point=RationalPoint.affine(1, -2))
 
 
 def test_default_precision():
@@ -210,6 +188,14 @@ def test_ex1_infinity_disk(ex1_p7):
 def test_ex1_report_deterministic(curve_a, ex1_p7):
     again = analyze_curve(curve_a, p=7)
     assert again.to_json() == ex1_p7.to_json()
+
+
+def test_ex1_class_counts_at_n40(curve_a):
+    # from N = 38 on, recognition used to die in sympy's LLL
+    knowns = [RationalPoint.from_json(k) for k in CURVE_A_KNOWN]
+    report = analyze_curve(curve_a, p=7, prec=40, knowns=knowns)
+    assert report["class_counts"] == {"known_rational": 5, "torsion": 2,
+                                      "weierstrass": 3}
 
 
 # -- Example 2 at p = 11 ------------------------------------------------------

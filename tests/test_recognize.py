@@ -9,7 +9,8 @@ import pytest
 from g3chabauty.padic import INF, PadicNumber, padic_sqrt
 from g3chabauty.recognize import (QuadraticElement, format_polynomial,
                                   is_irreducible_quadratic, linear_relation,
-                                  quadratic_relation, rational_reconstruct)
+                                  quadratic_relation, rational_reconstruct,
+                                  small_integer_relation)
 
 
 def from_frac(q, p, prec):
@@ -107,6 +108,15 @@ def test_linear_relation_planted():
                  + QuadraticElement.rational(rel[1], mp) * y_el
                  + QuadraticElement.rational(rel[2], mp) * x_el)
         assert total.is_zero
+
+
+def test_relation_from_unbalanced_basis():
+    # curve A at p = 7, N = 40: with entries in [0, 7^40) the lattice basis
+    # [[7^40, 0, 0], [c, 1, 0], [7^40 - 8, 0, 1]] tripped an assert in
+    # sympy's lll(); balanced entries span the same lattice
+    values = [from_frac(v, 7, 40)
+              for v in (1, 1017976814372970571320298394767723, 8)]
+    assert small_integer_relation(values) == (-8, 0, 1)
 
 
 def test_quadratic_element_arithmetic():
