@@ -7,12 +7,12 @@ locus of the two annihilating integrals on C(Q_p), certifies per-disk
 root counts, and classifies every member of the locus.
 """
 
-from .coleman import ColemanContext, coleman_integrals
+from .coleman import ColemanContext
 from .curve import CurveModel, FpPoint, RationalPoint
 from .errors import (BadReductionError, G3Error, InputError, PrecisionError,
                      RecognitionError, SimplicityError)
 from .frobenius import brute_zeta_numerator, frobenius_data, zeta_numerator
-from .jacobian import MumfordDivisorFp, reduction_class
+from .jacobian import MumfordDivisorFp
 from .padic import PadicNumber
 from .pipeline import AnalysisReport, analyze_curve, default_precision
 from .rootfinding import series_roots_in_disk
@@ -37,10 +37,8 @@ __all__ = [
     "SimplicityError",
     "analyze_curve",
     "brute_zeta_numerator",
-    "coleman_integrals",
     "default_precision",
     "frobenius_data",
-    "reduction_class",
     "series_roots_in_disk",
     "zeta_numerator",
     "__version__",

@@ -1,14 +1,15 @@
 """Dense polynomial arithmetic modulo N, point counting and point search.
 
 This is the one home of the hot arithmetic behind Frobenius, Cantor
-addition and root isolation.  Polynomials are little-endian integer
-coefficient lists; every function takes its (possibly huge) modulus
-explicitly.  Products of long operands use Kronecker substitution: both
-are packed into one Python int, so one C-level big-int multiplication does
-the work of the schoolbook loop; division by a monic polynomial of large
-degree runs block by block on such products.  Callers look these names
-up as ``kernels.<name>`` at call time, so a wrapper installed on the module
-(as perfbench/tracing.py does) sees every call.
+addition, Hensel lifting and root isolation.  Polynomials are
+little-endian integer coefficient lists; every function takes its
+(possibly huge) modulus explicitly.  Products of long operands use
+Kronecker substitution: both are packed into one Python int, so one
+C-level big-int multiplication does the work of the schoolbook loop;
+division by a monic polynomial of large degree runs block by block on
+such products.  Callers look these names up as ``kernels.<name>`` at
+call time, so a wrapper installed on the module (as perfbench/tracing.py
+does) sees every call.
 """
 
 from math import gcd, isqrt
@@ -194,6 +195,18 @@ def poly_eval_mod(coeffs, x, mod):
     for c in reversed(coeffs):
         acc = (acc * x + c) % mod
     return acc
+
+
+def hensel_lift(f, fd, x, p, prec):
+    """Newton lift of x, a root of f mod p with fd = f' a unit there, to the
+    root of f mod p^prec; the known digits double each step."""
+    e = 1
+    while e < prec:
+        e = min(2 * e, prec)
+        m = p ** e
+        x = (x - poly_eval_mod(f, x, m)
+             * pow(poly_eval_mod(fd, x, m), -1, m)) % m
+    return x
 
 
 def fp_curve_points(f_coeffs, p):

@@ -91,14 +91,6 @@ def _job_int(job, key, default=None):
     return value
 
 
-def _at_least(name, value, least):
-    """value unless it is an integer below least; None passes."""
-    if value is not None and value < least:
-        raise InputError("%s must be at least %d, got %d"
-                         % (name, least, value))
-    return value
-
-
 def _check_job_id(job_id):
     """Job ids name report files, so they must stay inside the out dir."""
     if job_id in ("", ".", "..") or "/" in job_id or "\\" in job_id:
@@ -114,13 +106,12 @@ def run_job(job, p=None, prec=None):
         p = _job_int(job, "p")
     if prec is None:
         prec = _job_int(job, "precision")
-    # checked before the point search and the analysis start
-    prec = _at_least("precision", prec, 1)
-    height = _at_least("search_height",
-                       _job_int(job, "search_height", 1000), 0)
+    height = _job_int(job, "search_height", 1000)
     curve = _job_curve(job)
     knowns = job.get("known_points")
     if knowns is not None:
+        if not isinstance(knowns, list):
+            raise InputError("job field 'known_points' must be a list")
         knowns = [RationalPoint.from_json(k) for k in knowns]
     base = job.get("base_point")
     if base is not None:
@@ -278,9 +269,9 @@ def cmd_integrate(args):
     from .localdisk import curve_point_from_rational
     from .pipeline import default_precision
     p = curve.check_prime(args.p)
-    prec = _at_least("--N", args.N, 1)
-    if prec is None:
-        prec = default_precision(p)
+    if args.N is not None and args.N < 1:
+        raise InputError("--N must be at least 1, got %d" % args.N)
+    prec = default_precision(p) if args.N is None else args.N
     ctx = ColemanContext(curve, p, prec)
     a = curve_point_from_rational(curve, curve.to_monic(src), p, prec)
     b = curve_point_from_rational(curve, curve.to_monic(dst), p, prec)

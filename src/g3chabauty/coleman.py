@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError, PrecisionError
+from .errors import PrecisionError
 from .frobenius import frobenius_data
-from .localdisk import (DifferentialForm, LocalExpansion, simple_disk_center,
-                        teichmuller_disk_center)
-from .padic import INF, PadicNumber, sqrt_mod_pn, teichmuller_int
-from . import _kernels as kernels
+from .localdisk import DifferentialForm, LocalExpansion, disk_center
+from .padic import PadicNumber
 
 
 def padic_linsolve(rows, rhs):
@@ -56,7 +54,7 @@ def padic_linsolve(rows, rhs):
             if r == best:
                 continue
             f = aug[r][col]
-            if f.is_zero and f.valuation == INF:
+            if f.is_exact_zero:
                 continue
             aug[r] = [aug[r][j] - f * aug[best][j] for j in range(n + 1)]
     sol = [None] * n
@@ -66,12 +64,9 @@ def padic_linsolve(rows, rhs):
 
 
 class _DiskData:
-    __slots__ = ("center", "expansion", "forms", "antiderivatives",
-                 "half_system")
+    __slots__ = ("expansion", "forms", "antiderivatives", "half_system")
 
-    def __init__(self, center, expansion, forms, antiderivatives,
-                 half_system):
-        self.center = center
+    def __init__(self, expansion, forms, antiderivatives, half_system):
         self.expansion = expansion
         self.forms = forms
         self.antiderivatives = antiderivatives
@@ -82,32 +77,19 @@ class ColemanContext:
     """Per-(curve, p) cache of disk charts, Teichmuller centers and solved
     Frobenius systems, exposing integrals of w0, w1, w2 between points."""
 
-    def __init__(self, curve, p, prec, fd=None, t_prec=None):
+    def __init__(self, curve, p, prec):
         curve.check_prime(p)
         self.curve = curve
         self.p = p
         self.prec = prec
-        self.t_prec = t_prec if t_prec is not None else prec + 4
-        self.fd = fd if fd is not None else frobenius_data(curve, p, prec)
+        self.t_prec = prec + 4
+        self.fd = frobenius_data(curve, p, prec)
         self._disks = {}
         self._half = PadicNumber.from_rational(
             Fraction(1, 2), p, rel_prec=prec)
         self._basis = [DifferentialForm.basis(i, p, prec) for i in range(3)]
 
     # -- per-disk assembly -------------------------------------------------
-
-    def _teich_residues(self, disk):
-        """Integer residues mod p^work of the Teichmuller point over disk."""
-        p, w = self.p, self.fd.work_exp
-        m = p ** w
-        x_t = teichmuller_int(disk.x, p, w) if disk.x else 0
-        fx = kernels.poly_eval_mod(self.curve.f_coeffs_mod(p, w), x_t, m)
-        y_t = sqrt_mod_pn(fx, p, w)
-        if y_t is None:
-            raise PrecisionError("no Teichmuller point over this disk")
-        if y_t % p != disk.y:
-            y_t = m - y_t
-        return x_t, y_t
 
     def disk_data(self, disk):
         """Cached chart data for the canonical disk under ``disk``, plus a
@@ -116,19 +98,15 @@ class ColemanContext:
         flip = (not disk.is_infinity) and disk.y != key.y
         if key not in self._disks:
             self._disks[key] = self._build_disk(key)
-        data = self._disks[key]
-        if not flip:
-            return data, False
-        return data, True
+        return self._disks[key], flip
 
     def _build_disk(self, disk):
         p = self.p
-        if disk.is_infinity or disk.y == 0:
-            center = simple_disk_center(self.curve, disk, p, self.prec)
-            half_system = None
-        else:
-            center = teichmuller_disk_center(self.curve, disk, p, self.prec)
-            x_t, y_t = self._teich_residues(disk)
+        center, residues = disk_center(self.curve, disk, p, self.prec,
+                                       self.fd.work_exp)
+        half_system = None
+        if residues is not None:
+            x_t, y_t = residues
             m = p ** self.fd.work_exp
             rhs = []
             mat = self.fd.matrix()
@@ -146,7 +124,7 @@ class ColemanContext:
                                    self.t_prec, self.prec)
         forms = tuple(expansion.differential_series(f) for f in self._basis)
         antis = tuple(f.formal_integral() for f in forms)
-        return _DiskData(center, expansion, forms, antis, half_system)
+        return _DiskData(expansion, forms, antis, half_system)
 
     # -- integrals ---------------------------------------------------------
 
@@ -169,16 +147,3 @@ class ColemanContext:
         hi = self.halfint(end)
         lo = self.halfint(start)
         return tuple(h - l for h, l in zip(hi, lo))
-
-    def integrate_form(self, form, start, end):
-        vals = self.integral_holomorphic(start, end)
-        acc = PadicNumber.zero(self.p)
-        for c, v in zip(form.coefficients, vals):
-            acc = acc + c * v
-        return acc
-
-
-def coleman_integrals(curve, p, prec, start, end, fd=None):
-    """One-shot holomorphic basis integrals between two points."""
-    ctx = ColemanContext(curve, p, prec, fd=fd)
-    return ctx.integral_holomorphic(start, end)

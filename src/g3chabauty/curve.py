@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from . import _kernels as kernels
 from .errors import BadReductionError, InputError
-from .padic import INF, PadicNumber, ord_p
+from .padic import INF, hensel_lift_root, ord_p
+from .recognize import primitive_poly
 
 
 def _fractions(coeffs):
@@ -63,11 +64,16 @@ class RationalPoint:
 
     @staticmethod
     def from_json(obj):
-        if obj == "infinity" or obj is None:
+        if obj == "infinity":
             return RationalPoint.infinity()
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise InputError("point must be 'infinity' or [x, y]")
-        return RationalPoint.affine(Fraction(str(obj[0])), Fraction(str(obj[1])))
+        try:
+            return RationalPoint.affine(Fraction(str(obj[0])),
+                                        Fraction(str(obj[1])))
+        except (ValueError, ZeroDivisionError):
+            raise InputError("point coordinates must be rational numbers, "
+                             "got %r" % (obj,)) from None
 
 
 @dataclass(frozen=True, order=True)
@@ -85,10 +91,6 @@ class FpPoint:
     @property
     def is_infinity(self):
         return self.kind == "infinity"
-
-    @property
-    def is_weierstrass(self):
-        return self.kind == "affine" and self.y == 0
 
     def involution(self, p):
         if self.kind != "affine" or self.y == 0:
@@ -153,9 +155,7 @@ class CurveModel:
             if v == 0 or v * v != g[7] * u ** 7:
                 raise InputError("scaling must satisfy v^2 = g7 * u^7 != 0")
         else:
-            den = 1
-            for c in g:
-                den = den * c.denominator // gcd(den, c.denominator)
+            den = lcm(*(c.denominator for c in g))
             c = g[7] * den * den
             u, v = Fraction(1, 1) / c, Fraction(1, 1) / (c ** 3 * den)
         F = [g[i] * u ** i / (v * v) for i in range(8)]
@@ -176,15 +176,6 @@ class CurveModel:
 
     def F_derivative(self):
         return tuple(i * self.F[i] for i in range(1, 8))
-
-    def fbar(self, p):
-        """Monic-model coefficients reduced mod p (denominators inverted)."""
-        out = []
-        for c in self.F:
-            if c.denominator % p == 0:
-                raise BadReductionError("coefficient denominator divisible by %d" % p)
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return out
 
     def f_coeffs_mod(self, p, prec):
         """Monic-model coefficients as integers mod p^prec."""
@@ -233,16 +224,15 @@ class CurveModel:
                 return False
         return all(ord_p(c, p) >= 0 for c in self.F if c != 0)
 
-    def choose_prime(self, start=7):
-        """Smallest good prime >= max(start, 7)."""
+    def choose_prime(self):
+        """Smallest good prime."""
         import sympy
-        p = max(start, 7) - 1
-        while True:
-            p = int(sympy.nextprime(p))
-            if self.is_good_prime(p):
-                return p
+        p = 7
+        while not self.is_good_prime(p):
             if p > 10 ** 6:
                 raise InputError("no good prime found below 10^6")
+            p = int(sympy.nextprime(p))
+        return p
 
     def check_prime(self, p):
         import sympy
@@ -276,7 +266,7 @@ class CurveModel:
     def fp_points(self, p):
         """All points of the reduction mod p, infinity included."""
         pts = [FpPoint.infinity()]
-        for x, y in kernels.fp_curve_points(self.fbar(p), p):
+        for x, y in kernels.fp_curve_points(self.f_coeffs_mod(p, 1), p):
             pts.append(FpPoint("affine", x, y))
         return pts
 
@@ -288,7 +278,7 @@ class CurveModel:
 
     def weierstrass_x_factors(self):
         """Irreducible factors of F over Q as primitive integer coefficient
-        lists (constant first, positive leading coefficient)."""
+        tuples (constant first, positive leading coefficient), sorted."""
         import sympy
         x = sympy.Symbol("x")
         poly = sympy.Poly([sympy.Rational(c) for c in reversed(self.F)], x)
@@ -297,18 +287,8 @@ class CurveModel:
         for fac, mult in factors:
             if mult != 1:
                 raise InputError("F is not squarefree")
-            cs = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
-            den = 1
-            for c in cs:
-                den = den * c.denominator // gcd(den, c.denominator)
-            ints = [int(c * den) for c in cs]
-            content = 0
-            for c in ints:
-                content = gcd(content, c)
-            ints = [c // content for c in ints]
-            if ints[-1] < 0:
-                ints = [-c for c in ints]
-            out.append(ints)
+            out.append(primitive_poly(
+                Fraction(str(c)) for c in reversed(fac.all_coeffs())))
         out.sort()
         return out
 
@@ -316,16 +296,13 @@ class CurveModel:
         """Finite Weierstrass points over Q_p: list of dicts with the lifted
         x (PadicNumber), the residue, rationality, and the minimal polynomial
         of x over Q (constant first, content-free, positive leading coeff)."""
-        from .padic import hensel_lift_root
-        fbar = self.fbar(p)
+        ints = self.f_coeffs_mod(p, prec)
         out = []
         factors = self.weierstrass_x_factors()
         for x0 in range(p):
-            if kernels.poly_eval_mod(fbar, x0, p) != 0:
+            if kernels.poly_eval_mod(ints, x0, p) != 0:
                 continue
-            start = PadicNumber.from_rational(x0, p, abs_prec=prec) if x0 \
-                else PadicNumber.zero(p, prec)
-            xlift = hensel_lift_root(self.F, start, prec)
+            xlift = hensel_lift_root(ints, x0, p, prec)
             home = None
             for fac in factors:
                 if kernels.poly_eval_mod([c % p for c in fac], x0, p) == 0:
@@ -350,9 +327,7 @@ class CurveModel:
     def search_rational_points(self, height):
         """Points of the original model with x = a/b, |a|, b <= height,
         plus infinity; exact Fraction verification of every hit."""
-        den = 1
-        for c in self.original:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in self.original))
         cnum = [int(c * den) for c in self.original]
         hits = kernels.search_x_squares(cnum, den, height)
         pts = [RationalPoint.infinity()]

@@ -281,7 +281,7 @@ def _compute(curve, p, N, delta, scale_bump):
         raise PrecisionError("zeta coefficients violate the Weil bounds")
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
         raise PrecisionError("zeta functional equation failed")
-    npoints = len(kernels.fp_curve_points(curve.fbar(p), p)) + 1
+    npoints = len(kernels.fp_curve_points(curve.f_coeffs_mod(p, 1), p)) + 1
     if p + 1 + b[1] != npoints:
         raise PrecisionError("trace does not match the point count")
 
@@ -395,11 +395,15 @@ def _degree_reduce(A, Q, Qd, p, m):
     return A, prims
 
 
-def frobenius_data(curve, p, prec, deltas=(4, 8, 16)):
+# headroom digits of the successive attempts
+_DELTAS = (4, 8, 16)
+
+
+def frobenius_data(curve, p, prec):
     """Audited Frobenius structure; retries with more headroom on failure."""
     curve.check_prime(p)
     last = None
-    for attempt, delta in enumerate(deltas):
+    for attempt, delta in enumerate(_DELTAS):
         try:
             return _compute(curve, p, prec, delta, scale_bump=4 * attempt)
         except PrecisionError as exc:
@@ -407,11 +411,9 @@ def frobenius_data(curve, p, prec, deltas=(4, 8, 16)):
     raise PrecisionError("frobenius computation failed: %s" % last)
 
 
-def zeta_numerator(curve, p, prec=None):
+def zeta_numerator(curve, p):
     """[b0..b6] with #C(F_{p^k}) determined by P(T) = sum b_i T^i."""
-    if prec is None:
-        prec = max(6, _ceil_log(40, p) + 2)
-    return list(frobenius_data(curve, p, prec).zeta)
+    return list(frobenius_data(curve, p, max(6, _ceil_log(40, p) + 2)).zeta)
 
 
 def _irreducible_low(p, k):
@@ -426,7 +428,7 @@ def _irreducible_low(p, k):
 
 def brute_zeta_numerator(curve, p):
     """Zeta numerator from naive point counts over F_p, F_p^2, F_p^3."""
-    fbar = curve.fbar(p)
+    fbar = curve.f_coeffs_mod(p, 1)
     counts = []
     for k in (1, 2, 3):
         affine = kernels.count_points_gf(fbar, p, k, _irreducible_low(p, k))
@@ -482,6 +484,5 @@ def identity_check(fd, xbar):
         if not diff.is_zero:
             raise PrecisionError(
                 "frobenius identity fails at column %d" % col)
-        worst = min(worst, K if diff.valuation == math.inf
-                    else diff.valuation)
+        worst = min(worst, K if diff.is_exact_zero else diff.valuation)
     return worst

@@ -154,18 +154,3 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def reduction_class(curve, point, p):
-    """[Pbar - infinitybar] in J(F_p) for a monic-model point given as a
-    RationalPoint, CurvePoint, or FpPoint."""
-    f = curve.fbar(p)
-    if isinstance(point, FpPoint):
-        red = point
-    elif hasattr(point, "is_infinity") and point.is_infinity:
-        red = FpPoint.infinity()
-    elif hasattr(point, "x") and hasattr(point.x, "prime"):
-        red = curve.reduce_curve_point(point, p)
-    else:
-        red = curve.reduce_point(point, p)
-    return MumfordDivisorFp.from_point(red, p, f)

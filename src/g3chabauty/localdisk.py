@@ -8,6 +8,10 @@ Three disk types on the monic odd model y^2 = F(x), deg F = 7:
 * infinity: t = x^3/y, x = u/t^2, y = u^3/t^7 with u(t) = 1 + O(t^2) the
   unit series solving u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i = 0.
 
+Each disk has one center (disk_center): the point at infinity, the finite
+Weierstrass point, or the Teichmuller point of a generic disk, whose
+integer residues also feed the Frobenius system in coleman.
+
 Basis differentials are w_i = x^i dx / 2y for i = 0, 1, 2 (holomorphic).
 """
 
@@ -16,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curve import CurvePoint, FpPoint
+from . import _kernels as kernels
+from .curve import CurvePoint
 from .errors import InputError, PrecisionError
-from .padic import INF, PadicNumber, padic_sqrt, teichmuller_int
-from .series import (PadicPowerSeries, evaluate_polynomial,
-                     min_tail_valuation, sqrt_series)
+from .padic import (INF, PadicNumber, hensel_lift_root, sqrt_mod_pn,
+                    teichmuller_int)
+from .series import PadicPowerSeries, min_tail_valuation, sqrt_series
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ class LocalExpansion:
     def point_at(self, t0):
         """The curve point with local parameter t0."""
         if self.kind == "infinity":
-            if t0.is_zero and t0.valuation == INF:
+            if t0.is_exact_zero:
                 return CurvePoint.infinity()
             u0 = self.u_series.evaluate(t0)
             x = u0 / (t0 * t0)
@@ -212,8 +217,7 @@ class LocalExpansion:
             return F_series.evaluate(t0, tail_bound=INF)
         if w < 1:
             raise InputError("point is not in the open disk")
-        bound = min_tail_valuation(F_series.t_prec, w, self.prime,
-                                   loss="inverse_index")
+        bound = min_tail_valuation(F_series.t_prec, w, self.prime)
         return F_series.evaluate(t0, tail_bound=bound)
 
 
@@ -230,38 +234,30 @@ def curve_point_from_rational(curve, pt, p, prec):
         PadicNumber.from_rational(pt.y, p, abs_prec=prec))
 
 
-def simple_disk_center(curve, disk: FpPoint, p, prec):
-    """A cheap center for a disk: integer x lift (generic), Hensel root
-    (Weierstrass), or infinity."""
+def disk_center(curve, disk, p, prec, work):
+    """The one center of a disk, to `prec` digits, and for a generic disk
+    the integer residues mod p^work of that center (None otherwise).
+
+    Infinity and finite Weierstrass points are fixed by the involution; a
+    generic disk is centered at its Frobenius-fixed point: Teichmuller x,
+    and the root y of F(x) congruent to the disk's y."""
     if disk.is_infinity:
-        return CurvePoint.infinity()
+        return CurvePoint.infinity(), None
     if disk.y == 0:
-        from .padic import hensel_lift_root
-        start = PadicNumber.from_rational(disk.x, p, abs_prec=prec) \
-            if disk.x else PadicNumber.zero(p, prec)
-        x = hensel_lift_root(curve.F, start, prec)
-        return CurvePoint.affine(x, PadicNumber.zero(p))
-    x = PadicNumber.from_rational(disk.x, p, abs_prec=prec) if disk.x \
+        x = hensel_lift_root(curve.f_coeffs_mod(p, prec), disk.x, p, prec)
+        return CurvePoint.affine(x, PadicNumber.zero(p)), None
+    m = p ** work
+    x_t = teichmuller_int(disk.x, p, work)
+    y_t = sqrt_mod_pn(
+        kernels.poly_eval_mod(curve.f_coeffs_mod(p, work), x_t, m), p, work)
+    if y_t is None:
+        raise PrecisionError("no Teichmuller point over this disk")
+    if y_t % p != disk.y:
+        y_t = m - y_t
+    x = PadicNumber.from_rational(x_t, p, abs_prec=prec) if x_t \
         else PadicNumber.zero(p, prec)
-    fx = evaluate_polynomial(
-        [PadicNumber.from_rational(c, p, abs_prec=prec) for c in curve.F], x)
-    y = padic_sqrt(fx, branch=disk.y)
-    return CurvePoint.affine(x, y)
-
-
-def teichmuller_disk_center(curve, disk: FpPoint, p, prec):
-    """The Frobenius-fixed point of a generic disk: Teichmuller x, matching
-    branch of y."""
-    if disk.is_infinity or disk.y == 0:
-        # these centers are already canonical
-        return simple_disk_center(curve, disk, p, prec)
-    xt = teichmuller_int(disk.x, p, prec)
-    x = PadicNumber.from_rational(xt, p, abs_prec=prec) if xt \
-        else PadicNumber.zero(p, prec)
-    fx = evaluate_polynomial(
-        [PadicNumber.from_rational(c, p, abs_prec=prec) for c in curve.F], x)
-    y = padic_sqrt(fx, branch=disk.y)
-    return CurvePoint.affine(x, y)
+    y = PadicNumber.from_rational(y_t, p, abs_prec=prec)
+    return CurvePoint.affine(x, y), (x_t, y_t)
 
 
 def tiny_integral(curve, form, P, Q, p, t_prec, prec):
@@ -281,11 +277,3 @@ def tiny_integral(curve, form, P, Q, p, t_prec, prec):
     exp = LocalExpansion(curve, P, p, t_prec, prec)
     F = exp.integral_series(form)
     return exp.evaluate_antiderivative(F, exp.t_of(Q))
-
-
-def vanishing_orders(curve, forms, disk, p, t_prec, prec):
-    """Reduction orders mod p of each form's expansion at a cheap center of
-    the disk (None = expansion vanishes mod p to stated t-precision)."""
-    center = simple_disk_center(curve, disk, p, prec)
-    exp = LocalExpansion(curve, center, p, t_prec, prec)
-    return [exp.differential_series(f).reduction_order() for f in forms]

@@ -98,11 +98,14 @@ class PadicNumber:
     # -- basic queries ----------------------------------------------------
 
     @property
-    def is_exact_zero(self):
+    def is_zero(self):
         """Zero at the stated precision (possibly infinite)."""
         return self.unit == 0
 
-    is_zero = is_exact_zero
+    @property
+    def is_exact_zero(self):
+        """The exact zero, with infinite valuation."""
+        return self.unit == 0 and self.valuation == INF
 
     @property
     def abs_prec(self):
@@ -233,8 +236,6 @@ class PadicNumber:
         return PadicNumber(self.prime, self.valuation,
                            self.unit % self.prime ** r, r)
 
-    cap = _cap
-
     # -- comparisons and representatives ----------------------------------
 
     def __eq__(self, other):
@@ -265,12 +266,6 @@ class PadicNumber:
         if self.valuation < 0:
             raise InputError("negative valuation has no integer representative")
         return self.unit * self.prime ** self.valuation % self.prime ** abs_prec
-
-    def rational_lift(self):
-        """Exact Fraction with the stored digits (unit * p^valuation)."""
-        if self.unit == 0:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.prime) ** self.valuation
 
     # -- rendering ---------------------------------------------------------
 
@@ -353,9 +348,9 @@ def padic_sqrt(a, branch=None):
     (an integer residue mod p, or a PadicNumber) selects the root congruent to
     it mod p instead.
     """
+    if a.is_exact_zero:
+        return a
     if a.is_zero:
-        if a.valuation == INF:
-            return a
         return PadicNumber.zero(a.prime, (a.valuation + 1) // 2)
     if a.valuation % 2:
         raise InputError("odd valuation: no square root in Q_p")
@@ -376,33 +371,14 @@ def padic_sqrt(a, branch=None):
     return root
 
 
-def hensel_lift_root(coeffs, x0, prec):
-    """Lift a simple root of an exact-coefficient polynomial.
-
-    coeffs: ints or Fractions, constant first, p-integral at x0's prime.
-    x0: PadicNumber approximation with f(x0) = 0 mod p and f'(x0) a unit.
-    Returns the root to `prec` absolute digits.
-    """
-    p = x0.prime
-    m = p ** prec
-    ints = []
-    for c in coeffs:
-        c = Fraction(c)
-        if ord_p(c.denominator, p) > 0:
-            raise InputError("coefficient not p-integral")
-        ints.append(c.numerator * pow(c.denominator, -1, m) % m)
-
-    dints = kernels.poly_deriv_mod(ints, m)
-
-    x = x0.residue(min(x0.abs_prec, prec)) if x0.abs_prec != INF else x0.residue(prec)
-    if kernels.poly_eval_mod(ints, x, p):
+def hensel_lift_root(ints, x0, p, prec):
+    """Lift a simple root x0 mod p of an integer polynomial (constant first,
+    coefficients mod p^prec) to a root known to `prec` absolute digits."""
+    dints = kernels.poly_deriv_mod(ints, p ** prec)
+    if kernels.poly_eval_mod(ints, x0, p):
         raise InputError("not a root mod p")
-    if not kernels.poly_eval_mod(dints, x, p):
+    if not kernels.poly_eval_mod(dints, x0, p):
         raise InputError("derivative vanishes mod p: root not simple")
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        mod = p ** k
-        x = (x - kernels.poly_eval_mod(ints, x, mod)
-             * pow(kernels.poly_eval_mod(dints, x, mod), -1, mod)) % mod
-    return PadicNumber.from_rational(x, p, abs_prec=prec) if x else PadicNumber.zero(p, prec)
+    x = kernels.hensel_lift(ints, dints, x0, p, prec)
+    return PadicNumber.from_rational(x, p, abs_prec=prec) if x \
+        else PadicNumber.zero(p, prec)

@@ -26,7 +26,6 @@ import json
 import logging
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 from .coleman import ColemanContext
 from .curve import RationalPoint, eval_exact
@@ -37,7 +36,7 @@ from .localdisk import curve_point_from_rational
 from .padic import INF, PadicNumber
 from .recognize import (QuadraticElement, element_min_poly,
                         format_polynomial, is_irreducible_quadratic,
-                        linear_relation, quadratic_relation,
+                        linear_relation, primitive_poly, quadratic_relation,
                         rational_reconstruct)
 from .rootfinding import series_roots_in_disk
 
@@ -129,7 +128,7 @@ def _lambda_series(data, coeffs):
     differential, which bounds the zero count in the disk by order + 1."""
     acc = None
     for c, w in zip(coeffs, data.forms):
-        if c.is_zero and c.valuation == INF:
+        if c.is_exact_zero:
             continue
         term = w.scale(c)
         acc = term if acc is None else acc + term
@@ -173,23 +172,6 @@ def _match_roots(roots_a, roots_b):
     return zeros
 
 
-def _rescale_min_poly(coeffs, scale):
-    """Integer min poly of x after the substitution x -> x / scale."""
-    fracs = [Fraction(c) * Fraction(scale) ** -k
-             for k, c in enumerate(coeffs)]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
 class _Analysis:
     """One full run; holds the shared context and accumulates records."""
 
@@ -198,7 +180,7 @@ class _Analysis:
         self.p = p
         self.prec = prec
         self.ctx = ctx
-        self.fbar = curve.fbar(p)
+        self.fbar = curve.f_coeffs_mod(p, 1)
         self.jac_order = ctx.fd.jacobian_order()
         self._wq = None
 
@@ -239,8 +221,7 @@ class _Analysis:
                 % (disk.label(), len(zeros), bound))
         record = {
             "disk": disk.label(),
-            "kind": "infinity" if disk.is_infinity
-                    else ("weierstrass" if disk.y == 0 else "generic"),
+            "kind": data.expansion.kind,
             "mirror": None if disk == disk.involution(self.p)
                     else disk.involution(self.p).label(),
             "orders": [order_a, order_b],
@@ -282,11 +263,9 @@ class _Analysis:
 
     def classify(self, disk, mirrored, data, t, knowns):
         """Record for one zero, emitted in the (possibly mirrored) disk."""
-        kind = ("infinity" if disk.is_infinity
-                else ("weierstrass" if disk.y == 0 else "generic"))
         base = {
             "disk": disk.label(),
-            "kind": kind,
+            "kind": data.expansion.kind,
             "t": t.expansion_str(),
             "min_poly_x": None,
             "min_poly_y": None,
@@ -353,7 +332,9 @@ class _Analysis:
             base["x"], base["y"] = self._coords(pt)
             return base
         base["class"] = "weierstrass"
-        rel = _rescale_min_poly(info["min_poly"], self.curve.scale_x)
+        # the min poly of x_o = scale_x * x
+        rel = primitive_poly(c * self.curve.scale_x ** -k
+                             for k, c in enumerate(info["min_poly"]))
         base["min_poly_x"] = format_polynomial(rel, "x")
         x_o = info["x"] * self.curve.scale_x
         base["x"] = x_o.expansion_str()
@@ -456,17 +437,23 @@ class AnalysisReport:
     def zeros(self):
         return self.data["zero_set"]
 
-    def to_json(self, indent=2):
-        return json.dumps(self.data, indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.data, indent=2, sort_keys=True)
 
 
 def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
-                  search_height=1000, fd=None):
+                  search_height=1000):
     """Compute and classify the full zero set; the main entry point.
 
     knowns: original-model RationalPoints (searched up to search_height
     when omitted).  base_point: an original-model known of infinite order
-    (the first known with nonvanishing logarithm when omitted)."""
+    (the first known with nonvanishing logarithm when omitted).  A
+    precision below 1 or a negative search height raises InputError."""
+    if prec is not None and prec < 1:
+        raise InputError("precision must be at least 1, got %d" % prec)
+    if search_height < 0:
+        raise InputError("search height must be at least 0, got %d"
+                         % search_height)
     if p is None:
         p = curve.choose_prime()
     else:
@@ -478,7 +465,7 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
     if not knowns:
         raise InputError("no known rational points; widen the search")
     known_pts = _prepare_knowns(curve, p, prec, knowns)
-    ctx = ColemanContext(curve, p, prec, fd=fd)
+    ctx = ColemanContext(curve, p, prec)
     run = _Analysis(curve, p, prec, ctx)
     base, logs = _pick_base(ctx, known_pts, base_point)
     alpha, beta, pivot = _annihilator_pair(logs, p)

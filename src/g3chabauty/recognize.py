@@ -10,7 +10,7 @@ Q[t]/(minpoly) and never needs radicals or factoring.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InputError
 from .padic import INF
@@ -48,20 +48,22 @@ def rational_reconstruct(value):
     return Fraction(r1, s1) * Fraction(p) ** value.valuation
 
 
-def _primitive(vec):
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
+def primitive_poly(coeffs):
+    """The integer multiple of a rational coefficient list (constant first)
+    with content 1 and positive leading coefficient; None if all are zero."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in fracs))
+    ints = [int(c * den) for c in fracs]
+    g = gcd(*ints)
     if g == 0:
         return None
-    out = [c // g for c in vec]
-    lead = next((c for c in reversed(out) if c), 0)
+    lead = next(c for c in reversed(ints) if c)
     if lead < 0:
-        out = [-c for c in out]
-    return tuple(out)
+        g = -g
+    return tuple(c // g for c in ints)
 
 
-def small_integer_relation(values, max_height=None):
+def small_integer_relation(values):
     """Short integer vector c with sum c_i * values_i = 0 mod p^N, where N
     is the least shared absolute precision; None when nothing beats the
     height gate.  values[0] is normally the constant 1."""
@@ -74,8 +76,7 @@ def small_integer_relation(values, max_height=None):
     if n == INF:
         raise InputError("exact inputs need no lattice")
     n = int(n)
-    if max_height is None:
-        max_height = p ** max(1, (n - 4) // k)
+    max_height = p ** max(1, (n - 4) // k)
     # precision must dwarf the height gate or noise wins
     if p ** n <= (2 * max_height) ** k * p * p:
         return None
@@ -114,18 +115,18 @@ def small_integer_relation(values, max_height=None):
             best = (height, vec)
     if best is None:
         return None
-    return _primitive(best[1])
+    return primitive_poly(best[1])
 
 
-def quadratic_relation(value, max_height=None):
+def quadratic_relation(value):
     """(c0, c1, c2) primitive with c0 + c1 v + c2 v^2 = 0 mod p^N, or None."""
     one = _padic_one(value)
-    return small_integer_relation([one, value, value * value], max_height)
+    return small_integer_relation([one, value, value * value])
 
 
-def linear_relation(a, b, max_height=None):
+def linear_relation(a, b):
     """(c0, c1, c2) primitive with c0 + c1 a + c2 b = 0 mod p^N, or None."""
-    return small_integer_relation([_padic_one(a), a, b], max_height)
+    return small_integer_relation([_padic_one(a), a, b])
 
 
 def _padic_one(like):
@@ -230,13 +231,11 @@ def element_min_poly(el):
     integer tuple, constant first, positive leading coefficient."""
     c0, c1, c2 = el.minpoly
     if el.v == 0:
-        return _primitive((-el.u.numerator, el.u.denominator))
+        return primitive_poly((-el.u, 1))
     tsum = Fraction(-c1, c2)
     tr = 2 * el.u + el.v * tsum
     nm = el.u * el.u + el.u * el.v * tsum + el.v * el.v * Fraction(c0, c2)
-    den = nm.denominator * tr.denominator // gcd(nm.denominator,
-                                                 tr.denominator)
-    return _primitive((int(nm * den), int(-tr * den), den))
+    return primitive_poly((nm, -tr, 1))
 
 
 def format_polynomial(rel, var):

@@ -16,7 +16,7 @@ O(p^prec) on the disk as soon as j - ord_p(j) >= prec for all j >= M.
 
 from . import _kernels as kernels
 from .errors import InputError, PrecisionError
-from .padic import INF, PadicNumber, ord_p
+from .padic import PadicNumber, ord_p
 from .series import min_tail_valuation
 
 
@@ -24,16 +24,16 @@ def truncation_order(prec, p):
     """Least M so that tail terms j >= M of an antiderivative-shaped
     series stay below p^-prec for v(t) >= 1."""
     m = max(prec, 1)
-    while min_tail_valuation(m, 1, p, loss="inverse_index") < prec:
+    while min_tail_valuation(m, 1, p) < prec:
         m += 1
     return m
 
 
 def _scaled_residue(coeff, j, p, prec):
     """Integer residue of coeff * p^j mod p^prec, or None for exact zero."""
+    if coeff.is_exact_zero:
+        return None
     if coeff.is_zero:
-        if coeff.valuation == INF:
-            return None
         if coeff.valuation + j < prec:
             raise PrecisionError(
                 "coefficient of t^%d only known mod p^%s" % (j, coeff.valuation))
@@ -59,16 +59,6 @@ def _taylor_shift(h, r, mod):
     return out
 
 
-def _hensel(h, hd, r, p, budget):
-    x, e = r, 1
-    while e < budget:
-        e = min(2 * e, budget)
-        m = p ** e
-        x = (x - kernels.poly_eval_mod(h, x, m)
-             * pow(kernels.poly_eval_mod(hd, x, m), -1, m)) % m
-    return x
-
-
 def _zp_roots(h, p, budget):
     """(residue, exponent) pairs describing all zeros in Z_p of any function
     within O(p^budget) of the integral polynomial h; each coset mod
@@ -80,7 +70,7 @@ def _zp_roots(h, p, budget):
         if kernels.poly_eval_mod(h, r, p):
             continue
         if kernels.poly_eval_mod(hd, r, p):
-            found.append((_hensel(h, hd, r, p, budget), budget))
+            found.append((kernels.hensel_lift(h, hd, r, p, budget), budget))
             continue
         # repeated residue: zoom in on r + p Z_p and shed the content
         shifted = _taylor_shift(h, r, mod)

@@ -30,7 +30,7 @@ class PadicPowerSeries:
         if t_prec < 1:
             raise InputError("t_prec must be at least 1")
         coeffs = [_coerce_coeff(c, prime, coeff_prec) for c in coeffs[:t_prec]]
-        while coeffs and coeffs[-1].is_zero and coeffs[-1].valuation == INF:
+        while coeffs and coeffs[-1].is_exact_zero:
             coeffs.pop()
         self.prime = prime
         self.coeffs = tuple(coeffs)
@@ -118,7 +118,7 @@ class PadicPowerSeries:
         n = min(len(self.coeffs) + len(other.coeffs) - 1, t)
         out = [PadicNumber.zero(self.prime) for _ in range(n)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero and a.valuation == INF:
+            if a.is_exact_zero:
                 continue
             for j, b in enumerate(other.coeffs):
                 if i + j >= n:
@@ -132,7 +132,7 @@ class PadicPowerSeries:
         """Number of leading coefficients that are exactly zero."""
         k = 0
         for c in self.coeffs:
-            if c.is_zero and c.valuation == INF:
+            if c.is_exact_zero:
                 k += 1
             else:
                 return k
@@ -211,7 +211,7 @@ class PadicPowerSeries:
                     raise PrecisionError(
                         "non-integral series needs an explicit tail bound")
             tail_bound = self.t_prec * w
-        if t0.is_zero and t0.valuation == INF:
+        if t0.is_exact_zero:
             val = self[0] if self.coeffs else PadicNumber.zero(self.prime)
             return val._cap(tail_bound)
         acc = PadicNumber.zero(self.prime)
@@ -275,16 +275,9 @@ def evaluate_polynomial(coeffs, x):
     return acc
 
 
-def min_tail_valuation(start, w, p, loss="none"):
-    """min over i >= start of (i*w - loss_p(i)).
-
-    loss 'none' models integral coefficients; 'inverse_index' models the
-    antiderivative pattern where coefficient i lost ord_p(i) digits.
-    """
-    if loss == "none":
-        return start * w
-    if loss != "inverse_index":
-        raise InputError("unknown loss model %r" % loss)
+def min_tail_valuation(start, w, p):
+    """min over i >= start of (i*w - ord_p(i)): the antiderivative pattern,
+    where coefficient i lost ord_p(i) digits."""
     best = None
     i = start
     while True:

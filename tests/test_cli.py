@@ -163,7 +163,11 @@ def test_rejects_malformed_job(tmp_path, capsys):
                 {"curve": CURVE_A_JSON, "p": 7, "precision": "x"},
                 {"curve": CURVE_A_JSON, "p": 7, "precision": -3},
                 {"curve": CURVE_A_JSON, "p": 7, "precision": 0},
-                {"curve": CURVE_A_JSON, "p": 7, "search_height": -1}):
+                {"curve": CURVE_A_JSON, "p": 7, "search_height": -1},
+                {"curve": CURVE_A_JSON, "p": 7, "known_points": [["a", "b"]]},
+                {"curve": CURVE_A_JSON, "p": 7, "known_points": 5},
+                {"curve": CURVE_A_JSON, "p": 7, "known_points": [None]},
+                {"curve": CURVE_A_JSON, "p": 7, "base_point": ["1/0", "2"]}):
         job = write_json(tmp_path / "bad.json", bad)
         assert main(["analyze", "--job", job]) == 2, bad
     job = write_json(tmp_path / "job.json", {"curve": CURVE_A_JSON, "p": 7})

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from g3chabauty.coleman import ColemanContext, coleman_integrals, padic_linsolve
+from g3chabauty.coleman import ColemanContext, padic_linsolve
 from g3chabauty.errors import PrecisionError
 from g3chabauty.localdisk import (DifferentialForm, LocalExpansion,
                                   curve_point_from_rational, tiny_integral)
@@ -105,8 +105,7 @@ def test_reversal_and_identity(ctx_a7, curve_a):
 
 def test_precision_stability(ctx_a7, curve_a):
     lo = 8
-    vals_lo = coleman_integrals(
-        curve_a, 7, lo,
+    vals_lo = ColemanContext(curve_a, 7, lo).integral_holomorphic(
         CurvePoint.infinity(), monic_point(curve_a, 1, 5, 7, lo))
     vals_hi = ctx_a7.integral_holomorphic(
         CurvePoint.infinity(), monic_point(curve_a, 1, 5, 7, PREC_A))
@@ -115,14 +114,18 @@ def test_precision_stability(ctx_a7, curve_a):
 
 
 def test_integrate_form_combines_basis(ctx_a7, curve_a):
+    # a combined form, integrated termwise in one chart, matches the same
+    # combination of the context's basis integrals
     p1 = monic_point(curve_a, -1, -1, 7, PREC_A)
-    p2 = monic_point(curve_a, 1, 5, 7, PREC_A)
+    chart = LocalExpansion(curve_a, p1, 7, PREC_A + 4, PREC_A)
+    p2 = chart.point_at(PadicNumber.from_rational(14, 7, abs_prec=PREC_A))
     coeffs = tuple(PadicNumber.from_rational(c, 7, abs_prec=PREC_A)
                    for c in (3, -2, 5))
-    form = DifferentialForm(*coeffs)
-    whole = ctx_a7.integrate_form(form, p1, p2)
+    whole = tiny_integral(curve_a, DifferentialForm(*coeffs), p1, p2,
+                          7, PREC_A + 4, PREC_A)
     parts = ctx_a7.integral_holomorphic(p1, p2)
     manual = coeffs[0] * parts[0] + coeffs[1] * parts[1] + coeffs[2] * parts[2]
+    assert not whole.is_zero
     assert_small(whole - manual, PREC_A - 2)
 
 

@@ -21,23 +21,24 @@ def fd_a7(curve_a):
 
 
 def test_zeta_matches_brute_curve_a(curve_a):
-    assert zeta_numerator(curve_a, 7) == brute_zeta_coeffs(curve_a.fbar(7), 7)
+    assert zeta_numerator(curve_a, 7) == \
+        brute_zeta_coeffs(curve_a.f_coeffs_mod(7, 1), 7)
 
 
 def test_zeta_matches_brute_curve_b(curve_b):
     for p in (7, 11):
         assert zeta_numerator(curve_b, p) == \
-            brute_zeta_coeffs(curve_b.fbar(p), p)
+            brute_zeta_coeffs(curve_b.f_coeffs_mod(p, 1), p)
 
 
 def test_zeta_matches_brute_curve_c(curve_c):
     assert zeta_numerator(curve_c, 11) == \
-        brute_zeta_coeffs(curve_c.fbar(11), 11)
+        brute_zeta_coeffs(curve_c.f_coeffs_mod(11, 1), 11)
 
 
 def test_library_brute_agrees_with_oracle(curve_a):
     assert brute_zeta_numerator(curve_a, 7) == \
-        brute_zeta_coeffs(curve_a.fbar(7), 7)
+        brute_zeta_coeffs(curve_a.f_coeffs_mod(7, 1), 7)
 
 
 def test_zeta_shape(curve_a, curve_b, curve_c):
@@ -52,7 +53,7 @@ def test_zeta_shape(curve_a, curve_b, curve_c):
 def test_jacobian_order_annihilates(curve_a, fd_a7):
     p = 7
     n = fd_a7.jacobian_order()
-    f = curve_a.fbar(p)
+    f = curve_a.f_coeffs_mod(p, 1)
     for q in curve_a.fp_points(p)[:8]:
         d = MumfordDivisorFp.from_point(q, p, f)
         assert (n * d).is_identity
@@ -125,4 +126,4 @@ def test_zeta_random_curves_small():
             if not curve.is_good_prime(p):
                 continue
             assert zeta_numerator(curve, p) == \
-                brute_zeta_coeffs(curve.fbar(p), p)
+                brute_zeta_coeffs(curve.f_coeffs_mod(p, 1), p)

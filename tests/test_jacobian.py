@@ -5,9 +5,8 @@ import random
 import pytest
 
 from g3chabauty import _kernels as kernels
-from g3chabauty.curve import FpPoint
 from g3chabauty.errors import InputError
-from g3chabauty.jacobian import MumfordDivisorFp, reduction_class
+from g3chabauty.jacobian import MumfordDivisorFp
 
 
 def brute_zeta_coeffs(fbar, p):
@@ -48,7 +47,7 @@ def jac_order_from_zeta(b):
 @pytest.fixture(scope="module")
 def setup_b7(curve_b):
     p = 7
-    f = curve_b.fbar(p)
+    f = curve_b.f_coeffs_mod(p, 1)
     pts = curve_b.fp_points(p)
     b = brute_zeta_coeffs(f, p)
     return curve_b, p, f, pts, jac_order_from_zeta(b)
@@ -122,7 +121,7 @@ def _pf(n):
 
 def test_weierstrass_class_is_two_torsion(setup_b7):
     curve, p, f, pts, n = setup_b7
-    w = [q for q in pts if q.is_weierstrass]
+    w = [q for q in pts if not q.is_infinity and q.y == 0]
     for q in w:
         d = MumfordDivisorFp.from_point(q, p, f)
         assert (d + d).is_identity and not d.is_identity
@@ -138,13 +137,13 @@ def test_involution_gives_inverse(setup_b7):
 
 def test_reduction_class_and_flags(curve_a):
     p = 7
-    f = curve_a.fbar(p)
+    f = curve_a.f_coeffs_mod(p, 1)
     b = brute_zeta_coeffs(f, p)
     n = jac_order_from_zeta(b)
     from g3chabauty.curve import RationalPoint
     from fractions import Fraction
     pt = curve_a.to_monic(RationalPoint.affine(Fraction(-1), Fraction(-1)))
-    d = reduction_class(curve_a, pt, p)
+    d = MumfordDivisorFp.from_point(curve_a.reduce_point(pt, p), p, f)
     o = d.order(n)
     assert o > 1 and n % o == 0
     assert (o * d).is_identity

@@ -1,16 +1,16 @@
-"""Chart expansions, tiny integrals and mod-p vanishing orders."""
+"""Chart expansions, tiny integrals, disk centers and mod-p vanishing
+orders."""
 
 from fractions import Fraction
 
 import pytest
 
+from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import CurvePoint, FpPoint
 from g3chabauty.errors import InputError
 from g3chabauty.localdisk import (DifferentialForm, LocalExpansion,
-                                  curve_point_from_rational,
-                                  simple_disk_center,
-                                  teichmuller_disk_center, tiny_integral,
-                                  vanishing_orders)
+                                  curve_point_from_rational, disk_center,
+                                  tiny_integral)
 from g3chabauty.padic import INF, PadicNumber
 from g3chabauty.series import evaluate_polynomial
 
@@ -41,6 +41,10 @@ def basis_forms(p):
     return [DifferentialForm.basis(i, p, PREC) for i in range(3)]
 
 
+def center_of(curve, disk, p):
+    return disk_center(curve, disk, p, PREC, PREC)[0]
+
+
 # -- charts satisfy the curve equation -----------------------------------
 
 
@@ -56,7 +60,7 @@ def test_generic_chart_equation(curve_a):
 
 def test_weierstrass_chart_equation(curve_a):
     p = 7
-    center = simple_disk_center(curve_a, FpPoint("affine", 2, 0), p, PREC)
+    center = center_of(curve_a, FpPoint("affine", 2, 0), p)
     exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
     assert exp.kind == "weierstrass"
     y = exp.center.y + _t_series(p)
@@ -110,7 +114,7 @@ def test_point_roundtrip_generic(curve_a):
 
 def test_point_roundtrip_weierstrass(curve_a):
     p = 7
-    center = simple_disk_center(curve_a, FpPoint("affine", 5, 0), p, PREC)
+    center = center_of(curve_a, FpPoint("affine", 5, 0), p)
     assert_on_curve(curve_a, center, digits=10)
     exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
     t0 = PadicNumber.from_rational(14, p, abs_prec=PREC)
@@ -156,7 +160,7 @@ def test_ftc_coordinate_functions_generic(curve_a):
 
 def test_ftc_coordinate_functions_weierstrass(curve_a):
     p = 7
-    center = simple_disk_center(curve_a, FpPoint("affine", 2, 0), p, PREC)
+    center = center_of(curve_a, FpPoint("affine", 2, 0), p)
     exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
     t0 = PadicNumber.from_rational(7, p, abs_prec=PREC)
     q = exp.point_at(t0)
@@ -238,44 +242,43 @@ def test_tiny_integral_rejects_disk_mismatch(curve_a):
 def test_simple_disk_centers_lie_on_curve(curve_a):
     p = 7
     for disk in curve_a.fp_points(p):
-        center = simple_disk_center(curve_a, disk, p, PREC)
+        c = center_of(curve_a, disk, p)
         if disk.is_infinity:
-            assert center.is_infinity
+            assert c.is_infinity
             continue
-        assert_on_curve(curve_a, center, digits=10)
-        assert curve_a.reduce_curve_point(center, p) == disk
+        assert_on_curve(curve_a, c, digits=10)
+        assert curve_a.reduce_curve_point(c, p) == disk
 
 
 def test_teichmuller_center_is_frobenius_fixed(curve_a):
     p = 7
     disk = FpPoint("affine", 3, 6)
-    center = teichmuller_disk_center(curve_a, disk, p, PREC)
-    assert_on_curve(curve_a, center, digits=10)
-    xr = center.x.residue(PREC)
+    c, (x_t, y_t) = disk_center(curve_a, disk, p, PREC, PREC + 3)
+    assert_on_curve(curve_a, c, digits=10)
+    xr = c.x.residue(PREC)
     assert pow(xr, p, p ** PREC) == xr
-    assert curve_a.reduce_curve_point(center, p) == disk
+    assert curve_a.reduce_curve_point(c, p) == disk
+    # the integer residues carry the same point to the work precision
+    assert x_t % p ** PREC == xr and y_t % p ** PREC == c.y.residue(PREC)
+    assert pow(x_t, p, p ** (PREC + 3)) == x_t
 
 
 # -- mod-p vanishing orders -------------------------------------------------
 
 
+def vanishing_orders(ctx, disk):
+    return [w.reduction_order() for w in ctx.disk_data(disk)[0].forms]
+
+
 def test_vanishing_orders_frozen(curve_a):
-    p = 7
-    forms = basis_forms(p)
-    assert vanishing_orders(curve_a, forms, FpPoint.infinity(),
-                            p, 8, PREC) == [4, 2, 0]
-    assert vanishing_orders(curve_a, forms, FpPoint("affine", 3, 6),
-                            p, 8, PREC) == [0, 0, 0]
-    assert vanishing_orders(curve_a, forms, FpPoint("affine", 0, 1),
-                            p, 8, PREC) == [0, 1, 2]
-    assert vanishing_orders(curve_a, forms, FpPoint("affine", 2, 0),
-                            p, 8, PREC) == [0, 0, 0]
+    ctx = ColemanContext(curve_a, 7, PREC)
+    assert vanishing_orders(ctx, FpPoint.infinity()) == [4, 2, 0]
+    assert vanishing_orders(ctx, FpPoint("affine", 3, 6)) == [0, 0, 0]
+    assert vanishing_orders(ctx, FpPoint("affine", 0, 1)) == [0, 1, 2]
+    assert vanishing_orders(ctx, FpPoint("affine", 2, 0)) == [0, 0, 0]
 
 
 def test_vanishing_orders_weierstrass_x_zero(curve_c):
     # x = 0 is a root of F for this curve, so w1, w2 pick up extra zeros
-    p = 11
-    forms = basis_forms(p)
-    orders = vanishing_orders(curve_c, forms, FpPoint("affine", 0, 0),
-                              p, 8, PREC)
-    assert orders[0] == 0 and orders[1] == 2 and orders[2] == 4
+    ctx = ColemanContext(curve_c, 11, PREC)
+    assert vanishing_orders(ctx, FpPoint("affine", 0, 0)) == [0, 2, 4]

@@ -82,6 +82,17 @@ def test_zero_semantics():
     assert (ez * x).valuation == INF
 
 
+def test_exact_zero_is_not_zero_at_precision():
+    p = 7
+    exact, capped = PadicNumber.zero(p), PadicNumber.zero(p, 5)
+    unit = PadicNumber.from_rational(3, p, abs_prec=5)
+    assert exact.is_zero and exact.is_exact_zero
+    assert capped.is_zero and not capped.is_exact_zero
+    assert not unit.is_zero and not unit.is_exact_zero
+    # a difference of equal values is zero at precision, never exact
+    assert (unit - unit).is_zero and not (unit - unit).is_exact_zero
+
+
 def test_zero_digit_results_raise():
     p = 7
     with pytest.raises(PrecisionError):
@@ -152,9 +163,8 @@ def test_sqrt_even_valuation():
 def test_hensel_lift_oracle():
     # root of x^3 - 2 over Z_5? use p=7: x^3 = 6 has root 3 mod 7 (27=6)
     p = 7
-    f = [-6, 0, 0, 1]
-    x0 = PadicNumber.from_rational(3, p, abs_prec=1)
-    r = hensel_lift_root(f, x0, 8)
+    f = [-6 % 7 ** 8, 0, 0, 1]
+    r = hensel_lift_root(f, 3, p, 8)
     v = r.residue(8)
     assert (v ** 3 - 6) % 7 ** 8 == 0
     # oracle at small precision by exhaustion

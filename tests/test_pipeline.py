@@ -7,6 +7,7 @@ polynomials divide the curve polynomial or reproduce its values).  They
 pin down the full observable behaviour of analyze_curve at p = 7 and 11.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,23 @@ def disk_record(report, label):
         if d["disk"] == label:
             return d
     raise AssertionError("no disk %s" % label)
+
+
+# SHA-256 of to_json() for the session reports, pinned so that any change
+# to a report's bytes fails here
+REPORT_SHA256 = {
+    "ex1_p7": "ea88f3197c630372e0b44b779711a284b620348cafad6fabeaaaac2402f88521",
+    "ex2_p7": "89c98dfdd4fedef3fd18e04d98c0a89466e9c19bb7c92e6c97dfba58ee20c4d3",
+    "ex2_p11": "bf9f233a9e235cfc2a02b5f137accb69fc15b54acf64e708cae578e7bd90752b",
+    "ex3_p11": "3455bedd1ceca73a3d4b4b4228c63045bce8b9a8a6551db18ca4771ef6d5e5d5",
+}
+
+
+def test_report_digests_pinned(request):
+    got = {name: hashlib.sha256(
+        request.getfixturevalue(name).to_json().encode("utf-8")).hexdigest()
+        for name in REPORT_SHA256}
+    assert got == REPORT_SHA256
 
 
 def test_default_precision():
@@ -299,3 +317,12 @@ def test_rejects_off_curve_known(curve_b):
     knowns = [RationalPoint.infinity(), RationalPoint.affine(2, 2)]
     with pytest.raises(InputError):
         analyze_curve(curve_b, p=7, knowns=knowns)
+
+
+def test_rejects_bad_ranges_before_work(curve_a):
+    knowns = [RationalPoint.from_json(k) for k in CURVE_A_KNOWN]
+    for prec in (0, -3):
+        with pytest.raises(InputError, match="precision"):
+            analyze_curve(curve_a, p=7, prec=prec, knowns=knowns)
+    with pytest.raises(InputError, match="search height"):
+        analyze_curve(curve_a, p=7, search_height=-1)

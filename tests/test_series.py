@@ -119,7 +119,7 @@ def test_reduction_order():
 def test_min_tail_valuation_brute():
     for start in (5, 14, 18, 22):
         for w in (1, 2, 3):
-            got = min_tail_valuation(start, w, P, loss="inverse_index")
+            got = min_tail_valuation(start, w, P)
             brute = min(i * w - ord_p(i, P) for i in range(start, start + 3000))
             assert got == brute
     assert min_tail_valuation(9, 2, P) == 18
