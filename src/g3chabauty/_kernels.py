@@ -7,9 +7,12 @@ little-endian integer coefficient lists; every function takes its
 Kronecker substitution: both are packed into one Python int, so one
 C-level big-int multiplication does the work of the schoolbook loop;
 division by a monic polynomial of large degree runs block by block on
-such products.  Callers look these names up as ``kernels.<name>`` at
-call time, so a wrapper installed on the module (as perfbench/tracing.py
-does) sees every call.
+such products.  The rational point search rejects most x = a/b by
+squares modulo small moduli, with one Python int as a bit array over all
+a per (modulus, b mod modulus), before any big-integer evaluation.
+Callers look these names up as ``kernels.<name>`` at call time, so a
+wrapper installed on the module (as perfbench/tracing.py does) sees
+every call.
 """
 
 from math import gcd, isqrt
@@ -288,20 +291,71 @@ def count_points_gf(f_coeffs, p, k, modulus_low):
     return total
 
 
+# Sieve moduli of the point search: 16 and 9 stand for the primes 2 and 3.
+SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                53, 59, 61)
+
+
+def _sieve_mask(cnum, d7, q, b, height):
+    """Bits i of [0, 2 height] with s(a, b) d7 b a square mod q at
+    a = i - height, or None when every a passes.  Squares include 0."""
+    squares = {r * r % q for r in range(q)}
+    # coefficients of s(a, b) as a polynomial in a, highest first
+    top = [cnum[i] * pow(b, 7 - i, q) % q for i in range(7, -1, -1)]
+    scale = d7 * b % q
+    pattern = 0
+    for a in range(q):
+        s = 0
+        for c in top:
+            s = (s * a + c) % q
+        if s * scale % q in squares:
+            pattern |= 1 << (a + height) % q
+    if pattern == (1 << q) - 1:
+        return None
+    width = 2 * height + 1
+    length = q
+    while length < width:
+        pattern |= pattern << length
+        length *= 2
+    return pattern & ((1 << width) - 1)
+
+
 def search_x_squares(cnum, d7, height):
     """Inner loop of the rational point search for y^2 = F(x), deg F = 7.
 
     F_i = cnum[i] / d7 exactly with d7 > 0 the common denominator.  For
     x = a/b in lowest terms, F(a/b) = s / (d7 b^7) with
     s = sum_i cnum[i] a^i b^(7-i), and F(a/b) is a rational square iff
-    s * d7 * b is a perfect square (b > 0).  Returns the list of such (a, b).
+    s * d7 * b is a perfect square (b > 0).  Returns the list of such
+    (a, b), b increasing, then a increasing, over |a| <= height and
+    1 <= b <= height.
+
+    A square is a square modulo every q, so a sieve in the style of Stoll's
+    ratpoints rejects most a first: for each modulus q of SIEVE_MODULI and
+    each residue b mod q, the a in [-height, height] with s * d7 * b a
+    square mod q (0 counts) form one Python int of 2 height + 1 bits, the
+    residue pattern tiled by doubling.  For each b the masks of all moduli
+    are ANDed, and only the surviving a go through the coprimality test
+    and the exact big-integer check.
     """
     hits = []
+    masks = {q: {} for q in SIEVE_MODULI}
+    every_a = (1 << (2 * height + 1)) - 1
     for b in range(1, height + 1):
+        alive = every_a
+        for q, cache in masks.items():
+            r = b % q
+            if r not in cache:
+                cache[r] = _sieve_mask(cnum, d7, q, r, height)
+            if cache[r] is not None:
+                alive &= cache[r]
         bpows = [1] * 8
         for i in range(1, 8):
             bpows[i] = bpows[i - 1] * b
-        for a in range(-height, height + 1):
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            a = low.bit_length() - 1 - height
             if gcd(a, b) != 1:
                 continue
             s = 0

@@ -195,9 +195,13 @@ def _run_one(job):
 
 
 def cmd_batch(args):
+    if args.parallel < 1:
+        raise InputError("--parallel must be at least 1, got %d"
+                         % args.parallel)
     jobs = _load_jobs(args.jobs)
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    workers = min(args.parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(job) for job in jobs]

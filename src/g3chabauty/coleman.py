@@ -111,9 +111,10 @@ class ColemanContext:
             rhs = []
             mat = self.fd.matrix()
             for i in range(6):
-                h_top = self.fd.primitive_value(i, x_t, y_t)
-                h_bot = self.fd.primitive_value(i, x_t, m - y_t)
-                rhs.append(h_top - h_bot)
+                # h_i is odd in y: its value at (x_t, m - y_t) is -acc
+                acc = self.fd._primitive_acc(i, x_t, y_t)
+                rhs.append(self.fd._wrap_scaled(acc)
+                           - self.fd._wrap_scaled(-acc % m))
             one = PadicNumber.from_rational(1, p, rel_prec=self.prec)
             zero = PadicNumber.zero(p, self.prec)
             rows = [[(one if i == j else zero) - mat[j][i]

@@ -327,6 +327,9 @@ class CurveModel:
     def search_rational_points(self, height):
         """Points of the original model with x = a/b, |a|, b <= height,
         plus infinity; exact Fraction verification of every hit."""
+        if height < 0:
+            raise InputError("search height must be at least 0, got %d"
+                             % height)
         den = lcm(*(c.denominator for c in self.original))
         cnum = [int(c * den) for c in self.original]
         hits = kernels.search_x_squares(cnum, den, height)
@@ -341,10 +344,8 @@ class CurveModel:
             if ynum * ynum != rhs.numerator or yden * yden != rhs.denominator:
                 continue
             y = Fraction(ynum, yden)
-            if y == 0:
-                pts.append(RationalPoint.affine(x, y))
-            else:
-                pts.append(RationalPoint.affine(x, y))
+            pts.append(RationalPoint.affine(x, y))
+            if y:
                 pts.append(RationalPoint.affine(x, -y))
         pts.sort()
         return pts

@@ -138,6 +138,11 @@ class FrobeniusData:
 
     def primitive_value(self, col, x_int, y_int):
         """h_col at a point given by integer residues with y a unit."""
+        return self._wrap_scaled(self._primitive_acc(col, x_int, y_int))
+
+    def _primitive_acc(self, col, x_int, y_int):
+        """p^scale_exp h_col at (x_int, y_int), reduced mod p^work_exp.
+        Every term is odd in y, so at (x_int, -y_int) it is the negative."""
         m = self.p ** self.work_exp
         yinv2 = pow(y_int * y_int % m, -1, m)
         acc = 0
@@ -151,7 +156,7 @@ class FrobeniusData:
             acc = (acc + val * y_int % m * power[e]) % m
         for j, mu in self.deg_prims[col]:
             acc = (acc + mu * pow(x_int, j, m) % m * y_int) % m
-        return self._wrap_scaled(acc)
+        return acc
 
     def primitive_dx(self, col, x_int, y_int):
         """d h_col / dx at a point, using y' = F'(x) / 2y."""

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from g3chabauty import cli
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import RationalPoint
@@ -85,6 +86,44 @@ def test_batch_isolates_failures(tmp_path, capsys):
         (out1 / "good.json").read_bytes()
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool size and runs
+    the jobs in this process, so no worker is ever started."""
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_batch_parallel_checked_and_capped(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # each job fails its field check at once, before any analysis
+    bad = {"curve": CURVE_A_JSON, "p": 7, "known_points": 5}
+    jobs = write_jobs(tmp_path / "jobs.jsonl",
+                      [dict(bad, id=n) for n in ("j1", "j2", "j3")])
+    one = write_jobs(tmp_path / "one.jsonl", [dict(bad, id="j1")])
+    for n in ("0", "-2"):
+        out = tmp_path / ("o" + n)
+        assert main(["batch", "--jobs", jobs, "--parallel", n,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+    assert RecordingPool.sizes == []
+    for path, n in ((jobs, "500"), (jobs, "2"), (jobs, "1"), (one, "4")):
+        assert main(["batch", "--jobs", path, "--parallel", n,
+                     "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    assert RecordingPool.sizes == [3, 2]
+
+
 def test_batch_rejects_duplicate_ids(tmp_path):
     jobs = write_jobs(tmp_path / "jobs.jsonl", [
         {"id": "x", "curve": CURVE_A_JSON, "p": 7},
@@ -109,6 +148,8 @@ def test_search_points(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["points"] == [["0", "-1"], ["0", "1"], ["1", "-1"],
                               ["1", "1"], "infinity"]
+    assert main(["search-points", "--curve", curve, "--height", "-3"]) == 2
+    assert "search height" in capsys.readouterr().err
 
 
 def test_integrate_matches_library(curve_a, tmp_path, capsys):

@@ -13,7 +13,8 @@ import pytest
 from g3chabauty.coleman import ColemanContext, padic_linsolve
 from g3chabauty.errors import PrecisionError
 from g3chabauty.localdisk import (DifferentialForm, LocalExpansion,
-                                  curve_point_from_rational, tiny_integral)
+                                  curve_point_from_rational, disk_center,
+                                  tiny_integral)
 from g3chabauty.curve import CurvePoint, RationalPoint
 from g3chabauty.padic import INF, PadicNumber, padic_sqrt
 
@@ -127,6 +128,30 @@ def test_integrate_form_combines_basis(ctx_a7, curve_a):
     manual = coeffs[0] * parts[0] + coeffs[1] * parts[1] + coeffs[2] * parts[2]
     assert not whole.is_zero
     assert_small(whole - manual, PREC_A - 2)
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx_a7", "ctx_c11"])
+def test_mirror_primitive_is_negated_accumulator(ctx_name, request):
+    # _build_disk takes h_i at (x_t, m - y_t) as the wrapped -acc mod m
+    ctx = request.getfixturevalue(ctx_name)
+    fd, p = ctx.fd, ctx.p
+    m = p ** fd.work_exp
+    disks = sorted({d.canonical(p) for d in ctx.curve.fp_points(p)})
+    generic = 0
+    for disk in disks:
+        _, residues = disk_center(ctx.curve, disk, p, ctx.prec, fd.work_exp)
+        if residues is None:
+            continue
+        generic += 1
+        x_t, y_t = residues
+        for i in range(6):
+            acc = fd._primitive_acc(i, x_t, y_t)
+            assert -acc % m == fd._primitive_acc(i, x_t, m - y_t)
+            mirror = fd._wrap_scaled(-acc % m)
+            direct = fd.primitive_value(i, x_t, m - y_t)
+            assert (mirror.valuation, mirror.unit, mirror.rel_prec) == \
+                (direct.valuation, direct.unit, direct.rel_prec)
+    assert generic >= 2
 
 
 def test_linsolve_pivoting():

@@ -2,8 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+
+import pytest
 
 from g3chabauty import _kernels as kernels
+
+from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
+                      CURVE_C_COEFFS, make_curve)
 
 
 def test_poly_mul_oracle():
@@ -203,3 +209,89 @@ def test_block_divmod_against_schoolbook():
                 a = [rng.randrange(-2 * mod, 2 * mod) for _ in range(la)]
                 assert kernels.poly_divmod_monic_mod(a, b, mod) == \
                     schoolbook_divmod(a, b, mod), (mod, db, la)
+
+
+def loop_search_x_squares(cnum, d7, height):
+    """The point search without the sieve: the exact test on every
+    coprime (a, b), b increasing, then a increasing."""
+    hits = []
+    for b in range(1, height + 1):
+        bpows = [1] * 8
+        for i in range(1, 8):
+            bpows[i] = bpows[i - 1] * b
+        for a in range(-height, height + 1):
+            if gcd(a, b) != 1:
+                continue
+            s = 0
+            ap = 1
+            for i in range(8):
+                s += cnum[i] * ap * bpows[7 - i]
+                ap *= a
+            t = s * d7 * b
+            if t < 0:
+                continue
+            r = isqrt(t)
+            if r * r == t:
+                hits.append((a, b))
+    return hits
+
+
+def search_inputs(coeffs):
+    """(cnum, d7) as CurveModel.search_rational_points passes them."""
+    d7 = lcm(*(c.denominator for c in coeffs))
+    return [int(c * d7) for c in coeffs], d7
+
+
+@pytest.mark.parametrize("coeffs,scaling", [
+    (CURVE_A_COEFFS, None), (CURVE_B_COEFFS, CURVE_B_SCALING),
+    (CURVE_C_COEFFS, None)], ids=["curve_a", "curve_b", "curve_c"])
+def test_sieved_search_matches_loop_on_reference_curves(coeffs, scaling):
+    cnum, d7 = search_inputs(make_curve(coeffs, scaling).original)
+    for height in (0, 1, 2, 7, 300):
+        assert kernels.search_x_squares(cnum, d7, height) == \
+            loop_search_x_squares(cnum, d7, height), height
+
+
+def planted_curve(rng, d7):
+    """d7 F with F(x) = G(b0 x) / d7, G integral of degree 7, and
+    d7 G(a0) a nonzero square or, every third curve, G(a0 / u) = 0; so
+    a0 / b0 (or a0 / (u b0)) is an x-coordinate of a rational point."""
+    g = [rng.randint(-9, 9) for _ in range(8)]
+    g[7] = g[7] or rng.choice((-1, 1))
+    b0 = rng.randint(1, 4)
+    a0 = rng.randint(-6, 6)
+    while gcd(a0, b0) != 1:
+        a0 += 1
+    if rng.randrange(3) == 0:
+        # G = (u x - a0) h: a rational root a0 / u of F(x / b0)
+        u = rng.choice((1, 2, 3))
+        h = g[:7]
+        h[6] = h[6] or 1
+        g = [0] * 8
+        for i, c in enumerate(h):
+            g[i + 1] += u * c
+            g[i] -= a0 * c
+    else:
+        rest = sum(c * a0 ** i for i, c in enumerate(g) if i)
+        g[0] = d7 * rng.randint(1, 30) ** 2 - rest
+    return [c * b0 ** i for i, c in enumerate(g)]
+
+
+def test_sieved_search_matches_loop_on_random_curves():
+    # planted square values and planted roots, common denominators
+    # d7 > 1 and leading coefficients of both signs
+    rng = random.Random(61)
+    found = roots = 0
+    for n in range(50):
+        d7 = (1, 3, 4, 12)[n % 4]
+        cnum = planted_curve(rng, d7)
+        if n % 5 == 0:
+            cnum = [-c for c in cnum]
+        height = rng.choice((9, 16, 33, 40))
+        hits = kernels.search_x_squares(cnum, d7, height)
+        assert hits == loop_search_x_squares(cnum, d7, height), (cnum, d7)
+        found += len(hits)
+        roots += sum(1 for a, b in hits
+                     if sum(c * a ** i * b ** (7 - i)
+                            for i, c in enumerate(cnum)) == 0)
+    assert found >= 40 and roots >= 10
