@@ -23,11 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+from .coleman import ColemanContext
 from .curve import CurveModel, RationalPoint
 from .errors import (BadReductionError, G3Error, InputError, PrecisionError,
                      RecognitionError, SimplicityError)
 from .frobenius import brute_zeta_numerator, zeta_numerator
-from .pipeline import analyze_curve
+from .localdisk import curve_point_from_rational
+from .pipeline import analyze_curve, default_precision
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +62,7 @@ def _load_json(path):
 
 
 def _load_curve_file(path):
-    return CurveModel.from_json(_load_json(path)).validate()
+    return CurveModel.from_json(_load_json(path))
 
 
 def _parse_point(text):
@@ -80,7 +82,7 @@ def _parse_point(text):
 def _job_curve(job):
     if "curve" not in job:
         raise InputError("job needs a 'curve' entry")
-    return CurveModel.from_json(job["curve"]).validate()
+    return CurveModel.from_json(job["curve"])
 
 
 def _job_int(job, key, default=None):
@@ -98,10 +100,18 @@ def _check_job_id(job_id):
     return job_id
 
 
+JOB_KEYS = ("id", "curve", "p", "precision", "search_height",
+            "known_points", "base_point")
+
+
 def run_job(job, p=None, prec=None):
     """Analysis report for one job dict; CLI overrides win over job keys."""
     if not isinstance(job, dict):
         raise InputError("job must be a JSON object")
+    for key in job:
+        if key not in JOB_KEYS:
+            raise InputError("unknown job key %r (expected one of %s)"
+                             % (key, ", ".join(JOB_KEYS)))
     if p is None:
         p = _job_int(job, "p")
     if prec is None:
@@ -120,12 +130,16 @@ def run_job(job, p=None, prec=None):
                          base_point=base, search_height=height)
 
 
-def _write_report(out_dir, job_id, report):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / (job_id + ".json")
-    path.write_text(report.to_json() + "\n", encoding="utf-8")
-    return path
+def _out_dir(path):
+    """The output directory, created before any job runs, so a path that
+    cannot be a directory fails as malformed input, not after the work."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError("cannot use %s as the output directory: %s"
+                         % (path, exc)) from None
+    return out
 
 
 def cmd_analyze(args):
@@ -134,11 +148,14 @@ def cmd_analyze(args):
         job_id = job.get("id") if isinstance(job, dict) else None
         job_id = _check_job_id(
             Path(args.job).stem if job_id is None else str(job_id))
+        out = _out_dir(args.out)
     report = run_job(job, p=args.p, prec=args.N)
-    if args.out:
-        print(_write_report(args.out, job_id, report))
-    else:
+    if not args.out:
         print(report.to_json())
+        return 0
+    path = out / (job_id + ".json")
+    path.write_text(report.to_json() + "\n", encoding="utf-8")
+    print(path)
     return 0
 
 
@@ -199,6 +216,7 @@ def cmd_batch(args):
         raise InputError("--parallel must be at least 1, got %d"
                          % args.parallel)
     jobs = _load_jobs(args.jobs)
+    out = _out_dir(args.out)
     workers = min(args.parallel, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -206,8 +224,6 @@ def cmd_batch(args):
     else:
         results = [_run_one(job) for job in jobs]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     worst = 0
     rows = []
     for job, (row, report_json, code) in zip(jobs, results):
@@ -269,9 +285,6 @@ def cmd_integrate(args):
         if not curve.is_on_curve_original(pt):
             raise InputError("point %s is not on the curve"
                              % (pt.coord_strings(),))
-    from .coleman import ColemanContext
-    from .localdisk import curve_point_from_rational
-    from .pipeline import default_precision
     p = curve.check_prime(args.p)
     if args.N is not None and args.N < 1:
         raise InputError("--N must be at least 1, got %d" % args.N)

@@ -13,6 +13,10 @@ forms.  For X in a Weierstrass or infinity disk the center is fixed by
 iota, so halfint(X) is just the termwise integral from the center; in a
 generic disk it is the termwise integral from the Teichmuller point plus
 half the system integral between the two Teichmuller lifts of the disk.
+
+A form is a coefficient triple over (w0, w1, w2), so the context only
+integrates the basis: each disk chart expands w0, w1, w2 in one call and
+any other form is the same combination of the three integrals.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 from .errors import PrecisionError
 from .frobenius import frobenius_data
-from .localdisk import DifferentialForm, LocalExpansion, disk_center
+from .localdisk import LocalExpansion, disk_center
 from .padic import PadicNumber
 
 
@@ -87,7 +91,6 @@ class ColemanContext:
         self._disks = {}
         self._half = PadicNumber.from_rational(
             Fraction(1, 2), p, rel_prec=prec)
-        self._basis = [DifferentialForm.basis(i, p, prec) for i in range(3)]
 
     # -- per-disk assembly -------------------------------------------------
 
@@ -123,7 +126,7 @@ class ColemanContext:
             half_system = tuple(self._half * sol[i] for i in range(3))
         expansion = LocalExpansion(self.curve, center, p,
                                    self.t_prec, self.prec)
-        forms = tuple(expansion.differential_series(f) for f in self._basis)
+        forms = expansion.differential_series()
         antis = tuple(f.formal_integral() for f in forms)
         return _DiskData(expansion, forms, antis, half_system)
 

@@ -16,7 +16,7 @@ from math import isqrt, lcm
 
 from . import _kernels as kernels
 from .errors import BadReductionError, InputError
-from .padic import INF, hensel_lift_root, ord_p
+from .padic import hensel_lift_root, ord_p
 from .recognize import primitive_poly
 
 
@@ -244,18 +244,6 @@ class CurveModel:
             raise BadReductionError("bad reduction at %d" % p)
         return p
 
-    def reduce_point(self, pt: RationalPoint, p) -> FpPoint:
-        """Residue disk of a monic-model rational point."""
-        if pt.is_infinity:
-            return FpPoint.infinity()
-        vx = ord_p(pt.x, p) if pt.x != 0 else INF
-        if vx < 0:
-            return FpPoint.infinity()
-        m = p
-        xr = pt.x.numerator * pow(pt.x.denominator, -1, m) % m
-        yr = pt.y.numerator * pow(pt.y.denominator, -1, m) % m
-        return FpPoint("affine", xr, yr)
-
     def reduce_curve_point(self, pt: CurvePoint, p) -> FpPoint:
         if pt.is_infinity:
             return FpPoint.infinity()
@@ -358,6 +346,10 @@ class CurveModel:
     @staticmethod
     def from_json(obj):
         if isinstance(obj, dict):
+            for key in obj:
+                if key not in ("coeffs", "scaling"):
+                    raise InputError("unknown curve key %r (expected coeffs, "
+                                     "scaling)" % (key,))
             coeffs = obj.get("coeffs")
             scaling = obj.get("scaling")
         else:

@@ -13,12 +13,14 @@ Weierstrass point, or the Teichmuller point of a generic disk, whose
 integer residues also feed the Frobenius system in coleman.
 
 Basis differentials are w_i = x^i dx / 2y for i = 0, 1, 2 (holomorphic).
+A form is a coefficient triple (c0, c1, c2) of PadicNumbers meaning
+c0 w0 + c1 w1 + c2 w2.  One differential_series call expands the whole
+basis on a chart; form_series combines those expansions for any triple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels as kernels
 from .curve import CurvePoint
@@ -26,39 +28,6 @@ from .errors import InputError, PrecisionError
 from .padic import (INF, PadicNumber, hensel_lift_root, sqrt_mod_pn,
                     teichmuller_int)
 from .series import PadicPowerSeries, min_tail_valuation, sqrt_series
-
-
-@dataclass(frozen=True)
-class DifferentialForm:
-    """c0*w0 + c1*w1 + c2*w2 with PadicNumber coefficients."""
-
-    c0: PadicNumber
-    c1: PadicNumber
-    c2: PadicNumber
-
-    @staticmethod
-    def basis(i, p, prec):
-        cs = [PadicNumber.zero(p)] * 3
-        cs[i] = PadicNumber.from_rational(1, p, rel_prec=prec)
-        return DifferentialForm(*cs)
-
-    @property
-    def coefficients(self):
-        return (self.c0, self.c1, self.c2)
-
-    def residues(self, p):
-        """(c0, c1, c2) mod p; requires integral coefficients known mod p."""
-        out = []
-        for c in self.coefficients:
-            if c.is_zero:
-                if c.valuation < 1:
-                    raise PrecisionError("coefficient not known mod p")
-                out.append(0)
-                continue
-            if c.valuation < 0:
-                raise PrecisionError("form is not integral")
-            out.append(c.residue(1))
-        return tuple(out)
 
 
 def _poly_on_series(coeffs, x_series, prime, prec):
@@ -75,7 +44,7 @@ def _poly_on_series(coeffs, x_series, prime, prec):
 
 class LocalExpansion:
     """Chart around a center point: series for the coordinates and a method
-    expanding holomorphic forms as w(t) dt."""
+    expanding the basis forms w0, w1, w2 as w_i(t) dt."""
 
     def __init__(self, curve, center, p, t_prec, prec):
         self.curve = curve
@@ -180,34 +149,34 @@ class LocalExpansion:
 
     # -- differentials ----------------------------------------------------------
 
-    def differential_series(self, form):
-        """w(t) with c0 w0 + c1 w1 + c2 w2 = w(t) dt on this chart."""
+    def differential_series(self):
+        """(w0(t), w1(t), w2(t)) with w_i = w_i(t) dt on this chart.
+
+        The three expansions share one factor, expanded once: 1/2y(t) on a
+        generic chart, 1/F'(x(t)) on a Weierstrass chart (dx/2y = dt/F'(x)),
+        and -(u - t u'/2) u^-3 at infinity, where w_i is that factor times
+        t^4, t^2 u or u^2."""
         p, prec = self.prime, self.prec
-        c0, c1, c2 = form.coefficients
+        one = PadicNumber.from_rational(1, p, rel_prec=prec)
         if self.kind == "infinity":
             u = self.u_series
             up = u.derivative().shift_t(1)   # t * u'(t)
-            half = PadicNumber.from_rational(1, p, rel_prec=prec) / 2
-            lead = u - up.scale(half)
+            lead = u - up.scale(one / 2)
             uinv = u.invert_unit()
-            uinv3 = uinv * uinv * uinv
+            shared = lead * (uinv * uinv * uinv)
             t2 = PadicPowerSeries.identity(p, self.t_prec, prec)
             t2 = t2 * t2
-            t4 = t2 * t2
-            poly = t4.scale(c0) + (t2 * u).scale(c1) + (u * u).scale(c2)
-            return -(lead * uinv3 * poly)
+            polys = _unit_scaled((t2 * t2, t2 * u, u * u), one)
+            return tuple(-(shared * poly) for poly in polys)
         xs = self.x_series
-        num = (xs * xs).scale(c2) + xs.scale(c1)
-        num = num + PadicPowerSeries.constant(c0, p, num.t_prec)
         if self.kind == "generic":
-            den = (self.y_series + self.y_series).invert_unit()
-            return num * den
-        fpx = _poly_on_series(self.curve.F_derivative(), xs, p, prec)
-        return num * fpx.invert_unit()
-
-    def integral_series(self, form):
-        """Formal antiderivative of the expansion, zero at the center."""
-        return self.differential_series(form).formal_integral()
+            shared = (self.y_series + self.y_series).invert_unit()
+        else:
+            fpx = _poly_on_series(self.curve.F_derivative(), xs, p, prec)
+            shared = fpx.invert_unit()
+        polys = _unit_scaled(
+            (PadicPowerSeries.constant(one, p, xs.t_prec), xs, xs * xs), one)
+        return tuple(num * shared for num in polys)
 
     def evaluate_antiderivative(self, F_series, t0):
         """F(t0) with the inverse-index tail bound for antiderivatives of
@@ -223,6 +192,28 @@ class LocalExpansion:
 
 def _int(n, p, prec):
     return PadicNumber.from_rational(n, p, rel_prec=prec)
+
+
+def _unit_scaled(polys, one):
+    """Each series times `one`, all cut to the least t_prec among them, so
+    a chart's three basis forms share one t-precision (the pinned reports
+    depend on those digits)."""
+    t = min(s.t_prec for s in polys)
+    return [s.scale(one).truncate(t) for s in polys]
+
+
+def form_series(coeffs, basis):
+    """w(t) of the form sum_i coeffs[i] w_i, from the chart's basis
+    expansions; exact-zero coefficients are skipped."""
+    acc = None
+    for c, w in zip(coeffs, basis):
+        if c.is_exact_zero:
+            continue
+        term = w.scale(c)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        raise InputError("the zero form has no expansion worth computing")
+    return acc
 
 
 def curve_point_from_rational(curve, pt, p, prec):
@@ -260,20 +251,19 @@ def disk_center(curve, disk, p, prec, work):
     return CurvePoint.affine(x, y), (x_t, y_t)
 
 
-def tiny_integral(curve, form, P, Q, p, t_prec, prec):
-    """Coleman integral of a holomorphic form between two points of the same
-    residue disk, by termwise integration of the chart expansion at P."""
+def tiny_integral(curve, coeffs, P, Q, p, t_prec, prec):
+    """Coleman integral of the holomorphic form sum_i coeffs[i] w_i between
+    two points of the same residue disk, by termwise integration of the
+    chart expansion at P."""
     dP = curve.reduce_curve_point(P, p)
     dQ = curve.reduce_curve_point(Q, p)
     if dP != dQ:
         raise InputError("tiny integral endpoints must share a disk")
-    if dP.is_infinity:
-        # the chart must sit at infinity, so difference two evaluations
-        exp = LocalExpansion(curve, CurvePoint.infinity(), p, t_prec, prec)
-        F = exp.integral_series(form)
-        hi = exp.evaluate_antiderivative(F, exp.t_of(Q))
-        lo = exp.evaluate_antiderivative(F, exp.t_of(P))
-        return hi - lo
-    exp = LocalExpansion(curve, P, p, t_prec, prec)
-    F = exp.integral_series(form)
-    return exp.evaluate_antiderivative(F, exp.t_of(Q))
+    # a chart at infinity must sit at infinity, so difference two values
+    center = CurvePoint.infinity() if dP.is_infinity else P
+    exp = LocalExpansion(curve, center, p, t_prec, prec)
+    F = form_series(coeffs, exp.differential_series()).formal_integral()
+    hi = exp.evaluate_antiderivative(F, exp.t_of(Q))
+    if not dP.is_infinity:
+        return hi
+    return hi - exp.evaluate_antiderivative(F, exp.t_of(P))

@@ -32,7 +32,7 @@ from .curve import RationalPoint, eval_exact
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
-from .localdisk import curve_point_from_rational
+from .localdisk import curve_point_from_rational, form_series
 from .padic import INF, PadicNumber
 from .recognize import (QuadraticElement, element_min_poly,
                         format_polynomial, is_irreducible_quadratic,
@@ -126,14 +126,7 @@ def _lambda_series(data, coeffs):
     constant term fixed so the value at t is the half-integral from the
     reflected point; second return is the mod-p vanishing order of the
     differential, which bounds the zero count in the disk by order + 1."""
-    acc = None
-    for c, w in zip(coeffs, data.forms):
-        if c.is_exact_zero:
-            continue
-        term = w.scale(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise InputError("zero functional has no zero set worth computing")
+    acc = form_series(coeffs, data.forms)
     order = acc.reduction_order()
     lam = acc.formal_integral()
     if data.half_system is not None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import InputError
-from .padic import INF
+from .padic import INF, PadicNumber
 
 
 def rational_reconstruct(value):
@@ -130,7 +130,6 @@ def linear_relation(a, b):
 
 
 def _padic_one(like):
-    from .padic import PadicNumber
     prec = like.abs_prec
     if prec == INF:
         return PadicNumber.from_rational(1, like.prime, rel_prec=64)

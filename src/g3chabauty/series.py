@@ -263,18 +263,6 @@ def sqrt_series(s, branch=None):
     return cur.truncate(t)
 
 
-def evaluate_polynomial(coeffs, x):
-    """Horner evaluation of an exact or p-adic coefficient list at x."""
-    acc = PadicNumber.zero(x.prime)
-    for c in reversed(list(coeffs)):
-        if isinstance(c, PadicNumber):
-            acc = acc * x + c
-        else:
-            acc = acc * x + PadicNumber.from_rational(
-                c, x.prime, rel_prec=max(x.rel_prec, 1))
-    return acc
-
-
 def min_tail_valuation(start, w, p):
     """min over i >= start of (i*w - ord_p(i)): the antiderivative pattern,
     where coefficient i lost ord_p(i) digits."""

@@ -7,13 +7,18 @@ batch job cannot disturb its siblings.
 """
 
 import json
+import pathlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from g3chabauty import cli
+from g3chabauty import cli, pipeline
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import RationalPoint
+from g3chabauty.errors import G3Error
 from g3chabauty.localdisk import curve_point_from_rational
 from g3chabauty.pipeline import analyze_curve
 
@@ -208,9 +213,15 @@ def test_rejects_malformed_job(tmp_path, capsys):
                 {"curve": CURVE_A_JSON, "p": 7, "known_points": [["a", "b"]]},
                 {"curve": CURVE_A_JSON, "p": 7, "known_points": 5},
                 {"curve": CURVE_A_JSON, "p": 7, "known_points": [None]},
-                {"curve": CURVE_A_JSON, "p": 7, "base_point": ["1/0", "2"]}):
+                {"curve": CURVE_A_JSON, "p": 7, "base_point": ["1/0", "2"]},
+                # misspelt keys must not fall back to defaults
+                {"curve": CURVE_A_JSON, "p": 7, "prec": 30},
+                {"curve": dict(CURVE_A_JSON, scale=["1", "1"]), "p": 7}):
         job = write_json(tmp_path / "bad.json", bad)
         assert main(["analyze", "--job", job]) == 2, bad
+    err = capsys.readouterr().err
+    assert "unknown job key 'prec'" in err
+    assert "unknown curve key 'scale'" in err
     job = write_json(tmp_path / "job.json", {"curve": CURVE_A_JSON, "p": 7})
     for n in ("-3", "0"):
         assert main(["analyze", "--job", job, "--N", n]) == 2
@@ -233,3 +244,95 @@ def test_job_ids_stay_inside_out(tmp_path):
     written = {q.relative_to(tmp_path).as_posix()
                for q in tmp_path.rglob("*")}
     assert written == {"nest", "nest/out", "jobs.jsonl", "job.json"}
+
+
+def test_out_must_be_a_directory(tmp_path, monkeypatch, capsys):
+    # an existing file as --out fails as malformed input before any job runs
+    calls = []
+
+    def run_job(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("a job ran")
+
+    monkeypatch.setattr(cli, "run_job", run_job)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    jobs = write_jobs(tmp_path / "jobs.jsonl",
+                      [{"id": "ex1", "curve": CURVE_A_JSON, "p": 7}])
+    job = write_json(tmp_path / "job.json", {"curve": CURVE_A_JSON, "p": 7})
+    for argv in (["batch", "--jobs", jobs, "--out", str(taken)],
+                 ["batch", "--jobs", jobs, "--parallel", "2",
+                  "--out", str(taken / "sub")],
+                 ["analyze", "--job", job, "--out", str(taken)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "output directory" in err and "Traceback" not in err
+    assert calls == []
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+# -- fuzzing run_job with mutated job dicts -------------------------------------
+
+class _ReachedFrobenius(Exception):
+    """Stands in for the Frobenius set-up: the job passed every check."""
+
+
+def _no_frobenius(*args, **kwargs):
+    raise _ReachedFrobenius()
+
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+SEED_JOBS = [json.loads(line) for line in (DATA / "example_jobs.jsonl")
+             .read_text(encoding="utf-8").splitlines()]
+
+_atoms = (st.none() | st.booleans() | st.integers(-12, 14)
+          | st.floats(-8, 8, allow_nan=False)
+          | st.sampled_from([float("nan"), float("inf"), "", "x", "7", "1/0",
+                             "-1/2", "infinity", "0", "1", "-5", "4.5"]))
+_values = st.recursive(
+    _atoms,
+    lambda inner: (st.lists(inner, max_size=9)
+                   | st.dictionaries(st.sampled_from(["coeffs", "scaling",
+                                                      "x", "p"]),
+                                     inner, max_size=3)),
+    max_leaves=12)
+_keys = st.sampled_from(list(cli.JOB_KEYS) + ["prec", "N", "height"])
+
+
+@st.composite
+def mutated_jobs(draw):
+    job = json.loads(json.dumps(draw(st.sampled_from(SEED_JOBS))))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "set", "curve", "point"]))
+        if op == "drop" and job:
+            job.pop(draw(st.sampled_from(sorted(job))))
+        elif op == "set":
+            key = draw(_keys)
+            small = key in ("p", "precision", "search_height")
+            job[key] = draw(st.integers(-3, 30) | _values if small
+                            else _values)
+        elif op == "curve" and isinstance(job.get("curve"), dict):
+            curve = job["curve"]
+            field = draw(st.sampled_from(["coeffs", "scaling", "extra"]))
+            seq = curve.get(field)
+            if isinstance(seq, list) and seq and draw(st.booleans()):
+                seq[draw(st.integers(0, len(seq) - 1))] = draw(_values)
+            else:
+                curve[field] = draw(_values)
+        elif op == "point" and isinstance(job.get("known_points"), list):
+            pts = job["known_points"]
+            pts[draw(st.integers(0, len(pts) - 1))] = draw(_values)
+    if "search_height" not in job:
+        job["search_height"] = draw(st.integers(0, 30))
+    return job
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(job=mutated_jobs())
+def test_run_job_fuzz_raises_only_library_errors(job):
+    # no Frobenius work runs: the context is replaced by a sentinel raiser
+    with mock.patch.object(pipeline, "ColemanContext", _no_frobenius):
+        try:
+            cli.run_job(job)
+        except (G3Error, _ReachedFrobenius):
+            pass

@@ -7,6 +7,7 @@ import pytest
 from conftest import CURVE_B_COEFFS, make_curve
 from g3chabauty.curve import CurveModel, FpPoint, RationalPoint, eval_exact
 from g3chabauty.errors import BadReductionError, InputError
+from g3chabauty.localdisk import curve_point_from_rational
 
 
 def test_default_normalization_is_monic_integral(curve_a):
@@ -68,14 +69,17 @@ def test_prime_selection(curve_a, curve_b, curve_c):
 
 def test_reduce_point_disks(curve_a):
     p = 7
-    inf = RationalPoint.infinity()
-    assert curve_a.reduce_point(inf, p).is_infinity
+
+    def disk(pt):
+        return curve_a.reduce_curve_point(
+            curve_point_from_rational(curve_a, pt, p, 8), p)
+
+    assert disk(RationalPoint.infinity()).is_infinity
     m = curve_a.to_monic(RationalPoint.affine(Fraction(-1), Fraction(-1)))
-    d = curve_a.reduce_point(m, p)
-    assert d == FpPoint("affine", 3, 6)
+    assert disk(m) == FpPoint("affine", 3, 6)
     # x with p in the denominator reduces into the infinity disk
     far = RationalPoint.affine(Fraction(1, 7), Fraction(1))
-    assert curve_a.reduce_point(far, p).is_infinity
+    assert disk(far).is_infinity
 
 
 def test_canonical_disk():

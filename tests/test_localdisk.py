@@ -8,11 +8,9 @@ import pytest
 from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import CurvePoint, FpPoint
 from g3chabauty.errors import InputError
-from g3chabauty.localdisk import (DifferentialForm, LocalExpansion,
-                                  curve_point_from_rational, disk_center,
-                                  tiny_integral)
+from g3chabauty.localdisk import (LocalExpansion, curve_point_from_rational,
+                                  disk_center, form_series, tiny_integral)
 from g3chabauty.padic import INF, PadicNumber
-from g3chabauty.series import evaluate_polynomial
 
 PREC = 12
 TPREC = 14
@@ -25,9 +23,10 @@ def monic_point(curve, x, y, p, prec=PREC):
 
 
 def f_at(curve, x):
-    coeffs = [PadicNumber.from_rational(c, x.prime, abs_prec=PREC)
-              for c in curve.F]
-    return evaluate_polynomial(coeffs, x)
+    acc = PadicNumber.zero(x.prime)
+    for c in reversed(curve.F):
+        acc = acc * x + PadicNumber.from_rational(c, x.prime, abs_prec=PREC)
+    return acc
 
 
 def assert_on_curve(curve, pt, digits=4):
@@ -38,7 +37,10 @@ def assert_on_curve(curve, pt, digits=4):
 
 
 def basis_forms(p):
-    return [DifferentialForm.basis(i, p, PREC) for i in range(3)]
+    """The coefficient triples of w0, w1, w2."""
+    one = PadicNumber.from_rational(1, p, rel_prec=PREC)
+    zero = PadicNumber.zero(p)
+    return [tuple(one if j == i else zero for j in range(3)) for i in range(3)]
 
 
 def center_of(curve, disk, p):
@@ -282,3 +284,26 @@ def test_vanishing_orders_weierstrass_x_zero(curve_c):
     # x = 0 is a root of F for this curve, so w1, w2 pick up extra zeros
     ctx = ColemanContext(curve_c, 11, PREC)
     assert vanishing_orders(ctx, FpPoint("affine", 0, 0)) == [0, 2, 4]
+
+
+# -- forms as coefficient triples --------------------------------------------
+
+
+def test_form_series_skips_exact_zeros_and_rejects_zero_form(curve_a):
+    p = 7
+    exp = LocalExpansion(curve_a, monic_point(curve_a, -1, -1, p), p,
+                         TPREC, PREC)
+    ws = exp.differential_series()
+    assert len(ws) == 3
+    zero = PadicNumber.zero(p)
+    two = PadicNumber.from_rational(2, p, rel_prec=PREC)
+    got = form_series((zero, two, zero), ws)
+    want = ws[1].scale(two)
+    assert got.t_prec == want.t_prec
+    assert [(c.valuation, c.unit, c.rel_prec) for c in got.coeffs] == \
+        [(c.valuation, c.unit, c.rel_prec) for c in want.coeffs]
+    # a zero known only to finite precision still bounds the sum
+    blurred = form_series((PadicNumber.zero(p, 3), two, zero), ws)
+    assert blurred.coeffs[0].abs_prec == 3
+    with pytest.raises(InputError):
+        form_series((zero, zero, zero), ws)

@@ -7,8 +7,8 @@ import pytest
 
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber, ord_p
-from g3chabauty.series import (PadicPowerSeries, evaluate_polynomial,
-                               min_tail_valuation, sqrt_series)
+from g3chabauty.series import (PadicPowerSeries, min_tail_valuation,
+                               sqrt_series)
 
 P = 7
 PREC = 12
@@ -123,12 +123,6 @@ def test_min_tail_valuation_brute():
             brute = min(i * w - ord_p(i, P) for i in range(start, start + 3000))
             assert got == brute
     assert min_tail_valuation(9, 2, P) == 18
-
-
-def test_evaluate_polynomial_horner():
-    x = PadicNumber.from_rational(3, P, abs_prec=8)
-    v = evaluate_polynomial([1, 2, 1], x)     # (1+x)^2 = 16
-    assert v == 16
 
 
 def test_scale_and_shift_t():
