@@ -219,6 +219,10 @@ def cmd_batch(args):
     out = _out_dir(args.out)
     workers = min(args.parallel, len(jobs))
     if workers > 1:
+        # largest p first, so no slow job starts behind a fast one while a
+        # worker idles; a malformed p sorts as 0 and fails in its worker
+        jobs = sorted(jobs, key=lambda j: -j["p"] if type(j.get("p")) is int
+                      else 0)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
@@ -226,7 +230,7 @@ def cmd_batch(args):
 
     worst = 0
     rows = []
-    for job, (row, report_json, code) in zip(jobs, results):
+    for row, report_json, code in results:
         rows.append(row)
         if report_json is not None:
             (out / (row["id"] + ".json")).write_text(report_json + "\n",

@@ -174,9 +174,6 @@ class CurveModel:
     def genus(self):
         return 3
 
-    def F_derivative(self):
-        return tuple(i * self.F[i] for i in range(1, 8))
-
     def f_coeffs_mod(self, p, prec):
         """Monic-model coefficients as integers mod p^prec."""
         m = p ** prec

@@ -1,12 +1,15 @@
 """Local coordinates on residue disks and expansions of differentials.
 
-Three disk types on the monic odd model y^2 = F(x), deg F = 7:
+Three disk types on the monic odd model y^2 = F(x), deg F = 7.  Each chart
+is the simple root z(t) of one polynomial equation, solved by the one
+series Newton iteration _newton_root:
 
-* generic (ybar != 0): t = x - x(P), y(t) a square-root series;
-* finite Weierstrass (ybar = 0): t = y - y(P), x(t) by series Newton from
-  F(x) = t^2 (+ the dx/2y = dt/F'(x) identity for the differential);
-* infinity: t = x^3/y, x = u/t^2, y = u^3/t^7 with u(t) = 1 + O(t^2) the
-  unit series solving u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i = 0.
+* generic (ybar != 0): t = x - x(P), y(t) solves y^2 = F(x(P) + t);
+* finite Weierstrass (ybar = 0): t = y - y(P), x(t) solves
+  F(x) = (y(P) + t)^2 (+ the dx/2y = dt/F'(x) identity for the
+  differential);
+* infinity: t = x^3/y, x = u/t^2, y = u^3/t^7 with u(t) = 1 + O(t^2)
+  solving u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i = 0.
 
 Each disk has one center (disk_center): the point at infinity, the finite
 Weierstrass point, or the Teichmuller point of a generic disk, whose
@@ -25,21 +28,34 @@ import math
 from . import _kernels as kernels
 from .curve import CurvePoint
 from .errors import InputError, PrecisionError
-from .padic import (INF, PadicNumber, hensel_lift_root, sqrt_mod_pn,
-                    teichmuller_int)
-from .series import PadicPowerSeries, min_tail_valuation, sqrt_series
+from .padic import (INF, PadicNumber, hensel_lift_root, padic_sqrt,
+                    sqrt_mod_pn, teichmuller_int)
+from .series import PadicPowerSeries, min_tail_valuation
 
 
-def _poly_on_series(coeffs, x_series, prime, prec):
-    """Horner evaluation of exact-coefficient poly at a series."""
-    acc = PadicPowerSeries.zero(prime, x_series.t_prec)
-    for c in reversed(list(coeffs)):
-        acc = acc * x_series
-        acc = acc + PadicPowerSeries.constant(
-            PadicNumber.from_rational(c, prime, abs_prec=prec)
-            if c else PadicNumber.zero(prime),
-            prime, acc.t_prec)
-    return acc
+def _poly_at(gs, z, prec):
+    """(G(z), G'(z)) for G = sum_i gs[i] Z^i with series coefficients gs[i];
+    the powers z^2 .. z^(len(gs)-1) are formed once and serve both sums."""
+    p = z.prime
+    zpows = [None, z]
+    for _ in range(2, len(gs)):
+        zpows.append(zpows[-1] * z)
+    g, dg = gs[0], gs[1]
+    for i in range(1, len(gs)):
+        g = g + gs[i] * zpows[i]
+        if i > 1:
+            dg = dg + gs[i].scale(_int(i, p, prec)) * zpows[i - 1]
+    return g, dg
+
+
+def _newton_root(gs, z, prec):
+    """The simple root of G = sum_i gs[i] Z^i congruent to the start z mod
+    t, by series Newton z <- z - G(z)/G'(z); G'(z) must be a unit at t = 0.
+    Each step doubles the number of correct t-terms, starting from one."""
+    for _ in range(math.ceil(math.log2(z.t_prec))):
+        g, dg = _poly_at(gs, z, prec)
+        z = z - g * dg.invert_unit()
+    return z
 
 
 class LocalExpansion:
@@ -73,50 +89,33 @@ class LocalExpansion:
         p, M, prec = self.prime, self.t_prec, self.prec
         one = PadicNumber.from_rational(1, p, rel_prec=prec)
         self.x_series = PadicPowerSeries(p, [self.center.x, one], M)
-        fx = _poly_on_series(self.curve.F, self.x_series, p, prec)
-        self.y_series = sqrt_series(fx, branch=self.center.y)
+        fx = _poly_at(self._F_series(), self.x_series, prec)[0]
+        y0 = padic_sqrt(fx[0], self.center.y)
+        self.y_series = _newton_root(
+            [-fx, PadicPowerSeries.zero(p, M),
+             PadicPowerSeries.constant(one, p, M)],
+            PadicPowerSeries(p, [y0], M), prec)
 
     def _build_weierstrass(self):
         p, M, prec = self.prime, self.t_prec, self.prec
-        y0 = self.center.y
         one = PadicNumber.from_rational(1, p, rel_prec=prec)
-        y_series = PadicPowerSeries(p, [y0, one], M)
-        rhs = y_series * y_series
-        x = PadicPowerSeries(p, [self.center.x], M)
-        steps = max(1, math.ceil(math.log2(M)) + 1)
-        for _ in range(steps):
-            fx = _poly_on_series(self.curve.F, x, p, prec)
-            fpx = _poly_on_series(self.curve.F_derivative(), x, p, prec)
-            x = x - (fx - rhs) * fpx.invert_unit()
-        self.x_series = x
-        self.y_series = y_series
+        self.y_series = PadicPowerSeries(p, [self.center.y, one], M)
+        gs = self._F_series()
+        gs[0] = gs[0] - self.y_series * self.y_series
+        self.x_series = _newton_root(
+            gs, PadicPowerSeries(p, [self.center.x], M), prec)
 
     def _build_infinity(self):
-        p, M, prec = self.prime, self.t_prec, self.prec
-        one = PadicNumber.from_rational(1, p, rel_prec=prec)
-        u = PadicPowerSeries(p, [one], M)
-        tpow = {}
-        for i in range(7):
-            e = 2 * (7 - i)
-            if self.curve.F[i] == 0:
-                continue
-            ci = PadicNumber.from_rational(self.curve.F[i], p, abs_prec=prec)
-            tpow[i] = PadicPowerSeries(
-                p, [PadicNumber.zero(p)] * e + [ci], M)
-        steps = max(1, math.ceil(math.log2(M)) + 1)
-        for _ in range(steps):
-            # G(u) = u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i
-            upows = [PadicPowerSeries.constant(one, p, M)]
-            for _k in range(7):
-                upows.append(upows[-1] * u)
-            g = upows[7] - upows[6]
-            gp = upows[6].scale(_int(7, p, prec)) - upows[5].scale(_int(6, p, prec))
-            for i, ts in tpow.items():
-                g = g + ts * upows[i]
-                if i > 0:
-                    gp = gp + ts.scale(_int(i, p, prec)) * upows[i - 1]
-            u = u - g * gp.invert_unit()
-        self.u_series = u
+        one = PadicPowerSeries.constant(1, self.prime, self.t_prec, self.prec)
+        # u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i, with F_7 = 1
+        gs = [f.shift_t(2 * (7 - i)) for i, f in enumerate(self._F_series())]
+        gs[6] = gs[6] - one
+        self.u_series = _newton_root(gs, one, self.prec)
+
+    def _F_series(self):
+        """The coefficients of F as constant series known to `prec`."""
+        return [PadicPowerSeries.constant(c, self.prime, self.t_prec,
+                                          self.prec) for c in self.curve.F]
 
     # -- point/parameter maps ------------------------------------------------
 
@@ -172,8 +171,7 @@ class LocalExpansion:
         if self.kind == "generic":
             shared = (self.y_series + self.y_series).invert_unit()
         else:
-            fpx = _poly_on_series(self.curve.F_derivative(), xs, p, prec)
-            shared = fpx.invert_unit()
+            shared = _poly_at(self._F_series(), xs, prec)[1].invert_unit()
         polys = _unit_scaled(
             (PadicPowerSeries.constant(one, p, xs.t_prec), xs, xs * xs), one)
         return tuple(num * shared for num in polys)

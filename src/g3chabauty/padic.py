@@ -330,14 +330,7 @@ def sqrt_mod_pn(a_unit, p, n):
             break
     if r0 is None:
         return None
-    m = p
-    x = r0
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        m = p ** k
-        x = (x + a_unit * pow(x, -1, m)) * pow(2, -1, m) % m
-    return x
+    return kernels.hensel_lift([-a_unit, 0, 1], [0, 2], r0, p, n)
 
 
 def padic_sqrt(a, branch=None):

@@ -55,9 +55,6 @@ class _Known:
     __slots__ = ("original", "monic", "point", "disk")
 
     def __init__(self, curve, p, prec, original):
-        if not curve.is_on_curve_original(original):
-            raise InputError("known point %s is not on the curve"
-                             % (original.coord_strings(),))
         self.original = original
         self.monic = curve.to_monic(original)
         self.point = curve_point_from_rational(curve, self.monic, p, prec)
@@ -68,6 +65,10 @@ def _prepare_knowns(curve, p, prec, knowns):
     """Validated known points, closed under y -> -y, sorted, deduplicated."""
     seen = {}
     for pt in knowns:
+        # checked as given, so the message names the input, not its mirror
+        if not curve.is_on_curve_original(pt):
+            raise InputError("known point %s is not on the curve"
+                             % (pt.coord_strings(),))
         for q in (pt, pt.involution()):
             key = (q.kind, q.x, q.y)
             if key not in seen:

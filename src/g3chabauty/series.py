@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError, PrecisionError
-from .padic import INF, PadicNumber, ord_p, padic_sqrt
+from .padic import INF, PadicNumber, ord_p
 
 
 def _coerce_coeff(c, prime, coeff_prec):
@@ -240,27 +240,6 @@ class PadicPowerSeries:
             parts.append("...")
         parts.append("O(t^%d)" % self.t_prec)
         return " + ".join(parts)
-
-
-def sqrt_series(s, branch=None):
-    """Square root of a series whose constant term has even valuation and a
-    square unit, by Newton iteration Y <- (Y + s/Y) / 2.
-
-    `branch` picks the mod-p residue of the constant term of the root.
-    """
-    c0 = s.coeffs[0] if s.coeffs else None
-    if c0 is None or c0.is_zero:
-        raise InputError("square root needs an invertible constant term")
-    y0 = padic_sqrt(c0, branch)
-    t = s.t_prec
-    half = PadicNumber.from_rational(Fraction(1, 2), s.prime, rel_prec=y0.rel_prec)
-    cur = PadicPowerSeries(s.prime, [y0], t)
-    known = 1
-    while known < t:
-        # each Newton step doubles the correct t-order
-        cur = (cur + s * cur.invert_unit()).scale(half)
-        known *= 2
-    return cur.truncate(t)
 
 
 def min_tail_valuation(start, w, p):

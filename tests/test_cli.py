@@ -129,6 +129,37 @@ def test_batch_parallel_checked_and_capped(tmp_path, monkeypatch, capsys):
     assert RecordingPool.sizes == [3, 2]
 
 
+class OrderRecordingPool(RecordingPool):
+    """A RecordingPool that also records the job ids map receives."""
+
+    def map(self, fn, items):
+        items = list(items)
+        self.ids.append([job["id"] for job in items])
+        return map(fn, items)
+
+
+def test_batch_submits_largest_p_first(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(OrderRecordingPool, "sizes", [], raising=False)
+    monkeypatch.setattr(OrderRecordingPool, "ids", [], raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", OrderRecordingPool)
+    # every job fails at once: the p = 7 and 11 jobs on known_points, the
+    # malformed p in its own worker, not while the jobs are ordered
+    bad = {"curve": CURVE_A_JSON, "known_points": 5}
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [
+        dict(bad, id="a7", p=7), dict(bad, id="px", p="x"),
+        dict(bad, id="b7", p=7), dict(bad, id="c11", p=11)])
+    out = tmp_path / "out"
+    assert main(["batch", "--jobs", jobs, "--parallel", "2",
+                 "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert OrderRecordingPool.ids == [["c11", "a7", "b7", "px"]]
+    summary = (out / "summary.csv").read_text(encoding="utf-8")
+    rows = summary.splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["a7", "b7", "c11", "px"]
+    assert "TypeError" not in summary
+    assert "job field 'p' must be an integer" in summary
+
+
 def test_batch_rejects_duplicate_ids(tmp_path):
     jobs = write_jobs(tmp_path / "jobs.jsonl", [
         {"id": "x", "curve": CURVE_A_JSON, "p": 7},

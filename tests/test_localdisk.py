@@ -11,6 +11,10 @@ from g3chabauty.errors import InputError
 from g3chabauty.localdisk import (LocalExpansion, curve_point_from_rational,
                                   disk_center, form_series, tiny_integral)
 from g3chabauty.padic import INF, PadicNumber
+from g3chabauty.series import PadicPowerSeries
+
+from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
+                      CURVE_C_COEFFS, make_curve)
 
 PREC = 12
 TPREC = 14
@@ -50,30 +54,63 @@ def center_of(curve, disk, p):
 # -- charts satisfy the curve equation -----------------------------------
 
 
-def test_generic_chart_equation(curve_a):
-    p = 7
-    center = monic_point(curve_a, -1, -1, p)   # monic (-4, -64)
-    exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
+def _chart_params(kind):
+    """(curve, p, disk) for every canonical disk of this kind on curves
+    A, B and C at each good p in 7, 11, 13."""
+    params = []
+    for name, curve in (("A", make_curve(CURVE_A_COEFFS)),
+                        ("B", make_curve(CURVE_B_COEFFS, CURVE_B_SCALING)),
+                        ("C", make_curve(CURVE_C_COEFFS))):
+        for p in (7, 11, 13):
+            if not curve.is_good_prime(p):
+                continue
+            for disk in sorted({d.canonical(p) for d in curve.fp_points(p)}):
+                if disk.is_infinity:
+                    disk_kind, where = "infinity", "inf"
+                else:
+                    disk_kind = "weierstrass" if disk.y == 0 else "generic"
+                    where = "x%d-y%d" % (disk.x, disk.y)
+                if disk_kind == kind:
+                    params.append(pytest.param(
+                        curve, p, disk, id="%s%d-%s" % (name, p, where)))
+    return params
+
+
+def _f_series(curve, x_series, p):
+    """F(x(t)) by Horner, independent of the chart solver."""
+    M = x_series.t_prec
+    acc = PadicPowerSeries.zero(p, M)
+    for c in reversed(curve.F):
+        acc = acc * x_series + PadicPowerSeries.constant(c, p, M, PREC)
+    return acc
+
+
+@pytest.mark.parametrize("curve,p,disk", _chart_params("generic"))
+def test_generic_chart_equation(curve, p, disk):
+    center = center_of(curve, disk, p)
+    exp = LocalExpansion(curve, center, p, TPREC, PREC)
     assert exp.kind == "generic"
-    diff = exp.y_series * exp.y_series - _f_series(curve_a, exp.x_series, p)
+    # the root on the center's branch
+    assert exp.y_series[0].residue(1) == center.y.residue(1) == disk.y
+    diff = exp.y_series * exp.y_series - _f_series(curve, exp.x_series, p)
     for c in diff.coeffs:
         assert c.is_zero
 
 
-def test_weierstrass_chart_equation(curve_a):
-    p = 7
-    center = center_of(curve_a, FpPoint("affine", 2, 0), p)
-    exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
+@pytest.mark.parametrize("curve,p,disk", _chart_params("weierstrass"))
+def test_weierstrass_chart_equation(curve, p, disk):
+    center = center_of(curve, disk, p)
+    exp = LocalExpansion(curve, center, p, TPREC, PREC)
     assert exp.kind == "weierstrass"
-    y = exp.center.y + _t_series(p)
-    diff = y * y - _f_series(curve_a, exp.x_series, p)
+    t = PadicPowerSeries.identity(p, TPREC, PREC)
+    diff = t * t - _f_series(curve, exp.x_series, p)
     for c in diff.coeffs:
         assert c.is_zero
 
 
-def test_infinity_chart_equation(curve_a):
-    p = 7
-    exp = LocalExpansion(curve_a, CurvePoint.infinity(), p, TPREC, PREC)
+@pytest.mark.parametrize("curve,p,disk", _chart_params("infinity"))
+def test_infinity_chart_equation(curve, p, disk):
+    exp = LocalExpansion(curve, center_of(curve, disk, p), p, TPREC, PREC)
     assert exp.kind == "infinity"
     u = exp.u_series
     upows = [None] * 8
@@ -82,22 +119,12 @@ def test_infinity_chart_equation(curve_a):
         upows[k] = upows[k - 1] * u
     g = upows[7] - upows[6]
     for i in range(7):
-        if curve_a.F[i] == 0:
+        if curve.F[i] == 0:
             continue
-        ci = PadicNumber.from_rational(curve_a.F[i], p, abs_prec=PREC)
+        ci = PadicNumber.from_rational(curve.F[i], p, abs_prec=PREC)
         g = g + upows[i].shift_t(2 * (7 - i)).scale(ci).truncate(g.t_prec)
     for c in g.coeffs:
         assert c.is_zero or c.valuation >= PREC - 2
-
-
-def _f_series(curve, x_series, p):
-    from g3chabauty.localdisk import _poly_on_series
-    return _poly_on_series(curve.F, x_series, p, PREC)
-
-
-def _t_series(p):
-    from g3chabauty.series import PadicPowerSeries
-    return PadicPowerSeries.identity(p, TPREC, PREC)
 
 
 # -- parameter / point round trips ----------------------------------------

@@ -319,6 +319,14 @@ def test_rejects_off_curve_known(curve_b):
         analyze_curve(curve_b, p=7, knowns=knowns)
 
 
+def test_off_curve_known_named_as_given(curve_a):
+    # the mirror (1/7, -1) sorts first, but the message names the input
+    knowns = [RationalPoint.affine(Fraction(1, 7), Fraction(1))]
+    with pytest.raises(InputError,
+                       match=r"known point \['1/7', '1'\] is not on"):
+        analyze_curve(curve_a, p=7, knowns=knowns)
+
+
 def test_rejects_bad_ranges_before_work(curve_a):
     knowns = [RationalPoint.from_json(k) for k in CURVE_A_KNOWN]
     for prec in (0, -3):

@@ -7,8 +7,7 @@ import pytest
 
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber, ord_p
-from g3chabauty.series import (PadicPowerSeries, min_tail_valuation,
-                               sqrt_series)
+from g3chabauty.series import PadicPowerSeries, min_tail_valuation
 
 P = 7
 PREC = 12
@@ -48,24 +47,6 @@ def test_geometric_series_inverse():
 def test_invert_needs_unit():
     with pytest.raises(InputError):
         S([0, 1]).invert_unit()
-
-
-def test_sqrt_series_squares_back():
-    rng = random.Random(5)
-    for _ in range(10):
-        coeffs = [Fraction(rng.randint(1, 30)) for _ in range(6)]
-        coeffs[0] = Fraction(2)  # QR mod 7
-        s = S(coeffs, t_prec=8)
-        r = sqrt_series(s)
-        sq = r * r
-        for k in range(8):
-            assert sq[k] == s[k], k
-
-
-def test_sqrt_series_branch():
-    s = S([2, 1], t_prec=6)
-    r = sqrt_series(s, branch=4)
-    assert r[0].unit % P == 4
 
 
 def test_formal_integral_tracks_loss():
