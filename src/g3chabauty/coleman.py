@@ -14,9 +14,12 @@ iota, so halfint(X) is just the termwise integral from the center; in a
 generic disk it is the termwise integral from the Teichmuller point plus
 half the system integral between the two Teichmuller lifts of the disk.
 
-A form is a coefficient triple over (w0, w1, w2), so the context only
-integrates the basis: each disk chart expands w0, w1, w2 in one call and
-any other form is the same combination of the three integrals.
+Each disk therefore keeps one series per basis form: H_i(t), the termwise
+integral of w_i from the center plus, on a generic disk, half the system
+integral as its constant, so halfint is H_i at the point's parameter
+(negated on the mirror disk).  A form is a coefficient triple over
+(w0, w1, w2), and its half-integral series is the same combination of
+H_0, H_1, H_2.
 """
 
 from __future__ import annotations
@@ -68,13 +71,14 @@ def padic_linsolve(rows, rhs):
 
 
 class _DiskData:
-    __slots__ = ("expansion", "forms", "antiderivatives", "half_system")
+    """A disk's chart, its basis forms and their half-integral series."""
 
-    def __init__(self, expansion, forms, antiderivatives, half_system):
+    __slots__ = ("expansion", "forms", "halfints")
+
+    def __init__(self, expansion, forms, halfints):
         self.expansion = expansion
         self.forms = forms
-        self.antiderivatives = antiderivatives
-        self.half_system = half_system
+        self.halfints = halfints
 
 
 class ColemanContext:
@@ -107,7 +111,10 @@ class ColemanContext:
         p = self.p
         center, residues = disk_center(self.curve, disk, p, self.prec,
                                        self.fd.work_exp)
-        half_system = None
+        expansion = LocalExpansion(self.curve, center, p,
+                                   self.t_prec, self.prec)
+        forms = expansion.differential_series()
+        halfints = tuple(f.formal_integral() for f in forms)
         if residues is not None:
             x_t, y_t = residues
             m = p ** self.fd.work_exp
@@ -123,12 +130,9 @@ class ColemanContext:
             rows = [[(one if i == j else zero) - mat[j][i]
                      for j in range(6)] for i in range(6)]
             sol = padic_linsolve(rows, rhs)
-            half_system = tuple(self._half * sol[i] for i in range(3))
-        expansion = LocalExpansion(self.curve, center, p,
-                                   self.t_prec, self.prec)
-        forms = expansion.differential_series()
-        antis = tuple(f.formal_integral() for f in forms)
-        return _DiskData(expansion, forms, antis, half_system)
+            halfints = tuple(h + self._half * c
+                             for h, c in zip(halfints, sol))
+        return _DiskData(expansion, forms, halfints)
 
     # -- integrals ---------------------------------------------------------
 
@@ -138,13 +142,9 @@ class ColemanContext:
         data, flipped = self.disk_data(disk)
         x = point.involution() if flipped else point
         t = data.expansion.t_of(x)
-        vals = [data.expansion.evaluate_antiderivative(a, t)
-                for a in data.antiderivatives]
-        if data.half_system is not None:
-            vals = [v + h for v, h in zip(vals, data.half_system)]
-        if flipped:
-            vals = [-v for v in vals]
-        return tuple(vals)
+        vals = tuple(data.expansion.evaluate_antiderivative(h, t)
+                     for h in data.halfints)
+        return tuple(-v for v in vals) if flipped else vals
 
     def integral_holomorphic(self, start, end):
         """(Int_start^end w0, w1, w2) as PadicNumbers."""

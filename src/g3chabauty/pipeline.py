@@ -4,7 +4,7 @@ When the Jacobian has Mordell-Weil rank 1, the p-adic closure of J(Q) is a
 line in the Lie algebra, so a 2-dimensional space of holomorphic forms
 integrates to zero on every rational point.  Starting from one point of
 infinite order this module computes an explicit basis (alpha, beta) of that
-space, expands the antiderivative of each on every residue disk, isolates
+space, expands the half-integral of each on every residue disk, isolates
 all zeros with the certified disk solver, and intersects the two zero sets.
 
 Every member of the intersection is then classified: a known rational
@@ -12,7 +12,9 @@ point, a new rational point (exact verification), a Weierstrass point
 (exact: a root of a factor of F), a torsion image (all three logarithms
 vanish at working precision; the order is read off the reduction, where
 torsion injects), or an algebraic point recognized over a quadratic field
-and verified exactly in Q[t]/(min poly).  Recognition failures raise
+and verified exactly in Q[t]/(min poly).  One recognizer serves both
+charts: (x, y) on y^2 = g(x) in affine disks and (s, w) = (1/x, y/x^4) on
+w^2 = s * (x^7-reversal of g) at infinity.  Recognition failures raise
 instead of guessing.
 
 Zeros are computed once per involution pair of disks: the functionals are
@@ -123,20 +125,12 @@ def _annihilator_pair(logs, p):
 
 
 def _lambda_series(data, coeffs):
-    """Antiderivative series of sum_i coeffs[i] w_i on the chart, with the
-    constant term fixed so the value at t is the half-integral from the
-    reflected point; second return is the mod-p vanishing order of the
-    differential, which bounds the zero count in the disk by order + 1."""
-    acc = form_series(coeffs, data.forms)
-    order = acc.reduction_order()
-    lam = acc.formal_integral()
-    if data.half_system is not None:
-        const = None
-        for c, h in zip(coeffs, data.half_system):
-            add = c * h
-            const = add if const is None else const + add
-        lam = lam + const
-    return lam, order
+    """Half-integral series of sum_i coeffs[i] w_i on the chart: its value
+    at t is the half-integral from the reflected point.  Second return is
+    the mod-p vanishing order of the differential, which bounds the zero
+    count in the disk by order + 1."""
+    order = form_series(coeffs, data.forms).reduction_order()
+    return form_series(coeffs, data.halfints), order
 
 
 def _root_sort_key(z):
@@ -177,6 +171,7 @@ class _Analysis:
         self.fbar = curve.f_coeffs_mod(p, 1)
         self.jac_order = ctx.fd.jacobian_order()
         self._wq = None
+        self.matched = set()
 
     # -- per-disk work ---------------------------------------------------
 
@@ -267,153 +262,120 @@ class _Analysis:
             "matched_known": None,
         }
         for k in knowns:
-            if k.disk != disk:
-                continue
             kp = k.point.involution() if mirrored else k.point
-            if (data.expansion.t_of(kp) - t).is_zero:
+            if k.disk == disk and (data.expansion.t_of(kp) - t).is_zero:
+                self.matched.add(k.original)
                 base["class"] = "known_rational"
                 base["matched_known"] = k.original.coord_strings()
-                base["x"], base["y"] = self._coords(k.original)
+                base["x"], base["y"] = _coords(k.original)
                 return base
         if disk.is_infinity and t.is_zero:
-            # the point at infinity itself, not among the knowns
-            base["class"] = "new_rational"
-            base["x"] = base["y"] = "infinity"
-            return base
-        if disk.y == 0 and t.is_zero:
-            return self._classify_weierstrass(disk, base)
-        point = data.expansion.point_at(t)
-        if mirrored:
-            point = point.involution()
-        x_o = point.x * self.curve.scale_x
-        y_o = point.y * self.curve.scale_y
-        qx = rational_reconstruct(x_o)
-        qy = rational_reconstruct(y_o)
-        if qx is not None and qy is not None:
-            cand = RationalPoint.affine(qx, qy)
-            if self.curve.is_on_curve_original(cand):
-                base["class"] = "new_rational"
-                base["x"], base["y"] = self._coords(cand)
+            cand = RationalPoint.infinity()
+        elif disk.y == 0 and t.is_zero:
+            if self._wq is None:
+                self._wq = self.curve.weierstrass_points_qp(self.p, self.prec)
+            info = next(w for w in self._wq if w["residue"] == disk.x)
+            if not info["rational"]:
+                # the min poly of x_w = scale_x * x
+                rel = primitive_poly(c * self.curve.scale_x ** -k
+                                     for k, c in enumerate(info["min_poly"]))
+                x_w = info["x"] * self.curve.scale_x
+                base.update({"class": "weierstrass", "x": x_w.expansion_str(),
+                             "min_poly_x": format_polynomial(rel, "x"),
+                             "y": "0", "torsion_order": 2})
                 return base
-        torsion = all(c.is_zero for c in self.ctx.halfint(point))
-        if disk.is_infinity:
-            self._recognize_infinity(base, x_o, y_o)
+            cand = RationalPoint.affine(
+                info["x_rational"] * self.curve.scale_x, 0)
         else:
-            self._recognize_affine(base, x_o, y_o, qx)
-        base["class"] = "torsion" if torsion else "other_algebraic"
-        if torsion:
-            base["torsion_order"] = self._reduction_order(disk)
-        return base
-
-    def _coords(self, pt):
-        cs = pt.coord_strings()
-        if cs == "infinity":
-            return "infinity", "infinity"
-        return cs[0], cs[1]
-
-    def _reduction_order(self, disk):
-        cls = MumfordDivisorFp.from_point(disk, self.p, self.fbar)
-        return cls.order(self.jac_order)
-
-    def _classify_weierstrass(self, disk, base):
-        if self._wq is None:
-            self._wq = self.curve.weierstrass_points_qp(self.p, self.prec)
-        info = next(w for w in self._wq if w["residue"] == disk.x)
-        if info["rational"]:
-            pt = RationalPoint.affine(info["x_rational"] * self.curve.scale_x,
-                                      0)
+            point = data.expansion.point_at(t)
+            if mirrored:
+                point = point.involution()
+            x_o = point.x * self.curve.scale_x
+            y_o = point.y * self.curve.scale_y
+            qx = rational_reconstruct(x_o)
+            qy = rational_reconstruct(y_o)
+            cand = None if qx is None or qy is None \
+                else RationalPoint.affine(qx, qy)
+        # infinity and a rational branch point always pass the check
+        if cand is not None and self.curve.is_on_curve_original(cand):
             base["class"] = "new_rational"
-            base["x"], base["y"] = self._coords(pt)
+            base["x"], base["y"] = _coords(cand)
             return base
-        base["class"] = "weierstrass"
-        # the min poly of x_o = scale_x * x
-        rel = primitive_poly(c * self.curve.scale_x ** -k
-                             for k, c in enumerate(info["min_poly"]))
-        base["min_poly_x"] = format_polynomial(rel, "x")
-        x_o = info["x"] * self.curve.scale_x
-        base["x"] = x_o.expansion_str()
-        base["y"] = "0"
-        base["torsion_order"] = 2
-        return base
-
-    def _recognize_affine(self, base, x_o, y_o, qx):
-        """Exact identification over a quadratic field, affine chart.
-
-        Relation candidates come from the lattice search and can be noise,
-        so each is verified against the curve equation in exact arithmetic
-        and the next shape is tried when the check fails."""
-        g = self.curve.original
-        if qx is not None and self._try_rational_x(base, y_o, qx, g):
-            return
-        if self._try_quadratic_pair(base, x_o, y_o, g, "x", "y"):
-            base.pop("_elements")
-            base["x"] = x_o.expansion_str()
-            base["y"] = y_o.expansion_str()
-            return
-        raise RecognitionError("zero in disk %s resists exact recognition"
-                               % base["disk"])
-
-    def _try_rational_x(self, base, y_o, qx, g):
-        rel_y = quadratic_relation(y_o)
-        if rel_y is None or not is_irreducible_quadratic(rel_y):
-            return False
-        y_el = QuadraticElement.generator(rel_y)
-        if not (y_el * y_el - eval_exact(g, qx)).is_zero:
-            return False
-        base["x"] = str(qx)
-        base["y"] = y_o.expansion_str()
-        base["min_poly_y"] = format_polynomial(rel_y, "y")
-        return True
-
-    def _try_quadratic_pair(self, base, a_o, b_o, poly, var_a, var_b):
-        """b^2 = poly(a) with a quadratic over Q and b in Q(a); commits the
-        min polys of the chart coordinates to the record on success."""
-        rel_a = quadratic_relation(a_o)
-        if rel_a is None or not is_irreducible_quadratic(rel_a):
-            return False
-        a_el = QuadraticElement.generator(rel_a)
-        rhs = QuadraticElement.evaluate_poly(poly, a_el)
-        b_el = None
-        qb = rational_reconstruct(b_o)
-        if qb is not None:
-            cand = QuadraticElement.rational(qb, rel_a)
-            if (cand * cand - rhs).is_zero:
-                b_el = cand
-        if b_el is None:
-            rel = linear_relation(b_o, a_o)
-            if rel is None or rel[1] == 0:
-                return False
-            c0, c1, c2 = rel
-            cand = (QuadraticElement.rational(Fraction(-c0, c1), rel_a)
-                    + a_el * Fraction(-c2, c1))
-            if not (cand * cand - rhs).is_zero:
-                return False
-            b_el = cand
-        base["min_poly_" + var_a] = format_polynomial(rel_a, var_a)
-        base["min_poly_" + var_b] = format_polynomial(
-            element_min_poly(b_el), var_b)
-        base["_elements"] = (a_el, b_el)
-        return True
-
-    def _recognize_infinity(self, base, x_o, y_o):
-        """Identification in the chart at infinity via s = 1/x, w = y/x^4,
-        where w^2 = s * (x^7-reversal of the curve polynomial)."""
-        g = self.curve.original
-        ginf = [Fraction(0)] + [g[7 - k] for k in range(8)]
-        s_o = 1 / x_o
-        w_o = y_o / x_o ** 4
-        if not self._try_quadratic_pair(base, s_o, w_o, ginf, "s", "w"):
+        torsion = all(c.is_zero for c in self.ctx.halfint(point))
+        pair = _algebraic_point(self.curve.original, disk.is_infinity,
+                                x_o, y_o, qx)
+        if pair is None:
             raise RecognitionError("zero in disk %s resists exact "
                                    "recognition" % base["disk"])
-        s_el, w_el = base.pop("_elements")
-        x_el = s_el.inverse()
-        y_el = w_el * x_el * x_el * x_el * x_el
-        base.pop("min_poly_s")
-        base.pop("min_poly_w")
-        base["x"] = x_o.expansion_str()
+        x, y = pair
+        if x.v == 0:
+            base["x"] = str(x.u)
+        else:
+            base["x"] = x_o.expansion_str()
+            base["min_poly_x"] = format_polynomial(element_min_poly(x), "x")
         base["y"] = y_o.expansion_str()
-        base["min_poly_x"] = format_polynomial(element_min_poly(x_el), "x")
-        base["min_poly_y"] = format_polynomial(element_min_poly(y_el), "y")
+        base["min_poly_y"] = format_polynomial(element_min_poly(y), "y")
+        base["class"] = "torsion" if torsion else "other_algebraic"
+        if torsion:
+            base["torsion_order"] = MumfordDivisorFp.from_point(
+                disk, self.p, self.fbar).order(self.jac_order)
+        return base
+
+
+def _coords(pt):
+    if pt.is_infinity:
+        return "infinity", "infinity"
+    return str(pt.x), str(pt.y)
+
+
+def _quadratic_point(a_o, b_o, qa, poly):
+    """(a, b) as QuadraticElements of one field with b^2 = poly(a) checked
+    exactly, or None.
+
+    Tries a = qa rational with b quadratic, then a quadratic with b
+    rational or in Q(a).  Relation candidates come from the lattice search
+    and can be noise, so each is verified in exact arithmetic and the next
+    shape is tried when the check fails."""
+    if qa is not None:
+        rel = quadratic_relation(b_o)
+        if rel is not None and is_irreducible_quadratic(rel):
+            b = QuadraticElement.generator(rel)
+            if (b * b - eval_exact(poly, qa)).is_zero:
+                return QuadraticElement.rational(qa, rel), b
+    rel = quadratic_relation(a_o)
+    if rel is None or not is_irreducible_quadratic(rel):
+        return None
+    a = QuadraticElement.generator(rel)
+    rhs = QuadraticElement.evaluate_poly(poly, a)
+    qb = rational_reconstruct(b_o)
+    if qb is not None:
+        b = QuadraticElement.rational(qb, rel)
+        if (b * b - rhs).is_zero:
+            return a, b
+    lin = linear_relation(b_o, a_o)
+    if lin is None or lin[1] == 0:
+        return None
+    c0, c1, c2 = lin
+    b = QuadraticElement.rational(Fraction(-c0, c1), rel) \
+        + a * Fraction(-c2, c1)
+    return (a, b) if (b * b - rhs).is_zero else None
+
+
+def _algebraic_point(g, at_infinity, x_o, y_o, qx):
+    """Exact (x, y) over a quadratic field for the digits (x_o, y_o) of an
+    original-model point, or None; qx is x_o reconstructed as a rational.
+
+    At infinity the search runs on s = 1/x, w = y/x^4, which are integral
+    there and satisfy w^2 = s * (x^7-reversal of g); x = 1/s, y = w x^4."""
+    if not at_infinity:
+        return _quadratic_point(x_o, y_o, qx, g)
+    ginf = [Fraction(0)] + [g[7 - k] for k in range(8)]
+    pair = _quadratic_point(1 / x_o, y_o / x_o ** 4,
+                            None if qx is None else 1 / qx, ginf)
+    if pair is None:
+        return None
+    x = pair[0].inverse()
+    return x, pair[1] * x * x * x * x
 
 
 class AnalysisReport:
@@ -488,16 +450,10 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
     tagged.sort(key=lambda pair: pair[0])
     zero_records = [rec for _, rec in tagged]
 
-    matched = {tuple(r["matched_known"]) for r in zero_records
-               if isinstance(r.get("matched_known"), list)}
-    matched |= {r["matched_known"] for r in zero_records
-                if r.get("matched_known") == "infinity"}
     for k in known_pts:
-        key = k.original.coord_strings()
-        key = tuple(key) if isinstance(key, list) else key
-        if key not in matched:
-            raise PrecisionError(
-                "known point %s was not recovered as a zero" % (key,))
+        if k.original not in run.matched:
+            raise PrecisionError("known point %s was not recovered as a zero"
+                                 % (k.original.coord_strings(),))
 
     counts = Counter(r["class"] for r in zero_records)
     data = {

@@ -2,11 +2,12 @@
 
 Rational reconstruction is the classical half-extended Euclid balanced
 lift.  Algebraic recognition looks for a short vector in the lattice of
-integer relations mod p^N among 1, v, v^2 (or 1, a, b) with LLL, gated
-by a height bound so that lattice noise of size ~ p^(N/3) is never
-mistaken for structure.  Candidates are only suggestions: callers verify
-them exactly with QuadraticElement arithmetic, which works in
-Q[t]/(minpoly) and never needs radicals or factoring.
+integer relations mod p^N among 1, v, v^2 (or 1, a, b) with an exact
+integer LLL, gated by a height bound so that lattice noise of size
+~ p^(N/3) is never mistaken for structure.  Candidates are only
+suggestions: callers verify them exactly with QuadraticElement
+arithmetic, which works in Q[t]/(minpoly) and never needs radicals or
+factoring.
 """
 
 from fractions import Fraction
@@ -63,13 +64,70 @@ def primitive_poly(coeffs):
     return tuple(c // g for c in ints)
 
 
+def _lll(rows):
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the
+    independent integer rows, in exact integer arithmetic.
+
+    Cohen, Alg. 2.6.7: the Gram-Schmidt data are kept as the integers
+    d[i] (Gram determinant of the first i rows) and lam[k][j] = d[j+1] *
+    mu_kj, computed once per row and updated in place by size reduction
+    and swaps."""
+    b = [list(r) for r in rows]
+    n = len(b)
+    d = [1, _dot(b[0], b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def size_reduce(k, j):
+        if 2 * abs(lam[k][j]) <= d[j + 1]:
+            return
+        q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        lam[k][j] -= q * d[j + 1]
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]
+
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        size_reduce(k, k - 1)
+        # Lovasz condition d[k+1] d[k-1] >= (3/4) d[k]^2 - lam[k][k-1]^2;
+        # when it fails, swap rows k - 1 and k and update d, lam in place
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            mu = lam[k][k - 1]
+            big = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, k_max + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (big * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = big
+            k = max(1, k - 1)
+            continue
+        for j in range(k - 2, -1, -1):
+            size_reduce(k, j)
+        k += 1
+    return b
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def small_integer_relation(values):
     """Short integer vector c with sum c_i * values_i = 0 mod p^N, where N
     is the least shared absolute precision; None when nothing beats the
     height gate.  values[0] is normally the constant 1."""
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-
     p = values[0].prime
     k = len(values)
     n = min(v.abs_prec for v in values)
@@ -92,22 +150,17 @@ def small_integer_relation(values):
     inv = pow(res[pivot], -1, m)
     rows = []
     for i in range(k):
+        row = [0] * k
         if i == pivot:
-            row = [0] * k
             row[pivot] = m
         else:
-            row = [0] * k
             row[i] = 1
-            # balanced representative, same lattice: with entries in
-            # [0, m) sympy's lll() fails its own size-reduction assert on
-            # some bases (curve A at p = 7, N >= 38)
+            # balanced representative: same lattice, shorter start
             r = -(res[i] * inv) % m
             row[pivot] = r - m if r > m // 2 else r
         rows.append(row)
-    reduced = DomainMatrix(rows, (k, k), ZZ).lll().to_list()
     best = None
-    for row in reduced:
-        vec = [int(c) for c in row]
+    for vec in _lll(rows):
         height = max(abs(c) for c in vec)
         if height == 0 or height > max_height:
             continue

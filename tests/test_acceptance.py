@@ -332,7 +332,7 @@ def test_criterion_08(ctx_a7):
         for disk in sorted({d.canonical(7) for d in
                             ctx_a7.curve.fp_points(7)}):
             data, _ = ctx_a7.disk_data(disk)
-            for anti in data.antiderivatives:
+            for anti in data.halfints:
                 for j, c in enumerate(anti.coeffs):
                     if j == 0 or c.is_zero:
                         continue

@@ -12,9 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from g3chabauty.curve import CurveModel, RationalPoint
+from g3chabauty.curve import CurveModel, RationalPoint, eval_exact
 from g3chabauty.errors import BadReductionError, InputError
-from g3chabauty.pipeline import analyze_curve, default_precision
+from g3chabauty.padic import PadicNumber, padic_sqrt
+from g3chabauty.pipeline import (_algebraic_point, analyze_curve,
+                                 default_precision)
+from g3chabauty.recognize import (QuadraticElement, element_min_poly,
+                                  format_polynomial, rational_reconstruct)
 
 from conftest import CURVE_A_KNOWN, CURVE_C_KNOWN
 
@@ -274,6 +278,68 @@ def test_ex3_group_invariants(ex3_p11):
     assert ex3_p11["curve_point_count"] == 12
     assert ex3_p11["jacobian_order"] == 1536
     assert ex3_p11["zeta_numerator"] == [1, 0, 17, 0, 187, 0, 1331]
+
+
+# -- recognition and the new_rational exits -----------------------------------
+
+def test_a17_torsion_matches_a7(curve_a, ex1_p7):
+    # from p = 13 on, recognition used to die in sympy's LLL
+    knowns = [RationalPoint.from_json(k) for k in CURVE_A_KNOWN]
+    report = analyze_curve(curve_a, p=17, knowns=knowns)
+    fields = ("x", "min_poly_y", "torsion_order")
+    got = [tuple(r[f] for f in fields) for r in by_class(report, "torsion")]
+    want = [tuple(r[f] for f in fields) for r in by_class(ex1_p7, "torsion")]
+    assert got == want == [("0", "y^2 - 8", 12)] * 2
+
+
+def test_infinity_disk_rational_x(curve_a):
+    # x = 1/49 lies in the infinity disk at p = 7; y is quadratic
+    p, n = 7, 60
+    x = Fraction(1, 49)
+    x_o = PadicNumber.from_rational(x, p, rel_prec=n)
+    y_o = padic_sqrt(PadicNumber.from_rational(
+        eval_exact(curve_a.original, x), p, rel_prec=n))
+    xe, ye = _algebraic_point(curve_a.original, True, x_o, y_o,
+                              rational_reconstruct(x_o))
+    assert (xe.u, xe.v) == (x, 0)
+    assert format_polynomial(element_min_poly(ye), "y") == \
+        "678223072849*y^2 - 5877648490249"
+
+
+def test_infinity_disk_quadratic_pair():
+    # x = (1 + sqrt 2)/49 has v(x) = -2 at p = 7, with minimal polynomial
+    # q = 2401x^2 - 98x - 1; on y^2 = g(x), g = (49x - 1)^2 + q x^5, the
+    # point has y = 49x - 1 = sqrt 2
+    p, n = 7, 60
+    g = [Fraction(c) for c in (1, -98, 2401, 0, 0, -1, -98, 2401)]
+    root2 = padic_sqrt(PadicNumber.from_rational(2, p, rel_prec=n))
+    x_o = (root2 + 1) / 49
+    assert x_o.valuation == -2
+    xe, ye = _algebraic_point(g, True, x_o, root2, rational_reconstruct(x_o))
+    assert format_polynomial(element_min_poly(xe), "x") == \
+        "2401*x^2 - 98*x - 1"
+    assert format_polynomial(element_min_poly(ye), "y") == "y^2 - 2"
+    assert (ye * ye - QuadraticElement.evaluate_poly(g, xe)).is_zero
+
+
+@pytest.mark.parametrize("curve,p,dropped,coords", [
+    ("curve_a", 7, [["1", "-5"], ["1", "5"]], [("1", "-5"), ("1", "5")]),
+    ("curve_a", 7, ["infinity"], [("infinity", "infinity")]),
+    ("curve_c", 11, [["0", "0"]], [("0", "0")]),
+], ids=["A7-without-1-5", "A7-without-infinity", "C11-without-0-0"])
+def test_dropped_knowns_come_back_as_new_rational(curve, p, dropped, coords,
+                                                  request):
+    # the three new_rational exits: a reconstructed (x, y), the point at
+    # infinity at t = 0 and a rational branch point
+    known = CURVE_A_KNOWN if curve == "curve_a" else CURVE_C_KNOWN
+    knowns = [RationalPoint.from_json(k) for k in known if k not in dropped]
+    report = analyze_curve(request.getfixturevalue(curve), p=p,
+                           knowns=knowns)
+    new = by_class(report, "new_rational")
+    assert sorted((r["x"], r["y"]) for r in new) == coords
+    assert all(r["matched_known"] is None for r in new)
+    assert report["class_counts"]["known_rational"] == \
+        len(known) - len(dropped)
 
 
 # -- input validation ---------------------------------------------------------

@@ -7,7 +7,7 @@ from math import gcd, isqrt
 import pytest
 
 from g3chabauty.padic import INF, PadicNumber, padic_sqrt
-from g3chabauty.recognize import (QuadraticElement, format_polynomial,
+from g3chabauty.recognize import (QuadraticElement, _lll, format_polynomial,
                                   is_irreducible_quadratic, linear_relation,
                                   quadratic_relation, rational_reconstruct,
                                   small_integer_relation)
@@ -59,8 +59,13 @@ def test_rational_reconstruct_exact_input():
     assert rational_reconstruct(PadicNumber.zero(7)) == 0
 
 
-@pytest.mark.parametrize("p", [7, 11])
+# from p = 13 on, the library's own N = 2p + 4
+PLANTED_PREC = {7: 20, 11: 20, 13: 30, 17: 38, 19: 42}
+
+
+@pytest.mark.parametrize("p", sorted(PLANTED_PREC))
 def test_quadratic_planted(p):
+    n = PLANTED_PREC[p]
     rng = random.Random(100 + p)
     for _ in range(60):
         d = nonsquare_qr(p, rng)
@@ -69,10 +74,55 @@ def test_quadratic_planted(p):
         c = rng.choice([1, 2, 3, 5, 6])
         while c % p == 0:
             c += 1
-        root = padic_sqrt(PadicNumber.from_rational(d, p, rel_prec=20))
-        x = (from_frac(a, p, 20) + from_frac(b, p, 20) * root) / from_frac(c, p, 20)
+        root = padic_sqrt(PadicNumber.from_rational(d, p, rel_prec=n))
+        x = ((from_frac(a, p, n) + from_frac(b, p, n) * root)
+             / from_frac(c, p, n))
         expected = primitive((a * a - b * b * d, -2 * a * c, c * c))
         assert quadratic_relation(x) == expected
+
+
+def test_quadratic_relation_of_rationals():
+    # at p = 11, N = 26 sympy's LLL failed its own assert on these
+    assert quadratic_relation(from_frac(2, 11, 26)) == (-2, 1, 0)
+    for q in (Fraction(-3), Fraction(1, 2), Fraction(5, 7)):
+        rel = quadratic_relation(from_frac(q, 11, 26))
+        assert rel == (-q.numerator, q.denominator, 0)
+
+
+def test_lll_reduces_random_lattices():
+    # the relation lattices of small_integer_relation: the result must be
+    # LLL-reduced for delta = 3/4 and span the same lattice
+    rng = random.Random(3)
+    for _ in range(200):
+        p = rng.choice([7, 11, 13, 17, 19, 23])
+        m = p ** rng.randint(4, 70)
+        res = [1, rng.randrange(m), rng.randrange(m)]
+        rows = [[m, 0, 0], [-res[1] % m, 1, 0], [-res[2] % m, 0, 1]]
+        red = _lll(rows)
+        assert abs(det3(red)) == m
+        assert all(sum(c * r for c, r in zip(v, res)) % m == 0 for v in red)
+        star, mu = [], {}
+        for i, v in enumerate(red):
+            w = [Fraction(c) for c in v]
+            for j in range(i):
+                mu[i, j] = dot(v, star[j]) / dot(star[j], star[j])
+                w = [a - mu[i, j] * b for a, b in zip(w, star[j])]
+            star.append(w)
+        assert all(abs(u) <= Fraction(1, 2) for u in mu.values())
+        for k in (1, 2):
+            assert dot(star[k], star[k]) >= \
+                (Fraction(3, 4) - mu[k, k - 1] ** 2) * dot(star[k - 1],
+                                                           star[k - 1])
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def test_quadratic_rejects_noise():
