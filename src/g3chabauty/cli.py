@@ -94,8 +94,10 @@ def _job_int(job, key, default=None):
 
 
 def _check_job_id(job_id):
-    """Job ids name report files, so they must stay inside the out dir."""
-    if job_id in ("", ".", "..") or "/" in job_id or "\\" in job_id:
+    """Job ids name report files, so they must stay inside the out dir and
+    hold no NUL byte, which no file name can."""
+    if (job_id in ("", ".", "..") or "/" in job_id or "\\" in job_id
+            or "\x00" in job_id):
         raise InputError("job id %r is not a plain file name" % job_id)
     return job_id
 

@@ -6,18 +6,50 @@ the substitution (x, y) -> (u*xm, v*ym) with v^2 = g7 * u^7; the default
 choice after clearing denominators is u = 1/c, v = 1/c^3 with c the leading
 coefficient, so monic coefficients are F_i = g_i * c^(6-i).  Reports convert
 back through the stored (u, v).
+
+The exact algebra over Z that the model needs is done here in pure Python:
+primality by trial division, the discriminant as a Sylvester resultant by
+fraction-free (Bareiss) elimination, and the factorisation of F over Q by
+Zassenhaus's method (distinct- and equal-degree splitting modulo a small
+prime on the ``_kernels`` F_p helpers, Hensel lifting past the Mignotte
+bound, recombination by exact trial division).  Working primes are capped
+at ``PRIME_CAP``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt, lcm
 
 from . import _kernels as kernels
 from .errors import BadReductionError, InputError
 from .padic import hensel_lift_root, ord_p
 from .recognize import primitive_poly
+
+
+# The largest working prime check_prime and choose_prime accept.  Point
+# counts and Frobenius grow with p; a run far above it would exhaust memory
+# or never end.
+PRIME_CAP = 10 ** 6
+
+_SMALL_PRIMES = tuple(n for n in range(2, 1000)
+                      if all(n % d for d in range(2, isqrt(n) + 1)))
+
+
+def is_prime(n):
+    """Exact primality by trial division.  Up to 1009^2 > PRIME_CAP the
+    primes below 1000 are the only divisors tried."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            return True
+        if n % q == 0:
+            return n == q
+    return all(n % d for d in range(1001, isqrt(n) + 1, 2))
 
 
 def _fractions(coeffs):
@@ -185,11 +217,13 @@ class CurveModel:
         return out
 
     def discriminant(self):
+        """disc(F) = (-1)^21 Res(F, F') / lc(F), from the primitive integer
+        G = c F by disc(F) = disc(G) / c^12."""
         if self._disc is None:
-            import sympy
-            x = sympy.Symbol("x")
-            poly = sympy.Poly([sympy.Rational(c) for c in reversed(self.F)], x)
-            self._disc = Fraction(str(poly.discriminant()))
+            G = list(primitive_poly(self.F))
+            dG = [i * G[i] for i in range(1, len(G))]
+            c = G[-1] / self.F[-1]
+            self._disc = Fraction(-_resultant(G, dG), G[-1]) / c ** 12
         return self._disc
 
     def validate(self):
@@ -223,17 +257,19 @@ class CurveModel:
 
     def choose_prime(self):
         """Smallest good prime."""
-        import sympy
         p = 7
         while not self.is_good_prime(p):
-            if p > 10 ** 6:
-                raise InputError("no good prime found below 10^6")
-            p = int(sympy.nextprime(p))
+            p += 2
+            while not is_prime(p):
+                p += 2
+            if p > PRIME_CAP:
+                raise InputError("no good prime found below %d" % PRIME_CAP)
         return p
 
     def check_prime(self, p):
-        import sympy
-        if not sympy.isprime(p):
+        if p > PRIME_CAP:
+            raise InputError("prime %d is above the cap %d" % (p, PRIME_CAP))
+        if not is_prime(p):
             raise InputError("%d is not prime" % p)
         if p < 7:
             raise InputError("prime must be at least 7")
@@ -264,18 +300,9 @@ class CurveModel:
     def weierstrass_x_factors(self):
         """Irreducible factors of F over Q as primitive integer coefficient
         tuples (constant first, positive leading coefficient), sorted."""
-        import sympy
-        x = sympy.Symbol("x")
-        poly = sympy.Poly([sympy.Rational(c) for c in reversed(self.F)], x)
-        _, factors = poly.factor_list()
-        out = []
-        for fac, mult in factors:
-            if mult != 1:
-                raise InputError("F is not squarefree")
-            out.append(primitive_poly(
-                Fraction(str(c)) for c in reversed(fac.all_coeffs())))
-        out.sort()
-        return out
+        if self.discriminant() == 0:
+            raise InputError("F is not squarefree")
+        return sorted(_factor_squarefree(list(primitive_poly(self.F))))
 
     def weierstrass_points_qp(self, p, prec):
         """Finite Weierstrass points over Q_p: list of dicts with the lifted
@@ -366,3 +393,168 @@ class CurveModel:
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError("bad scaling entry: %s" % exc) from None
         return CurveModel(cs, sc).validate()
+
+
+# -- exact algebra over Z -----------------------------------------------------
+# Integer polynomials are coefficient lists, constant first.
+
+def _resultant(a, b):
+    """Res(a, b) as the determinant of the Sylvester matrix, by Bareiss's
+    fraction-free elimination: every division below is exact."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = ([[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)])
+    size, sign, prev = m + n, 1, 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
+
+
+def _exact_quotient(a, b):
+    """a / b when b divides a in Z[x], else None."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + len(b) - 1], b[-1])
+        if rem:
+            return None
+        q[i] = c
+        for j, bj in enumerate(b):
+            r[i + j] -= c * bj
+    return q if not any(r) else None
+
+
+def _powmod(a, e, f, q):
+    """a^e modulo the monic f over F_q."""
+    out = [1]
+    a = kernels.poly_divmod_monic_mod(a, f, q)[1]
+    while e:
+        if e & 1:
+            out = kernels.poly_divmod_monic_mod(
+                kernels.poly_mul_mod(out, a, q), f, q)[1]
+        e >>= 1
+        if e:
+            a = kernels.poly_divmod_monic_mod(
+                kernels.poly_mul_mod(a, a, q), f, q)[1]
+    return out
+
+
+def _equal_degree_split(g, d, q, rng):
+    """Cantor-Zassenhaus: the monic irreducible factors of a monic
+    squarefree g over F_q (q odd) whose factors all have degree d."""
+    if len(g) - 1 == d:
+        return [g]
+    half = (q ** d - 1) // 2
+    while True:
+        a = [rng.randrange(q) for _ in range(len(g) - 1)]
+        u = kernels.poly_xgcd_mod(
+            g, kernels.poly_sub_mod(_powmod(a, half, g, q), [1], q), q)[0]
+        if 1 < len(u) < len(g):
+            v = kernels.poly_divmod_monic_mod(g, u, q)[0]
+            return (_equal_degree_split(u, d, q, rng)
+                    + _equal_degree_split(v, d, q, rng))
+
+
+def _factor_mod(f, q, rng):
+    """Monic irreducible factors of a monic squarefree f over F_q (q odd):
+    distinct-degree splitting by gcd(f, x^(q^d) - x), then equal-degree."""
+    out = []
+    h = x = [0, 1]
+    d = 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _powmod(h, q, f, q)
+        g = kernels.poly_xgcd_mod(f, kernels.poly_sub_mod(h, x, q), q)[0]
+        if len(g) > 1:
+            out += _equal_degree_split(g, d, q, rng)
+            f = kernels.poly_divmod_monic_mod(f, g, q)[0]
+            h = kernels.poly_divmod_monic_mod(h, f, q)[1]
+    if len(f) > 1:
+        out.append(f)
+    return out
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g h and s g + t h = 1 mod m, h monic, the same identities
+    mod m^2 (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+    Alg. 15.10)."""
+    mm = m * m
+    add, sub = kernels.poly_add_mod, kernels.poly_sub_mod
+    mul = kernels.poly_mul_mod
+    e = sub([c % mm for c in f], mul(g, h, mm), mm)
+    c, r = kernels.poly_divmod_monic_mod(mul(s, e, mm), h, mm)
+    g = add(g, add(mul(t, e, mm), mul(c, g, mm), mm), mm)
+    h = add(h, r, mm)
+    b = sub(add(mul(s, g, mm), mul(t, h, mm), mm), [1], mm)
+    c, r = kernels.poly_divmod_monic_mod(mul(s, b, mm), h, mm)
+    s = sub(s, r, mm)
+    t = sub(t, add(mul(t, b, mm), mul(c, g, mm), mm), mm)
+    return g, h, s, t
+
+
+def _factor_squarefree(G):
+    """Irreducible factors over Z of a primitive squarefree G of positive
+    leading coefficient, as primitive tuples (Zassenhaus).
+
+    The monic factors of G modulo the least odd prime q where G stays of
+    full degree and squarefree are lifted, one off the cofactor at a time,
+    to a modulus m > 2B, B = 2^n sqrt(n+1) max|G_i| lc(G) the Mignotte
+    bound for lc(G)/lc(g) * g, g any factor of G.  Every subset of the
+    lifts, smallest first, is then tried by exact trial division."""
+    n = len(G) - 1
+    q = 3
+    while (G[-1] % q == 0 or len(kernels.poly_xgcd_mod(
+            G, [i * G[i] for i in range(1, n + 1)], q)[0]) > 1):
+        q += 2
+        while not is_prime(q):
+            q += 2
+    lead_inv = pow(G[-1], -1, q)
+    mods = _factor_mod([c * lead_inv % q for c in G], q, random.Random(0))
+    bound = 2 ** n * (isqrt(n + 1) + 1) * max(abs(c) for c in G) * G[-1]
+    m = q
+    while m <= 2 * bound:
+        m *= m
+    lifts = []
+    f = G
+    for i, h in enumerate(mods[:-1]):
+        rest = [G[-1] % q]
+        for u in mods[i + 1:]:
+            rest = kernels.poly_mul_mod(rest, u, q)
+        _, s, t = kernels.poly_xgcd_mod(rest, h, q)
+        step = q
+        while step < m:
+            rest, h, s, t = _hensel_step(f, rest, h, s, t, step)
+            step *= step
+        lifts.append(h)
+        f = rest
+    lifts.append(kernels.poly_scale_mod(f, pow(G[-1], -1, m), m))
+
+    factors = []
+    size = 1
+    while 2 * size <= len(lifts):
+        for subset in combinations(range(len(lifts)), size):
+            cand = [G[-1]]
+            for i in subset:
+                cand = kernels.poly_mul_mod(cand, lifts[i], m)
+            cand = primitive_poly(c - m if 2 * c > m else c for c in cand)
+            quot = _exact_quotient(G, cand)
+            if quot is not None:
+                factors.append(cand)
+                G = quot
+                lifts = [u for i, u in enumerate(lifts) if i not in subset]
+                break
+        else:
+            size += 1
+    factors.append(tuple(G))
+    return factors

@@ -13,12 +13,11 @@ import pathlib
 import random
 from fractions import Fraction
 
-import numpy
 import pytest
 
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
-from g3chabauty.curve import CurveModel, CurvePoint
+from g3chabauty.curve import CurveModel, CurvePoint, eval_exact
 from g3chabauty.errors import InputError
 from g3chabauty.frobenius import brute_zeta_numerator, zeta_numerator
 from g3chabauty.padic import PadicNumber, ord_p
@@ -190,11 +189,77 @@ def random_good_curve(rng):
             return curve
 
 
+def poly_divmod(a, b):
+    """Quotient and remainder over Q of constant-first coefficient lists."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, bi in enumerate(b):
+            r[shift + i] -= c * bi
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def all_roots_in(k, lo, hi):
+    """True when every complex root of k is real and in [lo, hi], decided
+    exactly by the Sturm sequence of the squarefree part of k."""
+    def deriv(f):
+        return [i * c for i, c in enumerate(f)][1:]
+
+    g, r = k, deriv(k)
+    while r:
+        g, r = r, poly_divmod(g, r)[1]
+    seq = [poly_divmod(k, g)[0]]
+    seq.append(deriv(seq[0]))
+    while True:
+        r = poly_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def variations(x):
+        signs = [v for v in (eval_exact(f, x) for f in seq) if v]
+        return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
+
+    # V(lo) - V(hi) counts the distinct roots in (lo, hi]
+    count = (variations(lo) - variations(hi)
+             + (eval_exact(seq[0], lo) == 0))
+    return count == len(seq[0]) - 1
+
+
 def weil_checks(coeffs, p):
+    """Functional equation, and every root of the reversed numerator
+    L(T) = T^6 + a1 T^5 + ... + p^3 of absolute value sqrt(p), exactly."""
     for i in range(3):
         assert coeffs[6 - i] == p ** (3 - i) * coeffs[i]
-    mags = numpy.abs(numpy.roots(coeffs))
-    assert numpy.max(numpy.abs(mags - p ** 0.5)) < 1e-6
+    # L(T) = T^3 h(T + p/T); its roots lie on |T| = sqrt(p) iff every root
+    # of h is real in [-2 sqrt(p), 2 sqrt(p)], iff every root of the cubic
+    # k with h(s) h(-s) = k(s^2) lies in [0, 4p]
+    _, a1, a2, a3 = coeffs[:4]
+    b, c, d = a1, a2 - 3 * p, a3 - 2 * p * a1
+    k = [d * d, 2 * b * d - c * c, b * b - 2 * c, -1]
+    assert all_roots_in(k, 0, 4 * p), coeffs
+
+
+def test_weil_check_is_exact():
+    p = 7
+    # (T^2 - p)^2 (T^2 + p): k = -r (r - 4p)^2 has its roots at both ends
+    weil_checks([1, 0, -p, 0, -p ** 2, 0, p ** 3], p)
+    # (T^2 + p)^3, the supersingular extreme: k = -r^3
+    weil_checks([1, 0, 3 * p, 0, 3 * p ** 2, 0, p ** 3], p)
+    good = [1, 2, 5, -4, 35, 98, 343]  # curve A at p = 7
+    weil_checks(good, p)
+    # a1 + 3 moves a root off the circle; |a1| = 18 > 6 sqrt(7) cannot hold
+    for i, delta in ((1, 3), (2, 3), (3, 40), (1, 16)):
+        bad = list(good)
+        bad[i] += delta
+        bad[6 - i] = p ** (3 - i) * bad[i]
+        with pytest.raises(AssertionError):
+            weil_checks(bad, p)
 
 
 def test_criterion_06(curve_a, curve_b, curve_c):

@@ -7,7 +7,10 @@ batch job cannot disturb its siblings.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -27,6 +30,9 @@ from conftest import CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING
 CURVE_A_JSON = {"coeffs": [str(c) for c in CURVE_A_COEFFS]}
 CURVE_B_JSON = {"coeffs": [str(c) for c in CURVE_B_COEFFS],
                 "scaling": CURVE_B_SCALING}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 # x^7 + 2 is a 7th power mod 7
 BAD_AT_7_JSON = {"coeffs": ["16", "7", "7", "0", "0", "0", "0", "1"]}
 
@@ -277,6 +283,43 @@ def test_job_ids_stay_inside_out(tmp_path):
     assert written == {"nest", "nest/out", "jobs.jsonl", "job.json"}
 
 
+def test_job_id_with_nul_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                 capsys):
+    calls = []
+
+    def run_job(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("a job ran")
+
+    monkeypatch.setattr(cli, "run_job", run_job)
+    job = {"id": "ex\x001", "curve": CURVE_A_JSON, "p": 7}
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [job])
+    single = write_json(tmp_path / "job.json", job)
+    for argv in (["batch", "--jobs", jobs, "--out", str(tmp_path / "o")],
+                 ["batch", "--jobs", jobs, "--parallel", "2",
+                  "--out", str(tmp_path / "o")],
+                 ["analyze", "--job", single, "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "not a plain file name" in err and "Traceback" not in err
+    assert calls == []
+
+
+def test_prime_above_cap_exits_2():
+    # at 10^9 + 7 zeta once died of a MemoryError and analyze never ended;
+    # each runs in its own interpreter so a regression cannot stall the suite
+    for argv in (["zeta", "--curve", str(DATA / "curve_b.json"),
+                  "--p", "1000000007"],
+                 ["analyze", "--job", str(DATA / "job_ex1.json"),
+                  "--p", "1000000007"]):
+        run = subprocess.run([sys.executable, "-m", "g3chabauty.cli"] + argv,
+                             capture_output=True, text=True, timeout=120,
+                             env=SRC_ENV)
+        assert run.returncode == 2, (argv, run.stderr)
+        assert "above the cap" in run.stderr
+        assert "Traceback" not in run.stderr
+
+
 def test_out_must_be_a_directory(tmp_path, monkeypatch, capsys):
     # an existing file as --out fails as malformed input before any job runs
     calls = []
@@ -312,7 +355,6 @@ def _no_frobenius(*args, **kwargs):
     raise _ReachedFrobenius()
 
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SEED_JOBS = [json.loads(line) for line in (DATA / "example_jobs.jsonl")
              .read_text(encoding="utf-8").splitlines()]
 

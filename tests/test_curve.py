@@ -1,11 +1,17 @@
-"""Curve model normalization, reduction, and point search."""
+"""Curve model normalization, reduction, point search, and the exact
+algebra over Z (primality, discriminant, factoring) against sympy."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
+import sympy
 
 from conftest import CURVE_B_COEFFS, make_curve
-from g3chabauty.curve import CurveModel, FpPoint, RationalPoint, eval_exact
+from g3chabauty.curve import (PRIME_CAP, CurveModel, FpPoint, RationalPoint,
+                              eval_exact, is_prime)
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.localdisk import curve_point_from_rational
 
@@ -65,6 +71,18 @@ def test_prime_selection(curve_a, curve_b, curve_c):
         curve_a.check_prime(8)
     with pytest.raises(InputError):
         curve_a.check_prime(5)
+    with pytest.raises(InputError, match="above the cap"):
+        curve_a.check_prime(1000003)
+
+
+def test_is_prime_matches_sympy():
+    assert PRIME_CAP == 10 ** 6
+    for n in range(-3, 2 * 10 ** 5):
+        assert is_prime(n) == sympy.isprime(n), n
+    near_cap = range(10 ** 6 - 2000, 10 ** 6 + 2000)
+    assert sum(map(sympy.isprime, near_cap)) > 100
+    for n in list(near_cap) + [997 ** 2, 997 * 1009, 1009 ** 2, 10 ** 9 + 7]:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_reduce_point_disks(curve_a):
@@ -130,3 +148,134 @@ def test_singular_curve_rejected():
     # y^2 = x^7: zero discriminant
     with pytest.raises(InputError):
         make_curve([0, 0, 0, 0, 0, 0, 0, 1])
+
+
+# -- discriminant and factors against sympy -----------------------------------
+
+X = sympy.Symbol("x")
+
+
+def sympy_disc_and_factors(F):
+    """sympy's discriminant of F and its factors as primitive tuples, or
+    None for the factors when F is not squarefree."""
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(F)], X)
+    disc = Fraction(str(poly.discriminant()))
+    _, factors = poly.factor_list()
+    if any(mult != 1 for _, mult in factors):
+        return disc, None
+    prims = [sympy.Poly(f, X).primitive()[1].all_coeffs()[::-1]
+             for f, _ in factors]
+    return disc, sorted(tuple(int(c) * (1 if f[-1] > 0 else -1) for c in f)
+                        for f in prims)
+
+
+def assert_matches_sympy(coeffs, scaling=None):
+    curve = CurveModel([Fraction(c) for c in coeffs], scaling)
+    disc, factors = sympy_disc_and_factors(curve.F)
+    assert curve.discriminant() == disc, coeffs
+    if factors is None:
+        assert disc == 0
+        with pytest.raises(InputError, match="not squarefree"):
+            curve.weierstrass_x_factors()
+    else:
+        assert curve.weierstrass_x_factors() == factors, coeffs
+
+
+def test_reference_curves_match_sympy(curve_a, curve_b, curve_c):
+    # curve B's monic model has F_6 = 3/2, so its denominators are cleared
+    for curve in (curve_a, curve_b, curve_c):
+        disc, factors = sympy_disc_and_factors(curve.F)
+        assert curve.discriminant() == disc != 0
+        assert curve.weierstrass_x_factors() == factors
+    assert [len(f) - 1 for f in curve_a.weierstrass_x_factors()] == [5, 2]
+    assert [len(f) - 1 for f in curve_c.weierstrass_x_factors()] == [1, 6]
+
+
+def random_factor(rng, d):
+    return rng.choice([1, 2, -3]) * X ** d + sum(
+        rng.randint(-5, 5) * X ** i for i in range(d))
+
+
+def random_degree7(rng):
+    """Integer or rational coefficient lists (the rational ones with a
+    square leading coefficient), products of small factors, and products
+    a^2 b with a repeated factor (singular)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [rng.randint(-30, 30) for _ in range(7)] + [rng.choice(
+            [1, -1, 2, 3, -5])]
+    if kind == 1:
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(7)] + [Fraction(rng.randint(1, 4),
+                                               rng.randint(1, 3)) ** 2]
+    if kind == 2:
+        factors = [random_factor(rng, d) for d in rng.choice(
+            [[1, 6], [2, 5], [3, 4], [1, 2, 4], [2, 2, 3], [1, 1, 1, 4],
+             [1] * 7])]
+    else:
+        d = rng.choice([1, 2, 3])
+        a = random_factor(rng, d)
+        factors = [a, a, random_factor(rng, 7 - 2 * d)]
+    poly = rng.choice([1, -1, 2, -3]) * sympy.prod(factors)
+    return [int(c) for c in sympy.Poly(poly, X).all_coeffs()[::-1]]
+
+
+def test_random_degree7_match_sympy():
+    rng = random.Random(20261018)
+    singular = rational = done = 0
+    while done < 200:
+        coeffs = random_degree7(rng)
+        if len(coeffs) != 8 or coeffs[7] == 0:
+            continue
+        scaling = None
+        if isinstance(coeffs[7], Fraction):
+            # (1, sqrt(g7)) keeps the denominators: F = g / g7
+            lead = coeffs[7]
+            scaling = (Fraction(1), Fraction(isqrt(lead.numerator),
+                                             isqrt(lead.denominator)))
+        curve = CurveModel([Fraction(c) for c in coeffs], scaling)
+        singular += curve.discriminant() == 0
+        rational += any(c.denominator != 1 for c in curve.F)
+        assert_matches_sympy(coeffs, scaling)
+        done += 1
+    assert 20 < singular < 100 and 20 < rational < 100
+
+
+def cyclotomic_products():
+    """Every product of cyclotomic polynomials Phi_k, k <= 30, of degree 7,
+    repeated factors included."""
+    phi = {k: sympy.cyclotomic_poly(k, X) for k in range(1, 31)}
+    small = [k for k in phi if sympy.totient(k) <= 7]
+    for r in range(1, 8):
+        for ks in combinations_with_replacement(small, r):
+            if sum(map(sympy.totient, ks)) == 7:
+                yield sympy.prod(phi[k] for k in ks)
+
+
+SWINNERTON_DYER = X ** 4 - 10 * X ** 2 + 1  # splits modulo every prime
+ADVERSARIAL = (
+    [SWINNERTON_DYER * c for c in (X ** 3 - 2, X ** 3 + X + 1,
+                                   (X - 1) * (X + 2) * (X - 3),
+                                   (X ** 2 + 1) * (X + 5), 2 * X ** 3 + 3)]
+    + [a * b for a in (X - 3, 2 * X + 1)
+       for b in (X ** 6 + X + 1, X ** 6 - 2, 3 * X ** 6 + X ** 3 - 1)]
+    + [a * b for a in (X ** 2 + 1, X ** 2 - 2, 3 * X ** 2 + X - 7)
+       for b in (X ** 5 - X - 1, X ** 5 + 2, 2 * X ** 5 - 5 * X + 3)]
+    + [a * b for a in (X ** 3 - 2, X ** 3 - 3 * X - 1)
+       for b in (X ** 4 + 1, X ** 4 - 2, X ** 4 + X + 1)]
+    + [(X ** 2 - 2) * (X ** 2 - 3) * (X ** 3 - 5),
+       (X ** 2 - 2) * (X ** 2 - 3) * (X - 5) * (X - 7) * (X + 1)])
+
+
+def test_adversarial_products_match_sympy():
+    cases = ADVERSARIAL + list(cyclotomic_products())
+    assert len(cases) > 100
+    for poly in cases:
+        assert_matches_sympy(
+            [int(c) for c in sympy.Poly(poly, X).all_coeffs()[::-1]])
+    # a rescaled x keeps the Swinnerton-Dyer factor splitting mod every p
+    assert_matches_sympy(
+        [int(c) for c in sympy.Poly(
+            (SWINNERTON_DYER * (X ** 3 - 2)).subs(X, 3 * X / 2) * 2 ** 7,
+            X).all_coeffs()[::-1]])

@@ -8,6 +8,11 @@ pin down the full observable behaviour of analyze_curve at p = 7 and 11.
 """
 
 import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -400,3 +405,36 @@ def test_rejects_bad_ranges_before_work(curve_a):
             analyze_curve(curve_a, p=7, prec=prec, knowns=knowns)
     with pytest.raises(InputError, match="search height"):
         analyze_curve(curve_a, p=7, search_height=-1)
+
+
+NO_SYMPY_RUN = """
+import json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from fractions import Fraction
+from g3chabauty import cli
+from g3chabauty.curve import CurveModel
+from g3chabauty.pipeline import analyze_curve
+from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
+                      CURVE_C_COEFFS)
+a = CurveModel([Fraction(c) for c in CURVE_A_COEFFS]).validate()
+b = CurveModel([Fraction(c) for c in CURVE_B_COEFFS],
+               [Fraction(c) for c in CURVE_B_SCALING]).validate()
+c = CurveModel([Fraction(c) for c in CURVE_C_COEFFS]).validate()
+print(json.dumps(analyze_curve(a, p=7, search_height=2000)["class_counts"]))
+sys.exit(cli.main(["zeta", "--curve", sys.argv[1], "--p", "11"]))
+"""
+
+
+def test_analysis_runs_without_sympy():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_RUN,
+         str(root / "data" / "curve_b.json")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "tests")])))
+    assert run.returncode == 0, run.stderr
+    counts, zeta = run.stdout.split("\n", 1)
+    assert json.loads(counts) == {"known_rational": 5, "torsion": 2,
+                                  "weierstrass": 3}
+    assert json.loads(zeta)["prime"] == 11
