@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -93,12 +94,25 @@ def _job_int(job, key, default=None):
     return value
 
 
+# bytes in one file name on common file systems (ext4, XFS, APFS, tmpfs)
+NAME_MAX = 255
+
+
 def _check_job_id(job_id):
-    """Job ids name report files, so they must stay inside the out dir and
-    hold no NUL byte, which no file name can."""
+    """Job ids name report files <id>.json, so they must stay inside the
+    out dir, hold no NUL byte, which no file name can, and encode to a file
+    name of at most NAME_MAX bytes."""
     if (job_id in ("", ".", "..") or "/" in job_id or "\\" in job_id
             or "\x00" in job_id):
         raise InputError("job id %r is not a plain file name" % job_id)
+    try:
+        size = len(os.fsencode(job_id + ".json"))
+    except UnicodeEncodeError:
+        raise InputError("job id %r cannot be encoded as a file name"
+                         % job_id) from None
+    if size > NAME_MAX:
+        raise InputError("job id %r... makes a %d-byte file name, over the "
+                         "%d-byte limit" % (job_id[:40], size, NAME_MAX))
     return job_id
 
 

@@ -24,10 +24,14 @@ each column's digits follow from the previous column's by multiplying by
 x (x A_t = lc F + rest, the x^6 coefficient lc carrying into the next
 digit); and every pole step works on a polynomial of degree below 7.  At
 s = 1 the remaining digits are reassembled and the second telescope lowers
-the x-degree via d(x^j y).  All arithmetic runs over Z/p^W with a p^C
-prescale absorbing the small denominators the telescopes introduce; the
-exact forms are kept so Coleman integration can evaluate the primitive h_j
-with phi^* w_j = sum_i M[i][j] w_i + d h_j.
+the x-degree via d(x^j y).  The telescopes run over Z/p^W with a p^C
+prescale absorbing the small denominators they introduce.  The digits of
+Psi carry precision graded by k: term k has the factor p^(C+k+1), so it is
+computed divided by that power, mod p^(W-C-k-1), and its digits are
+multiplied back up.  F and F^p are monic, so division by them commutes
+with reduction mod any p^M, and the digits equal the full-precision ones
+mod p^W.  The exact forms are kept so Coleman integration can evaluate the
+primitive h_j with phi^* w_j = sum_i M[i][j] w_i + d h_j.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the functional equation and the point count over
@@ -240,12 +244,12 @@ def _compute(curve, p, N, delta, scale_bump):
           for c in kernels.poly_sub_mod(qxp, qpow, m1)]
 
     beta = _lift_cofactor(Q, Qd, p, W)
+    # W - C - k - 1 >= C >= 1 for every k <= k_max, so each term of Psi
+    # keeps at least C digits once divided by its prefactor p^(C+k+1)
     cks = _half_binomial_units(k_max, m)
-    # C + k + 1 < W for every k <= k_max, so no prefactor vanishes mod m
-    pref = [cks[k] * pow(p, C + k + 1, m) % m for k in range(k_max + 1)]
 
     J = (s_max - 1) // 2
-    digits = _psi_digits(Q, dt, pref, p, m)
+    digits = _psi_digits(Q, dt, cks, C, p, W)
     matrix_ints = [[0] * 6 for _ in range(6)]
     pole_prims = []
     deg_prims = []
@@ -304,32 +308,47 @@ def _ceil_log(n, p):
     return e
 
 
-def _psi_digits(Q, dt, pref, p, m):
-    """Q-adic digits (7-coefficient lists) of
-    Psi = sum_k pref[k] Dt^k Q^(p (k_max - k)), k_max = len(pref) - 1.
+def _psi_digits(Q, dt, cks, C, p, W):
+    """Q-adic digits (7-coefficient lists, mod p^W) of
+    Psi = sum_k cks[k] p^(C+k+1) Dt^k Q^(p (k_max - k)), k_max = len(cks) - 1.
 
     Term k starts at digit p (k_max - k), so the digits come out p at a
     time from k = k_max down: add the term to what is left over, split off
     Q^p, and expand the remainder (degree < 7p) digit by digit.
+
+    Everything left over at term k is divisible by p^(C+k+1), so it is kept
+    divided by that power, mod p^(W-C-k-1): Dt^k is formed at that
+    modulus, the leftover gains a factor p on the way from term k+1 to
+    term k, and each digit is multiplied back by p^(C+k+1) mod p^W.  Q is
+    monic, so division by Q and Q^p commutes with reduction mod any p^M,
+    and the digits equal the full-precision ones mod p^W.  The grading goes
+    by C+k+1, not by the valuation of the whole prefactor: cks[k] need not
+    be a unit (binom(8, 4) = 70 at p = 7).
     """
-    k_max = len(pref) - 1
+    k_max = len(cks) - 1
+    m = p ** W
     dpow = [[1]]
-    for _k in range(k_max):
-        dpow.append(kernels.poly_mul_mod(dpow[-1], dt, m))
-    qp = kernels.poly_pow_mod(Q, p, m)
+    for k in range(1, k_max + 1):
+        dpow.append(kernels.poly_mul_mod(dpow[-1], dt, p ** (W - C - k - 1)))
+    qp = kernels.poly_pow_mod(Q, p, p ** (W - C - 1))
     digits = []
     rest = []
     for k in range(k_max, -1, -1):
+        mk = p ** (W - C - k - 1)
+        lift = p ** (C + k + 1)
         rest = kernels.poly_add_mod(
-            rest, kernels.poly_scale_mod(dpow[k], pref[k], m), m)
+            kernels.poly_scale_mod(rest, p, mk),
+            kernels.poly_scale_mod(dpow[k], cks[k], mk), mk)
         if k:
-            rest, low = kernels.poly_divmod_monic_mod(rest, qp, m)
+            rest, low = kernels.poly_divmod_monic_mod(
+                rest, [c % mk for c in qp], mk)
             n = p
         else:
             low, n = rest, 0
+        qk = [c % mk for c in Q]
         while low or n > 0:
-            low, d = kernels.poly_divmod_monic_mod(low, Q, m)
-            digits.append(d + [0] * (7 - len(d)))
+            low, d = kernels.poly_divmod_monic_mod(low, qk, mk)
+            digits.append([c * lift % m for c in d] + [0] * (7 - len(d)))
             n -= 1
     return digits
 

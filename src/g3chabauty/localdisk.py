@@ -51,9 +51,14 @@ def _poly_at(gs, z, prec):
 def _newton_root(gs, z, prec):
     """The simple root of G = sum_i gs[i] Z^i congruent to the start z mod
     t, by series Newton z <- z - G(z)/G'(z); G'(z) must be a unit at t = 0.
-    Each step doubles the number of correct t-terms, starting from one."""
-    for _ in range(math.ceil(math.log2(z.t_prec))):
-        g, dg = _poly_at(gs, z, prec)
+    Each step doubles the number of correct t-terms, starting from one, so
+    step i = 1 .. ceil(log2 M) runs at t-precision min(2^i, M), with every
+    series cut there; the last step runs at the full M = z.t_prec."""
+    M = z.t_prec
+    for i in range(1, math.ceil(math.log2(M)) + 1):
+        n = min(2 ** i, M)
+        z = PadicPowerSeries(z.prime, z.coeffs, n)
+        g, dg = _poly_at([s.truncate(n) for s in gs], z, prec)
         z = z - g * dg.invert_unit()
     return z
 

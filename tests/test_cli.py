@@ -305,6 +305,43 @@ def test_job_id_with_nul_exits_2_before_any_work(tmp_path, monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("job_id", ["x" * 300, "\u00e9" * 126, "ex\ud8001"],
+                         ids=["300-ascii", "126-two-byte", "lone-surrogate"])
+def test_job_id_that_cannot_name_a_file_exits_2_before_any_work(
+        job_id, tmp_path, monkeypatch, capsys):
+    # "x" * 300 once ran its job, then batch died writing <id>.json with
+    # errno 36 (name too long) and left no summary.csv
+    calls = []
+
+    def run_job(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("a job ran")
+
+    monkeypatch.setattr(cli, "run_job", run_job)
+    job = {"id": job_id, "curve": CURVE_A_JSON, "p": 7}
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [job])
+    single = write_json(tmp_path / "job.json", job)
+    for argv in (["batch", "--jobs", jobs, "--out", str(tmp_path / "o")],
+                 ["batch", "--jobs", jobs, "--parallel", "2",
+                  "--out", str(tmp_path / "o")],
+                 ["analyze", "--job", single, "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "job id" in err and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_job_id_length_limit_is_the_file_name_limit(tmp_path):
+    # 250 and 125 two-byte characters leave <id>.json at exactly 255 bytes
+    for ok, over in (("x" * 250, "x" * 251),
+                     ("\u00e9" * 125, "\u00e9" * 125 + "x")):
+        assert cli._check_job_id(ok) == ok
+        (tmp_path / (ok + ".json")).write_text("{}\n", encoding="utf-8")
+        with pytest.raises(G3Error, match="256-byte file name"):
+            cli._check_job_id(over)
+
+
 def test_prime_above_cap_exits_2():
     # at 10^9 + 7 zeta once died of a MemoryError and analyze never ended;
     # each runs in its own interpreter so a regression cannot stall the suite

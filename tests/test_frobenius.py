@@ -3,12 +3,16 @@ pullback identity that ties matrix and primitives together."""
 
 import hashlib
 import math
+import random
 
 import pytest
 
 from g3chabauty import _kernels as kernels
-from g3chabauty.frobenius import (brute_zeta_numerator, frobenius_data,
-                                  identity_check, zeta_numerator)
+from g3chabauty import frobenius
+from g3chabauty.curve import CurveModel
+from g3chabauty.frobenius import (_DELTAS, _compute, brute_zeta_numerator,
+                                  frobenius_data, identity_check,
+                                  zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
 from g3chabauty.padic import sqrt_mod_pn
 
@@ -60,7 +64,10 @@ def test_jacobian_order_annihilates(curve_a, fd_a7):
 
 
 # SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)), from the
-# per-column pole reduction that preceded the shared Q-adic digits
+# per-column pole reduction that preceded the shared Q-adic digits (the
+# first three) and from the full-precision digits of Psi that preceded the
+# graded ones (the rest).  A key (curve, p, prec) pins frobenius_data; a key
+# (curve, p, prec, attempt) pins that retry of _compute on its own.
 FROBENIUS_DIGESTS = {
     ("curve_a", 7, 10):
         "dbd7500fdf6bd1f0ebce470fd9ea23ed5e5daa69d5b19f51cc3456499fe23630",
@@ -68,15 +75,104 @@ FROBENIUS_DIGESTS = {
         "ab85177823f2f4d03d05a454133dac01862264c1d241303efbef167ab66df8ca",
     ("curve_c", 11, 26):
         "22e5538754cf3b20eee8e4cb7f1c817aa9e982224ee190eaa7f4d6674ca6fd26",
+    ("curve_b", 11, 26):
+        "cf39a166000eda953df2b756a61bed1642ebb0f9a29b826408b7aa78e9ad9f40",
+    ("curve_a", 7, 10, 2):
+        "a8c6cc27874be603863179457b9306bbf230b7b8ab86d514759616eea25e527d",
 }
 
 
-@pytest.mark.parametrize("curve,p,prec", sorted(FROBENIUS_DIGESTS))
-def test_frobenius_bookkeeping_pinned(curve, p, prec, request):
-    fd = frobenius_data(request.getfixturevalue(curve), p, prec)
+def _attempt(curve, p, prec, attempt):
+    """_compute as frobenius_data runs it on attempt 1, 2, 3."""
+    return _compute(curve, p, prec, _DELTAS[attempt - 1],
+                    scale_bump=4 * (attempt - 1))
+
+
+@pytest.mark.parametrize("key", sorted(FROBENIUS_DIGESTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_frobenius_bookkeeping_pinned(key, request):
+    curve, p, prec = key[:3]
+    curve = request.getfixturevalue(curve)
+    fd = (_attempt(curve, p, prec, key[3]) if len(key) == 4
+          else frobenius_data(curve, p, prec))
     data = (fd.matrix_ints, fd.pole_prims, fd.deg_prims, fd.zeta)
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
-    assert digest == FROBENIUS_DIGESTS[curve, p, prec]
+    assert digest == FROBENIUS_DIGESTS[key]
+
+
+def _psi_digits_full(Q, dt, pref, p, m):
+    """Q-adic digits of Psi = sum_k pref[k] Dt^k Q^(p (k_max - k)) with
+    every term kept mod m = p^W: the ungraded computation, as an oracle."""
+    k_max = len(pref) - 1
+    dpow = [[1]]
+    for _k in range(k_max):
+        dpow.append(kernels.poly_mul_mod(dpow[-1], dt, m))
+    qp = kernels.poly_pow_mod(Q, p, m)
+    digits = []
+    rest = []
+    for k in range(k_max, -1, -1):
+        rest = kernels.poly_add_mod(
+            rest, kernels.poly_scale_mod(dpow[k], pref[k], m), m)
+        if k:
+            rest, low = kernels.poly_divmod_monic_mod(rest, qp, m)
+            n = p
+        else:
+            low, n = rest, 0
+        while low or n > 0:
+            low, d = kernels.poly_divmod_monic_mod(low, Q, m)
+            digits.append(d + [0] * (7 - len(d)))
+            n -= 1
+    return digits
+
+
+def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
+    """Run one _compute attempt with its graded _psi_digits call checked
+    against the full-precision oracle."""
+    graded = frobenius._psi_digits
+    seen = []
+
+    def checked(Q, dt, cks, C, p, W):
+        m = p ** W
+        pref = [c * pow(p, C + k + 1, m) % m for k, c in enumerate(cks)]
+        digits = graded(Q, dt, cks, C, p, W)
+        assert digits == _psi_digits_full(Q, dt, pref, p, m)
+        seen.append(len(digits))
+        return digits
+
+    monkeypatch.setattr(frobenius, "_psi_digits", checked)
+    _attempt(curve, p, prec, attempt)
+    assert len(seen) == 1 and seen[0] > 0
+
+
+@pytest.mark.parametrize("curve,p,prec", [
+    ("curve_a", 7, 10), ("curve_b", 7, 18), ("curve_c", 11, 14),
+    ("curve_b", 11, 26), ("curve_b", 13, 12)])
+def test_graded_digits_match_full_precision(curve, p, prec, request,
+                                            monkeypatch):
+    _digits_match_oracle(monkeypatch, request.getfixturevalue(curve), p,
+                         prec)
+
+
+@pytest.mark.parametrize("curve,p,prec,attempt", [
+    ("curve_a", 7, 10, 2), ("curve_a", 7, 10, 3), ("curve_c", 11, 10, 2)])
+def test_graded_digits_match_full_precision_on_retries(curve, p, prec,
+                                                       attempt, request,
+                                                       monkeypatch):
+    _digits_match_oracle(monkeypatch, request.getfixturevalue(curve), p,
+                         prec, attempt)
+
+
+def test_graded_digits_match_full_precision_random_curves(monkeypatch):
+    rng = random.Random(11)
+    checked = 0
+    while checked < 4:
+        coeffs = [rng.randint(-9, 9) for _ in range(7)] + [rng.choice((1, 3))]
+        curve = CurveModel(coeffs)
+        p = rng.choice((7, 11))
+        if not curve.is_good_prime(p):
+            continue
+        _digits_match_oracle(monkeypatch, curve, p, 8)
+        checked += 1
 
 
 def test_matrix_is_integral(fd_a7):

@@ -1,6 +1,7 @@
 """Chart expansions, tiny integrals, disk centers and mod-p vanishing
 orders."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from g3chabauty.errors import InputError
 from g3chabauty.localdisk import (LocalExpansion, curve_point_from_rational,
                                   disk_center, form_series, tiny_integral)
 from g3chabauty.padic import INF, PadicNumber
+from g3chabauty.pipeline import default_precision
 from g3chabauty.series import PadicPowerSeries
 
 from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
@@ -125,6 +127,42 @@ def test_infinity_chart_equation(curve, p, disk):
         g = g + upows[i].shift_t(2 * (7 - i)).scale(ci).truncate(g.t_prec)
     for c in g.coeffs:
         assert c.is_zero or c.valuation >= PREC - 2
+
+
+# SHA-256 of repr of, for every canonical disk in sorted order, (kind,
+# t_prec, the coordinate series, the three basis forms), each series as
+# (t_prec, (valuation, unit, rel_prec) per coefficient), at N = 2p + 4 and
+# the t_prec N + 4 of ColemanContext; from the Newton solver that ran every
+# step at full t-precision
+CHART_DIGESTS = {
+    ("curve_a", 7):
+        "145533a079fa629ab52dc7458e90408c77dbf9a2291238bad5301f937493066b",
+    ("curve_b", 11):
+        "4ec1a72d253f083881a1162b1d7575c1ab8a36dc282aa953d3bbee777ccf7aa5",
+}
+
+
+def _series_data(s):
+    return (s.t_prec,
+            tuple((c.valuation, c.unit, c.rel_prec) for c in s.coeffs))
+
+
+@pytest.mark.parametrize("curve,p", sorted(CHART_DIGESTS))
+def test_chart_digits_pinned(curve, p, request):
+    curve_obj = request.getfixturevalue(curve)
+    prec = default_precision(p)
+    charts = []
+    for disk in sorted({d.canonical(p) for d in curve_obj.fp_points(p)}):
+        center = disk_center(curve_obj, disk, p, prec, prec)[0]
+        exp = LocalExpansion(curve_obj, center, p, prec + 4, prec)
+        series = [getattr(exp, name) for name in
+                  ("x_series", "y_series", "u_series") if hasattr(exp, name)]
+        charts.append((exp.kind, exp.t_prec,
+                       tuple(_series_data(s) for s in series),
+                       tuple(_series_data(w)
+                             for w in exp.differential_series())))
+    digest = hashlib.sha256(repr(charts).encode()).hexdigest()
+    assert digest == CHART_DIGESTS[curve, p]
 
 
 # -- parameter / point round trips ----------------------------------------
