@@ -6,11 +6,13 @@ zeta function, optionally cross-checked by brute-force counting),
 search-points (rational point search on the original model), integrate
 (basis integrals between two rational points).
 
-Exit codes: 0 success, 1 internal failure, 2 malformed input, 3 bad
-reduction at the requested prime, 4 precision or multiple-zero obstruction
-(rerun with a larger --N), 5 a zero resisted exact recognition.  A batch
-run exits 0 only when every job succeeded; failing jobs are isolated and
-reported in the summary.
+Every job passes parse_job before any work: analyze checks the id even
+without --out, and one malformed line in a batch exits 2 before any job
+runs.  Exit codes: 0 success, 1 internal failure, 2 malformed input (rank
+at least 2 included), 3 bad reduction at the requested prime, 4 precision
+or multiple-zero obstruction (rerun with a larger --N), 5 a zero resisted
+exact recognition.  A batch run exits 0 only when every job succeeded;
+jobs that fail during analysis are isolated and reported in the summary.
 """
 
 import argparse
@@ -21,7 +23,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from .coleman import ColemanContext
@@ -30,7 +31,7 @@ from .errors import (BadReductionError, G3Error, InputError, PrecisionError,
                      RecognitionError, SimplicityError)
 from .frobenius import brute_zeta_numerator, zeta_numerator
 from .localdisk import curve_point_from_rational
-from .pipeline import analyze_curve, default_precision
+from .pipeline import analyze_curve, check_inputs, default_precision
 
 log = logging.getLogger(__name__)
 
@@ -69,29 +70,8 @@ def _load_curve_file(path):
 def _parse_point(text):
     """'infinity' or 'x,y' with exact fractions, e.g. '1/2,-3/8'."""
     s = text.strip()
-    if s in ("infinity", "inf", "oo"):
-        return RationalPoint.infinity()
-    parts = s.split(",")
-    if len(parts) != 2:
-        raise InputError("point must be 'infinity' or 'x,y': %r" % text)
-    try:
-        return RationalPoint.affine(Fraction(parts[0]), Fraction(parts[1]))
-    except (ValueError, ZeroDivisionError):
-        raise InputError("bad coordinate in point %r" % text) from None
-
-
-def _job_curve(job):
-    if "curve" not in job:
-        raise InputError("job needs a 'curve' entry")
-    return CurveModel.from_json(job["curve"])
-
-
-def _job_int(job, key, default=None):
-    value = job.get(key, default)
-    if value is not None and type(value) is not int:
-        raise InputError("job field %r must be an integer, got %r"
-                         % (key, value))
-    return value
+    return RationalPoint.from_json(
+        "infinity" if s in ("infinity", "inf", "oo") else s.split(","))
 
 
 # bytes in one file name on common file systems (ext4, XFS, APFS, tmpfs)
@@ -120,20 +100,23 @@ JOB_KEYS = ("id", "curve", "p", "precision", "search_height",
             "known_points", "base_point")
 
 
-def run_job(job, p=None, prec=None):
-    """Analysis report for one job dict; CLI overrides win over job keys."""
+def parse_job(job, default_id, p=None, prec=None):
+    """(id, analyze_curve kwargs) of a job object that passes every check
+    needing no analysis; p and prec, when given, win over the job's own."""
     if not isinstance(job, dict):
         raise InputError("job must be a JSON object")
     for key in job:
         if key not in JOB_KEYS:
             raise InputError("unknown job key %r (expected one of %s)"
                              % (key, ", ".join(JOB_KEYS)))
-    if p is None:
-        p = _job_int(job, "p")
-    if prec is None:
-        prec = _job_int(job, "precision")
-    height = _job_int(job, "search_height", 1000)
-    curve = _job_curve(job)
+    job_id = job.get("id")
+    job_id = _check_job_id(default_id if job_id is None else str(job_id))
+    for key in ("p", "precision", "search_height"):
+        if job.get(key) is not None and type(job[key]) is not int:
+            raise InputError("job field %r must be an integer, got %r"
+                             % (key, job[key]))
+    if "curve" not in job:
+        raise InputError("job needs a 'curve' entry")
     knowns = job.get("known_points")
     if knowns is not None:
         if not isinstance(knowns, list):
@@ -142,8 +125,18 @@ def run_job(job, p=None, prec=None):
     base = job.get("base_point")
     if base is not None:
         base = RationalPoint.from_json(base)
-    return analyze_curve(curve, p=p, prec=prec, knowns=knowns,
-                         base_point=base, search_height=height)
+    kwargs = {"curve": CurveModel.from_json(job["curve"]), "knowns": knowns,
+              "base_point": base, "p": job.get("p") if p is None else p,
+              "prec": job.get("precision") if prec is None else prec}
+    if job.get("search_height") is not None:
+        kwargs["search_height"] = job["search_height"]
+    check_inputs(**kwargs)
+    return job_id, kwargs
+
+
+def run_job(job, p=None, prec=None):
+    """Analysis report for one job dict; CLI overrides win over job keys."""
+    return analyze_curve(**parse_job(job, "job", p, prec)[1])
 
 
 def _out_dir(path):
@@ -159,13 +152,11 @@ def _out_dir(path):
 
 
 def cmd_analyze(args):
-    job = _load_json(args.job)
+    job_id, kwargs = parse_job(_load_json(args.job), Path(args.job).stem,
+                               args.p, args.N)
     if args.out:
-        job_id = job.get("id") if isinstance(job, dict) else None
-        job_id = _check_job_id(
-            Path(args.job).stem if job_id is None else str(job_id))
         out = _out_dir(args.out)
-    report = run_job(job, p=args.p, prec=args.N)
+    report = analyze_curve(**kwargs)
     if not args.out:
         print(report.to_json())
         return 0
@@ -189,20 +180,15 @@ def _load_jobs(path):
                 if not line.strip():
                     continue
                 try:
-                    job = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError("bad JSON on line %d of %s: %s"
+                    jobs.append(parse_job(json.loads(line), "job%03d" % k))
+                except (json.JSONDecodeError, InputError) as exc:
+                    raise InputError("line %d of %s: %s"
                                      % (k, path, exc)) from None
-                if not isinstance(job, dict):
-                    raise InputError("line %d of %s is not a job object"
-                                     % (k, path))
-                job.setdefault("id", "job%03d" % k)
-                jobs.append(job)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
     if not jobs:
         raise InputError("no jobs in %s" % path)
-    ids = [_check_job_id(str(j["id"])) for j in jobs]
+    ids = [job_id for job_id, _ in jobs]
     if len(set(ids)) != len(ids):
         raise InputError("duplicate job ids in %s" % path)
     return jobs
@@ -211,9 +197,9 @@ def _load_jobs(path):
 def _run_one(job):
     """Worker body: never raises, so one bad job cannot take down the pool."""
     row = {f: "" for f in CSV_FIELDS}
-    row["id"] = str(job["id"])
+    row["id"], kwargs = job
     try:
-        report = run_job(job)
+        report = analyze_curve(**kwargs)
     except Exception as exc:
         row["status"] = "error"
         row["error"] = "%s: %s" % (type(exc).__name__, exc)
@@ -236,9 +222,8 @@ def cmd_batch(args):
     workers = min(args.parallel, len(jobs))
     if workers > 1:
         # largest p first, so no slow job starts behind a fast one while a
-        # worker idles; a malformed p sorts as 0 and fails in its worker
-        jobs = sorted(jobs, key=lambda j: -j["p"] if type(j.get("p")) is int
-                      else 0)
+        # worker idles; a job that chooses its own p sorts last
+        jobs = sorted(jobs, key=lambda job: -(job[1]["p"] or 0))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
@@ -289,6 +274,7 @@ def cmd_zeta(args):
 
 def cmd_search_points(args):
     curve = _load_curve_file(args.curve)
+    check_inputs(curve, search_height=args.height)
     pts = curve.search_rational_points(args.height)
     print(json.dumps({
         "height": args.height,
@@ -301,13 +287,8 @@ def cmd_integrate(args):
     curve = _load_curve_file(args.curve)
     src = _parse_point(getattr(args, "from"))
     dst = _parse_point(args.to)
-    for pt in (src, dst):
-        if not curve.is_on_curve_original(pt):
-            raise InputError("point %s is not on the curve"
-                             % (pt.coord_strings(),))
-    p = curve.check_prime(args.p)
-    if args.N is not None and args.N < 1:
-        raise InputError("--N must be at least 1, got %d" % args.N)
+    p = args.p
+    check_inputs(curve, p=p, prec=args.N, knowns=[src, dst])
     prec = default_precision(p) if args.N is None else args.N
     ctx = ColemanContext(curve, p, prec)
     a = curve_point_from_rational(curve, curve.to_monic(src), p, prec)

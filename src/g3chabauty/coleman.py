@@ -86,7 +86,6 @@ class ColemanContext:
     Frobenius systems, exposing integrals of w0, w1, w2 between points."""
 
     def __init__(self, curve, p, prec):
-        curve.check_prime(p)
         self.curve = curve
         self.p = p
         self.prec = prec

@@ -52,6 +52,16 @@ def is_prime(n):
     return all(n % d for d in range(1001, isqrt(n) + 1, 2))
 
 
+def check_prime_number(p):
+    """p as the method takes it: a prime from 7 to PRIME_CAP."""
+    if p > PRIME_CAP:
+        raise InputError("prime %d is above the cap %d" % (p, PRIME_CAP))
+    if not is_prime(p):
+        raise InputError("%d is not prime" % p)
+    if p < 7:
+        raise InputError("prime must be at least 7")
+
+
 def _fractions(coeffs):
     return tuple(Fraction(c) for c in coeffs)
 
@@ -267,12 +277,7 @@ class CurveModel:
         return p
 
     def check_prime(self, p):
-        if p > PRIME_CAP:
-            raise InputError("prime %d is above the cap %d" % (p, PRIME_CAP))
-        if not is_prime(p):
-            raise InputError("%d is not prime" % p)
-        if p < 7:
-            raise InputError("prime must be at least 7")
+        check_prime_number(p)
         if not self.is_good_prime(p):
             raise BadReductionError("bad reduction at %d" % p)
         return p
@@ -339,9 +344,6 @@ class CurveModel:
     def search_rational_points(self, height):
         """Points of the original model with x = a/b, |a|, b <= height,
         plus infinity; exact Fraction verification of every hit."""
-        if height < 0:
-            raise InputError("search height must be at least 0, got %d"
-                             % height)
         den = lcm(*(c.denominator for c in self.original))
         cnum = [int(c * den) for c in self.original]
         hits = kernels.search_x_squares(cnum, den, height)

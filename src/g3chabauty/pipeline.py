@@ -30,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .coleman import ColemanContext
-from .curve import RationalPoint, eval_exact
+from .curve import RationalPoint, check_prime_number, eval_exact
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
@@ -64,13 +64,9 @@ class _Known:
 
 
 def _prepare_knowns(curve, p, prec, knowns):
-    """Validated known points, closed under y -> -y, sorted, deduplicated."""
+    """Known points closed under y -> -y, sorted, deduplicated."""
     seen = {}
     for pt in knowns:
-        # checked as given, so the message names the input, not its mirror
-        if not curve.is_on_curve_original(pt):
-            raise InputError("known point %s is not on the curve"
-                             % (pt.coord_strings(),))
         for q in (pt, pt.involution()):
             key = (q.kind, q.x, q.y)
             if key not in seen:
@@ -84,14 +80,13 @@ def _pick_base(ctx, knowns, base_point):
     under the three Coleman integrals).  A vanishing logarithm means the
     point generates no direction, so it cannot normalize the computation."""
     if base_point is not None:
-        for k in knowns:
-            if k.original == base_point:
-                logs = ctx.halfint(k.point)
-                if all(c.is_zero for c in logs):
-                    raise InputError(
-                        "base point has vanishing logarithm at this precision")
-                return k, logs
-        raise InputError("base point must appear among the known points")
+        # check_inputs put it among the knowns or their mirrors
+        k = next(k for k in knowns if k.original == base_point)
+        logs = ctx.halfint(k.point)
+        if all(c.is_zero for c in logs):
+            raise InputError(
+                "base point has vanishing logarithm at this precision")
+        return k, logs
     for k in knowns:
         if k.original.is_infinity or k.original.y == 0:
             continue
@@ -99,6 +94,28 @@ def _pick_base(ctx, knowns, base_point):
         if not all(c.is_zero for c in logs):
             return k, logs
     raise InputError("no known point of infinite order; supply a base point")
+
+
+def _check_rank_one(ctx, knowns, base, logs):
+    """Raise InputError when a known logarithm is independent of the base
+    logarithm.  The logarithm is a homomorphism on J(Q) that kills torsion,
+    so a 2x2 minor that is nonzero at its tracked precision proves rank at
+    least 2, where the rank-1 method does not apply.  The involution negates
+    the logarithm, and infinity and y = 0 give torsion, so only the knowns
+    with y > 0 need a look."""
+    for k in knowns:
+        if k is base or k.original.is_infinity or k.original.y <= 0:
+            continue
+        other = ctx.halfint(k.point)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            minor = logs[i] * other[j] - logs[j] * other[i]
+            if not minor.is_zero:
+                raise InputError(
+                    "known points %s and %s have independent logarithms (a "
+                    "2x2 minor of valuation %d), so the rank is at least 2 "
+                    "and the rank-1 method does not apply"
+                    % (k.original.coord_strings(),
+                       base.original.coord_strings(), minor.valuation))
 
 
 def _annihilator_pair(logs, p):
@@ -110,8 +127,6 @@ def _annihilator_pair(logs, p):
     vals = [INF if c.is_zero else c.valuation for c in logs]
     pivot = min(range(3), key=lambda i: (vals[i], i))
     m = vals[pivot]
-    if m == INF:
-        raise InputError("logarithm vector vanishes")
     zero = PadicNumber.zero(p)
     rows = []
     for j in range(3):
@@ -397,19 +412,48 @@ class AnalysisReport:
         return json.dumps(self.data, indent=2, sort_keys=True)
 
 
+def check_inputs(curve, p=None, prec=None, knowns=None, base_point=None,
+                 search_height=1000):
+    """Raise InputError unless analyze_curve's arguments pass every check
+    that needs no analysis; bad reduction at p is the analysis's to find."""
+    if prec is not None and prec < 1:
+        raise InputError("precision must be at least 1, got %d" % prec)
+    if search_height < 0:
+        raise InputError("search height must be at least 0, got %d"
+                         % search_height)
+    if p is not None:
+        check_prime_number(p)
+    if knowns is not None and not knowns:
+        raise InputError("no known rational points; omit the list to search")
+    for pt in knowns or ():
+        # checked as given, so the message names the input, not its mirror
+        if not curve.is_on_curve_original(pt):
+            raise InputError("known point %s is not on the curve"
+                             % (pt.coord_strings(),))
+    if base_point is None:
+        return
+    if knowns is not None:
+        if base_point not in knowns and base_point.involution() not in knowns:
+            raise InputError("base point must appear among the known points")
+    elif not curve.is_on_curve_original(base_point):
+        raise InputError("base point %s is not on the curve"
+                         % (base_point.coord_strings(),))
+    elif not base_point.is_infinity and search_height < max(
+            abs(base_point.x.numerator), base_point.x.denominator):
+        raise InputError("base point %s is above search height %d"
+                         % (base_point.coord_strings(), search_height))
+
+
 def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
                   search_height=1000):
     """Compute and classify the full zero set; the main entry point.
 
     knowns: original-model RationalPoints (searched up to search_height
     when omitted).  base_point: an original-model known of infinite order
-    (the first known with nonvanishing logarithm when omitted).  A
-    precision below 1 or a negative search height raises InputError."""
-    if prec is not None and prec < 1:
-        raise InputError("precision must be at least 1, got %d" % prec)
-    if search_height < 0:
-        raise InputError("search height must be at least 0, got %d"
-                         % search_height)
+    (the first known with nonvanishing logarithm when omitted).  Arguments
+    that fail check_inputs, and known points whose logarithms prove rank at
+    least 2, raise InputError."""
+    check_inputs(curve, p, prec, knowns, base_point, search_height)
     if p is None:
         p = curve.choose_prime()
     else:
@@ -418,12 +462,11 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
         prec = default_precision(p)
     if knowns is None:
         knowns = curve.search_rational_points(search_height)
-    if not knowns:
-        raise InputError("no known rational points; widen the search")
     known_pts = _prepare_knowns(curve, p, prec, knowns)
     ctx = ColemanContext(curve, p, prec)
     run = _Analysis(curve, p, prec, ctx)
     base, logs = _pick_base(ctx, known_pts, base_point)
+    _check_rank_one(ctx, known_pts, base, logs)
     alpha, beta, pivot = _annihilator_pair(logs, p)
 
     disks = sorted({d.canonical(p) for d in curve.fp_points(p)})

@@ -6,11 +6,14 @@ that error classes land on their documented exit codes, and that a failing
 batch job cannot disturb its siblings.
 """
 
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -21,7 +24,7 @@ from g3chabauty import cli, pipeline
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import RationalPoint
-from g3chabauty.errors import G3Error
+from g3chabauty.errors import G3Error, PrecisionError
 from g3chabauty.localdisk import curve_point_from_rational
 from g3chabauty.pipeline import analyze_curve
 
@@ -114,14 +117,20 @@ class RecordingPool:
         return map(fn, items)
 
 
+def _failing_analysis(*args, **kwargs):
+    """Stands in for analyze_curve: each job passes validation and then
+    fails at once in its worker."""
+    raise PrecisionError("stub analysis")
+
+
 def test_batch_parallel_checked_and_capped(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    # each job fails its field check at once, before any analysis
-    bad = {"curve": CURVE_A_JSON, "p": 7, "known_points": 5}
+    monkeypatch.setattr(cli, "analyze_curve", _failing_analysis)
+    good = {"curve": CURVE_A_JSON, "p": 7}
     jobs = write_jobs(tmp_path / "jobs.jsonl",
-                      [dict(bad, id=n) for n in ("j1", "j2", "j3")])
-    one = write_jobs(tmp_path / "one.jsonl", [dict(bad, id="j1")])
+                      [dict(good, id=n) for n in ("j1", "j2", "j3")])
+    one = write_jobs(tmp_path / "one.jsonl", [dict(good, id="j1")])
     for n in ("0", "-2"):
         out = tmp_path / ("o" + n)
         assert main(["batch", "--jobs", jobs, "--parallel", n,
@@ -140,7 +149,7 @@ class OrderRecordingPool(RecordingPool):
 
     def map(self, fn, items):
         items = list(items)
-        self.ids.append([job["id"] for job in items])
+        self.ids.append([job_id for job_id, _ in items])
         return map(fn, items)
 
 
@@ -148,22 +157,174 @@ def test_batch_submits_largest_p_first(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(OrderRecordingPool, "sizes", [], raising=False)
     monkeypatch.setattr(OrderRecordingPool, "ids", [], raising=False)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", OrderRecordingPool)
-    # every job fails at once: the p = 7 and 11 jobs on known_points, the
-    # malformed p in its own worker, not while the jobs are ordered
-    bad = {"curve": CURVE_A_JSON, "known_points": 5}
+    monkeypatch.setattr(cli, "analyze_curve", _failing_analysis)
+    good = {"curve": CURVE_A_JSON}
     jobs = write_jobs(tmp_path / "jobs.jsonl", [
-        dict(bad, id="a7", p=7), dict(bad, id="px", p="x"),
-        dict(bad, id="b7", p=7), dict(bad, id="c11", p=11)])
+        dict(good, id="a7", p=7), dict(good, id="b7", p=7),
+        dict(good, id="c11", p=11)])
     out = tmp_path / "out"
     assert main(["batch", "--jobs", jobs, "--parallel", "2",
                  "--out", str(out)]) == 1
     capsys.readouterr()
-    assert OrderRecordingPool.ids == [["c11", "a7", "b7", "px"]]
+    assert OrderRecordingPool.ids == [["c11", "a7", "b7"]]
     summary = (out / "summary.csv").read_text(encoding="utf-8")
     rows = summary.splitlines()[1:]
-    assert [r.split(",")[0] for r in rows] == ["a7", "b7", "c11", "px"]
-    assert "TypeError" not in summary
-    assert "job field 'p' must be an integer" in summary
+    assert [r.split(",")[0] for r in rows] == ["a7", "b7", "c11"]
+    assert all(",error,PrecisionError: stub analysis," in r for r in rows)
+    # a malformed p fails the whole file before the jobs are ordered
+    jobs = write_jobs(tmp_path / "px.jsonl", [
+        dict(good, id="a7", p=7), dict(good, id="px", p="x"),
+        dict(good, id="c11", p=11)])
+    out = tmp_path / "out_px"
+    assert main(["batch", "--jobs", jobs, "--parallel", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2 of" in err and "job field 'p' must be an integer" in err
+    assert OrderRecordingPool.ids == [["c11", "a7", "b7"]]
+    assert not out.exists()
+
+
+class RecordedCalls:
+    """Stands in for analyze_curve: records the keyword arguments of each
+    call and returns a report with no zeros."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, **kwargs):
+        self.calls.append(kwargs)
+        return pipeline.AnalysisReport({"prime": kwargs["p"] or 7,
+                                        "zero_set": [], "class_counts": {}})
+
+
+GOOD_JOB = {"curve": CURVE_A_JSON, "p": 7}
+# one malformed job per check parse_job makes, with a piece of its message
+MALFORMED_JOBS = {
+    "key": (dict(GOOD_JOB, prec=30), "unknown job key 'prec'"),
+    "integer-field": (dict(GOOD_JOB, p="seven"), "field 'p' must be an int"),
+    "curve": (dict(GOOD_JOB, curve={"coeffs": ["1", "2"]}), "degree-7"),
+    "no-curve": ({"p": 7}, "needs a 'curve'"),
+    "point": (dict(GOOD_JOB, known_points=[["a", "b"]]), "rational numbers"),
+    "point-list": (dict(GOOD_JOB, known_points=5), "must be a list"),
+    "id": (dict(GOOD_JOB, id="../x"), "not a plain file name"),
+    "id-nul": (dict(GOOD_JOB, id="ex\x001"), "not a plain file name"),
+    "id-long": (dict(GOOD_JOB, id="x" * 300), "over the 255-byte limit"),
+    "precision": (dict(GOOD_JOB, precision=0), "precision must be at least"),
+    "height": (dict(GOOD_JOB, search_height=-1), "search height must be"),
+    "composite-prime": (dict(GOOD_JOB, p=9), "9 is not prime"),
+    "small-prime": (dict(GOOD_JOB, p=5), "at least 7"),
+    "prime-cap": (dict(GOOD_JOB, p=1000003), "above the cap"),
+    "off-curve-known": (dict(GOOD_JOB, known_points=["infinity", ["2", "2"]]),
+                        "known point ['2', '2'] is not on the curve"),
+    "off-curve-base": (dict(GOOD_JOB, base_point=["2", "2"]),
+                       "base point ['2', '2'] is not on the curve"),
+    "base-not-known": (dict(GOOD_JOB, known_points=["infinity"],
+                            base_point=["-1", "1"]), "among the known"),
+    "base-above-height": (dict(GOOD_JOB, base_point=["-1", "1"],
+                               search_height=0), "above search height 0"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MALFORMED_JOBS))
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_batch_with_a_malformed_job_exits_2_before_any_work(
+        check, parallel, tmp_path, monkeypatch, capsys):
+    # such a file once ran its good jobs, gave the malformed one an error
+    # row and exited 1
+    bad, message = MALFORMED_JOBS[check]
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [
+        dict(GOOD_JOB, id="first"), dict(bad), dict(GOOD_JOB, id="last")])
+    out = tmp_path / "out"
+    assert main(["batch", "--jobs", jobs, "--parallel", parallel,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2 of" in err and message in err, err
+    assert "Traceback" not in err
+    assert stub.calls == [] and RecordingPool.sizes == []
+    assert not out.exists()
+    # the same job alone through analyze fails the same way
+    single = write_json(tmp_path / "job.json", bad)
+    assert main(["analyze", "--job", single]) == 2
+    assert message in capsys.readouterr().err
+    assert stub.calls == []
+
+
+def test_out_dir_is_checked_before_any_analysis(tmp_path, monkeypatch,
+                                                capsys):
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [dict(GOOD_JOB, id="ex1")])
+    job = write_json(tmp_path / "job.json", GOOD_JOB)
+    for argv in (["batch", "--jobs", jobs, "--out", str(taken)],
+                 ["analyze", "--job", job, "--out", str(taken)]):
+        assert main(argv) == 2, argv
+        assert "output directory" in capsys.readouterr().err
+    assert stub.calls == []
+
+
+def test_analyze_checks_the_id_without_out(tmp_path, monkeypatch, capsys):
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    job = write_json(tmp_path / "job.json", dict(GOOD_JOB, id="a/b"))
+    assert main(["analyze", "--job", job]) == 2
+    assert "not a plain file name" in capsys.readouterr().err
+    # with no id the file name's stem is the id
+    job = write_json(tmp_path / "ex9.json", GOOD_JOB)
+    assert main(["analyze", "--job", job, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "ex9.json").exists()
+    assert len(stub.calls) == 1
+
+
+def test_parse_job_returns_the_analyze_arguments(curve_a):
+    job_id, kwargs = cli.parse_job(
+        {"curve": CURVE_A_JSON, "p": 11, "precision": 30,
+         "known_points": [["-1", "1"], "infinity"], "base_point": ["-1", "1"],
+         "search_height": 5}, "job007", p=7)
+    assert job_id == "job007"
+    assert kwargs.pop("curve").original == curve_a.original
+    assert kwargs == {"p": 7, "prec": 30, "search_height": 5,
+                      "knowns": [RationalPoint.affine(-1, 1),
+                                 RationalPoint.infinity()],
+                      "base_point": RationalPoint.affine(-1, 1)}
+    # absent and null fields are left to analyze_curve's defaults
+    job_id, kwargs = cli.parse_job({"id": 17, "curve": CURVE_A_JSON,
+                                    "search_height": None}, "job001")
+    assert job_id == "17" and "search_height" not in kwargs
+    assert (kwargs["p"], kwargs["prec"], kwargs["knowns"]) == (None,) * 3
+
+
+# each job with the pair of known points whose logarithms are independent
+RANK2_JOBS = {
+    "rank2-p7": (json.loads((DATA / "job_rank2.json").read_text("utf-8")),
+                 "known points ['1', '3'] and ['0', '-1']"),
+    "census-b-p7": ({
+        "curve": {"coeffs": ["3", "-2", "4", "-4", "2", "-1", "1", "1"]},
+        "p": 7, "known_points": ["infinity", ["-1", "-4"], ["-1", "4"],
+                                 ["1", "-2"], ["1", "2"]]},
+        "known points ['1', '2'] and ['-1', '-4']"),
+    "census-c-p11": ({
+        "curve": {"coeffs": ["-3", "3", "4", "-3", "-2", "4", "2", "-4"]},
+        "p": 11, "known_points": ["infinity", ["-1", "-1"], ["-1", "1"],
+                                  ["1", "-1"], ["1", "1"]]},
+        "known points ['1', '1'] and ['-1', '-1']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK2_JOBS))
+def test_rank_two_exits_2(name, tmp_path, capsys):
+    # each exited 4 with "known point ... was not recovered", which told
+    # the user to rerun at a larger --N that could never help
+    job, pair = RANK2_JOBS[name]
+    assert main(["analyze", "--job", write_json(tmp_path / "j.json", job)]) == 2
+    err = capsys.readouterr().err
+    assert pair in err and "minor of valuation 2" in err
+    assert "rank is at least 2" in err
 
 
 def test_batch_rejects_duplicate_ids(tmp_path):
@@ -446,3 +607,48 @@ def test_run_job_fuzz_raises_only_library_errors(job):
             cli.run_job(job)
         except (G3Error, _ReachedFrobenius):
             pass
+
+
+# -- fuzzing main with mutated job files -----------------------------------------
+
+_junk_lines = st.sampled_from(["{not json", "[]", "null", "7", '"job"'])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(jobs=st.lists(mutated_jobs(), min_size=1, max_size=3),
+       junk=st.none() | _junk_lines,
+       overrides=st.lists(st.sampled_from(["--p", "--N"]), max_size=2,
+                          unique=True),
+       value=st.integers(-2, 12))
+def test_main_fuzz_rejects_malformed_files_before_any_call(jobs, junk,
+                                                           overrides, value):
+    # analyze_curve is stubbed, so a job that passes validation succeeds:
+    # the only exit codes are 0 and 2, and 2 means no analysis was called
+    stub = RecordedCalls()
+    lines = [json.dumps(j) for j in jobs] + ([junk] if junk else [])
+    argv_extra = [a for opt in overrides for a in (opt, str(value))]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "analyze_curve", stub), \
+            redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()) as err:
+        tmp = pathlib.Path(tmp)
+        single = tmp / "job.json"
+        single.write_text(lines[-1] + "\n", encoding="utf-8")
+        code = main(["analyze", "--job", str(single)] + argv_extra)
+        assert code in (0, 2)
+        assert len(stub.calls) == (code == 0)
+        stub.calls.clear()
+
+        batch = tmp / "jobs.jsonl"
+        batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp / "out"
+        code = main(["batch", "--jobs", str(batch), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert stub.calls == [] and not out.exists()
+        else:
+            assert len(stub.calls) == len(lines)
+            assert (out / "summary.csv").exists()
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert all(line.startswith("error: ") for line in text.splitlines())

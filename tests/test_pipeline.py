@@ -20,8 +20,9 @@ import pytest
 from g3chabauty.curve import CurveModel, RationalPoint, eval_exact
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.padic import PadicNumber, padic_sqrt
+from g3chabauty import pipeline
 from g3chabauty.pipeline import (_algebraic_point, analyze_curve,
-                                 default_precision)
+                                 check_inputs, default_precision)
 from g3chabauty.recognize import (QuadraticElement, element_min_poly,
                                   format_polynomial, rational_reconstruct)
 
@@ -405,6 +406,30 @@ def test_rejects_bad_ranges_before_work(curve_a):
             analyze_curve(curve_a, p=7, prec=prec, knowns=knowns)
     with pytest.raises(InputError, match="search height"):
         analyze_curve(curve_a, p=7, search_height=-1)
+
+
+def test_check_inputs_rejects_before_any_work(curve_a, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the analysis started")
+
+    monkeypatch.setattr(pipeline, "ColemanContext", no_work)
+    monkeypatch.setattr(CurveModel, "search_rational_points", no_work)
+    base = RationalPoint.affine(-1, 1)
+    for kwargs, message in (
+            ({"knowns": []}, "no known rational points"),
+            ({"base_point": RationalPoint.affine(2, 2)},
+             r"base point \['2', '2'\] is not on the curve"),
+            ({"base_point": base, "search_height": 0},
+             r"base point \['-1', '1'\] is above search height 0"),
+            ({"knowns": [RationalPoint.infinity()], "base_point": base},
+             "among the known points"),
+            ({"p": 1000003}, "above the cap")):
+        with pytest.raises(InputError, match=message):
+            analyze_curve(curve_a, **dict({"p": 7}, **kwargs))
+    # the mirror of a known may be the base; height 1 reaches x = -1
+    check_inputs(curve_a, 7, knowns=[RationalPoint.affine(-1, -1)],
+                 base_point=base)
+    check_inputs(curve_a, 7, base_point=base, search_height=1)
 
 
 NO_SYMPY_RUN = """
