@@ -65,31 +65,35 @@ KRONECKER_MIN_LEN = 16
 BLOCK_DIV_MIN_DEG = 32
 
 
-def _product(a, b, mod):
-    """a * b for nonempty a and b, coefficients not yet reduced mod mod.
+def _product(a, b, mod, n=None):
+    """a * b for nonempty a and b, coefficients not yet reduced mod mod;
+    with n, only the first n coefficients.
 
     Once both operands have KRONECKER_MIN_LEN coefficients they are reduced
     into [0, mod) and packed into one int each, in byte-aligned slots wide
     enough for any coefficient of the product; one multiplication then does
     the work of the whole schoolbook loop.
     """
+    if n is None:
+        n = len(a) + len(b) - 1
+    else:
+        a, b = a[:n], b[:n]
     if min(len(a), len(b)) < KRONECKER_MIN_LEN:
-        out = [0] * (len(a) + len(b) - 1)
+        out = [0] * n
         for i, ai in enumerate(a):
             if not ai:
                 continue
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(b[:n - i]):
                 out[i + j] += ai * bj
         return out
     slot = (2 * mod.bit_length() + min(len(a), len(b)).bit_length() + 15) // 8
-    pa = int.from_bytes(b"".join((c % mod).to_bytes(slot, "little")
-                                 for c in a), "little")
-    pb = int.from_bytes(b"".join((c % mod).to_bytes(slot, "little")
-                                 for c in b), "little")
-    size = (len(a) + len(b) - 1) * slot
-    raw = (pa * pb).to_bytes(size, "little")
+    pa = int.from_bytes(b"".join([(c % mod).to_bytes(slot, "little")
+                                  for c in a]), "little")
+    pb = int.from_bytes(b"".join([(c % mod).to_bytes(slot, "little")
+                                  for c in b]), "little")
+    raw = (pa * pb).to_bytes((len(a) + len(b) - 1) * slot, "little")
     return [int.from_bytes(raw[i:i + slot], "little")
-            for i in range(0, size, slot)]
+            for i in range(0, n * slot, slot)]
 
 
 def poly_mul_mod(a, b, mod):
@@ -101,7 +105,7 @@ def poly_mul_mod(a, b, mod):
 
 def _mul_low(a, b, n, mod):
     """The first n coefficients of a * b mod mod, zero-padded to length n."""
-    out = [c % mod for c in _product(a, b, mod)[:n]]
+    out = [c % mod for c in _product(a, b, mod, n)]
     return out + [0] * (n - len(out))
 
 
@@ -118,8 +122,15 @@ def _series_inverse(c, n, mod):
     return g
 
 
-def poly_divmod_monic_mod(a, b, mod):
-    """Quotient and remainder of a by a monic b, modulo mod."""
+def rev_inverse(b, mod):
+    """1 / rev(b) mod (x^deg b, mod) for a monic b: what the block division
+    by b needs, for callers that divide by one b many times."""
+    return _series_inverse(b[::-1], len(b) - 1, mod)
+
+
+def poly_divmod_monic_mod(a, b, mod, inv=None):
+    """Quotient and remainder of a by a monic b, modulo mod.  inv, if given,
+    is rev_inverse(b, M) reduced mod mod, for some multiple M of mod."""
     db = len(b) - 1
     if db < 0 or b[db] != 1:
         raise ValueError("divisor must be monic and nonzero")
@@ -127,7 +138,7 @@ def poly_divmod_monic_mod(a, b, mod):
     if len(r) <= db:
         return [], poly_trim(r)
     if db >= BLOCK_DIV_MIN_DEG:
-        return _divmod_blocks(r, [c % mod for c in b], mod)
+        return _divmod_blocks(r, [c % mod for c in b], mod, inv)
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
@@ -140,14 +151,17 @@ def poly_divmod_monic_mod(a, b, mod):
     return poly_trim(q), poly_trim(r[:db])
 
 
-def _divmod_blocks(r, b, mod):
+def _divmod_blocks(r, b, mod, inv):
     """Monic division of reduced r by reduced b, top down, up to deg b
     quotient coefficients per block.  Reversed, the block's quotient is the
     reversed top of r times 1/rev(b), truncated; its product with b then
-    cancels that top and changes only the deg b coefficients below it."""
+    cancels that top and changes only the deg b coefficients below it.
+    A truncated inverse is a prefix of any longer one, so a given inv of
+    length deg b serves every block."""
     db = len(b) - 1
     nq = len(r) - db
-    inv = _series_inverse(b[::-1], min(db, nq), mod)
+    if inv is None:
+        inv = _series_inverse(b[::-1], min(db, nq), mod)
     q = [0] * nq
     hi = nq
     while hi:

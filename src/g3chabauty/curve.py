@@ -13,7 +13,8 @@ fraction-free (Bareiss) elimination, and the factorisation of F over Q by
 Zassenhaus's method (distinct- and equal-degree splitting modulo a small
 prime on the ``_kernels`` F_p helpers, Hensel lifting past the Mignotte
 bound, recombination by exact trial division).  Working primes are capped
-at ``PRIME_CAP``.
+at ``PRIME_CAP``; ``HEIGHT_CAP`` and ``PREC_CAP`` cap the point search
+height and the precision of an analysis.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ from .recognize import primitive_poly
 # counts and Frobenius grow with p; a run far above it would exhaust memory
 # or never end.
 PRIME_CAP = 10 ** 6
+
+# The largest rational point search height and p-adic precision N that
+# pipeline.check_inputs accepts.  The search grows like the height squared
+# and Frobenius like a power of N: at the caps, curve A's search takes about
+# a minute and its Frobenius structure at p = 7 about 40 s, so no job can
+# hold a worker much longer than that.
+HEIGHT_CAP = 10 ** 5
+PREC_CAP = 200
 
 _SMALL_PRIMES = tuple(n for n in range(2, 1000)
                       if all(n % d for d in range(2, isqrt(n) + 1)))

@@ -20,9 +20,16 @@ In F-adic digits A = sum_t A_t F^t, deg A_t < 7 (unique, as F is monic),
 only the lowest digit needs that decomposition: a step sends the digits
 (A_0, A_1, A_2, ...) to (A_1 + f_s(A_0), A_2, ...) with deg f_s(A_0) <= 5.
 So the digits of Psi are computed once, p at a time by division by F^p;
-each column's digits follow from the previous column's by multiplying by
-x (x A_t = lc F + rest, the x^6 coefficient lc carrying into the next
-digit); and every pole step works on a polynomial of degree below 7.  At
+each column's digits follow from the previous column's by one packed
+linear map, multiplication by x^p on a digit (x^(p-1) for column 0; see
+_x_power_map); and every pole step works on a polynomial of degree below
+7.  There the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F
+for the cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both
+maps are built once per attempt as integer matrices on the monomials
+x^0 .. x^6, so a pole step is two matrix-vector products.  Building them
+checks that F divides x^i - b(x^i) F' for every i; the remainder
+A_0 -> A_0 (1 - beta F') mod F is linear mod p^W, so that basis check
+covers every numerator a per-step remainder check would see.  At
 s = 1 the remaining digits are reassembled and the second telescope lowers
 the x-degree via d(x^j y).  The telescopes run over Z/p^W with a p^C
 prescale absorbing the small denominators they introduce.  The digits of
@@ -31,7 +38,9 @@ computed divided by that power, mod p^(W-C-k-1), and its digits are
 multiplied back up.  F and F^p are monic, so division by them commutes
 with reduction mod any p^M, and the digits equal the full-precision ones
 mod p^W.  The exact forms are kept so Coleman integration can evaluate the
-primitive h_j with phi^* w_j = sum_i M[i][j] w_i + d h_j.
+primitive h_j with phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole part
+sum_s b_s(x) y^(2-s), s odd, is y times a polynomial in y^-2, evaluated
+by Horner's rule.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the functional equation and the point count over
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import _kernels as kernels
 from .errors import BadReductionError, PrecisionError
@@ -146,18 +156,24 @@ class FrobeniusData:
 
     def _primitive_acc(self, col, x_int, y_int):
         """p^scale_exp h_col at (x_int, y_int), reduced mod p^work_exp.
-        Every term is odd in y, so at (x_int, -y_int) it is the negative."""
+        Every term is odd in y, so at (x_int, -y_int) it is the negative.
+
+        The pole part sum_s b_s(x) y^(2-s) over odd s is
+        y sum_e b_(2e+1)(x) (y^-2)^e, e = (s-1)/2 >= 1, evaluated by Horner
+        in y^-2 along pole_prims, whose s decrease."""
         m = self.p ** self.work_exp
         yinv2 = pow(y_int * y_int % m, -1, m)
         acc = 0
-        power = {}
+        last = 0
         for s, b in self.pole_prims[col]:
             e = (s - 1) // 2
-            if e not in power:
-                power[e] = pow(yinv2, e, m)
-            # y^(2-s) = y * (y^-2)^((s-1)/2) for odd s
-            val = kernels.poly_eval_mod(list(b), x_int, m)
-            acc = (acc + val * y_int % m * power[e]) % m
+            if last:
+                step = yinv2 if last - e == 1 else pow(yinv2, last - e, m)
+                acc = acc * step % m
+            acc = (acc + kernels.poly_eval_mod(list(b), x_int, m)) % m
+            last = e
+        if last:
+            acc = acc * pow(yinv2, last, m) % m * y_int % m
         for j, mu in self.deg_prims[col]:
             acc = (acc + mu * pow(x_int, j, m) % m * y_int) % m
         return acc
@@ -222,6 +238,21 @@ def _weil_ok(b, p):
 
 
 def _compute(curve, p, N, delta, scale_bump):
+    """One attempt at the audited Frobenius structure to p^N, with delta
+    headroom digits and the prescale p^C raised by scale_bump.
+
+    Per column j the numerator x^(pj+p-1) Psi comes, as Q-adic digits,
+    from the previous column's by the packed x^p digit map (x^(p-1) from
+    Psi itself): x^e x^i = sum_u r_(i,u) Q^u is precomputed for i < 7, so
+    a digit's image is one sum of 7 integer multiples and digit t of the
+    result adds the images of digits t, t-1, .. at their offsets u.  The
+    pole steps run on the maps of _pole_maps: the exact division by Q is
+    checked once on x^0 .. x^6, which covers every step, since the
+    remainder c (1 - beta Q') mod Q is linear in c mod p^W; the divisions
+    by p^e(s-2) of the correction and of the primitive are still checked
+    at every step.  The primitive's pole terms are stored with s
+    decreasing, the order in which FrobeniusData._primitive_acc runs
+    Horner's rule in y^-2."""
     k_max = N + delta - 1
     s_max = 2 * p * k_max + p
     deg_cap = (5 * p + 5) // 2
@@ -250,6 +281,8 @@ def _compute(curve, p, N, delta, scale_bump):
 
     J = (s_max - 1) // 2
     digits = _psi_digits(Q, dt, cks, C, p, W)
+    maps = _pole_maps(Q, Qd, beta, m)
+    xmaps = (_x_power_map(Q, p - 1, m), _x_power_map(Q, p, m))
     matrix_ints = [[0] * 6 for _ in range(6)]
     pole_prims = []
     deg_prims = []
@@ -257,14 +290,13 @@ def _compute(curve, p, N, delta, scale_bump):
 
     for col in range(6):
         # digits of x^(p col + p - 1) Psi
-        for _ in range(p if col else p - 1):
-            digits = _times_x(digits, Q, m)
+        digits = _times_x_power(digits, xmaps[col > 0], m)
         prims = []
         carry = []
         for j in range(J):
             c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]), carry, m)
                  if j < len(digits) else carry)
-            carry = _pole_step(c, s_max - 2 * j, Q, Qd, beta, p, m, prims)
+            carry = _pole_step(c, s_max - 2 * j, maps, p, m, prims)
         # the numerator over y^1: carry plus the digits from J on
         A = []
         for d in reversed(digits[J:]):
@@ -321,7 +353,9 @@ def _psi_digits(Q, dt, cks, C, p, W):
     modulus, the leftover gains a factor p on the way from term k+1 to
     term k, and each digit is multiplied back by p^(C+k+1) mod p^W.  Q is
     monic, so division by Q and Q^p commutes with reduction mod any p^M,
-    and the digits equal the full-precision ones mod p^W.  The grading goes
+    and the digits equal the full-precision ones mod p^W; for the same
+    reason the inverse of rev(Q^p) that the block division uses is formed
+    once, at the largest modulus, and reduced.  The grading goes
     by C+k+1, not by the valuation of the whole prefactor: cks[k] need not
     be a unit (binom(8, 4) = 70 at p = 7).
     """
@@ -331,6 +365,7 @@ def _psi_digits(Q, dt, cks, C, p, W):
     for k in range(1, k_max + 1):
         dpow.append(kernels.poly_mul_mod(dpow[-1], dt, p ** (W - C - k - 1)))
     qp = kernels.poly_pow_mod(Q, p, p ** (W - C - 1))
+    qp_inv = kernels.rev_inverse(qp, p ** (W - C - 1))
     digits = []
     rest = []
     for k in range(k_max, -1, -1):
@@ -341,7 +376,8 @@ def _psi_digits(Q, dt, cks, C, p, W):
             kernels.poly_scale_mod(dpow[k], cks[k], mk), mk)
         if k:
             rest, low = kernels.poly_divmod_monic_mod(
-                rest, [c % mk for c in qp], mk)
+                rest, [c % mk for c in qp], mk,
+                inv=[c % mk for c in qp_inv])
             n = p
         else:
             low, n = rest, 0
@@ -353,34 +389,88 @@ def _psi_digits(Q, dt, cks, C, p, W):
     return digits
 
 
-def _times_x(digits, Q, m):
-    """Digits of x * sum_t d_t Q^t: x d_t = lc Q + rest with lc the x^6
-    coefficient of d_t, and lc carries into the next digit."""
-    q_up = Q[1:7]
+def _x_power_map(Q, e, m):
+    """Multiplication by x^e on one Q-adic digit, packed for
+    _times_x_power: x^e x^i = sum_u r_(i,u) Q^u with deg r_(i,u) < 7 and
+    u < K = (e + 6) // 7 + 1, and column i is one integer holding
+    coefficient r of r_(i,u) in slot 7u + r.  A slot holds any sum of 7K
+    products of residues mod m."""
+    width = 7 * ((e + 6) // 7 + 1)
+    slot = (2 * m.bit_length() + width.bit_length() + 15) // 8
+    cols = []
+    for i in range(7):
+        rest = [0] * (i + e) + [1]
+        coeffs = []
+        while rest:
+            rest, r = kernels.poly_divmod_monic_mod(rest, Q, m)
+            coeffs += r + [0] * (7 - len(r))
+        cols.append(int.from_bytes(b"".join(
+            c.to_bytes(slot, "little") for c in coeffs), "little"))
+    return slot, cols
+
+
+def _times_x_power(digits, xmap, m):
+    """Digits of x^e sum_t d_t Q^t for the map of _x_power_map.
+
+    sum_i d_t[i] P_i packs the digits of x^e d_t, and digit t of the result
+    sums the u-th of them over d_(t-u), u < K.  So the packed images are
+    added into one window that is shifted down by a digit at every t: its
+    lowest 7 slots are then complete and form digit t.  Trailing zero
+    digits are dropped."""
+    slot, cols = xmap
+    size = 7 * slot
+    bits = 8 * size
+    low = (1 << bits) - 1
     out = []
-    carry = 0
-    for d in digits:
-        lc = d[6]
-        if lc:
-            out.append([(carry - lc * Q[0]) % m]
-                       + [(v - lc * q) % m for v, q in zip(d, q_up)])
-        else:
-            out.append([carry] + d[:6])
-        carry = lc
-    if carry:
-        out.append([carry, 0, 0, 0, 0, 0, 0])
+    window = 0
+    t = 0
+    while t < len(digits) or window:
+        if t < len(digits):
+            window += sum(map(mul, digits[t], cols))
+        raw = (window & low).to_bytes(size, "little")
+        out.append([int.from_bytes(raw[k:k + slot], "little") % m
+                    for k in range(0, size, slot)])
+        window >>= bits
+        t += 1
+    while out and not any(out[-1]):
+        out.pop()
     return out
 
 
-def _pole_step(c, s, Q, Qd, beta, p, m, prims):
+def _pole_maps(Q, Qd, beta, m):
+    """The linear maps c -> b = c beta mod Q and c -> a = (c - b Q') / Q
+    on polynomials of degree <= 6, as rows of integer matrices mod m
+    (row r, column i: coefficient r of the image of x^i).
+
+    Each column's division by Q is checked to be exact.  The remainder
+    c -> (c - b Q') mod Q = c (1 - beta Q') mod Q is linear in c mod m, so
+    it vanishes on every c once it vanishes on x^0 .. x^6."""
+    bcols, acols = [], []
+    for i in range(7):
+        xi = [0] * i + [1]
+        b = kernels.poly_divmod_monic_mod(
+            kernels.poly_mul_mod(xi, beta, m), Q, m)[1]
+        a = _exact_poly_div(
+            kernels.poly_sub_mod(xi, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
+        bcols.append(b)
+        acols.append(a)
+    return _rows(bcols), _rows(acols)
+
+
+def _rows(cols):
+    n = max(len(c) for c in cols)
+    return [[c[r] if r < len(c) else 0 for c in cols] for r in range(n)]
+
+
+def _pole_step(c, s, maps, p, m, prims):
     """One y-exponent drop s -> s-2 on the lowest Q-adic digit c of the
     numerator: c = aQ + bQ' with deg a <= 5, and c dx/2y^s leaves
-    a + 2b'/(s-2) at y^(s-2).  Returns that polynomial (degree <= 5) and
-    appends the subtracted primitive."""
-    b = kernels.poly_divmod_monic_mod(
-        kernels.poly_mul_mod(c, beta, m), Q, m)[1]
-    a = _exact_poly_div(
-        kernels.poly_sub_mod(c, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
+    a + 2b'/(s-2) at y^(s-2).  b and a come from the maps of _pole_maps.
+    Returns that polynomial (degree <= 5) and appends the subtracted
+    primitive."""
+    bmap, amap = maps
+    b = kernels.poly_trim([sum(map(mul, row, c)) % m for row in bmap])
+    a = [sum(map(mul, row, c)) % m for row in amap]
     d = s - 2
     e = ord_p(d, p)
     dtild = d // p ** e

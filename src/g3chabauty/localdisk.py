@@ -57,7 +57,7 @@ def _newton_root(gs, z, prec):
     M = z.t_prec
     for i in range(1, math.ceil(math.log2(M)) + 1):
         n = min(2 ** i, M)
-        z = PadicPowerSeries(z.prime, z.coeffs, n)
+        z = z.with_t_prec(n)
         g, dg = _poly_at([s.truncate(n) for s in gs], z, prec)
         z = z - g * dg.invert_unit()
     return z

@@ -30,7 +30,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .coleman import ColemanContext
-from .curve import RationalPoint, check_prime_number, eval_exact
+from .curve import (HEIGHT_CAP, PREC_CAP, RationalPoint, check_prime_number,
+                    eval_exact)
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
@@ -418,11 +419,21 @@ def check_inputs(curve, p=None, prec=None, knowns=None, base_point=None,
     that needs no analysis; bad reduction at p is the analysis's to find."""
     if prec is not None and prec < 1:
         raise InputError("precision must be at least 1, got %d" % prec)
+    if prec is not None and prec > PREC_CAP:
+        raise InputError("precision must be at most %d, got %d"
+                         % (PREC_CAP, prec))
     if search_height < 0:
         raise InputError("search height must be at least 0, got %d"
                          % search_height)
+    if search_height > HEIGHT_CAP:
+        raise InputError("search height must be at most %d, got %d"
+                         % (HEIGHT_CAP, search_height))
     if p is not None:
         check_prime_number(p)
+        if prec is None and default_precision(p) > PREC_CAP:
+            raise InputError("precision must be at most %d, got the default "
+                             "2p + 4 = %d; give a precision"
+                             % (PREC_CAP, default_precision(p)))
     if knowns is not None and not knowns:
         raise InputError("no known rational points; omit the list to search")
     for pt in knowns or ():

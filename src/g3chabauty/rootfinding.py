@@ -104,7 +104,7 @@ def series_roots_in_disk(series, prec):
         raise PrecisionError(
             "need series terms up to t^%d, have t^%d" % (m_order, series.t_prec))
     coeffs = []
-    for j in range(min(m_order, len(series.coeffs))):
+    for j in range(min(m_order, len(series))):
         coeffs.append(_scaled_residue(series[j], j, p, prec))
     while coeffs and not coeffs[-1]:
         coeffs.pop()

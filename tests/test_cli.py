@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from g3chabauty import cli, pipeline
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
-from g3chabauty.curve import RationalPoint
+from g3chabauty.curve import HEIGHT_CAP, PREC_CAP, RationalPoint
 from g3chabauty.errors import G3Error, PrecisionError
 from g3chabauty.localdisk import curve_point_from_rational
 from g3chabauty.pipeline import analyze_curve
@@ -214,6 +214,10 @@ MALFORMED_JOBS = {
     "composite-prime": (dict(GOOD_JOB, p=9), "9 is not prime"),
     "small-prime": (dict(GOOD_JOB, p=5), "at least 7"),
     "prime-cap": (dict(GOOD_JOB, p=1000003), "above the cap"),
+    "height-cap": (dict(GOOD_JOB, search_height=HEIGHT_CAP + 1),
+                   "search height must be at most 100000"),
+    "precision-cap": (dict(GOOD_JOB, precision=PREC_CAP + 1),
+                      "precision must be at most 200"),
     "off-curve-known": (dict(GOOD_JOB, known_points=["infinity", ["2", "2"]]),
                         "known point ['2', '2'] is not on the curve"),
     "off-curve-base": (dict(GOOD_JOB, base_point=["2", "2"]),
@@ -251,6 +255,28 @@ def test_batch_with_a_malformed_job_exits_2_before_any_work(
     assert main(["analyze", "--job", single]) == 2
     assert message in capsys.readouterr().err
     assert stub.calls == []
+
+
+def test_jobs_at_the_caps_run_and_one_above_exits_2(tmp_path, monkeypatch,
+                                                     capsys):
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    at_cap = dict(GOOD_JOB, id="cap", search_height=HEIGHT_CAP,
+                  precision=PREC_CAP)
+    single = write_json(tmp_path / "job.json", at_cap)
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [at_cap])
+    assert main(["analyze", "--job", single]) == 0
+    assert main(["batch", "--jobs", jobs, "--out", str(tmp_path / "o")]) == 0
+    assert [(c["search_height"], c["prec"]) for c in stub.calls] == \
+        [(HEIGHT_CAP, PREC_CAP)] * 2
+    capsys.readouterr()
+    # --N overrides the job's precision and meets the same cap
+    assert main(["analyze", "--job", single, "--N", str(PREC_CAP + 1)]) == 2
+    assert "precision must be at most 200" in capsys.readouterr().err
+    assert main(["search-points", "--curve", str(DATA / "curve_a.json"),
+                 "--height", str(HEIGHT_CAP + 1)]) == 2
+    assert "search height must be at most 100000" in capsys.readouterr().err
+    assert len(stub.calls) == 2
 
 
 def test_out_dir_is_checked_before_any_analysis(tmp_path, monkeypatch,
@@ -448,11 +474,11 @@ def test_job_id_with_nul_exits_2_before_any_work(tmp_path, monkeypatch,
                                                  capsys):
     calls = []
 
-    def run_job(*args, **kwargs):
-        calls.append(args)
+    def analyze_curve(*args, **kwargs):
+        calls.append(kwargs)
         raise RuntimeError("a job ran")
 
-    monkeypatch.setattr(cli, "run_job", run_job)
+    monkeypatch.setattr(cli, "analyze_curve", analyze_curve)
     job = {"id": "ex\x001", "curve": CURVE_A_JSON, "p": 7}
     jobs = write_jobs(tmp_path / "jobs.jsonl", [job])
     single = write_json(tmp_path / "job.json", job)
@@ -474,11 +500,11 @@ def test_job_id_that_cannot_name_a_file_exits_2_before_any_work(
     # errno 36 (name too long) and left no summary.csv
     calls = []
 
-    def run_job(*args, **kwargs):
-        calls.append(args)
+    def analyze_curve(*args, **kwargs):
+        calls.append(kwargs)
         raise RuntimeError("a job ran")
 
-    monkeypatch.setattr(cli, "run_job", run_job)
+    monkeypatch.setattr(cli, "analyze_curve", analyze_curve)
     job = {"id": job_id, "curve": CURVE_A_JSON, "p": 7}
     jobs = write_jobs(tmp_path / "jobs.jsonl", [job])
     single = write_json(tmp_path / "job.json", job)
@@ -522,11 +548,11 @@ def test_out_must_be_a_directory(tmp_path, monkeypatch, capsys):
     # an existing file as --out fails as malformed input before any job runs
     calls = []
 
-    def run_job(*args, **kwargs):
-        calls.append(args)
+    def analyze_curve(*args, **kwargs):
+        calls.append(kwargs)
         raise RuntimeError("a job ran")
 
-    monkeypatch.setattr(cli, "run_job", run_job)
+    monkeypatch.setattr(cli, "analyze_curve", analyze_curve)
     taken = tmp_path / "taken"
     taken.write_text("keep\n", encoding="utf-8")
     jobs = write_jobs(tmp_path / "jobs.jsonl",

@@ -10,11 +10,12 @@ import pytest
 from g3chabauty import _kernels as kernels
 from g3chabauty import frobenius
 from g3chabauty.curve import CurveModel
+from g3chabauty.errors import PrecisionError
 from g3chabauty.frobenius import (_DELTAS, _compute, brute_zeta_numerator,
                                   frobenius_data, identity_check,
                                   zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
-from g3chabauty.padic import sqrt_mod_pn
+from g3chabauty.padic import ord_p, sqrt_mod_pn
 
 from test_jacobian import brute_zeta_coeffs
 
@@ -125,23 +126,134 @@ def _psi_digits_full(Q, dt, pref, p, m):
     return digits
 
 
+def _times_x_once(digits, Q, m):
+    """Digits of x * sum_t d_t Q^t, one x at a time: x d_t = lc Q + rest
+    with lc the x^6 coefficient of d_t, and lc carries into the next
+    digit.  The oracle for the packed x^e maps."""
+    q_up = Q[1:7]
+    out = []
+    carry = 0
+    for d in digits:
+        lc = d[6]
+        if lc:
+            out.append([(carry - lc * Q[0]) % m]
+                       + [(v - lc * q) % m for v, q in zip(d, q_up)])
+        else:
+            out.append([carry] + d[:6])
+        carry = lc
+    if carry:
+        out.append([carry, 0, 0, 0, 0, 0, 0])
+    return out
+
+
+def _pole_step_full(c, s, Q, Qd, beta, p, m, prims):
+    """One pole step by polynomial arithmetic, with its own check that
+    c - bQ' is divisible by Q: the oracle for the precomputed maps."""
+    b = kernels.poly_divmod_monic_mod(
+        kernels.poly_mul_mod(c, beta, m), Q, m)[1]
+    a = frobenius._exact_poly_div(
+        kernels.poly_sub_mod(c, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
+    d = s - 2
+    e = ord_p(d, p)
+    inv_dt = pow(d // p ** e, -1, m)
+    two_over = 2 * inv_dt % m
+    bd = kernels.poly_deriv_mod(b, m)
+    corr = [frobenius._exact_pdiv(v * two_over % m, p, e) % m for v in bd]
+    if b:
+        neg_over = -inv_dt % m
+        prims.append((s, tuple(frobenius._exact_pdiv(v * neg_over % m, p, e)
+                               % m for v in b)))
+    return kernels.poly_add_mod(a, kernels.poly_trim(corr), m)
+
+
+def _primitive_acc_full(fd, col, x_int, y_int):
+    """p^scale_exp h_col at (x_int, y_int) mod p^work_exp, one power of
+    y^-2 per pole term: the oracle for the Horner evaluation."""
+    m = fd.p ** fd.work_exp
+    yinv2 = pow(y_int * y_int % m, -1, m)
+    acc = 0
+    for s, b in fd.pole_prims[col]:
+        val = kernels.poly_eval_mod(list(b), x_int, m)
+        acc = (acc + val * y_int % m * pow(yinv2, (s - 1) // 2, m)) % m
+    for j, mu in fd.deg_prims[col]:
+        acc = (acc + mu * pow(x_int, j, m) % m * y_int) % m
+    return acc
+
+
+def _strip(digits):
+    digits = list(digits)
+    while digits and not any(digits[-1]):
+        digits.pop()
+    return digits
+
+
 def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
-    """Run one _compute attempt with its graded _psi_digits call checked
-    against the full-precision oracle."""
+    """Run one _compute attempt with each shortcut checked against its
+    oracle: the graded _psi_digits against the full-precision digits,
+    every packed x^e map against e passes of _times_x_once, every pole
+    step on the precomputed maps against _pole_step_full, and then the
+    Horner _primitive_acc of the result against _primitive_acc_full."""
     graded = frobenius._psi_digits
-    seen = []
+    x_map, times_x_power = frobenius._x_power_map, frobenius._times_x_power
+    pole_maps, pole_step = frobenius._pole_maps, frobenius._pole_step
+    seen = {"digits": [], "x": 0, "steps": 0}
+    made = {}
 
     def checked(Q, dt, cks, C, p, W):
         m = p ** W
         pref = [c * pow(p, C + k + 1, m) % m for k, c in enumerate(cks)]
         digits = graded(Q, dt, cks, C, p, W)
         assert digits == _psi_digits_full(Q, dt, pref, p, m)
-        seen.append(len(digits))
+        seen["digits"].append(len(digits))
         return digits
 
+    def checked_x_map(Q, e, m):
+        xmap = x_map(Q, e, m)
+        made[id(xmap)] = (Q, e)
+        return xmap
+
+    def checked_times_x(digits, xmap, m):
+        Q, e = made[id(xmap)]
+        want = digits
+        for _ in range(e):
+            want = _times_x_once(want, Q, m)
+        got = times_x_power(digits, xmap, m)
+        assert got == _strip(want)
+        seen["x"] += 1
+        return got
+
+    def checked_maps(Q, Qd, beta, m):
+        maps = pole_maps(Q, Qd, beta, m)
+        made[id(maps)] = (Q, Qd, beta)
+        return maps
+
+    def checked_step(c, s, maps, p, m, prims):
+        Q, Qd, beta = made[id(maps)]
+        want_prims = []
+        want = _pole_step_full(c, s, Q, Qd, beta, p, m, want_prims)
+        n = len(prims)
+        got = pole_step(c, s, maps, p, m, prims)
+        assert got == want and prims[n:] == want_prims
+        seen["steps"] += 1
+        return got
+
     monkeypatch.setattr(frobenius, "_psi_digits", checked)
-    _attempt(curve, p, prec, attempt)
-    assert len(seen) == 1 and seen[0] > 0
+    monkeypatch.setattr(frobenius, "_x_power_map", checked_x_map)
+    monkeypatch.setattr(frobenius, "_times_x_power", checked_times_x)
+    monkeypatch.setattr(frobenius, "_pole_maps", checked_maps)
+    monkeypatch.setattr(frobenius, "_pole_step", checked_step)
+    fd = _attempt(curve, p, prec, attempt)
+    assert len(seen["digits"]) == 1 and seen["digits"][0] > 0
+    assert seen["x"] == 6
+    assert seen["steps"] == 6 * (fd.k_max * p + (p - 1) // 2)
+    m = p ** fd.work_exp
+    rng = random.Random(p * prec + attempt)
+    for col in range(6):
+        for _ in range(3):
+            x_int = rng.randrange(m)
+            y_int = rng.randrange(1, p) + p * rng.randrange(m // p)
+            assert fd._primitive_acc(col, x_int, y_int) == \
+                _primitive_acc_full(fd, col, x_int, y_int)
 
 
 @pytest.mark.parametrize("curve,p,prec", [
@@ -173,6 +285,22 @@ def test_graded_digits_match_full_precision_random_curves(monkeypatch):
             continue
         _digits_match_oracle(monkeypatch, curve, p, 8)
         checked += 1
+
+
+def test_pole_maps_check_the_cofactor_on_every_monomial(curve_b):
+    """The basis check stands in for the per-step remainder check: a
+    cofactor beta that is wrong only in its last digit fails both."""
+    p, W = 11, 20
+    m = p ** W
+    Q = [c % m for c in curve_b.f_coeffs_mod(p, W)]
+    Qd = kernels.poly_deriv_mod(Q, m)
+    beta = frobenius._lift_cofactor(Q, Qd, p, W)
+    frobenius._pole_maps(Q, Qd, beta, m)
+    bad = [(beta[0] + p ** (W - 1)) % m] + beta[1:]
+    with pytest.raises(PrecisionError):
+        frobenius._pole_maps(Q, Qd, bad, m)
+    with pytest.raises(PrecisionError):
+        _pole_step_full([1], 5, Q, Qd, bad, p, m, [])
 
 
 def test_matrix_is_integral(fd_a7):

@@ -211,6 +211,26 @@ def test_block_divmod_against_schoolbook():
                     schoolbook_divmod(a, b, mod), (mod, db, la)
 
 
+def test_divmod_with_a_shared_inverse_equals_the_plain_call():
+    # the inverse of rev(b), formed once at a larger modulus and reduced,
+    # gives the quotient and remainder of the plain call at every modulus
+    rng = random.Random(41)
+    p = 11
+    for db in (kernels.BLOCK_DIV_MIN_DEG, 77):
+        b = [rng.randrange(p ** 30) for _ in range(db)] + [1]
+        inv = kernels.rev_inverse(b, p ** 30)
+        assert len(inv) == db
+        for e in (1, 12, 30):
+            mod = p ** e
+            for la in (db + 1, 2 * db + 3, 600):
+                a = [rng.randrange(p ** 30) for _ in range(la)]
+                assert kernels.poly_divmod_monic_mod(
+                    a, [c % mod for c in b], mod,
+                    inv=[c % mod for c in inv]) == \
+                    kernels.poly_divmod_monic_mod(a, b, mod) == \
+                    schoolbook_divmod(a, b, mod), (db, e, la)
+
+
 def loop_search_x_squares(cnum, d7, height):
     """The point search without the sieve: the exact test on every
     coprime (a, b), b increasing, then a increasing."""

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from g3chabauty.curve import CurveModel, RationalPoint, eval_exact
+from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, CurveModel, RationalPoint,
+                              eval_exact)
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.padic import PadicNumber, padic_sqrt
 from g3chabauty import pipeline
@@ -430,6 +431,25 @@ def test_check_inputs_rejects_before_any_work(curve_a, monkeypatch):
     check_inputs(curve_a, 7, knowns=[RationalPoint.affine(-1, -1)],
                  base_point=base)
     check_inputs(curve_a, 7, base_point=base, search_height=1)
+
+
+def test_check_inputs_caps_height_and_precision(curve_a, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the analysis started")
+
+    check_inputs(curve_a, 7, prec=PREC_CAP, search_height=HEIGHT_CAP)
+    # from p = 101 on the default precision 2p + 4 is above the cap
+    check_inputs(curve_a, 97)
+    check_inputs(curve_a, 101, prec=PREC_CAP)
+    with pytest.raises(InputError, match="the default 2p \\+ 4 = 206"):
+        check_inputs(curve_a, 101)
+    monkeypatch.setattr(pipeline, "ColemanContext", no_work)
+    monkeypatch.setattr(CurveModel, "search_rational_points", no_work)
+    with pytest.raises(InputError, match="precision must be at most 200"):
+        analyze_curve(curve_a, 7, prec=PREC_CAP + 1)
+    with pytest.raises(InputError,
+                       match="search height must be at most 100000"):
+        analyze_curve(curve_a, 7, search_height=HEIGHT_CAP + 1)
 
 
 NO_SYMPY_RUN = """

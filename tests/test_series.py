@@ -1,13 +1,18 @@
-"""Power series ring operations against exact Fraction oracles."""
+"""Power series ring operations against exact Fraction oracles, and the
+integer-vector series against term-by-term PadicNumber arithmetic."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber, ord_p
 from g3chabauty.series import PadicPowerSeries, min_tail_valuation
+
+from series_oracle import ReferenceSeries
 
 P = 7
 PREC = 12
@@ -121,3 +126,91 @@ def test_mul_gains_t_precision_from_exact_zero_factor():
     prod = s * t2
     assert prod.t_prec == 6
     assert prod[2] == 1 and prod[3] == 1
+
+
+# -- the integer-vector series against term-by-term PadicNumber arithmetic --
+
+
+def _nonzero(p, v, r, u):
+    u %= p ** r
+    if u % p == 0:
+        u += 1
+    return PadicNumber(p, v, u, r)
+
+
+def numbers(p):
+    """Exact zeros, zeros at a stated precision (negative included), and
+    nonzero values of mixed valuation and precision."""
+    return st.one_of(
+        st.just(PadicNumber.zero(p)),
+        st.integers(-3, 8).map(lambda a: PadicNumber.zero(p, a)),
+        st.builds(_nonzero, st.just(p), st.integers(-3, 5),
+                  st.integers(1, 7), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def series_cases(draw):
+    p = draw(st.sampled_from((5, 7)))
+    coeffs = st.lists(numbers(p), max_size=9)
+    return (p, draw(coeffs), draw(st.integers(1, 11)), draw(coeffs),
+            draw(st.integers(1, 11)), draw(numbers(p)),
+            draw(st.integers(0, 12)))
+
+
+def _data(s):
+    return (s.t_prec, len(s),
+            tuple((c.valuation, c.unit, c.rel_prec) for c in s.coeffs))
+
+
+def _outcome(fn, *args):
+    """A series' data, another value, or the type of the error raised."""
+    try:
+        out = fn(*args)
+    except (InputError, PrecisionError, ZeroDivisionError) as exc:
+        return type(exc)
+    if isinstance(out, (PadicPowerSeries, ReferenceSeries)):
+        return _data(out)
+    if isinstance(out, PadicNumber):
+        return (out.valuation, out.unit, out.rel_prec)
+    return out
+
+
+_SERIES_OPS = {
+    "add": lambda a, b, c, k: a + b,
+    "sub": lambda a, b, c, k: a - b,
+    "neg": lambda a, b, c, k: -a,
+    "mul": lambda a, b, c, k: a * b,
+    "rmul": lambda a, b, c, k: b * a,
+    "square": lambda a, b, c, k: a * a,
+    "add_number": lambda a, b, c, k: a + c,
+    "sub_int": lambda a, b, c, k: a - k,
+    "scale": lambda a, b, c, k: a.scale(c),
+    "truncate": lambda a, b, c, k: a.truncate(k),
+    "shift_t": lambda a, b, c, k: a.shift_t(k),
+    "invert_unit": lambda a, b, c, k: a.invert_unit(),
+    "derivative": lambda a, b, c, k: a.derivative(),
+    "formal_integral": lambda a, b, c, k: a.formal_integral(),
+    "reduction_order": lambda a, b, c, k: a.reduction_order(),
+    "getitem": lambda a, b, c, k: a[min(k, a.t_prec - 1)],
+    "evaluate": lambda a, b, c, k: a.evaluate(
+        PadicNumber.from_rational(a.prime * (k + 1), a.prime, abs_prec=9),
+        tail_bound=6),
+    # chains, so shared exponents and floors meet every other operation
+    "integral_times": lambda a, b, c, k: a.formal_integral() * b,
+    "inverse_times": lambda a, b, c, k: (a + b).invert_unit() * a,
+    "poly": lambda a, b, c, k: (a * b + a.scale(c)).derivative() - b,
+}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=series_cases())
+def test_series_ops_match_padicnumber_reference(case):
+    p, ca, ta, cb, tb, c, k = case
+    new = (PadicPowerSeries(p, ca, ta), PadicPowerSeries(p, cb, tb))
+    ref = (ReferenceSeries(p, ca, ta), ReferenceSeries(p, cb, tb))
+    assert _data(new[0]) == _data(ref[0])
+    for name, op in _SERIES_OPS.items():
+        assert _outcome(op, *new, c, k) == _outcome(op, *ref, c, k), name
+    # with_t_prec is the Newton solver's re-declaration of t-precision
+    assert _data(new[0].with_t_prec(k + 1)) == \
+        _data(ReferenceSeries(p, ref[0].coeffs, k + 1))
