@@ -31,10 +31,12 @@ from .padic import hensel_lift_root, ord_p
 from .recognize import primitive_poly
 
 
-# The largest working prime check_prime and choose_prime accept.  Point
-# counts and Frobenius grow with p; a run far above it would exhaust memory
-# or never end.
-PRIME_CAP = 10 ** 6
+# The largest working prime check_prime and choose_prime accept.  The cost
+# of a job grows about as p^2: curve A at the least precision N = 1, whose
+# three Frobenius attempts all run, took 17 s at p = 101, 70 s at p = 211,
+# 130 s at p = 293 and 269 s at p = 401 on one core, so no job at or below
+# the cap holds a worker for more than a few minutes at that N.
+PRIME_CAP = 300
 
 # The largest rational point search height and p-adic precision N that
 # pipeline.check_inputs accepts.  The search grows like the height squared
@@ -49,8 +51,8 @@ _SMALL_PRIMES = tuple(n for n in range(2, 1000)
 
 
 def is_prime(n):
-    """Exact primality by trial division.  Up to 1009^2 > PRIME_CAP the
-    primes below 1000 are the only divisors tried."""
+    """Exact primality by trial division: by the primes below 1000, which
+    settle every n below 1009^2, then by the odd numbers from 1001."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -62,7 +64,8 @@ def is_prime(n):
 
 
 def check_prime_number(p):
-    """p as the method takes it: a prime from 7 to PRIME_CAP."""
+    """p as the method takes it: a prime from 7 to PRIME_CAP.  The cap is
+    checked first, so trial division only ever sees a p within it."""
     if p > PRIME_CAP:
         raise InputError("prime %d is above the cap %d" % (p, PRIME_CAP))
     if not is_prime(p):

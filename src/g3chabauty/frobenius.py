@@ -31,16 +31,19 @@ checks that F divides x^i - b(x^i) F' for every i; the remainder
 A_0 -> A_0 (1 - beta F') mod F is linear mod p^W, so that basis check
 covers every numerator a per-step remainder check would see.  At
 s = 1 the remaining digits are reassembled and the second telescope lowers
-the x-degree via d(x^j y).  The telescopes run over Z/p^W with a p^C
-prescale absorbing the small denominators they introduce.  The digits of
-Psi carry precision graded by k: term k has the factor p^(C+k+1), so it is
-computed divided by that power, mod p^(W-C-k-1), and its digits are
-multiplied back up.  F and F^p are monic, so division by them commutes
-with reduction mod any p^M, and the digits equal the full-precision ones
-mod p^W.  The exact forms are kept so Coleman integration can evaluate the
-primitive h_j with phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole part
-sum_s b_s(x) y^(2-s), s odd, is y times a polynomial in y^-2, evaluated
-by Horner's rule.
+the x-degree via d(x^j y).  The telescopes run over Z/p^W on p^C times
+each form, both sized by Kedlaya's bound on the denominators the two
+reductions introduce: L = floor(log_p s_max) + floor(log_p(2 deg_cap + 7))
+digits with deg_cap = (5p + 5) // 2, which is 3 at the default precision
+for p = 7 to 17.  C = L and W = N + delta + C + L, as _compute argues.
+The digits of Psi carry precision graded by k: term k has the factor
+p^(C+k+1), so it is computed divided by that power, mod p^(W-C-k-1), and
+its digits are multiplied back up.  F and F^p are monic, so division by
+them commutes with reduction mod any p^M, and the digits equal the
+full-precision ones mod p^W.  The exact forms are kept so Coleman
+integration can evaluate the primitive h_j with
+phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole part sum_s b_s(x) y^(2-s),
+s odd, is y times a polynomial in y^-2, evaluated by Horner's rule.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the functional equation and the point count over
@@ -237,9 +240,9 @@ def _weil_ok(b, p):
     return True
 
 
-def _compute(curve, p, N, delta, scale_bump):
-    """One attempt at the audited Frobenius structure to p^N, with delta
-    headroom digits and the prescale p^C raised by scale_bump.
+def _compute(curve, p, N, delta, C, W):
+    """One attempt at the audited Frobenius structure to p^N: the telescopes
+    run on p^C times each form, mod p^W, with k_max = N + delta - 1.
 
     Per column j the numerator x^(pj+p-1) Psi comes, as Q-adic digits,
     from the previous column's by the packed x^p digit map (x^(p-1) from
@@ -252,14 +255,56 @@ def _compute(curve, p, N, delta, scale_bump):
     by p^e(s-2) of the correction and of the primitive are still checked
     at every step.  The primitive's pole terms are stored with s
     decreasing, the order in which FrobeniusData._primitive_acc runs
-    Horner's rule in y^-2."""
+    Horner's rule in y^-2.
+
+    Why C = L and W = N + delta + C + L suffice, for the matrix M and the
+    primitives h alike, with L = floor(log_p s_max) + floor(log_p(2 deg_cap
+    + 7)) (_budget; the denominator bounds of Kedlaya, Counting points on
+    hyperelliptic curves using Monsky-Washnitzer cohomology, 2001):
+
+    1. Denominators.  Every form below is B(x) dx/2y^s with s <= s_max odd
+       and a pole of order at most 2 deg_cap + 8 at infinity (the numerator
+       over y^1 has degree at most deg_cap).  Its reduction
+       sum_i M_i w_i + dh, h = sum_s b_s(x) y^(2-s) + sum_j mu_j x^j y with
+       deg b_s <= 6, is unique: the w_i are independent in cohomology and
+       an odd h with dh = 0 is 0.  If B is p-integral, p^L M and p^L h are:
+       - At a root r of F, y is a parameter, x - r is an integral series in
+         y^2 (F'(r) is a unit) and the w_i are holomorphic, so the polar
+         part of h is the integral of that of the form: divisors n <= s - 2.
+         h y^-1 - sum_j mu_j x^j is the sum of its polar parts at the seven
+         roots, distinct mod p and unramified, so p^floor(log_p s_max) b_s
+         is p-integral for each s, and so is each carry in between.
+       - At infinity t = x^3/y is a parameter with x t^2 and y t^7 integral
+         units, x^j y = t^-(2j+7)(1 + ..) and the w_i have poles of order
+         at most 6.  So the mu_j follow unitriangularly from the
+         coefficients of t^-n, n >= 7, of the integral of the form minus
+         the pole part of dh, each divided by n <= 2 deg_cap + 7: one more
+         floor(log_p(2 deg_cap + 7)) digits, for mu and then for M.
+    2. Prescale.  Every carry, primitive and matrix entry is p^C times
+       such a value, so with C >= L each exact division by the p^e of s - 2
+       or of 2j + 7 divides a p-integral value, and the matrix check
+       divides p^C M by p^C.
+    3. Perturbation.  Each reduction mod p^W drops p^W times an integral
+       form at some pole order: a digit or carry mod p^W; a pole step's
+       (a, b) from the maps, as c' = aQ + bQ' = c mod p^W (the basis check)
+       and the step identity holds for any a, b; the correction 2b'/(s-2)
+       known mod p^(W-e), the same as b moved by p^W times an antiderivative
+       of degree <= 6 < p, so integral; and mu known mod p^(W-e), the same
+       as the leading coefficient moved by p^W times an integer.  So the
+       run is the exact reduction of p^C phi^* w_j plus p^W times integral
+       forms; reduction is linear, and by 1 the second part moves M and h
+       by multiples of p^(W-L).  A stored primitive's own division is off
+       by p^(W-e), e <= L, as well.  So after division by p^C, M and h are
+       right mod p^(W-C-L) = p^(N+delta), and the divisions of 2 stay
+       exact, as W - L >= C and W - L >= L >= e.
+    The terms k > k_max of the binomial series are p^(k+1) times integral
+    forms with s = 2pk + p, so by 1 they move M and h by multiples of
+    p^(k - 1 - floor(log_p(2k + 1))), of p^N for every k > k_max as long as
+    2N + 2 delta + 1 < p^delta (N <= PREC_CAP is far inside).
+    The retries widen C and W (_budget); the checks hold on every attempt.
+    """
     k_max = N + delta - 1
     s_max = 2 * p * k_max + p
-    deg_cap = (5 * p + 5) // 2
-    # denominators stay within a few digits of integral; budget generously
-    C = 2 * (_ceil_log(s_max, p) + _ceil_log(2 * deg_cap + 7, p)) + 2
-    C += scale_bump
-    W = N + delta + 2 * C
     m = p ** W
     m1 = p ** (W + 1)
 
@@ -275,8 +320,8 @@ def _compute(curve, p, N, delta, scale_bump):
           for c in kernels.poly_sub_mod(qxp, qpow, m1)]
 
     beta = _lift_cofactor(Q, Qd, p, W)
-    # W - C - k - 1 >= C >= 1 for every k <= k_max, so each term of Psi
-    # keeps at least C digits once divided by its prefactor p^(C+k+1)
+    # W - C - k - 1 >= W - C - N - delta >= 1 for every k <= k_max, so each
+    # term of Psi keeps a digit once divided by its prefactor p^(C+k+1)
     cks = _half_binomial_units(k_max, m)
 
     J = (s_max - 1) // 2
@@ -338,6 +383,10 @@ def _ceil_log(n, p):
         v *= p
         e += 1
     return e
+
+
+def _floor_log(n, p):
+    return _ceil_log(n + 1, p) - 1
 
 
 def _psi_digits(Q, dt, cks, C, p, W):
@@ -513,13 +562,31 @@ def _degree_reduce(A, Q, Qd, p, m):
 _DELTAS = (4, 8, 16)
 
 
+def _budget(p, N, attempt):
+    """(delta, C, W) of attempt 0, 1, 2 of frobenius_data.
+
+    Attempt 0 takes C = L, the denominator bound of _compute, and
+    W = N + delta + C + L.  The retries keep the wider budget that came
+    before that bound: C = 2 (ceil log_p s_max + ceil log_p(2 deg_cap + 7))
+    + 2 + 4 attempt and W = N + delta + 2C."""
+    delta = _DELTAS[attempt]
+    s_max = 2 * p * (N + delta - 1) + p
+    # deg_cap = (5p + 5) // 2 is the degree of column 5's numerator over y^1
+    top = 2 * ((5 * p + 5) // 2) + 7
+    if attempt == 0:
+        C = _floor_log(s_max, p) + _floor_log(top, p)
+    else:
+        C = 2 * (_ceil_log(s_max, p) + _ceil_log(top, p)) + 2 + 4 * attempt
+    return delta, C, N + delta + 2 * C
+
+
 def frobenius_data(curve, p, prec):
     """Audited Frobenius structure; retries with more headroom on failure."""
     curve.check_prime(p)
     last = None
-    for attempt, delta in enumerate(_DELTAS):
+    for attempt in range(len(_DELTAS)):
         try:
-            return _compute(curve, p, prec, delta, scale_bump=4 * attempt)
+            return _compute(curve, p, prec, *_budget(p, prec, attempt))
         except PrecisionError as exc:
             last = exc
     raise PrecisionError("frobenius computation failed: %s" % last)

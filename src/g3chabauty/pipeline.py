@@ -41,7 +41,7 @@ from .recognize import (QuadraticElement, element_min_poly,
                         format_polynomial, is_irreducible_quadratic,
                         linear_relation, primitive_poly, quadratic_relation,
                         rational_reconstruct)
-from .rootfinding import series_roots_in_disk
+from .rootfinding import series_roots_in_disk, truncation_order
 
 log = logging.getLogger(__name__)
 
@@ -242,9 +242,24 @@ class _Analysis:
 
     def _isolate(self, series):
         """Complete root list, or None with the reason when the zeros are
-        not simple enough to separate at working precision."""
+        not simple enough to separate at working precision.
+
+        The budget b is min(prec - 2, min_j(abs_prec(c_j) + j)) over the
+        coefficients c_j read at prec - 2: at an anomalous prime the
+        Frobenius solve loses digits, and a budget the coefficients cannot
+        meet fails at any N.  Isolating at b is sound.  It reads c_j for
+        j < truncation_order(b) <= truncation_order(prec - 2), each known
+        mod p^(b - j).  The tail beyond is O(p^b) on the disk whatever the
+        digits, by the antiderivative shape v(c_j) >= -ord_p(j).  So
+        f(p s) is within O(p^b) of the integral polynomial that
+        series_roots_in_disk isolates, and its Hensel counting holds for
+        every function that close: each zero returned is simple, and none
+        is missed.  A smaller b only pins the zeros to fewer digits."""
+        budget = self.prec - 2
+        for j in range(min(truncation_order(budget, self.p), len(series))):
+            budget = min(budget, series[j].abs_prec + j)
         try:
-            return series_roots_in_disk(series, self.prec - 2), None
+            return series_roots_in_disk(series, budget), None
         except PrecisionError as exc:
             return None, exc
 

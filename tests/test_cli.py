@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from g3chabauty import cli, pipeline
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
-from g3chabauty.curve import HEIGHT_CAP, PREC_CAP, RationalPoint
+from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PRIME_CAP, RationalPoint,
+                              is_prime)
 from g3chabauty.errors import G3Error, PrecisionError
 from g3chabauty.localdisk import curve_point_from_rational
 from g3chabauty.pipeline import analyze_curve
@@ -198,6 +199,9 @@ class RecordedCalls:
 
 
 GOOD_JOB = {"curve": CURVE_A_JSON, "p": 7}
+# the least prime above the cap, and the largest at or below it
+ABOVE_CAP = next(n for n in range(PRIME_CAP + 1, 2 * PRIME_CAP) if is_prime(n))
+AT_CAP = next(n for n in range(PRIME_CAP, 7, -1) if is_prime(n))
 # one malformed job per check parse_job makes, with a piece of its message
 MALFORMED_JOBS = {
     "key": (dict(GOOD_JOB, prec=30), "unknown job key 'prec'"),
@@ -213,7 +217,7 @@ MALFORMED_JOBS = {
     "height": (dict(GOOD_JOB, search_height=-1), "search height must be"),
     "composite-prime": (dict(GOOD_JOB, p=9), "9 is not prime"),
     "small-prime": (dict(GOOD_JOB, p=5), "at least 7"),
-    "prime-cap": (dict(GOOD_JOB, p=1000003), "above the cap"),
+    "prime-cap": (dict(GOOD_JOB, p=ABOVE_CAP), "above the cap"),
     "height-cap": (dict(GOOD_JOB, search_height=HEIGHT_CAP + 1),
                    "search height must be at most 100000"),
     "precision-cap": (dict(GOOD_JOB, precision=PREC_CAP + 1),
@@ -277,6 +281,28 @@ def test_jobs_at_the_caps_run_and_one_above_exits_2(tmp_path, monkeypatch,
                  "--height", str(HEIGHT_CAP + 1)]) == 2
     assert "search height must be at most 100000" in capsys.readouterr().err
     assert len(stub.calls) == 2
+
+
+def test_prime_above_the_cap_exits_2_before_any_work(job_a, tmp_path,
+                                                    monkeypatch, capsys):
+    # the cap bounds what one job can cost: the work grows about as p^2
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    monkeypatch.setattr(cli, "zeta_numerator", no_work)
+    curve = str(DATA / "curve_a.json")
+    for argv in (["analyze", "--job", job_a, "--p", str(ABOVE_CAP)],
+                 ["zeta", "--curve", curve, "--p", str(ABOVE_CAP)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "prime %d is above the cap %d" % (ABOVE_CAP, PRIME_CAP) in err
+    assert stub.calls == []
+    # the prime at the cap is accepted; it needs a precision below 2p + 4
+    assert main(["analyze", "--job", job_a, "--p", str(AT_CAP),
+                 "--N", "1"]) == 0
+    assert [c["p"] for c in stub.calls] == [AT_CAP]
 
 
 def test_out_dir_is_checked_before_any_analysis(tmp_path, monkeypatch,
@@ -351,6 +377,31 @@ def test_rank_two_exits_2(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert pair in err and "minor of valuation 2" in err
     assert "rank is at least 2" in err
+
+
+# p = 7 is anomalous for both: it divides #J(F_7) = 343, and the
+# Frobenius solve leaves the functionals 13-15 digits at N = 18; the first
+# is data/job_anomalous.json
+ANOMALOUS_JOBS = {
+    "anomalous-p7": json.loads(
+        (DATA / "job_anomalous.json").read_text("utf-8")),
+    "census-d-p7": {
+        "curve": {"coeffs": ["3", "2", "-2", "-1", "-1", "0", "3", "1"]},
+        "p": 7},
+}
+
+
+@pytest.mark.parametrize("N", [18, 40])
+@pytest.mark.parametrize("name", sorted(ANOMALOUS_JOBS))
+def test_anomalous_prime_proves(name, N, tmp_path, capsys):
+    # each exited 4 with "coefficient of t^0 only known mod p^15 / ..
+    # p^13" at both precisions: the isolation asked for prec - 2 digits
+    # that no rerun could give
+    job = write_json(tmp_path / "j.json", ANOMALOUS_JOBS[name])
+    assert main(["analyze", "--job", job, "--N", str(N)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["jacobian_order"] == 343
+    assert report["class_counts"] == {"known_rational": 3}
 
 
 def test_batch_rejects_duplicate_ids(tmp_path):

@@ -11,10 +11,11 @@ from g3chabauty import _kernels as kernels
 from g3chabauty import frobenius
 from g3chabauty.curve import CurveModel
 from g3chabauty.errors import PrecisionError
-from g3chabauty.frobenius import (_DELTAS, _compute, brute_zeta_numerator,
-                                  frobenius_data, identity_check,
-                                  zeta_numerator)
+from g3chabauty.frobenius import (_DELTAS, _budget, _ceil_log, _compute,
+                                  brute_zeta_numerator, frobenius_data,
+                                  identity_check, zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
+from g3chabauty.localdisk import disk_center
 from g3chabauty.padic import ord_p, sqrt_mod_pn
 
 from test_jacobian import brute_zeta_coeffs
@@ -64,11 +65,14 @@ def test_jacobian_order_annihilates(curve_a, fd_a7):
         assert (n * d).is_identity
 
 
-# SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)), from the
-# per-column pole reduction that preceded the shared Q-adic digits (the
-# first three) and from the full-precision digits of Psi that preceded the
-# graded ones (the rest).  A key (curve, p, prec) pins frobenius_data; a key
-# (curve, p, prec, attempt) pins that retry of _compute on its own.
+# SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)) of one
+# _compute run at the budget (delta, C, W) in PINNED_BUDGETS: the raw
+# residues mod p^W, so each pins the telescope arithmetic at that budget.
+# They come from the per-column pole reduction that preceded the shared
+# Q-adic digits (the first three) and from the full-precision digits of Psi
+# that preceded the graded ones (the rest).  A key (curve, p, prec) holds the
+# first attempt's budget from before the denominator bound (C = 12); a key
+# (curve, p, prec, attempt) holds that retry's budget, which _budget keeps.
 FROBENIUS_DIGESTS = {
     ("curve_a", 7, 10):
         "dbd7500fdf6bd1f0ebce470fd9ea23ed5e5daa69d5b19f51cc3456499fe23630",
@@ -81,24 +85,111 @@ FROBENIUS_DIGESTS = {
     ("curve_a", 7, 10, 2):
         "a8c6cc27874be603863179457b9306bbf230b7b8ab86d514759616eea25e527d",
 }
+PINNED_BUDGETS = {
+    ("curve_a", 7, 10): (4, 12, 38),
+    ("curve_b", 7, 18): (4, 12, 46),
+    ("curve_c", 11, 26): (4, 12, 54),
+    ("curve_b", 11, 26): (4, 12, 54),
+    ("curve_a", 7, 10, 2): (8, 16, 50),
+}
+
+# SHA-256 of repr(_canonical(curve, frobenius_data(curve, p, prec))): the
+# values that do not depend on the budget, computed before the denominator
+# bound, when every first attempt ran at C = 12 (C = 14 at prec 40).
+CANONICAL_DIGESTS = {
+    ("curve_a", 7, 10):
+        "82ae317988edfbdd383b37acc746921477b72c5d829b9e7e138ff66f0f94f36c",
+    ("curve_b", 7, 18):
+        "bf0a51a3def285f663674cd2792566b37b50e332af8ff6b7ce92f0d0985f20a1",
+    ("curve_c", 11, 26):
+        "733b9d0db07600bb2437bd3ee69108dc620c6edca32709b3fc262cb18013118a",
+    ("curve_b", 11, 26):
+        "ac4a3480ec3013890012fd499db85fa9919659921175e4931cf49ebcd7868c8e",
+    ("curve_a", 7, 40):
+        "3ad8f858e1459cef52bbe02efb87085434f3b4e1e2009dde68deca204b442072",
+}
 
 
 def _attempt(curve, p, prec, attempt):
     """_compute as frobenius_data runs it on attempt 1, 2, 3."""
-    return _compute(curve, p, prec, _DELTAS[attempt - 1],
-                    scale_bump=4 * (attempt - 1))
+    return _compute(curve, p, prec, *_budget(p, prec, attempt - 1))
+
+
+def _wide_budget(p, prec):
+    """The first attempt's (delta, C, W) before the denominator bound."""
+    s_max = 2 * p * (prec + 4 - 1) + p
+    C = 2 * (_ceil_log(s_max, p) + _ceil_log(2 * ((5 * p + 5) // 2) + 7, p))
+    return 4, C + 2, prec + 4 + 2 * (C + 2)
+
+
+def _canonical(curve, fd):
+    """matrix_ints, zeta, npoints and every h_col at every generic disk's
+    Teichmuller point, as strings to fd.prec digits."""
+    values = []
+    for disk in curve.fp_points(fd.p):
+        if disk.is_infinity or disk.y == 0:
+            continue
+        _, (x_t, y_t) = disk_center(curve, disk, fd.p, fd.prec, fd.work_exp)
+        values.append(tuple(fd.primitive_value(col, x_t, y_t).expansion_str()
+                            for col in range(6)))
+    return fd.matrix_ints, fd.zeta, fd.npoints, values
 
 
 @pytest.mark.parametrize("key", sorted(FROBENIUS_DIGESTS),
                          ids=lambda key: "-".join(map(str, key)))
 def test_frobenius_bookkeeping_pinned(key, request):
     curve, p, prec = key[:3]
-    curve = request.getfixturevalue(curve)
-    fd = (_attempt(curve, p, prec, key[3]) if len(key) == 4
-          else frobenius_data(curve, p, prec))
+    budget = PINNED_BUDGETS[key]
+    if len(key) == 4:
+        assert budget == _budget(p, prec, key[3] - 1)
+    else:
+        assert budget == _wide_budget(p, prec)
+    fd = _compute(request.getfixturevalue(curve), p, prec, *budget)
     data = (fd.matrix_ints, fd.pole_prims, fd.deg_prims, fd.zeta)
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == FROBENIUS_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(CANONICAL_DIGESTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_frobenius_canonical_values_pinned(key, request):
+    curve, p, prec = key
+    curve = request.getfixturevalue(curve)
+    fd = frobenius_data(curve, p, prec)
+    assert (fd.delta, fd.scale_exp, fd.work_exp) == _budget(p, prec, 0)
+    digest = hashlib.sha256(repr(_canonical(curve, fd)).encode()).hexdigest()
+    assert digest == CANONICAL_DIGESTS[key]
+
+
+@pytest.mark.parametrize("p,prec,C", [
+    (7, 18, 3), (11, 26, 3), (13, 30, 3), (17, 38, 3),
+    (7, 40, 4), (19, 6, 3), (23, 6, 2)])
+def test_first_budget_is_the_denominator_bound(p, prec, C):
+    # at p = 19 and prec 6, s_max = 361 = p^2 exactly
+    assert _budget(p, prec, 0) == (4, C, prec + 4 + 2 * C)
+    for attempt in (1, 2):
+        delta, wide_C, W = _budget(p, prec, attempt)
+        assert delta == _DELTAS[attempt] and wide_C > C
+
+
+def test_denominator_bound_matches_wide_budget_on_random_curves():
+    """The first attempt at C = L gives the same canonical values as the
+    wider budget before it, and needs no retry."""
+    rng = random.Random(14)
+    checked = {7: 0, 11: 0, 13: 0}
+    while min(checked.values()) < 3:
+        coeffs = [rng.randint(-9, 9) for _ in range(7)] + [rng.choice((1, 3))]
+        curve = CurveModel(coeffs)
+        p = rng.choice(sorted(checked))
+        if checked[p] == 3 or not curve.is_good_prime(p):
+            continue
+        prec = rng.choice((6, 10, 14))
+        fd = frobenius_data(curve, p, prec)
+        assert (fd.delta, fd.scale_exp, fd.work_exp) == _budget(p, prec, 0)
+        wide = _compute(curve, p, prec, *_wide_budget(p, prec))
+        assert wide.work_exp > fd.work_exp
+        assert _canonical(curve, fd) == _canonical(curve, wide)
+        checked[p] += 1
 
 
 def _psi_digits_full(Q, dt, pref, p, m):
