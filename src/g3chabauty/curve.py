@@ -14,7 +14,8 @@ Zassenhaus's method (distinct- and equal-degree splitting modulo a small
 prime on the ``_kernels`` F_p helpers, Hensel lifting past the Mignotte
 bound, recombination by exact trial division).  Working primes are capped
 at ``PRIME_CAP``; ``HEIGHT_CAP`` and ``PREC_CAP`` cap the point search
-height and the precision of an analysis.
+height and the precision of an analysis, and ``PREC_MIN`` is the least
+precision whose Frobenius audit can pass.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .recognize import primitive_poly
 
 
 # The largest working prime check_prime and choose_prime accept.  The cost
-# of a job grows about as p^2: curve A at the least precision N = 1, whose
-# three Frobenius attempts all run, took 17 s at p = 101, 70 s at p = 211,
-# 130 s at p = 293 and 269 s at p = 401 on one core, so no job at or below
-# the cap holds a worker for more than a few minutes at that N.
+# of a job grows with p and N: curve A at the least precision N = 4 (one
+# Frobenius attempt, then exit 4) took 1.0 s at p = 101, 2.7 s at p = 211
+# and 4.8 s at p = 293, and at N = 10 (exit 0) 3.6 s at p = 101 and 21 s
+# at p = 293, on one core of a 2-vCPU host.
 PRIME_CAP = 300
 
 # The largest rational point search height and p-adic precision N that
@@ -45,6 +46,11 @@ PRIME_CAP = 300
 # hold a worker much longer than that.
 HEIGHT_CAP = 10 ** 5
 PREC_CAP = 200
+
+# The least precision N pipeline.check_inputs accepts.  The Frobenius audit
+# checks the zeta coefficient b_6 = p^3, which is 0 mod p^N for N <= 3, so
+# no attempt could pass below it.
+PREC_MIN = 4
 
 _SMALL_PRIMES = tuple(n for n in range(2, 1000)
                       if all(n % d for d in range(2, isqrt(n) + 1)))

@@ -19,12 +19,14 @@ A = aF + bF' and
 In F-adic digits A = sum_t A_t F^t, deg A_t < 7 (unique, as F is monic),
 only the lowest digit needs that decomposition: a step sends the digits
 (A_0, A_1, A_2, ...) to (A_1 + f_s(A_0), A_2, ...) with deg f_s(A_0) <= 5.
-So the digits of Psi are computed once, p at a time by division by F^p;
-each column's digits follow from the previous column's by one packed
-linear map, multiplication by x^p on a digit (x^(p-1) for column 0; see
-_x_power_map); and every pole step works on a polynomial of degree below
-7.  There the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F
-for the cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both
+So the digits of Psi are computed once, p at a time: division by F^p
+splits off a remainder of degree below 7p, and one packed linear map reads
+its p digits (_split_map).  Each column's digits follow from the previous
+column's by another packed map, multiplication by x^p on a digit
+(x^(p-1) for column 0; see _x_power_map); and every pole step works on a
+polynomial of degree below 7.  There the splitting A_0 = aF + bF' is
+linear in A_0: b = A_0 beta mod F for the cofactor beta with
+beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both
 maps are built once per attempt as integer matrices on the monomials
 x^0 .. x^6, so a pole step is two matrix-vector products.  Building them
 checks that F divides x^i - b(x^i) F' for every i; the remainder
@@ -35,7 +37,10 @@ the x-degree via d(x^j y).  The telescopes run over Z/p^W on p^C times
 each form, both sized by Kedlaya's bound on the denominators the two
 reductions introduce: L = floor(log_p s_max) + floor(log_p(2 deg_cap + 7))
 digits with deg_cap = (5p + 5) // 2, which is 3 at the default precision
-for p = 7 to 17.  C = L and W = N + delta + C + L, as _compute argues.
+for p = 7 to 17.  The first attempt computes the N digits the report
+reads and no more: k_max is the least series length whose dropped terms
+move the result by multiples of p^N, C = L and
+W = max(N + C + L, C + k_max + 2), as _compute argues.
 The digits of Psi carry precision graded by k: term k has the factor
 p^(C+k+1), so it is computed divided by that power, mod p^(W-C-k-1), and
 its digits are multiplied back up.  F and F^p are monic, so division by
@@ -112,7 +117,12 @@ def _half_binomial_units(k_max, m):
 
 class FrobeniusData:
     """Matrix of Frobenius on the w_i basis plus the exact-form bookkeeping
-    needed to evaluate the primitives h_j at points with unit y."""
+    needed to evaluate the primitives h_j at points with unit y.
+
+    delta is 4, 8 or 16 on attempt 1, 2 or 3 of frobenius_data.  On the
+    retries it is the headroom in k_max = prec + delta - 1; on attempt 1
+    it only labels the attempt.  k_max (the last term of the binomial
+    series), scale_exp (C) and work_exp (W) hold the real sizes."""
 
     __slots__ = ("curve", "p", "prec", "delta", "scale_exp", "work_exp",
                  "k_max", "matrix_ints", "pole_prims", "deg_prims",
@@ -240,9 +250,10 @@ def _weil_ok(b, p):
     return True
 
 
-def _compute(curve, p, N, delta, C, W):
+def _compute(curve, p, N, delta, k_max, C, W):
     """One attempt at the audited Frobenius structure to p^N: the telescopes
-    run on p^C times each form, mod p^W, with k_max = N + delta - 1.
+    run on p^C times each form, mod p^W, on the binomial series up to term
+    k_max.  delta only labels the attempt (FrobeniusData).
 
     Per column j the numerator x^(pj+p-1) Psi comes, as Q-adic digits,
     from the previous column's by the packed x^p digit map (x^(p-1) from
@@ -257,10 +268,15 @@ def _compute(curve, p, N, delta, C, W):
     decreasing, the order in which FrobeniusData._primitive_acc runs
     Horner's rule in y^-2.
 
-    Why C = L and W = N + delta + C + L suffice, for the matrix M and the
-    primitives h alike, with L = floor(log_p s_max) + floor(log_p(2 deg_cap
-    + 7)) (_budget; the denominator bounds of Kedlaya, Counting points on
-    hyperelliptic curves using Monsky-Washnitzer cohomology, 2001):
+    Why the first attempt's budget suffices, for the matrix M and the
+    primitives h alike: k_max is the least length with
+    k - 1 - floor(log_p(2k + 1)) >= N for every k > k_max, C = L and
+    W = max(N + C + L, C + k_max + 2), with L = floor(log_p s_max) +
+    floor(log_p(2 deg_cap + 7)) (_budget; the denominator bounds of
+    Kedlaya, Counting points on hyperelliptic curves using
+    Monsky-Washnitzer cohomology, 2001).  The argument needs only C >= L,
+    W - C - L >= N, W >= C + k_max + 2 and that tail bound, so it covers
+    the retries' wider budgets too:
 
     1. Denominators.  Every form below is B(x) dx/2y^s with s <= s_max odd
        and a pole of order at most 2 deg_cap + 8 at infinity (the numerator
@@ -295,15 +311,19 @@ def _compute(curve, p, N, delta, C, W):
        forms; reduction is linear, and by 1 the second part moves M and h
        by multiples of p^(W-L).  A stored primitive's own division is off
        by p^(W-e), e <= L, as well.  So after division by p^C, M and h are
-       right mod p^(W-C-L) = p^(N+delta), and the divisions of 2 stay
+       right mod p^(W-C-L), a multiple of p^N, and the divisions of 2 stay
        exact, as W - L >= C and W - L >= L >= e.
-    The terms k > k_max of the binomial series are p^(k+1) times integral
-    forms with s = 2pk + p, so by 1 they move M and h by multiples of
-    p^(k - 1 - floor(log_p(2k + 1))), of p^N for every k > k_max as long as
-    2N + 2 delta + 1 < p^delta (N <= PREC_CAP is far inside).
-    The retries widen C and W (_budget); the checks hold on every attempt.
+    4. Truncation.  The terms k > k_max of the binomial series are
+       p^(k+1) times integral forms with s = 2pk + p, so by 1 they move M
+       and h by multiples of p^(k - 1 - floor(log_p(2k + 1))), a multiple
+       of p^N for every k > k_max by the choice of k_max.  The retries'
+       k_max = N + delta - 1 meets the bound as 2N + 2 delta + 1 < p^delta.
+    5. Grading.  Term k of Psi is kept divided by p^(C+k+1), mod
+       p^(W-C-k-1) (_psi_digits), which gives its digits mod p^W;
+       W >= C + k_max + 2 leaves the last term at least one digit.
+    So M and h are right to the N digits the report reads.  Every exact
+    division stays checked, on every attempt.
     """
-    k_max = N + delta - 1
     s_max = 2 * p * k_max + p
     m = p ** W
     m1 = p ** (W + 1)
@@ -320,7 +340,7 @@ def _compute(curve, p, N, delta, C, W):
           for c in kernels.poly_sub_mod(qxp, qpow, m1)]
 
     beta = _lift_cofactor(Q, Qd, p, W)
-    # W - C - k - 1 >= W - C - N - delta >= 1 for every k <= k_max, so each
+    # W - C - k - 1 >= W - C - k_max - 1 >= 1 for every k <= k_max, so each
     # term of Psi keeps a digit once divided by its prefactor p^(C+k+1)
     cks = _half_binomial_units(k_max, m)
 
@@ -395,7 +415,9 @@ def _psi_digits(Q, dt, cks, C, p, W):
 
     Term k starts at digit p (k_max - k), so the digits come out p at a
     time from k = k_max down: add the term to what is left over, split off
-    Q^p, and expand the remainder (degree < 7p) digit by digit.
+    Q^p, and read the remainder's p digits off the map of _split_map.  What
+    is left over before term k's split has degree at most 7pk, so at k = 0
+    it is a constant; its trailing zero digits are dropped.
 
     Everything left over at term k is divisible by p^(C+k+1), so it is kept
     divided by that power, mod p^(W-C-k-1): Dt^k is formed at that
@@ -403,18 +425,20 @@ def _psi_digits(Q, dt, cks, C, p, W):
     term k, and each digit is multiplied back by p^(C+k+1) mod p^W.  Q is
     monic, so division by Q and Q^p commutes with reduction mod any p^M,
     and the digits equal the full-precision ones mod p^W; for the same
-    reason the inverse of rev(Q^p) that the block division uses is formed
-    once, at the largest modulus, and reduced.  The grading goes
-    by C+k+1, not by the valuation of the whole prefactor: cks[k] need not
-    be a unit (binom(8, 4) = 70 at p = 7).
+    reason the inverse of rev(Q^p) that the block division uses and the
+    split map are formed once, at the largest modulus, and reduced.  The
+    grading goes by C+k+1, not by the valuation of the whole prefactor:
+    cks[k] need not be a unit (binom(8, 4) = 70 at p = 7).
     """
     k_max = len(cks) - 1
     m = p ** W
+    top = p ** (W - C - 1)
     dpow = [[1]]
     for k in range(1, k_max + 1):
         dpow.append(kernels.poly_mul_mod(dpow[-1], dt, p ** (W - C - k - 1)))
-    qp = kernels.poly_pow_mod(Q, p, p ** (W - C - 1))
-    qp_inv = kernels.rev_inverse(qp, p ** (W - C - 1))
+    qp = kernels.poly_pow_mod(Q, p, top)
+    qp_inv = kernels.rev_inverse(qp, top)
+    smap = _split_map(Q, p, top)
     digits = []
     rest = []
     for k in range(k_max, -1, -1):
@@ -427,15 +451,60 @@ def _psi_digits(Q, dt, cks, C, p, W):
             rest, low = kernels.poly_divmod_monic_mod(
                 rest, [c % mk for c in qp], mk,
                 inv=[c % mk for c in qp_inv])
-            n = p
         else:
-            low, n = rest, 0
-        qk = [c % mk for c in Q]
-        while low or n > 0:
-            low, d = kernels.poly_divmod_monic_mod(low, qk, mk)
-            digits.append([c * lift % m for c in d] + [0] * (7 - len(d)))
-            n -= 1
+            low = rest
+        chunk = [[c * lift % m for c in d] for d in _split(low, smap, mk)]
+        while not k and chunk and not any(chunk[-1]):
+            chunk.pop()
+        digits += chunk
     return digits
+
+
+def _pack(coeffs, slot):
+    """One integer holding coeffs in slots of slot bytes, lowest first."""
+    return int.from_bytes(b"".join(
+        c.to_bytes(slot, "little") for c in coeffs), "little")
+
+
+def _unpack(value, slot, n, m):
+    """The n slots of a packed value, each reduced mod m."""
+    raw = value.to_bytes(n * slot, "little")
+    return [int.from_bytes(raw[k:k + slot], "little") % m
+            for k in range(0, n * slot, slot)]
+
+
+def _split_map(Q, p, m):
+    """The map from a polynomial of degree below 7p to its p Q-adic
+    digits, packed like _x_power_map: column i holds the digits of x^i,
+    coefficient r of digit t in slot 7t + r, mod m.  Column i + 1 is
+    column i times x: x d_t = lc Q + (x d_t - lc Q), with lc the x^6
+    coefficient of d_t carried into digit t + 1; nothing carries out of
+    digit p - 1 below degree 7p.  A slot holds any sum of 7p products of
+    residues mod m."""
+    n = 7 * p
+    slot = (2 * m.bit_length() + n.bit_length() + 15) // 8
+    coeffs = [1] + [0] * (n - 1)
+    cols = [_pack(coeffs, slot)]
+    for _ in range(n - 1):
+        nxt = []
+        carry = 0
+        for t in range(0, n, 7):
+            lc = coeffs[t + 6]
+            nxt.append((carry - lc * Q[0]) % m)
+            nxt.extend((coeffs[t + r - 1] - lc * Q[r]) % m
+                       for r in range(1, 7))
+            carry = lc
+        coeffs = nxt
+        cols.append(_pack(coeffs, slot))
+    return slot, cols
+
+
+def _split(low, smap, m):
+    """The p Q-adic digits, mod m, of a polynomial low of degree below 7p,
+    for smap = _split_map(Q, p, M) with m dividing M."""
+    slot, cols = smap
+    vals = _unpack(sum(map(mul, low, cols)), slot, len(cols), m)
+    return [vals[i:i + 7] for i in range(0, len(vals), 7)]
 
 
 def _x_power_map(Q, e, m):
@@ -453,8 +522,7 @@ def _x_power_map(Q, e, m):
         while rest:
             rest, r = kernels.poly_divmod_monic_mod(rest, Q, m)
             coeffs += r + [0] * (7 - len(r))
-        cols.append(int.from_bytes(b"".join(
-            c.to_bytes(slot, "little") for c in coeffs), "little"))
+        cols.append(_pack(coeffs, slot))
     return slot, cols
 
 
@@ -467,8 +535,7 @@ def _times_x_power(digits, xmap, m):
     lowest 7 slots are then complete and form digit t.  Trailing zero
     digits are dropped."""
     slot, cols = xmap
-    size = 7 * slot
-    bits = 8 * size
+    bits = 8 * 7 * slot
     low = (1 << bits) - 1
     out = []
     window = 0
@@ -476,9 +543,7 @@ def _times_x_power(digits, xmap, m):
     while t < len(digits) or window:
         if t < len(digits):
             window += sum(map(mul, digits[t], cols))
-        raw = (window & low).to_bytes(size, "little")
-        out.append([int.from_bytes(raw[k:k + slot], "little") % m
-                    for k in range(0, size, slot)])
+        out.append(_unpack(window & low, slot, 7, m))
         window >>= bits
         t += 1
     while out and not any(out[-1]):
@@ -558,26 +623,43 @@ def _degree_reduce(A, Q, Qd, p, m):
     return A, prims
 
 
-# headroom digits of the successive attempts
+# headroom digits of the successive attempts; on the first, only a label
 _DELTAS = (4, 8, 16)
 
 
-def _budget(p, N, attempt):
-    """(delta, C, W) of attempt 0, 1, 2 of frobenius_data.
+def _tail_length(p, N):
+    """The least k_max with k - 1 - floor(log_p(2k + 1)) >= N for every
+    k > k_max (_compute, 4).  That exponent never falls as k grows, so
+    this is the least k_max whose k_max + 1 meets it."""
+    k = N + 1
+    while k - 1 - _floor_log(2 * k + 1, p) < N:
+        k += 1
+    return k - 1
 
-    Attempt 0 takes C = L, the denominator bound of _compute, and
-    W = N + delta + C + L.  The retries keep the wider budget that came
-    before that bound: C = 2 (ceil log_p s_max + ceil log_p(2 deg_cap + 7))
-    + 2 + 4 attempt and W = N + delta + 2C."""
+
+def _budget(p, N, attempt):
+    """(delta, k_max, C, W) of attempt 0, 1, 2 of frobenius_data.
+
+    Attempt 0 computes the N digits the report reads and no more: k_max is
+    the least series length whose dropped terms are multiples of p^N,
+    C = L, the denominator bound of _compute, and
+    W = max(N + C + L, C + k_max + 2), the second term leaving the last
+    graded term of Psi a digit (the two agree for every prime from 7 to
+    PRIME_CAP and N up to PREC_CAP).  The retries keep the wider budget
+    that came before: k_max = N + delta - 1,
+    C = 2 (ceil log_p s_max + ceil log_p(2 deg_cap + 7)) + 2 + 4 attempt
+    and W = N + delta + 2C."""
     delta = _DELTAS[attempt]
-    s_max = 2 * p * (N + delta - 1) + p
     # deg_cap = (5p + 5) // 2 is the degree of column 5's numerator over y^1
     top = 2 * ((5 * p + 5) // 2) + 7
     if attempt == 0:
-        C = _floor_log(s_max, p) + _floor_log(top, p)
-    else:
-        C = 2 * (_ceil_log(s_max, p) + _ceil_log(top, p)) + 2 + 4 * attempt
-    return delta, C, N + delta + 2 * C
+        k_max = _tail_length(p, N)
+        C = _floor_log(2 * p * k_max + p, p) + _floor_log(top, p)
+        return delta, k_max, C, max(N + 2 * C, C + k_max + 2)
+    k_max = N + delta - 1
+    s_max = 2 * p * k_max + p
+    C = 2 * (_ceil_log(s_max, p) + _ceil_log(top, p)) + 2 + 4 * attempt
+    return delta, k_max, C, N + delta + 2 * C
 
 
 def frobenius_data(curve, p, prec):

@@ -30,8 +30,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .coleman import ColemanContext
-from .curve import (HEIGHT_CAP, PREC_CAP, RationalPoint, check_prime_number,
-                    eval_exact)
+from .curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, RationalPoint,
+                    check_prime_number, eval_exact)
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
@@ -432,8 +432,10 @@ def check_inputs(curve, p=None, prec=None, knowns=None, base_point=None,
                  search_height=1000):
     """Raise InputError unless analyze_curve's arguments pass every check
     that needs no analysis; bad reduction at p is the analysis's to find."""
-    if prec is not None and prec < 1:
-        raise InputError("precision must be at least 1, got %d" % prec)
+    if prec is not None and prec < PREC_MIN:
+        raise InputError("precision must be at least %d, got %d: the zeta "
+                         "audit needs b_6 = p^3 to be nonzero mod p^N"
+                         % (PREC_MIN, prec))
     if prec is not None and prec > PREC_CAP:
         raise InputError("precision must be at most %d, got %d"
                          % (PREC_CAP, prec))

@@ -214,6 +214,10 @@ MALFORMED_JOBS = {
     "id-nul": (dict(GOOD_JOB, id="ex\x001"), "not a plain file name"),
     "id-long": (dict(GOOD_JOB, id="x" * 300), "over the 255-byte limit"),
     "precision": (dict(GOOD_JOB, precision=0), "precision must be at least"),
+    # below N = 4 the Frobenius audit of b_6 = p^3 cannot pass
+    "precision-1": (dict(GOOD_JOB, precision=1), "at least 4, got 1"),
+    "precision-2": (dict(GOOD_JOB, precision=2), "at least 4, got 2"),
+    "precision-3": (dict(GOOD_JOB, precision=3), "at least 4, got 3"),
     "height": (dict(GOOD_JOB, search_height=-1), "search height must be"),
     "composite-prime": (dict(GOOD_JOB, p=9), "9 is not prime"),
     "small-prime": (dict(GOOD_JOB, p=5), "at least 7"),
@@ -285,7 +289,7 @@ def test_jobs_at_the_caps_run_and_one_above_exits_2(tmp_path, monkeypatch,
 
 def test_prime_above_the_cap_exits_2_before_any_work(job_a, tmp_path,
                                                     monkeypatch, capsys):
-    # the cap bounds what one job can cost: the work grows about as p^2
+    # the cap bounds what one job can cost: the work grows with p
     def no_work(*args, **kwargs):
         raise AssertionError("the work started")
 
@@ -301,7 +305,7 @@ def test_prime_above_the_cap_exits_2_before_any_work(job_a, tmp_path,
     assert stub.calls == []
     # the prime at the cap is accepted; it needs a precision below 2p + 4
     assert main(["analyze", "--job", job_a, "--p", str(AT_CAP),
-                 "--N", "1"]) == 0
+                 "--N", "4"]) == 0
     assert [c["p"] for c in stub.calls] == [AT_CAP]
 
 

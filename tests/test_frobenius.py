@@ -12,8 +12,9 @@ from g3chabauty import frobenius
 from g3chabauty.curve import CurveModel
 from g3chabauty.errors import PrecisionError
 from g3chabauty.frobenius import (_DELTAS, _budget, _ceil_log, _compute,
-                                  brute_zeta_numerator, frobenius_data,
-                                  identity_check, zeta_numerator)
+                                  _split, _split_map, brute_zeta_numerator,
+                                  frobenius_data, identity_check,
+                                  zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
 from g3chabauty.localdisk import disk_center
 from g3chabauty.padic import ord_p, sqrt_mod_pn
@@ -66,13 +67,14 @@ def test_jacobian_order_annihilates(curve_a, fd_a7):
 
 
 # SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)) of one
-# _compute run at the budget (delta, C, W) in PINNED_BUDGETS: the raw
+# _compute run at the budget (delta, k_max, C, W) in PINNED_BUDGETS: the raw
 # residues mod p^W, so each pins the telescope arithmetic at that budget.
 # They come from the per-column pole reduction that preceded the shared
 # Q-adic digits (the first three) and from the full-precision digits of Psi
 # that preceded the graded ones (the rest).  A key (curve, p, prec) holds the
-# first attempt's budget from before the denominator bound (C = 12); a key
-# (curve, p, prec, attempt) holds that retry's budget, which _budget keeps.
+# first attempt's budget from before the denominator bound (k_max =
+# prec + 3, C = 12); a key (curve, p, prec, attempt) holds that retry's
+# budget, which _budget keeps.
 FROBENIUS_DIGESTS = {
     ("curve_a", 7, 10):
         "dbd7500fdf6bd1f0ebce470fd9ea23ed5e5daa69d5b19f51cc3456499fe23630",
@@ -86,16 +88,17 @@ FROBENIUS_DIGESTS = {
         "a8c6cc27874be603863179457b9306bbf230b7b8ab86d514759616eea25e527d",
 }
 PINNED_BUDGETS = {
-    ("curve_a", 7, 10): (4, 12, 38),
-    ("curve_b", 7, 18): (4, 12, 46),
-    ("curve_c", 11, 26): (4, 12, 54),
-    ("curve_b", 11, 26): (4, 12, 54),
-    ("curve_a", 7, 10, 2): (8, 16, 50),
+    ("curve_a", 7, 10): (4, 13, 12, 38),
+    ("curve_b", 7, 18): (4, 21, 12, 46),
+    ("curve_c", 11, 26): (4, 29, 12, 54),
+    ("curve_b", 11, 26): (4, 29, 12, 54),
+    ("curve_a", 7, 10, 2): (8, 17, 16, 50),
 }
 
 # SHA-256 of repr(_canonical(curve, frobenius_data(curve, p, prec))): the
 # values that do not depend on the budget, computed before the denominator
-# bound, when every first attempt ran at C = 12 (C = 14 at prec 40).
+# bound, when every first attempt ran at k_max = prec + 3 and C = 12
+# (C = 14 at prec 40).
 CANONICAL_DIGESTS = {
     ("curve_a", 7, 10):
         "82ae317988edfbdd383b37acc746921477b72c5d829b9e7e138ff66f0f94f36c",
@@ -116,10 +119,11 @@ def _attempt(curve, p, prec, attempt):
 
 
 def _wide_budget(p, prec):
-    """The first attempt's (delta, C, W) before the denominator bound."""
+    """The first attempt's (delta, k_max, C, W) before the denominator
+    bound and the tail bound."""
     s_max = 2 * p * (prec + 4 - 1) + p
     C = 2 * (_ceil_log(s_max, p) + _ceil_log(2 * ((5 * p + 5) // 2) + 7, p))
-    return 4, C + 2, prec + 4 + 2 * (C + 2)
+    return 4, prec + 3, C + 2, prec + 4 + 2 * (C + 2)
 
 
 def _canonical(curve, fd):
@@ -156,20 +160,54 @@ def test_frobenius_canonical_values_pinned(key, request):
     curve, p, prec = key
     curve = request.getfixturevalue(curve)
     fd = frobenius_data(curve, p, prec)
-    assert (fd.delta, fd.scale_exp, fd.work_exp) == _budget(p, prec, 0)
+    assert (fd.delta, fd.k_max, fd.scale_exp, fd.work_exp) == \
+        _budget(p, prec, 0)
     digest = hashlib.sha256(repr(_canonical(curve, fd)).encode()).hexdigest()
     assert digest == CANONICAL_DIGESTS[key]
 
 
+# (k_max, W) of the first attempt, keyed by (p, prec)
+FIRST_SIZES = {(7, 18): (19, 24), (11, 26): (27, 32), (13, 30): (31, 36),
+               (17, 38): (39, 44), (7, 40): (42, 48), (19, 8): (9, 14),
+               (23, 6): (6, 10)}
+
+
 @pytest.mark.parametrize("p,prec,C", [
     (7, 18, 3), (11, 26, 3), (13, 30, 3), (17, 38, 3),
-    (7, 40, 4), (19, 6, 3), (23, 6, 2)])
+    (7, 40, 4), (19, 8, 3), (23, 6, 2)])
 def test_first_budget_is_the_denominator_bound(p, prec, C):
-    # at p = 19 and prec 6, s_max = 361 = p^2 exactly
-    assert _budget(p, prec, 0) == (4, C, prec + 4 + 2 * C)
+    # at p = 19 and prec 8, k_max = 9 and s_max = 361 = p^2 exactly
+    k_max, W = FIRST_SIZES[p, prec]
+    assert _budget(p, prec, 0) == (4, k_max, C, W)
     for attempt in (1, 2):
-        delta, wide_C, W = _budget(p, prec, attempt)
+        delta, wide_k_max, wide_C, wide_W = _budget(p, prec, attempt)
         assert delta == _DELTAS[attempt] and wide_C > C
+        assert wide_k_max == prec + delta - 1 > k_max
+        assert wide_W == prec + delta + 2 * wide_C
+
+
+def _digits_base(n, p):
+    count = 0
+    while n:
+        n //= p
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
+def test_first_k_max_is_the_least_that_meets_the_tail_bound(p):
+    """Term k of the series moves the result by a multiple of
+    p^(k - 1 - floor(log_p(2k + 1))): every dropped term must reach p^N,
+    and one term fewer must not do."""
+    def exponent(k):
+        return k - 1 - (_digits_base(2 * k + 1, p) - 1)
+
+    for prec in range(4, 201):
+        _, k_max, C, W = _budget(p, prec, 0)
+        assert exponent(k_max) < prec
+        assert all(exponent(k) >= prec
+                   for k in range(k_max + 1, 2 * k_max + p ** 2))
+        assert W - C - C >= prec and W - C - k_max - 1 >= 1
 
 
 def test_denominator_bound_matches_wide_budget_on_random_curves():
@@ -185,11 +223,71 @@ def test_denominator_bound_matches_wide_budget_on_random_curves():
             continue
         prec = rng.choice((6, 10, 14))
         fd = frobenius_data(curve, p, prec)
-        assert (fd.delta, fd.scale_exp, fd.work_exp) == _budget(p, prec, 0)
+        assert (fd.delta, fd.k_max, fd.scale_exp, fd.work_exp) == \
+            _budget(p, prec, 0)
         wide = _compute(curve, p, prec, *_wide_budget(p, prec))
         assert wide.work_exp > fd.work_exp
         assert _canonical(curve, fd) == _canonical(curve, wide)
         checked[p] += 1
+
+
+def _generic_residue(curve, p):
+    """A residue x with F(x) a nonzero square mod p, or None."""
+    f = curve.f_coeffs_mod(p, 1)
+    for x in range(p):
+        v = kernels.poly_eval_mod(f, x, p)
+        if v and pow(v, (p - 1) // 2, p) == 1:
+            return x
+    return None
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
+def test_first_attempt_matches_wide_budget_on_random_curves(p):
+    """One seeded random curve per precision, from 4 up to the default
+    2p + 4: the first attempt succeeds with the canonical values of the
+    wide budget, the pullback identity holds at a generic point, and for
+    p <= 13 the zeta is the brute-force count's.  At p = 19 and prec 8,
+    s_max = p^2 exactly, the edge of the floor in the denominator bound."""
+    rng = random.Random(100 + p)
+    for prec in (4, 5, 6, 8 if p == 19 else 10, 2 * p + 4):
+        while True:
+            coeffs = [rng.randint(-9, 9) for _ in range(7)] + [1]
+            curve = CurveModel(coeffs)
+            if curve.is_good_prime(p):
+                xbar = _generic_residue(curve, p)
+                if xbar is not None:
+                    break
+        fd = frobenius_data(curve, p, prec)
+        assert (fd.delta, fd.k_max, fd.scale_exp, fd.work_exp) == \
+            _budget(p, prec, 0)
+        wide = _compute(curve, p, prec, *_wide_budget(p, prec))
+        assert _canonical(curve, fd) == _canonical(curve, wide)
+        assert identity_check(fd, xbar) >= prec - 4
+        if p <= 13:
+            assert list(fd.zeta) == brute_zeta_numerator(curve, p)
+
+
+def test_split_map_matches_repeated_division():
+    """The packed split into p Q-digits against p divisions by Q, at
+    moduli dividing the map's, for remainders of lengths up to 7p: fewer
+    than p digits and none at all included."""
+    rng = random.Random(15)
+    for p in (7, 11, 13):
+        M = p ** 14
+        Q = [rng.randrange(M) for _ in range(7)] + [1]
+        smap = _split_map(Q, p, M)
+        for e in (1, 6, 14):
+            m = p ** e
+            qm = [c % m for c in Q]
+            for n in (7 * p, 7 * p - 1, 7 * (p - 2) + 3, 7, 1, 0):
+                low = kernels.poly_trim([rng.randrange(m) for _ in range(n)])
+                want = []
+                rest = low
+                for _ in range(p):
+                    rest, d = kernels.poly_divmod_monic_mod(rest, qm, m)
+                    want.append(d + [0] * (7 - len(d)))
+                assert rest == []
+                assert _split(low, smap, m) == want
 
 
 def _psi_digits_full(Q, dt, pref, p, m):

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import pytest
 
-from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, CurveModel, RationalPoint,
-                              eval_exact)
+from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, CurveModel,
+                              RationalPoint, eval_exact)
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.padic import PadicNumber, padic_sqrt
 from g3chabauty import pipeline
@@ -450,6 +450,20 @@ def test_check_inputs_caps_height_and_precision(curve_a, monkeypatch):
     with pytest.raises(InputError,
                        match="search height must be at most 100000"):
         analyze_curve(curve_a, 7, search_height=HEIGHT_CAP + 1)
+
+
+
+def test_check_inputs_needs_the_digits_the_audit_reads(curve_a, monkeypatch):
+    # b_6 = p^3 is 0 mod p^N for N <= 3, so no Frobenius attempt could pass
+    def no_work(*args, **kwargs):
+        raise AssertionError("the analysis started")
+
+    check_inputs(curve_a, 7, prec=PREC_MIN)
+    monkeypatch.setattr(pipeline, "ColemanContext", no_work)
+    monkeypatch.setattr(CurveModel, "search_rational_points", no_work)
+    for prec in range(1, PREC_MIN):
+        with pytest.raises(InputError, match="at least 4, got %d" % prec):
+            analyze_curve(curve_a, 7, prec=prec)
 
 
 NO_SYMPY_RUN = """
