@@ -5,11 +5,13 @@ addition, Hensel lifting and root isolation.  Polynomials are
 little-endian integer coefficient lists; every function takes its
 (possibly huge) modulus explicitly.  Products of long operands use
 Kronecker substitution: both are packed into one Python int, so one
-C-level big-int multiplication does the work of the schoolbook loop;
-division by a monic polynomial of large degree runs block by block on
-such products.  The rational point search rejects most x = a/b by
-squares modulo small moduli, with one Python int as a bit array over all
-a per (modulus, b mod modulus), before any big-integer evaluation.
+C-level big-int multiplication does the work of the schoolbook loop.
+Division by a monic polynomial is schoolbook: every divisor has small
+degree, as Frobenius builds Psi by Horner's rule in Dt on packed Q-adic
+digits and never divides by Q^p.  The rational point search rejects most
+x = a/b by squares modulo small moduli, with one Python int as a bit
+array over all a per (modulus, b mod modulus), before any big-integer
+evaluation.
 Callers look these names up as ``kernels.<name>`` at call time, so a
 wrapper installed on the module (as perfbench/tracing.py does) sees
 every call.
@@ -59,10 +61,9 @@ def poly_deriv_mod(a, mod):
     return poly_trim([i * a[i] % mod for i in range(1, len(a))])
 
 
-# From these sizes on, products run as one big-int multiplication
-# (Kronecker substitution) and monic division runs block by block on them.
+# From this size on, products run as one big-int multiplication
+# (Kronecker substitution).
 KRONECKER_MIN_LEN = 16
-BLOCK_DIV_MIN_DEG = 32
 
 
 def _product(a, b, mod, n=None):
@@ -103,42 +104,14 @@ def poly_mul_mod(a, b, mod):
     return poly_trim([c % mod for c in _product(a, b, mod)])
 
 
-def _mul_low(a, b, n, mod):
-    """The first n coefficients of a * b mod mod, zero-padded to length n."""
-    out = [c % mod for c in _product(a, b, mod, n)]
-    return out + [0] * (n - len(out))
-
-
-def _series_inverse(c, n, mod):
-    """g with c * g = 1 mod (x^n, mod), for c[0] = 1; Newton steps
-    g <- g (2 - c g) double the number of correct coefficients."""
-    g = [1]
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        e = [-v % mod for v in _mul_low(c[:k], g, k, mod)]
-        e[0] = (e[0] + 2) % mod
-        g = _mul_low(g, e, k, mod)
-    return g
-
-
-def rev_inverse(b, mod):
-    """1 / rev(b) mod (x^deg b, mod) for a monic b: what the block division
-    by b needs, for callers that divide by one b many times."""
-    return _series_inverse(b[::-1], len(b) - 1, mod)
-
-
-def poly_divmod_monic_mod(a, b, mod, inv=None):
-    """Quotient and remainder of a by a monic b, modulo mod.  inv, if given,
-    is rev_inverse(b, M) reduced mod mod, for some multiple M of mod."""
+def poly_divmod_monic_mod(a, b, mod):
+    """Quotient and remainder of a by a monic b, modulo mod."""
     db = len(b) - 1
     if db < 0 or b[db] != 1:
         raise ValueError("divisor must be monic and nonzero")
     r = [c % mod for c in a]
     if len(r) <= db:
         return [], poly_trim(r)
-    if db >= BLOCK_DIV_MIN_DEG:
-        return _divmod_blocks(r, [c % mod for c in b], mod, inv)
     q = [0] * (len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
@@ -148,32 +121,6 @@ def poly_divmod_monic_mod(a, b, mod, inv=None):
         r[i] = 0
         for j in range(db):
             r[i - db + j] = (r[i - db + j] - c * b[j]) % mod
-    return poly_trim(q), poly_trim(r[:db])
-
-
-def _divmod_blocks(r, b, mod, inv):
-    """Monic division of reduced r by reduced b, top down, up to deg b
-    quotient coefficients per block.  Reversed, the block's quotient is the
-    reversed top of r times 1/rev(b), truncated; its product with b then
-    cancels that top and changes only the deg b coefficients below it.
-    A truncated inverse is a prefix of any longer one, so a given inv of
-    length deg b serves every block."""
-    db = len(b) - 1
-    nq = len(r) - db
-    if inv is None:
-        inv = _series_inverse(b[::-1], min(db, nq), mod)
-    q = [0] * nq
-    hi = nq
-    while hi:
-        lo = max(0, hi - db)
-        n = hi - lo
-        top = r[lo + db:hi + db][::-1]
-        blk = _mul_low(top, inv[:n], n, mod)[::-1]
-        q[lo:hi] = blk
-        sub = _mul_low(blk, b[:db], db, mod)
-        for i in range(db):
-            r[lo + i] = (r[lo + i] - sub[i]) % mod
-        hi = lo
     return poly_trim(q), poly_trim(r[:db])
 
 

@@ -14,8 +14,9 @@ Zassenhaus's method (distinct- and equal-degree splitting modulo a small
 prime on the ``_kernels`` F_p helpers, Hensel lifting past the Mignotte
 bound, recombination by exact trial division).  Working primes are capped
 at ``PRIME_CAP``; ``HEIGHT_CAP`` and ``PREC_CAP`` cap the point search
-height and the precision of an analysis, and ``PREC_MIN`` is the least
-precision whose Frobenius audit can pass.
+height and the precision of an analysis, ``PREC_MIN`` is the least
+precision whose Frobenius audit can pass, and ``COST_CAP_S`` caps the
+estimated seconds of an analysis (``estimated_seconds``).
 """
 
 from __future__ import annotations
@@ -32,18 +33,42 @@ from .padic import hensel_lift_root, ord_p
 from .recognize import primitive_poly
 
 
-# The largest working prime check_prime and choose_prime accept.  The cost
-# of a job grows with p and N: curve A at the least precision N = 4 (one
-# Frobenius attempt, then exit 4) took 1.0 s at p = 101, 2.7 s at p = 211
-# and 4.8 s at p = 293, and at N = 10 (exit 0) 3.6 s at p = 101 and 21 s
-# at p = 293, on one core of a 2-vCPU host.
+# The largest working prime check_prime and choose_prime accept; it bounds
+# trial division.  What a job may cost is bounded by COST_CAP_S below.
 PRIME_CAP = 300
+
+# The largest estimated analysis time, in seconds, that
+# pipeline.check_inputs accepts, and the model behind the estimate:
+# COST_SCALE p^COST_P_EXP N^COST_N_EXP seconds, a least-squares fit of
+# log seconds to log p and log N over the 10 rows of at least 5 s below.
+# Each row is one `g3chabauty analyze --job data/job_ex1.json --p P --N N`
+# (curve A, exit 0), wall seconds on a 2-vCPU host:
+#     p = 7:   N = 18: 0.4    N = 60: 1.0    N = 120: 5.1   N = 200: 20.0
+#     p = 11:  N = 26: 0.7
+#     p = 23:  N = 50: 4.7
+#     p = 37:  N = 10: 0.8    N = 40: 6.6    N = 78: 42.8
+#     p = 101: N = 10: 3.2    N = 20: 9.9    N = 40: 50.4   N = 80: 489
+#     p = 211: N = 10: 11.0
+#     p = 293: N = 10: 21.2   N = 20: 82.4
+# The fit is 0.78 to 1.30 times each fitted row; the largest row, p = 101
+# at N = 80, grows faster than the model (0.78), and below 5 s the
+# interpreter's start dominates.  It admits every prime at N = 10, the
+# default N = 2p + 4 up to p = 61, and p = 293 up to N = 40.
+COST_CAP_S = 600
+COST_SCALE = 4.72e-7
+COST_P_EXP = 2.032
+COST_N_EXP = 2.541
+
+
+def estimated_seconds(p, N):
+    """The cost model's seconds for one analysis at prime p, precision N."""
+    return COST_SCALE * p ** COST_P_EXP * N ** COST_N_EXP
 
 # The largest rational point search height and p-adic precision N that
 # pipeline.check_inputs accepts.  The search grows like the height squared
-# and Frobenius like a power of N: at the caps, curve A's search takes about
-# a minute and its Frobenius structure at p = 7 about 40 s, so no job can
-# hold a worker much longer than that.
+# and the analysis like a power of N: at the caps, curve A's search takes
+# about a minute and its analysis at p = 7 about 20 s; at larger p the cost
+# cap above bounds N.
 HEIGHT_CAP = 10 ** 5
 PREC_CAP = 200
 

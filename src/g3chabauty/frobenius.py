@@ -19,17 +19,21 @@ A = aF + bF' and
 In F-adic digits A = sum_t A_t F^t, deg A_t < 7 (unique, as F is monic),
 only the lowest digit needs that decomposition: a step sends the digits
 (A_0, A_1, A_2, ...) to (A_1 + f_s(A_0), A_2, ...) with deg f_s(A_0) <= 5.
-So the digits of Psi are computed once, p at a time: division by F^p
-splits off a remainder of degree below 7p, and one packed linear map reads
-its p digits (_split_map).  Each column's digits follow from the previous
-column's by another packed map, multiplication by x^p on a digit
-(x^(p-1) for column 0; see _x_power_map); and every pole step works on a
-polynomial of degree below 7.  There the splitting A_0 = aF + bF' is
-linear in A_0: b = A_0 beta mod F for the cofactor beta with
-beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both
-maps are built once per attempt as integer matrices on the monomials
-x^0 .. x^6, so a pole step is two matrix-vector products.  Building them
-checks that F divides x^i - b(x^i) F' for every i; the remainder
+So the digits of Psi are computed once, by Horner's rule in Dt with no
+division by F^p: H_(k_max) = c_(k_max),
+H_(k-1) = p Dt H_k + c_(k-1) F^(p (k_max - k + 1)) and Psi = p H_0 on
+F-adic digits, where multiplication by Dt is one packed linear map on a
+digit (_digit_map; Dt has degree below 7p, so a digit's image spans p + 1
+digits).  Each column's digits follow from the previous column's by the
+same kind of map, multiplication by x^p on a digit (x^(p-1) for column
+0); and every pole step works on a polynomial of degree below 7.  There
+the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F for the
+cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both maps
+are built once per attempt as integer matrices on the monomials
+x^0 .. x^6, so a pole step is two matrix-vector products: b, and the new
+lowest digit a + 2b'/(s-2), whose map is fused once per s and shared by
+the six columns where p does not divide s - 2.  Building them checks that
+F divides x^i - b(x^i) F' for every i; the remainder
 A_0 -> A_0 (1 - beta F') mod F is linear mod p^W, so that basis check
 covers every numerator a per-step remainder check would see.  At
 s = 1 the remaining digits are reassembled and the second telescope lowers
@@ -41,12 +45,12 @@ for p = 7 to 17.  The first attempt computes the N digits the report
 reads and no more: k_max is the least series length whose dropped terms
 move the result by multiples of p^N, C = L and
 W = max(N + C + L, C + k_max + 2), as _compute argues.
-The digits of Psi carry precision graded by k: term k has the factor
-p^(C+k+1), so it is computed divided by that power, mod p^(W-C-k-1), and
-its digits are multiplied back up.  F and F^p are monic, so division by
-them commutes with reduction mod any p^M, and the digits equal the
-full-precision ones mod p^W.  The exact forms are kept so Coleman
-integration can evaluate the primitive h_j with
+The digits of Psi carry precision graded twice, by the term k and by
+their position: block n of p digits of H_k is divisible by p^(k_max-n-k)
+and needed mod p^(W-C-1-k), so it is kept divided by the one and mod the
+other (_psi_digits).  F is monic, so the digits commute with reduction
+mod any p^M, and they equal the full-precision ones mod p^W.  The exact
+forms are kept so Coleman integration can evaluate the primitive h_j with
 phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole part sum_s b_s(x) y^(2-s),
 s odd, is y times a polynomial in y^-2, evaluated by Horner's rule.
 
@@ -260,13 +264,15 @@ def _compute(curve, p, N, delta, k_max, C, W):
     Psi itself): x^e x^i = sum_u r_(i,u) Q^u is precomputed for i < 7, so
     a digit's image is one sum of 7 integer multiples and digit t of the
     result adds the images of digits t, t-1, .. at their offsets u.  The
-    pole steps run on the maps of _pole_maps: the exact division by Q is
-    checked once on x^0 .. x^6, which covers every step, since the
-    remainder c (1 - beta Q') mod Q is linear in c mod p^W; the divisions
-    by p^e(s-2) of the correction and of the primitive are still checked
-    at every step.  The primitive's pole terms are stored with s
-    decreasing, the order in which FrobeniusData._primitive_acc runs
-    Horner's rule in y^-2.
+    pole steps run on the maps of _pole_maps, s by s over the six columns:
+    the exact division by Q is checked once on x^0 .. x^6, which covers
+    every step, since the remainder c (1 - beta Q') mod Q is linear in c
+    mod p^W.  Where p does not divide s - 2 no division by p is left, and
+    one fused map per s gives the new lowest digit (_fused_map); where it
+    does, the divisions by p^e(s-2) of the correction and of the primitive
+    are checked at every step (_pole_step).  The primitive's pole terms
+    are stored with s decreasing, the order in which
+    FrobeniusData._primitive_acc runs Horner's rule in y^-2.
 
     Why the first attempt's budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
@@ -318,9 +324,14 @@ def _compute(curve, p, N, delta, k_max, C, W):
        and h by multiples of p^(k - 1 - floor(log_p(2k + 1))), a multiple
        of p^N for every k > k_max by the choice of k_max.  The retries'
        k_max = N + delta - 1 meets the bound as 2N + 2 delta + 1 < p^delta.
-    5. Grading.  Term k of Psi is kept divided by p^(C+k+1), mod
-       p^(W-C-k-1) (_psi_digits), which gives its digits mod p^W;
-       W >= C + k_max + 2 leaves the last term at least one digit.
+    5. Grading.  Psi = p^(C+1) H_0 for the Horner steps
+       H_(k-1) = p Dt H_k + cks[k-1] Q^(p (k_max - k + 1)), so H_k is
+       needed mod p^(W-C-1-k) (by term); and E-block n of H_k, its Q-digits
+       pn .. pn+p-1, is divisible by p^(k_max-n-k) (by position), as term
+       j of H_k lies in blocks k_max-j to k_max-k with the factor p^(j-k).
+       Kept divided by that power, mod p^(W-C-1-k_max+n) (_psi_digits),
+       every block gives its digits mod p^W; W >= C + k_max + 2 leaves
+       block 0 at least one digit.
     So M and h are right to the N digits the report reads.  Every exact
     division stays checked, on every attempt.
     """
@@ -340,34 +351,40 @@ def _compute(curve, p, N, delta, k_max, C, W):
           for c in kernels.poly_sub_mod(qxp, qpow, m1)]
 
     beta = _lift_cofactor(Q, Qd, p, W)
-    # W - C - k - 1 >= W - C - k_max - 1 >= 1 for every k <= k_max, so each
-    # term of Psi keeps a digit once divided by its prefactor p^(C+k+1)
     cks = _half_binomial_units(k_max, m)
 
     J = (s_max - 1) // 2
     digits = _psi_digits(Q, dt, cks, C, p, W)
     maps = _pole_maps(Q, Qd, beta, m)
-    xmaps = (_x_power_map(Q, p - 1, m), _x_power_map(Q, p, m))
-    matrix_ints = [[0] * 6 for _ in range(6)]
-    pole_prims = []
-    deg_prims = []
-    pC = p ** C
-
+    xmaps = (_digit_map(Q, [0] * (p - 1) + [1], m),
+             _digit_map(Q, [0] * p + [1], m))
+    cols = []
     for col in range(6):
         # digits of x^(p col + p - 1) Psi
-        digits = _times_x_power(digits, xmaps[col > 0], m)
-        prims = []
-        carry = []
-        for j in range(J):
-            c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]), carry, m)
-                 if j < len(digits) else carry)
-            carry = _pole_step(c, s_max - 2 * j, maps, p, m, prims)
+        digits = _apply_digit_map(digits, xmaps[col > 0], m)
+        cols.append(digits)
+    pole_prims = [[] for _ in range(6)]
+    carries = [[] for _ in range(6)]
+    for j in range(J):
+        s = s_max - 2 * j
+        fused = _fused_map(s, maps, m) if (s - 2) % p else None
+        for col, digits in enumerate(cols):
+            c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]),
+                                      carries[col], m)
+                 if j < len(digits) else carries[col])
+            carries[col] = (_fused_step(c, s, fused, m, pole_prims[col])
+                            if fused else
+                            _pole_step(c, s, maps, p, m, pole_prims[col]))
+    matrix_ints = [[0] * 6 for _ in range(6)]
+    deg_prims = []
+    pC = p ** C
+    for col, digits in enumerate(cols):
         # the numerator over y^1: carry plus the digits from J on
         A = []
         for d in reversed(digits[J:]):
             A = kernels.poly_add_mod(kernels.poly_mul_mod(A, Q, m),
                                      kernels.poly_trim(d), m)
-        A, dprims = _degree_reduce(kernels.poly_add_mod(A, carry, m),
+        A, dprims = _degree_reduce(kernels.poly_add_mod(A, carries[col], m),
                                    Q, Qd, p, m)
         if len(A) > 6:
             raise PrecisionError("degree reduction did not terminate")
@@ -377,7 +394,6 @@ def _compute(curve, p, N, delta, k_max, C, W):
             if val % pC:
                 raise PrecisionError("matrix entry not p-integral")
             matrix_ints[i][col] = (val // pC) % (p ** N)
-        pole_prims.append(tuple(prims))
         deg_prims.append(tuple(dprims))
 
     modulus = p ** N
@@ -391,8 +407,8 @@ def _compute(curve, p, N, delta, k_max, C, W):
     if p + 1 + b[1] != npoints:
         raise PrecisionError("trace does not match the point count")
 
-    return FrobeniusData(curve, p, N, delta, C, W, k_max,
-                         matrix_ints, tuple(pole_prims), tuple(deg_prims),
+    return FrobeniusData(curve, p, N, delta, C, W, k_max, matrix_ints,
+                         tuple(map(tuple, pole_prims)), tuple(deg_prims),
                          tuple(b), npoints)
 
 
@@ -411,52 +427,81 @@ def _floor_log(n, p):
 
 def _psi_digits(Q, dt, cks, C, p, W):
     """Q-adic digits (7-coefficient lists, mod p^W) of
-    Psi = sum_k cks[k] p^(C+k+1) Dt^k Q^(p (k_max - k)), k_max = len(cks) - 1.
+    Psi = sum_k cks[k] p^(C+k+1) Dt^k Q^(p (K - k)), K = len(cks) - 1.
 
-    Term k starts at digit p (k_max - k), so the digits come out p at a
-    time from k = k_max down: add the term to what is left over, split off
-    Q^p, and read the remainder's p digits off the map of _split_map.  What
-    is left over before term k's split has degree at most 7pk, so at k = 0
-    it is a constant; its trailing zero digits are dropped.
+    Horner's rule in Dt with E = Q^p: H_K = cks[K] and
+    H_(k-1) = p Dt H_k + cks[k-1] E^(K-k+1) give Psi = p^(C+1) H_0.  Dt
+    has degree below 7p, so multiplication by Dt maps a Q-digit to p + 1
+    digits (the packed map of _digit_columns) and an E-block of p digits
+    to two blocks, the low half lo and the high half hi of its image.
+    Nothing is divided by Q^p.
 
-    Everything left over at term k is divisible by p^(C+k+1), so it is kept
-    divided by that power, mod p^(W-C-k-1): Dt^k is formed at that
-    modulus, the leftover gains a factor p on the way from term k+1 to
-    term k, and each digit is multiplied back by p^(C+k+1) mod p^W.  Q is
-    monic, so division by Q and Q^p commutes with reduction mod any p^M,
-    and the digits equal the full-precision ones mod p^W; for the same
-    reason the inverse of rev(Q^p) that the block division uses and the
-    split map are formed once, at the largest modulus, and reduced.  The
-    grading goes by C+k+1, not by the valuation of the whole prefactor:
-    cks[k] need not be a unit (binom(8, 4) = 70 at p = 7).
+    The digits are graded twice.  Term j of H_k is
+    cks[j] p^(j-k) Dt^(j-k) E^(K-j), which lies in E-blocks K-j to K-k;
+    so E-block n of H_k (digits pn .. pn+p-1) is divisible by p^(K-n-k).
+    And H_k enters Psi times p^(C+1+k), so it is needed only mod
+    p^(W-C-1-k).  So block n is kept as S_n = block / p^(K-n-k) mod
+    p^(e_n), e_n = W-C-1-K+n, which does not depend on k; W >= C + K + 2
+    makes e_0 >= 1.  A step is
+
+        S'_n = lo(Dt S_n) + p hi(Dt S_(n-1))  mod p^(e_n),
+
+    and the new top block, n = K-k+1, is p hi(Dt S_(K-k)) + cks[k-1].  At
+    the end block n of Psi is p^(C+1+K-n) S_n mod p^W.  Psi has degree at
+    most 7pK, so block K is a constant; its trailing zero digits are
+    dropped.
+
+    Q is monic, so the digits commute with reduction mod any p^M: the map
+    is built once, mod p^(e_K), and packed for each band of blocks that
+    share a slot width, rounded up to 8 bytes, reduced mod the band's
+    largest p^(e_n).  So a block's products are as wide as its own
+    precision needs, which is what makes the grading by position pay.
+    Where the band changes, the hi carried into the next block is
+    repacked.  p S_(n-1) < p^(e_n), so lo + p hi sums at most 14(p+1)
+    products of residues mod the band's modulus.  The grading goes by
+    C+k+1, not by the valuation of the whole prefactor: cks[k] need not
+    be a unit (binom(8, 4) = 70 at p = 7).
     """
-    k_max = len(cks) - 1
+    K = len(cks) - 1
+    e0 = W - C - 1 - K
+    if e0 < 1:
+        raise PrecisionError("working precision leaves Psi no digit")
+    mods = [p ** (e0 + n) for n in range(K + 1)]
+    columns = _digit_columns(Q, dt, mods[K])
+    width = 7 * p
+    bands = [None] * (K + 1)
+    band = None
+    for n in range(K, -1, -1):
+        slot = -(-_slot(mods[n], len(columns[0])) // 8) * 8
+        if band is None or band[0] != slot:
+            cols = [_pack([c % mods[n] for c in col], slot) for col in columns]
+            band = (slot, cols, 56 * slot, (1 << 56 * slot * p) - 1)
+        bands[n] = band
+    blocks = [[cks[K] % mods[0]] + [0] * (width - 1)]
+    for k in range(K, 0, -1):
+        nxt = []
+        hi = 0
+        for n, block in enumerate(blocks):
+            slot, cols, dbits, low = bands[n]
+            image = 0
+            for t in range(width - 7, -1, -7):
+                image = (image << dbits) + sum(map(mul, block[t:t + 7], cols))
+            nxt.append(_unpack((image & low) + p * hi, slot, width, mods[n]))
+            hi = image >> (p * dbits)
+            if bands[n + 1] is not bands[n]:
+                hi = _pack(_unpack(hi, slot, width, mods[n]), bands[n + 1][0])
+        n = len(blocks)
+        top = _unpack(p * hi, bands[n][0], width, mods[n])
+        top[0] = (top[0] + cks[k - 1]) % mods[n]
+        blocks = nxt + [top]
     m = p ** W
-    top = p ** (W - C - 1)
-    dpow = [[1]]
-    for k in range(1, k_max + 1):
-        dpow.append(kernels.poly_mul_mod(dpow[-1], dt, p ** (W - C - k - 1)))
-    qp = kernels.poly_pow_mod(Q, p, top)
-    qp_inv = kernels.rev_inverse(qp, top)
-    smap = _split_map(Q, p, top)
     digits = []
-    rest = []
-    for k in range(k_max, -1, -1):
-        mk = p ** (W - C - k - 1)
-        lift = p ** (C + k + 1)
-        rest = kernels.poly_add_mod(
-            kernels.poly_scale_mod(rest, p, mk),
-            kernels.poly_scale_mod(dpow[k], cks[k], mk), mk)
-        if k:
-            rest, low = kernels.poly_divmod_monic_mod(
-                rest, [c % mk for c in qp], mk,
-                inv=[c % mk for c in qp_inv])
-        else:
-            low = rest
-        chunk = [[c * lift % m for c in d] for d in _split(low, smap, mk)]
-        while not k and chunk and not any(chunk[-1]):
-            chunk.pop()
-        digits += chunk
+    for n, block in enumerate(blocks):
+        lift = p ** (C + 1 + K - n)
+        digits += [[c * lift % m for c in block[t:t + 7]]
+                   for t in range(0, width, 7)]
+    while len(digits) > p * K and not any(digits[-1]):
+        digits.pop()
     return digits
 
 
@@ -473,19 +518,29 @@ def _unpack(value, slot, n, m):
             for k in range(0, n * slot, slot)]
 
 
-def _split_map(Q, p, m):
-    """The map from a polynomial of degree below 7p to its p Q-adic
-    digits, packed like _x_power_map: column i holds the digits of x^i,
-    coefficient r of digit t in slot 7t + r, mod m.  Column i + 1 is
-    column i times x: x d_t = lc Q + (x d_t - lc Q), with lc the x^6
-    coefficient of d_t carried into digit t + 1; nothing carries out of
-    digit p - 1 below degree 7p.  A slot holds any sum of 7p products of
+def _slot(m, n):
+    """Bytes of a packed slot that holds any sum of 2n products of
     residues mod m."""
-    n = 7 * p
-    slot = (2 * m.bit_length() + n.bit_length() + 15) // 8
-    coeffs = [1] + [0] * (n - 1)
-    cols = [_pack(coeffs, slot)]
-    for _ in range(n - 1):
+    return (2 * m.bit_length() + (2 * n).bit_length() + 7) // 8
+
+
+def _digit_columns(Q, g, m):
+    """Multiplication by g on one Q-adic digit: x^i g = sum_u r_(i,u) Q^u
+    with deg r_(i,u) < 7 and u < U = (deg g + 6) // 7 + 1, mod m, as seven
+    columns; column i lists coefficient r of r_(i,u) at 7u + r.  Column 0
+    holds the digits of g, split off by division by Q; column i + 1 is
+    column i times x: x d_u = lc Q + (x d_u - lc Q), with lc the x^6
+    coefficient of d_u carried into digit u + 1, and nothing carries out
+    of digit U - 1, as deg x^i g < 7U for i <= 6."""
+    n = 7 * ((len(g) + 5) // 7 + 1)
+    coeffs = []
+    rest = [c % m for c in g]
+    while rest:
+        rest, r = kernels.poly_divmod_monic_mod(rest, Q, m)
+        coeffs += r + [0] * (7 - len(r))
+    coeffs += [0] * (n - len(coeffs))
+    columns = [coeffs]
+    for _ in range(6):
         nxt = []
         carry = 0
         for t in range(0, n, 7):
@@ -495,46 +550,29 @@ def _split_map(Q, p, m):
                        for r in range(1, 7))
             carry = lc
         coeffs = nxt
-        cols.append(_pack(coeffs, slot))
-    return slot, cols
+        columns.append(coeffs)
+    return columns
 
 
-def _split(low, smap, m):
-    """The p Q-adic digits, mod m, of a polynomial low of degree below 7p,
-    for smap = _split_map(Q, p, M) with m dividing M."""
-    slot, cols = smap
-    vals = _unpack(sum(map(mul, low, cols)), slot, len(cols), m)
-    return [vals[i:i + 7] for i in range(0, len(vals), 7)]
+def _digit_map(Q, g, m):
+    """The columns of _digit_columns for _apply_digit_map, each packed
+    into one integer, entry 7u + r in slot 7u + r; a slot holds any sum of
+    14U products of residues mod m."""
+    columns = _digit_columns(Q, g, m)
+    slot = _slot(m, len(columns[0]))
+    return slot, [_pack(col, slot) for col in columns]
 
 
-def _x_power_map(Q, e, m):
-    """Multiplication by x^e on one Q-adic digit, packed for
-    _times_x_power: x^e x^i = sum_u r_(i,u) Q^u with deg r_(i,u) < 7 and
-    u < K = (e + 6) // 7 + 1, and column i is one integer holding
-    coefficient r of r_(i,u) in slot 7u + r.  A slot holds any sum of 7K
-    products of residues mod m."""
-    width = 7 * ((e + 6) // 7 + 1)
-    slot = (2 * m.bit_length() + width.bit_length() + 15) // 8
-    cols = []
-    for i in range(7):
-        rest = [0] * (i + e) + [1]
-        coeffs = []
-        while rest:
-            rest, r = kernels.poly_divmod_monic_mod(rest, Q, m)
-            coeffs += r + [0] * (7 - len(r))
-        cols.append(_pack(coeffs, slot))
-    return slot, cols
+def _apply_digit_map(digits, dmap, m):
+    """Digits of g sum_t d_t Q^t for dmap = _digit_map(Q, g, M), mod m
+    for m dividing M.
 
-
-def _times_x_power(digits, xmap, m):
-    """Digits of x^e sum_t d_t Q^t for the map of _x_power_map.
-
-    sum_i d_t[i] P_i packs the digits of x^e d_t, and digit t of the result
-    sums the u-th of them over d_(t-u), u < K.  So the packed images are
+    sum_i d_t[i] P_i packs the digits of g d_t, and digit t of the result
+    sums the u-th of them over d_(t-u), u < U.  So the packed images are
     added into one window that is shifted down by a digit at every t: its
     lowest 7 slots are then complete and form digit t.  Trailing zero
     digits are dropped."""
-    slot, cols = xmap
+    slot, cols = dmap
     bits = 8 * 7 * slot
     low = (1 << bits) - 1
     out = []
@@ -599,6 +637,31 @@ def _pole_step(c, s, maps, p, m, prims):
     return kernels.poly_add_mod(a, kernels.poly_trim(corr), m)
 
 
+def _fused_map(s, maps, m):
+    """A pole step at s with p not dividing s - 2 as two maps on the
+    lowest digit c, for A and B the maps of _pole_maps: (B, L, -1/(s-2))
+    mod m, with L = A + (2/(s-2)) (d/dx o B) taking c to a + 2b'/(s-2) and
+    -1/(s-2) b the primitive."""
+    bmap, amap = maps
+    inv = pow(s - 2, -1, m)
+    two_over = 2 * inv % m
+    lmap = [list(row) for row in amap] + [[0] * 7] * (6 - len(amap))
+    for r in range(1, len(bmap)):
+        lmap[r - 1] = [(a + two_over * r * v) % m
+                       for a, v in zip(lmap[r - 1], bmap[r])]
+    return bmap, lmap, -inv % m
+
+
+def _fused_step(c, s, fused, m, prims):
+    """_pole_step at an s with p not dividing s - 2, where no division by a
+    power of p is left to check, on the maps of _fused_map."""
+    bmap, lmap, neg_over = fused
+    b = kernels.poly_trim([sum(map(mul, row, c)) % m for row in bmap])
+    if b:
+        prims.append((s, tuple(v * neg_over % m for v in b)))
+    return kernels.poly_trim([sum(map(mul, row, c)) % m for row in lmap])
+
+
 def _degree_reduce(A, Q, Qd, p, m):
     """Lower deg A to <= 5 against d(x^j y); returns (A, primitives)."""
     A = list(A)
@@ -643,8 +706,8 @@ def _budget(p, N, attempt):
     Attempt 0 computes the N digits the report reads and no more: k_max is
     the least series length whose dropped terms are multiples of p^N,
     C = L, the denominator bound of _compute, and
-    W = max(N + C + L, C + k_max + 2), the second term leaving the last
-    graded term of Psi a digit (the two agree for every prime from 7 to
+    W = max(N + C + L, C + k_max + 2), the second term leaving block 0 of
+    the graded Psi a digit (the two agree for every prime from 7 to
     PRIME_CAP and N up to PREC_CAP).  The retries keep the wider budget
     that came before: k_max = N + delta - 1,
     C = 2 (ceil log_p s_max + ceil log_p(2 deg_cap + 7)) + 2 + 4 attempt

@@ -30,8 +30,9 @@ from collections import Counter
 from fractions import Fraction
 
 from .coleman import ColemanContext
-from .curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, RationalPoint,
-                    check_prime_number, eval_exact)
+from .curve import (COST_CAP_S, HEIGHT_CAP, PREC_CAP, PREC_MIN,
+                    RationalPoint, check_prime_number, estimated_seconds,
+                    eval_exact)
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
@@ -451,6 +452,12 @@ def check_inputs(curve, p=None, prec=None, knowns=None, base_point=None,
             raise InputError("precision must be at most %d, got the default "
                              "2p + 4 = %d; give a precision"
                              % (PREC_CAP, default_precision(p)))
+        N = default_precision(p) if prec is None else prec
+        cost = estimated_seconds(p, N)
+        if cost > COST_CAP_S:
+            raise InputError("the analysis at p = %d and N = %d is estimated "
+                             "at %.0f s, over the budget of %d s; give a "
+                             "lower precision" % (p, N, cost, COST_CAP_S))
     if knowns is not None and not knowns:
         raise InputError("no known rational points; omit the list to search")
     for pt in knowns or ():
@@ -484,6 +491,8 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
     check_inputs(curve, p, prec, knowns, base_point, search_height)
     if p is None:
         p = curve.choose_prime()
+        # the cost cap, now that the prime is known
+        check_inputs(curve, p, prec)
     else:
         curve.check_prime(p)
     if prec is None:

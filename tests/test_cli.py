@@ -226,6 +226,9 @@ MALFORMED_JOBS = {
                    "search height must be at most 100000"),
     "precision-cap": (dict(GOOD_JOB, precision=PREC_CAP + 1),
                       "precision must be at most 200"),
+    # within both caps, but estimated at hours
+    "cost-cap": (dict(GOOD_JOB, p=293, precision=200),
+                 "at p = 293 and N = 200 is estimated at"),
     "off-curve-known": (dict(GOOD_JOB, known_points=["infinity", ["2", "2"]]),
                         "known point ['2', '2'] is not on the curve"),
     "off-curve-base": (dict(GOOD_JOB, base_point=["2", "2"]),
@@ -307,6 +310,23 @@ def test_prime_above_the_cap_exits_2_before_any_work(job_a, tmp_path,
     assert main(["analyze", "--job", job_a, "--p", str(AT_CAP),
                  "--N", "4"]) == 0
     assert [c["p"] for c in stub.calls] == [AT_CAP]
+
+
+def test_jobs_under_the_cost_cap_reach_the_analysis(job_a, monkeypatch,
+                                                    capsys):
+    # the cost model admits the default precision 2p + 4 at p = 7, 11 and
+    # 37, and p = 293 at N = 10, but not p = 293 at N = 200
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    runs = [(7, 18), (11, 26), (37, 78), (293, 10)]
+    for p, N in runs:
+        assert main(["analyze", "--job", job_a, "--p", str(p),
+                     "--N", str(N)]) == 0
+    assert [(c["p"], c["prec"]) for c in stub.calls] == runs
+    capsys.readouterr()
+    assert main(["analyze", "--job", job_a, "--p", "293", "--N", "200"]) == 2
+    assert "over the budget of 600 s" in capsys.readouterr().err
+    assert len(stub.calls) == len(runs)
 
 
 def test_out_dir_is_checked_before_any_analysis(tmp_path, monkeypatch,

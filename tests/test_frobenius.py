@@ -12,9 +12,9 @@ from g3chabauty import frobenius
 from g3chabauty.curve import CurveModel
 from g3chabauty.errors import PrecisionError
 from g3chabauty.frobenius import (_DELTAS, _budget, _ceil_log, _compute,
-                                  _split, _split_map, brute_zeta_numerator,
-                                  frobenius_data, identity_check,
-                                  zeta_numerator)
+                                  _digit_map, _apply_digit_map,
+                                  brute_zeta_numerator, frobenius_data,
+                                  identity_check, zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
 from g3chabauty.localdisk import disk_center
 from g3chabauty.padic import ord_p, sqrt_mod_pn
@@ -267,27 +267,45 @@ def test_first_attempt_matches_wide_budget_on_random_curves(p):
             assert list(fd.zeta) == brute_zeta_numerator(curve, p)
 
 
-def test_split_map_matches_repeated_division():
-    """The packed split into p Q-digits against p divisions by Q, at
-    moduli dividing the map's, for remainders of lengths up to 7p: fewer
-    than p digits and none at all included."""
-    rng = random.Random(15)
+def _digits_by_division(poly, Q, m):
+    """The Q-adic digits of poly mod m, by repeated division by Q."""
+    out = []
+    rest = kernels.poly_trim([c % m for c in poly])
+    while rest:
+        rest, d = kernels.poly_divmod_monic_mod(rest, Q, m)
+        out.append(d + [0] * (7 - len(d)))
+    return out
+
+
+def test_digit_map_matches_repeated_division():
+    """The packed map of multiplication by g, for g = x^e and g = Dt,
+    against multiplying by g and dividing by Q repeatedly, at moduli
+    dividing the map's, on blocks of p digits, of fewer and of none."""
+    rng = random.Random(16)
     for p in (7, 11, 13):
         M = p ** 14
-        Q = [rng.randrange(M) for _ in range(7)] + [1]
-        smap = _split_map(Q, p, M)
-        for e in (1, 6, 14):
-            m = p ** e
-            qm = [c % m for c in Q]
-            for n in (7 * p, 7 * p - 1, 7 * (p - 2) + 3, 7, 1, 0):
-                low = kernels.poly_trim([rng.randrange(m) for _ in range(n)])
-                want = []
-                rest = low
-                for _ in range(p):
-                    rest, d = kernels.poly_divmod_monic_mod(rest, qm, m)
-                    want.append(d + [0] * (7 - len(d)))
-                assert rest == []
-                assert _split(low, smap, m) == want
+        Q1 = [rng.randrange(p ** 15) for _ in range(7)] + [1]
+        Q = [c % M for c in Q1]
+        qxp = [0] * (7 * p + 1)
+        for i, c in enumerate(Q1):
+            qxp[i * p] = c
+        qpow = kernels.poly_pow_mod(Q1, p, p ** 15)
+        dt = [c // p for c in kernels.poly_sub_mod(qxp, qpow, p ** 15)]
+        for g in ([0] * (p - 1) + [1], [0] * p + [1], dt):
+            gmap = _digit_map(Q, g, M)
+            for e in (1, 6, 14):
+                m = p ** e
+                qm = [c % m for c in Q]
+                for n in (p, p - 1, 2, 1, 0):
+                    block = [[rng.randrange(m) for _ in range(7)]
+                             for _ in range(n)]
+                    poly = []
+                    for d in reversed(block):
+                        poly = kernels.poly_add_mod(
+                            kernels.poly_mul_mod(poly, qm, m), d, m)
+                    want = _digits_by_division(
+                        kernels.poly_mul_mod(poly, g, m), qm, m)
+                    assert _apply_digit_map(block, gmap, m) == want
 
 
 def _psi_digits_full(Q, dt, pref, p, m):
@@ -380,11 +398,14 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     """Run one _compute attempt with each shortcut checked against its
     oracle: the graded _psi_digits against the full-precision digits,
     every packed x^e map against e passes of _times_x_once, every pole
-    step on the precomputed maps against _pole_step_full, and then the
-    Horner _primitive_acc of the result against _primitive_acc_full."""
+    step, on the fused maps or on the checked ones, against
+    _pole_step_full, and then the Horner _primitive_acc of the result
+    against _primitive_acc_full."""
     graded = frobenius._psi_digits
-    x_map, times_x_power = frobenius._x_power_map, frobenius._times_x_power
+    digit_map = frobenius._digit_map
+    apply_map = frobenius._apply_digit_map
     pole_maps, pole_step = frobenius._pole_maps, frobenius._pole_step
+    fused_map, fused_step = frobenius._fused_map, frobenius._fused_step
     seen = {"digits": [], "x": 0, "steps": 0}
     made = {}
 
@@ -396,41 +417,59 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
         seen["digits"].append(len(digits))
         return digits
 
-    def checked_x_map(Q, e, m):
-        xmap = x_map(Q, e, m)
-        made[id(xmap)] = (Q, e)
-        return xmap
+    def checked_digit_map(Q, g, m):
+        dmap = digit_map(Q, g, m)
+        made[id(dmap)] = (Q, g)
+        return dmap
 
-    def checked_times_x(digits, xmap, m):
-        Q, e = made[id(xmap)]
+    def checked_apply(digits, dmap, m):
+        Q, g = made[id(dmap)]
+        assert g == [0] * (len(g) - 1) + [1]
         want = digits
-        for _ in range(e):
+        for _ in range(len(g) - 1):
             want = _times_x_once(want, Q, m)
-        got = times_x_power(digits, xmap, m)
+        got = apply_map(digits, dmap, m)
         assert got == _strip(want)
         seen["x"] += 1
         return got
 
     def checked_maps(Q, Qd, beta, m):
         maps = pole_maps(Q, Qd, beta, m)
-        made[id(maps)] = (Q, Qd, beta)
+        made[id(maps)] = (Q, Qd, beta, p)
         return maps
 
-    def checked_step(c, s, maps, p, m, prims):
-        Q, Qd, beta = made[id(maps)]
+    def checked_fused_map(s, maps, m):
+        fused = fused_map(s, maps, m)
+        made[id(fused)] = made[id(maps)]
+        return fused
+
+    def check_step(c, s, key, m, prims, got, n):
+        Q, Qd, beta, p = made[id(key)]
         want_prims = []
         want = _pole_step_full(c, s, Q, Qd, beta, p, m, want_prims)
-        n = len(prims)
-        got = pole_step(c, s, maps, p, m, prims)
         assert got == want and prims[n:] == want_prims
         seen["steps"] += 1
+
+    def checked_step(c, s, maps, p, m, prims):
+        n = len(prims)
+        got = pole_step(c, s, maps, p, m, prims)
+        check_step(c, s, maps, m, prims, got, n)
+        return got
+
+    def checked_fused_step(c, s, fused, m, prims):
+        assert (s - 2) % made[id(fused)][3]
+        n = len(prims)
+        got = fused_step(c, s, fused, m, prims)
+        check_step(c, s, fused, m, prims, got, n)
         return got
 
     monkeypatch.setattr(frobenius, "_psi_digits", checked)
-    monkeypatch.setattr(frobenius, "_x_power_map", checked_x_map)
-    monkeypatch.setattr(frobenius, "_times_x_power", checked_times_x)
+    monkeypatch.setattr(frobenius, "_digit_map", checked_digit_map)
+    monkeypatch.setattr(frobenius, "_apply_digit_map", checked_apply)
     monkeypatch.setattr(frobenius, "_pole_maps", checked_maps)
     monkeypatch.setattr(frobenius, "_pole_step", checked_step)
+    monkeypatch.setattr(frobenius, "_fused_map", checked_fused_map)
+    monkeypatch.setattr(frobenius, "_fused_step", checked_fused_step)
     fd = _attempt(curve, p, prec, attempt)
     assert len(seen["digits"]) == 1 and seen["digits"][0] > 0
     assert seen["x"] == 6
@@ -447,7 +486,8 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
 
 @pytest.mark.parametrize("curve,p,prec", [
     ("curve_a", 7, 10), ("curve_b", 7, 18), ("curve_c", 11, 14),
-    ("curve_b", 11, 26), ("curve_b", 13, 12)])
+    ("curve_b", 11, 26), ("curve_b", 13, 12), ("curve_a", 17, 6),
+    ("curve_c", 17, 8), ("curve_b", 23, 7)])
 def test_graded_digits_match_full_precision(curve, p, prec, request,
                                             monkeypatch):
     _digits_match_oracle(monkeypatch, request.getfixturevalue(curve), p,
@@ -455,7 +495,8 @@ def test_graded_digits_match_full_precision(curve, p, prec, request,
 
 
 @pytest.mark.parametrize("curve,p,prec,attempt", [
-    ("curve_a", 7, 10, 2), ("curve_a", 7, 10, 3), ("curve_c", 11, 10, 2)])
+    ("curve_a", 7, 10, 2), ("curve_a", 7, 10, 3), ("curve_c", 11, 10, 2),
+    ("curve_b", 17, 6, 2)])
 def test_graded_digits_match_full_precision_on_retries(curve, p, prec,
                                                        attempt, request,
                                                        monkeypatch):
@@ -472,7 +513,8 @@ def test_graded_digits_match_full_precision_random_curves(monkeypatch):
         p = rng.choice((7, 11))
         if not curve.is_good_prime(p):
             continue
-        _digits_match_oracle(monkeypatch, curve, p, 8)
+        with monkeypatch.context() as patch:
+            _digits_match_oracle(patch, curve, p, 8)
         checked += 1
 
 

@@ -197,38 +197,18 @@ def test_kronecker_mul_against_schoolbook():
         assert kernels.poly_mul_mod([mod] * 40, [-1] * 40, mod) == []
 
 
-def test_block_divmod_against_schoolbook():
-    # divisor degrees on both sides of BLOCK_DIV_MIN_DEG, dividends from
-    # shorter than the divisor to many blocks long
+def test_divmod_against_schoolbook():
+    # divisor degrees up to 120 (the Psi oracle divides by Q^p, of degree
+    # 7p), dividends from shorter than the divisor to many times longer,
+    # negative and unreduced coefficients
     rng = random.Random(37)
-    t = kernels.BLOCK_DIV_MIN_DEG
     for mod in MODULI:
-        for db in (1, 7, t - 1, t, t + 1, 77, 120):
+        for db in (1, 7, 31, 32, 33, 77, 120):
             b = [rng.randrange(-2 * mod, 2 * mod) for _ in range(db)] + [1]
             for la in (0, 1, db, db + 1, 2 * db + 3, 600):
                 a = [rng.randrange(-2 * mod, 2 * mod) for _ in range(la)]
                 assert kernels.poly_divmod_monic_mod(a, b, mod) == \
                     schoolbook_divmod(a, b, mod), (mod, db, la)
-
-
-def test_divmod_with_a_shared_inverse_equals_the_plain_call():
-    # the inverse of rev(b), formed once at a larger modulus and reduced,
-    # gives the quotient and remainder of the plain call at every modulus
-    rng = random.Random(41)
-    p = 11
-    for db in (kernels.BLOCK_DIV_MIN_DEG, 77):
-        b = [rng.randrange(p ** 30) for _ in range(db)] + [1]
-        inv = kernels.rev_inverse(b, p ** 30)
-        assert len(inv) == db
-        for e in (1, 12, 30):
-            mod = p ** e
-            for la in (db + 1, 2 * db + 3, 600):
-                a = [rng.randrange(p ** 30) for _ in range(la)]
-                assert kernels.poly_divmod_monic_mod(
-                    a, [c % mod for c in b], mod,
-                    inv=[c % mod for c in inv]) == \
-                    kernels.poly_divmod_monic_mod(a, b, mod) == \
-                    schoolbook_divmod(a, b, mod), (db, e, la)
 
 
 def loop_search_x_squares(cnum, d7, height):

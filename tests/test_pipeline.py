@@ -438,9 +438,14 @@ def test_check_inputs_caps_height_and_precision(curve_a, monkeypatch):
         raise AssertionError("the analysis started")
 
     check_inputs(curve_a, 7, prec=PREC_CAP, search_height=HEIGHT_CAP)
-    # from p = 101 on the default precision 2p + 4 is above the cap
-    check_inputs(curve_a, 97)
-    check_inputs(curve_a, 101, prec=PREC_CAP)
+    # from p = 101 on the default precision 2p + 4 is above the cap; below
+    # it, the default is over the cost cap from p = 67 on
+    check_inputs(curve_a, 61)
+    check_inputs(curve_a, 101, prec=40)
+    with pytest.raises(InputError, match="at p = 67 and N = 138"):
+        check_inputs(curve_a, 67)
+    with pytest.raises(InputError, match="at p = 101 and N = 200"):
+        check_inputs(curve_a, 101, prec=PREC_CAP)
     with pytest.raises(InputError, match="the default 2p \\+ 4 = 206"):
         check_inputs(curve_a, 101)
     monkeypatch.setattr(pipeline, "ColemanContext", no_work)
