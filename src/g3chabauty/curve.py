@@ -40,7 +40,8 @@ PRIME_CAP = 300
 # The largest estimated analysis time, in seconds, that
 # pipeline.check_inputs accepts, and the model behind the estimate:
 # COST_SCALE p^COST_P_EXP N^COST_N_EXP seconds, a least-squares fit of
-# log seconds to log p and log N over the 10 rows of at least 5 s below.
+# log seconds to log p and log N over the 10 rows of at least 5 s below,
+# its scale 4.72e-7 raised by the worst row-to-fit ratio, 1.279.
 # Each row is one `g3chabauty analyze --job data/job_ex1.json --p P --N N`
 # (curve A, exit 0), wall seconds on a 2-vCPU host:
 #     p = 7:   N = 18: 0.4    N = 60: 1.0    N = 120: 5.1   N = 200: 20.0
@@ -50,12 +51,13 @@ PRIME_CAP = 300
 #     p = 101: N = 10: 3.2    N = 20: 9.9    N = 40: 50.4   N = 80: 489
 #     p = 211: N = 10: 11.0
 #     p = 293: N = 10: 21.2   N = 20: 82.4
-# The fit is 0.78 to 1.30 times each fitted row; the largest row, p = 101
-# at N = 80, grows faster than the model (0.78), and below 5 s the
+# So the model is 1.00 to 1.67 times each fitted row, never below one; the
+# largest row, p = 101 at N = 80, sets the scale, and below 5 s the
 # interpreter's start dominates.  It admits every prime at N = 10, the
-# default N = 2p + 4 up to p = 61, and p = 293 up to N = 40.
+# default N = 2p + 4 up to p = 61, p = 101 up to N = 86 and p = 293 up to
+# N = 36.
 COST_CAP_S = 600
-COST_SCALE = 4.72e-7
+COST_SCALE = 6.04e-7
 COST_P_EXP = 2.032
 COST_N_EXP = 2.541
 
@@ -74,7 +76,7 @@ PREC_CAP = 200
 
 # The least precision N pipeline.check_inputs accepts.  The Frobenius audit
 # checks the zeta coefficient b_6 = p^3, which is 0 mod p^N for N <= 3, so
-# no attempt could pass below it.
+# it could not pass below it.
 PREC_MIN = 4
 
 _SMALL_PRIMES = tuple(n for n in range(2, 1000)

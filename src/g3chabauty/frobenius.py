@@ -29,7 +29,7 @@ same kind of map, multiplication by x^p on a digit (x^(p-1) for column
 0); and every pole step works on a polynomial of degree below 7.  There
 the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F for the
 cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both maps
-are built once per attempt as integer matrices on the monomials
+are built once as integer matrices on the monomials
 x^0 .. x^6, so a pole step is two matrix-vector products: b, and the new
 lowest digit a + 2b'/(s-2), whose map is fused once per s and shared by
 the six columns where p does not divide s - 2.  Building them checks that
@@ -41,10 +41,10 @@ the x-degree via d(x^j y).  The telescopes run over Z/p^W on p^C times
 each form, both sized by Kedlaya's bound on the denominators the two
 reductions introduce: L = floor(log_p s_max) + floor(log_p(2 deg_cap + 7))
 digits with deg_cap = (5p + 5) // 2, which is 3 at the default precision
-for p = 7 to 17.  The first attempt computes the N digits the report
-reads and no more: k_max is the least series length whose dropped terms
-move the result by multiples of p^N, C = L and
-W = max(N + C + L, C + k_max + 2), as _compute argues.
+for p = 7 to 17.  One run computes the N digits the report reads and no
+more: k_max is the least series length whose dropped terms move the
+result by multiples of p^N, C = L and W = max(N + C + L, C + k_max + 2),
+as _compute argues.
 The digits of Psi carry precision graded twice, by the term k and by
 their position: block n of p digits of H_k is divisible by p^(k_max-n-k)
 and needed mod p^(W-C-1-k), so it is kept divided by the one and mod the
@@ -55,12 +55,14 @@ phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole part sum_s b_s(x) y^(2-s),
 s odd, is y times a polynomial in y^-2, evaluated by Horner's rule.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
-polynomial; integrality, the functional equation and the point count over
-F_p act as built-in audits, retried at higher working precision on failure.
+polynomial; integrality, the Weil bounds, the functional equation and the
+point count over F_p audit M, and the pullback identity at one point of a
+generic disk audits M and the h_j together (identity_check).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from fractions import Fraction
 from operator import mul
@@ -68,6 +70,8 @@ from operator import mul
 from . import _kernels as kernels
 from .errors import BadReductionError, PrecisionError
 from .padic import PadicNumber, ord_p, sqrt_mod_pn
+
+log = logging.getLogger(__name__)
 
 
 def _exact_pdiv(c, p, e):
@@ -121,23 +125,22 @@ def _half_binomial_units(k_max, m):
 
 class FrobeniusData:
     """Matrix of Frobenius on the w_i basis plus the exact-form bookkeeping
-    needed to evaluate the primitives h_j at points with unit y.
+    needed to evaluate the primitives h_j at points with unit y.  k_max
+    (the last term of the binomial series), scale_exp (C) and work_exp (W)
+    are the budget of _compute."""
 
-    delta is 4, 8 or 16 on attempt 1, 2 or 3 of frobenius_data.  On the
-    retries it is the headroom in k_max = prec + delta - 1; on attempt 1
-    it only labels the attempt.  k_max (the last term of the binomial
-    series), scale_exp (C) and work_exp (W) hold the real sizes."""
+    # perfbench/tracing.py maps delta 4 to attempt 1, the only attempt
+    delta = 4
 
-    __slots__ = ("curve", "p", "prec", "delta", "scale_exp", "work_exp",
+    __slots__ = ("curve", "p", "prec", "scale_exp", "work_exp",
                  "k_max", "matrix_ints", "pole_prims", "deg_prims",
                  "zeta", "npoints", "_matrix_cache")
 
-    def __init__(self, curve, p, prec, delta, scale_exp, work_exp, k_max,
+    def __init__(self, curve, p, prec, scale_exp, work_exp, k_max,
                  matrix_ints, pole_prims, deg_prims, zeta, npoints):
         self.curve = curve
         self.p = p
         self.prec = prec
-        self.delta = delta
         self.scale_exp = scale_exp
         self.work_exp = work_exp
         self.k_max = k_max
@@ -167,60 +170,60 @@ class FrobeniusData:
         value = Fraction(acc, self.p ** self.scale_exp)
         return PadicNumber.from_rational(value, self.p, abs_prec=self.prec)
 
-    def primitive_value(self, col, x_int, y_int):
-        """h_col at a point given by integer residues with y a unit."""
-        return self._wrap_scaled(self._primitive_acc(col, x_int, y_int))
-
-    def _primitive_acc(self, col, x_int, y_int):
-        """p^scale_exp h_col at (x_int, y_int), reduced mod p^work_exp.
-        Every term is odd in y, so at (x_int, -y_int) it is the negative.
-
-        The pole part sum_s b_s(x) y^(2-s) over odd s is
-        y sum_e b_(2e+1)(x) (y^-2)^e, e = (s-1)/2 >= 1, evaluated by Horner
-        in y^-2 along pole_prims, whose s decrease."""
+    def _pole_sum(self, col, u, term):
+        """sum_e u^e term(e, b) over the pole terms b = b_(2e+1) of column
+        col, mod p^work_exp, by Horner's rule in u along pole_prims, whose s
+        decrease."""
         m = self.p ** self.work_exp
-        yinv2 = pow(y_int * y_int % m, -1, m)
         acc = 0
         last = 0
         for s, b in self.pole_prims[col]:
             e = (s - 1) // 2
             if last:
-                step = yinv2 if last - e == 1 else pow(yinv2, last - e, m)
-                acc = acc * step % m
-            acc = (acc + kernels.poly_eval_mod(list(b), x_int, m)) % m
+                acc *= u if last - e == 1 else pow(u, last - e, m)
+            acc = (acc + term(e, b)) % m
             last = e
-        if last:
-            acc = acc * pow(yinv2, last, m) % m * y_int % m
-        for j, mu in self.deg_prims[col]:
-            acc = (acc + mu * pow(x_int, j, m) % m * y_int) % m
-        return acc
+        return acc * pow(u, last, m) % m
 
-    def primitive_dx(self, col, x_int, y_int):
-        """d h_col / dx at a point, using y' = F'(x) / 2y."""
+    def _primitive_acc(self, col, x_int, y_int):
+        """p^scale_exp h_col at (x_int, y_int), reduced mod p^work_exp.
+        Every term is odd in y, so at (x_int, -y_int) it is the negative.
+        The pole part sum_s b_s(x) y^(2-s) over odd s is
+        y sum_e b_(2e+1)(x) u^e with u = y^-2 and e = (s-1)/2 >= 1."""
         m = self.p ** self.work_exp
-        Qd = kernels.poly_deriv_mod(
-            self.curve.f_coeffs_mod(self.p, self.work_exp), m)
-        qd_val = kernels.poly_eval_mod(Qd, x_int, m)
-        yinv = pow(y_int, -1, m)
-        yinv2 = yinv * yinv % m
-        inv2 = pow(2, -1, m)
-        acc = 0
-        for s, b in self.pole_prims[col]:
-            e = (s - 1) // 2
-            ye = pow(yinv2, e, m)
-            bd = kernels.poly_deriv_mod(b, m)
-            bval = kernels.poly_eval_mod(list(b), x_int, m)
-            bdval = kernels.poly_eval_mod(bd, x_int, m)
-            # d(b y^(2-s))/dx = b' y^(2-s) + (2-s)/2 b F' y^(-s)
-            acc = (acc + bdval * y_int % m * ye) % m
-            acc = (acc + (2 - s) * inv2 % m * bval % m * qd_val % m
-                   * ye % m * yinv) % m
+        xpow = [pow(x_int, i, m) for i in range(7)]
+        u = pow(y_int * y_int % m, -1, m)
+        acc = self._pole_sum(col, u, lambda e, b: sum(map(mul, b, xpow)))
         for j, mu in self.deg_prims[col]:
-            xj = pow(x_int, j, m)
-            if j:
-                acc = (acc + mu * j % m * pow(x_int, j - 1, m) % m * y_int) % m
-            acc = (acc + mu * xj % m * qd_val % m * inv2 % m * yinv) % m
-        return self._wrap_scaled(acc)
+            acc += mu * pow(x_int, j, m)
+        return acc % m * y_int % m
+
+    def _primitive_dx_acc(self, col, x_int, y_int):
+        """p^scale_exp dh_col/dx at (x_int, y_int), reduced mod p^work_exp.
+        With u = y^-2 and y' = F'(x)/2y, the pole term of s = 2e + 1 has
+        d(b y u^e)/dx = y u^e (b' + (1 - 2e)/2 F' u b), and d(mu x^j y)/dx =
+        y mu (j x^(j-1) + x^j F' u / 2)."""
+        m = self.p ** self.work_exp
+        xpow = [pow(x_int, i, m) for i in range(7)]
+        # slopes[i] = i x^(i-1), the slope of x^i; deg b <= 6 and deg F = 7
+        slopes = [0] + [i * xpow[i - 1] for i in range(1, 8)]
+        f = self.curve.f_coeffs_mod(self.p, self.work_exp)
+        u = pow(y_int * y_int % m, -1, m)
+        half_fu = sum(map(mul, f, slopes)) * u % m * pow(2, -1, m) % m
+        # weights[i] is x^i above i x^(i-1), so one dot product gives b(x)
+        # above b'(x), whose 7 products of residues sum below 42 m^2
+        shift = 2 * m.bit_length() + 6
+        low = (1 << shift) - 1
+        weights = [v + (w << shift) for v, w in zip(slopes, xpow)]
+
+        def term(e, b):
+            both = sum(map(mul, b, weights))
+            return (both & low) + (1 - 2 * e) * half_fu * (both >> shift)
+        acc = self._pole_sum(col, u, term)
+        for j, mu in self.deg_prims[col]:
+            lead = slopes[j] if j < 8 else j * pow(x_int, j - 1, m)
+            acc += mu * (lead + pow(x_int, j, m) * half_fu)
+        return acc % m * y_int % m
 
 
 def _char_series_coeffs(mat, modulus, p):
@@ -254,10 +257,9 @@ def _weil_ok(b, p):
     return True
 
 
-def _compute(curve, p, N, delta, k_max, C, W):
-    """One attempt at the audited Frobenius structure to p^N: the telescopes
-    run on p^C times each form, mod p^W, on the binomial series up to term
-    k_max.  delta only labels the attempt (FrobeniusData).
+def _compute(curve, p, N, k_max, C, W):
+    """The audited Frobenius structure to p^N: the telescopes run on p^C
+    times each form, mod p^W, on the binomial series up to term k_max.
 
     Per column j the numerator x^(pj+p-1) Psi comes, as Q-adic digits,
     from the previous column's by the packed x^p digit map (x^(p-1) from
@@ -274,15 +276,14 @@ def _compute(curve, p, N, delta, k_max, C, W):
     are stored with s decreasing, the order in which
     FrobeniusData._primitive_acc runs Horner's rule in y^-2.
 
-    Why the first attempt's budget suffices, for the matrix M and the
+    Why the budget of _budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
     k - 1 - floor(log_p(2k + 1)) >= N for every k > k_max, C = L and
     W = max(N + C + L, C + k_max + 2), with L = floor(log_p s_max) +
     floor(log_p(2 deg_cap + 7)) (_budget; the denominator bounds of
     Kedlaya, Counting points on hyperelliptic curves using
     Monsky-Washnitzer cohomology, 2001).  The argument needs only C >= L,
-    W - C - L >= N, W >= C + k_max + 2 and that tail bound, so it covers
-    the retries' wider budgets too:
+    W - C - L >= N, W >= C + k_max + 2 and that tail bound:
 
     1. Denominators.  Every form below is B(x) dx/2y^s with s <= s_max odd
        and a pole of order at most 2 deg_cap + 8 at infinity (the numerator
@@ -322,8 +323,7 @@ def _compute(curve, p, N, delta, k_max, C, W):
     4. Truncation.  The terms k > k_max of the binomial series are
        p^(k+1) times integral forms with s = 2pk + p, so by 1 they move M
        and h by multiples of p^(k - 1 - floor(log_p(2k + 1))), a multiple
-       of p^N for every k > k_max by the choice of k_max.  The retries'
-       k_max = N + delta - 1 meets the bound as 2N + 2 delta + 1 < p^delta.
+       of p^N for every k > k_max by the choice of k_max.
     5. Grading.  Psi = p^(C+1) H_0 for the Horner steps
        H_(k-1) = p Dt H_k + cks[k-1] Q^(p (k_max - k + 1)), so H_k is
        needed mod p^(W-C-1-k) (by term); and E-block n of H_k, its Q-digits
@@ -333,7 +333,11 @@ def _compute(curve, p, N, delta, k_max, C, W):
        every block gives its digits mod p^W; W >= C + k_max + 2 leaves
        block 0 at least one digit.
     So M and h are right to the N digits the report reads.  Every exact
-    division stays checked, on every attempt.
+    division stays checked, and the result is audited: the zeta, and M and
+    h together by identity_check at the least residue x with F(x) a
+    nonzero square mod p.  Without one, every affine point over F_p has
+    y = 0, so the proof has no generic disk: it reads neither M nor h,
+    only the zeta, and that audit is skipped.
     """
     s_max = 2 * p * k_max + p
     m = p ** W
@@ -403,26 +407,39 @@ def _compute(curve, p, N, delta, k_max, C, W):
         raise PrecisionError("zeta coefficients violate the Weil bounds")
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
         raise PrecisionError("zeta functional equation failed")
-    npoints = len(kernels.fp_curve_points(curve.f_coeffs_mod(p, 1), p)) + 1
+    fbar = curve.f_coeffs_mod(p, 1)
+    npoints = len(kernels.fp_curve_points(fbar, p)) + 1
     if p + 1 + b[1] != npoints:
         raise PrecisionError("trace does not match the point count")
 
-    return FrobeniusData(curve, p, N, delta, C, W, k_max, matrix_ints,
-                         tuple(map(tuple, pole_prims)), tuple(deg_prims),
-                         tuple(b), npoints)
+    fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints,
+                       tuple(map(tuple, pole_prims)), tuple(deg_prims),
+                       tuple(b), npoints)
+    xbar = _generic_residue(fbar, p)
+    if xbar is None:
+        log.debug("p = %d: no residue x with F(x) a nonzero square mod p, "
+                  "so no generic disk; identity audit skipped", p)
+    else:
+        identity_check(fd, xbar)
+    return fd
 
 
-def _ceil_log(n, p):
-    e = 0
-    v = 1
-    while v < n:
-        v *= p
-        e += 1
-    return e
+def _generic_residue(f, p):
+    """The least residue x with f(x) a nonzero square mod p, or None."""
+    for x in range(p):
+        v = kernels.poly_eval_mod(f, x, p)
+        if v and pow(v, (p - 1) // 2, p) == 1:
+            return x
+    return None
 
 
 def _floor_log(n, p):
-    return _ceil_log(n + 1, p) - 1
+    """floor(log_p n) for n >= 1."""
+    e = 0
+    while n >= p:
+        n //= p
+        e += 1
+    return e
 
 
 def _psi_digits(Q, dt, cks, C, p, W):
@@ -686,10 +703,6 @@ def _degree_reduce(A, Q, Qd, p, m):
     return A, prims
 
 
-# headroom digits of the successive attempts; on the first, only a label
-_DELTAS = (4, 8, 16)
-
-
 def _tail_length(p, N):
     """The least k_max with k - 1 - floor(log_p(2k + 1)) >= N for every
     k > k_max (_compute, 4).  That exponent never falls as k grows, so
@@ -700,46 +713,30 @@ def _tail_length(p, N):
     return k - 1
 
 
-def _budget(p, N, attempt):
-    """(delta, k_max, C, W) of attempt 0, 1, 2 of frobenius_data.
-
-    Attempt 0 computes the N digits the report reads and no more: k_max is
-    the least series length whose dropped terms are multiples of p^N,
+def _budget(p, N):
+    """(k_max, C, W) for the N digits the report reads and no more: k_max
+    is the least series length whose dropped terms are multiples of p^N,
     C = L, the denominator bound of _compute, and
     W = max(N + C + L, C + k_max + 2), the second term leaving block 0 of
     the graded Psi a digit (the two agree for every prime from 7 to
-    PRIME_CAP and N up to PREC_CAP).  The retries keep the wider budget
-    that came before: k_max = N + delta - 1,
-    C = 2 (ceil log_p s_max + ceil log_p(2 deg_cap + 7)) + 2 + 4 attempt
-    and W = N + delta + 2C."""
-    delta = _DELTAS[attempt]
+    PRIME_CAP and N up to PREC_CAP)."""
     # deg_cap = (5p + 5) // 2 is the degree of column 5's numerator over y^1
     top = 2 * ((5 * p + 5) // 2) + 7
-    if attempt == 0:
-        k_max = _tail_length(p, N)
-        C = _floor_log(2 * p * k_max + p, p) + _floor_log(top, p)
-        return delta, k_max, C, max(N + 2 * C, C + k_max + 2)
-    k_max = N + delta - 1
-    s_max = 2 * p * k_max + p
-    C = 2 * (_ceil_log(s_max, p) + _ceil_log(top, p)) + 2 + 4 * attempt
-    return delta, k_max, C, N + delta + 2 * C
+    k_max = _tail_length(p, N)
+    C = _floor_log(2 * p * k_max + p, p) + _floor_log(top, p)
+    return k_max, C, max(N + 2 * C, C + k_max + 2)
 
 
 def frobenius_data(curve, p, prec):
-    """Audited Frobenius structure; retries with more headroom on failure."""
+    """The Frobenius structure to p^prec, audited by _compute."""
     curve.check_prime(p)
-    last = None
-    for attempt in range(len(_DELTAS)):
-        try:
-            return _compute(curve, p, prec, *_budget(p, prec, attempt))
-        except PrecisionError as exc:
-            last = exc
-    raise PrecisionError("frobenius computation failed: %s" % last)
+    return _compute(curve, p, prec, *_budget(p, prec))
 
 
 def zeta_numerator(curve, p):
     """[b0..b6] with #C(F_{p^k}) determined by P(T) = sum b_i T^i."""
-    return list(frobenius_data(curve, p, max(6, _ceil_log(40, p) + 2)).zeta)
+    # the Weil bounds put every |b_i| below p^6 / 2, so 6 digits read them
+    return list(frobenius_data(curve, p, 6).zeta)
 
 
 def _irreducible_low(p, k):
@@ -771,44 +768,38 @@ def brute_zeta_numerator(curve, p):
 
 
 def identity_check(fd, xbar):
-    """Digits to which phi^* w_j = sum_i M[i][j] w_i + d h_j holds at a
-    generic-disk test point over xbar; raises if the disk is unusable."""
-    p, K = fd.p, fd.prec
-    mk = p ** K
-    Q = fd.curve.f_coeffs_mod(p, K + 1)
+    """Audit phi^* w_j = sum_i M[i][j] w_i + d h_j mod p^N, column by
+    column, at the point (x, y) over the residue xbar with F(xbar) a nonzero
+    square mod p, y known mod p^W; raise PrecisionError naming the first
+    column where it fails.
+
+    In dx-coefficients, times 2 y: with u = y^-2 and z = Dt(x) u^p,
+    phi^* w_j gives x^(pj+p-1) y^(1-p) sum_k c_k p^(k+1) z^k, whose terms
+    k >= N - 1 vanish mod p^N, and the right side gives sum_i M[i][j] x^i
+    + 2 y h_j'.  The primitive is known as p^C h_j mod p^(W-L), so both
+    sides are compared times p^C, mod p^(C+N)."""
+    p, N, C, W = fd.p, fd.prec, fd.scale_exp, fd.work_exp
+    mn = p ** N
     x = xbar % p
-    y2 = kernels.poly_eval_mod(Q, x, mk)
-    if y2 % p == 0:
-        raise ValueError("test point must avoid Weierstrass disks")
-    y = sqrt_mod_pn(y2 % mk, p, K)
+    f = fd.curve.f_coeffs_mod(p, W)
+    y = sqrt_mod_pn(kernels.poly_eval_mod(f, x, p ** W), p, W)
     if y is None:
-        raise ValueError("no rational point over this residue")
-    qxp = kernels.poly_eval_mod(Q, pow(x, p, p ** (K + 1)), p ** (K + 1))
-    qp = pow(kernels.poly_eval_mod(Q, x, p ** (K + 1)), p, p ** (K + 1))
-    dtx = _exact_pdiv((qxp - qp) % p ** (K + 1), p, 1) % mk
-    yinv = pow(y, -1, mk)
-    inv2 = pow(2, -1, mk)
-    cks = _half_binomial_units(K, mk)
-    mat = fd.matrix()
-    worst = K
+        raise ValueError("the residue %d lies under no generic disk" % x)
+    fx = kernels.poly_eval_mod(f, x, p * mn)
+    fxp = kernels.poly_eval_mod(f, x ** p, p * mn)
+    dt = _exact_pdiv((fxp - pow(fx, p, p * mn)) % (p * mn), p, 1)
+    u = pow(y * y % mn, -1, mn)
+    z = dt * pow(u, p, mn) % mn
+    series = 0
+    for c in reversed(_half_binomial_units(N - 2, mn)):
+        series = (series * z + c) * p % mn
+    # column 0's left side; column j + 1's is x^p times column j's
+    lhs = series * pow(u, (p - 1) // 2, mn) * x ** (p - 1) % mn
     for col in range(6):
-        lhs = 0
-        for k in range(K):
-            term = (cks[k] * pow(p, k + 1, mk) % mk
-                    * pow(x, p * col + p - 1, mk) % mk
-                    * pow(dtx, k, mk) % mk
-                    * pow(yinv, 2 * p * k + p, mk) % mk * inv2) % mk
-            lhs = (lhs + term) % mk
-        rhs = fd.primitive_dx(col, x, y)
-        for i in range(6):
-            wi = pow(x, i, mk) * yinv % mk * inv2 % mk
-            rhs = rhs + mat[i][col] * PadicNumber.from_rational(
-                wi, p, abs_prec=K)
-        lhs_p = PadicNumber.from_rational(lhs, p, abs_prec=K) if lhs \
-            else PadicNumber.zero(p, K)
-        diff = rhs - lhs_p
-        if not diff.is_zero:
+        rhs = sum(fd.matrix_ints[i][col] * x ** i for i in range(6))
+        if ((lhs - rhs) * p ** C
+                - 2 * y * fd._primitive_dx_acc(col, x, y)) % p ** (C + N):
             raise PrecisionError(
-                "frobenius identity fails at column %d" % col)
-        worst = min(worst, K if diff.is_exact_zero else diff.valuation)
-    return worst
+                "frobenius identity fails at column %d: the budget "
+                "argument of _compute failed" % col)
+        lhs = lhs * x ** p % mn

@@ -8,6 +8,7 @@ batch job cannot disturb its siblings.
 
 import io
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -426,6 +427,19 @@ def test_anomalous_prime_proves(name, N, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["jacobian_order"] == 343
     assert report["class_counts"] == {"known_rational": 3}
+
+
+def test_curve_with_no_generic_disk_proves(capsys, caplog):
+    # every affine point over F_7 has y = 0 (x = 5 only), so no residue
+    # carries the identity audit's test point; the proof reads no
+    # Frobenius matrix or primitive, and the skipped audit is logged
+    job = str(DATA / "job_no_generic.json")
+    caplog.set_level(logging.DEBUG, logger="g3chabauty.frobenius")
+    assert main(["analyze", "--job", job]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["class_counts"] == {"known_rational": 3, "weierstrass": 1}
+    assert any("identity audit skipped" in r.getMessage()
+               for r in caplog.records if r.name == "g3chabauty.frobenius")
 
 
 def test_batch_rejects_duplicate_ids(tmp_path):

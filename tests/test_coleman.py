@@ -148,7 +148,7 @@ def test_mirror_primitive_is_negated_accumulator(ctx_name, request):
             acc = fd._primitive_acc(i, x_t, y_t)
             assert -acc % m == fd._primitive_acc(i, x_t, m - y_t)
             mirror = fd._wrap_scaled(-acc % m)
-            direct = fd.primitive_value(i, x_t, m - y_t)
+            direct = fd._wrap_scaled(fd._primitive_acc(i, x_t, m - y_t))
             assert (mirror.valuation, mirror.unit, mirror.rel_prec) == \
                 (direct.valuation, direct.unit, direct.rel_prec)
     assert generic >= 2

@@ -11,7 +11,7 @@ import sympy
 
 from conftest import CURVE_B_COEFFS, make_curve
 from g3chabauty.curve import (PRIME_CAP, CurveModel, FpPoint, RationalPoint,
-                              eval_exact, is_prime)
+                              estimated_seconds, eval_exact, is_prime)
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.localdisk import curve_point_from_rational
 
@@ -73,6 +73,24 @@ def test_prime_selection(curve_a, curve_b, curve_c):
         curve_a.check_prime(5)
     with pytest.raises(InputError, match="above the cap"):
         curve_a.check_prime(1000003)
+
+
+# The rows the cost model was fitted to: wall seconds of
+# `g3chabauty analyze --job data/job_ex1.json --p P --N N` on a 2-vCPU
+# host, keyed by (p, N), the rows of at least 5 s in the curve.py comment.
+COST_ROWS = {(7, 120): 5.1, (7, 200): 20.0, (37, 40): 6.6, (37, 78): 42.8,
+             (101, 20): 9.9, (101, 40): 50.4, (101, 80): 489.0,
+             (211, 10): 11.0, (293, 10): 21.2, (293, 20): 82.4}
+
+
+def test_cost_model_is_an_upper_envelope_of_its_rows():
+    # the cost cap admits a job by its estimate, so the estimate must not
+    # fall below a measured run; the fit alone put p = 101 at N = 80 at
+    # 382 s against 489 s measured.  The worst row sets the scale, so the
+    # envelope touches it
+    ratios = [estimated_seconds(p, N) / s for (p, N), s in COST_ROWS.items()]
+    assert min(ratios) >= 1.0
+    assert min(ratios) < 1.01
 
 
 def test_is_prime_matches_sympy():

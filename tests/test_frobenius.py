@@ -11,8 +11,8 @@ from g3chabauty import _kernels as kernels
 from g3chabauty import frobenius
 from g3chabauty.curve import CurveModel
 from g3chabauty.errors import PrecisionError
-from g3chabauty.frobenius import (_DELTAS, _budget, _ceil_log, _compute,
-                                  _digit_map, _apply_digit_map,
+from g3chabauty.frobenius import (_budget, _compute, _digit_map,
+                                  _apply_digit_map, _generic_residue,
                                   brute_zeta_numerator, frobenius_data,
                                   identity_check, zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
@@ -67,14 +67,14 @@ def test_jacobian_order_annihilates(curve_a, fd_a7):
 
 
 # SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)) of one
-# _compute run at the budget (delta, k_max, C, W) in PINNED_BUDGETS: the raw
+# _compute run at the budget (k_max, C, W) in PINNED_BUDGETS: the raw
 # residues mod p^W, so each pins the telescope arithmetic at that budget.
 # They come from the per-column pole reduction that preceded the shared
 # Q-adic digits (the first three) and from the full-precision digits of Psi
 # that preceded the graded ones (the rest).  A key (curve, p, prec) holds the
 # first attempt's budget from before the denominator bound (k_max =
-# prec + 3, C = 12); a key (curve, p, prec, attempt) holds that retry's
-# budget, which _budget keeps.
+# prec + 3, C = 12); a key (curve, p, prec, attempt) holds the budget of
+# that retry of the retry ladder frobenius_data once ran (_retry_budget).
 FROBENIUS_DIGESTS = {
     ("curve_a", 7, 10):
         "dbd7500fdf6bd1f0ebce470fd9ea23ed5e5daa69d5b19f51cc3456499fe23630",
@@ -88,11 +88,11 @@ FROBENIUS_DIGESTS = {
         "a8c6cc27874be603863179457b9306bbf230b7b8ab86d514759616eea25e527d",
 }
 PINNED_BUDGETS = {
-    ("curve_a", 7, 10): (4, 13, 12, 38),
-    ("curve_b", 7, 18): (4, 21, 12, 46),
-    ("curve_c", 11, 26): (4, 29, 12, 54),
-    ("curve_b", 11, 26): (4, 29, 12, 54),
-    ("curve_a", 7, 10, 2): (8, 17, 16, 50),
+    ("curve_a", 7, 10): (13, 12, 38),
+    ("curve_b", 7, 18): (21, 12, 46),
+    ("curve_c", 11, 26): (29, 12, 54),
+    ("curve_b", 11, 26): (29, 12, 54),
+    ("curve_a", 7, 10, 2): (17, 16, 50),
 }
 
 # SHA-256 of repr(_canonical(curve, frobenius_data(curve, p, prec))): the
@@ -113,17 +113,43 @@ CANONICAL_DIGESTS = {
 }
 
 
+def _ceil_log(n, p):
+    """ceil(log_p n) for n >= 1."""
+    e = 0
+    v = 1
+    while v < n:
+        v *= p
+        e += 1
+    return e
+
+
+def _retry_budget(p, prec, attempt):
+    """(k_max, C, W) of attempt 1 or 2, the retries of the ladder
+    frobenius_data ran before one budget was shown to suffice: headroom
+    delta = 8 or 16, k_max = prec + delta - 1,
+    C = 2 (ceil log_p s_max + ceil log_p(2 deg_cap + 7)) + 2 + 4 attempt
+    and W = prec + delta + 2C, each above _budget's."""
+    delta = 4 << attempt
+    k_max = prec + delta - 1
+    s_max = 2 * p * k_max + p
+    top = 2 * ((5 * p + 5) // 2) + 7
+    C = 2 * (_ceil_log(s_max, p) + _ceil_log(top, p)) + 2 + 4 * attempt
+    return k_max, C, prec + delta + 2 * C
+
+
 def _attempt(curve, p, prec, attempt):
-    """_compute as frobenius_data runs it on attempt 1, 2, 3."""
-    return _compute(curve, p, prec, *_budget(p, prec, attempt - 1))
+    """_compute at _budget on attempt 1 and at _retry_budget on 2, 3."""
+    if attempt == 1:
+        return _compute(curve, p, prec, *_budget(p, prec))
+    return _compute(curve, p, prec, *_retry_budget(p, prec, attempt - 1))
 
 
 def _wide_budget(p, prec):
-    """The first attempt's (delta, k_max, C, W) before the denominator
-    bound and the tail bound."""
+    """The first attempt's (k_max, C, W) before the denominator bound and
+    the tail bound."""
     s_max = 2 * p * (prec + 4 - 1) + p
     C = 2 * (_ceil_log(s_max, p) + _ceil_log(2 * ((5 * p + 5) // 2) + 7, p))
-    return 4, prec + 3, C + 2, prec + 4 + 2 * (C + 2)
+    return prec + 3, C + 2, prec + 4 + 2 * (C + 2)
 
 
 def _canonical(curve, fd):
@@ -134,8 +160,9 @@ def _canonical(curve, fd):
         if disk.is_infinity or disk.y == 0:
             continue
         _, (x_t, y_t) = disk_center(curve, disk, fd.p, fd.prec, fd.work_exp)
-        values.append(tuple(fd.primitive_value(col, x_t, y_t).expansion_str()
-                            for col in range(6)))
+        values.append(tuple(
+            fd._wrap_scaled(fd._primitive_acc(col, x_t, y_t)).expansion_str()
+            for col in range(6)))
     return fd.matrix_ints, fd.zeta, fd.npoints, values
 
 
@@ -145,7 +172,7 @@ def test_frobenius_bookkeeping_pinned(key, request):
     curve, p, prec = key[:3]
     budget = PINNED_BUDGETS[key]
     if len(key) == 4:
-        assert budget == _budget(p, prec, key[3] - 1)
+        assert budget == _retry_budget(p, prec, key[3] - 1)
     else:
         assert budget == _wide_budget(p, prec)
     fd = _compute(request.getfixturevalue(curve), p, prec, *budget)
@@ -160,8 +187,9 @@ def test_frobenius_canonical_values_pinned(key, request):
     curve, p, prec = key
     curve = request.getfixturevalue(curve)
     fd = frobenius_data(curve, p, prec)
-    assert (fd.delta, fd.k_max, fd.scale_exp, fd.work_exp) == \
-        _budget(p, prec, 0)
+    assert (fd.k_max, fd.scale_exp, fd.work_exp) == _budget(p, prec)
+    # the benchmark's tracer reads attempt 1 from delta = 4
+    assert fd.delta == 4
     digest = hashlib.sha256(repr(_canonical(curve, fd)).encode()).hexdigest()
     assert digest == CANONICAL_DIGESTS[key]
 
@@ -178,12 +206,7 @@ FIRST_SIZES = {(7, 18): (19, 24), (11, 26): (27, 32), (13, 30): (31, 36),
 def test_first_budget_is_the_denominator_bound(p, prec, C):
     # at p = 19 and prec 8, k_max = 9 and s_max = 361 = p^2 exactly
     k_max, W = FIRST_SIZES[p, prec]
-    assert _budget(p, prec, 0) == (4, k_max, C, W)
-    for attempt in (1, 2):
-        delta, wide_k_max, wide_C, wide_W = _budget(p, prec, attempt)
-        assert delta == _DELTAS[attempt] and wide_C > C
-        assert wide_k_max == prec + delta - 1 > k_max
-        assert wide_W == prec + delta + 2 * wide_C
+    assert _budget(p, prec) == (k_max, C, W)
 
 
 def _digits_base(n, p):
@@ -203,7 +226,7 @@ def test_first_k_max_is_the_least_that_meets_the_tail_bound(p):
         return k - 1 - (_digits_base(2 * k + 1, p) - 1)
 
     for prec in range(4, 201):
-        _, k_max, C, W = _budget(p, prec, 0)
+        k_max, C, W = _budget(p, prec)
         assert exponent(k_max) < prec
         assert all(exponent(k) >= prec
                    for k in range(k_max + 1, 2 * k_max + p ** 2))
@@ -223,30 +246,26 @@ def test_denominator_bound_matches_wide_budget_on_random_curves():
             continue
         prec = rng.choice((6, 10, 14))
         fd = frobenius_data(curve, p, prec)
-        assert (fd.delta, fd.k_max, fd.scale_exp, fd.work_exp) == \
-            _budget(p, prec, 0)
+        assert (fd.k_max, fd.scale_exp, fd.work_exp) == _budget(p, prec)
         wide = _compute(curve, p, prec, *_wide_budget(p, prec))
         assert wide.work_exp > fd.work_exp
         assert _canonical(curve, fd) == _canonical(curve, wide)
         checked[p] += 1
 
 
-def _generic_residue(curve, p):
-    """A residue x with F(x) a nonzero square mod p, or None."""
-    f = curve.f_coeffs_mod(p, 1)
-    for x in range(p):
-        v = kernels.poly_eval_mod(f, x, p)
-        if v and pow(v, (p - 1) // 2, p) == 1:
-            return x
-    return None
+def _generic_residues(f, p):
+    """Every residue x with f(x) a nonzero square mod p, by Euler's
+    criterion."""
+    return [x for x in range(p)
+            if pow(kernels.poly_eval_mod(f, x, p), (p - 1) // 2, p) == 1]
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
 def test_first_attempt_matches_wide_budget_on_random_curves(p):
     """One seeded random curve per precision, from 4 up to the default
-    2p + 4: the first attempt succeeds with the canonical values of the
-    wide budget, the pullback identity holds at a generic point, and for
-    p <= 13 the zeta is the brute-force count's.  At p = 19 and prec 8,
+    2p + 4: _budget gives the canonical values of the wide budget, the
+    pullback identity holds at every generic residue, and for p <= 13 the
+    zeta is the brute-force count's.  At p = 19 and prec 8,
     s_max = p^2 exactly, the edge of the floor in the denominator bound."""
     rng = random.Random(100 + p)
     for prec in (4, 5, 6, 8 if p == 19 else 10, 2 * p + 4):
@@ -254,15 +273,15 @@ def test_first_attempt_matches_wide_budget_on_random_curves(p):
             coeffs = [rng.randint(-9, 9) for _ in range(7)] + [1]
             curve = CurveModel(coeffs)
             if curve.is_good_prime(p):
-                xbar = _generic_residue(curve, p)
-                if xbar is not None:
+                fbar = curve.f_coeffs_mod(p, 1)
+                if _generic_residues(fbar, p):
                     break
         fd = frobenius_data(curve, p, prec)
-        assert (fd.delta, fd.k_max, fd.scale_exp, fd.work_exp) == \
-            _budget(p, prec, 0)
+        assert (fd.k_max, fd.scale_exp, fd.work_exp) == _budget(p, prec)
         wide = _compute(curve, p, prec, *_wide_budget(p, prec))
         assert _canonical(curve, fd) == _canonical(curve, wide)
-        assert identity_check(fd, xbar) >= prec - 4
+        for xbar in _generic_residues(fbar, p):
+            identity_check(fd, xbar)
         if p <= 13:
             assert list(fd.zeta) == brute_zeta_numerator(curve, p)
 
@@ -387,6 +406,33 @@ def _primitive_acc_full(fd, col, x_int, y_int):
     return acc
 
 
+def _primitive_dx_full(fd, col, x_int, y_int):
+    """p^scale_exp dh_col/dx at (x_int, y_int) mod p^work_exp, each pole
+    term with its own powers of y and its own derivative polynomial: the
+    oracle for the Horner evaluation, using y' = F'(x) / 2y."""
+    m = fd.p ** fd.work_exp
+    Qd = kernels.poly_deriv_mod(fd.curve.f_coeffs_mod(fd.p, fd.work_exp), m)
+    qd_val = kernels.poly_eval_mod(Qd, x_int, m)
+    yinv = pow(y_int, -1, m)
+    yinv2 = yinv * yinv % m
+    inv2 = pow(2, -1, m)
+    acc = 0
+    for s, b in fd.pole_prims[col]:
+        ye = pow(yinv2, (s - 1) // 2, m)
+        bval = kernels.poly_eval_mod(list(b), x_int, m)
+        bdval = kernels.poly_eval_mod(kernels.poly_deriv_mod(b, m), x_int, m)
+        # d(b y^(2-s))/dx = b' y^(2-s) + (2-s)/2 b F' y^(-s)
+        acc = (acc + bdval * y_int % m * ye) % m
+        acc = (acc + (2 - s) * inv2 % m * bval % m * qd_val % m
+               * ye % m * yinv) % m
+    for j, mu in fd.deg_prims[col]:
+        if j:
+            acc = (acc + mu * j % m * pow(x_int, j - 1, m) % m * y_int) % m
+        acc = (acc + mu * pow(x_int, j, m) % m * qd_val % m * inv2 % m
+               * yinv) % m
+    return acc
+
+
 def _strip(digits):
     digits = list(digits)
     while digits and not any(digits[-1]):
@@ -399,8 +445,9 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     oracle: the graded _psi_digits against the full-precision digits,
     every packed x^e map against e passes of _times_x_once, every pole
     step, on the fused maps or on the checked ones, against
-    _pole_step_full, and then the Horner _primitive_acc of the result
-    against _primitive_acc_full."""
+    _pole_step_full, and then the Horner _primitive_acc and
+    _primitive_dx_acc of the result against _primitive_acc_full and
+    _primitive_dx_full."""
     graded = frobenius._psi_digits
     digit_map = frobenius._digit_map
     apply_map = frobenius._apply_digit_map
@@ -482,6 +529,8 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
             y_int = rng.randrange(1, p) + p * rng.randrange(m // p)
             assert fd._primitive_acc(col, x_int, y_int) == \
                 _primitive_acc_full(fd, col, x_int, y_int)
+            assert fd._primitive_dx_acc(col, x_int, y_int) == \
+                _primitive_dx_full(fd, col, x_int, y_int)
 
 
 @pytest.mark.parametrize("curve,p,prec", [
@@ -541,14 +590,66 @@ def test_matrix_is_integral(fd_a7):
 
 
 def test_pullback_identity_generic_points(fd_a7):
-    # residues with F(x) a nonzero square mod 7: 3 and 4 for this curve
-    for xbar in (3, 4):
-        digits = identity_check(fd_a7, xbar)
-        assert digits >= fd_a7.prec - 4
+    # the audit of frobenius_data runs at the least generic residue
+    fbar = fd_a7.curve.f_coeffs_mod(7, 1)
+    assert _generic_residues(fbar, 7) == [0, 3, 4]
+    assert _generic_residue(fbar, 7) == 0
+    for xbar in range(7):
+        if xbar in (0, 3, 4):
+            identity_check(fd_a7, xbar)
+        else:
+            with pytest.raises(ValueError, match="no generic disk"):
+                identity_check(fd_a7, xbar)
+
+
+def _mutated_primitive(col):
+    """FrobeniusData with p^(C+N-1) added to the x^0 coefficient of
+    column col's s = 3 primitive: h_col off in its last reported digit."""
+    made = frobenius.FrobeniusData
+
+    def build(curve, p, prec, C, W, k_max, matrix_ints, pole_prims,
+              deg_prims, zeta, npoints):
+        prims = [list(terms) for terms in pole_prims]
+        s, b = prims[col][-1]
+        assert s == 3
+        b = ((b[0] + p ** (C + prec - 1)) % p ** W,) + b[1:]
+        prims[col][-1] = (s, b)
+        return made(curve, p, prec, C, W, k_max, matrix_ints,
+                    tuple(map(tuple, prims)), deg_prims, zeta, npoints)
+    return build
+
+
+@pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
+                                     ("curve_c", 11)])
+def test_identity_audit_catches_a_wrong_primitive_digit(curve, p, request,
+                                                        monkeypatch):
+    """Every zeta audit reads only M; the identity audit reads h too, so a
+    primitive wrong in digit N - 1 must raise, naming its column."""
+    curve = request.getfixturevalue(curve)
+    for col in range(6):
+        with monkeypatch.context() as patch:
+            patch.setattr(frobenius, "FrobeniusData", _mutated_primitive(col))
+            with pytest.raises(PrecisionError,
+                               match="identity fails at column %d" % col):
+                frobenius_data(curve, p, 2 * p + 4)
+
+
+@pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
+                                     ("curve_c", 11)])
+def test_primitive_dx_matches_the_per_term_oracle(curve, p, request):
+    curve = request.getfixturevalue(curve)
+    fd = frobenius_data(curve, p, 2 * p + 4)
+    m = p ** fd.work_exp
+    rng = random.Random(p)
+    for col in range(6):
+        for x_int in (0, 1, rng.randrange(m)):
+            y_int = rng.randrange(1, p) + p * rng.randrange(m // p)
+            assert fd._primitive_dx_acc(col, x_int, y_int) == \
+                _primitive_dx_full(fd, col, x_int, y_int)
 
 
 def test_primitive_dx_finite_difference(curve_a, fd_a7):
-    p, K = 7, fd_a7.prec
+    p = 7
     m = p ** fd_a7.work_exp
     Q = curve_a.f_coeffs_mod(p, fd_a7.work_exp)
     x0 = 3
@@ -560,9 +661,9 @@ def test_primitive_dx_finite_difference(curve_a, fd_a7):
         y1 = m - y1   # match the branch of the disk
     assert (y1 - y0) % p ** 4 == 0
     for col in range(6):
-        h0 = fd_a7.primitive_value(col, x0, y0)
-        h1 = fd_a7.primitive_value(col, x0 + step, y1)
-        deriv = fd_a7.primitive_dx(col, x0, y0)
+        h0 = fd_a7._wrap_scaled(fd_a7._primitive_acc(col, x0, y0))
+        h1 = fd_a7._wrap_scaled(fd_a7._primitive_acc(col, x0 + step, y1))
+        deriv = fd_a7._wrap_scaled(fd_a7._primitive_dx_acc(col, x0, y0))
         diff = (h1 - h0) - deriv * step
         # second-order remainder is O(step^2) = O(p^10), cut by prim scale
         assert diff.is_zero and diff.valuation >= 8
