@@ -11,20 +11,18 @@ with iota the hyperelliptic involution, satisfies
 Int_P^Q w = halfint(Q) - halfint(P) because iota negates holomorphic
 forms.  For X in a Weierstrass or infinity disk the center is fixed by
 iota, so halfint(X) is just the termwise integral from the center; in a
-generic disk it is the termwise integral from the Teichmuller point plus
-half the system integral between the two Teichmuller lifts of the disk.
+generic disk it is the termwise integral from the Teichmuller point P plus
+halfint(P).  The primitives h are odd in y, so h(P) - h(iota P) = 2 h(P)
+and halfint(P) solves (I - M^T) v = h(P) directly.
 
 Each disk therefore keeps one series per basis form: H_i(t), the termwise
-integral of w_i from the center plus, on a generic disk, half the system
-integral as its constant, so halfint is H_i at the point's parameter
-(negated on the mirror disk).  A form is a coefficient triple over
-(w0, w1, w2), and its half-integral series is the same combination of
-H_0, H_1, H_2.
+integral of w_i from the center plus, on a generic disk, halfint(P) as its
+constant, so halfint is H_i at the point's parameter (negated on the
+mirror disk).  A form is a coefficient triple over (w0, w1, w2), and its
+half-integral series is the same combination of H_0, H_1, H_2.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import PrecisionError
 from .frobenius import frobenius_data
@@ -92,8 +90,6 @@ class ColemanContext:
         self.t_prec = prec + 4
         self.fd = frobenius_data(curve, p, prec)
         self._disks = {}
-        self._half = PadicNumber.from_rational(
-            Fraction(1, 2), p, rel_prec=prec)
 
     # -- per-disk assembly -------------------------------------------------
 
@@ -115,22 +111,19 @@ class ColemanContext:
         forms = expansion.differential_series()
         halfints = tuple(f.formal_integral() for f in forms)
         if residues is not None:
+            # h is odd in y, so h(P) - h(iota P) = 2 h(P): the half
+            # integral between the two lifts solves (I - M^T) v = h(P)
             x_t, y_t = residues
-            m = p ** self.fd.work_exp
-            rhs = []
-            mat = self.fd.matrix()
-            for i in range(6):
-                # h_i is odd in y: its value at (x_t, m - y_t) is -acc
-                acc = self.fd._primitive_acc(i, x_t, y_t)
-                rhs.append(self.fd._wrap_scaled(acc)
-                           - self.fd._wrap_scaled(-acc % m))
+            fd = self.fd
+            rhs = [fd._wrap_scaled(fd._primitive_acc(i, x_t, y_t))
+                   for i in range(6)]
+            mat = fd.matrix()
             one = PadicNumber.from_rational(1, p, rel_prec=self.prec)
             zero = PadicNumber.zero(p, self.prec)
             rows = [[(one if i == j else zero) - mat[j][i]
                      for j in range(6)] for i in range(6)]
             sol = padic_linsolve(rows, rhs)
-            halfints = tuple(h + self._half * c
-                             for h, c in zip(halfints, sol))
+            halfints = tuple(h + c for h, c in zip(halfints, sol))
         return _DiskData(expansion, forms, halfints)
 
     # -- integrals ---------------------------------------------------------

@@ -79,21 +79,10 @@ PREC_CAP = 200
 # it could not pass below it.
 PREC_MIN = 4
 
-_SMALL_PRIMES = tuple(n for n in range(2, 1000)
-                      if all(n % d for d in range(2, isqrt(n) + 1)))
-
-
 def is_prime(n):
-    """Exact primality by trial division: by the primes below 1000, which
-    settle every n below 1009^2, then by the odd numbers from 1001."""
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if q * q > n:
-            return True
-        if n % q == 0:
-            return n == q
-    return all(n % d for d in range(1001, isqrt(n) + 1, 2))
+    """Exact primality by trial division; its callers pass n up to
+    PRIME_CAP and the small q of _factor_squarefree."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def check_prime_number(p):

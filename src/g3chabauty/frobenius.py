@@ -29,11 +29,13 @@ same kind of map, multiplication by x^p on a digit (x^(p-1) for column
 0); and every pole step works on a polynomial of degree below 7.  There
 the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F for the
 cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both maps
-are built once as integer matrices on the monomials
-x^0 .. x^6, so a pole step is two matrix-vector products: b, and the new
-lowest digit a + 2b'/(s-2), whose map is fused once per s and shared by
-the six columns where p does not divide s - 2.  Building them checks that
-F divides x^i - b(x^i) F' for every i; the remainder
+are built once as integer matrices on the monomials x^0 .. x^6, and
+composed once per s into one step map shared by the six columns, so a
+pole step is matrix-vector products on c = A_0: the primitive -b/(s-2),
+and the new lowest digit a + 2b'/(s-2).  Where p^e, e > 0, divides s - 2,
+the correction 2b'/(s-2) is a third product, kept apart so that its
+division by p^e is checked, as the primitive's is.  Building the maps
+checks that F divides x^i - b(x^i) F' for every i; the remainder
 A_0 -> A_0 (1 - beta F') mod F is linear mod p^W, so that basis check
 covers every numerator a per-step remainder check would see.  At
 s = 1 the remaining digits are reassembled and the second telescope lowers
@@ -266,15 +268,15 @@ def _compute(curve, p, N, k_max, C, W):
     Psi itself): x^e x^i = sum_u r_(i,u) Q^u is precomputed for i < 7, so
     a digit's image is one sum of 7 integer multiples and digit t of the
     result adds the images of digits t, t-1, .. at their offsets u.  The
-    pole steps run on the maps of _pole_maps, s by s over the six columns:
-    the exact division by Q is checked once on x^0 .. x^6, which covers
-    every step, since the remainder c (1 - beta Q') mod Q is linear in c
-    mod p^W.  Where p does not divide s - 2 no division by p is left, and
-    one fused map per s gives the new lowest digit (_fused_map); where it
-    does, the divisions by p^e(s-2) of the correction and of the primitive
-    are checked at every step (_pole_step).  The primitive's pole terms
-    are stored with s decreasing, the order in which
-    FrobeniusData._primitive_acc runs Horner's rule in y^-2.
+    pole steps run s by s over the six columns, on one step map per s
+    (_step_map) composed from the maps of _pole_maps: the exact division
+    by Q is checked once on x^0 .. x^6, which covers every step, since the
+    remainder c (1 - beta Q') mod Q is linear in c mod p^W.  Where p does
+    not divide s - 2 no division by p is left; where p^e does, the
+    divisions by p^e of the correction and of the primitive are checked at
+    every step (_pole_step).  The primitive's pole terms are stored with s
+    decreasing, the order in which FrobeniusData._primitive_acc runs
+    Horner's rule in y^-2.
 
     Why the budget of _budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
@@ -309,15 +311,17 @@ def _compute(curve, p, N, k_max, C, W):
        divides p^C M by p^C.
     3. Perturbation.  Each reduction mod p^W drops p^W times an integral
        form at some pole order: a digit or carry mod p^W; a pole step's
-       (a, b) from the maps, as c' = aQ + bQ' = c mod p^W (the basis check)
-       and the step identity holds for any a, b; the correction 2b'/(s-2)
-       known mod p^(W-e), the same as b moved by p^W times an antiderivative
-       of degree <= 6 < p, so integral; and mu known mod p^(W-e), the same
-       as the leading coefficient moved by p^W times an integer.  So the
-       run is the exact reduction of p^C phi^* w_j plus p^W times integral
-       forms; reduction is linear, and by 1 the second part moves M and h
-       by multiples of p^(W-L).  A stored primitive's own division is off
-       by p^(W-e), e <= L, as well.  So after division by p^C, M and h are
+       images under the step map, which are a + 2b'/(s-2) and -b/(s-2) for
+       the (a, b) of the maps of _pole_maps, as c' = aQ + bQ' = c mod p^W
+       (the basis check) and the step identity holds for any a, b; the
+       correction 2b'/(s-2), where p^e divides s - 2, known mod p^(W-e)
+       after its checked division, the same as b moved by p^W times an
+       antiderivative of degree <= 6 < p, so integral; and mu known mod
+       p^(W-e), the same as the leading coefficient moved by p^W times an
+       integer.  So the run is the exact reduction of p^C phi^* w_j plus
+       p^W times integral forms; reduction is linear, and by 1 the second
+       part moves M and h by multiples of p^(W-L).  A stored primitive's
+       own division is off by p^(W-e), e <= L, as well.  So after division by p^C, M and h are
        right mod p^(W-C-L), a multiple of p^N, and the divisions of 2 stay
        exact, as W - L >= C and W - L >= L >= e.
     4. Truncation.  The terms k > k_max of the binomial series are
@@ -334,9 +338,10 @@ def _compute(curve, p, N, k_max, C, W):
        block 0 at least one digit.
     So M and h are right to the N digits the report reads.  Every exact
     division stays checked, and the result is audited: the zeta, and M and
-    h together by identity_check at the least residue x with F(x) a
-    nonzero square mod p.  Without one, every affine point over F_p has
-    y = 0, so the proof has no generic disk: it reads neither M nor h,
+    h together by identity_check at the least nonzero residue x with F(x)
+    a nonzero square mod p, so that every row of M enters (x = 0 only when
+    it is the one such residue).  Without one, every affine point over F_p
+    has y = 0, so the proof has no generic disk: it reads neither M nor h,
     only the zeta, and that audit is skipped.
     """
     s_max = 2 * p * k_max + p
@@ -371,14 +376,12 @@ def _compute(curve, p, N, k_max, C, W):
     carries = [[] for _ in range(6)]
     for j in range(J):
         s = s_max - 2 * j
-        fused = _fused_map(s, maps, m) if (s - 2) % p else None
+        step = _step_map(s, maps, p, m)
         for col, digits in enumerate(cols):
             c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]),
                                       carries[col], m)
                  if j < len(digits) else carries[col])
-            carries[col] = (_fused_step(c, s, fused, m, pole_prims[col])
-                            if fused else
-                            _pole_step(c, s, maps, p, m, pole_prims[col]))
+            carries[col] = _pole_step(c, s, step, p, m, pole_prims[col])
     matrix_ints = [[0] * 6 for _ in range(6)]
     deg_prims = []
     pC = p ** C
@@ -425,8 +428,10 @@ def _compute(curve, p, N, k_max, C, W):
 
 
 def _generic_residue(f, p):
-    """The least residue x with f(x) a nonzero square mod p, or None."""
-    for x in range(p):
+    """The least nonzero residue x with f(x) a nonzero square mod p; else 0
+    if f(0) is one, else None.  At x = 0 the identity audit's
+    sum_i M_ij x^i reads only row 0 of M; at a unit x it reads every row."""
+    for x in (*range(1, p), 0):
         v = kernels.poly_eval_mod(f, x, p)
         if v and pow(v, (p - 1) // 2, p) == 1:
             return x
@@ -631,52 +636,46 @@ def _rows(cols):
     return [[c[r] if r < len(c) else 0 for c in cols] for r in range(n)]
 
 
-def _pole_step(c, s, maps, p, m, prims):
+def _step_map(s, maps, p, m):
+    """The pole step at s as maps on the lowest digit c, for B and A the
+    maps of _pole_maps and s - 2 = p^e d' with p not dividing d':
+    (e, -B/d', carry, corr) mod m, with -B/d' taking c to p^e times the
+    primitive -b/(s-2) and corr = (2/d') (d/dx o B) taking c to p^e times
+    the correction 2b'/(s-2).  Where e = 0 the correction is fused into the
+    carry map, A + corr, and corr is None; where e > 0 the carry map is A
+    and corr stays apart, as its image must be divided by p^e."""
+    bmap, amap = maps
+    e = ord_p(s - 2, p)
+    inv = pow((s - 2) // p ** e, -1, m)
+    prim = [[-inv * v % m for v in row] for row in bmap]
+    corr = [[2 * inv * r * v % m for v in bmap[r]]
+            for r in range(1, len(bmap))]
+    carry = [list(row) for row in amap] + [[0] * 7] * (6 - len(amap))
+    if e:
+        return e, prim, carry, corr
+    for r, row in enumerate(corr):
+        carry[r] = [(a + v) % m for a, v in zip(carry[r], row)]
+    return e, prim, carry, None
+
+
+def _pole_step(c, s, step, p, m, prims):
     """One y-exponent drop s -> s-2 on the lowest Q-adic digit c of the
     numerator: c = aQ + bQ' with deg a <= 5, and c dx/2y^s leaves
-    a + 2b'/(s-2) at y^(s-2).  b and a come from the maps of _pole_maps.
-    Returns that polynomial (degree <= 5) and appends the subtracted
-    primitive."""
-    bmap, amap = maps
-    b = kernels.poly_trim([sum(map(mul, row, c)) % m for row in bmap])
-    a = [sum(map(mul, row, c)) % m for row in amap]
-    d = s - 2
-    e = ord_p(d, p)
-    dtild = d // p ** e
-    inv_dt = pow(dtild, -1, m)
-    two_over = 2 * inv_dt % m
-    bd = kernels.poly_deriv_mod(b, m)
-    corr = [_exact_pdiv(v * two_over % m, p, e) % m for v in bd]
-    if b:
-        neg_over = -inv_dt % m
-        prim = tuple(_exact_pdiv(v * neg_over % m, p, e) % m for v in b)
-        prims.append((s, prim))
-    return kernels.poly_add_mod(a, kernels.poly_trim(corr), m)
-
-
-def _fused_map(s, maps, m):
-    """A pole step at s with p not dividing s - 2 as two maps on the
-    lowest digit c, for A and B the maps of _pole_maps: (B, L, -1/(s-2))
-    mod m, with L = A + (2/(s-2)) (d/dx o B) taking c to a + 2b'/(s-2) and
-    -1/(s-2) b the primitive."""
-    bmap, amap = maps
-    inv = pow(s - 2, -1, m)
-    two_over = 2 * inv % m
-    lmap = [list(row) for row in amap] + [[0] * 7] * (6 - len(amap))
-    for r in range(1, len(bmap)):
-        lmap[r - 1] = [(a + two_over * r * v) % m
-                       for a, v in zip(lmap[r - 1], bmap[r])]
-    return bmap, lmap, -inv % m
-
-
-def _fused_step(c, s, fused, m, prims):
-    """_pole_step at an s with p not dividing s - 2, where no division by a
-    power of p is left to check, on the maps of _fused_map."""
-    bmap, lmap, neg_over = fused
-    b = kernels.poly_trim([sum(map(mul, row, c)) % m for row in bmap])
-    if b:
-        prims.append((s, tuple(v * neg_over % m for v in b)))
-    return kernels.poly_trim([sum(map(mul, row, c)) % m for row in lmap])
+    a + 2b'/(s-2) at y^(s-2), on the maps of _step_map(s, ..).  Returns
+    that polynomial (degree <= 5) and appends the subtracted primitive
+    -b/(s-2).  Where p^e, e > 0, divides s - 2, the divisions of the
+    primitive and the correction by p^e are checked; where e = 0 none is
+    left."""
+    e, pmap, cmap, dmap = step
+    prim = kernels.poly_trim([sum(map(mul, row, c)) % m for row in pmap])
+    carry = [sum(map(mul, row, c)) % m for row in cmap]
+    if e:
+        prim = [_exact_pdiv(v, p, e) for v in prim]
+        carry = kernels.poly_add_mod(carry, [
+            _exact_pdiv(sum(map(mul, row, c)) % m, p, e) for row in dmap], m)
+    if prim:
+        prims.append((s, tuple(prim)))
+    return kernels.poly_trim(carry)
 
 
 def _degree_reduce(A, Q, Qd, p, m):

@@ -444,15 +444,14 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     """Run one _compute attempt with each shortcut checked against its
     oracle: the graded _psi_digits against the full-precision digits,
     every packed x^e map against e passes of _times_x_once, every pole
-    step, on the fused maps or on the checked ones, against
-    _pole_step_full, and then the Horner _primitive_acc and
-    _primitive_dx_acc of the result against _primitive_acc_full and
-    _primitive_dx_full."""
+    step on its step map against _pole_step_full, and then the Horner
+    _primitive_acc and _primitive_dx_acc of the result against
+    _primitive_acc_full and _primitive_dx_full."""
     graded = frobenius._psi_digits
     digit_map = frobenius._digit_map
     apply_map = frobenius._apply_digit_map
-    pole_maps, pole_step = frobenius._pole_maps, frobenius._pole_step
-    fused_map, fused_step = frobenius._fused_map, frobenius._fused_step
+    pole_maps, step_map = frobenius._pole_maps, frobenius._step_map
+    pole_step = frobenius._pole_step
     seen = {"digits": [], "x": 0, "steps": 0}
     made = {}
 
@@ -482,41 +481,31 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
 
     def checked_maps(Q, Qd, beta, m):
         maps = pole_maps(Q, Qd, beta, m)
-        made[id(maps)] = (Q, Qd, beta, p)
+        made[id(maps)] = (Q, Qd, beta)
         return maps
 
-    def checked_fused_map(s, maps, m):
-        fused = fused_map(s, maps, m)
-        made[id(fused)] = made[id(maps)]
-        return fused
+    def checked_step_map(s, maps, p, m):
+        step = step_map(s, maps, p, m)
+        made[id(step)] = made[id(maps)] + (s,)
+        return step
 
-    def check_step(c, s, key, m, prims, got, n):
-        Q, Qd, beta, p = made[id(key)]
+    def checked_step(c, s, step, p, m, prims):
+        Q, Qd, beta, s_made = made[id(step)]
+        assert s == s_made
+        n = len(prims)
+        got = pole_step(c, s, step, p, m, prims)
         want_prims = []
         want = _pole_step_full(c, s, Q, Qd, beta, p, m, want_prims)
         assert got == want and prims[n:] == want_prims
         seen["steps"] += 1
-
-    def checked_step(c, s, maps, p, m, prims):
-        n = len(prims)
-        got = pole_step(c, s, maps, p, m, prims)
-        check_step(c, s, maps, m, prims, got, n)
-        return got
-
-    def checked_fused_step(c, s, fused, m, prims):
-        assert (s - 2) % made[id(fused)][3]
-        n = len(prims)
-        got = fused_step(c, s, fused, m, prims)
-        check_step(c, s, fused, m, prims, got, n)
         return got
 
     monkeypatch.setattr(frobenius, "_psi_digits", checked)
     monkeypatch.setattr(frobenius, "_digit_map", checked_digit_map)
     monkeypatch.setattr(frobenius, "_apply_digit_map", checked_apply)
     monkeypatch.setattr(frobenius, "_pole_maps", checked_maps)
+    monkeypatch.setattr(frobenius, "_step_map", checked_step_map)
     monkeypatch.setattr(frobenius, "_pole_step", checked_step)
-    monkeypatch.setattr(frobenius, "_fused_map", checked_fused_map)
-    monkeypatch.setattr(frobenius, "_fused_step", checked_fused_step)
     fd = _attempt(curve, p, prec, attempt)
     assert len(seen["digits"]) == 1 and seen["digits"][0] > 0
     assert seen["x"] == 6
@@ -590,10 +579,11 @@ def test_matrix_is_integral(fd_a7):
 
 
 def test_pullback_identity_generic_points(fd_a7):
-    # the audit of frobenius_data runs at the least generic residue
+    # the audit of frobenius_data runs at the least nonzero generic
+    # residue, where sum_i M_ij x^i reads every row of M
     fbar = fd_a7.curve.f_coeffs_mod(7, 1)
     assert _generic_residues(fbar, 7) == [0, 3, 4]
-    assert _generic_residue(fbar, 7) == 0
+    assert _generic_residue(fbar, 7) == 3
     for xbar in range(7):
         if xbar in (0, 3, 4):
             identity_check(fd_a7, xbar)
@@ -632,6 +622,74 @@ def test_identity_audit_catches_a_wrong_primitive_digit(curve, p, request,
             with pytest.raises(PrecisionError,
                                match="identity fails at column %d" % col):
                 frobenius_data(curve, p, 2 * p + 4)
+
+
+def test_generic_residue_takes_zero_only_when_alone():
+    # x^7 = x mod 7, so F = x^7 + 2x^6 - x + c takes c at 0 and c + 2
+    # elsewhere: with c = 1 only F(0) is a nonzero square, with c = 3 none
+    assert _generic_residue([1, 6, 0, 0, 0, 0, 2, 1], 7) == 0
+    assert _generic_residue([3, 6, 0, 0, 0, 0, 2, 1], 7) is None
+
+
+def _mutated_matrix(row, col):
+    """FrobeniusData with p^(N-1) added to M[row][col]: the matrix wrong in
+    its last reported digit after the zeta audits have read the true M."""
+    made = frobenius.FrobeniusData
+
+    def build(curve, p, prec, C, W, k_max, matrix_ints, pole_prims,
+              deg_prims, zeta, npoints):
+        mat = [list(r) for r in matrix_ints]
+        mat[row][col] = (mat[row][col] + p ** (prec - 1)) % p ** prec
+        return made(curve, p, prec, C, W, k_max, mat, pole_prims,
+                    deg_prims, zeta, npoints)
+    return build
+
+
+@pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
+                                     ("curve_c", 11)])
+def test_identity_audit_catches_a_wrong_matrix_digit(curve, p, request,
+                                                     monkeypatch):
+    """The identity audit reads every row of M: M[i][j] wrong in digit
+    N - 1 must raise, naming column j, for each row i (column 5 - i)."""
+    curve = request.getfixturevalue(curve)
+    for row in range(6):
+        col = 5 - row
+        with monkeypatch.context() as patch:
+            patch.setattr(frobenius, "FrobeniusData",
+                          _mutated_matrix(row, col))
+            with pytest.raises(PrecisionError,
+                               match="identity fails at column %d" % col):
+                frobenius_data(curve, p, 2 * p + 4)
+
+
+@pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11)])
+def test_pole_step_checks_the_division_by_p(curve, p, request):
+    """At s with p^e exactly dividing s - 2, e > 0, the primitive -b/(s-2)
+    is p^-e times an image of the step map, and that division is checked.
+    The digit Q' has b = Q' beta mod Q = 1 and a = 0, so its primitive is a
+    unit over p^e and its correction 2b'/(s-2) is 0: it must raise, and
+    p^e Q' must agree with the polynomial oracle."""
+    curve = request.getfixturevalue(curve)
+    W = 20
+    m = p ** W
+    Q = [c % m for c in curve.f_coeffs_mod(p, W)]
+    Qd = kernels.poly_deriv_mod(Q, m)
+    beta = frobenius._lift_cofactor(Q, Qd, p, W)
+    maps = frobenius._pole_maps(Q, Qd, beta, m)
+    for s, e in ((p + 2, 1), (p * p + 2, 2)):
+        step = frobenius._step_map(s, maps, p, m)
+        assert step[0] == e
+        with pytest.raises(PrecisionError):
+            frobenius._pole_step(Qd, s, step, p, m, [])
+        digit = [v * p ** e % m for v in Qd]
+        prims, want_prims = [], []
+        got = frobenius._pole_step(digit, s, step, p, m, prims)
+        assert got == _pole_step_full(digit, s, Q, Qd, beta, p, m,
+                                      want_prims) == []
+        # the primitive -1/(s-2) times p^e, known mod p^(W-e)
+        [(s_got, (v,))] = prims
+        assert prims == want_prims and s_got == s
+        assert (v * ((s - 2) // p ** e) + 1) % p ** (W - e) == 0
 
 
 @pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
