@@ -5,7 +5,11 @@ addition, Hensel lifting and root isolation.  Polynomials are
 little-endian integer coefficient lists; every function takes its
 (possibly huge) modulus explicitly.  Products of long operands use
 Kronecker substitution: both are packed into one Python int, so one
-C-level big-int multiplication does the work of the schoolbook loop.
+C-level big-int multiplication does the work of the schoolbook loop.  The
+packed format is one integer holding residues in fixed slots of whole
+bytes, lowest first (pack, unpack, slot_bytes); Frobenius packs its linear
+maps the same way, so that one sum of integer multiples applies a map to a
+whole polynomial.
 Division by a monic polynomial is schoolbook: every divisor has small
 degree, as Frobenius builds Psi by Horner's rule in Dt on packed Q-adic
 digits and never divides by Q^p.  The rational point search rejects most
@@ -61,6 +65,27 @@ def poly_deriv_mod(a, mod):
     return poly_trim([i * a[i] % mod for i in range(1, len(a))])
 
 
+def pack(coeffs, slot):
+    """One integer holding coeffs, each in [0, 256^slot), in slots of slot
+    bytes, lowest first."""
+    return int.from_bytes(b"".join([c.to_bytes(slot, "little")
+                                    for c in coeffs]), "little")
+
+
+def unpack(value, slot, n, m):
+    """The n slots of a packed value below 256^(n slot), each reduced mod
+    m; m = 256^slot reads them unreduced."""
+    raw = value.to_bytes(n * slot, "little")
+    return [int.from_bytes(raw[k:k + slot], "little") % m
+            for k in range(0, n * slot, slot)]
+
+
+def slot_bytes(m, n):
+    """Bytes of a packed slot that holds any sum of 2n products of
+    residues mod m."""
+    return (2 * m.bit_length() + (2 * n).bit_length() + 7) // 8
+
+
 # From this size on, products run as one big-int multiplication
 # (Kronecker substitution).
 KRONECKER_MIN_LEN = 16
@@ -71,9 +96,10 @@ def _product(a, b, mod, n=None):
     with n, only the first n coefficients.
 
     Once both operands have KRONECKER_MIN_LEN coefficients they are reduced
-    into [0, mod) and packed into one int each, in byte-aligned slots wide
-    enough for any coefficient of the product; one multiplication then does
-    the work of the whole schoolbook loop.
+    into [0, mod) and packed into one int each, in slots wide enough for any
+    coefficient of the product, a sum of at most min(len(a), len(b))
+    products; one multiplication then does the work of the whole schoolbook
+    loop.
     """
     if n is None:
         n = len(a) + len(b) - 1
@@ -87,14 +113,9 @@ def _product(a, b, mod, n=None):
             for j, bj in enumerate(b[:n - i]):
                 out[i + j] += ai * bj
         return out
-    slot = (2 * mod.bit_length() + min(len(a), len(b)).bit_length() + 15) // 8
-    pa = int.from_bytes(b"".join([(c % mod).to_bytes(slot, "little")
-                                  for c in a]), "little")
-    pb = int.from_bytes(b"".join([(c % mod).to_bytes(slot, "little")
-                                  for c in b]), "little")
-    raw = (pa * pb).to_bytes((len(a) + len(b) - 1) * slot, "little")
-    return [int.from_bytes(raw[i:i + slot], "little")
-            for i in range(0, n * slot, slot)]
+    slot = slot_bytes(mod, min(len(a), len(b)))
+    prod = pack([c % mod for c in a], slot) * pack([c % mod for c in b], slot)
+    return unpack(prod & ((1 << 8 * slot * n) - 1), slot, n, 256 ** slot)
 
 
 def poly_mul_mod(a, b, mod):

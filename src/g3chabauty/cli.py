@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .coleman import ColemanContext
-from .curve import CurveModel, RationalPoint
+from .curve import NUMBER_DIGITS_CAP, CurveModel, RationalPoint
 from .errors import (BadReductionError, G3Error, InputError, PrecisionError,
                      RecognitionError, SimplicityError)
 from .frobenius import brute_zeta_numerator, zeta_numerator
@@ -53,25 +53,41 @@ def exit_code_for(exc):
     return 1
 
 
+def _json_int(text):
+    """A JSON integer literal as an int, or as its text when it is over
+    NUMBER_DIGITS_CAP: the check of its field then rejects it by name, and
+    no int is built past the cap (int() refuses over 4300 digits)."""
+    return int(text) if len(text) <= NUMBER_DIGITS_CAP else text
+
+
+def _parse_json(text, where):
+    """The JSON value of text.  A number with a fraction or an exponent
+    stays its literal, for curve.parse_number to read exactly: a float
+    would round it (8.000000000000000001 to 8, 1e-400 to 0)."""
+    try:
+        return json.loads(text, parse_int=_json_int, parse_float=str)
+    except (ValueError, RecursionError) as exc:
+        raise InputError("bad JSON in %s: %s" % (where, exc)) from None
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise InputError("bad JSON in %s: %s" % (path, exc)) from None
+    return _parse_json(text, path)
 
 
 def _load_curve_file(path):
     return CurveModel.from_json(_load_json(path))
 
 
-def _parse_point(text):
+def _parse_point(text, what):
     """'infinity' or 'x,y' with exact fractions, e.g. '1/2,-3/8'."""
     s = text.strip()
     return RationalPoint.from_json(
-        "infinity" if s in ("infinity", "inf", "oo") else s.split(","))
+        "infinity" if s in ("infinity", "inf", "oo") else s.split(","), what)
 
 
 # bytes in one file name on common file systems (ext4, XFS, APFS, tmpfs)
@@ -113,7 +129,7 @@ def parse_job(job, default_id, p=None, prec=None):
     job_id = _check_job_id(default_id if job_id is None else str(job_id))
     for key in ("p", "precision", "search_height"):
         if job.get(key) is not None and type(job[key]) is not int:
-            raise InputError("job field %r must be an integer, got %r"
+            raise InputError("job field %r must be an integer, got %.60r"
                              % (key, job[key]))
     if "curve" not in job:
         raise InputError("job needs a 'curve' entry")
@@ -121,10 +137,10 @@ def parse_job(job, default_id, p=None, prec=None):
     if knowns is not None:
         if not isinstance(knowns, list):
             raise InputError("job field 'known_points' must be a list")
-        knowns = [RationalPoint.from_json(k) for k in knowns]
+        knowns = [RationalPoint.from_json(k, "known point") for k in knowns]
     base = job.get("base_point")
     if base is not None:
-        base = RationalPoint.from_json(base)
+        base = RationalPoint.from_json(base, "base point")
     kwargs = {"curve": CurveModel.from_json(job["curve"]), "knowns": knowns,
               "base_point": base, "p": job.get("p") if p is None else p,
               "prec": job.get("precision") if prec is None else prec}
@@ -179,12 +195,13 @@ def _load_jobs(path):
             for k, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                job = _parse_json(line, "line %d of %s" % (k, path))
                 try:
-                    jobs.append(parse_job(json.loads(line), "job%03d" % k))
-                except (json.JSONDecodeError, InputError) as exc:
+                    jobs.append(parse_job(job, "job%03d" % k))
+                except InputError as exc:
                     raise InputError("line %d of %s: %s"
                                      % (k, path, exc)) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
     if not jobs:
         raise InputError("no jobs in %s" % path)
@@ -219,7 +236,9 @@ def cmd_batch(args):
                          % args.parallel)
     jobs = _load_jobs(args.jobs)
     out = _out_dir(args.out)
-    workers = min(args.parallel, len(jobs))
+    # the pool starts all its workers at once, so it gets no more than
+    # one per job and one per CPU
+    workers = min(args.parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # largest p first, so no slow job starts behind a fast one while a
         # worker idles; a job that chooses its own p sorts last
@@ -285,8 +304,8 @@ def cmd_search_points(args):
 
 def cmd_integrate(args):
     curve = _load_curve_file(args.curve)
-    src = _parse_point(getattr(args, "from"))
-    dst = _parse_point(args.to)
+    src = _parse_point(getattr(args, "from"), "--from point")
+    dst = _parse_point(args.to, "--to point")
     p = args.p
     check_inputs(curve, p=p, prec=args.N, knowns=[src, dst])
     prec = default_precision(p) if args.N is None else args.N

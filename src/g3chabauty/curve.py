@@ -15,13 +15,16 @@ prime on the ``_kernels`` F_p helpers, Hensel lifting past the Mignotte
 bound, recombination by exact trial division).  Working primes are capped
 at ``PRIME_CAP``; ``HEIGHT_CAP`` and ``PREC_CAP`` cap the point search
 height and the precision of an analysis, ``PREC_MIN`` is the least
-precision whose Frobenius audit can pass, and ``COST_CAP_S`` caps the
-estimated seconds of an analysis (``estimated_seconds``).
+precision whose Frobenius audit can pass, ``COST_CAP_S`` caps the
+estimated seconds of an analysis (``estimated_seconds``), and
+``NUMBER_DIGITS_CAP`` and ``SCALING_DIGITS_CAP`` cap the digits of the
+numbers a job gives and of the monic scaling they make.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -78,6 +81,41 @@ PREC_CAP = 200
 # checks the zeta coefficient b_6 = p^3, which is 0 mod p^N for N <= 3, so
 # it could not pass below it.
 PREC_MIN = 4
+
+# The most digits, and the largest exponent, of the literal of a number in
+# a job (a coefficient, a scaling entry or a point coordinate), so
+# "1e1000" is at the cap and a number has at most about 2000 digits;
+# parse_number checks both before it builds the number, as building
+# Fraction("1e10000000") alone takes seconds.  And the most digits of the
+# denominator c^3 den of the default monic scaling v = 1/(c^3 den), where
+# den is the common denominator of the coefficients and c = g7 den^2; v
+# prints in every report.  So every number a report or an error message
+# prints stays under Python's limit of 4300 digits for converting an int
+# to a string.
+NUMBER_DIGITS_CAP = 1000
+SCALING_DIGITS_CAP = 4000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_number(value, what):
+    """value, a JSON number or a string such as "-3/8" or "1.5e3", as an
+    exact Fraction; InputError naming what when it is not one, or when its
+    literal is over NUMBER_DIGITS_CAP."""
+    text = str(value)
+    if sum(ch.isdigit() for ch in text) > NUMBER_DIGITS_CAP:
+        raise InputError("%s has more than %d digits"
+                         % (what, NUMBER_DIGITS_CAP))
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > NUMBER_DIGITS_CAP:
+        raise InputError("%s has an exponent over %d"
+                         % (what, NUMBER_DIGITS_CAP))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("%s must be a rational number, got %r"
+                         % (what, text[:60])) from None
+
 
 def is_prime(n):
     """Exact primality by trial division; its callers pass n up to
@@ -139,17 +177,13 @@ class RationalPoint:
         return [str(self.x), str(self.y)]
 
     @staticmethod
-    def from_json(obj):
+    def from_json(obj, what="point"):
         if obj == "infinity":
             return RationalPoint.infinity()
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise InputError("point must be 'infinity' or [x, y]")
-        try:
-            return RationalPoint.affine(Fraction(str(obj[0])),
-                                        Fraction(str(obj[1])))
-        except (ValueError, ZeroDivisionError):
-            raise InputError("point coordinates must be rational numbers, "
-                             "got %r" % (obj,)) from None
+            raise InputError("%s must be 'infinity' or [x, y]" % what)
+        return RationalPoint.affine(parse_number(obj[0], what + " x"),
+                                    parse_number(obj[1], what + " y"))
 
 
 @dataclass(frozen=True, order=True)
@@ -234,6 +268,10 @@ class CurveModel:
             den = lcm(*(c.denominator for c in g))
             c = g[7] * den * den
             u, v = Fraction(1, 1) / c, Fraction(1, 1) / (c ** 3 * den)
+            if v.denominator >= 10 ** SCALING_DIGITS_CAP:
+                raise InputError(
+                    "the coefficients make a monic scaling 1/(c^3 den) of "
+                    "more than %d digits" % SCALING_DIGITS_CAP)
         F = [g[i] * u ** i / (v * v) for i in range(8)]
         if F[7] != 1:
             raise InputError("normalization failed to produce a monic model")
@@ -416,18 +454,14 @@ class CurveModel:
             coeffs, scaling = obj, None
         if not isinstance(coeffs, (list, tuple)):
             raise InputError("curve JSON needs a 'coeffs' list")
-        try:
-            cs = [Fraction(str(c)) for c in coeffs]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("bad coefficient: %s" % exc) from None
+        cs = [parse_number(c, "coefficient %d" % i)
+              for i, c in enumerate(coeffs)]
         sc = None
         if scaling is not None:
             if not isinstance(scaling, (list, tuple)) or len(scaling) != 2:
                 raise InputError("curve 'scaling' must be a pair [sx, sy]")
-            try:
-                sc = tuple(Fraction(str(c)) for c in scaling)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError("bad scaling entry: %s" % exc) from None
+            sc = tuple(parse_number(c, "scaling entry %d" % i)
+                       for i, c in enumerate(scaling))
         return CurveModel(cs, sc).validate()
 
 

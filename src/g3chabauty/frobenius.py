@@ -29,21 +29,21 @@ same kind of map, multiplication by x^p on a digit (x^(p-1) for column
 0); and every pole step works on a polynomial of degree below 7.  There
 the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F for the
 cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both maps
-are built once as integer matrices on the monomials x^0 .. x^6, and
-composed once per s into one step map shared by the six columns, so a
-pole step is matrix-vector products on c = A_0: the primitive -b/(s-2),
-and the new lowest digit a + 2b'/(s-2).  Where p^e, e > 0, divides s - 2,
-the correction 2b'/(s-2) is a third product, kept apart so that its
-division by p^e is checked, as the primitive's is.  Building the maps
-checks that F divides x^i - b(x^i) F' for every i; the remainder
-A_0 -> A_0 (1 - beta F') mod F is linear mod p^W, so that basis check
-covers every numerator a per-step remainder check would see.  At
-s = 1 the remaining digits are reassembled and the second telescope lowers
-the x-degree via d(x^j y).  The telescopes run over Z/p^W on p^C times
-each form, both sized by Kedlaya's bound on the denominators the two
-reductions introduce: L = floor(log_p s_max) + floor(log_p(2 deg_cap + 7))
-digits with deg_cap = (5p + 5) // 2, which is 3 at the default precision
-for p = 7 to 17.  One run computes the N digits the report reads and no
+are built once per run as one packed map on the monomials x^0 .. x^6
+(_pole_map), so a pole step is one packed product on c = A_0, giving b
+and a, and scalars that depend on s alone: the primitive -b/(s-2) and
+the new lowest digit a + 2b'/(s-2).  Where p^e, e > 0, divides s - 2, the
+divisions of the primitive and of the correction 2b'/(s-2) by p^e are
+checked.  Building the map checks that F divides x^i - b(x^i) F' for every
+i; the remainder A_0 -> A_0 (1 - beta F') mod F is linear mod p^W, so
+that basis check covers every numerator a per-step remainder check would
+see.  At s = 1 the remaining digits are reassembled and the second
+telescope lowers the x-degree via d(x^j y).  The telescopes run over
+Z/p^W on p^C times each form, both sized by Kedlaya's bound on the
+denominators the two reductions introduce:
+L = floor(log_p s_max) + floor(log_p(2 deg_cap + 7)) digits with
+deg_cap = (5p + 5) // 2, which is 3 at the default precision for p = 7
+to 17.  One run computes the N digits the report reads and no
 more: k_max is the least series length whose dropped terms move the
 result by multiples of p^N, C = L and W = max(N + C + L, C + k_max + 2),
 as _compute argues.
@@ -268,15 +268,15 @@ def _compute(curve, p, N, k_max, C, W):
     Psi itself): x^e x^i = sum_u r_(i,u) Q^u is precomputed for i < 7, so
     a digit's image is one sum of 7 integer multiples and digit t of the
     result adds the images of digits t, t-1, .. at their offsets u.  The
-    pole steps run s by s over the six columns, on one step map per s
-    (_step_map) composed from the maps of _pole_maps: the exact division
-    by Q is checked once on x^0 .. x^6, which covers every step, since the
-    remainder c (1 - beta Q') mod Q is linear in c mod p^W.  Where p does
-    not divide s - 2 no division by p is left; where p^e does, the
-    divisions by p^e of the correction and of the primitive are checked at
-    every step (_pole_step).  The primitive's pole terms are stored with s
-    decreasing, the order in which FrobeniusData._primitive_acc runs
-    Horner's rule in y^-2.
+    pole steps run s by s over the six columns, on the one packed map of
+    _pole_map, built once, and on s - 2 = p^e d' and 1/d' mod p^W, formed
+    once per s: the exact division by Q is checked once on x^0 .. x^6,
+    which covers every step, since the remainder c (1 - beta Q') mod Q is
+    linear in c mod p^W.  Where p does not divide s - 2 no division by p is
+    left; where p^e does, the divisions by p^e of the correction and of the
+    primitive are checked at every step (_pole_step).  The primitive's pole
+    terms are stored with s decreasing, the order in which
+    FrobeniusData._primitive_acc runs Horner's rule in y^-2.
 
     Why the budget of _budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
@@ -311,9 +311,9 @@ def _compute(curve, p, N, k_max, C, W):
        divides p^C M by p^C.
     3. Perturbation.  Each reduction mod p^W drops p^W times an integral
        form at some pole order: a digit or carry mod p^W; a pole step's
-       images under the step map, which are a + 2b'/(s-2) and -b/(s-2) for
-       the (a, b) of the maps of _pole_maps, as c' = aQ + bQ' = c mod p^W
-       (the basis check) and the step identity holds for any a, b; the
+       images a + 2b'/(s-2) and -b/(s-2), for the (a, b) that the map of
+       _pole_map gives mod p^W, as c' = aQ + bQ' = c mod p^W (the basis
+       check) and the step identity holds for any a, b; the
        correction 2b'/(s-2), where p^e divides s - 2, known mod p^(W-e)
        after its checked division, the same as b moved by p^W times an
        antiderivative of degree <= 6 < p, so integral; and mu known mod
@@ -321,9 +321,10 @@ def _compute(curve, p, N, k_max, C, W):
        integer.  So the run is the exact reduction of p^C phi^* w_j plus
        p^W times integral forms; reduction is linear, and by 1 the second
        part moves M and h by multiples of p^(W-L).  A stored primitive's
-       own division is off by p^(W-e), e <= L, as well.  So after division by p^C, M and h are
-       right mod p^(W-C-L), a multiple of p^N, and the divisions of 2 stay
-       exact, as W - L >= C and W - L >= L >= e.
+       own division is off by p^(W-e), e <= L, as well.  So after
+       division by p^C, M and h are right mod p^(W-C-L), a multiple of
+       p^N, and the divisions of 2 stay exact, as W - L >= C and
+       W - L >= L >= e.
     4. Truncation.  The terms k > k_max of the binomial series are
        p^(k+1) times integral forms with s = 2pk + p, so by 1 they move M
        and h by multiples of p^(k - 1 - floor(log_p(2k + 1))), a multiple
@@ -364,7 +365,7 @@ def _compute(curve, p, N, k_max, C, W):
 
     J = (s_max - 1) // 2
     digits = _psi_digits(Q, dt, cks, C, p, W)
-    maps = _pole_maps(Q, Qd, beta, m)
+    pmap = _pole_map(Q, Qd, beta, m)
     xmaps = (_digit_map(Q, [0] * (p - 1) + [1], m),
              _digit_map(Q, [0] * p + [1], m))
     cols = []
@@ -376,12 +377,14 @@ def _compute(curve, p, N, k_max, C, W):
     carries = [[] for _ in range(6)]
     for j in range(J):
         s = s_max - 2 * j
-        step = _step_map(s, maps, p, m)
+        e = ord_p(s - 2, p)
+        inv = pow((s - 2) // p ** e, -1, m)
         for col, digits in enumerate(cols):
             c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]),
                                       carries[col], m)
                  if j < len(digits) else carries[col])
-            carries[col] = _pole_step(c, s, step, p, m, pole_prims[col])
+            carries[col] = _pole_step(c, s, e, inv, pmap, p, m,
+                                      pole_prims[col])
     matrix_ints = [[0] * 6 for _ in range(6)]
     deg_prims = []
     pC = p ** C
@@ -494,9 +497,10 @@ def _psi_digits(Q, dt, cks, C, p, W):
     bands = [None] * (K + 1)
     band = None
     for n in range(K, -1, -1):
-        slot = -(-_slot(mods[n], len(columns[0])) // 8) * 8
+        slot = -(-kernels.slot_bytes(mods[n], len(columns[0])) // 8) * 8
         if band is None or band[0] != slot:
-            cols = [_pack([c % mods[n] for c in col], slot) for col in columns]
+            cols = [kernels.pack([c % mods[n] for c in col], slot)
+                    for col in columns]
             band = (slot, cols, 56 * slot, (1 << 56 * slot * p) - 1)
         bands[n] = band
     blocks = [[cks[K] % mods[0]] + [0] * (width - 1)]
@@ -508,12 +512,14 @@ def _psi_digits(Q, dt, cks, C, p, W):
             image = 0
             for t in range(width - 7, -1, -7):
                 image = (image << dbits) + sum(map(mul, block[t:t + 7], cols))
-            nxt.append(_unpack((image & low) + p * hi, slot, width, mods[n]))
+            nxt.append(kernels.unpack((image & low) + p * hi, slot, width,
+                                      mods[n]))
             hi = image >> (p * dbits)
             if bands[n + 1] is not bands[n]:
-                hi = _pack(_unpack(hi, slot, width, mods[n]), bands[n + 1][0])
+                hi = kernels.pack(kernels.unpack(hi, slot, width, mods[n]),
+                                  bands[n + 1][0])
         n = len(blocks)
-        top = _unpack(p * hi, bands[n][0], width, mods[n])
+        top = kernels.unpack(p * hi, bands[n][0], width, mods[n])
         top[0] = (top[0] + cks[k - 1]) % mods[n]
         blocks = nxt + [top]
     m = p ** W
@@ -525,25 +531,6 @@ def _psi_digits(Q, dt, cks, C, p, W):
     while len(digits) > p * K and not any(digits[-1]):
         digits.pop()
     return digits
-
-
-def _pack(coeffs, slot):
-    """One integer holding coeffs in slots of slot bytes, lowest first."""
-    return int.from_bytes(b"".join(
-        c.to_bytes(slot, "little") for c in coeffs), "little")
-
-
-def _unpack(value, slot, n, m):
-    """The n slots of a packed value, each reduced mod m."""
-    raw = value.to_bytes(n * slot, "little")
-    return [int.from_bytes(raw[k:k + slot], "little") % m
-            for k in range(0, n * slot, slot)]
-
-
-def _slot(m, n):
-    """Bytes of a packed slot that holds any sum of 2n products of
-    residues mod m."""
-    return (2 * m.bit_length() + (2 * n).bit_length() + 7) // 8
 
 
 def _digit_columns(Q, g, m):
@@ -581,8 +568,8 @@ def _digit_map(Q, g, m):
     into one integer, entry 7u + r in slot 7u + r; a slot holds any sum of
     14U products of residues mod m."""
     columns = _digit_columns(Q, g, m)
-    slot = _slot(m, len(columns[0]))
-    return slot, [_pack(col, slot) for col in columns]
+    slot = kernels.slot_bytes(m, len(columns[0]))
+    return slot, [kernels.pack(col, slot) for col in columns]
 
 
 def _apply_digit_map(digits, dmap, m):
@@ -603,7 +590,7 @@ def _apply_digit_map(digits, dmap, m):
     while t < len(digits) or window:
         if t < len(digits):
             window += sum(map(mul, digits[t], cols))
-        out.append(_unpack(window & low, slot, 7, m))
+        out.append(kernels.unpack(window & low, slot, 7, m))
         window >>= bits
         t += 1
     while out and not any(out[-1]):
@@ -611,71 +598,46 @@ def _apply_digit_map(digits, dmap, m):
     return out
 
 
-def _pole_maps(Q, Qd, beta, m):
-    """The linear maps c -> b = c beta mod Q and c -> a = (c - b Q') / Q
-    on polynomials of degree <= 6, as rows of integer matrices mod m
-    (row r, column i: coefficient r of the image of x^i).
+def _pole_map(Q, Qd, beta, m):
+    """The linear maps c -> b = c beta mod Q and c -> a = (c - b Q') / Q on
+    polynomials of degree <= 6, packed as one map (slot, columns): column i
+    holds b(x^i) in slots 0 .. 6 and a(x^i), of degree <= 5, in slots
+    7 .. 12, so sum_i c_i column_i packs b and a of c, for c reduced mod m.
 
     Each column's division by Q is checked to be exact.  The remainder
     c -> (c - b Q') mod Q = c (1 - beta Q') mod Q is linear in c mod m, so
     it vanishes on every c once it vanishes on x^0 .. x^6."""
-    bcols, acols = [], []
+    slot = kernels.slot_bytes(m, 7)
+    cols = []
     for i in range(7):
         xi = [0] * i + [1]
         b = kernels.poly_divmod_monic_mod(
             kernels.poly_mul_mod(xi, beta, m), Q, m)[1]
         a = _exact_poly_div(
             kernels.poly_sub_mod(xi, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
-        bcols.append(b)
-        acols.append(a)
-    return _rows(bcols), _rows(acols)
+        cols.append(kernels.pack(b + [0] * (7 - len(b)) + a, slot))
+    return slot, cols
 
 
-def _rows(cols):
-    n = max(len(c) for c in cols)
-    return [[c[r] if r < len(c) else 0 for c in cols] for r in range(n)]
-
-
-def _step_map(s, maps, p, m):
-    """The pole step at s as maps on the lowest digit c, for B and A the
-    maps of _pole_maps and s - 2 = p^e d' with p not dividing d':
-    (e, -B/d', carry, corr) mod m, with -B/d' taking c to p^e times the
-    primitive -b/(s-2) and corr = (2/d') (d/dx o B) taking c to p^e times
-    the correction 2b'/(s-2).  Where e = 0 the correction is fused into the
-    carry map, A + corr, and corr is None; where e > 0 the carry map is A
-    and corr stays apart, as its image must be divided by p^e."""
-    bmap, amap = maps
-    e = ord_p(s - 2, p)
-    inv = pow((s - 2) // p ** e, -1, m)
-    prim = [[-inv * v % m for v in row] for row in bmap]
-    corr = [[2 * inv * r * v % m for v in bmap[r]]
-            for r in range(1, len(bmap))]
-    carry = [list(row) for row in amap] + [[0] * 7] * (6 - len(amap))
-    if e:
-        return e, prim, carry, corr
-    for r, row in enumerate(corr):
-        carry[r] = [(a + v) % m for a, v in zip(carry[r], row)]
-    return e, prim, carry, None
-
-
-def _pole_step(c, s, step, p, m, prims):
+def _pole_step(c, s, e, inv, pmap, p, m, prims):
     """One y-exponent drop s -> s-2 on the lowest Q-adic digit c of the
-    numerator: c = aQ + bQ' with deg a <= 5, and c dx/2y^s leaves
-    a + 2b'/(s-2) at y^(s-2), on the maps of _step_map(s, ..).  Returns
-    that polynomial (degree <= 5) and appends the subtracted primitive
-    -b/(s-2).  Where p^e, e > 0, divides s - 2, the divisions of the
-    primitive and the correction by p^e are checked; where e = 0 none is
-    left."""
-    e, pmap, cmap, dmap = step
-    prim = kernels.poly_trim([sum(map(mul, row, c)) % m for row in pmap])
-    carry = [sum(map(mul, row, c)) % m for row in cmap]
+    numerator, reduced mod m: c = aQ + bQ' with deg a <= 5, and c dx/2y^s
+    leaves a + 2b'/(s-2) at y^(s-2).  One packed product of pmap =
+    _pole_map(..) gives b and a; with s - 2 = p^e d', p not dividing d',
+    and inv = 1/d' mod m, the primitive is -inv b / p^e and the correction
+    2b'/(s-2) is 2 inv r b_r / p^e in degree r - 1.  Returns the new
+    lowest digit (degree <= 5) and appends the subtracted primitive.  Where
+    e > 0 both divisions by p^e are checked; where e = 0 none is left."""
+    slot, cols = pmap
+    ba = kernels.unpack(sum(map(mul, c, cols)), slot, 13, m)
+    prim = kernels.poly_trim([-inv * v % m for v in ba[:7]])
+    corr = [2 * r * inv * ba[r] % m for r in range(1, 7)]
     if e:
         prim = [_exact_pdiv(v, p, e) for v in prim]
-        carry = kernels.poly_add_mod(carry, [
-            _exact_pdiv(sum(map(mul, row, c)) % m, p, e) for row in dmap], m)
+        corr = [_exact_pdiv(v, p, e) for v in corr]
     if prim:
         prims.append((s, tuple(prim)))
-    return kernels.poly_trim(carry)
+    return kernels.poly_trim([(a + v) % m for a, v in zip(ba[7:], corr)])
 
 
 def _degree_reduce(A, Q, Qd, p, m):

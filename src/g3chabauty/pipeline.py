@@ -188,6 +188,7 @@ class _Analysis:
         self.fbar = curve.f_coeffs_mod(p, 1)
         self.jac_order = ctx.fd.jacobian_order()
         self._wq = None
+        self._orders = {}
         self.matched = set()
 
     # -- per-disk work ---------------------------------------------------
@@ -333,7 +334,7 @@ class _Analysis:
             base["class"] = "new_rational"
             base["x"], base["y"] = _coords(cand)
             return base
-        torsion = all(c.is_zero for c in self.ctx.halfint(point))
+        order = self._torsion_order(disk, base["t"], point)
         pair = _algebraic_point(self.curve.original, disk.is_infinity,
                                 x_o, y_o, qx)
         if pair is None:
@@ -347,11 +348,25 @@ class _Analysis:
             base["min_poly_x"] = format_polynomial(element_min_poly(x), "x")
         base["y"] = y_o.expansion_str()
         base["min_poly_y"] = format_polynomial(element_min_poly(y), "y")
-        base["class"] = "torsion" if torsion else "other_algebraic"
-        if torsion:
-            base["torsion_order"] = MumfordDivisorFp.from_point(
-                disk, self.p, self.fbar).order(self.jac_order)
+        base["class"] = "other_algebraic" if order is None else "torsion"
+        base["torsion_order"] = order
         return base
+
+    def _torsion_order(self, disk, t_str, point):
+        """The order of [P - inf] when the zero P of disk, at the parameter
+        that prints as t_str, is torsion (all three logarithms vanish), else
+        None.  Torsion injects into J(F_p), so the order is that of the
+        reduction.  The mirror iota P has the negated logarithms and the
+        inverse class, so one answer serves both zeros of an involution
+        pair."""
+        key = (disk.canonical(self.p), t_str)
+        if key not in self._orders:
+            order = None
+            if all(c.is_zero for c in self.ctx.halfint(point)):
+                order = MumfordDivisorFp.from_point(
+                    disk, self.p, self.fbar).order(self.jac_order)
+            self._orders[key] = order
+        return self._orders[key]
 
 
 def _coords(pt):

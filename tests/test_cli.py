@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -42,13 +43,19 @@ SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 BAD_AT_7_JSON = {"coeffs": ["16", "7", "7", "0", "0", "0", "0", "1"]}
 
 
+def job_text(job):
+    """One line of JSON for a job; a str is taken as that line already, as
+    for a job json.dumps cannot write."""
+    return job if isinstance(job, str) else json.dumps(job)
+
+
 def write_json(path, obj):
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    path.write_text(job_text(obj) + "\n", encoding="utf-8")
     return str(path)
 
 
 def write_jobs(path, jobs):
-    path.write_text("".join(json.dumps(j) + "\n" for j in jobs),
+    path.write_text("".join(job_text(j) + "\n" for j in jobs),
                     encoding="utf-8")
     return str(path)
 
@@ -129,6 +136,7 @@ def test_batch_parallel_checked_and_capped(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "analyze_curve", _failing_analysis)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     good = {"curve": CURVE_A_JSON, "p": 7}
     jobs = write_jobs(tmp_path / "jobs.jsonl",
                       [dict(good, id=n) for n in ("j1", "j2", "j3")])
@@ -144,6 +152,24 @@ def test_batch_parallel_checked_and_capped(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     capsys.readouterr()
     assert RecordingPool.sizes == [3, 2]
+
+
+@pytest.mark.parametrize("cpus,size", [(64, 3), (2, 2), (1, None),
+                                       (None, None)])
+def test_batch_pool_has_at_most_one_worker_per_cpu(cpus, size, tmp_path,
+                                                   monkeypatch, capsys):
+    # the pool starts all its workers at the first submit, so --parallel
+    # 500 must not ask for 500; one CPU, or an unknown count, runs serially
+    monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "analyze_curve", _failing_analysis)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [
+        {"id": n, "curve": CURVE_A_JSON, "p": 7} for n in ("j1", "j2", "j3")])
+    assert main(["batch", "--jobs", jobs, "--parallel", "500",
+                 "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    assert RecordingPool.sizes == ([] if size is None else [size])
 
 
 class OrderRecordingPool(RecordingPool):
@@ -203,13 +229,21 @@ GOOD_JOB = {"curve": CURVE_A_JSON, "p": 7}
 # the least prime above the cap, and the largest at or below it
 ABOVE_CAP = next(n for n in range(PRIME_CAP + 1, 2 * PRIME_CAP) if is_prime(n))
 AT_CAP = next(n for n in range(PRIME_CAP, 7, -1) if is_prime(n))
+
+
+def _with_coeff0(c0):
+    """GOOD_JOB with its constant coefficient replaced by c0."""
+    return dict(GOOD_JOB, curve={"coeffs": [c0] + CURVE_A_JSON["coeffs"][1:]})
+
+
 # one malformed job per check parse_job makes, with a piece of its message
 MALFORMED_JOBS = {
     "key": (dict(GOOD_JOB, prec=30), "unknown job key 'prec'"),
     "integer-field": (dict(GOOD_JOB, p="seven"), "field 'p' must be an int"),
     "curve": (dict(GOOD_JOB, curve={"coeffs": ["1", "2"]}), "degree-7"),
     "no-curve": ({"p": 7}, "needs a 'curve'"),
-    "point": (dict(GOOD_JOB, known_points=[["a", "b"]]), "rational numbers"),
+    "point": (dict(GOOD_JOB, known_points=[["a", "b"]]),
+              "known point x must be a rational number"),
     "point-list": (dict(GOOD_JOB, known_points=5), "must be a list"),
     "id": (dict(GOOD_JOB, id="../x"), "not a plain file name"),
     "id-nul": (dict(GOOD_JOB, id="ex\x001"), "not a plain file name"),
@@ -238,6 +272,25 @@ MALFORMED_JOBS = {
                             base_point=["-1", "1"]), "among the known"),
     "base-above-height": (dict(GOOD_JOB, base_point=["-1", "1"],
                                search_height=0), "above search height 0"),
+    # a JSON integer past the 4300 digits int() converts
+    "json-int-digits": ('{"curve": {"coeffs": [%s, 1, 1, 1, 1, 1, 1, 1]}, '
+                        '"p": 7}' % ("9" * 5000),
+                        "coefficient 0 has more than 1000 digits"),
+    "json-int-field": ('{"curve": {"coeffs": [1, 1, 1, 1, 1, 1, 1, 1]}, '
+                       '"p": %s}' % ("7" * 5000),
+                       "job field 'p' must be an integer, got '777"),
+    # "1e100000" once ran a whole analysis and then failed to print the
+    # searched point (0, 10^50000); building "1e10000000" alone takes
+    # seconds
+    "exponent": (_with_coeff0("1e100000"),
+                 "coefficient 0 has an exponent over 1000"),
+    "exponent-10^7": (_with_coeff0("1e10000000"),
+                      "coefficient 0 has an exponent over 1000"),
+    "point-exponent": (dict(GOOD_JOB, known_points=[["1e5000", "1"]]),
+                       "known point x has an exponent over 1000"),
+    "scaling-digits": (_with_coeff0("1/" + "3" * 600),
+                       "monic scaling 1/(c^3 den) of more than 4000 digits"),
+    "json-depth": ("[" * 100000 + "]" * 100000, "bad JSON in"),
 }
 
 
@@ -253,7 +306,7 @@ def test_batch_with_a_malformed_job_exits_2_before_any_work(
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     jobs = write_jobs(tmp_path / "jobs.jsonl", [
-        dict(GOOD_JOB, id="first"), dict(bad), dict(GOOD_JOB, id="last")])
+        dict(GOOD_JOB, id="first"), bad, dict(GOOD_JOB, id="last")])
     out = tmp_path / "out"
     assert main(["batch", "--jobs", jobs, "--parallel", parallel,
                  "--out", str(out)]) == 2
@@ -267,6 +320,39 @@ def test_batch_with_a_malformed_job_exits_2_before_any_work(
     assert main(["analyze", "--job", single]) == 2
     assert message in capsys.readouterr().err
     assert stub.calls == []
+
+
+def test_a_job_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
+    # the decode error was once a traceback with exit 1
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    path = tmp_path / "jobs.jsonl"
+    path.write_bytes(json.dumps(GOOD_JOB).encode() + b"\n\xff\xfe\n")
+    for argv in (["batch", "--jobs", str(path), "--out", str(tmp_path / "o")],
+                 ["analyze", "--job", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "Traceback" not in err
+    assert stub.calls == [] and not (tmp_path / "o").exists()
+
+
+def test_json_numbers_are_read_exactly(tmp_path, monkeypatch, capsys):
+    # read as floats, 8.000000000000000001 was 8 and 1e-400 was 0
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    coeffs = "[8.000000000000000001, 32, 32, -16, -36, -8, 9, 4]"
+    job = write_json(tmp_path / "job.json",
+                     '{"curve": {"coeffs": %s}, "p": 7}' % coeffs)
+    assert main(["analyze", "--job", job]) == 0
+    [call] = stub.calls
+    assert call["curve"].original[0] == Fraction("8.000000000000000001")
+    job = write_json(tmp_path / "job.json", '{"curve": {"coeffs": [8, 32, '
+                     '32, -16, -36, -8, 9, 4]}, "p": 7, "known_points": '
+                     '[[-1, 1e-400]]}')
+    assert main(["analyze", "--job", job]) == 2
+    assert "known point ['-1', '1/1%s'] is not on the curve" % ("0" * 400) \
+        in capsys.readouterr().err
+    assert len(stub.calls) == 1
 
 
 def test_jobs_at_the_caps_run_and_one_above_exits_2(tmp_path, monkeypatch,
@@ -289,6 +375,37 @@ def test_jobs_at_the_caps_run_and_one_above_exits_2(tmp_path, monkeypatch,
                  "--height", str(HEIGHT_CAP + 1)]) == 2
     assert "search height must be at most 100000" in capsys.readouterr().err
     assert len(stub.calls) == 2
+
+
+# curve A under x -> lam^2 x, y -> lam^7 y with lam = 2 10^71: coefficient
+# i is g_i lam^(14 - 2i).  The constant coefficient 131072 10^994 is written
+# with 1000 digits and the x coefficient 131072 10^852 with the exponent
+# 1000, both at the cap on job numbers.
+LAM_A_COEFFS = ["131072" + "0" * 994, "0." + "0" * 142 + "131072e1000",
+                "32768e710", "-4096e568", "-2304e426", "-128e284", "36e142",
+                "4"]
+LAM_A_KNOWN = ["infinity", ["-4e142", "-128e497"], ["-4e142", "128e497"],
+               ["4e142", "-640e497"], ["4e142", "640e497"]]
+
+
+def test_numbers_at_the_digit_cap_prove(tmp_path, capsys):
+    # the model is isomorphic to curve A over Z[1/10], so at p = 11 it has
+    # A@11's zero classes: the five known points and one branch point
+    job = {"id": "cap", "curve": {"coeffs": list(LAM_A_COEFFS)}, "p": 11,
+           "known_points": LAM_A_KNOWN}
+    assert main(["analyze", "--job", write_json(tmp_path / "cap.json",
+                                                job)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["class_counts"] == {"known_rational": 5, "weierstrass": 1}
+    assert report["curve"]["coefficients"][0] == LAM_A_COEFFS[0]
+    assert report["curve"]["monic_scaling"] == ["1/4", "1/64"]
+    # one digit more, or an exponent one larger, exits 2
+    for c0, message in (("1" + LAM_A_COEFFS[0], "more than 1000 digits"),
+                        ("0.131072e1001", "an exponent over 1000")):
+        job["curve"]["coeffs"][0] = c0
+        assert main(["analyze", "--job", write_json(tmp_path / "over.json",
+                                                    job)]) == 2
+        assert "coefficient 0 has " + message in capsys.readouterr().err
 
 
 def test_prime_above_the_cap_exits_2_before_any_work(job_a, tmp_path,

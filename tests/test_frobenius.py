@@ -444,15 +444,14 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     """Run one _compute attempt with each shortcut checked against its
     oracle: the graded _psi_digits against the full-precision digits,
     every packed x^e map against e passes of _times_x_once, every pole
-    step on its step map against _pole_step_full, and then the Horner
-    _primitive_acc and _primitive_dx_acc of the result against
-    _primitive_acc_full and _primitive_dx_full."""
+    step on the one packed pole map, built once, against _pole_step_full,
+    and then the Horner _primitive_acc and _primitive_dx_acc of the result
+    against _primitive_acc_full and _primitive_dx_full."""
     graded = frobenius._psi_digits
     digit_map = frobenius._digit_map
     apply_map = frobenius._apply_digit_map
-    pole_maps, step_map = frobenius._pole_maps, frobenius._step_map
-    pole_step = frobenius._pole_step
-    seen = {"digits": [], "x": 0, "steps": 0}
+    pole_map, pole_step = frobenius._pole_map, frobenius._pole_step
+    seen = {"digits": [], "x": 0, "maps": 0, "steps": 0}
     made = {}
 
     def checked(Q, dt, cks, C, p, W):
@@ -479,21 +478,18 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
         seen["x"] += 1
         return got
 
-    def checked_maps(Q, Qd, beta, m):
-        maps = pole_maps(Q, Qd, beta, m)
-        made[id(maps)] = (Q, Qd, beta)
-        return maps
+    def checked_map(Q, Qd, beta, m):
+        pmap = pole_map(Q, Qd, beta, m)
+        made[id(pmap)] = (Q, Qd, beta)
+        seen["maps"] += 1
+        return pmap
 
-    def checked_step_map(s, maps, p, m):
-        step = step_map(s, maps, p, m)
-        made[id(step)] = made[id(maps)] + (s,)
-        return step
-
-    def checked_step(c, s, step, p, m, prims):
-        Q, Qd, beta, s_made = made[id(step)]
-        assert s == s_made
+    def checked_step(c, s, e, inv, pmap, p, m, prims):
+        Q, Qd, beta = made[id(pmap)]
+        assert e == ord_p(s - 2, p)
+        assert inv * ((s - 2) // p ** e) % m == 1
         n = len(prims)
-        got = pole_step(c, s, step, p, m, prims)
+        got = pole_step(c, s, e, inv, pmap, p, m, prims)
         want_prims = []
         want = _pole_step_full(c, s, Q, Qd, beta, p, m, want_prims)
         assert got == want and prims[n:] == want_prims
@@ -503,12 +499,11 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     monkeypatch.setattr(frobenius, "_psi_digits", checked)
     monkeypatch.setattr(frobenius, "_digit_map", checked_digit_map)
     monkeypatch.setattr(frobenius, "_apply_digit_map", checked_apply)
-    monkeypatch.setattr(frobenius, "_pole_maps", checked_maps)
-    monkeypatch.setattr(frobenius, "_step_map", checked_step_map)
+    monkeypatch.setattr(frobenius, "_pole_map", checked_map)
     monkeypatch.setattr(frobenius, "_pole_step", checked_step)
     fd = _attempt(curve, p, prec, attempt)
     assert len(seen["digits"]) == 1 and seen["digits"][0] > 0
-    assert seen["x"] == 6
+    assert seen["x"] == 6 and seen["maps"] == 1
     assert seen["steps"] == 6 * (fd.k_max * p + (p - 1) // 2)
     m = p ** fd.work_exp
     rng = random.Random(p * prec + attempt)
@@ -564,10 +559,10 @@ def test_pole_maps_check_the_cofactor_on_every_monomial(curve_b):
     Q = [c % m for c in curve_b.f_coeffs_mod(p, W)]
     Qd = kernels.poly_deriv_mod(Q, m)
     beta = frobenius._lift_cofactor(Q, Qd, p, W)
-    frobenius._pole_maps(Q, Qd, beta, m)
+    frobenius._pole_map(Q, Qd, beta, m)
     bad = [(beta[0] + p ** (W - 1)) % m] + beta[1:]
     with pytest.raises(PrecisionError):
-        frobenius._pole_maps(Q, Qd, bad, m)
+        frobenius._pole_map(Q, Qd, bad, m)
     with pytest.raises(PrecisionError):
         _pole_step_full([1], 5, Q, Qd, bad, p, m, [])
 
@@ -665,7 +660,7 @@ def test_identity_audit_catches_a_wrong_matrix_digit(curve, p, request,
 @pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11)])
 def test_pole_step_checks_the_division_by_p(curve, p, request):
     """At s with p^e exactly dividing s - 2, e > 0, the primitive -b/(s-2)
-    is p^-e times an image of the step map, and that division is checked.
+    is p^-e times an image of the pole map, and that division is checked.
     The digit Q' has b = Q' beta mod Q = 1 and a = 0, so its primitive is a
     unit over p^e and its correction 2b'/(s-2) is 0: it must raise, and
     p^e Q' must agree with the polynomial oracle."""
@@ -675,15 +670,15 @@ def test_pole_step_checks_the_division_by_p(curve, p, request):
     Q = [c % m for c in curve.f_coeffs_mod(p, W)]
     Qd = kernels.poly_deriv_mod(Q, m)
     beta = frobenius._lift_cofactor(Q, Qd, p, W)
-    maps = frobenius._pole_maps(Q, Qd, beta, m)
+    pmap = frobenius._pole_map(Q, Qd, beta, m)
     for s, e in ((p + 2, 1), (p * p + 2, 2)):
-        step = frobenius._step_map(s, maps, p, m)
-        assert step[0] == e
+        assert ord_p(s - 2, p) == e
+        inv = pow((s - 2) // p ** e, -1, m)
         with pytest.raises(PrecisionError):
-            frobenius._pole_step(Qd, s, step, p, m, [])
+            frobenius._pole_step(Qd, s, e, inv, pmap, p, m, [])
         digit = [v * p ** e % m for v in Qd]
         prims, want_prims = [], []
-        got = frobenius._pole_step(digit, s, step, p, m, prims)
+        got = frobenius._pole_step(digit, s, e, inv, pmap, p, m, prims)
         assert got == _pole_step_full(digit, s, Q, Qd, beta, p, m,
                                       want_prims) == []
         # the primitive -1/(s-2) times p^e, known mod p^(W-e)

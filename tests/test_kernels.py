@@ -7,6 +7,8 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from g3chabauty import _kernels as kernels
+from g3chabauty.curve import COST_CAP_S, estimated_seconds
+from g3chabauty.frobenius import _budget
 
 from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
                       CURVE_C_COEFFS, make_curve)
@@ -209,6 +211,43 @@ def test_divmod_against_schoolbook():
                 a = [rng.randrange(-2 * mod, 2 * mod) for _ in range(la)]
                 assert kernels.poly_divmod_monic_mod(a, b, mod) == \
                     schoolbook_divmod(a, b, mod), (mod, db, la)
+
+
+def test_unpack_inverts_pack():
+    # residues mod m in, the same residues out; slots wider than the
+    # residues need, and an unreduced packed sum read back mod m
+    rng = random.Random(41)
+    for m in MODULI:
+        for n in (1, 7, 13, 40):
+            slot = kernels.slot_bytes(m, n)
+            xs = [rng.randrange(m) for _ in range(n)]
+            assert kernels.unpack(kernels.pack(xs, slot), slot, n, m) == xs
+            big = [rng.randrange(3 * m) for _ in range(n)]
+            assert kernels.unpack(kernels.pack(big, slot), slot, n, m) == \
+                [x % m for x in big]
+            ys = [rng.randrange(m) for _ in range(n)]
+            both = kernels.pack(xs, slot) + 5 * kernels.pack(ys, slot)
+            assert kernels.unpack(both, slot, n, m) == \
+                [(x + 5 * y) % m for x, y in zip(xs, ys)]
+        assert kernels.unpack(0, 3, 4, m) == [0] * 4
+
+
+@pytest.mark.parametrize("p,N", [(7, 18), (11, 26), (293, 36)],
+                         ids=["A@7", "B@11", "largest-admitted"])
+def test_slot_holds_the_sums_it_is_sized_for(p, N):
+    """A slot of slot_bytes(m, n) bytes holds any sum of 2n, so also of n,
+    products of residues mod m, for m = p^W at the budget of a run: the
+    pole map's slots sum 7 products, and it has 13 slots."""
+    assert estimated_seconds(p, N) <= COST_CAP_S
+    m = p ** _budget(p, N)[2]
+    for n in (7, 13):
+        room = 256 ** kernels.slot_bytes(m, n)
+        assert n * (m - 1) ** 2 < 2 * n * (m - 1) ** 2 < room
+        # the largest such sum in each of n slots reads back exactly
+        top = [2 * n * (m - 1) ** 2] * n
+        packed = kernels.pack(top, kernels.slot_bytes(m, n))
+        assert kernels.unpack(packed, kernels.slot_bytes(m, n), n,
+                              room) == top
 
 
 def loop_search_x_squares(cnum, d7, height):

@@ -20,6 +20,7 @@ import pytest
 from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, CurveModel,
                               RationalPoint, eval_exact)
 from g3chabauty.errors import BadReductionError, InputError
+from g3chabauty.jacobian import MumfordDivisorFp
 from g3chabauty.padic import PadicNumber, padic_sqrt
 from g3chabauty import pipeline
 from g3chabauty.pipeline import (_algebraic_point, analyze_curve,
@@ -183,6 +184,21 @@ def test_ex1_torsion_pair(ex1_p7):
         assert r["x"] == "0"
         assert r["min_poly_y"] == "y^2 - 8"
         assert r["torsion_order"] == 12
+
+
+def test_ex1_orders_each_torsion_pair_once(curve_a, ex1_p7, monkeypatch):
+    # the zeros in (0,1) and (0,6) are mirrors: one order serves both
+    calls = []
+    order = MumfordDivisorFp.order
+
+    def counted(self, *args):
+        calls.append(self)
+        return order(self, *args)
+
+    monkeypatch.setattr(MumfordDivisorFp, "order", counted)
+    report = analyze_curve(curve_a, p=7)
+    assert len(calls) == 1
+    assert report.to_json() == ex1_p7.to_json()
 
 
 def test_ex1_branch_points(ex1_p7):
