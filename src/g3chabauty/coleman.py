@@ -15,6 +15,17 @@ generic disk it is the termwise integral from the Teichmuller point P plus
 halfint(P).  The primitives h are odd in y, so h(P) - h(iota P) = 2 h(P)
 and halfint(P) solves (I - M^T) v = h(P) directly.
 
+That system is solved by Cramer's rule.  det(I - M) = P(1) = #J(F_p), and
+adj(I - M) = sum_k B_k comes out of the Faddeev-LeVerrier loop that
+computes the zeta (frobenius._char_series_coeffs), so
+
+    v_i = sum_j adj(I - M)[j][i] h_j(P) / #J(F_p),
+
+which loses exactly v_p(#J(F_p)) digits to the division.  For p >= 7 the
+Weil bound gives #J(F_p) <= (1 + sqrt p)^6 < p^4, so v_p(#J(F_p)) <= 3 <
+PREC_MIN and every constant keeps at least one digit: no system here is
+singular.
+
 Each disk therefore keeps one series per basis form: H_i(t), the termwise
 integral of w_i from the center plus, on a generic disk, halfint(P) as its
 constant, so halfint is H_i at the point's parameter (negated on the
@@ -24,48 +35,18 @@ half-integral series is the same combination of H_0, H_1, H_2.
 
 from __future__ import annotations
 
-from .errors import PrecisionError
 from .frobenius import frobenius_data
 from .localdisk import LocalExpansion, disk_center
 from .padic import PadicNumber
 
 
-def padic_linsolve(rows, rhs):
-    """Solve a square system of PadicNumbers by Gauss-Jordan elimination,
-    pivoting on the entry of least valuation so precision loss is minimal
-    and honestly tracked."""
+def padic_linsolve(adj, det, rhs):
+    """Solve (I - M^T) v = rhs by Cramer's rule, from adj = adj(I - M) as
+    PadicNumbers and the exact integer det = det(I - M):
+    v_i = sum_j adj[j][i] rhs_j / det."""
     n = len(rhs)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    order = []
-    used = set()
-    for col in range(n):
-        best = None
-        best_val = None
-        for r in range(n):
-            if r in used:
-                continue
-            e = aug[r][col]
-            if e.is_zero:
-                continue
-            if best is None or e.valuation < best_val:
-                best, best_val = r, e.valuation
-        if best is None:
-            raise PrecisionError("system is singular at working precision")
-        used.add(best)
-        order.append(best)
-        piv = aug[best][col]
-        aug[best] = [x / piv for x in aug[best]]
-        for r in range(n):
-            if r == best:
-                continue
-            f = aug[r][col]
-            if f.is_exact_zero:
-                continue
-            aug[r] = [aug[r][j] - f * aug[best][j] for j in range(n + 1)]
-    sol = [None] * n
-    for col, r in enumerate(order):
-        sol[col] = aug[r][n]
-    return sol
+    return [sum(adj[j][i] * rhs[j] for j in range(n)) / det
+            for i in range(n)]
 
 
 class _DiskData:
@@ -81,7 +62,9 @@ class _DiskData:
 
 class ColemanContext:
     """Per-(curve, p) cache of disk charts, Teichmuller centers and solved
-    Frobenius systems, exposing integrals of w0, w1, w2 between points."""
+    Frobenius systems, exposing integrals of w0, w1, w2 between points.
+    adj(I - M) is wrapped as PadicNumbers to p^prec once, for the Cramer
+    solve of every generic disk."""
 
     def __init__(self, curve, p, prec):
         self.curve = curve
@@ -89,6 +72,10 @@ class ColemanContext:
         self.prec = prec
         self.t_prec = prec + 4
         self.fd = frobenius_data(curve, p, prec)
+        self._adj = tuple(
+            tuple(PadicNumber.from_rational(v, p, abs_prec=prec) if v
+                  else PadicNumber.zero(p, prec) for v in row)
+            for row in self.fd.adjugate)
         self._disks = {}
 
     # -- per-disk assembly -------------------------------------------------
@@ -112,17 +99,13 @@ class ColemanContext:
         halfints = tuple(f.formal_integral() for f in forms)
         if residues is not None:
             # h is odd in y, so h(P) - h(iota P) = 2 h(P): the half
-            # integral between the two lifts solves (I - M^T) v = h(P)
+            # integral between the two lifts solves (I - M^T) v = h(P),
+            # by Cramer's rule with adj(I - M) and det(I - M) = #J(F_p)
             x_t, y_t = residues
             fd = self.fd
             rhs = [fd._wrap_scaled(fd._primitive_acc(i, x_t, y_t))
                    for i in range(6)]
-            mat = fd.matrix()
-            one = PadicNumber.from_rational(1, p, rel_prec=self.prec)
-            zero = PadicNumber.zero(p, self.prec)
-            rows = [[(one if i == j else zero) - mat[j][i]
-                     for j in range(6)] for i in range(6)]
-            sol = padic_linsolve(rows, rhs)
+            sol = padic_linsolve(self._adj, fd.jacobian_order(), rhs)
             halfints = tuple(h + c for h, c in zip(halfints, sol))
         return _DiskData(expansion, forms, halfints)
 

@@ -129,17 +129,20 @@ class FrobeniusData:
     """Matrix of Frobenius on the w_i basis plus the exact-form bookkeeping
     needed to evaluate the primitives h_j at points with unit y.  k_max
     (the last term of the binomial series), scale_exp (C) and work_exp (W)
-    are the budget of _compute."""
+    are the budget of _compute.  matrix_ints holds M and adjugate holds
+    adj(I - M), both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i + dh_j, and
+    (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p)."""
 
     # perfbench/tracing.py maps delta 4 to attempt 1, the only attempt
     delta = 4
 
     __slots__ = ("curve", "p", "prec", "scale_exp", "work_exp",
-                 "k_max", "matrix_ints", "pole_prims", "deg_prims",
-                 "zeta", "npoints", "_matrix_cache")
+                 "k_max", "matrix_ints", "adjugate", "pole_prims",
+                 "deg_prims", "zeta", "npoints")
 
     def __init__(self, curve, p, prec, scale_exp, work_exp, k_max,
-                 matrix_ints, pole_prims, deg_prims, zeta, npoints):
+                 matrix_ints, adjugate, pole_prims, deg_prims, zeta,
+                 npoints):
         self.curve = curve
         self.p = p
         self.prec = prec
@@ -147,21 +150,11 @@ class FrobeniusData:
         self.work_exp = work_exp
         self.k_max = k_max
         self.matrix_ints = matrix_ints
+        self.adjugate = adjugate
         self.pole_prims = pole_prims
         self.deg_prims = deg_prims
         self.zeta = zeta
         self.npoints = npoints
-        self._matrix_cache = None
-
-    def matrix(self):
-        """6x6 tuple of PadicNumbers: phi^*(w_j) = sum_i M[i][j] w_i + dh_j."""
-        if self._matrix_cache is None:
-            self._matrix_cache = tuple(
-                tuple(PadicNumber.from_rational(v, self.p, abs_prec=self.prec)
-                      if v else PadicNumber.zero(self.p, self.prec)
-                      for v in row)
-                for row in self.matrix_ints)
-        return self._matrix_cache
 
     def jacobian_order(self):
         return sum(self.zeta)
@@ -228,10 +221,15 @@ class FrobeniusData:
         return acc % m * y_int % m
 
 
-def _char_series_coeffs(mat, modulus, p):
-    """Coefficients of det(1 - T mat) mod modulus via Faddeev-LeVerrier."""
+def _char_series_coeffs(mat, modulus):
+    """Coefficients of det(1 - T mat) and adj(1 - mat), mod modulus, via
+    Faddeev-LeVerrier.  The loop's B_k = mat^k + c_1 mat^(k-1) + ... + c_k
+    (B_0 = 1) are the coefficients of adj(x - mat) = sum_k B_k x^(n-1-k),
+    so their sum is adj(1 - mat): (1 - mat) sum_k B_k = det(1 - mat) by
+    Cayley-Hamilton."""
     n = len(mat)
     coeffs = [1]
+    adj = [[int(i == j) for j in range(n)] for i in range(n)]
     ak = [row[:] for row in mat]
     for k in range(1, n + 1):
         tr = sum(ak[i][i] for i in range(n)) % modulus
@@ -241,9 +239,11 @@ def _char_series_coeffs(mat, modulus, p):
             break
         nxt = [[(ak[i][j] + (ck if i == j else 0)) % modulus
                 for j in range(n)] for i in range(n)]
+        adj = [[(a + b) % modulus for a, b in zip(ra, rb)]
+               for ra, rb in zip(adj, nxt)]
         ak = [[sum(mat[i][t] * nxt[t][j] for t in range(n)) % modulus
                for j in range(n)] for i in range(n)]
-    return coeffs
+    return coeffs, adj
 
 
 def _balanced(r, modulus):
@@ -407,8 +407,8 @@ def _compute(curve, p, N, k_max, C, W):
         deg_prims.append(tuple(dprims))
 
     modulus = p ** N
-    b = [_balanced(c, modulus) for c in _char_series_coeffs(
-        matrix_ints, modulus, p)]
+    coeffs, adjugate = _char_series_coeffs(matrix_ints, modulus)
+    b = [_balanced(c, modulus) for c in coeffs]
     if not _weil_ok(b, p):
         raise PrecisionError("zeta coefficients violate the Weil bounds")
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
@@ -418,7 +418,7 @@ def _compute(curve, p, N, k_max, C, W):
     if p + 1 + b[1] != npoints:
         raise PrecisionError("trace does not match the point count")
 
-    fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints,
+    fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints, adjugate,
                        tuple(map(tuple, pole_prims)), tuple(deg_prims),
                        tuple(b), npoints)
     xbar = _generic_residue(fbar, p)

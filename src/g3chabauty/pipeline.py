@@ -37,7 +37,7 @@ from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
 from .localdisk import curve_point_from_rational, form_series
-from .padic import INF, PadicNumber
+from .padic import INF, PadicNumber, ord_p
 from .recognize import (QuadraticElement, element_min_poly,
                         format_polynomial, is_irreducible_quadratic,
                         linear_relation, primitive_poly, quadratic_relation,
@@ -248,11 +248,12 @@ class _Analysis:
 
         The budget b is min(prec - 2, min_j(abs_prec(c_j) + j)) over the
         coefficients c_j read at prec - 2: at an anomalous prime the
-        Frobenius solve loses digits, and a budget the coefficients cannot
-        meet fails at any N.  Isolating at b is sound.  It reads c_j for
-        j < truncation_order(b) <= truncation_order(prec - 2), each known
-        mod p^(b - j).  The tail beyond is O(p^b) on the disk whatever the
-        digits, by the antiderivative shape v(c_j) >= -ord_p(j).  So
+        Frobenius solve loses exactly v_p(#J(F_p)) digits, and a budget the
+        coefficients cannot meet fails at any N.  Isolating at b is sound.
+        It reads c_j for j < truncation_order(b) <=
+        truncation_order(prec - 2), each known mod p^(b - j).  The tail
+        beyond is O(p^b) on the disk whatever the digits, by the
+        antiderivative shape v(c_j) >= -ord_p(j).  So
         f(p s) is within O(p^b) of the integral polynomial that
         series_roots_in_disk isolates, and its Hensel counting holds for
         every function that close: each zero returned is simple, and none
@@ -522,8 +523,9 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
     alpha, beta, pivot = _annihilator_pair(logs, p)
 
     disks = sorted({d.canonical(p) for d in curve.fp_points(p)})
-    log.info("p=%d prec=%d #C(F_p)=%d |J(F_p)|=%d disks=%d",
-             p, prec, ctx.fd.npoints, run.jac_order, len(disks))
+    log.info("p=%d prec=%d #C(F_p)=%d |J(F_p)|=%d disks=%d; the disk "
+             "solve loses v_p(|J(F_p)|)=%d digits", p, prec, ctx.fd.npoints,
+             run.jac_order, len(disks), ord_p(run.jac_order, p))
     disk_records = []
     tagged = []
     for disk in disks:

@@ -6,6 +6,8 @@ once per session and is shared by test_acceptance and test_pipeline; tests
 only read the reports.
 """
 
+import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -28,6 +30,8 @@ CURVE_B_KNOWN = ["infinity", ["0", "-1"], ["0", "1"], ["1", "-1"], ["1", "1"]]
 CURVE_C_COEFFS = [0, 4, -15, 32, -38, 32, -15, 4]
 CURVE_C_KNOWN = ["infinity", ["0", "0"], ["1", "-2"], ["1", "2"]]
 CURVE_C_P0 = ["1", "-2"]
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 def make_curve(coeffs, scaling=None):
@@ -54,6 +58,13 @@ def curve_b():
 @pytest.fixture(scope="session")
 def curve_c():
     return make_curve(CURVE_C_COEFFS)
+
+
+@pytest.fixture(scope="session")
+def curve_anomalous():
+    """The data/job_anomalous.json curve: p = 7 divides #J(F_7) = 343."""
+    job = json.loads((DATA / "job_anomalous.json").read_text("utf-8"))
+    return make_curve(job["curve"]["coeffs"])
 
 
 @pytest.fixture(scope="session")

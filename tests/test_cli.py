@@ -521,9 +521,9 @@ def test_rank_two_exits_2(name, tmp_path, capsys):
     assert "rank is at least 2" in err
 
 
-# p = 7 is anomalous for both: it divides #J(F_7) = 343, and the
-# Frobenius solve leaves the functionals 13-15 digits at N = 18; the first
-# is data/job_anomalous.json
+# p = 7 is anomalous for both: #J(F_7) = 343 = 7^3, so the disk solve
+# loses 3 of the N = 18 digits; base_log is known to O(7^15) and the
+# annihilators to O(7^17).  The first is data/job_anomalous.json
 ANOMALOUS_JOBS = {
     "anomalous-p7": json.loads(
         (DATA / "job_anomalous.json").read_text("utf-8")),
@@ -544,6 +544,71 @@ def test_anomalous_prime_proves(name, N, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["jacobian_order"] == 343
     assert report["class_counts"] == {"known_rational": 3}
+
+
+def _digits(expansion):
+    """({exponent: digit}, precision) of an 'a*p^k + ... + O(p^n)'
+    expansion; an exact one has precision None."""
+    digits, prec = {}, None
+    for term in expansion.split(" + "):
+        if term.startswith("O("):
+            prec = int(term[2:-1].split("^")[1]) if "^" in term else 1
+        elif "*" in term:
+            digit, power = term.split("*")
+            exp = int(power.split("^")[1]) if "^" in power else 1
+            digits[exp] = int(digit)
+        elif term != "0":
+            digits[0] = int(term)
+    return digits, prec
+
+
+def _agree(a, b):
+    """Whether two digit expansions agree on every digit both know."""
+    (da, pa), (db, pb) = _digits(a), _digits(b)
+    if pa is None and pb is None:
+        return da == db
+    n = min(x for x in (pa, pb) if x is not None)
+    return all(da.get(k, 0) == db.get(k, 0)
+               for k in set(da) | set(db) if k < n)
+
+
+@pytest.mark.parametrize("name", sorted(ANOMALOUS_JOBS))
+def test_anomalous_digits_agree_with_a_higher_precision(name):
+    """Every digit the N = 18 and N = 40 reports share agrees, in base_log,
+    the annihilators and each disk's roots, so the digits the solve keeps
+    at an anomalous prime are correct ones.  Roots are sorted by their
+    digits, so each N = 18 root is matched to the one N = 40 root it
+    agrees with."""
+    low = cli.run_job(ANOMALOUS_JOBS[name], prec=18).data
+    high = cli.run_job(ANOMALOUS_JOBS[name], prec=40).data
+    assert low["class_counts"] == high["class_counts"]
+    for key in ("alpha", "beta"):
+        assert all(map(_agree, low["annihilators"][key],
+                       high["annihilators"][key]))
+    assert all(map(_agree, low["base_log"], high["base_log"]))
+    assert len(low["disks"]) == len(high["disks"])
+    for d_low, d_high in zip(low["disks"], high["disks"]):
+        assert d_low["disk"] == d_high["disk"]
+        for key in ("roots_alpha", "roots_beta"):
+            if d_low[key] is None or d_high[key] is None:
+                assert d_low[key] == d_high[key]
+                continue
+            assert len(d_low[key]) == len(d_high[key])
+            for root in d_low[key]:
+                assert sum(_agree(root, r) for r in d_high[key]) == 1, root
+
+
+@pytest.mark.parametrize("job,lost", [("job_anomalous", 3), ("job_ex1", 0)])
+def test_info_line_states_the_solve_loss(job, lost, capsys, caplog):
+    # v_p(#J(F_p)) goes to -v logging and never into the report
+    caplog.set_level(logging.INFO, logger="g3chabauty.pipeline")
+    assert main(["-v", "analyze", "--job", str(DATA / (job + ".json"))]) == 0
+    assert "loses" not in capsys.readouterr().out
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "g3chabauty.pipeline" and r.levelno == logging.INFO]
+    assert len(lines) == 1
+    assert lines[0].endswith("the disk solve loses v_p(|J(F_p)|)=%d digits"
+                             % lost)
 
 
 def test_curve_with_no_generic_disk_proves(capsys, caplog):

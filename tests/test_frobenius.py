@@ -568,9 +568,25 @@ def test_pole_maps_check_the_cofactor_on_every_monomial(curve_b):
 
 
 def test_matrix_is_integral(fd_a7):
-    for row in fd_a7.matrix():
-        for entry in row:
-            assert entry.is_zero or entry.valuation >= 0
+    m = 7 ** fd_a7.prec
+    assert all(0 <= v < m for row in fd_a7.matrix_ints for v in row)
+
+
+@pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
+                                     ("curve_c", 11),
+                                     ("curve_anomalous", 7)])
+def test_adjugate_inverts_one_minus_frobenius(curve, p, request):
+    """The Faddeev-LeVerrier loop's sum of B_k is adj(I - M):
+    (I - M) adj = det(I - M) I = #J(F_p) I mod p^N, also where p divides
+    #J(F_p) (the anomalous curve, #J(F_7) = 343)."""
+    fd = frobenius_data(request.getfixturevalue(curve), p, 2 * p + 4)
+    m = p ** fd.prec
+    M, adj = fd.matrix_ints, fd.adjugate
+    assert all(0 <= v < m for row in adj for v in row)
+    for i in range(6):
+        for j in range(6):
+            entry = sum(((i == t) - M[i][t]) * adj[t][j] for t in range(6))
+            assert entry % m == (fd.jacobian_order() if i == j else 0) % m
 
 
 def test_pullback_identity_generic_points(fd_a7):
@@ -592,14 +608,14 @@ def _mutated_primitive(col):
     column col's s = 3 primitive: h_col off in its last reported digit."""
     made = frobenius.FrobeniusData
 
-    def build(curve, p, prec, C, W, k_max, matrix_ints, pole_prims,
-              deg_prims, zeta, npoints):
+    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
+              pole_prims, deg_prims, zeta, npoints):
         prims = [list(terms) for terms in pole_prims]
         s, b = prims[col][-1]
         assert s == 3
         b = ((b[0] + p ** (C + prec - 1)) % p ** W,) + b[1:]
         prims[col][-1] = (s, b)
-        return made(curve, p, prec, C, W, k_max, matrix_ints,
+        return made(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
                     tuple(map(tuple, prims)), deg_prims, zeta, npoints)
     return build
 
@@ -631,11 +647,11 @@ def _mutated_matrix(row, col):
     its last reported digit after the zeta audits have read the true M."""
     made = frobenius.FrobeniusData
 
-    def build(curve, p, prec, C, W, k_max, matrix_ints, pole_prims,
-              deg_prims, zeta, npoints):
+    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
+              pole_prims, deg_prims, zeta, npoints):
         mat = [list(r) for r in matrix_ints]
         mat[row][col] = (mat[row][col] + p ** (prec - 1)) % p ** prec
-        return made(curve, p, prec, C, W, k_max, mat, pole_prims,
+        return made(curve, p, prec, C, W, k_max, mat, adjugate, pole_prims,
                     deg_prims, zeta, npoints)
     return build
 

@@ -31,6 +31,7 @@ from g3chabauty.recognize import (QuadraticElement, element_min_poly,
 from conftest import CURVE_A_KNOWN, CURVE_C_KNOWN
 
 
+
 def expansion_value(s, p, n):
     """Integer value mod p^n of an 'a0 + a1*p + ... + O(p^N)' string."""
     total = 0
@@ -72,6 +73,19 @@ def test_report_digests_pinned(request):
         request.getfixturevalue(name).to_json().encode("utf-8")).hexdigest()
         for name in REPORT_SHA256}
     assert got == REPORT_SHA256
+
+
+# SHA-256 of to_json() for data/job_anomalous.json at its default N = 18.
+# #J(F_7) = 7^3, so its disk constants keep N - 3 = 15 digits: a change to
+# the digits an anomalous prime keeps fails here
+ANOMALOUS_SHA256 = \
+    "b1d57d48a7a7d1066bd391ce8ea4965a8275bef904670137e30d4f9e2dfc23b1"
+
+
+def test_anomalous_report_digest_pinned(curve_anomalous):
+    report = analyze_curve(curve_anomalous, p=7)
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == ANOMALOUS_SHA256
 
 
 def test_default_precision():
