@@ -26,7 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .coleman import ColemanContext
-from .curve import NUMBER_DIGITS_CAP, CurveModel, RationalPoint
+from .curve import (COST_CAP_S, NUMBER_DIGITS_CAP, CurveModel, RationalPoint,
+                    estimated_brute_seconds)
 from .errors import (BadReductionError, G3Error, InputError, PrecisionError,
                      RecognitionError, SimplicityError)
 from .frobenius import brute_zeta_numerator, zeta_numerator
@@ -273,6 +274,11 @@ def cmd_batch(args):
 def cmd_zeta(args):
     curve = _load_curve_file(args.curve)
     curve.check_prime(args.p)
+    cost = estimated_brute_seconds(args.p)
+    if args.brute_check and cost > COST_CAP_S:
+        raise InputError("the brute-force check at p = %d is estimated at "
+                         "%.0f s, over the budget of %d s"
+                         % (args.p, cost, COST_CAP_S))
     coeffs = zeta_numerator(curve, args.p)
     result = {
         "prime": args.p,

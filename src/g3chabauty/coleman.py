@@ -21,8 +21,9 @@ computes the zeta (frobenius._char_series_coeffs), so
 
     v_i = sum_j adj(I - M)[j][i] h_j(P) / #J(F_p),
 
-which loses exactly v_p(#J(F_p)) digits to the division.  For p >= 7 the
-Weil bound gives #J(F_p) <= (1 + sqrt p)^6 < p^4, so v_p(#J(F_p)) <= 3 <
+solved only for the constants i = 0, 1, 2 of the holomorphic forms.  It
+loses exactly v_p(#J(F_p)) digits to the division.  For p >= 7 the Weil
+bound gives #J(F_p) <= (1 + sqrt p)^6 < p^4, so v_p(#J(F_p)) <= 3 <
 PREC_MIN and every constant keeps at least one digit: no system here is
 singular.
 
@@ -41,12 +42,11 @@ from .padic import PadicNumber
 
 
 def padic_linsolve(adj, det, rhs):
-    """Solve (I - M^T) v = rhs by Cramer's rule, from adj = adj(I - M) as
-    PadicNumbers and the exact integer det = det(I - M):
-    v_i = sum_j adj[j][i] rhs_j / det."""
-    n = len(rhs)
-    return [sum(adj[j][i] * rhs[j] for j in range(n)) / det
-            for i in range(n)]
+    """Solve (I - M^T) v = rhs by Cramer's rule, from the rows of
+    adj = adj(I - M) as PadicNumbers and the exact integer det = det(I - M):
+    v_i = sum_j adj[j][i] rhs_j / det, for each column i that adj holds."""
+    return [sum(row[i] * r for row, r in zip(adj, rhs)) / det
+            for i in range(len(adj[0]))]
 
 
 class _DiskData:
@@ -63,8 +63,9 @@ class _DiskData:
 class ColemanContext:
     """Per-(curve, p) cache of disk charts, Teichmuller centers and solved
     Frobenius systems, exposing integrals of w0, w1, w2 between points.
-    adj(I - M) is wrapped as PadicNumbers to p^prec once, for the Cramer
-    solve of every generic disk."""
+    Columns 0 .. 2 of adj(I - M), those of the constants of w0, w1, w2, are
+    wrapped as PadicNumbers to p^prec once, for the Cramer solve of every
+    generic disk."""
 
     def __init__(self, curve, p, prec):
         self.curve = curve
@@ -74,7 +75,7 @@ class ColemanContext:
         self.fd = frobenius_data(curve, p, prec)
         self._adj = tuple(
             tuple(PadicNumber.from_rational(v, p, abs_prec=prec) if v
-                  else PadicNumber.zero(p, prec) for v in row)
+                  else PadicNumber.zero(p, prec) for v in row[:3])
             for row in self.fd.adjugate)
         self._disks = {}
 
@@ -101,11 +102,8 @@ class ColemanContext:
             # h is odd in y, so h(P) - h(iota P) = 2 h(P): the half
             # integral between the two lifts solves (I - M^T) v = h(P),
             # by Cramer's rule with adj(I - M) and det(I - M) = #J(F_p)
-            x_t, y_t = residues
-            fd = self.fd
-            rhs = [fd._wrap_scaled(fd._primitive_acc(i, x_t, y_t))
-                   for i in range(6)]
-            sol = padic_linsolve(self._adj, fd.jacobian_order(), rhs)
+            sol = padic_linsolve(self._adj, self.fd.jacobian_order(),
+                                 self.fd.primitives_at(*residues))
             halfints = tuple(h + c for h, c in zip(halfints, sol))
         return _DiskData(expansion, forms, halfints)
 

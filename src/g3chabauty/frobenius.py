@@ -53,8 +53,10 @@ and needed mod p^(W-C-1-k), so it is kept divided by the one and mod the
 other (_psi_digits).  F is monic, so the digits commute with reduction
 mod any p^M, and they equal the full-precision ones mod p^W.  The exact
 forms are kept so Coleman integration can evaluate the primitive h_j with
-phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole part sum_s b_s(x) y^(2-s),
-s odd, is y times a polynomial in y^-2, evaluated by Horner's rule.
+phi^* w_j = sum_i M[i][j] w_i + d h_j.  Its pole terms b_s(x) y^(2-s), s
+odd, and its degree-reduction terms mu(x) y make h_j = y sum_e u^e E_e(x)
+in u = y^-2, with E_e = b_(2e+1) and E_0 = mu: one dense list of
+x-polynomials per column, read by Horner's rule in u.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the Weil bounds, the functional equation and the
@@ -126,23 +128,25 @@ def _half_binomial_units(k_max, m):
 
 
 class FrobeniusData:
-    """Matrix of Frobenius on the w_i basis plus the exact-form bookkeeping
-    needed to evaluate the primitives h_j at points with unit y.  k_max
-    (the last term of the binomial series), scale_exp (C) and work_exp (W)
-    are the budget of _compute.  matrix_ints holds M and adjugate holds
-    adj(I - M), both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i + dh_j, and
-    (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p)."""
+    """Matrix of Frobenius on the w_i basis plus the exact forms needed to
+    evaluate the primitives h_j at points with unit y.  k_max (the last
+    term of the binomial series), scale_exp (C) and work_exp (W) are the
+    budget of _compute.  matrix_ints holds M and adjugate holds adj(I - M),
+    both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i + dh_j, and
+    (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).  prims[j]
+    holds p^C h_j mod p^W once, as the dense list E_0 .. E_J of
+    x-polynomials (coefficient tuples) with h_j = y sum_e u^e E_e(x),
+    u = y^-2: E_e, e >= 1, is the pole term of the step s = 2e + 1, and
+    E_0 = mu(x) holds the degree-reduction terms."""
 
     # perfbench/tracing.py maps delta 4 to attempt 1, the only attempt
     delta = 4
 
     __slots__ = ("curve", "p", "prec", "scale_exp", "work_exp",
-                 "k_max", "matrix_ints", "adjugate", "pole_prims",
-                 "deg_prims", "zeta", "npoints")
+                 "k_max", "matrix_ints", "adjugate", "prims", "zeta")
 
     def __init__(self, curve, p, prec, scale_exp, work_exp, k_max,
-                 matrix_ints, adjugate, pole_prims, deg_prims, zeta,
-                 npoints):
+                 matrix_ints, adjugate, prims, zeta):
         self.curve = curve
         self.p = p
         self.prec = prec
@@ -151,13 +155,21 @@ class FrobeniusData:
         self.k_max = k_max
         self.matrix_ints = matrix_ints
         self.adjugate = adjugate
-        self.pole_prims = pole_prims
-        self.deg_prims = deg_prims
+        self.prims = prims
         self.zeta = zeta
-        self.npoints = npoints
 
     def jacobian_order(self):
         return sum(self.zeta)
+
+    def point_count(self):
+        """#C(F_p) = p + 1 + a_1, audited by _compute."""
+        return self.p + 1 + self.zeta[1]
+
+    def primitives_at(self, x_int, y_int):
+        """(h_0, .., h_5) at the point (x_int, y_int) with unit y, given mod
+        p^work_exp, as PadicNumbers to p^prec."""
+        return [self._wrap_scaled(self._primitive_acc(col, x_int, y_int))
+                for col in range(6)]
 
     def _wrap_scaled(self, acc):
         if acc == 0:
@@ -165,60 +177,42 @@ class FrobeniusData:
         value = Fraction(acc, self.p ** self.scale_exp)
         return PadicNumber.from_rational(value, self.p, abs_prec=self.prec)
 
-    def _pole_sum(self, col, u, term):
-        """sum_e u^e term(e, b) over the pole terms b = b_(2e+1) of column
-        col, mod p^work_exp, by Horner's rule in u along pole_prims, whose s
-        decrease."""
-        m = self.p ** self.work_exp
-        acc = 0
-        last = 0
-        for s, b in self.pole_prims[col]:
-            e = (s - 1) // 2
-            if last:
-                acc *= u if last - e == 1 else pow(u, last - e, m)
-            acc = (acc + term(e, b)) % m
-            last = e
-        return acc * pow(u, last, m) % m
-
     def _primitive_acc(self, col, x_int, y_int):
-        """p^scale_exp h_col at (x_int, y_int), reduced mod p^work_exp.
-        Every term is odd in y, so at (x_int, -y_int) it is the negative.
-        The pole part sum_s b_s(x) y^(2-s) over odd s is
-        y sum_e b_(2e+1)(x) u^e with u = y^-2 and e = (s-1)/2 >= 1."""
+        """p^scale_exp h_col at (x_int, y_int), reduced mod p^work_exp, by
+        Horner's rule in u = y^-2 on the values E_e(x).  Every term is odd
+        in y, so at (x_int, -y_int) it is the negative."""
         m = self.p ** self.work_exp
-        xpow = [pow(x_int, i, m) for i in range(7)]
+        terms = self.prims[col]
+        xpow = _powers(x_int, max(7, len(terms[0])), m)
         u = pow(y_int * y_int % m, -1, m)
-        acc = self._pole_sum(col, u, lambda e, b: sum(map(mul, b, xpow)))
-        for j, mu in self.deg_prims[col]:
-            acc += mu * pow(x_int, j, m)
-        return acc % m * y_int % m
+        vals = [sum(map(mul, E, xpow)) for E in terms]
+        return kernels.poly_eval_mod(vals, u, m) * y_int % m
 
     def _primitive_dx_acc(self, col, x_int, y_int):
         """p^scale_exp dh_col/dx at (x_int, y_int), reduced mod p^work_exp.
-        With u = y^-2 and y' = F'(x)/2y, the pole term of s = 2e + 1 has
-        d(b y u^e)/dx = y u^e (b' + (1 - 2e)/2 F' u b), and d(mu x^j y)/dx =
-        y mu (j x^(j-1) + x^j F' u / 2)."""
+        With u = y^-2 and y' = F'(x)/2y, the term of E_e has
+        d(E_e y u^e)/dx = y u^e (E_e' + (1 - 2e)/2 F' u E_e), which Horner's
+        rule in u sums."""
         m = self.p ** self.work_exp
-        xpow = [pow(x_int, i, m) for i in range(7)]
-        # slopes[i] = i x^(i-1), the slope of x^i; deg b <= 6 and deg F = 7
-        slopes = [0] + [i * xpow[i - 1] for i in range(1, 8)]
+        terms = self.prims[col]
+        xpow = _powers(x_int, max(8, len(terms[0])), m)
+        # slopes[i] = i x^(i-1), the slope of x^i; deg F = 7
+        slopes = [0] + [i * xpow[i - 1] for i in range(1, len(xpow))]
         f = self.curve.f_coeffs_mod(self.p, self.work_exp)
         u = pow(y_int * y_int % m, -1, m)
         half_fu = sum(map(mul, f, slopes)) * u % m * pow(2, -1, m) % m
-        # weights[i] is x^i above i x^(i-1), so one dot product gives b(x)
-        # above b'(x), whose 7 products of residues sum below 42 m^2
-        shift = 2 * m.bit_length() + 6
-        low = (1 << shift) - 1
-        weights = [v + (w << shift) for v, w in zip(slopes, xpow)]
+        vals = [sum(map(mul, E, slopes))
+                + (1 - 2 * e) * half_fu * sum(map(mul, E, xpow))
+                for e, E in enumerate(terms)]
+        return kernels.poly_eval_mod(vals, u, m) * y_int % m
 
-        def term(e, b):
-            both = sum(map(mul, b, weights))
-            return (both & low) + (1 - 2 * e) * half_fu * (both >> shift)
-        acc = self._pole_sum(col, u, term)
-        for j, mu in self.deg_prims[col]:
-            lead = slopes[j] if j < 8 else j * pow(x_int, j - 1, m)
-            acc += mu * (lead + pow(x_int, j, m) * half_fu)
-        return acc % m * y_int % m
+
+def _powers(x, n, m):
+    """[x^0, .., x^(n-1)] mod m."""
+    out = [1]
+    for _ in range(n - 1):
+        out.append(out[-1] * x % m)
+    return out
 
 
 def _char_series_coeffs(mat, modulus):
@@ -274,9 +268,10 @@ def _compute(curve, p, N, k_max, C, W):
     which covers every step, since the remainder c (1 - beta Q') mod Q is
     linear in c mod p^W.  Where p does not divide s - 2 no division by p is
     left; where p^e does, the divisions by p^e of the correction and of the
-    primitive are checked at every step (_pole_step).  The primitive's pole
-    terms are stored with s decreasing, the order in which
-    FrobeniusData._primitive_acc runs Horner's rule in y^-2.
+    primitive are checked at every step (_pole_step).  The primitive of
+    step s is stored as E_((s-1)/2) and the degree reduction's mu(x) as
+    E_0 (FrobeniusData.prims), so h_j = y sum_e E_e(x) y^-2e is read by
+    Horner's rule in y^-2.
 
     Why the budget of _budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
@@ -373,7 +368,7 @@ def _compute(curve, p, N, k_max, C, W):
         # digits of x^(p col + p - 1) Psi
         digits = _apply_digit_map(digits, xmaps[col > 0], m)
         cols.append(digits)
-    pole_prims = [[] for _ in range(6)]
+    prims = [[()] * (J + 1) for _ in range(6)]
     carries = [[] for _ in range(6)]
     for j in range(J):
         s = s_max - 2 * j
@@ -383,10 +378,9 @@ def _compute(curve, p, N, k_max, C, W):
             c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]),
                                       carries[col], m)
                  if j < len(digits) else carries[col])
-            carries[col] = _pole_step(c, s, e, inv, pmap, p, m,
-                                      pole_prims[col])
+            carries[col], prims[col][(s - 1) // 2] = _pole_step(
+                c, s, e, inv, pmap, p, m)
     matrix_ints = [[0] * 6 for _ in range(6)]
-    deg_prims = []
     pC = p ** C
     for col, digits in enumerate(cols):
         # the numerator over y^1: carry plus the digits from J on
@@ -394,8 +388,8 @@ def _compute(curve, p, N, k_max, C, W):
         for d in reversed(digits[J:]):
             A = kernels.poly_add_mod(kernels.poly_mul_mod(A, Q, m),
                                      kernels.poly_trim(d), m)
-        A, dprims = _degree_reduce(kernels.poly_add_mod(A, carries[col], m),
-                                   Q, Qd, p, m)
+        A, prims[col][0] = _degree_reduce(
+            kernels.poly_add_mod(A, carries[col], m), Q, Qd, p, m)
         if len(A) > 6:
             raise PrecisionError("degree reduction did not terminate")
         for i in range(6):
@@ -404,7 +398,6 @@ def _compute(curve, p, N, k_max, C, W):
             if val % pC:
                 raise PrecisionError("matrix entry not p-integral")
             matrix_ints[i][col] = (val // pC) % (p ** N)
-        deg_prims.append(tuple(dprims))
 
     modulus = p ** N
     coeffs, adjugate = _char_series_coeffs(matrix_ints, modulus)
@@ -414,13 +407,10 @@ def _compute(curve, p, N, k_max, C, W):
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
         raise PrecisionError("zeta functional equation failed")
     fbar = curve.f_coeffs_mod(p, 1)
-    npoints = len(kernels.fp_curve_points(fbar, p)) + 1
-    if p + 1 + b[1] != npoints:
-        raise PrecisionError("trace does not match the point count")
-
     fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints, adjugate,
-                       tuple(map(tuple, pole_prims)), tuple(deg_prims),
-                       tuple(b), npoints)
+                       tuple(map(tuple, prims)), tuple(b))
+    if fd.point_count() != len(kernels.fp_curve_points(fbar, p)) + 1:
+        raise PrecisionError("trace does not match the point count")
     xbar = _generic_residue(fbar, p)
     if xbar is None:
         log.debug("p = %d: no residue x with F(x) a nonzero square mod p, "
@@ -619,15 +609,16 @@ def _pole_map(Q, Qd, beta, m):
     return slot, cols
 
 
-def _pole_step(c, s, e, inv, pmap, p, m, prims):
+def _pole_step(c, s, e, inv, pmap, p, m):
     """One y-exponent drop s -> s-2 on the lowest Q-adic digit c of the
     numerator, reduced mod m: c = aQ + bQ' with deg a <= 5, and c dx/2y^s
     leaves a + 2b'/(s-2) at y^(s-2).  One packed product of pmap =
     _pole_map(..) gives b and a; with s - 2 = p^e d', p not dividing d',
     and inv = 1/d' mod m, the primitive is -inv b / p^e and the correction
     2b'/(s-2) is 2 inv r b_r / p^e in degree r - 1.  Returns the new
-    lowest digit (degree <= 5) and appends the subtracted primitive.  Where
-    e > 0 both divisions by p^e are checked; where e = 0 none is left."""
+    lowest digit (degree <= 5) and the subtracted primitive, both trimmed.
+    Where e > 0 both divisions by p^e are checked; where e = 0 none is
+    left."""
     slot, cols = pmap
     ba = kernels.unpack(sum(map(mul, c, cols)), slot, 13, m)
     prim = kernels.poly_trim([-inv * v % m for v in ba[:7]])
@@ -635,15 +626,16 @@ def _pole_step(c, s, e, inv, pmap, p, m, prims):
     if e:
         prim = [_exact_pdiv(v, p, e) for v in prim]
         corr = [_exact_pdiv(v, p, e) for v in corr]
-    if prim:
-        prims.append((s, tuple(prim)))
-    return kernels.poly_trim([(a + v) % m for a, v in zip(ba[7:], corr)])
+    return (kernels.poly_trim([(a + v) % m for a, v in zip(ba[7:], corr)]),
+            tuple(prim))
 
 
 def _degree_reduce(A, Q, Qd, p, m):
-    """Lower deg A to <= 5 against d(x^j y); returns (A, primitives)."""
+    """Lower deg A to <= 5 against d(x^j y); returns A and the primitive
+    mu(x) = sum_j mu_j x^j, as a trimmed coefficient tuple, for
+    d(mu(x) y)."""
     A = list(A)
-    prims = []
+    mu = [0] * max(0, len(A) - 6)
     while len(A) > 6:
         n = len(A) - 1
         j = n - 6
@@ -651,17 +643,16 @@ def _degree_reduce(A, Q, Qd, p, m):
         if lc:
             d = 2 * j + 7
             e = ord_p(d, p)
-            mu = _exact_pdiv(lc * pow(d // p ** e, -1, m) % m, p, e) % m
+            mu[j] = _exact_pdiv(lc * pow(d // p ** e, -1, m) % m, p, e) % m
             g = (kernels.poly_shift(kernels.poly_scale_mod(Q, 2 * j % m, m),
                                     j - 1) if j else [])
             g = kernels.poly_add_mod(g, kernels.poly_shift(Qd, j), m)
-            sub = kernels.poly_scale_mod(g, mu, m)
+            sub = kernels.poly_scale_mod(g, mu[j], m)
             for i in range(min(len(sub), n)):
                 A[i] = (A[i] - sub[i]) % m
-            prims.append((j, mu))
         # the top coefficient cancels up to working-precision junk
         A = kernels.poly_trim(A[:n])
-    return A, prims
+    return A, tuple(kernels.poly_trim(mu))
 
 
 def _tail_length(p, N):

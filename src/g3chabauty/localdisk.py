@@ -28,8 +28,8 @@ import math
 from . import _kernels as kernels
 from .curve import CurvePoint
 from .errors import InputError, PrecisionError
-from .padic import (INF, PadicNumber, hensel_lift_root, padic_sqrt,
-                    sqrt_mod_pn, teichmuller_int)
+from .padic import (INF, PadicNumber, hensel_lift_root, sqrt_mod_pn,
+                    teichmuller_int)
 from .series import PadicPowerSeries, min_tail_valuation
 
 
@@ -95,11 +95,11 @@ class LocalExpansion:
         one = PadicNumber.from_rational(1, p, rel_prec=prec)
         self.x_series = PadicPowerSeries(p, [self.center.x, one], M)
         fx = _poly_at(self._F_series(), self.x_series, prec)[0]
-        y0 = padic_sqrt(fx[0], self.center.y)
+        # Newton from the center's own y, a root of F(x(P)) to its digits
         self.y_series = _newton_root(
             [-fx, PadicPowerSeries.zero(p, M),
              PadicPowerSeries.constant(one, p, M)],
-            PadicPowerSeries(p, [y0], M), prec)
+            PadicPowerSeries(p, [self.center.y], M), prec)
 
     def _build_weierstrass(self):
         p, M, prec = self.prime, self.t_prec, self.prec
@@ -253,20 +253,3 @@ def disk_center(curve, disk, p, prec, work):
     y = PadicNumber.from_rational(y_t, p, abs_prec=prec)
     return CurvePoint.affine(x, y), (x_t, y_t)
 
-
-def tiny_integral(curve, coeffs, P, Q, p, t_prec, prec):
-    """Coleman integral of the holomorphic form sum_i coeffs[i] w_i between
-    two points of the same residue disk, by termwise integration of the
-    chart expansion at P."""
-    dP = curve.reduce_curve_point(P, p)
-    dQ = curve.reduce_curve_point(Q, p)
-    if dP != dQ:
-        raise InputError("tiny integral endpoints must share a disk")
-    # a chart at infinity must sit at infinity, so difference two values
-    center = CurvePoint.infinity() if dP.is_infinity else P
-    exp = LocalExpansion(curve, center, p, t_prec, prec)
-    F = form_series(coeffs, exp.differential_series()).formal_integral()
-    hi = exp.evaluate_antiderivative(F, exp.t_of(Q))
-    if not dP.is_infinity:
-        return hi
-    return hi - exp.evaluate_antiderivative(F, exp.t_of(P))

@@ -333,37 +333,6 @@ def sqrt_mod_pn(a_unit, p, n):
     return kernels.hensel_lift([-a_unit, 0, 1], [0, 2], r0, p, n)
 
 
-def padic_sqrt(a, branch=None):
-    """Square root with deterministic branch choice.
-
-    Needs even valuation and a quadratic-residue unit.  By default the root
-    whose unit residue mod p lies in 1..(p-1)/2 is returned; passing `branch`
-    (an integer residue mod p, or a PadicNumber) selects the root congruent to
-    it mod p instead.
-    """
-    if a.is_exact_zero:
-        return a
-    if a.is_zero:
-        return PadicNumber.zero(a.prime, (a.valuation + 1) // 2)
-    if a.valuation % 2:
-        raise InputError("odd valuation: no square root in Q_p")
-    p = a.prime
-    r = sqrt_mod_pn(a.unit, p, a.rel_prec)
-    if r is None:
-        raise InputError("unit is not a quadratic residue mod %d" % p)
-    root = PadicNumber(p, a.valuation // 2, r, a.rel_prec)
-    if branch is None:
-        if root.unit % p > (p - 1) // 2:
-            root = -root
-    else:
-        want = branch.unit % p if isinstance(branch, PadicNumber) else branch % p
-        if root.unit % p != want:
-            root = -root
-            if root.unit % p != want:
-                raise InputError("branch hint matches neither square root")
-    return root
-
-
 def hensel_lift_root(ints, x0, p, prec):
     """Lift a simple root x0 mod p of an integer polynomial (constant first,
     coefficients mod p^prec) to a root known to `prec` absolute digits."""

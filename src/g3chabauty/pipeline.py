@@ -150,12 +150,6 @@ def _lambda_series(data, coeffs):
     return form_series(coeffs, data.halfints), order
 
 
-def _root_sort_key(z):
-    if z.is_zero:
-        return (1, 0)
-    return (0, z.unit % z.prime ** z.rel_prec * z.prime ** z.valuation)
-
-
 def _match_roots(roots_a, roots_b):
     """Common zeros of the two functionals: cosets present in both lists,
     keeping the more precise representative."""
@@ -219,8 +213,7 @@ class _Analysis:
                     "not reach the counting bound %d"
                     % (disk.label(), err_a, err_b, len(here), bound))
             # the knowns saturate the counting bound, so they are the zeros
-            zeros = sorted((data.expansion.t_of(k.point) for k in here),
-                           key=_root_sort_key)
+            zeros = [data.expansion.t_of(k.point) for k in here]
             counted = True
         if len(zeros) > bound:
             raise PrecisionError(
@@ -524,8 +517,9 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
 
     disks = sorted({d.canonical(p) for d in curve.fp_points(p)})
     log.info("p=%d prec=%d #C(F_p)=%d |J(F_p)|=%d disks=%d; the disk "
-             "solve loses v_p(|J(F_p)|)=%d digits", p, prec, ctx.fd.npoints,
-             run.jac_order, len(disks), ord_p(run.jac_order, p))
+             "solve loses v_p(|J(F_p)|)=%d digits", p, prec,
+             ctx.fd.point_count(), run.jac_order, len(disks),
+             ord_p(run.jac_order, p))
     disk_records = []
     tagged = []
     for disk in disks:
@@ -560,7 +554,7 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
         },
         "prime": p,
         "precision": prec,
-        "curve_point_count": ctx.fd.npoints,
+        "curve_point_count": ctx.fd.point_count(),
         "jacobian_order": run.jac_order,
         "zeta_numerator": list(ctx.fd.zeta),
         "coleman_bound": curve.coleman_bound(p),

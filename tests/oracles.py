@@ -1,0 +1,57 @@
+"""Helpers that only tests call: a p-adic square root with a chosen branch,
+and the tiny integral, the termwise integral inside one residue disk that
+tests set against the Frobenius-based Coleman integrals."""
+
+from g3chabauty.curve import CurvePoint
+from g3chabauty.errors import InputError
+from g3chabauty.localdisk import LocalExpansion, form_series
+from g3chabauty.padic import PadicNumber, sqrt_mod_pn
+
+
+def padic_sqrt(a, branch=None):
+    """Square root with deterministic branch choice.
+
+    Needs even valuation and a quadratic-residue unit.  By default the root
+    whose unit residue mod p lies in 1..(p-1)/2 is returned; passing `branch`
+    (an integer residue mod p, or a PadicNumber) selects the root congruent to
+    it mod p instead.
+    """
+    if a.is_exact_zero:
+        return a
+    if a.is_zero:
+        return PadicNumber.zero(a.prime, (a.valuation + 1) // 2)
+    if a.valuation % 2:
+        raise InputError("odd valuation: no square root in Q_p")
+    p = a.prime
+    r = sqrt_mod_pn(a.unit, p, a.rel_prec)
+    if r is None:
+        raise InputError("unit is not a quadratic residue mod %d" % p)
+    root = PadicNumber(p, a.valuation // 2, r, a.rel_prec)
+    if branch is None:
+        if root.unit % p > (p - 1) // 2:
+            root = -root
+    else:
+        want = branch.unit % p if isinstance(branch, PadicNumber) else branch % p
+        if root.unit % p != want:
+            root = -root
+            if root.unit % p != want:
+                raise InputError("branch hint matches neither square root")
+    return root
+
+
+def tiny_integral(curve, coeffs, P, Q, p, t_prec, prec):
+    """Coleman integral of the holomorphic form sum_i coeffs[i] w_i between
+    two points of the same residue disk, by termwise integration of the
+    chart expansion at P."""
+    dP = curve.reduce_curve_point(P, p)
+    dQ = curve.reduce_curve_point(Q, p)
+    if dP != dQ:
+        raise InputError("tiny integral endpoints must share a disk")
+    # a chart at infinity must sit at infinity, so difference two values
+    center = CurvePoint.infinity() if dP.is_infinity else P
+    exp = LocalExpansion(curve, center, p, t_prec, prec)
+    F = form_series(coeffs, exp.differential_series()).formal_integral()
+    hi = exp.evaluate_antiderivative(F, exp.t_of(Q))
+    if not dP.is_infinity:
+        return hi
+    return hi - exp.evaluate_antiderivative(F, exp.t_of(P))

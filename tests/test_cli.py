@@ -642,6 +642,32 @@ def test_zeta_brute_check(tmp_path, capsys):
     assert data["zeta_numerator"][6] == 343
 
 
+def test_zeta_brute_check_over_the_cost_cap_exits_2(tmp_path, monkeypatch,
+                                                    capsys):
+    # the brute-force count grows like p^3 log p: its cost model admits
+    # p = 139 and not p = 149, and p = 293 still gets its zeta without the
+    # check
+    curve = write_json(tmp_path / "c.json", CURVE_A_JSON)
+    calls = []
+
+    def stub(name):
+        def count(c, p):
+            calls.append((name, p))
+            return [1, 0, 0, 0, 0, 0, p ** 3]
+        return count
+    monkeypatch.setattr(cli, "zeta_numerator", stub("zeta"))
+    monkeypatch.setattr(cli, "brute_zeta_numerator", stub("brute"))
+    for p in (149, 293):
+        assert main(["zeta", "--curve", curve, "--p", str(p),
+                     "--brute-check"]) == 2
+        assert "over the budget of 600 s" in capsys.readouterr().err
+    assert calls == []
+    assert main(["zeta", "--curve", curve, "--p", "139",
+                 "--brute-check"]) == 0
+    assert main(["zeta", "--curve", curve, "--p", "293"]) == 0
+    assert calls == [("zeta", 139), ("brute", 139), ("zeta", 293)]
+
+
 def test_search_points(tmp_path, capsys):
     curve = write_json(tmp_path / "c.json", CURVE_B_JSON)
     assert main(["search-points", "--curve", curve, "--height", "100"]) == 0

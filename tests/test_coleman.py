@@ -13,9 +13,11 @@ import pytest
 from g3chabauty import coleman
 from g3chabauty.coleman import ColemanContext, padic_linsolve
 from g3chabauty.localdisk import (LocalExpansion, curve_point_from_rational,
-                                  disk_center, tiny_integral)
+                                  disk_center)
 from g3chabauty.curve import CurvePoint, RationalPoint
-from g3chabauty.padic import INF, PadicNumber, ord_p, padic_sqrt
+from g3chabauty.padic import INF, PadicNumber, ord_p
+
+from oracles import padic_sqrt, tiny_integral
 
 PREC_A = 12
 PREC_C = 10
@@ -167,12 +169,17 @@ def test_disk_constant_solves_the_frobenius_system(name, request,
                                                    monkeypatch):
     """Every generic disk's constant v solves (I - M^T) v = h(P): on the
     integers matrix_ints and _primitive_acc, sum_j (delta_ij - M_ji) v_j
-    - h_i(P) vanishes mod p^abs_prec(v).  The Cramer solve loses exactly
-    v_p(#J(F_p)) of the N digits, and the constants of the basis forms
-    w0, w1, w2 are those of the disk's half-integral series."""
+    - h_i(P) vanishes mod p^abs_prec(v), in all six rows.  The solve keeps
+    only v_0, v_1, v_2, the constants of the basis forms w0, w1, w2 and of
+    the disk's half-integral series; v_3, v_4, v_5 come from the whole of
+    fd.adjugate here.  The Cramer solve loses exactly v_p(#J(F_p)) of the
+    N digits."""
     curve_name, p, keep = SOLVE_CASES[name]
     ctx = ColemanContext(request.getfixturevalue(curve_name), p, 2 * p + 4)
     fd = ctx.fd
+    full_adj = [[PadicNumber.from_rational(v, p, abs_prec=fd.prec) if v
+                 else PadicNumber.zero(p, fd.prec) for v in row]
+                for row in fd.adjugate]
     solutions = []
 
     def spy(*args):
@@ -191,12 +198,16 @@ def test_disk_constant_solves_the_frobenius_system(name, request,
             continue
         generic += 1
         data, _ = ctx.disk_data(disk)
-        v = solutions[-1]
+        solved = solutions[-1]
+        v = padic_linsolve(full_adj, fd.jacobian_order(),
+                           fd.primitives_at(*residues))
+        assert len(solved) == 3
         assert [c.abs_prec for c in v] == [keep] * 6
-        for h, c in zip(data.halfints, v):
+        for h, c, want in zip(data.halfints, solved, v):
             got = h.coeffs[0]
             assert (got.valuation, got.unit, got.rel_prec) == \
-                (c.valuation, c.unit, c.rel_prec)
+                (c.valuation, c.unit, c.rel_prec) == \
+                (want.valuation, want.unit, want.rel_prec)
         for i in range(6):
             h_i = Fraction(fd._primitive_acc(i, *residues), p ** fd.scale_exp)
             lhs = sum(((i == j) - fd.matrix_ints[j][i]) * value(v[j])

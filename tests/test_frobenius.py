@@ -69,6 +69,8 @@ def test_jacobian_order_annihilates(curve_a, fd_a7):
 # SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)) of one
 # _compute run at the budget (k_max, C, W) in PINNED_BUDGETS: the raw
 # residues mod p^W, so each pins the telescope arithmetic at that budget.
+# The primitives are in the sparse layout FrobeniusData once kept
+# (_sparse_prims).
 # They come from the per-column pole reduction that preceded the shared
 # Q-adic digits (the first three) and from the full-precision digits of Psi
 # that preceded the graded ones (the rest).  A key (curve, p, prec) holds the
@@ -152,9 +154,23 @@ def _wide_budget(p, prec):
     return prec + 3, C + 2, prec + 4 + 2 * (C + 2)
 
 
+def _sparse_prims(fd):
+    """(pole_prims, deg_prims) of fd.prims: per column the pole terms
+    (s, E_((s-1)/2)) in decreasing s with empty terms skipped, and the
+    degree-reduction terms (j, mu_j) of E_0 in decreasing j with zero
+    terms skipped."""
+    pole = tuple(tuple((2 * e + 1, terms[e])
+                       for e in range(len(terms) - 1, 0, -1) if terms[e])
+                 for terms in fd.prims)
+    deg = tuple(tuple((j, mu) for j, mu in reversed(list(enumerate(terms[0])))
+                      if mu)
+                for terms in fd.prims)
+    return pole, deg
+
+
 def _canonical(curve, fd):
-    """matrix_ints, zeta, npoints and every h_col at every generic disk's
-    Teichmuller point, as strings to fd.prec digits."""
+    """matrix_ints, zeta, the point count and every h_col at every generic
+    disk's Teichmuller point, as strings to fd.prec digits."""
     values = []
     for disk in curve.fp_points(fd.p):
         if disk.is_infinity or disk.y == 0:
@@ -163,7 +179,7 @@ def _canonical(curve, fd):
         values.append(tuple(
             fd._wrap_scaled(fd._primitive_acc(col, x_t, y_t)).expansion_str()
             for col in range(6)))
-    return fd.matrix_ints, fd.zeta, fd.npoints, values
+    return fd.matrix_ints, fd.zeta, fd.point_count(), values
 
 
 @pytest.mark.parametrize("key", sorted(FROBENIUS_DIGESTS),
@@ -176,7 +192,7 @@ def test_frobenius_bookkeeping_pinned(key, request):
     else:
         assert budget == _wide_budget(p, prec)
     fd = _compute(request.getfixturevalue(curve), p, prec, *budget)
-    data = (fd.matrix_ints, fd.pole_prims, fd.deg_prims, fd.zeta)
+    data = (fd.matrix_ints, *_sparse_prims(fd), fd.zeta)
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == FROBENIUS_DIGESTS[key]
 
@@ -372,9 +388,10 @@ def _times_x_once(digits, Q, m):
     return out
 
 
-def _pole_step_full(c, s, Q, Qd, beta, p, m, prims):
+def _pole_step_full(c, s, Q, Qd, beta, p, m):
     """One pole step by polynomial arithmetic, with its own check that
-    c - bQ' is divisible by Q: the oracle for the precomputed maps."""
+    c - bQ' is divisible by Q: the oracle for the precomputed maps.  Returns
+    the new lowest digit and the primitive."""
     b = kernels.poly_divmod_monic_mod(
         kernels.poly_mul_mod(c, beta, m), Q, m)[1]
     a = frobenius._exact_poly_div(
@@ -385,11 +402,10 @@ def _pole_step_full(c, s, Q, Qd, beta, p, m, prims):
     two_over = 2 * inv_dt % m
     bd = kernels.poly_deriv_mod(b, m)
     corr = [frobenius._exact_pdiv(v * two_over % m, p, e) % m for v in bd]
-    if b:
-        neg_over = -inv_dt % m
-        prims.append((s, tuple(frobenius._exact_pdiv(v * neg_over % m, p, e)
-                               % m for v in b)))
-    return kernels.poly_add_mod(a, kernels.poly_trim(corr), m)
+    neg_over = -inv_dt % m
+    prim = tuple(frobenius._exact_pdiv(v * neg_over % m, p, e) % m
+                 for v in b)
+    return kernels.poly_add_mod(a, kernels.poly_trim(corr), m), prim
 
 
 def _primitive_acc_full(fd, col, x_int, y_int):
@@ -398,11 +414,10 @@ def _primitive_acc_full(fd, col, x_int, y_int):
     m = fd.p ** fd.work_exp
     yinv2 = pow(y_int * y_int % m, -1, m)
     acc = 0
-    for s, b in fd.pole_prims[col]:
-        val = kernels.poly_eval_mod(list(b), x_int, m)
-        acc = (acc + val * y_int % m * pow(yinv2, (s - 1) // 2, m)) % m
-    for j, mu in fd.deg_prims[col]:
-        acc = (acc + mu * pow(x_int, j, m) % m * y_int) % m
+    for e, E in enumerate(fd.prims[col]):
+        for j, c in enumerate(E):
+            acc = (acc + c * pow(x_int, j, m) % m * y_int % m
+                   * pow(yinv2, e, m)) % m
     return acc
 
 
@@ -417,19 +432,17 @@ def _primitive_dx_full(fd, col, x_int, y_int):
     yinv2 = yinv * yinv % m
     inv2 = pow(2, -1, m)
     acc = 0
-    for s, b in fd.pole_prims[col]:
-        ye = pow(yinv2, (s - 1) // 2, m)
-        bval = kernels.poly_eval_mod(list(b), x_int, m)
-        bdval = kernels.poly_eval_mod(kernels.poly_deriv_mod(b, m), x_int, m)
-        # d(b y^(2-s))/dx = b' y^(2-s) + (2-s)/2 b F' y^(-s)
-        acc = (acc + bdval * y_int % m * ye) % m
-        acc = (acc + (2 - s) * inv2 % m * bval % m * qd_val % m
-               * ye % m * yinv) % m
-    for j, mu in fd.deg_prims[col]:
-        if j:
-            acc = (acc + mu * j % m * pow(x_int, j - 1, m) % m * y_int) % m
-        acc = (acc + mu * pow(x_int, j, m) % m * qd_val % m * inv2 % m
-               * yinv) % m
+    for e, E in enumerate(fd.prims[col]):
+        s = 2 * e + 1
+        ye = pow(yinv2, e, m)
+        for j, c in enumerate(E):
+            # d(c x^j y^(2-s))/dx
+            #     = c j x^(j-1) y^(2-s) + (2-s)/2 c x^j F' y^(-s)
+            if j:
+                acc = (acc + c * j % m * pow(x_int, j - 1, m) % m * y_int
+                       % m * ye) % m
+            acc = (acc + (2 - s) * inv2 % m * c % m * pow(x_int, j, m) % m
+                   * qd_val % m * ye % m * yinv) % m
     return acc
 
 
@@ -484,15 +497,12 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
         seen["maps"] += 1
         return pmap
 
-    def checked_step(c, s, e, inv, pmap, p, m, prims):
+    def checked_step(c, s, e, inv, pmap, p, m):
         Q, Qd, beta = made[id(pmap)]
         assert e == ord_p(s - 2, p)
         assert inv * ((s - 2) // p ** e) % m == 1
-        n = len(prims)
-        got = pole_step(c, s, e, inv, pmap, p, m, prims)
-        want_prims = []
-        want = _pole_step_full(c, s, Q, Qd, beta, p, m, want_prims)
-        assert got == want and prims[n:] == want_prims
+        got = pole_step(c, s, e, inv, pmap, p, m)
+        assert got == _pole_step_full(c, s, Q, Qd, beta, p, m)
         seen["steps"] += 1
         return got
 
@@ -564,7 +574,7 @@ def test_pole_maps_check_the_cofactor_on_every_monomial(curve_b):
     with pytest.raises(PrecisionError):
         frobenius._pole_map(Q, Qd, bad, m)
     with pytest.raises(PrecisionError):
-        _pole_step_full([1], 5, Q, Qd, bad, p, m, [])
+        _pole_step_full([1], 5, Q, Qd, bad, p, m)
 
 
 def test_matrix_is_integral(fd_a7):
@@ -605,18 +615,18 @@ def test_pullback_identity_generic_points(fd_a7):
 
 def _mutated_primitive(col):
     """FrobeniusData with p^(C+N-1) added to the x^0 coefficient of
-    column col's s = 3 primitive: h_col off in its last reported digit."""
+    column col's s = 3 primitive E_1: h_col off in its last reported
+    digit."""
     made = frobenius.FrobeniusData
 
-    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
-              pole_prims, deg_prims, zeta, npoints):
-        prims = [list(terms) for terms in pole_prims]
-        s, b = prims[col][-1]
-        assert s == 3
-        b = ((b[0] + p ** (C + prec - 1)) % p ** W,) + b[1:]
-        prims[col][-1] = (s, b)
+    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate, prims,
+              zeta):
+        prims = [list(terms) for terms in prims]
+        b = prims[col][1]
+        assert b
+        prims[col][1] = ((b[0] + p ** (C + prec - 1)) % p ** W,) + b[1:]
         return made(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
-                    tuple(map(tuple, prims)), deg_prims, zeta, npoints)
+                    tuple(map(tuple, prims)), zeta)
     return build
 
 
@@ -647,12 +657,11 @@ def _mutated_matrix(row, col):
     its last reported digit after the zeta audits have read the true M."""
     made = frobenius.FrobeniusData
 
-    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
-              pole_prims, deg_prims, zeta, npoints):
+    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate, prims,
+              zeta):
         mat = [list(r) for r in matrix_ints]
         mat[row][col] = (mat[row][col] + p ** (prec - 1)) % p ** prec
-        return made(curve, p, prec, C, W, k_max, mat, adjugate, pole_prims,
-                    deg_prims, zeta, npoints)
+        return made(curve, p, prec, C, W, k_max, mat, adjugate, prims, zeta)
     return build
 
 
@@ -691,15 +700,14 @@ def test_pole_step_checks_the_division_by_p(curve, p, request):
         assert ord_p(s - 2, p) == e
         inv = pow((s - 2) // p ** e, -1, m)
         with pytest.raises(PrecisionError):
-            frobenius._pole_step(Qd, s, e, inv, pmap, p, m, [])
+            frobenius._pole_step(Qd, s, e, inv, pmap, p, m)
         digit = [v * p ** e % m for v in Qd]
-        prims, want_prims = [], []
-        got = frobenius._pole_step(digit, s, e, inv, pmap, p, m, prims)
-        assert got == _pole_step_full(digit, s, Q, Qd, beta, p, m,
-                                      want_prims) == []
-        # the primitive -1/(s-2) times p^e, known mod p^(W-e)
-        [(s_got, (v,))] = prims
-        assert prims == want_prims and s_got == s
+        got = frobenius._pole_step(digit, s, e, inv, pmap, p, m)
+        assert got == _pole_step_full(digit, s, Q, Qd, beta, p, m)
+        # no new digit, and the primitive -1/(s-2) times p^e, known mod
+        # p^(W-e)
+        new, (v,) = got
+        assert new == []
         assert (v * ((s - 2) // p ** e) + 1) % p ** (W - e) == 0
 
 

@@ -10,13 +10,14 @@ from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import CurvePoint, FpPoint
 from g3chabauty.errors import InputError
 from g3chabauty.localdisk import (LocalExpansion, curve_point_from_rational,
-                                  disk_center, form_series, tiny_integral)
+                                  disk_center, form_series)
 from g3chabauty.padic import INF, PadicNumber
 from g3chabauty.pipeline import default_precision
 from g3chabauty.series import PadicPowerSeries
 
 from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
                       CURVE_C_COEFFS, make_curve)
+from oracles import tiny_integral
 
 PREC = 12
 TPREC = 14

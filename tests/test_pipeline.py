@@ -19,9 +19,10 @@ import pytest
 
 from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, CurveModel,
                               RationalPoint, eval_exact)
-from g3chabauty.errors import BadReductionError, InputError
+from g3chabauty.errors import (BadReductionError, InputError, PrecisionError,
+                               SimplicityError)
 from g3chabauty.jacobian import MumfordDivisorFp
-from g3chabauty.padic import PadicNumber, padic_sqrt
+from g3chabauty.padic import PadicNumber
 from g3chabauty import pipeline
 from g3chabauty.pipeline import (_algebraic_point, analyze_curve,
                                  check_inputs, default_precision)
@@ -29,6 +30,7 @@ from g3chabauty.recognize import (QuadraticElement, element_min_poly,
                                   format_polynomial, rational_reconstruct)
 
 from conftest import CURVE_A_KNOWN, CURVE_C_KNOWN
+from oracles import padic_sqrt
 
 
 
@@ -247,6 +249,55 @@ def test_ex1_infinity_disk(ex1_p7):
 def test_ex1_report_deterministic(curve_a, ex1_p7):
     again = analyze_curve(curve_a, p=7)
     assert again.to_json() == ex1_p7.to_json()
+
+
+def _force_isolation_failure(monkeypatch, labels):
+    """Make both isolations fail on the disks named in labels, as if the
+    functionals' zeros were not simple at working precision."""
+    process, isolate = pipeline._Analysis.process_disk, \
+        pipeline._Analysis._isolate
+    current = []
+
+    def process_disk(self, disk, *args):
+        current[:] = [disk.label()]
+        return process(self, disk, *args)
+
+    def failing_isolate(self, series):
+        if current[0] in labels:
+            return None, PrecisionError("isolation failed on purpose")
+        return isolate(self, series)
+    monkeypatch.setattr(pipeline._Analysis, "process_disk", process_disk)
+    monkeypatch.setattr(pipeline._Analysis, "_isolate", failing_isolate)
+
+
+def test_count_certified_disks(curve_a, ex1_p7, monkeypatch):
+    """Where both isolations fail on a disk whose known points meet the
+    counting bound, those points are its zeros, certified by count: the
+    class counts and the matched knowns stay as isolation found them."""
+    counted = {"(3,1)", "(4,2)", "infinity"}
+    _force_isolation_failure(monkeypatch, counted)
+    report = analyze_curve(curve_a, p=7)
+    for d in report["disks"]:
+        assert d["certified_by_count"] == (d["disk"] in counted)
+        assert d["zero_count"] == disk_record(ex1_p7, d["disk"])["zero_count"]
+    for d in counted:
+        rec = disk_record(report, d)
+        assert rec["roots_alpha"] is None and rec["roots_beta"] is None
+        assert rec["zero_count"] == rec["bound"] == 1
+    assert report["class_counts"] == ex1_p7["class_counts"]
+
+    def matched(rep):
+        return sorted(str(r["matched_known"]) for r in rep.zeros
+                      if r["matched_known"] is not None)
+    assert matched(report) == matched(ex1_p7)
+
+
+def test_count_certification_needs_the_bound(curve_a, monkeypatch):
+    """Disk (0,1) holds a torsion zero and no known point, so when both
+    isolations fail there the count cannot certify it."""
+    _force_isolation_failure(monkeypatch, {"(0,1)"})
+    with pytest.raises(SimplicityError, match="do not reach the counting"):
+        analyze_curve(curve_a, p=7)
 
 
 def test_ex1_class_counts_at_n40(curve_a):

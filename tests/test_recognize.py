@@ -6,11 +6,13 @@ from math import gcd, isqrt
 
 import pytest
 
-from g3chabauty.padic import INF, PadicNumber, padic_sqrt
+from g3chabauty.padic import INF, PadicNumber
 from g3chabauty.recognize import (QuadraticElement, _lll, format_polynomial,
                                   is_irreducible_quadratic, linear_relation,
                                   quadratic_relation, rational_reconstruct,
                                   small_integer_relation)
+
+from oracles import padic_sqrt
 
 
 def from_frac(q, p, prec):
