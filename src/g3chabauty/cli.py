@@ -22,7 +22,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .coleman import ColemanContext
@@ -244,6 +243,8 @@ def cmd_batch(args):
         # largest p first, so no slow job starts behind a fast one while a
         # worker idles; a job that chooses its own p sorts last
         jobs = sorted(jobs, key=lambda job: -(job[1]["p"] or 0))
+        # imported here: the per-curve commands never load the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:

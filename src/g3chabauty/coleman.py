@@ -31,10 +31,14 @@ Each disk therefore keeps one series per basis form: H_i(t), the termwise
 integral of w_i from the center plus, on a generic disk, halfint(P) as its
 constant, so halfint is H_i at the point's parameter (negated on the
 mirror disk).  A form is a coefficient triple over (w0, w1, w2), and its
-half-integral series is the same combination of H_0, H_1, H_2.
+half-integral series is the same combination of H_0, H_1, H_2.  The chart
+needs only the curve, the disk and N (localdisk); h(P) comes from
+FrobeniusData.primitives_at, which lifts P itself at its working precision.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .frobenius import frobenius_data
 from .localdisk import LocalExpansion, disk_center
@@ -49,15 +53,8 @@ def padic_linsolve(adj, det, rhs):
             for i in range(len(adj[0]))]
 
 
-class _DiskData:
-    """A disk's chart, its basis forms and their half-integral series."""
-
-    __slots__ = ("expansion", "forms", "halfints")
-
-    def __init__(self, expansion, forms, halfints):
-        self.expansion = expansion
-        self.forms = forms
-        self.halfints = halfints
+# a disk's chart, its basis forms and their half-integral series
+_DiskData = namedtuple("_DiskData", "expansion forms halfints")
 
 
 class ColemanContext:
@@ -71,7 +68,6 @@ class ColemanContext:
         self.curve = curve
         self.p = p
         self.prec = prec
-        self.t_prec = prec + 4
         self.fd = frobenius_data(curve, p, prec)
         self._adj = tuple(
             tuple(PadicNumber.from_rational(v, p, abs_prec=prec) if v
@@ -91,19 +87,18 @@ class ColemanContext:
         return self._disks[key], flip
 
     def _build_disk(self, disk):
-        p = self.p
-        center, residues = disk_center(self.curve, disk, p, self.prec,
-                                       self.fd.work_exp)
-        expansion = LocalExpansion(self.curve, center, p,
-                                   self.t_prec, self.prec)
+        """The chart from the curve, the disk and N alone; on a generic
+        disk, halfint(P) at the Teichmuller point P that Frobenius lifts."""
+        center = disk_center(self.curve, disk, self.p, self.prec)
+        expansion = LocalExpansion(self.curve, center, self.p, self.prec)
         forms = expansion.differential_series()
         halfints = tuple(f.formal_integral() for f in forms)
-        if residues is not None:
+        if expansion.kind == "generic":
             # h is odd in y, so h(P) - h(iota P) = 2 h(P): the half
             # integral between the two lifts solves (I - M^T) v = h(P),
             # by Cramer's rule with adj(I - M) and det(I - M) = #J(F_p)
             sol = padic_linsolve(self._adj, self.fd.jacobian_order(),
-                                 self.fd.primitives_at(*residues))
+                                 self.fd.primitives_at(disk.x, disk.y))
             halfints = tuple(h + c for h, c in zip(halfints, sol))
         return _DiskData(expansion, forms, halfints)
 

@@ -73,7 +73,7 @@ from operator import mul
 
 from . import _kernels as kernels
 from .errors import BadReductionError, PrecisionError
-from .padic import PadicNumber, ord_p, sqrt_mod_pn
+from .padic import PadicNumber, ord_p, sqrt_mod_pn, teichmuller_point
 
 log = logging.getLogger(__name__)
 
@@ -131,7 +131,8 @@ class FrobeniusData:
     """Matrix of Frobenius on the w_i basis plus the exact forms needed to
     evaluate the primitives h_j at points with unit y.  k_max (the last
     term of the binomial series), scale_exp (C) and work_exp (W) are the
-    budget of _compute.  matrix_ints holds M and adjugate holds adj(I - M),
+    budget of _compute, read by no other module: primitives_at lifts its
+    own points.  matrix_ints holds M and adjugate holds adj(I - M),
     both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i + dh_j, and
     (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).  prims[j]
     holds p^C h_j mod p^W once, as the dense list E_0 .. E_J of
@@ -165,10 +166,13 @@ class FrobeniusData:
         """#C(F_p) = p + 1 + a_1, audited by _compute."""
         return self.p + 1 + self.zeta[1]
 
-    def primitives_at(self, x_int, y_int):
-        """(h_0, .., h_5) at the point (x_int, y_int) with unit y, given mod
-        p^work_exp, as PadicNumbers to p^prec."""
-        return [self._wrap_scaled(self._primitive_acc(col, x_int, y_int))
+    def primitives_at(self, xbar, ybar):
+        """(h_0, .., h_5) as PadicNumbers to p^prec at the Teichmuller point
+        over the generic disk (xbar, ybar), lifted here mod p^work_exp."""
+        W = self.work_exp
+        x, y = teichmuller_point(self.curve.f_coeffs_mod(self.p, W), xbar,
+                                 ybar, self.p, W)
+        return [self._wrap_scaled(self._primitive_acc(col, x, y))
                 for col in range(6)]
 
     def _wrap_scaled(self, acc):

@@ -12,8 +12,8 @@ series Newton iteration _newton_root:
   solving u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i = 0.
 
 Each disk has one center (disk_center): the point at infinity, the finite
-Weierstrass point, or the Teichmuller point of a generic disk, whose
-integer residues also feed the Frobenius system in coleman.
+Weierstrass point, or the Teichmuller point of a generic disk.  A chart
+needs only the curve, that center and N; nothing here reads Frobenius.
 
 Basis differentials are w_i = x^i dx / 2y for i = 0, 1, 2 (holomorphic).
 A form is a coefficient triple (c0, c1, c2) of PadicNumbers meaning
@@ -24,28 +24,32 @@ basis on a chart; form_series combines those expansions for any triple.
 from __future__ import annotations
 
 import math
+from operator import mul
 
-from . import _kernels as kernels
 from .curve import CurvePoint
-from .errors import InputError, PrecisionError
-from .padic import (INF, PadicNumber, hensel_lift_root, sqrt_mod_pn,
-                    teichmuller_int)
+from .errors import InputError
+from .padic import INF, PadicNumber, hensel_lift_root, teichmuller_point
 from .series import PadicPowerSeries, min_tail_valuation
 
 
-def _poly_at(gs, z, prec):
-    """(G(z), G'(z)) for G = sum_i gs[i] Z^i with series coefficients gs[i];
-    the powers z^2 .. z^(len(gs)-1) are formed once and serve both sums."""
-    p = z.prime
+def _powers(z, n):
+    """[None, z, z^2, .., z^n]: the powers a polynomial of degree n reads."""
     zpows = [None, z]
-    for _ in range(2, len(gs)):
+    for _ in range(1, n):
         zpows.append(zpows[-1] * z)
-    g, dg = gs[0], gs[1]
-    for i in range(1, len(gs)):
-        g = g + gs[i] * zpows[i]
-        if i > 1:
-            dg = dg + gs[i].scale(_int(i, p, prec)) * zpows[i - 1]
-    return g, dg
+    return zpows
+
+
+def _value(gs, zpows):
+    """G(z) for G = sum_i gs[i] Z^i, from zpows = _powers(z, deg G)."""
+    return sum(map(mul, gs[1:], zpows[1:]), gs[0])
+
+
+def _slope(gs, zpows, prec):
+    """G'(z) = sum_i i gs[i] z^(i-1), from zpows reaching z^(deg G - 1)."""
+    p = gs[0].prime
+    return sum((gs[i].scale(PadicNumber.from_rational(i, p, rel_prec=prec))
+                * zpows[i - 1] for i in range(2, len(gs))), gs[1])
 
 
 def _newton_root(gs, z, prec):
@@ -58,20 +62,25 @@ def _newton_root(gs, z, prec):
     for i in range(1, math.ceil(math.log2(M)) + 1):
         n = min(2 ** i, M)
         z = z.with_t_prec(n)
-        g, dg = _poly_at([s.truncate(n) for s in gs], z, prec)
-        z = z - g * dg.invert_unit()
+        gs_n = [s.truncate(n) for s in gs]
+        zpows = _powers(z, len(gs) - 1)
+        z = z - _value(gs_n, zpows) * _slope(gs_n, zpows, prec).invert_unit()
     return z
 
 
 class LocalExpansion:
     """Chart around a center point: series for the coordinates and a method
-    expanding the basis forms w0, w1, w2 as w_i(t) dt."""
+    expanding the basis forms w0, w1, w2 as w_i(t) dt, to p^prec."""
 
-    def __init__(self, curve, center, p, t_prec, prec):
+    def __init__(self, curve, center, p, prec):
         self.curve = curve
         self.center = center
         self.prime = p
-        self.t_prec = t_prec
+        # t-terms to t^(prec + 3): for p >= 7 and prec <= PREC_CAP the
+        # dropped tail of a half-integral is O(p^(prec + 3)) at v(t) >= 1,
+        # and root isolation reads truncation_order(prec - 2, p) <= prec + 4
+        # terms.  The pinned chart digests and reports depend on this value
+        self.t_prec = prec + 4
         self.prec = prec
         if center.is_infinity:
             self.kind = "infinity"
@@ -94,7 +103,7 @@ class LocalExpansion:
         p, M, prec = self.prime, self.t_prec, self.prec
         one = PadicNumber.from_rational(1, p, rel_prec=prec)
         self.x_series = PadicPowerSeries(p, [self.center.x, one], M)
-        fx = _poly_at(self._F_series(), self.x_series, prec)[0]
+        fx = _value(self._F_series(), _powers(self.x_series, 7))
         # Newton from the center's own y, a root of F(x(P)) to its digits
         self.y_series = _newton_root(
             [-fx, PadicPowerSeries.zero(p, M),
@@ -176,7 +185,8 @@ class LocalExpansion:
         if self.kind == "generic":
             shared = (self.y_series + self.y_series).invert_unit()
         else:
-            shared = _poly_at(self._F_series(), xs, prec)[1].invert_unit()
+            shared = _slope(self._F_series(), _powers(xs, 6),
+                            prec).invert_unit()
         polys = _unit_scaled(
             (PadicPowerSeries.constant(one, p, xs.t_prec), xs, xs * xs), one)
         return tuple(num * shared for num in polys)
@@ -191,10 +201,6 @@ class LocalExpansion:
             raise InputError("point is not in the open disk")
         bound = min_tail_valuation(F_series.t_prec, w, self.prime)
         return F_series.evaluate(t0, tail_bound=bound)
-
-
-def _int(n, p, prec):
-    return PadicNumber.from_rational(n, p, rel_prec=prec)
 
 
 def _unit_scaled(polys, one):
@@ -228,28 +234,20 @@ def curve_point_from_rational(curve, pt, p, prec):
         PadicNumber.from_rational(pt.y, p, abs_prec=prec))
 
 
-def disk_center(curve, disk, p, prec, work):
-    """The one center of a disk, to `prec` digits, and for a generic disk
-    the integer residues mod p^work of that center (None otherwise).
+def disk_center(curve, disk, p, prec):
+    """The one center of a disk, to `prec` digits.
 
     Infinity and finite Weierstrass points are fixed by the involution; a
     generic disk is centered at its Frobenius-fixed point: Teichmuller x,
-    and the root y of F(x) congruent to the disk's y."""
+    and the root y of F(x) congruent to the disk's y (teichmuller_point)."""
     if disk.is_infinity:
-        return CurvePoint.infinity(), None
+        return CurvePoint.infinity()
     if disk.y == 0:
         x = hensel_lift_root(curve.f_coeffs_mod(p, prec), disk.x, p, prec)
-        return CurvePoint.affine(x, PadicNumber.zero(p)), None
-    m = p ** work
-    x_t = teichmuller_int(disk.x, p, work)
-    y_t = sqrt_mod_pn(
-        kernels.poly_eval_mod(curve.f_coeffs_mod(p, work), x_t, m), p, work)
-    if y_t is None:
-        raise PrecisionError("no Teichmuller point over this disk")
-    if y_t % p != disk.y:
-        y_t = m - y_t
+        return CurvePoint.affine(x, PadicNumber.zero(p))
+    x_t, y_t = teichmuller_point(curve.f_coeffs_mod(p, prec), disk.x, disk.y,
+                                 p, prec)
     x = PadicNumber.from_rational(x_t, p, abs_prec=prec) if x_t \
         else PadicNumber.zero(p, prec)
     y = PadicNumber.from_rational(y_t, p, abs_prec=prec)
-    return CurvePoint.affine(x, y), (x_t, y_t)
-
+    return CurvePoint.affine(x, y)

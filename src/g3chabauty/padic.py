@@ -307,27 +307,25 @@ class PadicNumber:
         return "PadicNumber(%s)" % self.expansion_str()
 
 
-def teichmuller_int(residue, p, prec):
-    """Integer Teichmuller lift of a nonzero residue mod p, mod p^prec."""
-    m = p ** prec
-    x = residue % m
-    if x % p == 0:
-        return 0
-    while True:
-        x2 = pow(x, p, m)
-        if x2 == x:
-            return x
-        x = x2
+def teichmuller_point(f_ints, xbar, ybar, p, n):
+    """The Frobenius-fixed point over the residue pair (xbar, ybar != 0) of
+    y^2 = f(x), as integers mod p^n from f's coefficients f_ints mod p^n:
+    the Teichmuller lift x of xbar and the root y of f(x) congruent to
+    ybar.  Both are unique, so the point mod p^k is the same at any n >= k."""
+    m = p ** n
+    x, prev = xbar % p, None
+    while x != prev:
+        x, prev = pow(x, p, m), x
+    y = sqrt_mod_pn(kernels.poly_eval_mod(f_ints, x, m), p, n)
+    if y is None or (y * y - ybar * ybar) % p:
+        raise PrecisionError("no Teichmuller point over (%d, %d)"
+                             % (xbar, ybar))
+    return x, y if (y - ybar) % p == 0 else m - y
 
 
 def sqrt_mod_pn(a_unit, p, n):
     """A square root of the unit a_unit mod p^n, or None if a is not a QR."""
-    a0 = a_unit % p
-    r0 = None
-    for r in range(1, p):
-        if r * r % p == a0:
-            r0 = r
-            break
+    r0 = next((r for r in range(1, p) if (r * r - a_unit) % p == 0), None)
     if r0 is None:
         return None
     return kernels.hensel_lift([-a_unit, 0, 1], [0, 2], r0, p, n)

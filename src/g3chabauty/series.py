@@ -202,6 +202,10 @@ class PadicPowerSeries:
         other = self._wrap(other)
         if other is NotImplemented:
             return NotImplemented
+        # a one-term factor with t_prec >= the other's is a scalar: scale
+        for a, b in ((self, other), (other, self)):
+            if len(b) == 1 and b.t_prec >= a.t_prec:
+                return a.scale(b[0])
         # t-precision improves when a factor has a known zero of order > 0
         t = min(self.t_prec + other._order_floor(),
                 other.t_prec + self._order_floor())

@@ -39,7 +39,7 @@ def padic_sqrt(a, branch=None):
     return root
 
 
-def tiny_integral(curve, coeffs, P, Q, p, t_prec, prec):
+def tiny_integral(curve, coeffs, P, Q, p, prec):
     """Coleman integral of the holomorphic form sum_i coeffs[i] w_i between
     two points of the same residue disk, by termwise integration of the
     chart expansion at P."""
@@ -49,7 +49,7 @@ def tiny_integral(curve, coeffs, P, Q, p, t_prec, prec):
         raise InputError("tiny integral endpoints must share a disk")
     # a chart at infinity must sit at infinity, so difference two values
     center = CurvePoint.infinity() if dP.is_infinity else P
-    exp = LocalExpansion(curve, center, p, t_prec, prec)
+    exp = LocalExpansion(curve, center, p, prec)
     F = form_series(coeffs, exp.differential_series()).formal_integral()
     hi = exp.evaluate_antiderivative(F, exp.t_of(Q))
     if not dP.is_infinity:

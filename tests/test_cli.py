@@ -109,6 +109,10 @@ def test_batch_isolates_failures(tmp_path, capsys):
         (out1 / "good.json").read_bytes()
 
 
+# cmd_batch imports the pool from here, and only for a pooled batch
+POOL = "concurrent.futures.ProcessPoolExecutor"
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records each pool size and runs
     the jobs in this process, so no worker is ever started."""
@@ -126,6 +130,18 @@ class RecordingPool:
         return map(fn, items)
 
 
+def test_cli_import_loads_no_process_pool():
+    # analyze, zeta, integrate and search-points run in one process, so
+    # only a pooled batch imports concurrent.futures and multiprocessing
+    run = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, g3chabauty.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        capture_output=True, text=True, timeout=120, env=SRC_ENV)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def _failing_analysis(*args, **kwargs):
     """Stands in for analyze_curve: each job passes validation and then
     fails at once in its worker."""
@@ -134,7 +150,7 @@ def _failing_analysis(*args, **kwargs):
 
 def test_batch_parallel_checked_and_capped(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(POOL, RecordingPool)
     monkeypatch.setattr(cli, "analyze_curve", _failing_analysis)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     good = {"curve": CURVE_A_JSON, "p": 7}
@@ -161,7 +177,7 @@ def test_batch_pool_has_at_most_one_worker_per_cpu(cpus, size, tmp_path,
     # the pool starts all its workers at the first submit, so --parallel
     # 500 must not ask for 500; one CPU, or an unknown count, runs serially
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(POOL, RecordingPool)
     monkeypatch.setattr(cli, "analyze_curve", _failing_analysis)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     jobs = write_jobs(tmp_path / "jobs.jsonl", [
@@ -184,7 +200,7 @@ class OrderRecordingPool(RecordingPool):
 def test_batch_submits_largest_p_first(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(OrderRecordingPool, "sizes", [], raising=False)
     monkeypatch.setattr(OrderRecordingPool, "ids", [], raising=False)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", OrderRecordingPool)
+    monkeypatch.setattr(POOL, OrderRecordingPool)
     monkeypatch.setattr(cli, "analyze_curve", _failing_analysis)
     good = {"curve": CURVE_A_JSON}
     jobs = write_jobs(tmp_path / "jobs.jsonl", [
@@ -304,7 +320,7 @@ def test_batch_with_a_malformed_job_exits_2_before_any_work(
     stub = RecordedCalls()
     monkeypatch.setattr(cli, "analyze_curve", stub)
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(POOL, RecordingPool)
     jobs = write_jobs(tmp_path / "jobs.jsonl", [
         dict(GOOD_JOB, id="first"), bad, dict(GOOD_JOB, id="last")])
     out = tmp_path / "out"

@@ -16,7 +16,6 @@ from g3chabauty.frobenius import (_budget, _compute, _digit_map,
                                   brute_zeta_numerator, frobenius_data,
                                   identity_check, zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
-from g3chabauty.localdisk import disk_center
 from g3chabauty.padic import ord_p, sqrt_mod_pn
 
 from test_jacobian import brute_zeta_coeffs
@@ -175,10 +174,8 @@ def _canonical(curve, fd):
     for disk in curve.fp_points(fd.p):
         if disk.is_infinity or disk.y == 0:
             continue
-        _, (x_t, y_t) = disk_center(curve, disk, fd.p, fd.prec, fd.work_exp)
-        values.append(tuple(
-            fd._wrap_scaled(fd._primitive_acc(col, x_t, y_t)).expansion_str()
-            for col in range(6)))
+        values.append(tuple(h.expansion_str()
+                            for h in fd.primitives_at(disk.x, disk.y)))
     return fd.matrix_ints, fd.zeta, fd.point_count(), values
 
 

@@ -1,0 +1,82 @@
+"""The package's layering, read statically from its source with ast.
+
+The arithmetic, series, chart, curve and recognition modules sit below
+Frobenius and Coleman integration: none of them imports frobenius, coleman,
+pipeline or cli, so a chart or a checker can be built from them alone.  The
+Frobenius budget (the prescale C = scale_exp and the working exponent
+W = work_exp) belongs to frobenius.py: no other module names it.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PKG = pathlib.Path(__file__).resolve().parents[1] / "src" / "g3chabauty"
+LOWER = ("_kernels", "padic", "series", "localdisk", "rootfinding", "curve",
+         "jacobian", "recognize")
+UPPER = {"frobenius", "coleman", "pipeline", "cli"}
+BUDGET = {"work_exp", "scale_exp"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _package_imports(tree):
+    """The g3chabauty modules a module imports, relatively or not."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("g3chabauty."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "g3chabauty":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                out.add(parts[0])
+            else:
+                # from . import x, from g3chabauty import x
+                out.update(a.name for a in node.names)
+    return out
+
+
+def _budget_names(tree):
+    """The budget names a module reads as attributes, names or strings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found & BUDGET
+
+
+def test_import_scanner_sees_every_form():
+    tree = ast.parse("import g3chabauty.cli\n"
+                     "from . import frobenius as f\n"
+                     "from .coleman import ColemanContext\n"
+                     "from g3chabauty.pipeline import analyze_curve\n"
+                     "from g3chabauty import padic\n"
+                     "import json\n"
+                     "def late():\n"
+                     "    from .series import PadicPowerSeries\n")
+    assert _package_imports(tree) == {"cli", "frobenius", "coleman",
+                                      "pipeline", "padic", "series"}
+
+
+@pytest.mark.parametrize("module", LOWER)
+def test_lower_layers_import_no_frobenius_coleman_pipeline_or_cli(module):
+    tree = _tree(PKG / (module + ".py"))
+    assert not _package_imports(tree) & UPPER
+
+
+def test_only_frobenius_names_its_budget():
+    readers = {path.name for path in sorted(PKG.glob("*.py"))
+               if _budget_names(_tree(path))}
+    assert readers == {"frobenius.py"}

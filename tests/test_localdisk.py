@@ -11,7 +11,7 @@ from g3chabauty.curve import CurvePoint, FpPoint
 from g3chabauty.errors import InputError
 from g3chabauty.localdisk import (LocalExpansion, curve_point_from_rational,
                                   disk_center, form_series)
-from g3chabauty.padic import INF, PadicNumber
+from g3chabauty.padic import INF, PadicNumber, teichmuller_point
 from g3chabauty.pipeline import default_precision
 from g3chabauty.series import PadicPowerSeries
 
@@ -20,7 +20,6 @@ from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
 from oracles import tiny_integral
 
 PREC = 12
-TPREC = 14
 
 
 def monic_point(curve, x, y, p, prec=PREC):
@@ -51,7 +50,7 @@ def basis_forms(p):
 
 
 def center_of(curve, disk, p):
-    return disk_center(curve, disk, p, PREC, PREC)[0]
+    return disk_center(curve, disk, p, PREC)
 
 
 # -- charts satisfy the curve equation -----------------------------------
@@ -91,7 +90,7 @@ def _f_series(curve, x_series, p):
 @pytest.mark.parametrize("curve,p,disk", _chart_params("generic"))
 def test_generic_chart_equation(curve, p, disk):
     center = center_of(curve, disk, p)
-    exp = LocalExpansion(curve, center, p, TPREC, PREC)
+    exp = LocalExpansion(curve, center, p, PREC)
     assert exp.kind == "generic"
     # the root on the center's branch
     assert exp.y_series[0].residue(1) == center.y.residue(1) == disk.y
@@ -103,9 +102,9 @@ def test_generic_chart_equation(curve, p, disk):
 @pytest.mark.parametrize("curve,p,disk", _chart_params("weierstrass"))
 def test_weierstrass_chart_equation(curve, p, disk):
     center = center_of(curve, disk, p)
-    exp = LocalExpansion(curve, center, p, TPREC, PREC)
+    exp = LocalExpansion(curve, center, p, PREC)
     assert exp.kind == "weierstrass"
-    t = PadicPowerSeries.identity(p, TPREC, PREC)
+    t = PadicPowerSeries.identity(p, exp.t_prec, PREC)
     diff = t * t - _f_series(curve, exp.x_series, p)
     for c in diff.coeffs:
         assert c.is_zero
@@ -113,7 +112,7 @@ def test_weierstrass_chart_equation(curve, p, disk):
 
 @pytest.mark.parametrize("curve,p,disk", _chart_params("infinity"))
 def test_infinity_chart_equation(curve, p, disk):
-    exp = LocalExpansion(curve, center_of(curve, disk, p), p, TPREC, PREC)
+    exp = LocalExpansion(curve, center_of(curve, disk, p), p, PREC)
     assert exp.kind == "infinity"
     u = exp.u_series
     upows = [None] * 8
@@ -133,7 +132,7 @@ def test_infinity_chart_equation(curve, p, disk):
 # SHA-256 of repr of, for every canonical disk in sorted order, (kind,
 # t_prec, the coordinate series, the three basis forms), each series as
 # (t_prec, (valuation, unit, rel_prec) per coefficient), at N = 2p + 4 and
-# the t_prec N + 4 of ColemanContext; from the Newton solver that ran every
+# the t_prec N + 4 of LocalExpansion; from the Newton solver that ran every
 # step at full t-precision
 CHART_DIGESTS = {
     ("curve_a", 7):
@@ -154,8 +153,8 @@ def test_chart_digits_pinned(curve, p, request):
     prec = default_precision(p)
     charts = []
     for disk in sorted({d.canonical(p) for d in curve_obj.fp_points(p)}):
-        center = disk_center(curve_obj, disk, p, prec, prec)[0]
-        exp = LocalExpansion(curve_obj, center, p, prec + 4, prec)
+        center = disk_center(curve_obj, disk, p, prec)
+        exp = LocalExpansion(curve_obj, center, p, prec)
         series = [getattr(exp, name) for name in
                   ("x_series", "y_series", "u_series") if hasattr(exp, name)]
         charts.append((exp.kind, exp.t_prec,
@@ -172,7 +171,7 @@ def test_chart_digits_pinned(curve, p, request):
 def test_point_roundtrip_generic(curve_a):
     p = 7
     center = monic_point(curve_a, -1, -1, p)
-    exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, center, p, PREC)
     t0 = PadicNumber.from_rational(7, p, abs_prec=PREC)
     q = exp.point_at(t0)
     assert_on_curve(curve_a, q, digits=8)
@@ -184,7 +183,7 @@ def test_point_roundtrip_weierstrass(curve_a):
     p = 7
     center = center_of(curve_a, FpPoint("affine", 5, 0), p)
     assert_on_curve(curve_a, center, digits=10)
-    exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, center, p, PREC)
     t0 = PadicNumber.from_rational(14, p, abs_prec=PREC)
     q = exp.point_at(t0)
     assert_on_curve(curve_a, q, digits=8)
@@ -195,7 +194,7 @@ def test_point_roundtrip_weierstrass(curve_a):
 
 def test_point_roundtrip_infinity(curve_a):
     p = 7
-    exp = LocalExpansion(curve_a, CurvePoint.infinity(), p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, CurvePoint.infinity(), p, PREC)
     t0 = PadicNumber.from_rational(7, p, abs_prec=PREC)
     q = exp.point_at(t0)
     assert not q.is_infinity
@@ -215,7 +214,7 @@ def test_point_roundtrip_infinity(curve_a):
 def test_ftc_coordinate_functions_generic(curve_a):
     p = 7
     center = monic_point(curve_a, -1, -1, p)
-    exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, center, p, PREC)
     t0 = PadicNumber.from_rational(21, p, abs_prec=PREC)
     q = exp.point_at(t0)
     for series, coord in ((exp.x_series, "x"), (exp.y_series, "y")):
@@ -229,7 +228,7 @@ def test_ftc_coordinate_functions_generic(curve_a):
 def test_ftc_coordinate_functions_weierstrass(curve_a):
     p = 7
     center = center_of(curve_a, FpPoint("affine", 2, 0), p)
-    exp = LocalExpansion(curve_a, center, p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, center, p, PREC)
     t0 = PadicNumber.from_rational(7, p, abs_prec=PREC)
     q = exp.point_at(t0)
     anti = exp.x_series.derivative().formal_integral()
@@ -244,13 +243,13 @@ def test_ftc_coordinate_functions_weierstrass(curve_a):
 def test_tiny_integral_additivity(curve_a):
     p = 7
     P = monic_point(curve_a, -1, -1, p)
-    exp = LocalExpansion(curve_a, P, p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, P, p, PREC)
     Q = exp.point_at(PadicNumber.from_rational(7, p, abs_prec=PREC))
     R = exp.point_at(PadicNumber.from_rational(-14, p, abs_prec=PREC))
     for form in basis_forms(p):
-        whole = tiny_integral(curve_a, form, P, R, p, TPREC, PREC)
-        part1 = tiny_integral(curve_a, form, P, Q, p, TPREC, PREC)
-        part2 = tiny_integral(curve_a, form, Q, R, p, TPREC, PREC)
+        whole = tiny_integral(curve_a, form, P, R, p, PREC)
+        part1 = tiny_integral(curve_a, form, P, Q, p, PREC)
+        part2 = tiny_integral(curve_a, form, Q, R, p, PREC)
         d = whole - (part1 + part2)
         assert d.is_zero and d.valuation >= 6
 
@@ -258,12 +257,12 @@ def test_tiny_integral_additivity(curve_a):
 def test_tiny_integral_involution_antisymmetry(curve_a):
     p = 7
     P = monic_point(curve_a, -1, -1, p)
-    exp = LocalExpansion(curve_a, P, p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, P, p, PREC)
     Q = exp.point_at(PadicNumber.from_rational(7, p, abs_prec=PREC))
     for form in basis_forms(p):
-        fwd = tiny_integral(curve_a, form, P, Q, p, TPREC, PREC)
+        fwd = tiny_integral(curve_a, form, P, Q, p, PREC)
         bwd = tiny_integral(curve_a, form, P.involution(), Q.involution(),
-                            p, TPREC, PREC)
+                            p, PREC)
         d = fwd + bwd
         assert d.is_zero and d.valuation >= 6
 
@@ -271,11 +270,11 @@ def test_tiny_integral_involution_antisymmetry(curve_a):
 def test_tiny_integral_reversal(curve_a):
     p = 7
     P = monic_point(curve_a, -1, -1, p)
-    exp = LocalExpansion(curve_a, P, p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, P, p, PREC)
     Q = exp.point_at(PadicNumber.from_rational(7, p, abs_prec=PREC))
     form = basis_forms(p)[2]
-    fwd = tiny_integral(curve_a, form, P, Q, p, TPREC, PREC)
-    bwd = tiny_integral(curve_a, form, Q, P, p, TPREC, PREC)
+    fwd = tiny_integral(curve_a, form, P, Q, p, PREC)
+    bwd = tiny_integral(curve_a, form, Q, P, p, PREC)
     d = fwd + bwd
     assert d.is_zero and d.valuation >= 6
     assert not fwd.is_zero
@@ -283,14 +282,14 @@ def test_tiny_integral_reversal(curve_a):
 
 def test_tiny_integral_from_infinity(curve_a):
     p = 7
-    exp = LocalExpansion(curve_a, CurvePoint.infinity(), p, TPREC, PREC)
+    exp = LocalExpansion(curve_a, CurvePoint.infinity(), p, PREC)
     Q = exp.point_at(PadicNumber.from_rational(7, p, abs_prec=PREC))
     forms = basis_forms(p)
     v2 = tiny_integral(curve_a, forms[2], CurvePoint.infinity(), Q,
-                       p, TPREC, PREC)
+                       p, PREC)
     assert (not v2.is_zero) and v2.valuation == 1
     v0 = tiny_integral(curve_a, forms[0], CurvePoint.infinity(), Q,
-                       p, TPREC, PREC)
+                       p, PREC)
     # integrand vanishes to order 4 at infinity, so the value is O(p^5)
     assert v0.is_zero or v0.valuation >= 5
 
@@ -301,7 +300,7 @@ def test_tiny_integral_rejects_disk_mismatch(curve_a):
     Q = monic_point(curve_a, 1, 5, p)
     assert curve_a.reduce_curve_point(P, p) != curve_a.reduce_curve_point(Q, p)
     with pytest.raises(InputError):
-        tiny_integral(curve_a, basis_forms(p)[0], P, Q, p, TPREC, PREC)
+        tiny_integral(curve_a, basis_forms(p)[0], P, Q, p, PREC)
 
 
 # -- centers ----------------------------------------------------------------
@@ -321,12 +320,15 @@ def test_simple_disk_centers_lie_on_curve(curve_a):
 def test_teichmuller_center_is_frobenius_fixed(curve_a):
     p = 7
     disk = FpPoint("affine", 3, 6)
-    c, (x_t, y_t) = disk_center(curve_a, disk, p, PREC, PREC + 3)
+    c = center_of(curve_a, disk, p)
     assert_on_curve(curve_a, c, digits=10)
     xr = c.x.residue(PREC)
     assert pow(xr, p, p ** PREC) == xr
     assert curve_a.reduce_curve_point(c, p) == disk
-    # the integer residues carry the same point to the work precision
+    # the lift at a higher precision, as Frobenius makes it, is the same
+    # point to the center's digits
+    x_t, y_t = teichmuller_point(curve_a.f_coeffs_mod(p, PREC + 3), 3, 6, p,
+                                 PREC + 3)
     assert x_t % p ** PREC == xr and y_t % p ** PREC == c.y.residue(PREC)
     assert pow(x_t, p, p ** (PREC + 3)) == x_t
 
@@ -357,8 +359,7 @@ def test_vanishing_orders_weierstrass_x_zero(curve_c):
 
 def test_form_series_skips_exact_zeros_and_rejects_zero_form(curve_a):
     p = 7
-    exp = LocalExpansion(curve_a, monic_point(curve_a, -1, -1, p), p,
-                         TPREC, PREC)
+    exp = LocalExpansion(curve_a, monic_point(curve_a, -1, -1, p), p, PREC)
     ws = exp.differential_series()
     assert len(ws) == 3
     zero = PadicNumber.zero(p)

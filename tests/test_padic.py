@@ -7,7 +7,7 @@ import pytest
 
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import (INF, PadicNumber, hensel_lift_root, ord_p,
-                              teichmuller_int)
+                              teichmuller_point)
 
 from oracles import padic_sqrt
 
@@ -123,15 +123,27 @@ def test_eq_and_residue():
     assert neg.residue(3) == 7 ** 3 - 1
 
 
-def test_teichmuller_exhaustive_oracle():
-    # oracle: the unique x = 3 mod 7 with x^7 = x mod 7^3, by exhaustion
+def test_teichmuller_point_exhaustive_oracle():
+    # oracle: the unique (x, y) = (2, 2) mod 7 on y^2 = x^7 + 2 with
+    # x^7 = x mod 7^3, by exhaustion
     p, n = 7, 3
-    want = [x for x in range(p ** n) if x % p == 3 and pow(x, p, p ** n) == x]
-    assert len(want) == 1
-    assert teichmuller_int(3, p, n) == want[0]
-    # fixed point of frobenius to full precision
-    r = teichmuller_int(3, p, 40)
-    assert r % p == 3 and pow(r, p, p ** 40) == r
+    m = p ** n
+    f = [2, 0, 0, 0, 0, 0, 0, 1]
+    want = [(x, y) for x in range(2, m, p) for y in range(2, m, p)
+            if pow(x, p, m) == x and (y * y - x ** 7 - 2) % m == 0]
+    assert [teichmuller_point(f, 2, 2, p, n)] == want
+    # the Frobenius-fixed point to full precision, the same mod 7^3
+    big = p ** 40
+    x, y = teichmuller_point(f, 2, 2, p, 40)
+    assert pow(x, p, big) == x and (y * y - x ** 7 - 2) % big == 0
+    assert y % p == 2 and (x % m, y % m) == want[0]
+    # the mirror residue picks the other root
+    assert teichmuller_point(f, 2, p - 2, p, 40) == (x, big - y)
+    # f(1) = 3 is no square mod 7, and y = 0 lies under no generic disk
+    with pytest.raises(PrecisionError):
+        teichmuller_point(f, 1, 1, p, n)
+    with pytest.raises(PrecisionError):
+        teichmuller_point(f, 5, 0, p, n)
 
 
 def test_sqrt_squaring_oracle():
