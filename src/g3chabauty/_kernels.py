@@ -1,9 +1,13 @@
 """Dense polynomial arithmetic modulo N, point counting and point search.
 
-This is the one home of the hot arithmetic behind Frobenius, Cantor
-addition, Hensel lifting and root isolation.  Polynomials are
-little-endian integer coefficient lists; every function takes its
-(possibly huge) modulus explicitly.  Products of long operands use
+This is the one home of the exact arithmetic behind Frobenius, Cantor
+addition, Hensel lifting, root isolation, factoring and recognition: the
+products and divisions mod N (poly_div_exact_mod raises PrecisionError on a
+nonzero remainder), the balanced residue (balanced), and the affine point
+counts over F_p and GF(p^k).  It imports no package module but errors, so
+every layer can build on it.  Polynomials are little-endian integer
+coefficient lists; every function takes its (possibly huge) modulus
+explicitly.  Products of long operands use
 Kronecker substitution: both are packed into one Python int, so one
 C-level big-int multiplication does the work of the schoolbook loop.  The
 packed format is one integer holding residues in fixed slots of whole
@@ -12,16 +16,20 @@ maps the same way, so that one sum of integer multiples applies a map to a
 whole polynomial.
 Division by a monic polynomial is schoolbook: every divisor has small
 degree, as Frobenius builds Psi by Horner's rule in Dt on packed Q-adic
-digits and never divides by Q^p.  The rational point search rejects most
-x = a/b by squares modulo small moduli, with one Python int as a bit
-array over all a per (modulus, b mod modulus), before any big-integer
-evaluation.
+digits and never divides by Q^p.  The count over GF(p^k) runs on these
+same products and divisions, with one table of p^k bytes marking the
+squares.  The rational point search rejects most x = a/b by squares
+modulo small moduli, with one Python int as a bit array over all a per
+(modulus, b mod modulus), before any big-integer evaluation.
 Callers look these names up as ``kernels.<name>`` at call time, so a
 wrapper installed on the module (as perfbench/tracing.py does) sees
 every call.
 """
 
+from itertools import product
 from math import gcd, isqrt
+
+from .errors import PrecisionError
 
 # recorded on the benchmark's info line (perfbench/worker.py)
 BACKEND = "python"
@@ -145,6 +153,15 @@ def poly_divmod_monic_mod(a, b, mod):
     return poly_trim(q), poly_trim(r[:db])
 
 
+def poly_div_exact_mod(a, b, mod):
+    """a / b for a monic b, modulo mod; PrecisionError when b leaves a
+    nonzero remainder."""
+    q, r = poly_divmod_monic_mod(a, b, mod)
+    if r:
+        raise PrecisionError("inexact division by a monic polynomial")
+    return q
+
+
 def poly_pow_mod(base, e, mod):
     result = [1]
     b = list(base)
@@ -172,6 +189,12 @@ def poly_xgcd_mod(a, b, p):
     inv = pow(r0[-1], -1, p) if r0 else 1
     return (poly_scale_mod(r0, inv, p), poly_scale_mod(s0, inv, p),
             poly_scale_mod(t0, inv, p))
+
+
+def balanced(r, m):
+    """The representative of r mod m in (-m/2, m/2]."""
+    r %= m
+    return r - m if r > m // 2 else r
 
 
 def poly_eval_mod(coeffs, x, mod):
@@ -217,58 +240,33 @@ def fp_curve_points(f_coeffs, p):
 def count_points_gf(f_coeffs, p, k, modulus_low):
     """#{(x, y) in GF(p^k)^2 : y^2 = f(x)} (affine points only).
 
-    GF(p^k) = F_p[T] / (T^k + modulus_low(T)) with modulus_low of degree < k;
-    elements are enumerated as base-p integers.  The count uses the quadratic
-    character chi(u) = u^((q-1)/2).
+    GF(p^k) = F_p[T] / (T^k + modulus_low(T)) with modulus_low of degree
+    < k; k = 1 is F_p itself and takes no modulus.  An element u has the
+    index u(p), its digits read in base p.  One pass marks the index of
+    x^2 for every x in a table of p^k bytes; a second counts each x once
+    when f(x) = 0 and twice when f(x) is a marked square.  Products are
+    poly_mul_mod, reduced by poly_divmod_monic_mod.
     """
     if k == 1:
         return len(fp_curve_points(f_coeffs, p))
     q = p ** k
-    mod_c = list(modulus_low)
+    modulus = poly_add_mod([0] * k + [1], modulus_low, p)
 
-    def fmul(u, v):
-        out = [0] * (2 * k - 1)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-        for i in range(2 * k - 2, k - 1, -1):
-            c = out[i]
-            if not c:
-                continue
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * mod_c[j]) % p
-        return out[:k]
+    def reduced(u):
+        return poly_divmod_monic_mod(u, modulus, p)[1]
 
-    def fpow(u, e):
-        r = [1] + [0] * (k - 1)
-        base = list(u)
-        while e:
-            if e & 1:
-                r = fmul(r, base)
-            base = fmul(base, base)
-            e >>= 1
-        return r
-
-    half = (q - 1) // 2
-    one = [1] + [0] * (k - 1)
-    fc = [[c % p] + [0] * (k - 1) for c in f_coeffs]
+    square = bytearray(q)
+    for x in product(range(p), repeat=k):
+        square[poly_eval_mod(reduced(poly_mul_mod(x, x, p)), p, q)] = 1
+    fc = [c % p for c in reversed(f_coeffs)]
     total = 0
-    for n in range(q):
-        x = []
-        m = n
-        for _ in range(k):
-            x.append(m % p)
-            m //= p
-        acc = [0] * k
-        for ce in reversed(fc):
-            acc = fmul(acc, x)
-            acc = [(acc[i] + ce[i]) % p for i in range(k)]
-        if all(c == 0 for c in acc):
+    for x in product(range(p), repeat=k):
+        fx = []
+        for c in fc:
+            fx = poly_add_mod(reduced(poly_mul_mod(fx, x, p)), [c], p)
+        if not fx:
             total += 1
-        elif fpow(acc, half) == one:
+        elif square[poly_eval_mod(fx, p, q)]:
             total += 2
     return total
 

@@ -220,14 +220,14 @@ def _run_one(job):
     except Exception as exc:
         row["status"] = "error"
         row["error"] = "%s: %s" % (type(exc).__name__, exc)
-        return row, None, exit_code_for(exc)
+        return row, None
     row["status"] = "ok"
     row["prime"] = report["prime"]
     row["zeros"] = len(report.zeros)
     counts = report["class_counts"]
     for cls in CSV_FIELDS[5:]:
         row[cls] = counts.get(cls, 0)
-    return row, report.to_json(), 0
+    return row, report.to_json()
 
 
 def cmd_batch(args):
@@ -252,7 +252,7 @@ def cmd_batch(args):
 
     worst = 0
     rows = []
-    for row, report_json, code in results:
+    for row, report_json in results:
         rows.append(row)
         if report_json is not None:
             (out / (row["id"] + ".json")).write_text(report_json + "\n",

@@ -71,12 +71,12 @@ def estimated_seconds(p, N):
     return COST_SCALE * p ** COST_P_EXP * N ** COST_N_EXP
 
 
-# The brute-force zeta check (zeta --brute-check) tests each of the p^3
-# elements of F_(p^3) with a quadratic character, a power of exponent
-# (p^3 - 1) / 2, so its cost grows like p^3 log p.  `g3chabauty zeta
+# The brute-force zeta check (zeta --brute-check) visits each of the p^3
+# elements x of F_(p^3) twice, to mark x^2 in a table of squares and to
+# look f(x) up in it, so its cost grows like p^3.  `g3chabauty zeta
 # --curve data/curve_a.json --p P --brute-check` took, in wall seconds on
-# a 2-vCPU host, 7.4 s at p = 37, 20.5 s at p = 53 and 177 s at p = 101;
-# the scale below puts the model above each of them, and against
+# a 2-vCPU host, 5.0 s at p = 37, 14.2 s at p = 53 and 83 s at p = 101.
+# The p^3 log p model below lies above each of them, and against
 # COST_CAP_S it admits p up to 139.
 BRUTE_SCALE = 4.1e-5
 
@@ -155,7 +155,8 @@ def _fractions(coeffs):
 
 
 def eval_exact(coeffs, x):
-    """Exact Horner value of a constant-first coefficient list at x."""
+    """Exact Horner value of a constant-first coefficient list at x, a
+    Fraction or a recognize.QuadraticElement."""
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -633,7 +634,7 @@ def _factor_squarefree(G):
             cand = [G[-1]]
             for i in subset:
                 cand = kernels.poly_mul_mod(cand, lifts[i], m)
-            cand = primitive_poly(c - m if 2 * c > m else c for c in cand)
+            cand = primitive_poly(kernels.balanced(c, m) for c in cand)
             quot = _exact_quotient(G, cand)
             if quot is not None:
                 factors.append(cand)

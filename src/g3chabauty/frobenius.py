@@ -87,13 +87,6 @@ def _exact_pdiv(c, p, e):
     return c // pe
 
 
-def _exact_poly_div(a, q, m):
-    quo, rem = kernels.poly_divmod_monic_mod(a, q, m)
-    if rem:
-        raise PrecisionError("inexact division by the curve polynomial")
-    return quo
-
-
 def _lift_cofactor(Q, Qd, p, W):
     """beta with deg beta <= 6 and 1 - beta Q' divisible by Q mod p^W.
 
@@ -113,7 +106,7 @@ def _lift_cofactor(Q, Qd, p, W):
             beta, kernels.poly_mul_mod(beta, r, mm), mm)
         beta = kernels.poly_divmod_monic_mod(beta, Q, mm)[1]
     m = p ** W
-    _exact_poly_div(
+    kernels.poly_div_exact_mod(
         kernels.poly_sub_mod([1], kernels.poly_mul_mod(beta, Qd, m), m), Q, m)
     return beta
 
@@ -242,11 +235,6 @@ def _char_series_coeffs(mat, modulus):
         ak = [[sum(mat[i][t] * nxt[t][j] for t in range(n)) % modulus
                for j in range(n)] for i in range(n)]
     return coeffs, adj
-
-
-def _balanced(r, modulus):
-    r %= modulus
-    return r - modulus if r > modulus // 2 else r
 
 
 def _weil_ok(b, p):
@@ -398,14 +386,14 @@ def _compute(curve, p, N, k_max, C, W):
             raise PrecisionError("degree reduction did not terminate")
         for i in range(6):
             rep = A[i] if i < len(A) else 0
-            val = _balanced(rep, m)
+            val = kernels.balanced(rep, m)
             if val % pC:
                 raise PrecisionError("matrix entry not p-integral")
             matrix_ints[i][col] = (val // pC) % (p ** N)
 
     modulus = p ** N
     coeffs, adjugate = _char_series_coeffs(matrix_ints, modulus)
-    b = [_balanced(c, modulus) for c in coeffs]
+    b = [kernels.balanced(c, modulus) for c in coeffs]
     if not _weil_ok(b, p):
         raise PrecisionError("zeta coefficients violate the Weil bounds")
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
@@ -413,9 +401,10 @@ def _compute(curve, p, N, k_max, C, W):
     fbar = curve.f_coeffs_mod(p, 1)
     fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints, adjugate,
                        tuple(map(tuple, prims)), tuple(b))
-    if fd.point_count() != len(kernels.fp_curve_points(fbar, p)) + 1:
+    points = kernels.fp_curve_points(fbar, p)
+    if fd.point_count() != len(points) + 1:
         raise PrecisionError("trace does not match the point count")
-    xbar = _generic_residue(fbar, p)
+    xbar = _generic_residue(points)
     if xbar is None:
         log.debug("p = %d: no residue x with F(x) a nonzero square mod p, "
                   "so no generic disk; identity audit skipped", p)
@@ -424,15 +413,13 @@ def _compute(curve, p, N, k_max, C, W):
     return fd
 
 
-def _generic_residue(f, p):
-    """The least nonzero residue x with f(x) a nonzero square mod p; else 0
-    if f(0) is one, else None.  At x = 0 the identity audit's
-    sum_i M_ij x^i reads only row 0 of M; at a unit x it reads every row."""
-    for x in (*range(1, p), 0):
-        v = kernels.poly_eval_mod(f, x, p)
-        if v and pow(v, (p - 1) // 2, p) == 1:
-            return x
-    return None
+def _generic_residue(points):
+    """The least nonzero x among the affine points (x, y) with y != 0 of
+    y^2 = f(x) over F_p; else 0 if such a point has x = 0, else None.
+    At x = 0 the identity audit's sum_i M_ij x^i reads only row 0 of
+    M; at a unit x it reads every row."""
+    xs = {x for x, y in points if y}
+    return min(xs - {0}, default=0 if 0 in xs else None)
 
 
 def _floor_log(n, p):
@@ -607,7 +594,7 @@ def _pole_map(Q, Qd, beta, m):
         xi = [0] * i + [1]
         b = kernels.poly_divmod_monic_mod(
             kernels.poly_mul_mod(xi, beta, m), Q, m)[1]
-        a = _exact_poly_div(
+        a = kernels.poly_div_exact_mod(
             kernels.poly_sub_mod(xi, kernels.poly_mul_mod(b, Qd, m), m), Q, m)
         cols.append(kernels.pack(b + [0] * (7 - len(b)) + a, slot))
     return slot, cols
@@ -706,7 +693,11 @@ def _irreducible_low(p, k):
 
 
 def brute_zeta_numerator(curve, p):
-    """Zeta numerator from naive point counts over F_p, F_p^2, F_p^3."""
+    """Zeta numerator from naive point counts over F_p, F_p^2, F_p^3.
+
+    Each count visits every element of the field (_kernels.count_points_gf,
+    a table of squares, about p^3 steps over F_p^3); Newton's identities
+    and the functional equation turn the three counts into b_0..b_6."""
     fbar = curve.f_coeffs_mod(p, 1)
     counts = []
     for k in (1, 2, 3):

@@ -12,13 +12,6 @@ from .curve import FpPoint
 from .errors import InputError
 
 
-def _pexactdiv(a, b, p):
-    q, r = kernels.poly_divmod_monic_mod(a, b, p)
-    if r:
-        raise InputError("division was not exact")
-    return q
-
-
 class MumfordDivisorFp:
     """Reduced Mumford pair over F_p for y^2 = f(x), deg f = 7, genus 3."""
 
@@ -48,7 +41,8 @@ class MumfordDivisorFp:
         p, f = self.p, list(self.f)
         while len(u) - 1 > 3:
             vv = kernels.poly_mul_mod(v, v, p)
-            u2 = _pexactdiv(kernels.poly_sub_mod(f, vv, p), u, p)
+            u2 = kernels.poly_div_exact_mod(
+                kernels.poly_sub_mod(f, vv, p), u, p)
             u2 = kernels.poly_scale_mod(u2, pow(u2[-1], -1, p), p)
             v = kernels.poly_divmod_monic_mod(v, u2, p)[1]
             v = kernels.poly_scale_mod(v, -1, p)
@@ -103,11 +97,12 @@ class MumfordDivisorFp:
         s1 = mul(c1, e1, p)
         s2 = mul(c1, e2, p)
         s3 = c2
-        u = _pexactdiv(mul(u1, u2, p), mul(d, d, p), p)
+        u = kernels.poly_div_exact_mod(mul(u1, u2, p), mul(d, d, p), p)
         num = add(add(mul(mul(s1, u1, p), v2, p),
                       mul(mul(s2, u2, p), v1, p), p),
                   mul(s3, add(mul(v1, v2, p), f, p), p), p)
-        v = kernels.poly_divmod_monic_mod(_pexactdiv(num, d, p), u, p)[1]
+        v = kernels.poly_divmod_monic_mod(
+            kernels.poly_div_exact_mod(num, d, p), u, p)[1]
         return MumfordDivisorFp(p, self.f, u, v, reduce=True)
 
     def __sub__(self, other):

@@ -387,7 +387,7 @@ def _quadratic_point(a_o, b_o, qa, poly):
     if rel is None or not is_irreducible_quadratic(rel):
         return None
     a = QuadraticElement.generator(rel)
-    rhs = QuadraticElement.evaluate_poly(poly, a)
+    rhs = eval_exact(poly, a)
     qb = rational_reconstruct(b_o)
     if qb is not None:
         b = QuadraticElement.rational(qb, rel)

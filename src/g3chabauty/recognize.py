@@ -13,6 +13,7 @@ factoring.
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from . import _kernels as kernels
 from .errors import InputError
 from .padic import INF, PadicNumber
 
@@ -156,8 +157,7 @@ def small_integer_relation(values):
         else:
             row[i] = 1
             # balanced representative: same lattice, shorter start
-            r = -(res[i] * inv) % m
-            row[pivot] = r - m if r > m // 2 else r
+            row[pivot] = kernels.balanced(-res[i] * inv, m)
         rows.append(row)
     best = None
     for vec in _lll(rows):
@@ -225,6 +225,8 @@ class QuadraticElement:
         other = self._coerce(other)
         return self._like(self.u + other.u, self.v + other.v)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._coerce(other)
         return self._like(self.u - other.u, self.v - other.v)
@@ -237,6 +239,8 @@ class QuadraticElement:
         u = self.u * other.u - cross * Fraction(c0, c2)
         v = self.u * other.v + self.v * other.u - cross * Fraction(c1, c2)
         return self._like(u, v)
+
+    __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, QuadraticElement):
@@ -269,13 +273,6 @@ class QuadraticElement:
 
     def __hash__(self):
         return hash((self.u, self.v, self.minpoly))
-
-    @staticmethod
-    def evaluate_poly(coeffs, point):
-        acc = QuadraticElement.rational(0, point.minpoly)
-        for c in reversed(list(coeffs)):
-            acc = acc * point + QuadraticElement.rational(c, point.minpoly)
-        return acc
 
 
 def element_min_poly(el):

@@ -1,6 +1,8 @@
 """Helpers that only tests call: a p-adic square root with a chosen branch,
-and the tiny integral, the termwise integral inside one residue disk that
-tests set against the Frobenius-based Coleman integrals."""
+the tiny integral, the termwise integral inside one residue disk that
+tests set against the Frobenius-based Coleman integrals, and a point count
+over GF(p^k) by Euler's criterion, set against the kernels' table of
+squares."""
 
 from g3chabauty.curve import CurvePoint
 from g3chabauty.errors import InputError
@@ -55,3 +57,59 @@ def tiny_integral(curve, coeffs, P, Q, p, prec):
     if not dP.is_infinity:
         return hi
     return hi - exp.evaluate_antiderivative(F, exp.t_of(P))
+
+
+def count_points_euler(f_coeffs, p, k, modulus_low):
+    """#{(x, y) in GF(p^k)^2 : y^2 = f(x)} (affine points only), with
+    GF(p^k) = F_p[T] / (T^k + modulus_low(T)), by the quadratic character
+    chi(u) = u^((q-1)/2): each x counts once when f(x) = 0 and twice when
+    chi(f(x)) = 1.  Its own schoolbook product and power, so it shares no
+    arithmetic with the kernels."""
+    q = p ** k
+    mod_c = list(modulus_low)
+
+    def fmul(u, v):
+        out = [0] * (2 * k - 1)
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            for j, vj in enumerate(v):
+                out[i + j] = (out[i + j] + ui * vj) % p
+        for i in range(2 * k - 2, k - 1, -1):
+            c = out[i]
+            if not c:
+                continue
+            out[i] = 0
+            for j in range(k):
+                out[i - k + j] = (out[i - k + j] - c * mod_c[j]) % p
+        return out[:k]
+
+    def fpow(u, e):
+        r = [1] + [0] * (k - 1)
+        base = list(u)
+        while e:
+            if e & 1:
+                r = fmul(r, base)
+            base = fmul(base, base)
+            e >>= 1
+        return r
+
+    half = (q - 1) // 2
+    one = [1] + [0] * (k - 1)
+    fc = [[c % p] + [0] * (k - 1) for c in f_coeffs]
+    total = 0
+    for n in range(q):
+        x = []
+        m = n
+        for _ in range(k):
+            x.append(m % p)
+            m //= p
+        acc = [0] * k
+        for ce in reversed(fc):
+            acc = fmul(acc, x)
+            acc = [(acc[i] + ce[i]) % p for i in range(k)]
+        if all(c == 0 for c in acc):
+            total += 1
+        elif fpow(acc, half) == one:
+            total += 2
+    return total

@@ -8,10 +8,12 @@ import pytest
 
 from g3chabauty import _kernels as kernels
 from g3chabauty.curve import COST_CAP_S, estimated_seconds
-from g3chabauty.frobenius import _budget
+from g3chabauty.errors import PrecisionError
+from g3chabauty.frobenius import _budget, _irreducible_low
 
 from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
                       CURVE_C_COEFFS, make_curve)
+from oracles import count_points_euler
 
 
 def test_poly_mul_oracle():
@@ -47,6 +49,18 @@ def test_poly_divmod_oracle():
         qq, rr = kernels.poly_divmod_monic_mod(a, b, mod)
         assert qq == kernels.poly_trim([c % mod for c in q])
         assert rr == kernels.poly_trim([c % mod for c in r])
+        assert kernels.poly_div_exact_mod(
+            kernels.poly_mul_mod(q, b, mod), b, mod) == qq
+        if rr:
+            with pytest.raises(PrecisionError, match="inexact division"):
+                kernels.poly_div_exact_mod(a, b, mod)
+
+
+def test_balanced_residue():
+    for m in (7 ** 5, 2 * 7 ** 5):
+        for r in range(-2 * m, 2 * m, 97):
+            got = kernels.balanced(r, m)
+            assert (got - r) % m == 0 and -m < 2 * got <= m
 
 
 def test_poly_eval_oracle():
@@ -91,6 +105,19 @@ def test_count_points_gf_quadratic_extension():
             if yy == fx:
                 count += 1
     assert kernels.count_points_gf(f, p, k, modulus_low) == count
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_points_gf_matches_euler_criterion(p, k):
+    """The table of squares against Euler's criterion over GF(p^k), with
+    the moduli brute_zeta_numerator uses, on seeded random monic f."""
+    rng = random.Random(100 * p + k)
+    modulus_low = _irreducible_low(p, k)
+    for _ in range(3):
+        f = [rng.randrange(p) for _ in range(7)] + [1]
+        assert kernels.count_points_gf(f, p, k, modulus_low) == \
+            count_points_euler(f, p, k, modulus_low)
 
 
 def test_search_x_squares_oracle():

@@ -4,7 +4,8 @@ The arithmetic, series, chart, curve and recognition modules sit below
 Frobenius and Coleman integration: none of them imports frobenius, coleman,
 pipeline or cli, so a chart or a checker can be built from them alone.  The
 Frobenius budget (the prescale C = scale_exp and the working exponent
-W = work_exp) belongs to frobenius.py: no other module names it.
+W = work_exp) belongs to frobenius.py: no other module names it.  The
+kernels are the leaf every layer builds on: they import only errors.
 """
 
 import ast
@@ -74,6 +75,11 @@ def test_import_scanner_sees_every_form():
 def test_lower_layers_import_no_frobenius_coleman_pipeline_or_cli(module):
     tree = _tree(PKG / (module + ".py"))
     assert not _package_imports(tree) & UPPER
+
+
+def test_kernels_import_no_package_module_but_errors():
+    # every layer builds on _kernels, so it must pull none of them in
+    assert _package_imports(_tree(PKG / "_kernels.py")) <= {"errors"}
 
 
 def test_only_frobenius_names_its_budget():
