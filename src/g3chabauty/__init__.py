@@ -7,11 +7,12 @@ locus of the two annihilating integrals on C(Q_p), certifies per-disk
 root counts, and classifies every member of the locus.
 """
 
+from ._kernels import brute_zeta_numerator
 from .coleman import ColemanContext
 from .curve import CurveModel, FpPoint, RationalPoint
 from .errors import (BadReductionError, G3Error, InputError, PrecisionError,
                      RecognitionError, SimplicityError)
-from .frobenius import brute_zeta_numerator, frobenius_data, zeta_numerator
+from .frobenius import frobenius_data, zeta_numerator
 from .jacobian import MumfordDivisorFp
 from .padic import PadicNumber
 from .pipeline import AnalysisReport, analyze_curve, default_precision

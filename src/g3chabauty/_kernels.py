@@ -3,11 +3,12 @@
 This is the one home of the exact arithmetic behind Frobenius, Cantor
 addition, Hensel lifting, root isolation, factoring and recognition: the
 products and divisions mod N (poly_div_exact_mod raises PrecisionError on a
-nonzero remainder), the balanced residue (balanced), and the affine point
-counts over F_p and GF(p^k).  It imports no package module but errors, so
-every layer can build on it.  Polynomials are little-endian integer
-coefficient lists; every function takes its (possibly huge) modulus
-explicitly.  Products of long operands use
+nonzero remainder), the balanced residue (balanced), the affine point
+counts over F_p and GF(p^k), and the zeta numerator those counts give
+(brute_zeta_numerator), which checks Frobenius without it.  It imports no
+package module but errors, so every layer can build on it.  Polynomials
+are little-endian integer coefficient lists; every function takes its
+(possibly huge) modulus explicitly.  Products of long operands use
 Kronecker substitution: both are packed into one Python int, so one
 C-level big-int multiplication does the work of the schoolbook loop.  The
 packed format is one integer holding residues in fixed slots of whole
@@ -237,20 +238,25 @@ def fp_curve_points(f_coeffs, p):
     return pts
 
 
-def count_points_gf(f_coeffs, p, k, modulus_low):
-    """#{(x, y) in GF(p^k)^2 : y^2 = f(x)} (affine points only).
+def count_points_gf(f_coeffs, p, k):
+    """#{(x, y) in GF(p^k)^2 : y^2 = f(x)} (affine points only), k <= 3.
 
-    GF(p^k) = F_p[T] / (T^k + modulus_low(T)) with modulus_low of degree
-    < k; k = 1 is F_p itself and takes no modulus.  An element u has the
-    index u(p), its digits read in base p.  One pass marks the index of
-    x^2 for every x in a table of p^k bytes; a second counts each x once
-    when f(x) = 0 and twice when f(x) is a marked square.  Products are
-    poly_mul_mod, reduced by poly_divmod_monic_mod.
+    GF(p^k) = F_p[T] / (T^k + aT + b) for the least a, then the least
+    b >= 1, with no root in F_p, which up to degree 3 makes it irreducible
+    (k = 1 is F_p itself).  An element u has the index u(p), its digits
+    read in base p.  One pass marks the index of x^2 for every x in a table
+    of p^k bytes; a second counts each x once when f(x) = 0 and twice when
+    f(x) is a marked square.  Products are poly_mul_mod, reduced by
+    poly_divmod_monic_mod.
     """
     if k == 1:
         return len(fp_curve_points(f_coeffs, p))
+    if k > 3:
+        raise ValueError("no root proves irreducibility only up to degree 3")
     q = p ** k
-    modulus = poly_add_mod([0] * k + [1], modulus_low, p)
+    modulus = next([b, a] + [0] * (k - 2) + [1]
+                   for a in range(p) for b in range(1, p)
+                   if all((pow(x, k, p) + a * x + b) % p for x in range(p)))
 
     def reduced(u):
         return poly_divmod_monic_mod(u, modulus, p)[1]
@@ -269,6 +275,22 @@ def count_points_gf(f_coeffs, p, k, modulus_low):
         elif square[poly_eval_mod(fx, p, q)]:
             total += 2
     return total
+
+
+def brute_zeta_numerator(f_coeffs, p):
+    """Zeta numerator [b0..b6] of y^2 = f(x), f given mod p, from the naive
+    counts over F_p, F_p^2 and F_p^3 (count_points_gf, about p^3 steps) by
+    Newton's identities and the functional equation."""
+    counts = [count_points_gf(f_coeffs, p, k) + 1 for k in (1, 2, 3)]
+    pi = [p ** k + 1 - counts[k - 1] for k in (1, 2, 3)]
+    e1 = pi[0]
+    e2, rem = divmod(e1 * pi[0] - pi[1], 2)
+    if rem:
+        raise ArithmeticError("inconsistent point counts")
+    e3, rem = divmod(e2 * pi[0] - e1 * pi[1] + pi[2], 3)
+    if rem:
+        raise ArithmeticError("inconsistent point counts")
+    return [1, -e1, e2, -e3, p * e2, -p * p * e1, p ** 3]
 
 
 # Sieve moduli of the point search: 16 and 9 stand for the primes 2 and 3.

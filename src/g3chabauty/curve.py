@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm, log
+from math import isqrt, lcm
 
 from . import _kernels as kernels
 from .errors import BadReductionError, InputError
@@ -75,15 +75,17 @@ def estimated_seconds(p, N):
 # elements x of F_(p^3) twice, to mark x^2 in a table of squares and to
 # look f(x) up in it, so its cost grows like p^3.  `g3chabauty zeta
 # --curve data/curve_a.json --p P --brute-check` took, in wall seconds on
-# a 2-vCPU host, 5.0 s at p = 37, 14.2 s at p = 53 and 83 s at p = 101.
-# The p^3 log p model below lies above each of them, and against
-# COST_CAP_S it admits p up to 139.
-BRUTE_SCALE = 4.1e-5
+# a 2-vCPU host, 3.47 s at p = 37, 8.86 s at 53, 22.0 s at 71, 64.3 s at
+# 101, 181 s at 139 and 481 s at 199: seconds / p^3 of 6.84e-5, 5.95e-5,
+# 6.14e-5, 6.24e-5, 6.74e-5 and 6.10e-5.  BRUTE_SCALE is the largest
+# ratio rounded up, so the p^3 model lies above every row; against
+# COST_CAP_S it admits p up to 205 (the prime 199).
+BRUTE_SCALE = 6.9e-5
 
 
 def estimated_brute_seconds(p):
     """The cost model's seconds for the brute-force zeta check at p."""
-    return BRUTE_SCALE * p ** 3 * log(p)
+    return BRUTE_SCALE * p ** 3
 
 # The largest rational point search height and p-adic precision N that
 # pipeline.check_inputs accepts.  The search grows like the height squared

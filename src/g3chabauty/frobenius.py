@@ -61,7 +61,8 @@ x-polynomials per column, read by Horner's rule in u.
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the Weil bounds, the functional equation and the
 point count over F_p audit M, and the pullback identity at one point of a
-generic disk audits M and the h_j together (identity_check).
+generic disk audits M and the h_j together (identity_check).  The naive
+counts that check P(T) without Frobenius are _kernels.brute_zeta_numerator.
 """
 
 from __future__ import annotations
@@ -680,38 +681,6 @@ def zeta_numerator(curve, p):
     """[b0..b6] with #C(F_{p^k}) determined by P(T) = sum b_i T^i."""
     # the Weil bounds put every |b_i| below p^6 / 2, so 6 digits read them
     return list(frobenius_data(curve, p, 6).zeta)
-
-
-def _irreducible_low(p, k):
-    if k == 1:
-        return [0]
-    for a in range(p):
-        for b in range(1, p):
-            if all((pow(x, k, p) + a * x + b) % p for x in range(p)):
-                return [b, a] + [0] * (k - 2)
-    raise ValueError("no irreducible polynomial found")
-
-
-def brute_zeta_numerator(curve, p):
-    """Zeta numerator from naive point counts over F_p, F_p^2, F_p^3.
-
-    Each count visits every element of the field (_kernels.count_points_gf,
-    a table of squares, about p^3 steps over F_p^3); Newton's identities
-    and the functional equation turn the three counts into b_0..b_6."""
-    fbar = curve.f_coeffs_mod(p, 1)
-    counts = []
-    for k in (1, 2, 3):
-        affine = kernels.count_points_gf(fbar, p, k, _irreducible_low(p, k))
-        counts.append(affine + 1)
-    pi = [p ** k + 1 - counts[k - 1] for k in (1, 2, 3)]
-    e1 = pi[0]
-    e2, rem = divmod(e1 * pi[0] - pi[1], 2)
-    if rem:
-        raise ArithmeticError("inconsistent point counts")
-    e3, rem = divmod(e2 * pi[0] - e1 * pi[1] + pi[2], 3)
-    if rem:
-        raise ArithmeticError("inconsistent point counts")
-    return [1, -e1, e2, -e3, p * e2, -p * p * e1, p ** 3]
 
 
 def identity_check(fd, xbar):

@@ -22,12 +22,11 @@ INF = inf
 
 def ord_p(value, p):
     """p-adic valuation of an int or Fraction; INF for zero."""
-    if isinstance(value, Fraction):
-        if value == 0:
-            return INF
-        return ord_p(value.numerator, p) - ord_p(value.denominator, p)
     if value == 0:
         return INF
+    # ints first: nearly every call has one; a Fraction check goes via ABCMeta
+    if not isinstance(value, int):
+        return ord_p(value.numerator, p) - ord_p(value.denominator, p)
     v = 0
     value = abs(value)
     while value % p == 0:

@@ -660,9 +660,8 @@ def test_zeta_brute_check(tmp_path, capsys):
 
 def test_zeta_brute_check_over_the_cost_cap_exits_2(tmp_path, monkeypatch,
                                                     capsys):
-    # the brute-force count grows like p^3 log p: its cost model admits
-    # p = 139 and not p = 149, and p = 293 still gets its zeta without the
-    # check
+    # the brute-force count grows like p^3: its cost model admits p = 199
+    # and not p = 211, and p = 293 still gets its zeta without the check
     curve = write_json(tmp_path / "c.json", CURVE_A_JSON)
     calls = []
 
@@ -673,15 +672,15 @@ def test_zeta_brute_check_over_the_cost_cap_exits_2(tmp_path, monkeypatch,
         return count
     monkeypatch.setattr(cli, "zeta_numerator", stub("zeta"))
     monkeypatch.setattr(cli, "brute_zeta_numerator", stub("brute"))
-    for p in (149, 293):
+    for p in (211, 293):
         assert main(["zeta", "--curve", curve, "--p", str(p),
                      "--brute-check"]) == 2
         assert "over the budget of 600 s" in capsys.readouterr().err
     assert calls == []
-    assert main(["zeta", "--curve", curve, "--p", "139",
+    assert main(["zeta", "--curve", curve, "--p", "199",
                  "--brute-check"]) == 0
     assert main(["zeta", "--curve", curve, "--p", "293"]) == 0
-    assert calls == [("zeta", 139), ("brute", 139), ("zeta", 293)]
+    assert calls == [("zeta", 199), ("brute", 199), ("zeta", 293)]
 
 
 def test_search_points(tmp_path, capsys):

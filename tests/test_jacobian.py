@@ -13,25 +13,7 @@ def brute_zeta_coeffs(fbar, p):
     """Oracle: numerator coefficients b_0..b_6 of Z(C/F_p) from point counts
     over F_p, F_p^2, F_p^3 via Newton's identities and the functional
     equation.  Independent of the cohomology machinery."""
-    # fixed irreducible quadratics/cubics mod small p: find one by scanning
-    def irreducible(k):
-        rng = random.Random(p * 100 + k)
-        while True:
-            low = [rng.randrange(p) for _ in range(k)]
-            # T^k + low(T): irreducible iff no roots (k<=3) and, for k=2,3,
-            # no linear factor suffices only for k<=3
-            poly = low + [1]
-            if all(kernels.poly_eval_mod(poly, x, p) % p for x in range(p)):
-                if k == 2:
-                    return low
-                # cubic with no roots is irreducible
-                return low
-
-    counts = []
-    for k in (1, 2, 3):
-        modulus = None if k == 1 else irreducible(k)
-        affine = kernels.count_points_gf(fbar, p, k, modulus)
-        counts.append(affine + 1)
+    counts = [kernels.count_points_gf(fbar, p, k) + 1 for k in (1, 2, 3)]
     s = [p ** k + 1 - counts[k - 1] for k in (1, 2, 3)]
     e1 = s[0]
     e2 = (e1 * s[0] - s[1]) // 2

@@ -9,7 +9,7 @@ import pytest
 from g3chabauty import _kernels as kernels
 from g3chabauty.curve import COST_CAP_S, estimated_seconds
 from g3chabauty.errors import PrecisionError
-from g3chabauty.frobenius import _budget, _irreducible_low
+from g3chabauty.frobenius import _budget
 
 from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
                       CURVE_C_COEFFS, make_curve)
@@ -82,9 +82,9 @@ def test_fp_curve_points_brute():
 
 
 def test_count_points_gf_quadratic_extension():
-    # GF(49) = F_7[T]/(T^2 + 6T + 3) (T^2 = -6T - 3); brute-force oracle
+    # GF(49) = F_7[T]/(T^2 + 6T + 3) (T^2 = -6T - 3), not the modulus
+    # T^2 + 1 that count_points_gf picks; brute-force oracle
     p, k = 7, 2
-    modulus_low = [3, 6]
     f = [1, 2, 0, 0, 0, 0, 0, 1]
 
     def fmul(u, v):
@@ -104,20 +104,38 @@ def test_count_points_gf_quadratic_extension():
             yy = fmul(y, y)
             if yy == fx:
                 count += 1
-    assert kernels.count_points_gf(f, p, k, modulus_low) == count
+    assert kernels.count_points_gf(f, p, k) == count
+
+
+def _last_rootless_low(p, k):
+    """[b, a] for the largest a, then the largest b, with T^k + aT + b
+    rootless in F_p (irreducible for k = 2, 3); [0] for F_p itself."""
+    if k == 1:
+        return [0]
+    return next([b, a] + [0] * (k - 2)
+                for a in range(p - 1, -1, -1) for b in range(p - 1, 0, -1)
+                if all((pow(x, k, p) + a * x + b) % p for x in range(p)))
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_count_points_gf_matches_euler_criterion(p, k):
-    """The table of squares against Euler's criterion over GF(p^k), with
-    the moduli brute_zeta_numerator uses, on seeded random monic f."""
+    """The table of squares against Euler's criterion over GF(p^k) built
+    on another modulus than count_points_gf's own (the last rootless
+    T^k + aT + b, not the first), on seeded random monic f: the count
+    does not depend on the modulus."""
     rng = random.Random(100 * p + k)
-    modulus_low = _irreducible_low(p, k)
+    modulus_low = _last_rootless_low(p, k)
     for _ in range(3):
         f = [rng.randrange(p) for _ in range(7)] + [1]
-        assert kernels.count_points_gf(f, p, k, modulus_low) == \
+        assert kernels.count_points_gf(f, p, k) == \
             count_points_euler(f, p, k, modulus_low)
+
+
+def test_count_points_gf_refuses_degree_above_3():
+    # a rootless quartic can be a product of two quadratics
+    with pytest.raises(ValueError, match="degree 3"):
+        kernels.count_points_gf([1, 0, 0, 0, 0, 0, 0, 1], 7, 4)
 
 
 def test_search_x_squares_oracle():
