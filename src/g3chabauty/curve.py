@@ -165,6 +165,15 @@ def eval_exact(coeffs, x):
     return acc
 
 
+def rational_sqrt(r):
+    """The s >= 0 with s^2 = r for a rational r, or None (negative r too)."""
+    r = Fraction(r)
+    if r < 0:
+        return None
+    s = Fraction(isqrt(r.numerator), isqrt(r.denominator))
+    return s if s * s == r else None
+
+
 @dataclass(frozen=True, order=True)
 class RationalPoint:
     """Exact point: affine (x, y) with Fractions, or the point at infinity."""
@@ -441,14 +450,9 @@ class CurveModel:
         pts = [RationalPoint.infinity()]
         for a, b in hits:
             x = Fraction(a, b)
-            rhs = eval_exact(self.original, x)
-            if rhs < 0:
+            y = rational_sqrt(eval_exact(self.original, x))
+            if y is None:
                 continue
-            ynum = isqrt(rhs.numerator)
-            yden = isqrt(rhs.denominator)
-            if ynum * ynum != rhs.numerator or yden * yden != rhs.denominator:
-                continue
-            y = Fraction(ynum, yden)
             pts.append(RationalPoint.affine(x, y))
             if y:
                 pts.append(RationalPoint.affine(x, -y))

@@ -3,13 +3,14 @@
 Divisor classes are pairs (u, v) of F_p polynomials with u monic of degree
 <= 3, deg v < deg u, and u | v^2 - f.  The curve has one point at infinity
 (odd-degree model), so every class has a unique reduced representative.
+Every check audits the program's own arithmetic and raises PrecisionError.
 """
 
 from __future__ import annotations
 
 from . import _kernels as kernels
 from .curve import FpPoint
-from .errors import InputError
+from .errors import PrecisionError
 
 
 class MumfordDivisorFp:
@@ -25,15 +26,15 @@ class MumfordDivisorFp:
         if reduce:
             u, v = self._reduce(u, v)
         if not u or u[-1] != 1:
-            raise InputError("u must be monic")
+            raise PrecisionError("u must be monic")
         if len(u) - 1 > 3:
-            raise InputError("unreduced divisor")
+            raise PrecisionError("unreduced divisor")
         if len(v) >= len(u):
-            raise InputError("deg v must be < deg u")
+            raise PrecisionError("deg v must be < deg u")
         chk = kernels.poly_sub_mod(kernels.poly_mul_mod(v, v, p),
                                    list(self.f), p)
         if kernels.poly_divmod_monic_mod(chk, u, p)[1]:
-            raise InputError("v^2 - f not divisible by u")
+            raise PrecisionError("v^2 - f not divisible by u")
         self.u = tuple(u)
         self.v = tuple(v)
 
@@ -83,7 +84,7 @@ class MumfordDivisorFp:
         if not isinstance(other, MumfordDivisorFp):
             return NotImplemented
         if self.p != other.p or self.f != other.f:
-            raise InputError("divisors on different curves")
+            raise PrecisionError("divisors on different curves")
         p, f = self.p, list(self.f)
         u1, v1 = list(self.u), list(self.v)
         u2, v2 = list(other.u), list(other.v)
@@ -126,7 +127,7 @@ class MumfordDivisorFp:
     def order(self, group_order):
         """Order of the class given a multiple of it (the group order)."""
         if group_order * self != MumfordDivisorFp.identity(self.p, self.f):
-            raise InputError("group_order does not annihilate the class")
+            raise PrecisionError("group_order does not annihilate the class")
         o = group_order
         for q in _prime_factors(group_order):
             while o % q == 0 and ((o // q) * self).is_identity:

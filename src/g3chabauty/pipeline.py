@@ -11,11 +11,13 @@ Every member of the intersection is then classified: a known rational
 point, a new rational point (exact verification), a Weierstrass point
 (exact: a root of a factor of F), a torsion image (all three logarithms
 vanish at working precision; the order is read off the reduction, where
-torsion injects), or an algebraic point recognized over a quadratic field
-and verified exactly in Q[t]/(min poly).  One recognizer serves both
-charts: (x, y) on y^2 = g(x) in affine disks and (s, w) = (1/x, y/x^4) on
-w^2 = s * (x^7-reversal of g) at infinity.  Recognition failures raise
-instead of guessing.
+torsion injects), or an algebraic point over a quadratic field, exact in
+Q[t]/(min poly).  A rational x of a height its digits vouch for gives y
+by y^2 = g(x), as a rational square root or a root of t^2 - g(x); any
+other x goes to the lattice search, which serves both charts: (x, y) on
+y^2 = g(x) in affine disks and (s, w) = (1/x, y/x^4) on w^2 = s *
+(x^7-reversal of g) at infinity.  Recognition failures raise instead of
+guessing.
 
 Zeros are computed once per involution pair of disks: the functionals are
 odd under y -> -y, so the mirror disk has the same parameter values with
@@ -32,7 +34,7 @@ from fractions import Fraction
 from .coleman import ColemanContext
 from .curve import (COST_CAP_S, HEIGHT_CAP, PREC_CAP, PREC_MIN,
                     RationalPoint, check_prime_number, estimated_seconds,
-                    eval_exact)
+                    eval_exact, rational_sqrt)
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
@@ -40,9 +42,9 @@ from .localdisk import curve_point_from_rational, form_series
 from .padic import INF, PadicNumber, ord_p
 from .recognize import (QuadraticElement, element_min_poly,
                         format_polynomial, is_irreducible_quadratic,
-                        linear_relation, primitive_poly, quadratic_relation,
-                        rational_reconstruct)
-from .rootfinding import series_roots_in_disk, truncation_order
+                        is_trusted_rational, linear_relation, primitive_poly,
+                        quadratic_relation, rational_reconstruct)
+from .rootfinding import series_roots_in_disk
 
 log = logging.getLogger(__name__)
 
@@ -153,21 +155,14 @@ def _lambda_series(data, coeffs):
 def _match_roots(roots_a, roots_b):
     """Common zeros of the two functionals: cosets present in both lists,
     keeping the more precise representative."""
-    zeros = []
-    used = set()
+    zeros, used = [], set()
     for ra in roots_a:
-        hit = None
-        for k, rb in enumerate(roots_b):
-            if k in used:
-                continue
-            if (ra - rb).is_zero:
-                hit = k
-                break
-        if hit is None:
-            continue
-        used.add(hit)
-        rb = roots_b[hit]
-        zeros.append(ra if ra.abs_prec >= rb.abs_prec else rb)
+        k = next((k for k, rb in enumerate(roots_b)
+                  if k not in used and (ra - rb).is_zero), None)
+        if k is not None:
+            used.add(k)
+            rb = roots_b[k]
+            zeros.append(ra if ra.abs_prec >= rb.abs_prec else rb)
     return zeros
 
 
@@ -237,25 +232,10 @@ class _Analysis:
 
     def _isolate(self, series):
         """Complete root list, or None with the reason when the zeros are
-        not simple enough to separate at working precision.
-
-        The budget b is min(prec - 2, min_j(abs_prec(c_j) + j)) over the
-        coefficients c_j read at prec - 2: at an anomalous prime the
-        Frobenius solve loses exactly v_p(#J(F_p)) digits, and a budget the
-        coefficients cannot meet fails at any N.  Isolating at b is sound.
-        It reads c_j for j < truncation_order(b) <=
-        truncation_order(prec - 2), each known mod p^(b - j).  The tail
-        beyond is O(p^b) on the disk whatever the digits, by the
-        antiderivative shape v(c_j) >= -ord_p(j).  So
-        f(p s) is within O(p^b) of the integral polynomial that
-        series_roots_in_disk isolates, and its Hensel counting holds for
-        every function that close: each zero returned is simple, and none
-        is missed.  A smaller b only pins the zeros to fewer digits."""
-        budget = self.prec - 2
-        for j in range(min(truncation_order(budget, self.p), len(series))):
-            budget = min(budget, series[j].abs_prec + j)
+        not simple enough to separate at working precision; the budget
+        prec - 2 is lowered to the digits the coefficients keep."""
         try:
-            return series_roots_in_disk(series, budget), None
+            return series_roots_in_disk(series, self.prec - 2), None
         except PrecisionError as exc:
             return None, exc
 
@@ -267,13 +247,10 @@ class _Analysis:
         r and z (its coefficients satisfy v(a_j) + j >= j - ord_p(j) >= 1),
         so a value of valuation below e certifies z is not a common zero.
         Values indistinguishable from zero keep the root as a candidate."""
-        kept = []
-        for r in roots:
-            val = data.expansion.evaluate_antiderivative(other, r)
-            if not val.is_zero and val.valuation < r.abs_prec:
-                continue
-            kept.append(r)
-        return kept
+        vals = [data.expansion.evaluate_antiderivative(other, r)
+                for r in roots]
+        return [r for r, v in zip(roots, vals)
+                if v.is_zero or v.valuation >= r.abs_prec]
 
     # -- classification ----------------------------------------------------
 
@@ -319,29 +296,25 @@ class _Analysis:
                 point = point.involution()
             x_o = point.x * self.curve.scale_x
             y_o = point.y * self.curve.scale_y
-            qx = rational_reconstruct(x_o)
-            qy = rational_reconstruct(y_o)
-            cand = None if qx is None or qy is None \
-                else RationalPoint.affine(qx, qy)
+            qx, qy, rel = _rational_x(self.curve.original, x_o, y_o)
+            cand = None if qy is None else RationalPoint.affine(qx, qy)
         # infinity and a rational branch point always pass the check
         if cand is not None and self.curve.is_on_curve_original(cand):
             base["class"] = "new_rational"
             base["x"], base["y"] = _coords(cand)
             return base
         order = self._torsion_order(disk, base["t"], point)
-        pair = _algebraic_point(self.curve.original, disk.is_infinity,
-                                x_o, y_o, qx)
-        if pair is None:
-            raise RecognitionError("zero in disk %s resists exact "
-                                   "recognition" % base["disk"])
-        x, y = pair
-        if x.v == 0:
-            base["x"] = str(x.u)
-        else:
-            base["x"] = x_o.expansion_str()
-            base["min_poly_x"] = format_polynomial(element_min_poly(x), "x")
+        base["x"] = x_o.expansion_str() if qx is None else str(qx)
         base["y"] = y_o.expansion_str()
-        base["min_poly_y"] = format_polynomial(element_min_poly(y), "y")
+        if rel is None:
+            pair = _algebraic_point(self.curve.original, disk.is_infinity,
+                                    x_o, y_o)
+            if pair is None:
+                raise RecognitionError("zero in disk %s resists exact "
+                                       "recognition" % base["disk"])
+            rel_x, rel = (element_min_poly(e) for e in pair)
+            base["min_poly_x"] = format_polynomial(rel_x, "x")
+        base["min_poly_y"] = format_polynomial(rel, "y")
         base["class"] = "other_algebraic" if order is None else "torsion"
         base["torsion_order"] = order
         return base
@@ -369,20 +342,28 @@ def _coords(pt):
     return str(pt.x), str(pt.y)
 
 
-def _quadratic_point(a_o, b_o, qa, poly):
-    """(a, b) as QuadraticElements of one field with b^2 = poly(a) checked
-    exactly, or None.
+def _rational_x(g, x_o, y_o):
+    """(qx, qy, rel) for the digits (x_o, y_o) of an original-model point
+    whose x is a trusted rational qx, else (None, None, None).  y needs no
+    digits of its own, as y^2 = g(qx): qy = +-s when g(qx) = s^2 (the sign
+    y_o shows; no candidate when neither does), else qy is None and y is
+    the root of rel = t^2 - g(qx)."""
+    qx = rational_reconstruct(x_o)
+    if qx is None or not is_trusted_rational(qx, x_o):
+        return None, None, None
+    r = eval_exact(g, qx)
+    s = rational_sqrt(r)
+    if s is None:
+        return qx, None, primitive_poly((-r, 0, 1))
+    qy = next((v for v in (s, -s) if (y_o - v).is_zero), None)
+    return (None, None, None) if qy is None else (qx, qy, None)
 
-    Tries a = qa rational with b quadratic, then a quadratic with b
-    rational or in Q(a).  Relation candidates come from the lattice search
-    and can be noise, so each is verified in exact arithmetic and the next
-    shape is tried when the check fails."""
-    if qa is not None:
-        rel = quadratic_relation(b_o)
-        if rel is not None and is_irreducible_quadratic(rel):
-            b = QuadraticElement.generator(rel)
-            if (b * b - eval_exact(poly, qa)).is_zero:
-                return QuadraticElement.rational(qa, rel), b
+
+def _quadratic_point(a_o, b_o, poly):
+    """(a, b) as QuadraticElements of one field with b^2 = poly(a) checked
+    exactly, or None: a quadratic a from the lattice on a_o, b rational or
+    a linear relation over Q(a).  Those can be noise, so each is verified
+    in exact arithmetic and the next shape is tried when the check fails."""
     rel = quadratic_relation(a_o)
     if rel is None or not is_irreducible_quadratic(rel):
         return None
@@ -402,17 +383,16 @@ def _quadratic_point(a_o, b_o, qa, poly):
     return (a, b) if (b * b - rhs).is_zero else None
 
 
-def _algebraic_point(g, at_infinity, x_o, y_o, qx):
-    """Exact (x, y) over a quadratic field for the digits (x_o, y_o) of an
-    original-model point, or None; qx is x_o reconstructed as a rational.
+def _algebraic_point(g, at_infinity, x_o, y_o):
+    """Exact (x, y), x quadratic, for the digits (x_o, y_o) of an
+    original-model point, or None.
 
     At infinity the search runs on s = 1/x, w = y/x^4, which are integral
     there and satisfy w^2 = s * (x^7-reversal of g); x = 1/s, y = w x^4."""
     if not at_infinity:
-        return _quadratic_point(x_o, y_o, qx, g)
+        return _quadratic_point(x_o, y_o, g)
     ginf = [Fraction(0)] + [g[7 - k] for k in range(8)]
-    pair = _quadratic_point(1 / x_o, y_o / x_o ** 4,
-                            None if qx is None else 1 / qx, ginf)
+    pair = _quadratic_point(1 / x_o, y_o / x_o ** 4, ginf)
     if pair is None:
         return None
     x = pair[0].inverse()

@@ -4,10 +4,10 @@ Rational reconstruction is the classical half-extended Euclid balanced
 lift.  Algebraic recognition looks for a short vector in the lattice of
 integer relations mod p^N among 1, v, v^2 (or 1, a, b) with an exact
 integer LLL, gated by a height bound so that lattice noise of size
-~ p^(N/3) is never mistaken for structure.  Candidates are only
-suggestions: callers verify them exactly with QuadraticElement
-arithmetic, which works in Q[t]/(minpoly) and never needs radicals or
-factoring.
+~ p^(N/3) is never mistaken for structure.  The pipeline needs it only for
+a quadratic x and for a y in Q(x): a rational x fixes y by the curve
+equation.  Candidates are only suggestions, verified exactly with
+QuadraticElement arithmetic in Q[t]/(minpoly), with no radicals.
 """
 
 from fractions import Fraction
@@ -48,6 +48,18 @@ def rational_reconstruct(value):
     if 2 * r1 * abs(s1) * p ** 3 > m:
         return None
     return Fraction(r1, s1) * Fraction(p) ** value.valuation
+
+
+def is_trusted_rational(q, value):
+    """True when value's n digits leave q = rational_reconstruct(value)
+    little room to be chance: (2h + 1)^2 p^3 <= p^n for h = |num * den| of
+    q's unit part (n = abs_prec for q = 0).  A residue with no rational
+    behind it passes with chance about n p^(-(n+3)/2), at most ~p^-3,
+    where reconstruction alone admits it with chance about n p^-3."""
+    p, n = value.prime, value.abs_prec if q == 0 else value.rel_prec
+    unit = q / Fraction(p) ** (value.valuation if q else 0)
+    h = abs(unit.numerator * unit.denominator)
+    return n == INF or (2 * h + 1) ** 2 * p ** 3 <= p ** n
 
 
 def primitive_poly(coeffs):

@@ -30,20 +30,13 @@ def truncation_order(prec, p):
 
 
 def _scaled_residue(coeff, j, p, prec):
-    """Integer residue of coeff * p^j mod p^prec, or None for exact zero."""
-    if coeff.is_exact_zero:
-        return None
+    """Integer residue of coeff * p^j mod p^prec, or None for zero; the
+    caller reads only coefficients known mod p^(prec - j)."""
     if coeff.is_zero:
-        if coeff.valuation + j < prec:
-            raise PrecisionError(
-                "coefficient of t^%d only known mod p^%s" % (j, coeff.valuation))
         return None
     v = coeff.valuation + j
     if v < 0:
         raise InputError("series is not integral on the open disk")
-    if coeff.abs_prec + j < prec:
-        raise PrecisionError(
-            "coefficient of t^%d only known mod p^%s" % (j, coeff.abs_prec))
     if v >= prec:
         return None
     return coeff.unit % p ** (prec - v) * p ** v % p ** prec
@@ -97,8 +90,18 @@ def series_roots_in_disk(series, prec):
     the truncation bound applies.  Returns PadicNumbers sorted by their
     integer representative; each carries the modulus to which the zero is
     pinned down, and each is a provably simple zero.
+
+    The budget b is prec lowered to min_j(abs_prec(c_j) + j), j <
+    truncation_order(prec), as after a solve that loses digits at an
+    anomalous prime.  That is sound: each c_j read, j < truncation_order(b)
+    <= truncation_order(prec), is known mod p^(b - j), and the tail is
+    O(p^b) on the disk by the antiderivative shape.  So the Hensel count
+    holds for every function within O(p^b) of the integral polynomial
+    isolated here: each zero returned is simple, and none is missed.
     """
     p = series.prime
+    for j in range(min(truncation_order(prec, p), len(series))):
+        prec = min(prec, series[j].abs_prec + j)
     m_order = truncation_order(prec, p)
     if series.t_prec < m_order:
         raise PrecisionError(

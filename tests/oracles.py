@@ -1,8 +1,9 @@
 """Helpers that only tests call: a p-adic square root with a chosen branch,
 the tiny integral, the termwise integral inside one residue disk that
 tests set against the Frobenius-based Coleman integrals, and a point count
-over GF(p^k) by Euler's criterion, set against the kernels' table of
-squares."""
+over GF(p^k) by Euler's criterion on a modulus of its own
+(`_last_rootless_low`), set against the kernels' table of squares and
+under the brute-force zeta oracle."""
 
 from g3chabauty.curve import CurvePoint
 from g3chabauty.errors import InputError
@@ -57,6 +58,16 @@ def tiny_integral(curve, coeffs, P, Q, p, prec):
     if not dP.is_infinity:
         return hi
     return hi - exp.evaluate_antiderivative(F, exp.t_of(P))
+
+
+def _last_rootless_low(p, k):
+    """[b, a] for the largest a, then the largest b, with T^k + aT + b
+    rootless in F_p (irreducible for k = 2, 3); [0] for F_p itself."""
+    if k == 1:
+        return [0]
+    return next([b, a] + [0] * (k - 2)
+                for a in range(p - 1, -1, -1) for b in range(p - 1, 0, -1)
+                if all((pow(x, k, p) + a * x + b) % p for x in range(p)))
 
 
 def count_points_euler(f_coeffs, p, k, modulus_low):

@@ -727,9 +727,39 @@ def test_exit_code_precision(job_a):
     assert main(["analyze", "--job", job_a, "--N", "4"]) == 4
 
 
-def test_exit_code_recognition(job_a):
-    # enough precision to isolate zeros, too little to recognize them
-    assert main(["analyze", "--job", job_a, "--N", "6"]) == 5
+EXAMPLE_JOBS = (DATA / "example_jobs.jsonl").read_text("utf-8").splitlines()
+
+
+def test_exit_code_recognition(tmp_path):
+    # enough precision to isolate zeros, too little to recognize them: the
+    # zeros of curve B at p = 7 have quadratic x (min poly x^2 - x + 1), and
+    # the lattice search on x needs N = 10
+    job = write_json(tmp_path / "job.json", EXAMPLE_JOBS[1])
+    assert main(["analyze", "--job", job, "--N", "6"]) == 5
+
+
+# Jobs whose zeros off the known points all have rational x, so y comes
+# from the curve equation and the proof finishes as soon as isolation
+# does.  Each exited 5 at these N while y was reconstructed separately.
+RATIONAL_X_JOBS = {
+    "A7": (json.loads((DATA / "job_ex1.json").read_text("utf-8")),
+           {"known_rational": 5, "torsion": 2, "weierstrass": 3}),
+    "C11": (json.loads(EXAMPLE_JOBS[2]),
+            {"known_rational": 4, "other_algebraic": 2, "weierstrass": 2}),
+    # y^2 = x^7 - x^4 + x: the zeros (-1, +-sqrt(-3))
+    "x7-x4+x-p7": ({"curve": {"coeffs": [0, 1, 0, 0, -1, 0, 0, 1]}, "p": 7},
+                   {"known_rational": 4, "other_algebraic": 2}),
+}
+
+
+@pytest.mark.parametrize("name,N", [("A7", 5), ("A7", 6), ("A7", 8),
+                                    ("C11", 6), ("C11", 8), ("C11", 12),
+                                    ("x7-x4+x-p7", 6)])
+def test_rational_x_proves_at_low_precision(name, N, tmp_path, capsys):
+    job, counts = RATIONAL_X_JOBS[name]
+    path = write_json(tmp_path / "job.json", job)
+    assert main(["analyze", "--job", path, "--N", str(N)]) == 0
+    assert json.loads(capsys.readouterr().out)["class_counts"] == counts
 
 
 def test_rejects_malformed_job(tmp_path, capsys):

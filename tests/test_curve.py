@@ -11,7 +11,8 @@ import sympy
 
 from conftest import CURVE_B_COEFFS, make_curve
 from g3chabauty.curve import (PRIME_CAP, CurveModel, FpPoint, RationalPoint,
-                              estimated_seconds, eval_exact, is_prime)
+                              estimated_seconds, eval_exact, is_prime,
+                              rational_sqrt)
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.localdisk import curve_point_from_rational
 
@@ -151,6 +152,19 @@ def test_search_rational_points(curve_b, curve_c):
     got_c = {p.coord_strings() if p.is_infinity else tuple(p.coord_strings())
              for p in pts_c}
     assert got_c == {"infinity", ("0", "0"), ("1", "-2"), ("1", "2")}
+
+
+@pytest.mark.parametrize("r,s", [
+    (0, 0), (1, 1), (4, 2), (49, 7), (10 ** 40, 10 ** 20),
+    (Fraction(9, 4), Fraction(3, 2)), (Fraction(1, 49), Fraction(1, 7)),
+    # non-squares: a square numerator or denominator alone is not enough
+    (2, None), (8, None), (Fraction(2, 9), None), (Fraction(4, 3), None),
+    (10 ** 40 + 1, None),
+    # negatives have no rational square root
+    (-1, None), (-4, None), (Fraction(-9, 4), None), (-140, None),
+])
+def test_rational_sqrt(r, s):
+    assert rational_sqrt(r) == s
 
 
 def test_curve_json_roundtrip(curve_b):

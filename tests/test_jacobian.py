@@ -4,16 +4,19 @@ import random
 
 import pytest
 
-from g3chabauty import _kernels as kernels
-from g3chabauty.errors import InputError
+from g3chabauty.errors import PrecisionError
 from g3chabauty.jacobian import MumfordDivisorFp
+
+from oracles import _last_rootless_low, count_points_euler
 
 
 def brute_zeta_coeffs(fbar, p):
     """Oracle: numerator coefficients b_0..b_6 of Z(C/F_p) from point counts
     over F_p, F_p^2, F_p^3 via Newton's identities and the functional
-    equation.  Independent of the cohomology machinery."""
-    counts = [kernels.count_points_gf(fbar, p, k) + 1 for k in (1, 2, 3)]
+    equation.  Independent of the cohomology machinery and of the kernels:
+    the counts are by Euler's criterion on a modulus of the oracle's own."""
+    counts = [count_points_euler(fbar, p, k, _last_rootless_low(p, k)) + 1
+              for k in (1, 2, 3)]
     s = [p ** k + 1 - counts[k - 1] for k in (1, 2, 3)]
     e1 = s[0]
     e2 = (e1 * s[0] - s[1]) // 2
@@ -136,5 +139,16 @@ def test_reduction_class_and_flags(curve_a):
 
 def test_validation_errors(setup_b7):
     curve, p, f, pts, n = setup_b7
-    with pytest.raises(InputError):
+    with pytest.raises(PrecisionError):
         MumfordDivisorFp(p, f, [1, 1], [5])   # v^2 - f check fails
+
+
+def test_order_with_a_wrong_group_order_is_a_failed_audit(setup_b7):
+    # a group order that does not kill the class is the program's own
+    # arithmetic failing (exit 4), not malformed input (exit 2)
+    curve, p, f, pts, n = setup_b7
+    d = next(MumfordDivisorFp.from_point(q, p, f) for q in pts
+             if not q.is_infinity and q.y != 0)
+    assert d.order(n) > 1
+    with pytest.raises(PrecisionError, match="does not annihilate"):
+        d.order(n + 1)

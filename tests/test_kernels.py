@@ -13,7 +13,7 @@ from g3chabauty.frobenius import _budget
 
 from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
                       CURVE_C_COEFFS, make_curve)
-from oracles import count_points_euler
+from oracles import _last_rootless_low, count_points_euler
 
 
 def test_poly_mul_oracle():
@@ -105,16 +105,6 @@ def test_count_points_gf_quadratic_extension():
             if yy == fx:
                 count += 1
     assert kernels.count_points_gf(f, p, k) == count
-
-
-def _last_rootless_low(p, k):
-    """[b, a] for the largest a, then the largest b, with T^k + aT + b
-    rootless in F_p (irreducible for k = 2, 3); [0] for F_p itself."""
-    if k == 1:
-        return [0]
-    return next([b, a] + [0] * (k - 2)
-                for a in range(p - 1, -1, -1) for b in range(p - 1, 0, -1)
-                if all((pow(x, k, p) + a * x + b) % p for x in range(p)))
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])

@@ -24,8 +24,9 @@ from g3chabauty.errors import (BadReductionError, InputError, PrecisionError,
 from g3chabauty.jacobian import MumfordDivisorFp
 from g3chabauty.padic import PadicNumber
 from g3chabauty import pipeline
-from g3chabauty.pipeline import (_algebraic_point, analyze_curve,
-                                 check_inputs, default_precision)
+from g3chabauty.pipeline import (_algebraic_point, _rational_x,
+                                 analyze_curve, check_inputs,
+                                 default_precision)
 from g3chabauty.recognize import (element_min_poly, format_polynomial,
                                   rational_reconstruct)
 
@@ -387,11 +388,9 @@ def test_infinity_disk_rational_x(curve_a):
     x_o = PadicNumber.from_rational(x, p, rel_prec=n)
     y_o = padic_sqrt(PadicNumber.from_rational(
         eval_exact(curve_a.original, x), p, rel_prec=n))
-    xe, ye = _algebraic_point(curve_a.original, True, x_o, y_o,
-                              rational_reconstruct(x_o))
-    assert (xe.u, xe.v) == (x, 0)
-    assert format_polynomial(element_min_poly(ye), "y") == \
-        "678223072849*y^2 - 5877648490249"
+    qx, qy, rel = _rational_x(curve_a.original, x_o, y_o)
+    assert (qx, qy) == (x, None)
+    assert format_polynomial(rel, "y") == "678223072849*y^2 - 5877648490249"
 
 
 def test_infinity_disk_quadratic_pair():
@@ -403,10 +402,45 @@ def test_infinity_disk_quadratic_pair():
     root2 = padic_sqrt(PadicNumber.from_rational(2, p, rel_prec=n))
     x_o = (root2 + 1) / 49
     assert x_o.valuation == -2
-    xe, ye = _algebraic_point(g, True, x_o, root2, rational_reconstruct(x_o))
+    xe, ye = _algebraic_point(g, True, x_o, root2)
     assert format_polynomial(element_min_poly(xe), "x") == \
         "2401*x^2 - 98*x - 1"
     assert format_polynomial(element_min_poly(ye), "y") == "y^2 - 2"
+    assert (ye * ye - eval_exact(g, xe)).is_zero
+
+
+def test_rational_x_takes_y_from_the_curve_equation(curve_c):
+    # the C@11 zero (-1, sqrt(-140)) with six digits: y is a root of
+    # t^2 - g(-1) by construction, where a lattice search on y's digits
+    # found nothing up to N = 12
+    p, n = 11, 6
+    x_o = PadicNumber.from_rational(-1, p, abs_prec=n)
+    y_o = padic_sqrt(PadicNumber.from_rational(-140, p, abs_prec=n))
+    assert eval_exact(curve_c.original, Fraction(-1)) == -140
+    assert _rational_x(curve_c.original, x_o, y_o) == (-1, None, (140, 0, 1))
+    # a rational square gives the rational point, with the sign y_o shows
+    x_o = PadicNumber.from_rational(1, p, abs_prec=n)
+    for y in (2, -2):
+        y_o = PadicNumber.from_rational(y, p, abs_prec=n)
+        assert _rational_x(curve_c.original, x_o, y_o) == (1, y, None)
+    assert _rational_x(curve_c.original, x_o, y_o + 1) == (None,) * 3
+
+
+def test_spurious_rational_x_goes_to_the_lattice():
+    # x = -2 + sqrt(43) at p = 7 with 14 digits reconstructs by chance to
+    # 3593/186681, far above the height those digits vouch for; on
+    # y^2 = (x + 3)^2 + (x^2 + 4x - 39) x^5 the zero has y = x + 3, and
+    # the lattice on x recovers it
+    p, n = 7, 14
+    g = [Fraction(c) for c in (9, 6, 1, 0, 0, -39, 4, 1)]
+    root = padic_sqrt(PadicNumber.from_rational(43, p, abs_prec=n + 2))
+    x_o = PadicNumber.from_rational(-2, p, abs_prec=n) + root
+    y_o = x_o + 3
+    assert rational_reconstruct(x_o) == Fraction(3593, 186681)
+    assert _rational_x(g, x_o, y_o) == (None,) * 3
+    xe, ye = _algebraic_point(g, False, x_o, y_o)
+    assert format_polynomial(element_min_poly(xe), "x") == "x^2 + 4*x - 39"
+    assert format_polynomial(element_min_poly(ye), "y") == "y^2 - 2*y - 42"
     assert (ye * ye - eval_exact(g, xe)).is_zero
 
 

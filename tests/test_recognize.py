@@ -9,7 +9,8 @@ import pytest
 from g3chabauty.curve import eval_exact
 from g3chabauty.padic import INF, PadicNumber
 from g3chabauty.recognize import (QuadraticElement, _lll, format_polynomial,
-                                  is_irreducible_quadratic, linear_relation,
+                                  is_irreducible_quadratic,
+                                  is_trusted_rational, linear_relation,
                                   quadratic_relation, rational_reconstruct,
                                   small_integer_relation)
 
@@ -60,6 +61,26 @@ def test_rational_reconstruct_rejects_irrational():
 def test_rational_reconstruct_exact_input():
     assert rational_reconstruct(PadicNumber(7, 0, 5, INF)) == 5
     assert rational_reconstruct(PadicNumber.zero(7)) == 0
+
+
+@pytest.mark.parametrize("q,p,n,trusted", [
+    # (2h + 1)^2 p^3 <= p^n, h = |num * den| of the unit part
+    (0, 7, 2, False), (0, 7, 3, True),       # n = abs_prec for zero
+    (-1, 7, 4, False), (-1, 7, 5, True), (-1, 11, 4, True),
+    (Fraction(-3, 2), 7, 5, False), (Fraction(-3, 2), 7, 6, True),
+    (Fraction(1, 49), 7, 5, True),           # p-power: unit part 1
+    (98, 7, 5, True), (Fraction(3593, 186681), 7, 14, False),
+    (Fraction(3593, 186681), 7, 40, True)])
+def test_trusted_rational_height_gate(q, p, n, trusted):
+    value = PadicNumber.from_rational(q, p, rel_prec=n) if q \
+        else PadicNumber.zero(p, n)
+    assert rational_reconstruct(value) in (q, None)
+    assert is_trusted_rational(Fraction(q), value) is trusted
+
+
+def test_trusted_rational_exact_input():
+    assert is_trusted_rational(Fraction(5), PadicNumber(7, 0, 5, INF))
+    assert is_trusted_rational(Fraction(0), PadicNumber.zero(7))
 
 
 # from p = 13 on, the library's own N = 2p + 4
