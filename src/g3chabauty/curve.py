@@ -34,7 +34,7 @@ from math import isqrt, lcm
 from . import _kernels as kernels
 from .errors import BadReductionError, InputError
 from .padic import hensel_lift_root, ord_p
-from .recognize import primitive_poly
+from .recognize import primitive_poly, rational_sqrt
 
 
 # The largest working prime check_prime and choose_prime accept; it bounds
@@ -163,15 +163,6 @@ def eval_exact(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def rational_sqrt(r):
-    """The s >= 0 with s^2 = r for a rational r, or None (negative r too)."""
-    r = Fraction(r)
-    if r < 0:
-        return None
-    s = Fraction(isqrt(r.numerator), isqrt(r.denominator))
-    return s if s * s == r else None
 
 
 @dataclass(frozen=True, order=True)

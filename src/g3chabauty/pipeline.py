@@ -12,12 +12,12 @@ point, a new rational point (exact verification), a Weierstrass point
 (exact: a root of a factor of F), a torsion image (all three logarithms
 vanish at working precision; the order is read off the reduction, where
 torsion injects), or an algebraic point over a quadratic field, exact in
-Q[t]/(min poly).  A rational x of a height its digits vouch for gives y
-by y^2 = g(x), as a rational square root or a root of t^2 - g(x); any
-other x goes to the lattice search, which serves both charts: (x, y) on
-y^2 = g(x) in affine disks and (s, w) = (1/x, y/x^4) on w^2 = s *
-(x^7-reversal of g) at infinity.  Recognition failures raise instead of
-guessing.
+Q[t]/(min poly).  y is never searched for: it comes from y^2 = g(x) once
+x is exact.  A rational x of a height its digits vouch for gives y as a
+rational square root or a root of t^2 - g(x); any other x goes to one
+lattice search for a quadratic x, run on 1/x in the infinity disk, and y
+is the square root of g(x) in Q(x) that y's digits pick.  Recognition
+failures raise instead of guessing.
 
 Zeros are computed once per involution pair of disks: the functionals are
 odd under y -> -y, so the mirror disk has the same parameter values with
@@ -29,21 +29,21 @@ output alone.
 import json
 import logging
 from collections import Counter
-from fractions import Fraction
 
 from .coleman import ColemanContext
 from .curve import (COST_CAP_S, HEIGHT_CAP, PREC_CAP, PREC_MIN,
                     RationalPoint, check_prime_number, estimated_seconds,
-                    eval_exact, rational_sqrt)
+                    eval_exact)
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
 from .localdisk import curve_point_from_rational, form_series
 from .padic import INF, PadicNumber, ord_p
-from .recognize import (QuadraticElement, element_min_poly,
+from .recognize import (QuadraticElement, element_min_poly, element_sqrt,
                         format_polynomial, is_irreducible_quadratic,
-                        is_trusted_rational, linear_relation, primitive_poly,
-                        quadratic_relation, rational_reconstruct)
+                        is_trusted_rational, primitive_poly,
+                        quadratic_relation, rational_reconstruct,
+                        rational_sqrt)
 from .rootfinding import series_roots_in_disk
 
 log = logging.getLogger(__name__)
@@ -307,8 +307,7 @@ class _Analysis:
         base["x"] = x_o.expansion_str() if qx is None else str(qx)
         base["y"] = y_o.expansion_str()
         if rel is None:
-            pair = _algebraic_point(self.curve.original, disk.is_infinity,
-                                    x_o, y_o)
+            pair = _algebraic_point(self.curve.original, x_o, y_o)
             if pair is None:
                 raise RecognitionError("zero in disk %s resists exact "
                                        "recognition" % base["disk"])
@@ -359,44 +358,25 @@ def _rational_x(g, x_o, y_o):
     return (None, None, None) if qy is None else (qx, qy, None)
 
 
-def _quadratic_point(a_o, b_o, poly):
-    """(a, b) as QuadraticElements of one field with b^2 = poly(a) checked
-    exactly, or None: a quadratic a from the lattice on a_o, b rational or
-    a linear relation over Q(a).  Those can be noise, so each is verified
-    in exact arithmetic and the next shape is tried when the check fails."""
+def _algebraic_point(g, x_o, y_o):
+    """Exact (x, y), x quadratic, for the digits (x_o, y_o) of an
+    original-model point, or None.  One lattice search finds x, on 1/x_o
+    where v(x_o) < 0 (the infinity disk), so that its input is integral;
+    y is the square root of g(x) in Q(x) that y_o shows.  A g(x) that is no
+    square there, or a y_o that matches both roots or neither, gives None."""
+    inverted = x_o.valuation < 0
+    a_o = 1 / x_o if inverted else x_o
     rel = quadratic_relation(a_o)
     if rel is None or not is_irreducible_quadratic(rel):
         return None
     a = QuadraticElement.generator(rel)
-    rhs = eval_exact(poly, a)
-    qb = rational_reconstruct(b_o)
-    if qb is not None:
-        b = QuadraticElement.rational(qb, rel)
-        if (b * b - rhs).is_zero:
-            return a, b
-    lin = linear_relation(b_o, a_o)
-    if lin is None or lin[1] == 0:
+    x = a.inverse() if inverted else a
+    w = element_sqrt(eval_exact(g, x))
+    if w is None:
         return None
-    c0, c1, c2 = lin
-    b = QuadraticElement.rational(Fraction(-c0, c1), rel) \
-        + a * Fraction(-c2, c1)
-    return (a, b) if (b * b - rhs).is_zero else None
-
-
-def _algebraic_point(g, at_infinity, x_o, y_o):
-    """Exact (x, y), x quadratic, for the digits (x_o, y_o) of an
-    original-model point, or None.
-
-    At infinity the search runs on s = 1/x, w = y/x^4, which are integral
-    there and satisfy w^2 = s * (x^7-reversal of g); x = 1/s, y = w x^4."""
-    if not at_infinity:
-        return _quadratic_point(x_o, y_o, g)
-    ginf = [Fraction(0)] + [g[7 - k] for k in range(8)]
-    pair = _quadratic_point(1 / x_o, y_o / x_o ** 4, ginf)
-    if pair is None:
-        return None
-    x = pair[0].inverse()
-    return x, pair[1] * x * x * x * x
+    # a root u + v a reads u + v a_o in Q_p
+    ys = [y for y in (w, w * -1) if (y_o - y.u - a_o * y.v).is_zero]
+    return (x, ys[0]) if len(ys) == 1 else None
 
 
 class AnalysisReport:

@@ -2,12 +2,13 @@
 
 Rational reconstruction is the classical half-extended Euclid balanced
 lift.  Algebraic recognition looks for a short vector in the lattice of
-integer relations mod p^N among 1, v, v^2 (or 1, a, b) with an exact
-integer LLL, gated by a height bound so that lattice noise of size
-~ p^(N/3) is never mistaken for structure.  The pipeline needs it only for
-a quadratic x and for a y in Q(x): a rational x fixes y by the curve
-equation.  Candidates are only suggestions, verified exactly with
-QuadraticElement arithmetic in Q[t]/(minpoly), with no radicals.
+integer relations mod p^N among 1, v, v^2 with an exact integer LLL, gated
+by a height bound so that lattice noise of size ~ p^(N/3) is never
+mistaken for structure.  The pipeline runs it once per zero, on a
+quadratic x (or 1/x); y then needs no search, as it is a square root of
+g(x) in K = Q(x), which element_sqrt takes exactly.  Candidates are only
+suggestions, verified with QuadraticElement arithmetic in Q[t]/(minpoly),
+with no radicals.
 """
 
 from fractions import Fraction
@@ -25,9 +26,9 @@ def rational_reconstruct(value):
     A random residue admits a balanced lift just under the bound with
     roughly constant probability, so candidates with num * den within p^3
     of the modulus are rejected as noise; true fractions of moderate
-    height are unaffected."""
+    height are unaffected.  An inexact zero needs 4 digits too."""
     if value.is_zero:
-        return Fraction(0)
+        return Fraction(0) if value.abs_prec >= 4 else None
     p = value.prime
     n = value.rel_prec
     if n == INF:
@@ -48,6 +49,15 @@ def rational_reconstruct(value):
     if 2 * r1 * abs(s1) * p ** 3 > m:
         return None
     return Fraction(r1, s1) * Fraction(p) ** value.valuation
+
+
+def rational_sqrt(r):
+    """The s >= 0 with s^2 = r for a rational r, or None (negative r too)."""
+    r = Fraction(r)
+    if r < 0:
+        return None
+    s = Fraction(isqrt(r.numerator), isqrt(r.denominator))
+    return s if s * s == r else None
 
 
 def is_trusted_rational(q, value):
@@ -185,20 +195,11 @@ def small_integer_relation(values):
 
 def quadratic_relation(value):
     """(c0, c1, c2) primitive with c0 + c1 v + c2 v^2 = 0 mod p^N, or None."""
-    one = _padic_one(value)
+    prec = value.abs_prec
+    one = (PadicNumber.from_rational(1, value.prime, rel_prec=64)
+           if prec == INF else
+           PadicNumber.from_rational(1, value.prime, abs_prec=int(prec)))
     return small_integer_relation([one, value, value * value])
-
-
-def linear_relation(a, b):
-    """(c0, c1, c2) primitive with c0 + c1 a + c2 b = 0 mod p^N, or None."""
-    return small_integer_relation([_padic_one(a), a, b])
-
-
-def _padic_one(like):
-    prec = like.abs_prec
-    if prec == INF:
-        return PadicNumber.from_rational(1, like.prime, rel_prec=64)
-    return PadicNumber.from_rational(1, like.prime, abs_prec=int(prec))
 
 
 def is_irreducible_quadratic(rel):
@@ -225,10 +226,6 @@ class QuadraticElement:
     @staticmethod
     def generator(minpoly):
         return QuadraticElement(0, 1, minpoly)
-
-    @staticmethod
-    def rational(value, minpoly):
-        return QuadraticElement(value, 0, minpoly)
 
     def _like(self, u, v):
         return QuadraticElement(u, v, self.minpoly)
@@ -261,19 +258,20 @@ class QuadraticElement:
             return other
         return QuadraticElement(other, 0, self.minpoly)
 
-    def inverse(self):
-        """Exact multiplicative inverse via the conjugate over Q."""
+    def trace_norm(self):
+        """Trace and norm over Q, exact."""
         c0, c1, c2 = self.minpoly
-        if self.v == 0:
-            if self.u == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return self._like(1 / self.u, 0)
         tsum = Fraction(-c1, c2)
-        norm = (self.u * self.u + self.u * self.v * tsum
+        return (2 * self.u + self.v * tsum,
+                self.u * self.u + self.u * self.v * tsum
                 + self.v * self.v * Fraction(c0, c2))
+
+    def inverse(self):
+        """Exact multiplicative inverse: the conjugate over the norm."""
+        trace, norm = self.trace_norm()
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._like((self.u + self.v * tsum) / norm, -self.v / norm)
+        return self._like((trace - self.u) / norm, -self.v / norm)
 
     @property
     def is_zero(self):
@@ -290,13 +288,34 @@ class QuadraticElement:
 def element_min_poly(el):
     """Minimal polynomial over Q of a QuadraticElement, as a primitive
     integer tuple, constant first, positive leading coefficient."""
-    c0, c1, c2 = el.minpoly
     if el.v == 0:
         return primitive_poly((-el.u, 1))
-    tsum = Fraction(-c1, c2)
-    tr = 2 * el.u + el.v * tsum
-    nm = el.u * el.u + el.u * el.v * tsum + el.v * el.v * Fraction(c0, c2)
-    return primitive_poly((nm, -tr, 1))
+    trace, norm = el.trace_norm()
+    return primitive_poly((norm, -trace, 1))
+
+
+def element_sqrt(z):
+    """A w in z's field K with w^2 = z, checked exactly, or None when z is
+    no square in K; the other root is -w.  A root has norm n = +-sqrt N(z)
+    and trace tau with tau^2 = T(z) + 2n, and w tau = w^2 + w w' = z + n;
+    when no n gives a nonzero rational tau, w has trace 0: w = q sqrt D =
+    q (2 c2 t + c1), D the discriminant, and z = q^2 D."""
+    trace, norm = z.trace_norm()
+    root = rational_sqrt(norm)
+    if root is None:
+        return None
+    for n in (root, -root):
+        tau = rational_sqrt(trace + 2 * n)
+        if tau:
+            w = (z + n) * (1 / tau)
+            break
+    else:
+        c0, c1, c2 = z.minpoly
+        q = rational_sqrt(z.u / (c1 * c1 - 4 * c0 * c2)) if z.v == 0 else None
+        if q is None:
+            return None
+        w = QuadraticElement(c1 * q, 2 * c2 * q, z.minpoly)
+    return w if w * w == z else None
 
 
 def format_polynomial(rel, var):

@@ -1,9 +1,12 @@
 """Helpers that only tests call: a p-adic square root with a chosen branch,
-the tiny integral, the termwise integral inside one residue disk that
-tests set against the Frobenius-based Coleman integrals, and a point count
+a random d whose square root is in Q_p but not in Q, the tiny integral,
+the termwise integral inside one residue disk that tests set against the
+Frobenius-based Coleman integrals, and a point count
 over GF(p^k) by Euler's criterion on a modulus of its own
 (`_last_rootless_low`), set against the kernels' table of squares and
 under the brute-force zeta oracle."""
+
+from math import isqrt
 
 from g3chabauty.curve import CurvePoint
 from g3chabauty.errors import InputError
@@ -40,6 +43,17 @@ def padic_sqrt(a, branch=None):
             if root.unit % p != want:
                 raise InputError("branch hint matches neither square root")
     return root
+
+
+def nonsquare_qr(p, rng):
+    """A random non-square integer d in [2, 200] that is a nonzero square
+    mod p, so sqrt(d) lies in Q_p but not in Q."""
+    while True:
+        d = rng.randint(2, 200)
+        if isqrt(d) ** 2 == d:
+            continue
+        if pow(d % p, (p - 1) // 2, p) == 1:
+            return d
 
 
 def tiny_integral(curve, coeffs, P, Q, p, prec):

@@ -733,7 +733,7 @@ EXAMPLE_JOBS = (DATA / "example_jobs.jsonl").read_text("utf-8").splitlines()
 def test_exit_code_recognition(tmp_path):
     # enough precision to isolate zeros, too little to recognize them: the
     # zeros of curve B at p = 7 have quadratic x (min poly x^2 - x + 1), and
-    # the lattice search on x needs N = 10
+    # the lattice search on x needs N = 9
     job = write_json(tmp_path / "job.json", EXAMPLE_JOBS[1])
     assert main(["analyze", "--job", job, "--N", "6"]) == 5
 

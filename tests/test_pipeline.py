@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,10 +29,10 @@ from g3chabauty.pipeline import (_algebraic_point, _rational_x,
                                  analyze_curve, check_inputs,
                                  default_precision)
 from g3chabauty.recognize import (element_min_poly, format_polynomial,
-                                  rational_reconstruct)
+                                  primitive_poly, rational_reconstruct)
 
 from conftest import CURVE_A_KNOWN, CURVE_C_KNOWN
-from oracles import padic_sqrt
+from oracles import nonsquare_qr, padic_sqrt
 
 
 
@@ -402,7 +403,7 @@ def test_infinity_disk_quadratic_pair():
     root2 = padic_sqrt(PadicNumber.from_rational(2, p, rel_prec=n))
     x_o = (root2 + 1) / 49
     assert x_o.valuation == -2
-    xe, ye = _algebraic_point(g, True, x_o, root2)
+    xe, ye = _algebraic_point(g, x_o, root2)
     assert format_polynomial(element_min_poly(xe), "x") == \
         "2401*x^2 - 98*x - 1"
     assert format_polynomial(element_min_poly(ye), "y") == "y^2 - 2"
@@ -438,10 +439,51 @@ def test_spurious_rational_x_goes_to_the_lattice():
     y_o = x_o + 3
     assert rational_reconstruct(x_o) == Fraction(3593, 186681)
     assert _rational_x(g, x_o, y_o) == (None,) * 3
-    xe, ye = _algebraic_point(g, False, x_o, y_o)
+    xe, ye = _algebraic_point(g, x_o, y_o)
     assert format_polynomial(element_min_poly(xe), "x") == "x^2 + 4*x - 39"
     assert format_polynomial(element_min_poly(ye), "y") == "y^2 - 2*y - 42"
     assert (ye * ye - eval_exact(g, xe)).is_zero
+
+
+@pytest.mark.parametrize("at_infinity", [False, True],
+                         ids=["finite", "infinity"])
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_algebraic_point_takes_y_as_a_square_root(p, at_infinity):
+    # x = (a + b sqrt d)/m with min poly q, on y^2 = (b0 + b1 x)^2 + q x^5,
+    # so y = b0 + b1 x; m = p^2 and a unit a + b sqrt d put x in the
+    # infinity disk (v(x) = -2).  Every fourth case has a = b0 = 0, where y
+    # has trace zero and g(x) is rational
+    n = 30
+    rng = random.Random(10 * p + at_infinity)
+    m = p ** 2 if at_infinity else 1
+    checked = 0
+    for i in range(40):
+        d = nonsquare_qr(p, rng)
+        a, b0 = (0, 0) if i % 4 == 0 else (rng.randint(-12, 12),
+                                           rng.randint(-9, 9))
+        b = rng.choice([c for c in range(-9, 10) if c % p])
+        b1 = rng.randint(-5, 5) if b0 else rng.choice([1, -2, 3])
+        root = padic_sqrt(PadicNumber.from_rational(d, p, rel_prec=n))
+        top = root * b + a
+        if at_infinity and top.valuation != 0:
+            continue
+        x_o = top / m
+        y_o = x_o * b1 + PadicNumber.from_rational(b0, p, abs_prec=n)
+        q = primitive_poly((a * a - b * b * d, -2 * a * m, m * m))
+        g = [b0 * b0, 2 * b0 * b1, b1 * b1, 0, 0] + list(q)
+        xe, ye = _algebraic_point(g, x_o, y_o)
+        assert element_min_poly(xe) == q
+        assert ye == xe * b1 + b0
+        # the other sign of y's digits picks the other root
+        assert _algebraic_point(g, x_o, -y_o)[1] == ye * -1
+        # one wrong digit matches neither root
+        j = rng.randrange(y_o.valuation, y_o.abs_prec)
+        assert _algebraic_point(g, x_o, y_o + Fraction(p) ** j) is None
+        # digits too few to tell the roots apart match both
+        assert _algebraic_point(g, x_o, PadicNumber.zero(p, y_o.valuation)) \
+            is None
+        checked += 1
+    assert checked >= 30
 
 
 @pytest.mark.parametrize("curve,p,dropped,coords", [

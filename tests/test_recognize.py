@@ -2,19 +2,19 @@
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 
 from g3chabauty.curve import eval_exact
 from g3chabauty.padic import INF, PadicNumber
-from g3chabauty.recognize import (QuadraticElement, _lll, format_polynomial,
-                                  is_irreducible_quadratic,
-                                  is_trusted_rational, linear_relation,
-                                  quadratic_relation, rational_reconstruct,
+from g3chabauty.recognize import (QuadraticElement, _lll, element_sqrt,
+                                  format_polynomial, is_irreducible_quadratic,
+                                  is_trusted_rational, quadratic_relation,
+                                  rational_reconstruct, rational_sqrt,
                                   small_integer_relation)
 
-from oracles import padic_sqrt
+from oracles import nonsquare_qr, padic_sqrt
 
 
 def from_frac(q, p, prec):
@@ -29,15 +29,6 @@ def primitive(vec):
     if next(c for c in reversed(out) if c) < 0:
         out = [-c for c in out]
     return tuple(out)
-
-
-def nonsquare_qr(p, rng):
-    while True:
-        d = rng.randint(2, 200)
-        if isqrt(d) ** 2 == d:
-            continue
-        if pow(d % p, (p - 1) // 2, p) == 1:
-            return d
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -61,6 +52,13 @@ def test_rational_reconstruct_rejects_irrational():
 def test_rational_reconstruct_exact_input():
     assert rational_reconstruct(PadicNumber(7, 0, 5, INF)) == 5
     assert rational_reconstruct(PadicNumber.zero(7)) == 0
+
+
+@pytest.mark.parametrize("n,want", [(1, None), (2, None), (3, None),
+                                    (4, 0), (9, 0), (INF, 0)])
+def test_rational_reconstruct_zero_needs_four_digits(n, want):
+    # like any other fraction: an inexact zero is 0 only from 4 digits on
+    assert rational_reconstruct(PadicNumber.zero(7, n)) == want
 
 
 @pytest.mark.parametrize("q,p,n,trusted", [
@@ -163,27 +161,6 @@ def test_quadratic_rejects_noise():
             assert False, "noise recognized as algebraic: %r" % (rel,)
 
 
-def test_linear_relation_planted():
-    p = 7
-    rng = random.Random(9)
-    for _ in range(40):
-        d = nonsquare_qr(p, rng)
-        mp = (-d, 0, 1)
-        a, b = rng.randint(-9, 9), rng.choice([1, 2, 3, -1, -2])
-        u, v = rng.randint(-9, 9), rng.choice([1, 2, -1, -3])
-        root = padic_sqrt(PadicNumber.from_rational(d, p, rel_prec=20), branch=None)
-        x = from_frac(a, p, 20) + from_frac(b, p, 20) * root
-        y = from_frac(u, p, 20) + from_frac(v, p, 20) * x
-        rel = linear_relation(y, x)
-        assert rel is not None and rel[1] != 0
-        x_el = QuadraticElement(a, b, mp)
-        y_el = QuadraticElement(u, 0, mp) + QuadraticElement(v, 0, mp) * x_el
-        total = (QuadraticElement.rational(rel[0], mp)
-                 + QuadraticElement.rational(rel[1], mp) * y_el
-                 + QuadraticElement.rational(rel[2], mp) * x_el)
-        assert total.is_zero
-
-
 def test_relation_from_unbalanced_basis():
     # curve A at p = 7, N = 40: with entries in [0, 7^40) the lattice basis
     # [[7^40, 0, 0], [c, 1, 0], [7^40 - 8, 0, 1]] tripped an assert in
@@ -200,6 +177,66 @@ def test_quadratic_element_arithmetic():
     assert eval_exact([1, -1, 1], g).is_zero
     h = QuadraticElement.generator((3, 0, 1))
     assert (h * h + 3).is_zero
+
+
+def random_field(rng, negative):
+    """An irreducible (c0, c1, c2) whose discriminant has the given sign."""
+    while True:
+        rel = (rng.randint(-20, 20), rng.randint(-9, 9), rng.randint(1, 5))
+        disc = rel[1] ** 2 - 4 * rel[0] * rel[2]
+        if (disc < 0) == negative and is_irreducible_quadratic(rel):
+            return rel, disc
+
+
+def random_element(rng, mp):
+    return QuadraticElement(Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+                            Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+                            mp)
+
+
+@pytest.mark.parametrize("negative", [True, False], ids=["d<0", "d>0"])
+def test_element_sqrt_of_squares(negative):
+    rng = random.Random(40 + negative)
+    for _ in range(100):
+        mp, _ = random_field(rng, negative)
+        w = random_element(rng, mp)
+        root = element_sqrt(w * w)
+        assert root is not None and (root == w or root == w * -1)
+
+
+@pytest.mark.parametrize("negative", [True, False], ids=["d<0", "d>0"])
+def test_element_sqrt_of_non_squares(negative):
+    # delta w^2 is a square only when delta is: a rational delta is a
+    # square in Q(sqrt D) when delta or delta D is a rational square, and
+    # an element whose norm is no rational square is none
+    rng = random.Random(50 + negative)
+    tested = 0
+    for _ in range(100):
+        mp, disc = random_field(rng, negative)
+        w = random_element(rng, mp)
+        if w.is_zero:
+            continue
+        delta = Fraction(rng.randint(-12, 12), rng.randint(1, 5))
+        if delta and rational_sqrt(delta) is None \
+                and rational_sqrt(delta * disc) is None:
+            assert element_sqrt(w * w * delta) is None
+            tested += 1
+        delta = random_element(rng, mp)
+        if rational_sqrt(delta.trace_norm()[1]) is None:
+            assert element_sqrt(w * w * delta) is None
+            tested += 1
+    assert tested > 100
+
+
+def test_element_sqrt_trace_zero_and_zero():
+    # sqrt(-3) in Q(sqrt -3), as t for t^2 + 3 and as 2t - 1 for t^2 - t + 1
+    # (curve B's y^2 + 3 over x^2 - x + 1)
+    for mp, want in (((3, 0, 1), (0, 1)), ((1, -1, 1), (-1, 2))):
+        root = element_sqrt(QuadraticElement(-3, 0, mp))
+        assert (root.u, root.v) in (want, tuple(-c for c in want))
+    assert element_sqrt(QuadraticElement(-2, 0, (3, 0, 1))) is None
+    assert element_sqrt(QuadraticElement(4, 0, (3, 0, 1))) in (2, -2)
+    assert element_sqrt(QuadraticElement(0, 0, (1, -1, 1))).is_zero
 
 
 def test_is_irreducible_quadratic():
