@@ -8,10 +8,11 @@ search-points (rational point search on the original model), integrate
 
 Every job passes parse_job before any work: analyze checks the id even
 without --out, and one malformed line in a batch exits 2 before any job
-runs.  Exit codes: 0 success, 1 internal failure, 2 malformed input (rank
-at least 2 included), 3 bad reduction at the requested prime, 4 precision
-or multiple-zero obstruction (rerun with a larger --N), 5 a zero resisted
-exact recognition.  A batch run exits 0 only when every job succeeded;
+runs.  Exit codes, each the exit_code of its error class: 0 success, 1
+internal failure, 2 malformed input (rank at least 2 included), 3 bad
+reduction at the requested prime, 4 precision or multiple-zero
+obstruction (rerun with a larger --N), 5 a zero resisted exact
+recognition.  A batch run exits 0 only when every job succeeded;
 jobs that fail during analysis are isolated and reported in the summary.
 """
 
@@ -28,30 +29,12 @@ from ._kernels import brute_zeta_numerator
 from .coleman import ColemanContext
 from .curve import (COST_CAP_S, NUMBER_DIGITS_CAP, CurveModel, RationalPoint,
                     estimated_brute_seconds)
-from .errors import (BadReductionError, G3Error, InputError, PrecisionError,
-                     RecognitionError, SimplicityError)
+from .errors import G3Error, InputError
 from .frobenius import zeta_numerator
 from .localdisk import curve_point_from_rational
 from .pipeline import analyze_curve, check_inputs, default_precision
 
 log = logging.getLogger(__name__)
-
-EXIT_INPUT = 2
-EXIT_BAD_REDUCTION = 3
-EXIT_PRECISION = 4
-EXIT_RECOGNITION = 5
-
-
-def exit_code_for(exc):
-    if isinstance(exc, InputError):
-        return EXIT_INPUT
-    if isinstance(exc, BadReductionError):
-        return EXIT_BAD_REDUCTION
-    if isinstance(exc, (PrecisionError, SimplicityError)):
-        return EXIT_PRECISION
-    if isinstance(exc, RecognitionError):
-        return EXIT_RECOGNITION
-    return 1
 
 
 def _json_int(text):
@@ -389,7 +372,7 @@ def main(argv=None):
         return args.func(args)
     except G3Error as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -7,12 +7,15 @@ choice after clearing denominators is u = 1/c, v = 1/c^3 with c the leading
 coefficient, so monic coefficients are F_i = g_i * c^(6-i).  Reports convert
 back through the stored (u, v).
 
-The exact algebra over Z that the model needs is done here in pure Python:
-primality by trial division, the discriminant as a Sylvester resultant by
-fraction-free (Bareiss) elimination, and the factorisation of F over Q by
-Zassenhaus's method (distinct- and equal-degree splitting modulo a small
-prime on the ``_kernels`` F_p helpers, Hensel lifting past the Mignotte
-bound, recombination by exact trial division).  Working primes are capped
+The exact algebra the model needs is done here in pure Python: primality
+by trial division; the two squarefree tests, gcd(F, F') = 1 over Q by
+Euclid's algorithm on Fractions (the curve is nonsingular) and over F_p
+(p is a prime of good reduction: for a monic p-integral F, p divides
+disc(F) exactly when F mod p has a repeated factor, so no discriminant
+is computed); and the factorisation of F over Q by Zassenhaus's method
+(distinct- and equal-degree splitting modulo a small prime on the
+``_kernels`` F_p helpers, Hensel lifting past the Mignotte bound,
+recombination by exact trial division).  Working primes are capped
 at ``PRIME_CAP``; ``HEIGHT_CAP`` and ``PREC_CAP`` cap the point search
 height and the precision of an analysis, ``PREC_MIN`` is the least
 precision whose Frobenius audit can pass, ``COST_CAP_S`` caps the
@@ -299,7 +302,6 @@ class CurveModel:
         self.F = tuple(F)
         self.scale_x = u
         self.scale_y = v
-        self._disc = None
 
     # -- basic invariants ---------------------------------------------------
 
@@ -317,19 +319,9 @@ class CurveModel:
             out.append(c.numerator * pow(c.denominator, -1, m) % m)
         return out
 
-    def discriminant(self):
-        """disc(F) = (-1)^21 Res(F, F') / lc(F), from the primitive integer
-        G = c F by disc(F) = disc(G) / c^12."""
-        if self._disc is None:
-            G = list(primitive_poly(self.F))
-            dG = [i * G[i] for i in range(1, len(G))]
-            c = G[-1] / self.F[-1]
-            self._disc = Fraction(-_resultant(G, dG), G[-1]) / c ** 12
-        return self._disc
-
     def validate(self):
-        if self.discriminant() == 0:
-            raise InputError("discriminant vanishes: curve is singular")
+        if not _squarefree_over_q(self.F):
+            raise InputError("F is not squarefree: curve is singular")
         return self
 
     # -- model maps -----------------------------------------------------------
@@ -347,24 +339,19 @@ class CurveModel:
     # -- primes and reduction --------------------------------------------------
 
     def is_good_prime(self, p):
-        if p < 7:
-            return False
-        if ord_p(self.discriminant(), p) != 0:
-            return False
-        for q in (self.scale_x, self.scale_y, self.original[7]):
-            if ord_p(q, p) != 0:
-                return False
-        return all(ord_p(c, p) >= 0 for c in self.F if c != 0)
+        """p >= 7, the scaling and g7 are p-units, F is p-integral and F mod
+        p is squarefree."""
+        units = (self.scale_x, self.scale_y, self.original[7])
+        return (p >= 7 and all(ord_p(q, p) == 0 for q in units)
+                and all(c.denominator % p for c in self.F)
+                and _squarefree_mod(self.f_coeffs_mod(p, 1), p))
 
     def choose_prime(self):
         """Smallest good prime."""
-        p = 7
-        while not self.is_good_prime(p):
-            p += 2
-            while not is_prime(p):
-                p += 2
-            if p > PRIME_CAP:
-                raise InputError("no good prime found below %d" % PRIME_CAP)
+        p = next((p for p in range(7, PRIME_CAP + 1)
+                  if is_prime(p) and self.is_good_prime(p)), None)
+        if p is None:
+            raise InputError("no good prime found below %d" % PRIME_CAP)
         return p
 
     def check_prime(self, p):
@@ -387,16 +374,12 @@ class CurveModel:
             pts.append(FpPoint("affine", x, y))
         return pts
 
-    def coleman_bound(self, p):
-        """#C(F_p) + 2g - 2."""
-        return len(self.fp_points(p)) + 2 * self.genus - 2
-
     # -- special points -----------------------------------------------------------
 
     def weierstrass_x_factors(self):
         """Irreducible factors of F over Q as primitive integer coefficient
         tuples (constant first, positive leading coefficient), sorted."""
-        if self.discriminant() == 0:
+        if not _squarefree_over_q(self.F):
             raise InputError("F is not squarefree")
         return sorted(_factor_squarefree(list(primitive_poly(self.F))))
 
@@ -482,27 +465,29 @@ class CurveModel:
 # -- exact algebra over Z -----------------------------------------------------
 # Integer polynomials are coefficient lists, constant first.
 
-def _resultant(a, b):
-    """Res(a, b) as the determinant of the Sylvester matrix, by Bareiss's
-    fraction-free elimination: every division below is exact."""
-    m, n = len(a) - 1, len(b) - 1
-    rows = ([[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
-            + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)])
-    size, sign, prev = m + n, 1, 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot, top = rows[k][k], rows[k]
-        for row in rows[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * rows[-1][-1]
+def _squarefree_over_q(f):
+    """True when gcd(f, f') = 1 over Q, by Euclid's algorithm on Fractions
+    with each divisor made monic (f of nonzero leading coefficient)."""
+    a = [Fraction(c) for c in f]
+    b = [i * c for i, c in enumerate(a)][1:]
+    while any(b):
+        while b[-1] == 0:
+            b.pop()
+        b = [c / b[-1] for c in b]
+        # a mod b, left in a[:len(b) - 1]
+        for i in range(len(a) - len(b), -1, -1):
+            c = a[i + len(b) - 1]
+            for j in range(len(b) - 1):
+                a[i + j] -= c * b[j]
+        a, b = b, a[:len(b) - 1]
+    return len(a) == 1
+
+
+def _squarefree_mod(f, q):
+    """True when f mod q keeps its degree and is squarefree: gcd(f, f') = 1
+    over F_q."""
+    fd = [i * f[i] for i in range(1, len(f))]
+    return f[-1] % q != 0 and kernels.poly_xgcd_mod(f, fd, q)[0] == [1]
 
 
 def _exact_quotient(a, b):
@@ -598,8 +583,7 @@ def _factor_squarefree(G):
     lifts, smallest first, is then tried by exact trial division."""
     n = len(G) - 1
     q = 3
-    while (G[-1] % q == 0 or len(kernels.poly_xgcd_mod(
-            G, [i * G[i] for i in range(1, n + 1)], q)[0]) > 1):
+    while not _squarefree_mod(G, q):
         q += 2
         while not is_prime(q):
             q += 2

@@ -41,9 +41,8 @@ from .localdisk import curve_point_from_rational, form_series
 from .padic import INF, PadicNumber, ord_p
 from .recognize import (QuadraticElement, element_min_poly, element_sqrt,
                         format_polynomial, is_irreducible_quadratic,
-                        is_trusted_rational, primitive_poly,
-                        quadratic_relation, rational_reconstruct,
-                        rational_sqrt)
+                        primitive_poly, quadratic_relation,
+                        rational_reconstruct, rational_sqrt)
 from .rootfinding import series_roots_in_disk
 
 log = logging.getLogger(__name__)
@@ -343,12 +342,13 @@ def _coords(pt):
 
 def _rational_x(g, x_o, y_o):
     """(qx, qy, rel) for the digits (x_o, y_o) of an original-model point
-    whose x is a trusted rational qx, else (None, None, None).  y needs no
-    digits of its own, as y^2 = g(qx): qy = +-s when g(qx) = s^2 (the sign
-    y_o shows; no candidate when neither does), else qy is None and y is
-    the root of rel = t^2 - g(qx)."""
+    whose x is a rational qx that rational_reconstruct (and so its height
+    gate) accepts, else (None, None, None).  y needs no digits of its own,
+    as y^2 = g(qx): qy = +-s when g(qx) = s^2 (the sign y_o shows; no
+    candidate when neither does), else qy is None and y is the root of
+    rel = t^2 - g(qx)."""
     qx = rational_reconstruct(x_o)
-    if qx is None or not is_trusted_rational(qx, x_o):
+    if qx is None:
         return None, None, None
     r = eval_exact(g, qx)
     s = rational_sqrt(r)
@@ -517,7 +517,7 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
         "curve_point_count": ctx.fd.point_count(),
         "jacobian_order": run.jac_order,
         "zeta_numerator": list(ctx.fd.zeta),
-        "coleman_bound": curve.coleman_bound(p),
+        "coleman_bound": ctx.fd.point_count() + 2 * curve.genus - 2,
         "base_point": base.original.coord_strings(),
         "base_log": [c.expansion_str() for c in logs],
         "annihilators": {

@@ -1,7 +1,9 @@
 """Curve model normalization, reduction, point search, and the exact
-algebra over Z (primality, discriminant, factoring) against sympy."""
+algebra over Z (primality, the squarefree tests over Q and F_p, factoring)
+against sympy."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt
@@ -58,7 +60,6 @@ def test_fbar_and_fp_points_match_frozen_list(curve_b):
     labels = {pt.label() for pt in curve_b.fp_points(7)}
     assert labels == {"infinity", "(0,2)", "(0,5)", "(1,4)", "(1,3)",
                       "(2,4)", "(2,3)", "(4,4)", "(4,3)", "(5,2)", "(5,5)"}
-    assert curve_b.coleman_bound(7) == 11 + 4
 
 
 def test_prime_selection(curve_a, curve_b, curve_c):
@@ -66,6 +67,9 @@ def test_prime_selection(curve_a, curve_b, curve_c):
     assert curve_b.choose_prime() == 7
     assert curve_b.is_good_prime(11)
     assert curve_c.choose_prime() == 11  # 7 divides disc: conductor has a 7
+    primes = [p for p in range(7, PRIME_CAP + 1) if is_prime(p)]
+    for curve, bad in ((curve_a, []), (curve_b, []), (curve_c, [7, 53])):
+        assert [p for p in primes if not curve.is_good_prime(p)] == bad
     with pytest.raises(BadReductionError):
         curve_c.check_prime(7)
     with pytest.raises(InputError):
@@ -183,6 +187,27 @@ def test_singular_curve_rejected():
         make_curve([0, 0, 0, 0, 0, 0, 0, 1])
 
 
+def test_validate_is_fast_on_huge_coefficients():
+    # Euclid on Fractions must not blow up: a singular a^2 b with
+    # 150-digit factors, and a random curve with 1000-digit coefficients
+    rng = random.Random(30)
+
+    def poly(d, digits):
+        return sum(rng.randrange(1, 10 ** digits) * rng.choice([1, -1])
+                   * X ** i for i in range(d + 1))
+
+    singular = sympy.Poly(poly(2, 150) ** 2 * poly(3, 150), X)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="singular"):
+        make_curve([int(c) for c in singular.all_coeffs()[::-1]])
+    assert time.perf_counter() - start < 5
+    coeffs = [rng.randrange(1, 10 ** 1000) * rng.choice([1, -1])
+              for _ in range(8)]
+    start = time.perf_counter()
+    CurveModel(coeffs).validate()
+    assert time.perf_counter() - start < 5
+
+
 # -- discriminant and factors against sympy -----------------------------------
 
 X = sympy.Symbol("x")
@@ -203,24 +228,42 @@ def sympy_disc_and_factors(F):
                         for f in prims)
 
 
+def p_unit(q, p):
+    return q.numerator % p != 0 and q.denominator % p != 0
+
+
 def assert_matches_sympy(coeffs, scaling=None):
+    """validate() raises exactly when sympy's discriminant of F is 0; at
+    every prime 7 <= p <= 97, is_good_prime(p) exactly when v_p(disc) = 0,
+    the scaling and g7 are p-units and F is p-integral; the factors of F
+    are sympy's.  Returns sympy's discriminant."""
     curve = CurveModel([Fraction(c) for c in coeffs], scaling)
     disc, factors = sympy_disc_and_factors(curve.F)
-    assert curve.discriminant() == disc, coeffs
+    if disc == 0:
+        with pytest.raises(InputError, match="singular"):
+            curve.validate()
+    else:
+        curve.validate()
+    units = (curve.scale_x, curve.scale_y, curve.original[7])
+    for p in sympy.primerange(7, 98):
+        good = (disc != 0 and p_unit(disc, p)
+                and all(p_unit(q, p) for q in units)
+                and all(c.denominator % p for c in curve.F))
+        assert curve.is_good_prime(p) == good, (coeffs, p)
     if factors is None:
         assert disc == 0
         with pytest.raises(InputError, match="not squarefree"):
             curve.weierstrass_x_factors()
     else:
         assert curve.weierstrass_x_factors() == factors, coeffs
+    return disc
 
 
 def test_reference_curves_match_sympy(curve_a, curve_b, curve_c):
     # curve B's monic model has F_6 = 3/2, so its denominators are cleared
     for curve in (curve_a, curve_b, curve_c):
-        disc, factors = sympy_disc_and_factors(curve.F)
-        assert curve.discriminant() == disc != 0
-        assert curve.weierstrass_x_factors() == factors
+        scaling = (curve.scale_x, curve.scale_y)
+        assert assert_matches_sympy(curve.original, scaling) != 0
     assert [len(f) - 1 for f in curve_a.weierstrass_x_factors()] == [5, 2]
     assert [len(f) - 1 for f in curve_c.weierstrass_x_factors()] == [1, 6]
 
@@ -268,9 +311,8 @@ def test_random_degree7_match_sympy():
             scaling = (Fraction(1), Fraction(isqrt(lead.numerator),
                                              isqrt(lead.denominator)))
         curve = CurveModel([Fraction(c) for c in coeffs], scaling)
-        singular += curve.discriminant() == 0
         rational += any(c.denominator != 1 for c in curve.F)
-        assert_matches_sympy(coeffs, scaling)
+        singular += assert_matches_sympy(coeffs, scaling) == 0
         done += 1
     assert 20 < singular < 100 and 20 < rational < 100
 

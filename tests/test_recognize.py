@@ -10,9 +10,8 @@ from g3chabauty.curve import eval_exact
 from g3chabauty.padic import INF, PadicNumber
 from g3chabauty.recognize import (QuadraticElement, _lll, element_sqrt,
                                   format_polynomial, is_irreducible_quadratic,
-                                  is_trusted_rational, quadratic_relation,
-                                  rational_reconstruct, rational_sqrt,
-                                  small_integer_relation)
+                                  quadratic_relation, rational_reconstruct,
+                                  rational_sqrt, small_integer_relation)
 
 from oracles import nonsquare_qr, padic_sqrt
 
@@ -33,14 +32,26 @@ def primitive(vec):
 
 @pytest.mark.parametrize("p", [7, 11])
 def test_rational_roundtrip(p):
+    # each fraction comes back exactly when its digits vouch for its
+    # height: (2h + 1)^2 p^3 <= p^n, h = |num * den| for num and den prime
+    # to p; 20 digits vouch for every one of these, 12 for some
     rng = random.Random(p)
+    back = 0
     for _ in range(100):
         num = rng.randint(-2000, 2000)
         den = rng.randint(1, 2000)
+        while num % p == 0:
+            num += 1
         while den % p == 0:
             den += 1
         q = Fraction(num, den)
-        assert rational_reconstruct(from_frac(q, p, 12)) == q
+        h = abs(q.numerator * q.denominator)
+        fits = (2 * h + 1) ** 2 * p ** 3 <= p ** 12
+        assert rational_reconstruct(from_frac(q, p, 12)) == (
+            q if fits else None)
+        assert rational_reconstruct(from_frac(q, p, 20)) == q
+        back += fits
+    assert 0 < back < 100
 
 
 def test_rational_reconstruct_rejects_irrational():
@@ -63,22 +74,17 @@ def test_rational_reconstruct_zero_needs_four_digits(n, want):
 
 @pytest.mark.parametrize("q,p,n,trusted", [
     # (2h + 1)^2 p^3 <= p^n, h = |num * den| of the unit part
-    (0, 7, 2, False), (0, 7, 3, True),       # n = abs_prec for zero
+    (0, 7, 2, False), (0, 7, 3, False),      # n = abs_prec for zero
     (-1, 7, 4, False), (-1, 7, 5, True), (-1, 11, 4, True),
     (Fraction(-3, 2), 7, 5, False), (Fraction(-3, 2), 7, 6, True),
     (Fraction(1, 49), 7, 5, True),           # p-power: unit part 1
     (98, 7, 5, True), (Fraction(3593, 186681), 7, 14, False),
     (Fraction(3593, 186681), 7, 40, True)])
 def test_trusted_rational_height_gate(q, p, n, trusted):
+    # rational_reconstruct returns q only when its digits vouch for it
     value = PadicNumber.from_rational(q, p, rel_prec=n) if q \
         else PadicNumber.zero(p, n)
-    assert rational_reconstruct(value) in (q, None)
-    assert is_trusted_rational(Fraction(q), value) is trusted
-
-
-def test_trusted_rational_exact_input():
-    assert is_trusted_rational(Fraction(5), PadicNumber(7, 0, 5, INF))
-    assert is_trusted_rational(Fraction(0), PadicNumber.zero(7))
+    assert rational_reconstruct(value) == (q if trusted else None)
 
 
 # from p = 13 on, the library's own N = 2p + 4
