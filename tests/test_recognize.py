@@ -87,6 +87,16 @@ def test_trusted_rational_height_gate(q, p, n, trusted):
     assert rational_reconstruct(value) == (q if trusted else None)
 
 
+def test_trusted_rational_exact_input():
+    # exact digits vouch for any height: the gate above only judges
+    # inexact values, so 3593 / 49 comes back exact but not from 5 digits
+    assert rational_reconstruct(PadicNumber(7, 0, 5, INF)) == 5
+    assert rational_reconstruct(PadicNumber.zero(7)) == 0
+    assert rational_reconstruct(PadicNumber(7, -2, 3593, INF)) == \
+        Fraction(3593, 49)
+    assert rational_reconstruct(PadicNumber(7, -2, 3593, 5)) is None
+
+
 # from p = 13 on, the library's own N = 2p + 4
 PLANTED_PREC = {7: 20, 11: 20, 13: 30, 17: 38, 19: 42}
 
