@@ -37,7 +37,7 @@ from math import isqrt, lcm
 from . import _kernels as kernels
 from .errors import BadReductionError, InputError
 from .padic import hensel_lift_root, ord_p
-from .recognize import primitive_poly, rational_sqrt
+from .recognize import eval_exact, primitive_poly, rational_sqrt
 
 
 # The largest working prime check_prime and choose_prime accept; it bounds
@@ -157,15 +157,6 @@ def check_prime_number(p):
 
 def _fractions(coeffs):
     return tuple(Fraction(c) for c in coeffs)
-
-
-def eval_exact(coeffs, x):
-    """Exact Horner value of a constant-first coefficient list at x, a
-    Fraction or a recognize.QuadraticElement."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True, order=True)

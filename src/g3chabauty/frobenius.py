@@ -132,13 +132,14 @@ class FrobeniusData:
     holds p^C h_j mod p^W once, as the dense list E_0 .. E_J of
     x-polynomials (coefficient tuples) with h_j = y sum_e u^e E_e(x),
     u = y^-2: E_e, e >= 1, is the pole term of the step s = 2e + 1, and
-    E_0 = mu(x) holds the degree-reduction terms."""
+    E_0 = mu(x) holds the degree-reduction terms.  fp_points is C(F_p),
+    infinity first (curve.fp_points), as the trace audit counted it."""
 
     # perfbench/tracing.py maps delta 4 to attempt 1, the only attempt
     delta = 4
 
-    __slots__ = ("curve", "p", "prec", "scale_exp", "work_exp",
-                 "k_max", "matrix_ints", "adjugate", "prims", "zeta")
+    __slots__ = ("curve", "p", "prec", "scale_exp", "work_exp", "k_max",
+                 "matrix_ints", "adjugate", "prims", "zeta", "fp_points")
 
     def __init__(self, curve, p, prec, scale_exp, work_exp, k_max,
                  matrix_ints, adjugate, prims, zeta):
@@ -399,13 +400,12 @@ def _compute(curve, p, N, k_max, C, W):
         raise PrecisionError("zeta coefficients violate the Weil bounds")
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
         raise PrecisionError("zeta functional equation failed")
-    fbar = curve.f_coeffs_mod(p, 1)
     fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints, adjugate,
                        tuple(map(tuple, prims)), tuple(b))
-    points = kernels.fp_curve_points(fbar, p)
-    if fd.point_count() != len(points) + 1:
+    fd.fp_points = curve.fp_points(p)
+    if fd.point_count() != len(fd.fp_points):
         raise PrecisionError("trace does not match the point count")
-    xbar = _generic_residue(points)
+    xbar = _generic_residue((q.x, q.y) for q in fd.fp_points[1:])
     if xbar is None:
         log.debug("p = %d: no residue x with F(x) a nonzero square mod p, "
                   "so no generic disk; identity audit skipped", p)

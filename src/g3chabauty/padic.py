@@ -50,7 +50,9 @@ class PadicNumber:
             return
         if rel_prec < 1:
             raise PrecisionError("nonzero value with no known digits")
-        unit %= prime ** rel_prec
+        if rel_prec != INF:
+            # an exact unit stays an int
+            unit %= prime ** rel_prec
         if unit % prime == 0:
             raise InputError("unit part must be a p-adic unit")
         self.prime = prime
@@ -160,8 +162,7 @@ class PadicNumber:
     def __neg__(self):
         if self.unit == 0:
             return self
-        m = self.prime ** self.rel_prec
-        return PadicNumber(self.prime, self.valuation, (-self.unit) % m, self.rel_prec)
+        return PadicNumber(self.prime, self.valuation, -self.unit, self.rel_prec)
 
     def __sub__(self, other):
         other = self._coerce(other, for_mul=False)

@@ -12,12 +12,9 @@ point, a new rational point (exact verification), a Weierstrass point
 (exact: a root of a factor of F), a torsion image (all three logarithms
 vanish at working precision; the order is read off the reduction, where
 torsion injects), or an algebraic point over a quadratic field, exact in
-Q[t]/(min poly).  y is never searched for: it comes from y^2 = g(x) once
-x is exact.  A rational x of a height its digits vouch for gives y as a
-rational square root or a root of t^2 - g(x); any other x goes to one
-lattice search for a quadratic x, run on 1/x in the infinity disk, and y
-is the square root of g(x) in Q(x) that y's digits pick.  Recognition
-failures raise instead of guessing.
+Q[t]/(min poly).  The exact point comes from recognize.exact_point: x is
+rational or quadratic, and y is never searched for, as it is a square
+root of g(x).  Recognition failures raise instead of guessing.
 
 Zeros are computed once per involution pair of disks: the functionals are
 odd under y -> -y, so the mirror disk has the same parameter values with
@@ -29,20 +26,18 @@ output alone.
 import json
 import logging
 from collections import Counter
+from fractions import Fraction
 
 from .coleman import ColemanContext
 from .curve import (COST_CAP_S, HEIGHT_CAP, PREC_CAP, PREC_MIN,
-                    RationalPoint, check_prime_number, estimated_seconds,
-                    eval_exact)
+                    RationalPoint, check_prime_number, estimated_seconds)
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
 from .localdisk import curve_point_from_rational, form_series
 from .padic import INF, PadicNumber, ord_p
-from .recognize import (QuadraticElement, element_min_poly, element_sqrt,
-                        format_polynomial, is_irreducible_quadratic,
-                        primitive_poly, quadratic_relation,
-                        rational_reconstruct, rational_sqrt)
+from .recognize import (element_min_poly, exact_point, format_polynomial,
+                        primitive_poly, rational_reconstruct)
 from .rootfinding import series_roots_in_disk
 
 log = logging.getLogger(__name__)
@@ -273,46 +268,47 @@ class _Analysis:
                 base["x"], base["y"] = _coords(k.original)
                 return base
         if disk.is_infinity and t.is_zero:
-            cand = RationalPoint.infinity()
-        elif disk.y == 0 and t.is_zero:
+            return _rational(base, RationalPoint.infinity())
+        if disk.y == 0 and t.is_zero:
             if self._wq is None:
                 self._wq = self.curve.weierstrass_points_qp(self.p, self.prec)
             info = next(w for w in self._wq if w["residue"] == disk.x)
-            if not info["rational"]:
-                # the min poly of x_w = scale_x * x
-                rel = primitive_poly(c * self.curve.scale_x ** -k
-                                     for k, c in enumerate(info["min_poly"]))
-                x_w = info["x"] * self.curve.scale_x
-                base.update({"class": "weierstrass", "x": x_w.expansion_str(),
-                             "min_poly_x": format_polynomial(rel, "x"),
-                             "y": "0", "torsion_order": 2})
-                return base
-            cand = RationalPoint.affine(
-                info["x_rational"] * self.curve.scale_x, 0)
-        else:
-            point = data.expansion.point_at(t)
-            if mirrored:
-                point = point.involution()
-            x_o = point.x * self.curve.scale_x
-            y_o = point.y * self.curve.scale_y
-            qx, qy, rel = _rational_x(self.curve.original, x_o, y_o)
-            cand = None if qy is None else RationalPoint.affine(qx, qy)
-        # infinity and a rational branch point always pass the check
-        if cand is not None and self.curve.is_on_curve_original(cand):
-            base["class"] = "new_rational"
-            base["x"], base["y"] = _coords(cand)
+            if info["rational"]:
+                return _rational(base, RationalPoint.affine(
+                    info["x_rational"] * self.curve.scale_x, 0))
+            # the min poly of x_w = scale_x * x
+            rel = primitive_poly(c * self.curve.scale_x ** -k
+                                 for k, c in enumerate(info["min_poly"]))
+            x_w = info["x"] * self.curve.scale_x
+            base.update({"class": "weierstrass", "x": x_w.expansion_str(),
+                         "min_poly_x": format_polynomial(rel, "x"),
+                         "y": "0", "torsion_order": 2})
             return base
+        point = data.expansion.point_at(t)
+        if mirrored:
+            point = point.involution()
+        x_o = point.x * self.curve.scale_x
+        y_o = point.y * self.curve.scale_y
+        x, y = exact_point(self.curve.original, x_o, y_o,
+                           rational_reconstruct(x_o)) or (None, None)
+        if isinstance(y, Fraction):
+            cand = RationalPoint.affine(x, y)
+            if not self.curve.is_on_curve_original(cand):
+                raise RecognitionError("zero in disk %s gives %s, off the "
+                                       "curve" % (base["disk"],
+                                                  cand.coord_strings()))
+            return _rational(base, cand)
         order = self._torsion_order(disk, base["t"], point)
-        base["x"] = x_o.expansion_str() if qx is None else str(qx)
+        if y is None:
+            raise RecognitionError("zero in disk %s resists exact "
+                                   "recognition" % base["disk"])
+        if isinstance(x, Fraction):
+            base["x"] = str(x)
+        else:
+            base["x"] = x_o.expansion_str()
+            base["min_poly_x"] = format_polynomial(element_min_poly(x), "x")
         base["y"] = y_o.expansion_str()
-        if rel is None:
-            pair = _algebraic_point(self.curve.original, x_o, y_o)
-            if pair is None:
-                raise RecognitionError("zero in disk %s resists exact "
-                                       "recognition" % base["disk"])
-            rel_x, rel = (element_min_poly(e) for e in pair)
-            base["min_poly_x"] = format_polynomial(rel_x, "x")
-        base["min_poly_y"] = format_polynomial(rel, "y")
+        base["min_poly_y"] = format_polynomial(element_min_poly(y), "y")
         base["class"] = "other_algebraic" if order is None else "torsion"
         base["torsion_order"] = order
         return base
@@ -340,43 +336,11 @@ def _coords(pt):
     return str(pt.x), str(pt.y)
 
 
-def _rational_x(g, x_o, y_o):
-    """(qx, qy, rel) for the digits (x_o, y_o) of an original-model point
-    whose x is a rational qx that rational_reconstruct (and so its height
-    gate) accepts, else (None, None, None).  y needs no digits of its own,
-    as y^2 = g(qx): qy = +-s when g(qx) = s^2 (the sign y_o shows; no
-    candidate when neither does), else qy is None and y is the root of
-    rel = t^2 - g(qx)."""
-    qx = rational_reconstruct(x_o)
-    if qx is None:
-        return None, None, None
-    r = eval_exact(g, qx)
-    s = rational_sqrt(r)
-    if s is None:
-        return qx, None, primitive_poly((-r, 0, 1))
-    qy = next((v for v in (s, -s) if (y_o - v).is_zero), None)
-    return (None, None, None) if qy is None else (qx, qy, None)
-
-
-def _algebraic_point(g, x_o, y_o):
-    """Exact (x, y), x quadratic, for the digits (x_o, y_o) of an
-    original-model point, or None.  One lattice search finds x, on 1/x_o
-    where v(x_o) < 0 (the infinity disk), so that its input is integral;
-    y is the square root of g(x) in Q(x) that y_o shows.  A g(x) that is no
-    square there, or a y_o that matches both roots or neither, gives None."""
-    inverted = x_o.valuation < 0
-    a_o = 1 / x_o if inverted else x_o
-    rel = quadratic_relation(a_o)
-    if rel is None or not is_irreducible_quadratic(rel):
-        return None
-    a = QuadraticElement.generator(rel)
-    x = a.inverse() if inverted else a
-    w = element_sqrt(eval_exact(g, x))
-    if w is None:
-        return None
-    # a root u + v a reads u + v a_o in Q_p
-    ys = [y for y in (w, w * -1) if (y_o - y.u - a_o * y.v).is_zero]
-    return (x, ys[0]) if len(ys) == 1 else None
+def _rational(base, pt):
+    """base completed as the record of the new rational point pt."""
+    base["class"] = "new_rational"
+    base["x"], base["y"] = _coords(pt)
+    return base
 
 
 class AnalysisReport:
@@ -475,7 +439,7 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
     _check_rank_one(ctx, known_pts, base, logs)
     alpha, beta, pivot = _annihilator_pair(logs, p)
 
-    disks = sorted({d.canonical(p) for d in curve.fp_points(p)})
+    disks = sorted({d.canonical(p) for d in ctx.fd.fp_points})
     log.info("p=%d prec=%d #C(F_p)=%d |J(F_p)|=%d disks=%d; the disk "
              "solve loses v_p(|J(F_p)|)=%d digits", p, prec,
              ctx.fd.point_count(), run.jac_order, len(disks),

@@ -5,11 +5,11 @@ lift, with one height gate that a fraction must pass to be returned at
 all.  Algebraic recognition looks for a short vector in the lattice of
 integer relations mod p^N among 1, v, v^2 with an exact integer LLL, gated
 by a height bound so that lattice noise of size ~ p^(N/3) is never
-mistaken for structure.  The pipeline runs it once per zero, on a
-quadratic x (or 1/x); y then needs no search, as it is a square root of
-g(x) in K = Q(x), which element_sqrt takes exactly.  Candidates are only
-suggestions, verified with QuadraticElement arithmetic in Q[t]/(minpoly),
-with no radicals.
+mistaken for structure.  exact_point takes a zero's x as a fraction or
+from one such search, and y with no search, as the square root of g(x)
+over Q or in K = Q(x) that rational_sqrt or element_sqrt takes exactly.
+Candidates are only suggestions, verified with QuadraticElement
+arithmetic in Q[t]/(minpoly), with no radicals.
 """
 
 from fractions import Fraction
@@ -59,6 +59,15 @@ def rational_sqrt(r):
         return None
     s = Fraction(isqrt(r.numerator), isqrt(r.denominator))
     return s if s * s == r else None
+
+
+def eval_exact(coeffs, x):
+    """Exact Horner value of a constant-first coefficient list at x, a
+    Fraction or a QuadraticElement."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def primitive_poly(coeffs):
@@ -305,6 +314,39 @@ def element_sqrt(z):
             return None
         w = QuadraticElement(c1 * q, 2 * c2 * q, z.minpoly)
     return w if w * w == z else None
+
+
+def exact_point(g, x_o, y_o, qx):
+    """Exact (x, y) on y^2 = g(x) for the digits (x_o, y_o) of a point, each
+    a Fraction or a QuadraticElement, or None; qx is rational_reconstruct
+    (x_o).  A rational x gives y = +-s when g(x) = s^2, with the sign y_o
+    shows, and the generator of Q[t]/(t^2 - g(x)) when g(x) is no rational
+    square.  Otherwise (no qx, or a y_o that shows neither sign) one
+    lattice search finds a quadratic x, on 1/x_o where v(x_o) < 0 (the
+    infinity disk) so that its input is integral, and y is the square root
+    of g(x) in Q(x) that y_o shows.  A g(x) that is no square there, or a
+    y_o that matches both roots or neither, gives None."""
+    if qx is not None:
+        r = eval_exact(g, qx)
+        s = rational_sqrt(r)
+        if s is None:
+            return qx, QuadraticElement.generator(primitive_poly((-r, 0, 1)))
+        for y in (s, -s):
+            if (y_o - y).is_zero:
+                return qx, y
+    inverted = x_o.valuation < 0
+    a_o = 1 / x_o if inverted else x_o
+    rel = quadratic_relation(a_o)
+    if rel is None or not is_irreducible_quadratic(rel):
+        return None
+    a = QuadraticElement.generator(rel)
+    x = a.inverse() if inverted else a
+    w = element_sqrt(eval_exact(g, x))
+    if w is None:
+        return None
+    # a root u + v a reads u + v a_o in Q_p
+    ys = [y for y in (w, w * -1) if (y_o - y.u - a_o * y.v).is_zero]
+    return (x, ys[0]) if len(ys) == 1 else None
 
 
 def format_polynomial(rel, var):

@@ -18,10 +18,11 @@ import pytest
 from g3chabauty._kernels import brute_zeta_numerator
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
-from g3chabauty.curve import CurveModel, CurvePoint, eval_exact
+from g3chabauty.curve import CurveModel, CurvePoint
 from g3chabauty.errors import InputError
 from g3chabauty.frobenius import zeta_numerator
 from g3chabauty.padic import PadicNumber, ord_p
+from g3chabauty.recognize import eval_exact
 from g3chabauty.rootfinding import series_roots_in_disk
 from g3chabauty.series import PadicPowerSeries
 

@@ -13,10 +13,10 @@ import sympy
 
 from conftest import CURVE_B_COEFFS, make_curve
 from g3chabauty.curve import (PRIME_CAP, CurveModel, FpPoint, RationalPoint,
-                              estimated_seconds, eval_exact, is_prime)
+                              estimated_seconds, is_prime)
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.localdisk import curve_point_from_rational
-from g3chabauty.recognize import rational_sqrt
+from g3chabauty.recognize import eval_exact, rational_sqrt
 
 
 def test_default_normalization_is_monic_integral(curve_a):

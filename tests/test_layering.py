@@ -2,7 +2,9 @@
 
 The arithmetic, series, chart, curve and recognition modules sit below
 Frobenius and Coleman integration: none of them imports frobenius, coleman,
-pipeline or cli, so a chart or a checker can be built from them alone.  The
+pipeline or cli, so a chart or a checker can be built from them alone.
+Recognition, exact evaluation over Q and Q(x) and the recovery of an exact
+point included, sits below the curve model on the kernels and padic.  The
 Frobenius budget (the prescale C = scale_exp and the working exponent
 W = work_exp) belongs to frobenius.py: no other module names it.  The
 kernels are the leaf every layer builds on: they import only errors.
@@ -80,6 +82,21 @@ def test_lower_layers_import_no_frobenius_coleman_pipeline_or_cli(module):
 def test_kernels_import_no_package_module_but_errors():
     # every layer builds on _kernels, so it must pull none of them in
     assert _package_imports(_tree(PKG / "_kernels.py")) <= {"errors"}
+
+
+def test_recognize_builds_only_on_kernels_errors_and_padic():
+    # the exact point behind a zero is found below the curve model, so a
+    # checker can recover it without curve, pipeline or Frobenius code
+    assert _package_imports(_tree(PKG / "recognize.py")) <= {
+        "_kernels", "errors", "padic"}
+
+
+@pytest.mark.parametrize("name", ["eval_exact", "exact_point"])
+def test_exact_point_routines_live_in_recognize_alone(name):
+    homes = {path.stem for path in sorted(PKG.glob("*.py"))
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.FunctionDef) and node.name == name}
+    assert homes == {"recognize"}
 
 
 def test_only_frobenius_names_its_budget():

@@ -19,17 +19,18 @@ from fractions import Fraction
 import pytest
 
 from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, CurveModel,
-                              RationalPoint, eval_exact)
+                              RationalPoint)
 from g3chabauty.errors import (BadReductionError, InputError, PrecisionError,
                                SimplicityError)
 from g3chabauty.jacobian import MumfordDivisorFp
 from g3chabauty.padic import PadicNumber
+from g3chabauty import _kernels as kernels
 from g3chabauty import pipeline
-from g3chabauty.pipeline import (_algebraic_point, _rational_x,
-                                 analyze_curve, check_inputs,
+from g3chabauty.pipeline import (analyze_curve, check_inputs,
                                  default_precision)
-from g3chabauty.recognize import (element_min_poly, format_polynomial,
-                                  primitive_poly, rational_reconstruct)
+from g3chabauty.recognize import (element_min_poly, eval_exact, exact_point,
+                                  format_polynomial, primitive_poly,
+                                  rational_reconstruct)
 
 from conftest import CURVE_A_KNOWN, CURVE_C_KNOWN
 from oracles import nonsquare_qr, padic_sqrt
@@ -219,6 +220,21 @@ def test_ex1_orders_each_torsion_pair_once(curve_a, ex1_p7, monkeypatch):
     assert report.to_json() == ex1_p7.to_json()
 
 
+def test_ex1_enumerates_fp_points_once(curve_a, ex1_p7, monkeypatch):
+    # the disks are the C(F_p) that Frobenius's trace audit counted
+    calls = []
+    points = kernels.fp_curve_points
+
+    def counted(*args):
+        calls.append(args)
+        return points(*args)
+
+    monkeypatch.setattr(kernels, "fp_curve_points", counted)
+    report = analyze_curve(curve_a, p=7)
+    assert len(calls) == 1
+    assert report.to_json() == ex1_p7.to_json()
+
+
 def test_ex1_branch_points(ex1_p7):
     found = {r["disk"]: r["min_poly_x"] for r in by_class(ex1_p7, "weierstrass")}
     assert found == {
@@ -389,9 +405,10 @@ def test_infinity_disk_rational_x(curve_a):
     x_o = PadicNumber.from_rational(x, p, rel_prec=n)
     y_o = padic_sqrt(PadicNumber.from_rational(
         eval_exact(curve_a.original, x), p, rel_prec=n))
-    qx, qy, rel = _rational_x(curve_a.original, x_o, y_o)
-    assert (qx, qy) == (x, None)
-    assert format_polynomial(rel, "y") == "678223072849*y^2 - 5877648490249"
+    qx, y = exact_point(curve_a.original, x_o, y_o, rational_reconstruct(x_o))
+    assert qx == x
+    assert format_polynomial(element_min_poly(y), "y") == \
+        "678223072849*y^2 - 5877648490249"
 
 
 def test_infinity_disk_quadratic_pair():
@@ -403,7 +420,7 @@ def test_infinity_disk_quadratic_pair():
     root2 = padic_sqrt(PadicNumber.from_rational(2, p, rel_prec=n))
     x_o = (root2 + 1) / 49
     assert x_o.valuation == -2
-    xe, ye = _algebraic_point(g, x_o, root2)
+    xe, ye = exact_point(g, x_o, root2, rational_reconstruct(x_o))
     assert format_polynomial(element_min_poly(xe), "x") == \
         "2401*x^2 - 98*x - 1"
     assert format_polynomial(element_min_poly(ye), "y") == "y^2 - 2"
@@ -418,13 +435,16 @@ def test_rational_x_takes_y_from_the_curve_equation(curve_c):
     x_o = PadicNumber.from_rational(-1, p, abs_prec=n)
     y_o = padic_sqrt(PadicNumber.from_rational(-140, p, abs_prec=n))
     assert eval_exact(curve_c.original, Fraction(-1)) == -140
-    assert _rational_x(curve_c.original, x_o, y_o) == (-1, None, (140, 0, 1))
+    qx, y = exact_point(curve_c.original, x_o, y_o, rational_reconstruct(x_o))
+    assert (qx, element_min_poly(y)) == (-1, (140, 0, 1))
     # a rational square gives the rational point, with the sign y_o shows
     x_o = PadicNumber.from_rational(1, p, abs_prec=n)
     for y in (2, -2):
         y_o = PadicNumber.from_rational(y, p, abs_prec=n)
-        assert _rational_x(curve_c.original, x_o, y_o) == (1, y, None)
-    assert _rational_x(curve_c.original, x_o, y_o + 1) == (None,) * 3
+        assert exact_point(curve_c.original, x_o, y_o,
+                           rational_reconstruct(x_o)) == (1, y)
+    assert exact_point(curve_c.original, x_o, y_o + 1,
+                       rational_reconstruct(x_o)) is None
 
 
 def test_spurious_rational_x_goes_to_the_lattice():
@@ -438,8 +458,7 @@ def test_spurious_rational_x_goes_to_the_lattice():
     x_o = PadicNumber.from_rational(-2, p, abs_prec=n) + root
     y_o = x_o + 3
     assert rational_reconstruct(x_o) is None
-    assert _rational_x(g, x_o, y_o) == (None,) * 3
-    xe, ye = _algebraic_point(g, x_o, y_o)
+    xe, ye = exact_point(g, x_o, y_o, rational_reconstruct(x_o))
     assert format_polynomial(element_min_poly(xe), "x") == "x^2 + 4*x - 39"
     assert format_polynomial(element_min_poly(ye), "y") == "y^2 - 2*y - 42"
     assert (ye * ye - eval_exact(g, xe)).is_zero
@@ -471,17 +490,17 @@ def test_algebraic_point_takes_y_as_a_square_root(p, at_infinity):
         y_o = x_o * b1 + PadicNumber.from_rational(b0, p, abs_prec=n)
         q = primitive_poly((a * a - b * b * d, -2 * a * m, m * m))
         g = [b0 * b0, 2 * b0 * b1, b1 * b1, 0, 0] + list(q)
-        xe, ye = _algebraic_point(g, x_o, y_o)
+        xe, ye = exact_point(g, x_o, y_o, None)
         assert element_min_poly(xe) == q
         assert ye == xe * b1 + b0
         # the other sign of y's digits picks the other root
-        assert _algebraic_point(g, x_o, -y_o)[1] == ye * -1
+        assert exact_point(g, x_o, -y_o, None)[1] == ye * -1
         # one wrong digit matches neither root
         j = rng.randrange(y_o.valuation, y_o.abs_prec)
-        assert _algebraic_point(g, x_o, y_o + Fraction(p) ** j) is None
+        assert exact_point(g, x_o, y_o + Fraction(p) ** j, None) is None
         # digits too few to tell the roots apart match both
-        assert _algebraic_point(g, x_o, PadicNumber.zero(p, y_o.valuation)) \
-            is None
+        assert exact_point(g, x_o, PadicNumber.zero(p, y_o.valuation),
+                           None) is None
         checked += 1
     assert checked >= 30
 

@@ -6,13 +6,15 @@ from math import gcd
 
 import pytest
 
-from g3chabauty.curve import eval_exact
 from g3chabauty.padic import INF, PadicNumber
-from g3chabauty.recognize import (QuadraticElement, _lll, element_sqrt,
-                                  format_polynomial, is_irreducible_quadratic,
+from g3chabauty.recognize import (QuadraticElement, _lll, element_min_poly,
+                                  element_sqrt, eval_exact, exact_point,
+                                  format_polynomial,
+                                  is_irreducible_quadratic,
                                   quadratic_relation, rational_reconstruct,
                                   rational_sqrt, small_integer_relation)
 
+from conftest import CURVE_B_COEFFS
 from oracles import nonsquare_qr, padic_sqrt
 
 
@@ -95,6 +97,16 @@ def test_trusted_rational_exact_input():
     assert rational_reconstruct(PadicNumber(7, -2, 3593, INF)) == \
         Fraction(3593, 49)
     assert rational_reconstruct(PadicNumber(7, -2, 3593, 5)) is None
+
+
+def test_exact_unit_stays_an_int():
+    # a unit beyond float range must not be reduced mod p^INF (a float)
+    big = PadicNumber(7, 3, 10 ** 40 + 1, INF)
+    assert big.unit == 10 ** 40 + 1 and isinstance(big.unit, int)
+    assert rational_reconstruct(big) == (10 ** 40 + 1) * 343
+    neg = -big
+    assert neg.unit == -(10 ** 40 + 1) and neg.rel_prec == INF
+    assert rational_reconstruct(neg) == -(10 ** 40 + 1) * 343
 
 
 # from p = 13 on, the library's own N = 2p + 4
@@ -269,3 +281,20 @@ def test_format_polynomial():
     assert format_polynomial((0, 2, 0), "x") == "2*x"
     assert format_polynomial((0, 0, 0), "x") == "0"
     assert format_polynomial((-5, 1), "x") == "x - 5"
+
+
+def test_exact_point_follows_the_sign_of_y_on_b7():
+    # B@7's zeros: x a root of x^2 - x + 1, y = +-(2x - 1), a root of y^2 + 3
+    # (a rational square: test_rational_x_takes_y_from_the_curve_equation)
+    g = [Fraction(c) for c in CURVE_B_COEFFS]
+    p, n = 7, 12
+    x_o = (padic_sqrt(from_frac(-3, p, n)) + 1) / 2
+    assert rational_reconstruct(x_o) is None
+    for sign in (1, -1):
+        y_o = (x_o * 2 - 1) * sign
+        x, y = exact_point(g, x_o, y_o, None)
+        assert element_min_poly(x) == (1, -1, 1)
+        assert element_min_poly(y) == (3, 0, 1)
+        assert y == (x * 2 - 1) * sign
+        assert y * y == eval_exact(g, x)
+        assert exact_point(g, x_o, y_o + from_frac(p ** 5, p, n), None) is None
