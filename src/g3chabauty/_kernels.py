@@ -298,22 +298,39 @@ SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61)
 
 
-def _sieve_mask(cnum, d7, q, b, height):
-    """Bits i of [0, 2 height] with s(a, b) d7 b a square mod q at
-    a = i - height, or None when every a passes.  Squares include 0."""
+def _square_flags(cnum, d7, q, b):
+    """[s(a, b) d7 b is a square mod q, for a in range(q)], by Horner's
+    rule in a.  Squares include 0."""
     squares = {r * r % q for r in range(q)}
     # coefficients of s(a, b) as a polynomial in a, highest first
     top = [cnum[i] * pow(b, 7 - i, q) % q for i in range(7, -1, -1)]
     scale = d7 * b % q
-    pattern = 0
+    flags = []
     for a in range(q):
         s = 0
         for c in top:
             s = (s * a + c) % q
-        if s * scale % q in squares:
-            pattern |= 1 << (a + height) % q
-    if pattern == (1 << q) - 1:
+        flags.append(s * scale % q in squares)
+    return flags
+
+
+def _sieve_mask(cnum, d7, q, b, height, table):
+    """Bits i of [0, 2 height] with s(a, b) d7 b a square mod q at
+    a = i - height, or None when every a passes.  table is
+    _square_flags(cnum, d7, q, 1): for b a unit mod q,
+    s(a, b) d7 b = b^8 s(a / b, 1) d7 mod q and b^8 is a unit square, so a
+    passes when a / b mod q does at b = 1; other b take Horner's rule."""
+    if gcd(b, q) == 1:
+        binv = pow(b, -1, q)
+        flags = [table[a * binv % q] for a in range(q)]
+    else:
+        flags = _square_flags(cnum, d7, q, b)
+    if all(flags):
         return None
+    pattern = 0
+    for a, ok in enumerate(flags):
+        if ok:
+            pattern |= 1 << (a + height) % q
     width = 2 * height + 1
     length = q
     while length < width:
@@ -336,19 +353,21 @@ def search_x_squares(cnum, d7, height):
     ratpoints rejects most a first: for each modulus q of SIEVE_MODULI and
     each residue b mod q, the a in [-height, height] with s * d7 * b a
     square mod q (0 counts) form one Python int of 2 height + 1 bits, the
-    residue pattern tiled by doubling.  For each b the masks of all moduli
+    residue pattern tiled by doubling; every unit b reads its pattern from
+    the one table of b = 1.  For each b the masks of all moduli
     are ANDed, and only the surviving a go through the coprimality test
     and the exact big-integer check.
     """
     hits = []
     masks = {q: {} for q in SIEVE_MODULI}
+    tables = {q: _square_flags(cnum, d7, q, 1) for q in SIEVE_MODULI}
     every_a = (1 << (2 * height + 1)) - 1
     for b in range(1, height + 1):
         alive = every_a
         for q, cache in masks.items():
             r = b % q
             if r not in cache:
-                cache[r] = _sieve_mask(cnum, d7, q, r, height)
+                cache[r] = _sieve_mask(cnum, d7, q, r, height, tables[q])
             if cache[r] is not None:
                 alive &= cache[r]
         bpows = [1] * 8

@@ -31,7 +31,6 @@ from .curve import (COST_CAP_S, NUMBER_DIGITS_CAP, CurveModel, RationalPoint,
                     estimated_brute_seconds)
 from .errors import G3Error, InputError
 from .frobenius import zeta_numerator
-from .localdisk import curve_point_from_rational
 from .pipeline import analyze_curve, check_inputs, default_precision
 
 log = logging.getLogger(__name__)
@@ -301,9 +300,8 @@ def cmd_integrate(args):
     check_inputs(curve, p=p, prec=args.N, knowns=[src, dst])
     prec = default_precision(p) if args.N is None else args.N
     ctx = ColemanContext(curve, p, prec)
-    a = curve_point_from_rational(curve, curve.to_monic(src), p, prec)
-    b = curve_point_from_rational(curve, curve.to_monic(dst), p, prec)
-    vals = ctx.integral_holomorphic(a, b)
+    vals = ctx.integral_holomorphic(curve.padic_point(src, p, prec),
+                                    curve.padic_point(dst, p, prec))
     wanted = range(3) if args.form == "all" else [int(args.form)]
     print(json.dumps({
         "prime": p,

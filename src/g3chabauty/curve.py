@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
 from . import _kernels as kernels
 from .errors import BadReductionError, InputError
-from .padic import hensel_lift_root, ord_p
+from .padic import PadicNumber, hensel_lift_root, ord_p
 from .recognize import eval_exact, primitive_poly, rational_sqrt
 
 
@@ -159,13 +159,11 @@ def _fractions(coeffs):
     return tuple(Fraction(c) for c in coeffs)
 
 
-@dataclass(frozen=True, order=True)
-class RationalPoint:
+class RationalPoint(namedtuple("RationalPoint", "kind x y",
+                               defaults=(Fraction(0), Fraction(0)))):
     """Exact point: affine (x, y) with Fractions, or the point at infinity."""
 
-    kind: str
-    x: Fraction = Fraction(0)
-    y: Fraction = Fraction(0)
+    __slots__ = ()
 
     @staticmethod
     def infinity():
@@ -199,13 +197,10 @@ class RationalPoint:
                                     parse_number(obj[1], what + " y"))
 
 
-@dataclass(frozen=True, order=True)
-class FpPoint:
+class FpPoint(namedtuple("FpPoint", "kind x y", defaults=(0, 0))):
     """Reduction of a point mod p; the disk label of the residue disk."""
 
-    kind: str
-    x: int = 0
-    y: int = 0
+    __slots__ = ()
 
     @staticmethod
     def infinity():
@@ -322,6 +317,25 @@ class CurveModel:
             return pt
         return RationalPoint.affine(pt.x / self.scale_x, pt.y / self.scale_y)
 
+    def padic_point(self, pt: RationalPoint, p, prec) -> CurvePoint:
+        """The monic-model CurvePoint, to prec absolute digits, of an
+        original-model RationalPoint."""
+        if pt.is_infinity:
+            return CurvePoint.infinity()
+        m = self.to_monic(pt)
+        return CurvePoint.affine(
+            PadicNumber.from_rational(m.x, p, abs_prec=prec),
+            PadicNumber.from_rational(m.y, p, abs_prec=prec))
+
+    def to_original(self, point: CurvePoint):
+        """The original-model coordinates (x, y), PadicNumbers, of an affine
+        monic-model CurvePoint."""
+        return point.x * self.scale_x, point.y * self.scale_y
+
+    def scaling_strings(self):
+        """The monic scaling (u, v) as the report prints it."""
+        return [str(self.scale_x), str(self.scale_y)]
+
     def is_on_curve_original(self, pt: RationalPoint) -> bool:
         if pt.is_infinity:
             return True
@@ -375,33 +389,21 @@ class CurveModel:
         return sorted(_factor_squarefree(list(primitive_poly(self.F))))
 
     def weierstrass_points_qp(self, p, prec):
-        """Finite Weierstrass points over Q_p: list of dicts with the lifted
-        x (PadicNumber), the residue, rationality, and the minimal polynomial
-        of x over Q (constant first, content-free, positive leading coeff)."""
+        """Finite Weierstrass points over Q_p in the original model:
+        {residue of the monic x mod p: (x, min_poly)}, x the lifted root
+        (PadicNumber) and min_poly its minimal polynomial over Q (constant
+        first, content-free, positive leading coefficient)."""
         ints = self.f_coeffs_mod(p, prec)
-        out = []
         factors = self.weierstrass_x_factors()
+        out = {}
         for x0 in range(p):
             if kernels.poly_eval_mod(ints, x0, p) != 0:
                 continue
-            xlift = hensel_lift_root(ints, x0, p, prec)
-            home = None
-            for fac in factors:
-                if kernels.poly_eval_mod([c % p for c in fac], x0, p) == 0:
-                    home = fac
-                    break
-            rational = home is not None and len(home) == 2
-            xrat = None
-            if rational:
-                xrat = Fraction(-home[0], home[1])
-            out.append({
-                "x": xlift,
-                "residue": x0,
-                "rational": rational,
-                "x_rational": xrat,
-                "min_poly": home,
-            })
-        out.sort(key=lambda d: d["residue"])
+            home = next(fac for fac in factors if kernels.poly_eval_mod(
+                [c % p for c in fac], x0, p) == 0)
+            out[x0] = (hensel_lift_root(ints, x0, p, prec) * self.scale_x,
+                       primitive_poly(c * self.scale_x ** -k
+                                      for k, c in enumerate(home)))
         return out
 
     # -- rational point search ------------------------------------------------------

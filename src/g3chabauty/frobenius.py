@@ -194,15 +194,23 @@ class FrobeniusData:
         rule in u sums."""
         m = self.p ** self.work_exp
         terms = self.prims[col]
-        xpow = _powers(x_int, max(8, len(terms[0])), m)
+        n = max(8, len(terms[0]))
+        xpow = _powers(x_int, n, m)
         # slopes[i] = i x^(i-1), the slope of x^i; deg F = 7
-        slopes = [0] + [i * xpow[i - 1] for i in range(1, len(xpow))]
+        slopes = [0] + [i * xpow[i - 1] for i in range(1, n)]
         f = self.curve.f_coeffs_mod(self.p, self.work_exp)
         u = pow(y_int * y_int % m, -1, m)
         half_fu = sum(map(mul, f, slopes)) * u % m * pow(2, -1, m) % m
-        vals = [sum(map(mul, E, slopes))
-                + (1 - 2 * e) * half_fu * sum(map(mul, E, xpow))
-                for e, E in enumerate(terms)]
+        # weights[i] is x^i above i x^(i-1), so one dot product gives E(x)
+        # above E'(x): E's n residues times slopes below n m sum below
+        # n^2 m^2
+        shift = 2 * (n * m).bit_length()
+        low = (1 << shift) - 1
+        weights = [v + (w << shift) for v, w in zip(slopes, xpow)]
+        vals = []
+        for e, E in enumerate(terms):
+            both = sum(map(mul, E, weights))
+            vals.append((both & low) + (1 - 2 * e) * half_fu * (both >> shift))
         return kernels.poly_eval_mod(vals, u, m) * y_int % m
 
 

@@ -225,15 +225,6 @@ def form_series(coeffs, basis):
     return acc
 
 
-def curve_point_from_rational(curve, pt, p, prec):
-    """Monic-model CurvePoint from an exact monic-model RationalPoint."""
-    if pt.is_infinity:
-        return CurvePoint.infinity()
-    return CurvePoint.affine(
-        PadicNumber.from_rational(pt.x, p, abs_prec=prec),
-        PadicNumber.from_rational(pt.y, p, abs_prec=prec))
-
-
 def disk_center(curve, disk, p, prec):
     """The one center of a disk, to `prec` digits.
 

@@ -6,7 +6,10 @@ p^rel_prec, i.e. the value is known modulo p^(valuation + rel_prec).  A zero
 absolute precision in the valuation slot; an exact zero uses an infinite
 valuation.  All arithmetic propagates precision pessimistically: addition
 works at the minimum absolute precision of the operands, multiplication and
-division at the minimum relative precision.
+division at the minimum relative precision.  An exact nonzero element
+(rel_prec = INF) is an element of Z[1/p] with an int unit: arithmetic
+among exact operands stays exact, and a result outside Z[1/p] raises
+PrecisionError.
 """
 
 from __future__ import annotations
@@ -118,22 +121,28 @@ class PadicNumber:
         if self.prime != other.prime:
             raise InputError("mixed primes %s and %s" % (self.prime, other.prime))
 
-    def _coerce(self, other, for_mul):
+    def _coerce(self, other, op):
+        """other, for the operation op, as a PadicNumber: exact when self is
+        (an exact zero times or over anything stays the exact zero), else
+        at self's precision."""
         if isinstance(other, PadicNumber):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction)):
-            if for_mul:
-                return PadicNumber.from_rational(other, self.prime,
-                                                 rel_prec=max(self.rel_prec, 1))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        for_mul = op in ("*", "/")
+        if self.abs_prec == INF and not (for_mul and self.unit == 0):
+            return _exact(other, self.prime, op)
+        if for_mul:
             return PadicNumber.from_rational(other, self.prime,
-                                             abs_prec=self.abs_prec)
-        return NotImplemented
+                                             rel_prec=max(self.rel_prec, 1))
+        return PadicNumber.from_rational(other, self.prime,
+                                         abs_prec=self.abs_prec)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other, for_mul=False)
+        other = self._coerce(other, "+")
         if other is NotImplemented:
             return NotImplemented
         n = min(self.abs_prec, other.abs_prec)
@@ -144,14 +153,13 @@ class PadicNumber:
         if other.unit == 0:
             return self._cap(n)
         v0 = min(self.valuation, other.valuation)
-        if n == INF:
-            raise PrecisionError("sum of two exact units is not representable")
         width = n - v0
         if width <= 0:
             raise PrecisionError("no overlapping digits in addition")
-        m = self.prime ** width
         s = (self.unit * self.prime ** (self.valuation - v0)
-             + other.unit * self.prime ** (other.valuation - v0)) % m
+             + other.unit * self.prime ** (other.valuation - v0))
+        if width != INF:
+            s %= self.prime ** width
         if s == 0:
             return PadicNumber.zero(self.prime, n)
         v = ord_p(s, self.prime)
@@ -165,30 +173,33 @@ class PadicNumber:
         return PadicNumber(self.prime, self.valuation, -self.unit, self.rel_prec)
 
     def __sub__(self, other):
-        other = self._coerce(other, for_mul=False)
+        other = self._coerce(other, "-")
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other, "-")
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other, for_mul=True)
+        other = self._coerce(other, "*")
         if other is NotImplemented:
             return NotImplemented
         if self.unit == 0 or other.unit == 0:
             # ord(xy) >= ord-floor(x) + ord-floor(y)
             return PadicNumber.zero(self.prime, self.valuation + other.valuation)
-        r = min(self.rel_prec, other.rel_prec)
-        m = self.prime ** r
+        # __init__ reduces the unit, unless both are exact
         return PadicNumber(self.prime, self.valuation + other.valuation,
-                           self.unit * other.unit % m, r)
+                           self.unit * other.unit,
+                           min(self.rel_prec, other.rel_prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other, for_mul=True)
+        other = self._coerce(other, "/")
         if other is NotImplemented:
             return NotImplemented
         if other.unit == 0:
@@ -196,12 +207,17 @@ class PadicNumber:
         if self.unit == 0:
             return PadicNumber.zero(self.prime, self.valuation - other.valuation)
         r = min(self.rel_prec, other.rel_prec)
-        m = self.prime ** r
-        unit = self.unit * pow(other.unit, -1, m) % m
+        if r == INF:
+            unit, rem = divmod(self.unit, other.unit)
+            if rem:
+                raise PrecisionError("/: the exact quotient is not in "
+                                     "Z[1/%d]" % self.prime)
+        else:
+            unit = self.unit * pow(other.unit, -1, self.prime ** r)
         return PadicNumber(self.prime, self.valuation - other.valuation, unit, r)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other, for_mul=True)
+        other = self._coerce(other, "/")
         if other is NotImplemented:
             return NotImplemented
         return other / self
@@ -209,7 +225,7 @@ class PadicNumber:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InputError("only nonnegative integer powers")
-        out = PadicNumber.from_rational(1, self.prime, rel_prec=max(self.rel_prec, 1))
+        out = PadicNumber(self.prime, 0, 1, max(self.rel_prec, 1))
         base = self
         while k:
             if k & 1:
@@ -240,10 +256,11 @@ class PadicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PadicNumber.from_rational(
-                other, self.prime,
-                abs_prec=self.abs_prec if self.abs_prec != INF else None,
-                rel_prec=None if self.abs_prec != INF else max(self.rel_prec, 1))
+            try:
+                other = self._coerce(other, "==")
+            except PrecisionError:
+                # an exact value lies in Z[1/p], and other does not
+                return False
         if not isinstance(other, PadicNumber):
             return NotImplemented
         if self.prime != other.prime:
@@ -305,6 +322,18 @@ class PadicNumber:
 
     def __repr__(self):
         return "PadicNumber(%s)" % self.expansion_str()
+
+
+def _exact(value, p, op):
+    """The int or Fraction value as an exact PadicNumber at p, for the
+    operation op; PrecisionError naming op unless value is in Z[1/p]."""
+    value = Fraction(value)
+    if value == 0:
+        return PadicNumber.zero(p)
+    v = ord_p(value, p)
+    if value.denominator != p ** max(-v, 0):
+        raise PrecisionError("%s: the operand is not in Z[1/%d]" % (op, p))
+    return PadicNumber(p, v, value.numerator // p ** max(v, 0), INF)
 
 
 def teichmuller_point(f_ints, xbar, ybar, p, n):

@@ -34,10 +34,10 @@ from .curve import (COST_CAP_S, HEIGHT_CAP, PREC_CAP, PREC_MIN,
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
-from .localdisk import curve_point_from_rational, form_series
+from .localdisk import form_series
 from .padic import INF, PadicNumber, ord_p
 from .recognize import (element_min_poly, exact_point, format_polynomial,
-                        primitive_poly, rational_reconstruct)
+                        rational_reconstruct)
 from .rootfinding import series_roots_in_disk
 
 log = logging.getLogger(__name__)
@@ -52,12 +52,11 @@ def default_precision(p):
 class _Known:
     """A known rational point prepared for disk work."""
 
-    __slots__ = ("original", "monic", "point", "disk")
+    __slots__ = ("original", "point", "disk")
 
     def __init__(self, curve, p, prec, original):
         self.original = original
-        self.monic = curve.to_monic(original)
-        self.point = curve_point_from_rational(curve, self.monic, p, prec)
+        self.point = curve.padic_point(original, p, prec)
         self.disk = curve.reduce_curve_point(self.point, p)
 
 
@@ -272,23 +271,18 @@ class _Analysis:
         if disk.y == 0 and t.is_zero:
             if self._wq is None:
                 self._wq = self.curve.weierstrass_points_qp(self.p, self.prec)
-            info = next(w for w in self._wq if w["residue"] == disk.x)
-            if info["rational"]:
+            x_w, min_poly = self._wq[disk.x]
+            if len(min_poly) == 2:
                 return _rational(base, RationalPoint.affine(
-                    info["x_rational"] * self.curve.scale_x, 0))
-            # the min poly of x_w = scale_x * x
-            rel = primitive_poly(c * self.curve.scale_x ** -k
-                                 for k, c in enumerate(info["min_poly"]))
-            x_w = info["x"] * self.curve.scale_x
+                    Fraction(-min_poly[0], min_poly[1]), 0))
             base.update({"class": "weierstrass", "x": x_w.expansion_str(),
-                         "min_poly_x": format_polynomial(rel, "x"),
+                         "min_poly_x": format_polynomial(min_poly, "x"),
                          "y": "0", "torsion_order": 2})
             return base
         point = data.expansion.point_at(t)
         if mirrored:
             point = point.involution()
-        x_o = point.x * self.curve.scale_x
-        y_o = point.y * self.curve.scale_y
+        x_o, y_o = self.curve.to_original(point)
         x, y = exact_point(self.curve.original, x_o, y_o,
                            rational_reconstruct(x_o)) or (None, None)
         if isinstance(y, Fraction):
@@ -474,7 +468,7 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
     data = {
         "curve": {
             "coefficients": curve.coeff_strings(),
-            "monic_scaling": [str(curve.scale_x), str(curve.scale_y)],
+            "monic_scaling": curve.scaling_strings(),
         },
         "prime": p,
         "precision": prec,

@@ -18,9 +18,10 @@ import pytest
 from g3chabauty._kernels import brute_zeta_numerator
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
-from g3chabauty.curve import CurveModel, CurvePoint
+from g3chabauty.curve import CurveModel, FpPoint
 from g3chabauty.errors import InputError
 from g3chabauty.frobenius import zeta_numerator
+from g3chabauty.localdisk import disk_center
 from g3chabauty.padic import PadicNumber, ord_p
 from g3chabauty.recognize import eval_exact
 from g3chabauty.rootfinding import series_roots_in_disk
@@ -346,8 +347,8 @@ def test_criterion_07(curve_a, ctx_a7):
         # between branch points every holomorphic integral vanishes
         winfo = curve_a.weierstrass_points_qp(7, 18)
         assert len(winfo) == 3
-        w1 = CurvePoint.affine(winfo[0]["x"], PadicNumber.zero(7, 18))
-        w2 = CurvePoint.affine(winfo[1]["x"], PadicNumber.zero(7, 18))
+        w1, w2 = (disk_center(curve_a, FpPoint("affine", r, 0), 7, 18)
+                  for r in sorted(winfo)[:2])
         for v in ctx_a7.integral_holomorphic(w1, w2):
             assert close3(v, PadicNumber.zero(7, 18))
         # d(y) integrates back to the coordinate difference inside a disk

@@ -28,7 +28,6 @@ from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PRIME_CAP, RationalPoint,
                               is_prime)
 from g3chabauty.errors import G3Error, PrecisionError
-from g3chabauty.localdisk import curve_point_from_rational
 from g3chabauty.pipeline import analyze_curve
 
 from conftest import CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING
@@ -699,9 +698,8 @@ def test_integrate_matches_library(curve_a, tmp_path, capsys):
                  "--from=-1,-1", "--to=1,5"]) == 0
     data = json.loads(capsys.readouterr().out)
     ctx = ColemanContext(curve_a, 7, 18)
-    pts = [curve_point_from_rational(
-        curve_a, curve_a.to_monic(RationalPoint.affine(*xy)), 7, 18)
-        for xy in ((-1, -1), (1, 5))]
+    pts = [curve_a.padic_point(RationalPoint.affine(*xy), 7, 18)
+           for xy in ((-1, -1), (1, 5))]
     vals = ctx.integral_holomorphic(*pts)
     assert data["integrals"] == {"w1": vals[1].expansion_str()}
 

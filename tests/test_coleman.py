@@ -12,7 +12,7 @@ import pytest
 
 from g3chabauty import coleman
 from g3chabauty.coleman import ColemanContext, padic_linsolve
-from g3chabauty.localdisk import LocalExpansion, curve_point_from_rational
+from g3chabauty.localdisk import LocalExpansion
 from g3chabauty.curve import CurvePoint, RationalPoint
 from g3chabauty.padic import INF, PadicNumber, ord_p, teichmuller_point
 
@@ -33,8 +33,8 @@ def ctx_c11(curve_c):
 
 
 def monic_point(curve, x, y, p, prec):
-    pt = curve.to_monic(RationalPoint.affine(Fraction(x), Fraction(y)))
-    return curve_point_from_rational(curve, pt, p, prec)
+    return curve.padic_point(RationalPoint.affine(Fraction(x), Fraction(y)),
+                             p, prec)
 
 
 def assert_small(value, digits):

@@ -15,7 +15,6 @@ from conftest import CURVE_B_COEFFS, make_curve
 from g3chabauty.curve import (PRIME_CAP, CurveModel, FpPoint, RationalPoint,
                               estimated_seconds, is_prime)
 from g3chabauty.errors import BadReductionError, InputError
-from g3chabauty.localdisk import curve_point_from_rational
 from g3chabauty.recognize import eval_exact, rational_sqrt
 
 
@@ -113,12 +112,11 @@ def test_reduce_point_disks(curve_a):
     p = 7
 
     def disk(pt):
-        return curve_a.reduce_curve_point(
-            curve_point_from_rational(curve_a, pt, p, 8), p)
+        return curve_a.reduce_curve_point(curve_a.padic_point(pt, p, 8), p)
 
     assert disk(RationalPoint.infinity()).is_infinity
-    m = curve_a.to_monic(RationalPoint.affine(Fraction(-1), Fraction(-1)))
-    assert disk(m) == FpPoint("affine", 3, 6)
+    # (-1, -1) is (-4, -64) on the monic model
+    assert disk(RationalPoint.affine(-1, -1)) == FpPoint("affine", 3, 6)
     # x with p in the denominator reduces into the infinity disk
     far = RationalPoint.affine(Fraction(1, 7), Fraction(1))
     assert disk(far).is_infinity
@@ -135,16 +133,21 @@ def test_canonical_disk():
 
 
 def test_weierstrass_points(curve_a, curve_c):
+    # {monic residue: (x, min poly of x)}, both in the original model, so x
+    # is a root of g and of its min poly; curve_a has three, none rational
     ws = curve_a.weierstrass_points_qp(7, 8)
-    for w in ws:
-        v = w["x"].residue(8)
-        num = sum(int(curve_a.F[i] * 1) * pow(v, i, 7 ** 8) for i in range(8))
-        assert num % 7 ** 8 == 0
-        assert not w["rational"]
-    # curve_c has the rational Weierstrass point x = 0
+    fbar = curve_a.f_coeffs_mod(7, 1)
+    assert sorted(ws) == [r for r in range(7) if sum(
+        c * r ** i for i, c in enumerate(fbar)) % 7 == 0]
+    g = [int(c) for c in curve_a.original]
+    for x, min_poly in ws.values():
+        v = x.residue(8)
+        for poly in (g, min_poly):
+            assert sum(c * v ** i for i, c in enumerate(poly)) % 7 ** 8 == 0
+        assert len(min_poly) > 2
+    # curve_c has the rational Weierstrass point x = 0: min poly x
     ws_c = curve_c.weierstrass_points_qp(11, 8)
-    rats = [w for w in ws_c if w["rational"]]
-    assert len(rats) == 1 and rats[0]["x_rational"] == 0
+    assert [mp for _, mp in ws_c.values() if len(mp) == 2] == [(0, 1)]
 
 
 def test_search_rational_points(curve_b, curve_c):

@@ -724,6 +724,22 @@ def test_primitive_dx_matches_the_per_term_oracle(curve, p, request):
                 _primitive_dx_full(fd, col, x_int, y_int)
 
 
+def test_primitive_dx_takes_one_dot_product_per_term(fd_a7, monkeypatch):
+    # E_e(x) and E_e'(x) come from one packed dot product per term, plus
+    # the 8 products of F'(x)
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return a * b
+
+    monkeypatch.setattr(frobenius, "mul", counting_mul)
+    for col in range(6):
+        calls.clear()
+        fd_a7._primitive_dx_acc(col, 3, 5)
+        assert len(calls) == 8 + sum(map(len, fd_a7.prims[col]))
+
+
 def test_primitive_dx_finite_difference(curve_a, fd_a7):
     p = 7
     m = p ** fd_a7.work_exp

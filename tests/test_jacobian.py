@@ -126,11 +126,9 @@ def test_reduction_class_and_flags(curve_a):
     b = brute_zeta_coeffs(f, p)
     n = jac_order_from_zeta(b)
     from g3chabauty.curve import RationalPoint
-    from g3chabauty.localdisk import curve_point_from_rational
     from fractions import Fraction
-    pt = curve_a.to_monic(RationalPoint.affine(Fraction(-1), Fraction(-1)))
-    disk = curve_a.reduce_curve_point(
-        curve_point_from_rational(curve_a, pt, p, 4), p)
+    pt = RationalPoint.affine(Fraction(-1), Fraction(-1))
+    disk = curve_a.reduce_curve_point(curve_a.padic_point(pt, p, 4), p)
     d = MumfordDivisorFp.from_point(disk, p, f)
     o = d.order(n)
     assert o > 1 and n % o == 0

@@ -369,3 +369,29 @@ def test_sieved_search_matches_loop_on_random_curves():
                      if sum(c * a ** i * b ** (7 - i)
                             for i, c in enumerate(cnum)) == 0)
     assert found >= 40 and roots >= 10
+
+
+def test_sieve_masks_match_horner_at_every_residue():
+    # a unit b mod q reads its mask from the one table of b = 1, as
+    # s(a, b) d7 b = b^8 s(a / b, 1) d7 mod q; every residue b of every
+    # modulus must give the mask of s(a, b) d7 b evaluated at each a
+    rng = random.Random(5)
+    cases = [search_inputs(make_curve(c, s).original) for c, s in (
+        (CURVE_A_COEFFS, None), (CURVE_B_COEFFS, CURVE_B_SCALING),
+        (CURVE_C_COEFFS, None))]
+    cases += [(planted_curve(rng, d7), d7) for d7 in (1, 3, 4, 12)]
+    height = 40
+    every_a = (1 << (2 * height + 1)) - 1
+    for cnum, d7 in cases:
+        for q in kernels.SIEVE_MODULI:
+            table = kernels._square_flags(cnum, d7, q, 1)
+            squares = {r * r % q for r in range(q)}
+            for b in range(q):
+                want = 0
+                for i, a in enumerate(range(-height, height + 1)):
+                    s = sum(c * a ** k * b ** (7 - k)
+                            for k, c in enumerate(cnum))
+                    if s * d7 * b % q in squares:
+                        want |= 1 << i
+                got = kernels._sieve_mask(cnum, d7, q, b, height, table)
+                assert (every_a if got is None else got) == want, (q, b)

@@ -6,12 +6,18 @@ pipeline or cli, so a chart or a checker can be built from them alone.
 Recognition, exact evaluation over Q and Q(x) and the recovery of an exact
 point included, sits below the curve model on the kernels and padic.  The
 Frobenius budget (the prescale C = scale_exp and the working exponent
-W = work_exp) belongs to frobenius.py: no other module names it.  The
-kernels are the leaf every layer builds on: they import only errors.
+W = work_exp) belongs to frobenius.py: no other module names it, and the
+monic model's scaling (scale_x, scale_y, to_monic) belongs to curve.py.
+The kernels are the leaf every layer builds on: they import only errors.
+One test imports the CLI in a fresh interpreter, to see which standard
+modules the package pulls in.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +26,7 @@ LOWER = ("_kernels", "padic", "series", "localdisk", "rootfinding", "curve",
          "jacobian", "recognize")
 UPPER = {"frobenius", "coleman", "pipeline", "cli"}
 BUDGET = {"work_exp", "scale_exp"}
+MONIC = {"scale_x", "scale_y", "to_monic"}
 
 
 def _tree(path):
@@ -47,8 +54,8 @@ def _package_imports(tree):
     return out
 
 
-def _budget_names(tree):
-    """The budget names a module reads as attributes, names or strings."""
+def _names(tree):
+    """The names a module reads as attributes, names or strings."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -57,7 +64,7 @@ def _budget_names(tree):
             found.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
-    return found & BUDGET
+    return found
 
 
 def test_import_scanner_sees_every_form():
@@ -101,5 +108,24 @@ def test_exact_point_routines_live_in_recognize_alone(name):
 
 def test_only_frobenius_names_its_budget():
     readers = {path.name for path in sorted(PKG.glob("*.py"))
-               if _budget_names(_tree(path))}
+               if _names(_tree(path)) & BUDGET}
     assert readers == {"frobenius.py"}
+
+
+def test_only_curve_names_the_monic_scaling():
+    # every other module works on one model and asks curve to translate
+    # (padic_point, to_original, scaling_strings, weierstrass_points_qp)
+    readers = {path.name for path in sorted(PKG.glob("*.py"))
+               if _names(_tree(path)) & MONIC}
+    assert readers == {"curve.py"}
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast and dis, about 10 ms of every
+    # interpreter's start; the points are namedtuples instead
+    code = ("import sys, g3chabauty.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -9,8 +9,7 @@ import pytest
 from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import CurvePoint, FpPoint
 from g3chabauty.errors import InputError
-from g3chabauty.localdisk import (LocalExpansion, curve_point_from_rational,
-                                  disk_center, form_series)
+from g3chabauty.localdisk import LocalExpansion, disk_center, form_series
 from g3chabauty.padic import INF, PadicNumber, teichmuller_point
 from g3chabauty.pipeline import default_precision
 from g3chabauty.series import PadicPowerSeries
@@ -24,8 +23,8 @@ PREC = 12
 
 def monic_point(curve, x, y, p, prec=PREC):
     from g3chabauty.curve import RationalPoint
-    pt = curve.to_monic(RationalPoint.affine(Fraction(x), Fraction(y)))
-    return curve_point_from_rational(curve, pt, p, prec)
+    return curve.padic_point(RationalPoint.affine(Fraction(x), Fraction(y)),
+                             p, prec)
 
 
 def f_at(curve, x):

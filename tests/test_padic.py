@@ -198,3 +198,45 @@ def test_expansion_str_matches_digit_convention():
     p = 7
     a = PadicNumber.from_rational(741, p, abs_prec=4)   # 741 = 6 + 7^2 + 2*7^3
     assert a.expansion_str() == "6 + 1*7^2 + 2*7^3 + O(7^4)"
+
+
+# exact operands of Z[1/7]: a unit past float range, a small unit
+EXACT_A = PadicNumber(7, 0, 10 ** 20 + 1, INF)
+EXACT_B = PadicNumber(7, 0, 3, INF)
+A = 10 ** 20 + 1
+
+
+@pytest.mark.parametrize("op, want", [
+    (lambda: EXACT_A * EXACT_B, 3 * A),
+    (lambda: EXACT_A * 2, 2 * A),
+    (lambda: EXACT_A ** 2, A * A),
+    (lambda: EXACT_A + EXACT_B, A + 3),
+    (lambda: EXACT_A - EXACT_B, A - 3),
+    (lambda: EXACT_A + 1, A + 1),
+    (lambda: 1 - EXACT_A, 1 - A),
+    (lambda: EXACT_A + Fraction(1, 49), A + Fraction(1, 49)),
+    (lambda: EXACT_A / 7, Fraction(A, 7)),
+    (lambda: (EXACT_A * EXACT_B) / EXACT_B, A),
+    (lambda: EXACT_A - EXACT_A, 0),
+    (lambda: EXACT_A / EXACT_B, "/"),
+    (lambda: EXACT_A * Fraction(1, 3), r"\*"),
+    (lambda: EXACT_A + Fraction(1, 3), r"\+"),
+    (lambda: EXACT_A - Fraction(2, 21), "-"),
+], ids=["mul", "mul-int", "pow", "add", "sub", "add-int", "rsub-int",
+        "add-fraction", "div-p", "div-exact", "sub-self", "div-inexact",
+        "mul-non-p-fraction", "add-non-p-fraction", "sub-non-p-fraction"])
+def test_exact_arithmetic_stays_exact(op, want):
+    # +, -, * and ** of exact operands stay exact with an int unit, and /
+    # when the divisor's unit divides; a result outside Z[1/p] raises
+    # PrecisionError naming the operation, never a float or a TypeError
+    if isinstance(want, str):
+        with pytest.raises(PrecisionError, match=want):
+            op()
+        return
+    got = op()
+    if want == 0:
+        assert got.is_exact_zero
+        return
+    assert isinstance(got.unit, int) and got.rel_prec == INF
+    assert Fraction(got.unit) * Fraction(7) ** got.valuation == want
+    assert got == want and not got == want + 1
