@@ -53,8 +53,8 @@ def padic_linsolve(adj, det, rhs):
             for i in range(len(adj[0]))]
 
 
-# a disk's chart, its basis forms and their half-integral series
-_DiskData = namedtuple("_DiskData", "expansion forms halfints")
+# a disk's chart and the half-integral series of its basis forms
+_DiskData = namedtuple("_DiskData", "expansion halfints")
 
 
 class ColemanContext:
@@ -91,8 +91,8 @@ class ColemanContext:
         disk, halfint(P) at the Teichmuller point P that Frobenius lifts."""
         center = disk_center(self.curve, disk, self.p, self.prec)
         expansion = LocalExpansion(self.curve, center, self.p, self.prec)
-        forms = expansion.differential_series()
-        halfints = tuple(f.formal_integral() for f in forms)
+        halfints = tuple(f.formal_integral()
+                         for f in expansion.differential_series())
         if expansion.kind == "generic":
             # h is odd in y, so h(P) - h(iota P) = 2 h(P): the half
             # integral between the two lifts solves (I - M^T) v = h(P),
@@ -100,7 +100,7 @@ class ColemanContext:
             sol = padic_linsolve(self._adj, self.fd.jacobian_order(),
                                  self.fd.primitives_at(disk.x, disk.y))
             halfints = tuple(h + c for h, c in zip(halfints, sol))
-        return _DiskData(expansion, forms, halfints)
+        return _DiskData(expansion, halfints)
 
     # -- integrals ---------------------------------------------------------
 

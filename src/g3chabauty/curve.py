@@ -159,19 +159,15 @@ def _fractions(coeffs):
     return tuple(Fraction(c) for c in coeffs)
 
 
-class RationalPoint(namedtuple("RationalPoint", "kind x y",
-                               defaults=(Fraction(0), Fraction(0)))):
-    """Exact point: affine (x, y) with Fractions, or the point at infinity."""
+class _Point:
+    """What the point types share: kind "affine" or "infinity", the
+    infinity constructor and the involution y -> -y."""
 
     __slots__ = ()
 
-    @staticmethod
-    def infinity():
-        return RationalPoint("infinity")
-
-    @staticmethod
-    def affine(x, y):
-        return RationalPoint("affine", Fraction(x), Fraction(y))
+    @classmethod
+    def infinity(cls):
+        return cls("infinity")
 
     @property
     def is_infinity(self):
@@ -180,7 +176,18 @@ class RationalPoint(namedtuple("RationalPoint", "kind x y",
     def involution(self):
         if self.is_infinity:
             return self
-        return RationalPoint("affine", self.x, -self.y)
+        return self._replace(y=-self.y)
+
+
+class RationalPoint(_Point, namedtuple("RationalPoint", "kind x y",
+                                       defaults=(Fraction(0), Fraction(0)))):
+    """Exact point: affine (x, y) with Fractions, or the point at infinity."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def affine(x, y):
+        return RationalPoint("affine", Fraction(x), Fraction(y))
 
     def coord_strings(self):
         if self.is_infinity:
@@ -197,18 +204,10 @@ class RationalPoint(namedtuple("RationalPoint", "kind x y",
                                     parse_number(obj[1], what + " y"))
 
 
-class FpPoint(namedtuple("FpPoint", "kind x y", defaults=(0, 0))):
+class FpPoint(_Point, namedtuple("FpPoint", "kind x y", defaults=(0, 0))):
     """Reduction of a point mod p; the disk label of the residue disk."""
 
     __slots__ = ()
-
-    @staticmethod
-    def infinity():
-        return FpPoint("infinity")
-
-    @property
-    def is_infinity(self):
-        return self.kind == "infinity"
 
     def involution(self, p):
         if self.kind != "affine" or self.y == 0:
@@ -227,32 +226,15 @@ class FpPoint(namedtuple("FpPoint", "kind x y", defaults=(0, 0))):
         return "(%d,%d)" % (self.x, self.y)
 
 
-class CurvePoint:
+class CurvePoint(_Point, namedtuple("CurvePoint", "kind x y",
+                                    defaults=(None, None))):
     """p-adic point on the monic model (or infinity)."""
 
-    __slots__ = ("kind", "x", "y")
-
-    def __init__(self, kind, x=None, y=None):
-        self.kind = kind
-        self.x = x
-        self.y = y
-
-    @staticmethod
-    def infinity():
-        return CurvePoint("infinity")
+    __slots__ = ()
 
     @staticmethod
     def affine(x, y):
         return CurvePoint("affine", x, y)
-
-    @property
-    def is_infinity(self):
-        return self.kind == "infinity"
-
-    def involution(self):
-        if self.is_infinity:
-            return self
-        return CurvePoint("affine", self.x, -self.y)
 
     def __repr__(self):
         if self.is_infinity:
@@ -280,12 +262,10 @@ class CurveModel:
                 raise InputError(
                     "the coefficients make a monic scaling 1/(c^3 den) of "
                     "more than %d digits" % SCALING_DIGITS_CAP)
-        F = [g[i] * u ** i / (v * v) for i in range(8)]
-        if F[7] != 1:
-            raise InputError("normalization failed to produce a monic model")
+        # v^2 = g7 u^7, so F7 = 1 (the default: F7 = g7 den^2 / c = 1);
         # user scalings may leave denominators (units away from the working
         # prime); the default path is always Z-integral
-        self.F = tuple(F)
+        self.F = tuple(g[i] * u ** i / (v * v) for i in range(8))
         self.scale_x = u
         self.scale_y = v
 

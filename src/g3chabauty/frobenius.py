@@ -93,7 +93,8 @@ def _lift_cofactor(Q, Qd, p, W):
 
     Newton on the defect r = (1 - beta Q') mod Q: replacing beta by
     beta (1 + r) mod Q squares r, so the defect vanishes quadratically.
-    """
+    The division of 1 - beta Q' by Q is checked once, by column 0 of
+    _pole_map, as b(x^0) = beta."""
     g, _, beta = kernels.poly_xgcd_mod(Q, Qd, p)
     if g != [1]:
         raise BadReductionError("curve polynomial not squarefree mod p")
@@ -106,9 +107,6 @@ def _lift_cofactor(Q, Qd, p, W):
         beta = kernels.poly_add_mod(
             beta, kernels.poly_mul_mod(beta, r, mm), mm)
         beta = kernels.poly_divmod_monic_mod(beta, Q, mm)[1]
-    m = p ** W
-    kernels.poly_div_exact_mod(
-        kernels.poly_sub_mod([1], kernels.poly_mul_mod(beta, Qd, m), m), Q, m)
     return beta
 
 
@@ -392,8 +390,6 @@ def _compute(curve, p, N, k_max, C, W):
                                      kernels.poly_trim(d), m)
         A, prims[col][0] = _degree_reduce(
             kernels.poly_add_mod(A, carries[col], m), Q, Qd, p, m)
-        if len(A) > 6:
-            raise PrecisionError("degree reduction did not terminate")
         for i in range(6):
             rep = A[i] if i < len(A) else 0
             val = kernels.balanced(rep, m)

@@ -18,13 +18,11 @@ class MumfordDivisorFp:
 
     __slots__ = ("p", "f", "u", "v")
 
-    def __init__(self, p, f, u, v, reduce=False):
+    def __init__(self, p, f, u, v):
         self.p = p
         self.f = tuple(f)
         u = kernels.poly_trim([c % p for c in u])
         v = kernels.poly_trim([c % p for c in v])
-        if reduce:
-            u, v = self._reduce(u, v)
         if not u or u[-1] != 1:
             raise PrecisionError("u must be monic")
         if len(u) - 1 > 3:
@@ -38,8 +36,10 @@ class MumfordDivisorFp:
         self.u = tuple(u)
         self.v = tuple(v)
 
-    def _reduce(self, u, v):
-        p, f = self.p, list(self.f)
+    @staticmethod
+    def _reduce(p, f, u, v):
+        """The reduced pair of a semi-reduced (u, v), u monic, by the
+        reduction step u' = (f - v^2) / u made monic, v' = -v mod u'."""
         while len(u) - 1 > 3:
             vv = kernels.poly_mul_mod(v, v, p)
             u2 = kernels.poly_div_exact_mod(
@@ -104,7 +104,7 @@ class MumfordDivisorFp:
                   mul(s3, add(mul(v1, v2, p), f, p), p), p)
         v = kernels.poly_divmod_monic_mod(
             kernels.poly_div_exact_mod(num, d, p), u, p)[1]
-        return MumfordDivisorFp(p, self.f, u, v, reduce=True)
+        return MumfordDivisorFp(p, self.f, *self._reduce(p, f, u, v))
 
     def __sub__(self, other):
         return self + (-other)

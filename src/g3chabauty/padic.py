@@ -275,6 +275,9 @@ class PadicNumber:
         if abs_prec is None:
             abs_prec = self.abs_prec
         if abs_prec == INF:
+            if self.unit:
+                raise PrecisionError("an exact nonzero value has no finite "
+                                     "default modulus; give one")
             raise InputError("exact zero has no finite default modulus")
         if abs_prec > self.abs_prec:
             raise PrecisionError("representative requested beyond known digits")
@@ -291,6 +294,9 @@ class PadicNumber:
         if self.unit == 0:
             return []
         if count is None:
+            if self.rel_prec == INF:
+                raise PrecisionError("the digits of an exact value do not "
+                                     "end; give a count")
             count = self.rel_prec
         u = self.unit % self.prime ** count
         out = []
@@ -300,12 +306,15 @@ class PadicNumber:
         return out
 
     def expansion_str(self):
-        """Human form 'a0 + a1*p + a2*p^2 + O(p^N)' starting at the valuation."""
+        """Human form 'a0 + a1*p + a2*p^2 + O(p^N)' starting at the
+        valuation; an exact value, in Z[1/p], prints as its fraction."""
         p = self.prime
         if self.unit == 0:
             if self.valuation == INF:
                 return "0"
             return "O(%d^%s)" % (p, self.valuation)
+        if self.rel_prec == INF:
+            return str(self.unit * Fraction(p) ** self.valuation)
         terms = []
         for i, d in enumerate(self.digits()):
             if d == 0:

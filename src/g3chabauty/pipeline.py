@@ -62,13 +62,7 @@ class _Known:
 
 def _prepare_knowns(curve, p, prec, knowns):
     """Known points closed under y -> -y, sorted, deduplicated."""
-    seen = {}
-    for pt in knowns:
-        for q in (pt, pt.involution()):
-            key = (q.kind, q.x, q.y)
-            if key not in seen:
-                seen[key] = q
-    pts = sorted(seen.values())
+    pts = sorted({q for pt in knowns for q in (pt, pt.involution())})
     return [_Known(curve, p, prec, q) for q in pts]
 
 
@@ -140,9 +134,12 @@ def _lambda_series(data, coeffs):
     """Half-integral series of sum_i coeffs[i] w_i on the chart: its value
     at t is the half-integral from the reflected point.  Second return is
     the mod-p vanishing order of the differential, which bounds the zero
-    count in the disk by order + 1."""
-    order = form_series(coeffs, data.forms).reduction_order()
-    return form_series(coeffs, data.halfints), order
+    count in the disk by order + 1.  The differential is the series'
+    derivative: it multiplies back the j + 1 that formal_integral divided
+    by, with the digits that cost, and drops the t^0 term, which holds a
+    generic disk's constant halfint(P)."""
+    series = form_series(coeffs, data.halfints)
+    return series, series.derivative().reduction_order()
 
 
 def _match_roots(roots_a, roots_b):
@@ -286,12 +283,8 @@ class _Analysis:
         x, y = exact_point(self.curve.original, x_o, y_o,
                            rational_reconstruct(x_o)) or (None, None)
         if isinstance(y, Fraction):
-            cand = RationalPoint.affine(x, y)
-            if not self.curve.is_on_curve_original(cand):
-                raise RecognitionError("zero in disk %s gives %s, off the "
-                                       "curve" % (base["disk"],
-                                                  cand.coord_strings()))
-            return _rational(base, cand)
+            # exact_point took y from rational_sqrt, so y^2 = g(x) exactly
+            return _rational(base, RationalPoint.affine(x, y))
         order = self._torsion_order(disk, base["t"], point)
         if y is None:
             raise RecognitionError("zero in disk %s resists exact "

@@ -329,7 +329,7 @@ def test_criterion_07(curve_a, ctx_a7):
         for disk in {d.canonical(7) for d in curve_a.fp_points(7)}:
             data, _ = ctx_a7.disk_data(disk)
             kinds.add(data.expansion.kind)
-            for i, w in enumerate(data.forms):
+            for i, w in enumerate(data.expansion.differential_series()):
                 diff = basis_form_residual(data.expansion, i, w)
                 assert all(close3(c, PadicNumber.zero(7)) for c in diff.coeffs)
         assert kinds == {"generic", "weierstrass", "infinity"}

@@ -2,6 +2,7 @@
 algebra over Z (primality, the squarefree tests over Q and F_p, factoring)
 against sympy."""
 
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -12,8 +13,8 @@ import pytest
 import sympy
 
 from conftest import CURVE_B_COEFFS, make_curve
-from g3chabauty.curve import (PRIME_CAP, CurveModel, FpPoint, RationalPoint,
-                              estimated_seconds, is_prime)
+from g3chabauty.curve import (PRIME_CAP, CurveModel, CurvePoint, FpPoint,
+                              RationalPoint, estimated_seconds, is_prime)
 from g3chabauty.errors import BadReductionError, InputError
 from g3chabauty.recognize import eval_exact, rational_sqrt
 
@@ -130,6 +131,23 @@ def test_canonical_disk():
     w = FpPoint("affine", 3, 0)
     assert w.canonical(p) == w
     assert FpPoint.infinity().canonical(p).is_infinity
+
+
+def test_point_types_share_infinity_and_involution(curve_a):
+    inf = CurvePoint.infinity()
+    assert inf.is_infinity and inf.involution().is_infinity
+    pt = curve_a.padic_point(RationalPoint.affine(-1, -1), 7, 8)
+    mirror = pt.involution()
+    assert not mirror.is_infinity and mirror.x is pt.x
+    assert (mirror.y + pt.y).is_zero and not mirror.y.is_zero
+    assert RationalPoint.affine(1, 5).involution() == \
+        RationalPoint.affine(1, -5)
+    assert RationalPoint.infinity().involution() == RationalPoint.infinity()
+    # the batch pool pickles points between processes
+    for q in (RationalPoint.infinity(), RationalPoint.affine(Fraction(1, 3), -2),
+              FpPoint.infinity(), FpPoint("affine", 2, 5)):
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and type(back) is type(q)
 
 
 def test_weierstrass_points(curve_a, curve_c):

@@ -559,8 +559,10 @@ def test_graded_digits_match_full_precision_random_curves(monkeypatch):
 
 
 def test_pole_maps_check_the_cofactor_on_every_monomial(curve_b):
-    """The basis check stands in for the per-step remainder check: a
-    cofactor beta that is wrong only in its last digit fails both."""
+    """The basis check stands in for the per-step remainder check, and
+    its column 0, b(x^0) = beta, is the run's one check of
+    1 - beta Q' = 0 mod Q: a cofactor beta that is wrong only in its last
+    digit fails both."""
     p, W = 11, 20
     m = p ** W
     Q = [c % m for c in curve_b.f_coeffs_mod(p, W)]

@@ -240,3 +240,20 @@ def test_exact_arithmetic_stays_exact(op, want):
     assert isinstance(got.unit, int) and got.rel_prec == INF
     assert Fraction(got.unit) * Fraction(7) ** got.valuation == want
     assert got == want and not got == want + 1
+
+
+@pytest.mark.parametrize("value, text, three_digits", [
+    (PadicNumber(7, 0, 5, INF), "5", [5, 0, 0]),
+    (PadicNumber(7, -2, -3, INF), "-3/49", [4, 6, 6]),
+], ids=["unit", "negative-fraction"])
+def test_exact_value_renders_as_its_fraction(value, text, three_digits):
+    # an exact element of Z[1/p] prints as the fraction it is; its digits
+    # do not end, so digits() and residue() need a count or a modulus
+    assert value.expansion_str() == text
+    assert repr(value) == "PadicNumber(%s)" % text
+    assert value.digits(3) == three_digits
+    with pytest.raises(PrecisionError, match="exact value"):
+        value.digits()
+    with pytest.raises(PrecisionError, match="exact nonzero value"):
+        value.residue()
+    assert PadicNumber.zero(7).expansion_str() == "0"

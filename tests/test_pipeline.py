@@ -23,6 +23,7 @@ from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, CurveModel,
 from g3chabauty.errors import (BadReductionError, InputError, PrecisionError,
                                SimplicityError)
 from g3chabauty.jacobian import MumfordDivisorFp
+from g3chabauty.localdisk import form_series
 from g3chabauty.padic import PadicNumber
 from g3chabauty import _kernels as kernels
 from g3chabauty import pipeline
@@ -32,7 +33,10 @@ from g3chabauty.recognize import (element_min_poly, eval_exact, exact_point,
                                   format_polynomial, primitive_poly,
                                   rational_reconstruct)
 
-from conftest import CURVE_A_KNOWN, CURVE_C_KNOWN
+from conftest import (CURVE_A_COEFFS, CURVE_A_KNOWN, CURVE_A_P0,
+                      CURVE_B_COEFFS, CURVE_B_KNOWN, CURVE_B_SCALING,
+                      CURVE_C_COEFFS, CURVE_C_KNOWN, CURVE_C_P0, DATA,
+                      make_curve, parse_points)
 from oracles import nonsquare_qr, padic_sqrt
 
 
@@ -91,6 +95,22 @@ def test_anomalous_report_digest_pinned(curve_anomalous):
     report = analyze_curve(curve_anomalous, p=7)
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
     assert digest == ANOMALOUS_SHA256
+
+
+# SHA-256 of to_json() for data/job_other_algebraic.json, y^2 = x^7 - x^4 + x
+# at its default N = 18: its two other_algebraic zeros (-1, +-sqrt(-3)) and
+# four known points, the same with the knowns given or searched
+OTHER_ALGEBRAIC_SHA256 = \
+    "e71720f2d45f1d811ecca0212161fefb9d47f76972aa9a17834610026b125269"
+
+
+def test_other_algebraic_report_digest_pinned():
+    job = json.loads((DATA / "job_other_algebraic.json").read_text("utf-8"))
+    curve = make_curve(job["curve"]["coeffs"])
+    for knowns in (parse_points(job["known_points"]), None):
+        report = analyze_curve(curve, p=job["p"], knowns=knowns)
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == OTHER_ALGEBRAIC_SHA256
 
 
 def test_default_precision():
@@ -525,6 +545,55 @@ def test_dropped_knowns_come_back_as_new_rational(curve, p, dropped, coords,
         len(known) - len(dropped)
 
 
+# -- extra zeros across primes -----------------------------------------------
+
+def _is_square_mod(a, p):
+    """Euler's criterion for a p-unit a."""
+    return pow(a % p, (p - 1) // 2, p) == 1
+
+
+# (name, coefficients, scaling, knowns, N, primes, d, extras): each extra
+# zero is defined over Q(sqrt d), so it is a zero at p exactly when d is a
+# square mod p; extras lists the signatures (class, x or min poly of x, min
+# poly of y, torsion order) it then adds
+CROSS_PRIME_CASES = [
+    ("A", CURVE_A_COEFFS, None, CURVE_A_KNOWN, 10,
+     (7, 11, 13, 17, 19, 23, 29, 31, 41, 47), 8,
+     [("torsion", "0", "y^2 - 8", 12)] * 2),
+    ("B", CURVE_B_COEFFS, CURVE_B_SCALING, CURVE_B_KNOWN, 12,
+     (7, 11, 13, 17, 19, 23, 31, 37), -3,
+     [("other_algebraic", "x^2 - x + 1", "y^2 + 3", None)] * 4),
+    ("C", CURVE_C_COEFFS, None, CURVE_C_KNOWN, 10,
+     (11, 13, 17, 19, 23, 29), -140,
+     [("other_algebraic", "-1", "y^2 + 140", None)] * 2),
+    ("T", [0, 1, 0, 0, -1, 0, 0, 1], None,
+     ["infinity", ["0", "0"], ["1", "-1"], ["1", "1"]], 10,
+     (7, 11, 13, 17, 19, 23, 31, 37, 43), -3,
+     [("other_algebraic", "-1", "y^2 + 3", None)] * 2),
+]
+
+
+def test_extra_zeros_recur_exactly_where_their_field_embeds():
+    """A torsion point, or any zero with a global reason, over Q(sqrt d) is a
+    zero at every good p where Q(sqrt d) embeds in Q_p, with the same min
+    polys and order; the oracle compares primes against Euler's criterion,
+    not against a list of primes."""
+    for name, coeffs, scaling, known, N, primes, d, extras in \
+            CROSS_PRIME_CASES:
+        curve = make_curve(coeffs, scaling)
+        knowns = parse_points(known)
+        embeds = [_is_square_mod(d, p) for p in primes]
+        assert any(embeds) and not all(embeds), name
+        for p, here in zip(primes, embeds):
+            report = analyze_curve(curve, p=p, prec=N, knowns=knowns)
+            got = sorted((z["class"], z["min_poly_x"] or z["x"],
+                          z["min_poly_y"], z["torsion_order"])
+                         for z in report.zeros
+                         if z["class"] not in ("known_rational",
+                                               "weierstrass"))
+            assert got == (extras if here else []), (name, p)
+
+
 # -- input validation ---------------------------------------------------------
 
 def test_rejects_small_prime(curve_b):
@@ -645,6 +714,51 @@ def test_check_inputs_needs_the_digits_the_audit_reads(curve_a, monkeypatch):
     for prec in range(1, PREC_MIN):
         with pytest.raises(InputError, match="at least 4, got %d" % prec):
             analyze_curve(curve_a, 7, prec=prec)
+
+
+# -- one source per proof fact ----------------------------------------------
+
+@pytest.mark.parametrize("name,p,base", [("curve_a", 7, CURVE_A_P0),
+                                         ("curve_c", 11, CURVE_C_P0),
+                                         ("curve_b", 11, None)],
+                         ids=["A@7", "C@11", "B@11"])
+def test_strassmann_order_reads_the_half_integral(name, p, base, request):
+    """On every canonical disk and for both annihilators, the derivative of
+    the half-integral series is the differential's series, coefficient by
+    coefficient and in t-precision, so _lambda_series reads the order off
+    the one series it keeps."""
+    curve = request.getfixturevalue(name)
+    prec = default_precision(p)
+    ctx = pipeline.ColemanContext(curve, p, prec)
+    knowns = pipeline._prepare_knowns(curve, p, prec,
+                                      curve.search_rational_points(100))
+    base_point = None if base is None else RationalPoint.from_json(base)
+    _, logs = pipeline._pick_base(ctx, knowns, base_point)
+    alpha, beta, _ = pipeline._annihilator_pair(logs, p)
+
+    def digits(series):
+        return series.t_prec, [(c.valuation, c.unit, c.rel_prec)
+                               for c in series.coeffs]
+
+    for disk in sorted({d.canonical(p) for d in curve.fp_points(p)}):
+        data, _ = ctx.disk_data(disk)
+        forms = data.expansion.differential_series()
+        for coeffs in (alpha, beta):
+            form = form_series(coeffs, forms)
+            derived = form_series(coeffs, data.halfints).derivative()
+            assert digits(derived) == digits(form)
+            assert pipeline._lambda_series(data, coeffs)[1] == \
+                form.reduction_order()
+
+
+def test_prepare_knowns_closes_under_the_involution_once(curve_a):
+    pts = parse_points([["1", "5"], ["-1", "1"], "infinity", ["1", "-5"],
+                        ["-1", "1"], "infinity", ["1", "5"]])
+    known = pipeline._prepare_knowns(curve_a, 7, 10, pts)
+    want = parse_points([["-1", "-1"], ["-1", "1"], ["1", "-5"], ["1", "5"],
+                         "infinity"])
+    assert [k.original for k in known] == want
+
 
 
 NO_SYMPY_RUN = """
