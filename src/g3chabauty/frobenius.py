@@ -26,8 +26,10 @@ F-adic digits, where multiplication by Dt is one packed linear map on a
 digit (_digit_map; Dt has degree below 7p, so a digit's image spans p + 1
 digits).  Each column's digits follow from the previous column's by the
 same kind of map, multiplication by x^p on a digit (x^(p-1) for column
-0); and every pole step works on a polynomial of degree below 7.  There
-the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F for the
+0), and the columns are reduced one at a time, each to its column of the
+matrix before the next is formed, so at most two columns' digits are
+alive at once.  Every pole step works on a polynomial of degree below 7.
+There the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F for the
 cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both maps
 are built once per run as one packed map on the monomials x^0 .. x^6
 (_pole_map), so a pole step is one packed product on c = A_0, giving b
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -119,7 +122,9 @@ def _half_binomial_units(k_max, m):
     return out
 
 
-class FrobeniusData:
+class FrobeniusData(namedtuple(
+        "FrobeniusData", "curve p prec scale_exp work_exp k_max matrix_ints "
+        "adjugate prims zeta fp_points")):
     """Matrix of Frobenius on the w_i basis plus the exact forms needed to
     evaluate the primitives h_j at points with unit y.  k_max (the last
     term of the binomial series), scale_exp (C) and work_exp (W) are the
@@ -133,24 +138,10 @@ class FrobeniusData:
     E_0 = mu(x) holds the degree-reduction terms.  fp_points is C(F_p),
     infinity first (curve.fp_points), as the trace audit counted it."""
 
+    __slots__ = ()
+
     # perfbench/tracing.py maps delta 4 to attempt 1, the only attempt
     delta = 4
-
-    __slots__ = ("curve", "p", "prec", "scale_exp", "work_exp", "k_max",
-                 "matrix_ints", "adjugate", "prims", "zeta", "fp_points")
-
-    def __init__(self, curve, p, prec, scale_exp, work_exp, k_max,
-                 matrix_ints, adjugate, prims, zeta):
-        self.curve = curve
-        self.p = p
-        self.prec = prec
-        self.scale_exp = scale_exp
-        self.work_exp = work_exp
-        self.k_max = k_max
-        self.matrix_ints = matrix_ints
-        self.adjugate = adjugate
-        self.prims = prims
-        self.zeta = zeta
 
     def jacobian_order(self):
         return sum(self.zeta)
@@ -261,10 +252,14 @@ def _compute(curve, p, N, k_max, C, W):
     from the previous column's by the packed x^p digit map (x^(p-1) from
     Psi itself): x^e x^i = sum_u r_(i,u) Q^u is precomputed for i < 7, so
     a digit's image is one sum of 7 integer multiples and digit t of the
-    result adds the images of digits t, t-1, .. at their offsets u.  The
-    pole steps run s by s over the six columns, on the one packed map of
-    _pole_map, built once, and on s - 2 = p^e d' and 1/d' mod p^W, formed
-    once per s: the exact division by Q is checked once on x^0 .. x^6,
+    result adds the images of digits t, t-1, .. at their offsets u.  Each
+    column is finished before the next is formed: its J pole steps, the
+    reassembly of what is left over y^1, the degree reduction and its
+    column of M, so at most two columns' digits are alive at once (the
+    previous column's, while the next is mapped from them).  The pole
+    steps run on the one packed map of _pole_map, built once, and on
+    s - 2 = p^e d' and 1/d' mod p^W, formed once per s before the first
+    column: the exact division by Q is checked once on x^0 .. x^6,
     which covers every step, since the remainder c (1 - beta Q') mod Q is
     linear in c mod p^W.  Where p does not divide s - 2 no division by p is
     left; where p^e does, the divisions by p^e of the correction and of the
@@ -359,37 +354,35 @@ def _compute(curve, p, N, k_max, C, W):
     cks = _half_binomial_units(k_max, m)
 
     J = (s_max - 1) // 2
-    digits = _psi_digits(Q, dt, cks, C, p, W)
     pmap = _pole_map(Q, Qd, beta, m)
     xmaps = (_digit_map(Q, [0] * (p - 1) + [1], m),
              _digit_map(Q, [0] * p + [1], m))
-    cols = []
-    for col in range(6):
-        # digits of x^(p col + p - 1) Psi
-        digits = _apply_digit_map(digits, xmaps[col > 0], m)
-        cols.append(digits)
-    prims = [[()] * (J + 1) for _ in range(6)]
-    carries = [[] for _ in range(6)]
-    for j in range(J):
-        s = s_max - 2 * j
+    # (s, e, 1/d') with s - 2 = p^e d' for the steps s = s_max, .., 3
+    steps = []
+    for s in range(s_max, 1, -2):
         e = ord_p(s - 2, p)
-        inv = pow((s - 2) // p ** e, -1, m)
-        for col, digits in enumerate(cols):
-            c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]),
-                                      carries[col], m)
-                 if j < len(digits) else carries[col])
-            carries[col], prims[col][(s - 1) // 2] = _pole_step(
-                c, s, e, inv, pmap, p, m)
+        steps.append((s, e, pow((s - 2) // p ** e, -1, m)))
+    digits = _psi_digits(Q, dt, cks, C, p, W)
     matrix_ints = [[0] * 6 for _ in range(6)]
+    prims = []
     pC = p ** C
-    for col, digits in enumerate(cols):
+    for col in range(6):
+        # digits of x^(p col + p - 1) Psi, from the previous column's
+        digits = _apply_digit_map(digits, xmaps[col > 0], m)
+        terms = [()] * (J + 1)
+        carry = []
+        for j, (s, e, inv) in enumerate(steps):
+            c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]), carry, m)
+                 if j < len(digits) else carry)
+            carry, terms[(s - 1) // 2] = _pole_step(c, s, e, inv, pmap, p, m)
         # the numerator over y^1: carry plus the digits from J on
         A = []
         for d in reversed(digits[J:]):
             A = kernels.poly_add_mod(kernels.poly_mul_mod(A, Q, m),
                                      kernels.poly_trim(d), m)
-        A, prims[col][0] = _degree_reduce(
-            kernels.poly_add_mod(A, carries[col], m), Q, Qd, p, m)
+        A, terms[0] = _degree_reduce(
+            kernels.poly_add_mod(A, carry, m), Q, Qd, p, m)
+        prims.append(tuple(terms))
         for i in range(6):
             rep = A[i] if i < len(A) else 0
             val = kernels.balanced(rep, m)
@@ -405,8 +398,7 @@ def _compute(curve, p, N, k_max, C, W):
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
         raise PrecisionError("zeta functional equation failed")
     fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints, adjugate,
-                       tuple(map(tuple, prims)), tuple(b))
-    fd.fp_points = curve.fp_points(p)
+                       tuple(prims), tuple(b), curve.fp_points(p))
     if fd.point_count() != len(fd.fp_points):
         raise PrecisionError("trace does not match the point count")
     xbar = _generic_residue((q.x, q.y) for q in fd.fp_points[1:])
