@@ -3,7 +3,9 @@
 This is the one home of the exact arithmetic behind Frobenius, Cantor
 addition, Hensel lifting, root isolation, factoring and recognition: the
 products and divisions mod N (poly_div_exact_mod raises PrecisionError on a
-nonzero remainder), the balanced residue (balanced), the affine point
+nonzero remainder), powers modulo N and an optional monic modulus
+(poly_pow_mod), the Newton inverse modulo a monic polynomial and p^k
+(poly_inverse_mod), the balanced residue (balanced), the affine point
 counts over F_p and GF(p^k), and the zeta numerator those counts give
 (brute_zeta_numerator), which checks Frobenius without it.  It imports no
 package module but errors, so every layer can build on it.  Polynomials
@@ -163,15 +165,18 @@ def poly_div_exact_mod(a, b, mod):
     return q
 
 
-def poly_pow_mod(base, e, mod):
+def poly_pow_mod(base, e, mod, modulus=None):
+    """base^e modulo mod and, when one is given, the monic modulus."""
+    def reduce(a):
+        return poly_divmod_monic_mod(a, modulus, mod)[1] if modulus else a
     result = [1]
-    b = list(base)
+    b = reduce(list(base))
     while e:
         if e & 1:
-            result = poly_mul_mod(result, b, mod)
+            result = reduce(poly_mul_mod(result, b, mod))
         e >>= 1
         if e:
-            b = poly_mul_mod(b, b, mod)
+            b = reduce(poly_mul_mod(b, b, mod))
     return result
 
 
@@ -190,6 +195,25 @@ def poly_xgcd_mod(a, b, p):
     inv = pow(r0[-1], -1, p) if r0 else 1
     return (poly_scale_mod(r0, inv, p), poly_scale_mod(s0, inv, p),
             poly_scale_mod(t0, inv, p))
+
+
+def poly_inverse_mod(a, f, p, k):
+    """b with a b = 1 modulo the monic f and p^k, or None when a is not a
+    unit modulo (f, p).  Newton from the inverse mod p (poly_xgcd_mod):
+    b <- b (1 + r) mod f for the defect r = (1 - a b) mod f squares r, so
+    the digits known double up to k."""
+    g, _, b = poly_xgcd_mod(f, a, p)
+    if g != [1]:
+        return None
+    known = 1
+    while known < k:
+        known = min(2 * known, k)
+        mm = p ** known
+        r = poly_divmod_monic_mod(
+            poly_sub_mod([1], poly_mul_mod(b, a, mm), mm), f, mm)[1]
+        b = poly_divmod_monic_mod(
+            poly_add_mod(b, poly_mul_mod(b, r, mm), mm), f, mm)[1]
+    return b
 
 
 def balanced(r, m):

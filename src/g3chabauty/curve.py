@@ -477,21 +477,6 @@ def _exact_quotient(a, b):
     return q if not any(r) else None
 
 
-def _powmod(a, e, f, q):
-    """a^e modulo the monic f over F_q."""
-    out = [1]
-    a = kernels.poly_divmod_monic_mod(a, f, q)[1]
-    while e:
-        if e & 1:
-            out = kernels.poly_divmod_monic_mod(
-                kernels.poly_mul_mod(out, a, q), f, q)[1]
-        e >>= 1
-        if e:
-            a = kernels.poly_divmod_monic_mod(
-                kernels.poly_mul_mod(a, a, q), f, q)[1]
-    return out
-
-
 def _equal_degree_split(g, d, q, rng):
     """Cantor-Zassenhaus: the monic irreducible factors of a monic
     squarefree g over F_q (q odd) whose factors all have degree d."""
@@ -500,8 +485,8 @@ def _equal_degree_split(g, d, q, rng):
     half = (q ** d - 1) // 2
     while True:
         a = [rng.randrange(q) for _ in range(len(g) - 1)]
-        u = kernels.poly_xgcd_mod(
-            g, kernels.poly_sub_mod(_powmod(a, half, g, q), [1], q), q)[0]
+        b = kernels.poly_sub_mod(kernels.poly_pow_mod(a, half, q, g), [1], q)
+        u = kernels.poly_xgcd_mod(g, b, q)[0]
         if 1 < len(u) < len(g):
             v = kernels.poly_divmod_monic_mod(g, u, q)[0]
             return (_equal_degree_split(u, d, q, rng)
@@ -516,7 +501,7 @@ def _factor_mod(f, q, rng):
     d = 0
     while 2 * (d + 1) < len(f):
         d += 1
-        h = _powmod(h, q, f, q)
+        h = kernels.poly_pow_mod(h, q, q, f)
         g = kernels.poly_xgcd_mod(f, kernels.poly_sub_mod(h, x, q), q)[0]
         if len(g) > 1:
             out += _equal_degree_split(g, d, q, rng)
@@ -527,22 +512,19 @@ def _factor_mod(f, q, rng):
     return out
 
 
-def _hensel_step(f, g, h, s, t, m):
-    """From f = g h and s g + t h = 1 mod m, h monic, the same identities
-    mod m^2 (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-    Alg. 15.10)."""
+def _hensel_step(f, g, h, q, k):
+    """From f = g h mod q^k, h monic and coprime to g mod q, the same mod
+    q^(2k) (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+    Alg. 15.10) with s = 1/g mod h and t = (1 - s g)/h mod q^k."""
+    m = q ** k
     mm = m * m
     add, sub = kernels.poly_add_mod, kernels.poly_sub_mod
     mul = kernels.poly_mul_mod
+    s = kernels.poly_inverse_mod(g, h, q, k)
+    t = kernels.poly_div_exact_mod(sub([1], mul(s, g, m), m), h, m)
     e = sub([c % mm for c in f], mul(g, h, mm), mm)
     c, r = kernels.poly_divmod_monic_mod(mul(s, e, mm), h, mm)
-    g = add(g, add(mul(t, e, mm), mul(c, g, mm), mm), mm)
-    h = add(h, r, mm)
-    b = sub(add(mul(s, g, mm), mul(t, h, mm), mm), [1], mm)
-    c, r = kernels.poly_divmod_monic_mod(mul(s, b, mm), h, mm)
-    s = sub(s, r, mm)
-    t = sub(t, add(mul(t, b, mm), mul(c, g, mm), mm), mm)
-    return g, h, s, t
+    return add(g, add(mul(t, e, mm), mul(c, g, mm), mm), mm), add(h, r, mm)
 
 
 def _factor_squarefree(G):
@@ -572,11 +554,10 @@ def _factor_squarefree(G):
         rest = [G[-1] % q]
         for u in mods[i + 1:]:
             rest = kernels.poly_mul_mod(rest, u, q)
-        _, s, t = kernels.poly_xgcd_mod(rest, h, q)
-        step = q
-        while step < m:
-            rest, h, s, t = _hensel_step(f, rest, h, s, t, step)
-            step *= step
+        k = 1
+        while q ** k < m:
+            rest, h = _hensel_step(f, rest, h, q, k)
+            k *= 2
         lifts.append(h)
         f = rest
     lifts.append(kernels.poly_scale_mod(f, pow(G[-1], -1, m), m))

@@ -92,24 +92,13 @@ def _exact_pdiv(c, p, e):
 
 
 def _lift_cofactor(Q, Qd, p, W):
-    """beta with deg beta <= 6 and 1 - beta Q' divisible by Q mod p^W.
-
-    Newton on the defect r = (1 - beta Q') mod Q: replacing beta by
-    beta (1 + r) mod Q squares r, so the defect vanishes quadratically.
-    The division of 1 - beta Q' by Q is checked once, by column 0 of
-    _pole_map, as b(x^0) = beta."""
-    g, _, beta = kernels.poly_xgcd_mod(Q, Qd, p)
-    if g != [1]:
+    """beta with deg beta <= 6 and 1 - beta Q' divisible by Q mod p^W: the
+    inverse of Q' mod Q (kernels.poly_inverse_mod), which exists when Q
+    is squarefree mod p.  The division of 1 - beta Q' by Q is checked
+    once, by column 0 of _pole_map, as b(x^0) = beta."""
+    beta = kernels.poly_inverse_mod(Qd, Q, p, W)
+    if beta is None:
         raise BadReductionError("curve polynomial not squarefree mod p")
-    known = 1
-    while known < W:
-        known = min(2 * known, W)
-        mm = p ** known
-        r = kernels.poly_sub_mod([1], kernels.poly_mul_mod(beta, Qd, mm), mm)
-        r = kernels.poly_divmod_monic_mod(r, Q, mm)[1]
-        beta = kernels.poly_add_mod(
-            beta, kernels.poly_mul_mod(beta, r, mm), mm)
-        beta = kernels.poly_divmod_monic_mod(beta, Q, mm)[1]
     return beta
 
 

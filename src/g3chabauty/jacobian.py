@@ -6,10 +6,7 @@ Divisor classes are pairs (u, v) of F_p polynomials with u monic of degree
 Every check audits the program's own arithmetic and raises PrecisionError.
 """
 
-from __future__ import annotations
-
 from . import _kernels as kernels
-from .curve import FpPoint
 from .errors import PrecisionError
 
 
@@ -57,8 +54,8 @@ class MumfordDivisorFp:
         return MumfordDivisorFp(p, f, [1], [])
 
     @staticmethod
-    def from_point(pt: FpPoint, p, f):
-        """The class [P - infinity]."""
+    def from_point(pt, p, f):
+        """The class [P - infinity] of a point P of C(F_p) (curve.FpPoint)."""
         if pt.is_infinity:
             return MumfordDivisorFp.identity(p, f)
         return MumfordDivisorFp(p, f, [(-pt.x) % p, 1], [pt.y % p])

@@ -285,7 +285,7 @@ class _Analysis:
         if isinstance(y, Fraction):
             # exact_point took y from rational_sqrt, so y^2 = g(x) exactly
             return _rational(base, RationalPoint.affine(x, y))
-        order = self._torsion_order(disk, base["t"], point)
+        order = self._torsion_order(disk, data, t)
         if y is None:
             raise RecognitionError("zero in disk %s resists exact "
                                    "recognition" % base["disk"])
@@ -300,17 +300,18 @@ class _Analysis:
         base["torsion_order"] = order
         return base
 
-    def _torsion_order(self, disk, t_str, point):
-        """The order of [P - inf] when the zero P of disk, at the parameter
-        that prints as t_str, is torsion (all three logarithms vanish), else
-        None.  Torsion injects into J(F_p), so the order is that of the
-        reduction.  The mirror iota P has the negated logarithms and the
-        inverse class, so one answer serves both zeros of an involution
-        pair."""
-        key = (disk.canonical(self.p), t_str)
+    def _torsion_order(self, disk, data, t):
+        """The order of [P - inf] when the zero P of disk is torsion, else
+        None: when its three logarithms, the half-integral series of data
+        read at P's parameter t, vanish.  Torsion injects into J(F_p), so
+        the order is that of the reduction.  The mirror iota P has the
+        negated logarithms and the inverse class, so one answer serves
+        both zeros of an involution pair."""
+        key = (disk.canonical(self.p), t.expansion_str())
         if key not in self._orders:
             order = None
-            if all(c.is_zero for c in self.ctx.halfint(point)):
+            if all(data.expansion.evaluate_antiderivative(h, t).is_zero
+                   for h in data.halfints):
                 order = MumfordDivisorFp.from_point(
                     disk, self.p, self.fbar).order(self.jac_order)
             self._orders[key] = order

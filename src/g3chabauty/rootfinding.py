@@ -98,6 +98,10 @@ def series_roots_in_disk(series, prec):
     O(p^b) on the disk by the antiderivative shape.  So the Hensel count
     holds for every function within O(p^b) of the integral polynomial
     isolated here: each zero returned is simple, and none is missed.
+
+    A root in the coset t = 0 mod p^(e+1) comes back as the exact zero, as
+    PadicNumber.from_rational(0, ..) ignores abs_prec: it prints as "0"
+    though it is pinned only mod p^(e+1).  The reports pin that "0".
     """
     p = series.prime
     for j in range(min(truncation_order(prec, p), len(series))):

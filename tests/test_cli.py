@@ -657,6 +657,29 @@ def test_zeta_brute_check(tmp_path, capsys):
     assert data["zeta_numerator"][6] == 343
 
 
+def test_zeta_brute_check_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    # a disagreement prints both numerators and exits 1
+    curve = write_json(tmp_path / "c.json", CURVE_A_JSON)
+    wrong = [1, 0, 0, 0, 0, 0, 343]
+    monkeypatch.setattr(cli, "brute_zeta_numerator", lambda f, p: wrong)
+    assert main(["zeta", "--curve", curve, "--p", "7", "--brute-check"]) == 1
+    out = capsys.readouterr()
+    data = json.loads(out.out)
+    assert data["brute_check"] == wrong
+    assert data["zeta_numerator"] != wrong
+    assert data["zeta_numerator"][6] == 343
+    assert "zeta mismatch against brute-force counts" in out.err
+
+
+def test_batch_of_blank_lines_exits_2(tmp_path, capsys):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text("\n  \n\t\n", encoding="utf-8")
+    assert main(["batch", "--jobs", str(jobs), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "no jobs in %s" % jobs in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_zeta_brute_check_over_the_cost_cap_exits_2(tmp_path, monkeypatch,
                                                     capsys):
     # the brute-force count grows like p^3: its cost model admits p = 199

@@ -11,7 +11,7 @@ import pytest
 from g3chabauty import _kernels as kernels
 from g3chabauty import frobenius
 from g3chabauty.curve import CurveModel
-from g3chabauty.errors import PrecisionError
+from g3chabauty.errors import BadReductionError, PrecisionError
 from g3chabauty.frobenius import (_budget, _compute, _digit_map,
                                   _apply_digit_map, _generic_residue,
                                   frobenius_data, identity_check,
@@ -814,3 +814,69 @@ def test_zeta_random_curves_small():
                 continue
             assert zeta_numerator(curve, p) == \
                 brute_zeta_coeffs(curve.f_coeffs_mod(p, 1), p)
+
+
+# -- each audit of _compute fires on one corrupted input -----------------------
+
+def _patched_char_series(index, delta):
+    """_char_series_coeffs with delta added to coefficient index of
+    det(1 - T M)."""
+    real = frobenius._char_series_coeffs
+
+    def corrupt(mat, modulus):
+        coeffs, adj = real(mat, modulus)
+        coeffs[index] = (coeffs[index] + delta) % modulus
+        return coeffs, adj
+    return corrupt
+
+
+def test_weil_audit_rejects_a_large_zeta_coefficient(curve_a, monkeypatch):
+    # |b_1| <= 6 sqrt(7) < 16 by the Weil bound; b_1 + 49 exceeds it
+    monkeypatch.setattr(frobenius, "_char_series_coeffs",
+                        _patched_char_series(1, 49))
+    with pytest.raises(PrecisionError, match="violate the Weil bounds"):
+        frobenius_data(curve_a, 7, 10)
+
+
+def test_functional_equation_audit_rejects_a_wrong_b6(curve_a, monkeypatch):
+    # b_6 = p^3 - 1 is within its Weil bound p^3, so only the functional
+    # equation b_6 = p^3 can catch it
+    monkeypatch.setattr(frobenius, "_char_series_coeffs",
+                        _patched_char_series(6, -1))
+    with pytest.raises(PrecisionError, match="functional equation failed"):
+        frobenius_data(curve_a, 7, 10)
+
+
+def test_trace_audit_rejects_a_wrong_point_count(curve_a, monkeypatch):
+    # C(F_7) without its last point: the trace p + 1 + a_1 counts one more
+    points = curve_a.fp_points
+    monkeypatch.setattr(curve_a, "fp_points", lambda p: points(p)[:-1])
+    with pytest.raises(PrecisionError,
+                       match="trace does not match the point count"):
+        frobenius_data(curve_a, 7, 10)
+
+
+def test_matrix_audit_rejects_an_entry_off_the_prescale(curve_a,
+                                                        monkeypatch):
+    # the reduced numerator is p^C times an integral column; adding 1 to
+    # its constant term leaves M[0][col] with a denominator
+    real = frobenius._degree_reduce
+
+    def corrupt(A, Q, Qd, p, m):
+        A, mu = real(A, Q, Qd, p, m)
+        return kernels.poly_add_mod(A, [1], m), mu
+    monkeypatch.setattr(frobenius, "_degree_reduce", corrupt)
+    assert _budget(7, 10)[1] >= 1
+    with pytest.raises(PrecisionError, match="matrix entry not p-integral"):
+        frobenius_data(curve_a, 7, 10)
+
+
+def test_cofactor_audit_rejects_a_repeated_root_mod_p():
+    # Q = x^5 (x - 1)^2 has no inverse of Q' mod (Q, 7)
+    p, W = 7, 12
+    m = p ** W
+    Q = [0, 0, 0, 0, 0, 1, m - 2, 1]
+    Qd = kernels.poly_deriv_mod(Q, m)
+    with pytest.raises(BadReductionError,
+                       match="curve polynomial not squarefree mod p"):
+        frobenius._lift_cofactor(Q, Qd, p, W)

@@ -150,3 +150,21 @@ def test_order_with_a_wrong_group_order_is_a_failed_audit(setup_b7):
     assert d.order(n) > 1
     with pytest.raises(PrecisionError, match="does not annihilate"):
         d.order(n + 1)
+
+
+def test_constructor_checks_the_mumford_conditions(setup_b7):
+    # u monic of degree <= 3 and deg v < deg u, as the README states, and
+    # classes add only on one curve
+    _, p, f, _, _ = setup_b7
+    with pytest.raises(PrecisionError, match="u must be monic"):
+        MumfordDivisorFp(p, f, [1, 2], [])
+    with pytest.raises(PrecisionError, match="unreduced divisor"):
+        MumfordDivisorFp(p, f, [0, 0, 0, 0, 1], [])
+    with pytest.raises(PrecisionError, match="deg v must be < deg u"):
+        MumfordDivisorFp(p, f, [1, 1], [1, 1])
+    other = [(c + 1) % p for c in f[:-1]] + [f[-1]]
+    one = MumfordDivisorFp.identity(p, f)
+    with pytest.raises(PrecisionError, match="divisors on different curves"):
+        one + MumfordDivisorFp.identity(p, other)
+    with pytest.raises(PrecisionError, match="divisors on different curves"):
+        one + MumfordDivisorFp.identity(11, f)

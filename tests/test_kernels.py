@@ -152,8 +152,13 @@ def test_search_x_squares_oracle():
     assert set(hits2) == brute
 
 
+def _random_monic(rng, m, deg):
+    return [rng.randrange(m) for _ in range(deg)] + [1]
+
+
 def test_poly_helpers_oracle():
-    # add/sub/pow against naive lists; extended gcd against Bezout
+    # add/sub/pow against naive lists, pow also modulo a monic f; extended
+    # gcd against Bezout
     rng = random.Random(29)
 
     def naive_mul(a, b, m):
@@ -181,6 +186,10 @@ def test_poly_helpers_oracle():
             for _ in range(e):
                 want = naive_mul(want, a, p)
             assert kernels.poly_pow_mod(a, e, p) == want
+            # with a monic modulus: the same power, reduced once
+            f = _random_monic(rng, p, rng.randint(1, 6))
+            assert kernels.poly_pow_mod(a, e, p, f) == \
+                kernels.poly_divmod_monic_mod(want, f, p)[1]
 
             common = rand_poly(p, rng.randint(0, 2))[:-1] + [1]
             a = naive_mul(rand_poly(p, rng.randint(0, 5)), common, p)
@@ -194,6 +203,29 @@ def test_poly_helpers_oracle():
             for h in (a, b):
                 assert not kernels.poly_divmod_monic_mod(h, g, p)[1]
             assert not kernels.poly_divmod_monic_mod(g, common, p)[1]
+
+
+def test_newton_inverse_mod_prime_power():
+    # a b = 1 mod (f, p^k) with deg b < deg f, or None exactly when
+    # gcd(a, f) is not 1 mod p
+    rng = random.Random(37)
+    for p in (3, 7, 11):
+        for _ in range(40):
+            k = rng.randint(1, 25)
+            m = p ** k
+            f = _random_monic(rng, m, rng.randint(1, 7))
+            a = [rng.randrange(m) for _ in range(rng.randint(0, 9))]
+            b = kernels.poly_inverse_mod(a, f, p, k)
+            if kernels.poly_xgcd_mod(f, a, p)[0] != [1]:
+                assert b is None
+                continue
+            assert len(b) < len(f)
+            ab = kernels.poly_mul_mod(a, b, m)
+            assert kernels.poly_divmod_monic_mod(ab, f, m)[1] == [1]
+    # a repeated root mod p shares a factor with the derivative
+    f = [0, 0, 0, 0, 0, 1, -2, 1]             # x^5 (x - 1)^2
+    assert kernels.poly_inverse_mod(
+        kernels.poly_deriv_mod(f, 7 ** 5), f, 7, 5) is None
 
 
 MODULI = (13, 2 ** 61 - 1, 11 ** 54)

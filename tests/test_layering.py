@@ -91,6 +91,13 @@ def test_kernels_import_no_package_module_but_errors():
     assert _package_imports(_tree(PKG / "_kernels.py")) <= {"errors"}
 
 
+def test_jacobian_builds_only_on_kernels_and_errors():
+    # Cantor arithmetic over F_p needs no curve model: a point is read
+    # only for its x and y
+    assert _package_imports(_tree(PKG / "jacobian.py")) <= {
+        "_kernels", "errors"}
+
+
 def test_recognize_builds_only_on_kernels_errors_and_padic():
     # the exact point behind a zero is found below the curve model, so a
     # checker can recover it without curve, pipeline or Frobenius code

@@ -12,6 +12,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -237,6 +238,27 @@ def test_ex1_orders_each_torsion_pair_once(curve_a, ex1_p7, monkeypatch):
     monkeypatch.setattr(MumfordDivisorFp, "order", counted)
     report = analyze_curve(curve_a, p=7)
     assert len(calls) == 1
+    assert report.to_json() == ex1_p7.to_json()
+
+
+def test_ex1_torsion_test_reads_the_zeros_own_series(curve_a, ex1_p7,
+                                                     monkeypatch):
+    # halfint maps a point to its disk, chart and t; the torsion test
+    # already has the zero's t and its disk's series, so only the knowns
+    # go through it: the base (-1,-1) and the rank check's (-1,1), (1,5)
+    calls = []
+    halfint = pipeline.ColemanContext.halfint
+
+    def counted(self, point):
+        calls.append(point)
+        return halfint(self, point)
+
+    monkeypatch.setattr(pipeline.ColemanContext, "halfint", counted)
+    report = analyze_curve(curve_a, p=7)
+    monic = [curve_a.padic_point(RationalPoint.affine(x, y), 7, 18)
+             for x, y in ((-1, -1), (-1, 1), (1, 5))]
+    assert [(c.x.expansion_str(), c.y.expansion_str()) for c in calls] == \
+        [(c.x.expansion_str(), c.y.expansion_str()) for c in monic]
     assert report.to_json() == ex1_p7.to_json()
 
 
@@ -629,6 +651,46 @@ def test_rejects_torsion_base(curve_c):
     with pytest.raises(InputError):
         analyze_curve(curve_c, p=11, knowns=knowns,
                       base_point=RationalPoint.affine(0, 0))
+
+
+def test_rejects_knowns_with_no_point_of_infinite_order(curve_a):
+    # infinity alone is no base: its logarithm vanishes
+    with pytest.raises(InputError, match="no known point of infinite order"):
+        analyze_curve(curve_a, p=7, knowns=[RationalPoint.infinity()])
+
+
+def test_unrecovered_known_point_raises(curve_a, monkeypatch):
+    # with no common zero kept where both functionals isolate, the known
+    # points there are never matched, and the proof must not pass
+    monkeypatch.setattr(pipeline, "_match_roots", lambda a, b: [])
+    with pytest.raises(PrecisionError,
+                       match=r"known point \['-1', '-1'\] was not recovered"):
+        analyze_curve(curve_a, p=7)
+
+
+def test_more_zeros_than_the_counting_bound_raise(curve_a, monkeypatch):
+    # each common zero counted twice: a disk with one zero and bound 1
+    # must not pass the count
+    match = pipeline._match_roots
+    monkeypatch.setattr(pipeline, "_match_roots",
+                        lambda a, b: match(a, b) * 2)
+    with pytest.raises(PrecisionError,
+                       match="reports 2 zeros against counting bound 1"):
+        analyze_curve(curve_a, p=7)
+
+
+def test_functional_vanishing_mod_p_raises(curve_a):
+    # a functional that is zero at working precision has no zero count
+    p, prec = 7, 18
+    ctx = pipeline.ColemanContext(curve_a, p, prec)
+    run = pipeline._Analysis(curve_a, p, prec, ctx)
+    zero = (PadicNumber.zero(p, prec),) * 3
+    one = (PadicNumber.from_rational(1, p, abs_prec=prec),) + zero[1:]
+    disk = ctx.fd.fp_points[1]
+    with pytest.raises(SimplicityError,
+                       match="functional vanishes identically mod p on disk "
+                             + re.escape(disk.label())):
+        run.process_disk(disk, zero, one, [])
 
 
 def test_rejects_off_curve_known(curve_b):
