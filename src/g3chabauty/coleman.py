@@ -78,13 +78,11 @@ class ColemanContext:
     # -- per-disk assembly -------------------------------------------------
 
     def disk_data(self, disk):
-        """Cached chart data for the canonical disk under ``disk``, plus a
-        flag saying whether ``disk`` itself is the mirror-image half."""
+        """Cached chart data for the canonical disk under ``disk``."""
         key = disk.canonical(self.p)
-        flip = (not disk.is_infinity) and disk.y != key.y
         if key not in self._disks:
             self._disks[key] = self._build_disk(key)
-        return self._disks[key], flip
+        return self._disks[key]
 
     def _build_disk(self, disk):
         """The chart from the curve, the disk and N alone; on a generic
@@ -107,7 +105,9 @@ class ColemanContext:
     def halfint(self, point):
         """(1/2) Int_{iota(point)}^{point} of (w0, w1, w2)."""
         disk = self.curve.reduce_curve_point(point, self.p)
-        data, flipped = self.disk_data(disk)
+        data = self.disk_data(disk)
+        # on the mirror half, read the canonical disk at iota(point)
+        flipped = disk != disk.canonical(self.p)
         x = point.involution() if flipped else point
         t = data.expansion.t_of(x)
         vals = tuple(data.expansion.evaluate_antiderivative(h, t)

@@ -103,9 +103,6 @@ class MumfordDivisorFp:
             kernels.poly_div_exact_mod(num, d, p), u, p)[1]
         return MumfordDivisorFp(p, self.f, *self._reduce(p, f, u, v))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, n):
         if not isinstance(n, int):
             return NotImplemented

@@ -4,12 +4,11 @@ A nonzero element is stored as unit * p^valuation with the unit known modulo
 p^rel_prec, i.e. the value is known modulo p^(valuation + rel_prec).  A zero
 "at stated precision" keeps unit = 0, rel_prec = 0 and records the stated
 absolute precision in the valuation slot; an exact zero uses an infinite
-valuation.  All arithmetic propagates precision pessimistically: addition
-works at the minimum absolute precision of the operands, multiplication and
-division at the minimum relative precision.  An exact nonzero element
-(rel_prec = INF) is an element of Z[1/p] with an int unit: arithmetic
-among exact operands stays exact, and a result outside Z[1/p] raises
-PrecisionError.
+valuation.  Only zero can be exact: a nonzero element always has finitely
+many known digits, and asking for one with infinite precision raises
+PrecisionError.  All arithmetic propagates precision pessimistically:
+addition works at the minimum absolute precision of the operands,
+multiplication and division at the minimum relative precision.
 """
 
 from __future__ import annotations
@@ -51,11 +50,11 @@ class PadicNumber:
             self.unit = 0
             self.rel_prec = 0
             return
-        if rel_prec < 1:
-            raise PrecisionError("nonzero value with no known digits")
-        if rel_prec != INF:
-            # an exact unit stays an int
-            unit %= prime ** rel_prec
+        if not 1 <= rel_prec < INF:
+            # a nonzero value has a known digit, and only zero is exact
+            raise PrecisionError("nonzero value with %s known digits"
+                                 % rel_prec)
+        unit %= prime ** rel_prec
         if unit % prime == 0:
             raise InputError("unit part must be a p-adic unit")
         self.prime = prime
@@ -83,12 +82,12 @@ class PadicNumber:
         if rel_prec is None:
             if abs_prec is None:
                 raise InputError("coercion needs a target precision")
-            if abs_prec == INF:
-                raise PrecisionError(
-                    "nonzero exact value cannot carry infinite precision")
             rel_prec = abs_prec - v
             if rel_prec <= 0:
                 return PadicNumber.zero(prime, abs_prec)
+        if rel_prec == INF:
+            raise PrecisionError(
+                "nonzero exact value cannot carry infinite precision")
         m = prime ** rel_prec
         num = value.numerator
         den = value.denominator
@@ -121,18 +120,16 @@ class PadicNumber:
         if self.prime != other.prime:
             raise InputError("mixed primes %s and %s" % (self.prime, other.prime))
 
-    def _coerce(self, other, op):
-        """other, for the operation op, as a PadicNumber: exact when self is
-        (an exact zero times or over anything stays the exact zero), else
-        at self's precision."""
+    def _coerce(self, other, for_mul):
+        """other as a PadicNumber at self's precision: its relative one for
+        * and /, its absolute one for + and -.  Only zero is exact, so a
+        nonzero rational meets the exact zero only multiplicatively (the
+        product or quotient is the exact zero); added to it, PrecisionError."""
         if isinstance(other, PadicNumber):
             self._check(other)
             return other
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        for_mul = op in ("*", "/")
-        if self.abs_prec == INF and not (for_mul and self.unit == 0):
-            return _exact(other, self.prime, op)
         if for_mul:
             return PadicNumber.from_rational(other, self.prime,
                                              rel_prec=max(self.rel_prec, 1))
@@ -142,7 +139,7 @@ class PadicNumber:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other, "+")
+        other = self._coerce(other, False)
         if other is NotImplemented:
             return NotImplemented
         n = min(self.abs_prec, other.abs_prec)
@@ -158,8 +155,7 @@ class PadicNumber:
             raise PrecisionError("no overlapping digits in addition")
         s = (self.unit * self.prime ** (self.valuation - v0)
              + other.unit * self.prime ** (other.valuation - v0))
-        if width != INF:
-            s %= self.prime ** width
+        s %= self.prime ** width
         if s == 0:
             return PadicNumber.zero(self.prime, n)
         v = ord_p(s, self.prime)
@@ -173,25 +169,25 @@ class PadicNumber:
         return PadicNumber(self.prime, self.valuation, -self.unit, self.rel_prec)
 
     def __sub__(self, other):
-        other = self._coerce(other, "-")
+        other = self._coerce(other, False)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other, "-")
+        other = self._coerce(other, False)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other, "*")
+        other = self._coerce(other, True)
         if other is NotImplemented:
             return NotImplemented
         if self.unit == 0 or other.unit == 0:
             # ord(xy) >= ord-floor(x) + ord-floor(y)
             return PadicNumber.zero(self.prime, self.valuation + other.valuation)
-        # __init__ reduces the unit, unless both are exact
+        # __init__ reduces the unit
         return PadicNumber(self.prime, self.valuation + other.valuation,
                            self.unit * other.unit,
                            min(self.rel_prec, other.rel_prec))
@@ -199,7 +195,7 @@ class PadicNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other, "/")
+        other = self._coerce(other, True)
         if other is NotImplemented:
             return NotImplemented
         if other.unit == 0:
@@ -207,32 +203,14 @@ class PadicNumber:
         if self.unit == 0:
             return PadicNumber.zero(self.prime, self.valuation - other.valuation)
         r = min(self.rel_prec, other.rel_prec)
-        if r == INF:
-            unit, rem = divmod(self.unit, other.unit)
-            if rem:
-                raise PrecisionError("/: the exact quotient is not in "
-                                     "Z[1/%d]" % self.prime)
-        else:
-            unit = self.unit * pow(other.unit, -1, self.prime ** r)
+        unit = self.unit * pow(other.unit, -1, self.prime ** r)
         return PadicNumber(self.prime, self.valuation - other.valuation, unit, r)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other, "/")
+        other = self._coerce(other, True)
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("only nonnegative integer powers")
-        out = PadicNumber(self.prime, 0, 1, max(self.rel_prec, 1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def shift(self, k):
         """Multiply by p^k exactly (no precision change to the unit)."""
@@ -257,9 +235,10 @@ class PadicNumber:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             try:
-                other = self._coerce(other, "==")
+                other = self._coerce(other, False)
             except PrecisionError:
-                # an exact value lies in Z[1/p], and other does not
+                # self is the exact zero, the one exact value, and other
+                # is a nonzero rational
                 return False
         if not isinstance(other, PadicNumber):
             return NotImplemented
@@ -275,9 +254,6 @@ class PadicNumber:
         if abs_prec is None:
             abs_prec = self.abs_prec
         if abs_prec == INF:
-            if self.unit:
-                raise PrecisionError("an exact nonzero value has no finite "
-                                     "default modulus; give one")
             raise InputError("exact zero has no finite default modulus")
         if abs_prec > self.abs_prec:
             raise PrecisionError("representative requested beyond known digits")
@@ -289,32 +265,23 @@ class PadicNumber:
 
     # -- rendering ---------------------------------------------------------
 
-    def digits(self, count=None):
+    def digits(self):
         """Base-p digit list of the unit part, least significant first."""
-        if self.unit == 0:
-            return []
-        if count is None:
-            if self.rel_prec == INF:
-                raise PrecisionError("the digits of an exact value do not "
-                                     "end; give a count")
-            count = self.rel_prec
-        u = self.unit % self.prime ** count
+        u = self.unit
         out = []
-        for _ in range(count):
+        for _ in range(self.rel_prec):
             out.append(u % self.prime)
             u //= self.prime
         return out
 
     def expansion_str(self):
         """Human form 'a0 + a1*p + a2*p^2 + O(p^N)' starting at the
-        valuation; an exact value, in Z[1/p], prints as its fraction."""
+        valuation; the exact zero prints as 0."""
         p = self.prime
         if self.unit == 0:
             if self.valuation == INF:
                 return "0"
             return "O(%d^%s)" % (p, self.valuation)
-        if self.rel_prec == INF:
-            return str(self.unit * Fraction(p) ** self.valuation)
         terms = []
         for i, d in enumerate(self.digits()):
             if d == 0:
@@ -331,18 +298,6 @@ class PadicNumber:
 
     def __repr__(self):
         return "PadicNumber(%s)" % self.expansion_str()
-
-
-def _exact(value, p, op):
-    """The int or Fraction value as an exact PadicNumber at p, for the
-    operation op; PrecisionError naming op unless value is in Z[1/p]."""
-    value = Fraction(value)
-    if value == 0:
-        return PadicNumber.zero(p)
-    v = ord_p(value, p)
-    if value.denominator != p ** max(-v, 0):
-        raise PrecisionError("%s: the operand is not in Z[1/%d]" % (op, p))
-    return PadicNumber(p, v, value.numerator // p ** max(v, 0), INF)
 
 
 def teichmuller_point(f_ints, xbar, ybar, p, n):

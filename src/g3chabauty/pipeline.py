@@ -173,7 +173,7 @@ class _Analysis:
     # -- per-disk work ---------------------------------------------------
 
     def process_disk(self, disk, alpha, beta, knowns):
-        data, _ = self.ctx.disk_data(disk)
+        data = self.ctx.disk_data(disk)
         series_a, order_a = _lambda_series(data, alpha)
         series_b, order_b = _lambda_series(data, beta)
         if order_a is None or order_b is None:

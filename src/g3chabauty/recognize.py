@@ -17,7 +17,7 @@ from math import gcd, isqrt, lcm
 
 from . import _kernels as kernels
 from .errors import InputError
-from .padic import INF, PadicNumber
+from .padic import PadicNumber
 
 
 def rational_reconstruct(value):
@@ -36,8 +36,6 @@ def rational_reconstruct(value):
     if value.is_zero:
         return Fraction(0) if value.abs_prec >= 4 else None
     p, n = value.prime, value.rel_prec
-    if n == INF:
-        return Fraction(value.unit) * Fraction(p) ** value.valuation
     m = p ** n
     bound = isqrt((m - 1) // 2)
     r0, r1 = m, value.unit % m
@@ -152,9 +150,6 @@ def small_integer_relation(values):
     p = values[0].prime
     k = len(values)
     n = min(v.abs_prec for v in values)
-    if n == INF:
-        raise InputError("exact inputs need no lattice")
-    n = int(n)
     max_height = p ** max(1, (n - 4) // k)
     # precision must dwarf the height gate or noise wins
     if p ** n <= (2 * max_height) ** k * p * p:
@@ -193,10 +188,7 @@ def small_integer_relation(values):
 
 def quadratic_relation(value):
     """(c0, c1, c2) primitive with c0 + c1 v + c2 v^2 = 0 mod p^N, or None."""
-    prec = value.abs_prec
-    one = (PadicNumber.from_rational(1, value.prime, rel_prec=64)
-           if prec == INF else
-           PadicNumber.from_rational(1, value.prime, abs_prec=int(prec)))
+    one = PadicNumber.from_rational(1, value.prime, abs_prec=value.abs_prec)
     return small_integer_relation([one, value, value * value])
 
 

@@ -33,7 +33,6 @@ recurrence.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add, mul
 
 from . import _kernels as kernels
@@ -150,13 +149,8 @@ class PadicPowerSeries:
             if self.prime != other.prime:
                 raise InputError("mixed primes")
             return other
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            prec = None
-            if isinstance(other, (int, Fraction)):
-                prec = max((a for a in self._abs if a != INF), default=None)
-                if prec is None:
-                    raise PrecisionError("no finite precision to coerce at")
-            return PadicPowerSeries.constant(other, self.prime, self.t_prec, prec)
+        if isinstance(other, PadicNumber):
+            return PadicPowerSeries.constant(other, self.prime, self.t_prec)
         return NotImplemented
 
     # -- ring operations ---------------------------------------------------

@@ -3,10 +3,8 @@ that g3chabauty.series used before it moved to integer vectors, kept as
 the oracle its operations are compared with, coefficient by coefficient.
 Every operation is the term-by-term PadicNumber arithmetic."""
 
-from fractions import Fraction
-
 from g3chabauty.errors import InputError, PrecisionError
-from g3chabauty.padic import INF, PadicNumber
+from g3chabauty.padic import PadicNumber
 
 
 def _coerce_coeff(c, prime, coeff_prec):
@@ -62,14 +60,8 @@ class ReferenceSeries:
         if isinstance(other, ReferenceSeries):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction, PadicNumber)):
-            prec = None
-            if isinstance(other, (int, Fraction)):
-                prec = max((c.abs_prec for c in self.coeffs
-                            if c.abs_prec != INF), default=None)
-                if prec is None:
-                    raise PrecisionError("no finite precision to coerce at")
-            return ReferenceSeries.constant(other, self.prime, self.t_prec, prec)
+        if isinstance(other, PadicNumber):
+            return ReferenceSeries.constant(other, self.prime, self.t_prec)
         return NotImplemented
 
     # -- ring operations ---------------------------------------------------

@@ -312,7 +312,7 @@ def random_disk_points(ctx, rng, count):
     pts = []
     while len(pts) < count:
         disk = rng.choice(disks)
-        data, _ = ctx.disk_data(disk)
+        data = ctx.disk_data(disk)
         u = rng.randrange(1, ctx.p ** (ctx.prec - 4))
         t = PadicNumber.from_rational(ctx.p * u, ctx.p, abs_prec=ctx.prec)
         pts.append(data.expansion.point_at(t))
@@ -327,7 +327,7 @@ def test_criterion_07(curve_a, ctx_a7):
         # the integrals are assembled from these expansions on every chart
         kinds = set()
         for disk in {d.canonical(7) for d in curve_a.fp_points(7)}:
-            data, _ = ctx_a7.disk_data(disk)
+            data = ctx_a7.disk_data(disk)
             kinds.add(data.expansion.kind)
             for i, w in enumerate(data.expansion.differential_series()):
                 diff = basis_form_residual(data.expansion, i, w)
@@ -352,7 +352,7 @@ def test_criterion_07(curve_a, ctx_a7):
         for v in ctx_a7.integral_holomorphic(w1, w2):
             assert close3(v, PadicNumber.zero(7, 18))
         # d(y) integrates back to the coordinate difference inside a disk
-        data, _ = ctx_a7.disk_data(curve_a.fp_points(7)[1].canonical(7))
+        data = ctx_a7.disk_data(curve_a.fp_points(7)[1].canonical(7))
         ys = data.expansion.y_series
         anti = ys.derivative().formal_integral()
         for _ in range(5):
@@ -399,7 +399,7 @@ def test_criterion_08(ctx_a7):
         # every antiderivative the pipeline builds obeys v(a_j) >= -ord_p(j)
         for disk in sorted({d.canonical(7) for d in
                             ctx_a7.curve.fp_points(7)}):
-            data, _ = ctx_a7.disk_data(disk)
+            data = ctx_a7.disk_data(disk)
             for anti in data.halfints:
                 for j, c in enumerate(anti.coeffs):
                     if j == 0 or c.is_zero:

@@ -195,7 +195,7 @@ def test_disk_constant_solves_the_frobenius_system(name, request,
         if disk.is_infinity or disk.y == 0:
             continue
         generic += 1
-        data, _ = ctx.disk_data(disk)
+        data = ctx.disk_data(disk)
         solved = solutions[-1]
         v = padic_linsolve(full_adj, fd.jacobian_order(),
                            fd.primitives_at(disk.x, disk.y))

@@ -337,7 +337,7 @@ def test_teichmuller_center_is_frobenius_fixed(curve_a):
 
 def vanishing_orders(ctx, disk):
     return [w.reduction_order()
-            for w in ctx.disk_data(disk)[0].expansion.differential_series()]
+            for w in ctx.disk_data(disk).expansion.differential_series()]
 
 
 def test_vanishing_orders_frozen(curve_a):

@@ -803,7 +803,7 @@ def test_strassmann_order_reads_the_half_integral(name, p, base, request):
                                for c in series.coeffs]
 
     for disk in sorted({d.canonical(p) for d in curve.fp_points(p)}):
-        data, _ = ctx.disk_data(disk)
+        data = ctx.disk_data(disk)
         forms = data.expansion.differential_series()
         for coeffs in (alpha, beta):
             form = form_series(coeffs, forms)

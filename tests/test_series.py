@@ -183,7 +183,6 @@ _SERIES_OPS = {
     "rmul": lambda a, b, c, k: b * a,
     "square": lambda a, b, c, k: a * a,
     "add_number": lambda a, b, c, k: a + c,
-    "sub_int": lambda a, b, c, k: a - k,
     "scale": lambda a, b, c, k: a.scale(c),
     "truncate": lambda a, b, c, k: a.truncate(k),
     "shift_t": lambda a, b, c, k: a.shift_t(k),
