@@ -33,7 +33,8 @@ constant, so halfint is H_i at the point's parameter (negated on the
 mirror disk).  A form is a coefficient triple over (w0, w1, w2), and its
 half-integral series is the same combination of H_0, H_1, H_2.  The chart
 needs only the curve, the disk and N (localdisk); h(P) comes from
-FrobeniusData.primitives_at, which lifts P itself at its working precision.
+FrobeniusData.primitives_at, a lookup of the values the Frobenius run
+folded at every generic disk's P, lifted at its working precision.
 """
 
 from __future__ import annotations

@@ -53,12 +53,15 @@ The digits of Psi carry precision graded twice, by the term k and by
 their position: block n of p digits of H_k is divisible by p^(k_max-n-k)
 and needed mod p^(W-C-1-k), so it is kept divided by the one and mod the
 other (_psi_digits).  F is monic, so the digits commute with reduction
-mod any p^M, and they equal the full-precision ones mod p^W.  The exact
-forms are kept so Coleman integration can evaluate the primitive h_j with
-phi^* w_j = sum_i M[i][j] w_i + d h_j.  Its pole terms b_s(x) y^(2-s), s
+mod any p^M, and they equal the full-precision ones mod p^W.  The
+reduction also gives the primitive h_j of
+phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole terms b_s(x) y^(2-s), s
 odd, and its degree-reduction terms mu(x) y make h_j = y sum_e u^e E_e(x)
-in u = y^-2, with E_e = b_(2e+1) and E_0 = mu: one dense list of
-x-polynomials per column, read by Horner's rule in u.
+in u = y^-2, with E_e = b_(2e+1) and E_0 = mu.  The steps make E_J down
+to E_0, which is Horner's order in u, so each term is folded into h_j at
+the Teichmuller point of every generic disk, the only points where
+Coleman integration reads it (_Horner), and into dh_j/dx at the audit
+point (_SlopeHorner), as it is made; no term is kept.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the Weil bounds, the functional equation and the
@@ -113,19 +116,18 @@ def _half_binomial_units(k_max, m):
 
 class FrobeniusData(namedtuple(
         "FrobeniusData", "curve p prec scale_exp work_exp k_max matrix_ints "
-        "adjugate prims zeta fp_points")):
-    """Matrix of Frobenius on the w_i basis plus the exact forms needed to
-    evaluate the primitives h_j at points with unit y.  k_max (the last
-    term of the binomial series), scale_exp (C) and work_exp (W) are the
-    budget of _compute, read by no other module: primitives_at lifts its
-    own points.  matrix_ints holds M and adjugate holds adj(I - M),
-    both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i + dh_j, and
-    (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).  prims[j]
-    holds p^C h_j mod p^W once, as the dense list E_0 .. E_J of
-    x-polynomials (coefficient tuples) with h_j = y sum_e u^e E_e(x),
-    u = y^-2: E_e, e >= 1, is the pole term of the step s = 2e + 1, and
-    E_0 = mu(x) holds the degree-reduction terms.  fp_points is C(F_p),
-    infinity first (curve.fp_points), as the trace audit counted it."""
+        "adjugate teich_prims zeta fp_points")):
+    """Matrix of Frobenius on the w_i basis plus the primitives h_j at the
+    Teichmuller point of every generic disk.  k_max (the last term of the
+    binomial series), scale_exp (C) and work_exp (W) are the budget of
+    _compute, read by no other module.  matrix_ints holds M and adjugate
+    holds adj(I - M), both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i +
+    dh_j, and (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).
+    teich_prims maps each canonical generic disk (xbar, ybar),
+    0 < ybar <= (p - 1) / 2, to the six values p^C h_j mod p^W at its
+    Teichmuller point, which _compute folds as it reduces; no term of h
+    is kept.  fp_points is C(F_p), infinity first (curve.fp_points), as the
+    trace audit counted it."""
 
     __slots__ = ()
 
@@ -141,12 +143,15 @@ class FrobeniusData(namedtuple(
 
     def primitives_at(self, xbar, ybar):
         """(h_0, .., h_5) as PadicNumbers to p^prec at the Teichmuller point
-        over the generic disk (xbar, ybar), lifted here mod p^work_exp."""
-        W = self.work_exp
-        x, y = teichmuller_point(self.curve.f_coeffs_mod(self.p, W), xbar,
-                                 ybar, self.p, W)
-        return [self._wrap_scaled(self._primitive_acc(col, x, y))
-                for col in range(6)]
+        over the generic disk (xbar, ybar), residues mod p.  h is odd in y,
+        so on the mirror half it is the canonical disk's, negated."""
+        p = self.p
+        if ybar <= (p - 1) // 2:
+            accs = self.teich_prims[xbar, ybar]
+        else:
+            m = p ** self.work_exp
+            accs = [-acc % m for acc in self.teich_prims[xbar, p - ybar]]
+        return [self._wrap_scaled(acc) for acc in accs]
 
     def _wrap_scaled(self, acc):
         if acc == 0:
@@ -154,42 +159,83 @@ class FrobeniusData(namedtuple(
         value = Fraction(acc, self.p ** self.scale_exp)
         return PadicNumber.from_rational(value, self.p, abs_prec=self.prec)
 
-    def _primitive_acc(self, col, x_int, y_int):
-        """p^scale_exp h_col at (x_int, y_int), reduced mod p^work_exp, by
-        Horner's rule in u = y^-2 on the values E_e(x).  Every term is odd
-        in y, so at (x_int, -y_int) it is the negative."""
-        m = self.p ** self.work_exp
-        terms = self.prims[col]
-        xpow = _powers(x_int, max(7, len(terms[0])), m)
-        u = pow(y_int * y_int % m, -1, m)
-        vals = [sum(map(mul, E, xpow)) for E in terms]
-        return kernels.poly_eval_mod(vals, u, m) * y_int % m
 
-    def _primitive_dx_acc(self, col, x_int, y_int):
-        """p^scale_exp dh_col/dx at (x_int, y_int), reduced mod p^work_exp.
-        With u = y^-2 and y' = F'(x)/2y, the term of E_e has
-        d(E_e y u^e)/dx = y u^e (E_e' + (1 - 2e)/2 F' u E_e), which Horner's
-        rule in u sums."""
-        m = self.p ** self.work_exp
-        terms = self.prims[col]
-        n = max(8, len(terms[0]))
-        xpow = _powers(x_int, n, m)
-        # slopes[i] = i x^(i-1), the slope of x^i; deg F = 7
-        slopes = [0] + [i * xpow[i - 1] for i in range(1, n)]
-        f = self.curve.f_coeffs_mod(self.p, self.work_exp)
-        u = pow(y_int * y_int % m, -1, m)
-        half_fu = sum(map(mul, f, slopes)) * u % m * pow(2, -1, m) % m
-        # weights[i] is x^i above i x^(i-1), so one dot product gives E(x)
-        # above E'(x): E's n residues times slopes below n m sum below
-        # n^2 m^2
-        shift = 2 * (n * m).bit_length()
-        low = (1 << shift) - 1
-        weights = [v + (w << shift) for v, w in zip(slopes, xpow)]
-        vals = []
-        for e, E in enumerate(terms):
-            both = sum(map(mul, E, weights))
-            vals.append((both & low) + (1 - 2 * e) * half_fu * (both >> shift))
-        return kernels.poly_eval_mod(vals, u, m) * y_int % m
+class _Horner:
+    """p^C h_j mod m at the points (x, y), y a unit, folded one term at a
+    time in the order _compute makes them: h_j = y sum_e u^e E_e(x) with
+    u = y^-2, the pole terms E_J, .., E_1 (degree <= 6) and then
+    E_0 = mu(x).  A pole term is read at every point by one packed dot
+    product, on x^i at every point packed into one integer per i, and is
+    added by Horner's rule in u; mu, of any degree, is read by Horner's
+    rule in x."""
+
+    def __init__(self, points, m):
+        self.m = m
+        self.points = [(x, y, pow(y * y % m, -1, m)) for x, y in points]
+        powers = [_powers(x, 7, m) for x, _ in points]
+        # a slot holds any sum of 7 products of residues mod m
+        self.slot = kernels.slot_bytes(m, 7)
+        self.xcols = [kernels.pack([xpow[i] for xpow in powers], self.slot)
+                      for i in range(7)]
+        self.accs = [0] * len(points)
+
+    def add(self, E):
+        m = self.m
+        vals = kernels.unpack(sum(map(mul, E, self.xcols)), self.slot,
+                              len(self.accs), m)
+        self.accs = [(acc * u + v) % m for acc, (_, _, u), v
+                     in zip(self.accs, self.points, vals)]
+
+    def finish(self, mu):
+        """The values p^C h_j at the points; the next column starts at 0."""
+        m = self.m
+        out = [(acc * u + kernels.poly_eval_mod(mu, x, m)) * y % m
+               for acc, (x, y, u) in zip(self.accs, self.points)]
+        self.accs = [0] * len(out)
+        return out
+
+
+class _SlopeHorner:
+    """p^C dh_j/dx mod m at one point (x, y), y a unit, folded like
+    _Horner.  With u = y^-2 and y' = F'(x)/2y, the term of E_e has
+    d(E_e y u^e)/dx = y u^e (E_e' + (1 - 2e)/2 F' u E_e), which Horner's
+    rule in u sums; E_e(x) and E_e'(x) come from one packed dot product."""
+
+    def __init__(self, f, x, y, m):
+        self.x, self.y, self.m = x, y, m
+        self.u = pow(y * y % m, -1, m)
+        self._weigh(8)
+        # deg F = 7, so slopes[:8] reaches F'
+        self.half_fu = (sum(map(mul, f, self.slopes)) * self.u % m
+                        * pow(2, -1, m) % m)
+        self.acc = 0
+
+    def _weigh(self, n):
+        """weights[i] is x^i above i x^(i-1), for i < n: E's n residues
+        times slopes below n m sum below n^2 m^2."""
+        m = self.m
+        xpow = _powers(self.x, n, m)
+        # slopes[i] = i x^(i-1), the slope of x^i
+        self.slopes = [0] + [i * xpow[i - 1] for i in range(1, n)]
+        self.shift = 2 * (n * m).bit_length()
+        self.low = (1 << self.shift) - 1
+        self.weights = [v + (w << self.shift)
+                        for v, w in zip(self.slopes, xpow)]
+
+    def add(self, E, e):
+        if len(E) > len(self.weights):
+            self._weigh(len(E))
+        both = sum(map(mul, E, self.weights))
+        self.acc = (self.acc * self.u + (both & self.low)
+                    + (1 - 2 * e) * self.half_fu * (both >> self.shift)
+                    ) % self.m
+
+    def finish(self, mu):
+        """The value p^C dh_j/dx at the point; the next column starts at
+        0."""
+        self.add(mu, 0)
+        out, self.acc = self.acc * self.y % self.m, 0
+        return out
 
 
 def _powers(x, n, m):
@@ -253,9 +299,12 @@ def _compute(curve, p, N, k_max, C, W):
     linear in c mod p^W.  Where p does not divide s - 2 no division by p is
     left; where p^e does, the divisions by p^e of the correction and of the
     primitive are checked at every step (_pole_step).  The primitive of
-    step s is stored as E_((s-1)/2) and the degree reduction's mu(x) as
-    E_0 (FrobeniusData.prims), so h_j = y sum_e E_e(x) y^-2e is read by
-    Horner's rule in y^-2.
+    step s is E_((s-1)/2) and the degree reduction's mu(x) is E_0 in
+    h_j = y sum_e E_e(x) y^-2e, made in Horner's order in y^-2: each is
+    folded, as it is made, into p^C h_j at the Teichmuller point of every
+    canonical generic disk, lifted mod p^W before the first column
+    (FrobeniusData.teich_prims), and into p^C dh_j/dx at the audit point,
+    and then dropped.
 
     Why the budget of _budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
@@ -318,9 +367,10 @@ def _compute(curve, p, N, k_max, C, W):
        block 0 at least one digit.
     So M and h are right to the N digits the report reads.  Every exact
     division stays checked, and the result is audited: the zeta, and M and
-    h together by identity_check at the least nonzero residue x with F(x)
-    a nonzero square mod p, so that every row of M enters (x = 0 only when
-    it is the one such residue).  Without one, every affine point over F_p
+    h together by identity_check at the point (x, y) over the least nonzero
+    residue x with F(x) a nonzero square mod p, so that every row of M
+    enters (x = 0 only when it is the one such residue), y the root
+    sqrt_mod_pn gives.  Without one, every affine point over F_p
     has y = 0, so the proof has no generic disk: it reads neither M nor h,
     only the zeta, and that audit is skipped.
     """
@@ -352,26 +402,42 @@ def _compute(curve, p, N, k_max, C, W):
         e = ord_p(s - 2, p)
         steps.append((s, e, pow((s - 2) // p ** e, -1, m)))
     digits = _psi_digits(Q, dt, cks, C, p, W)
+
+    # h_j is read only at the Teichmuller points (primitives_at) and
+    # dh_j/dx only at the audit point
+    fp_points = curve.fp_points(p)
+    disks = [(q.x, q.y) for q in fp_points[1:]
+             if 0 < q.y <= (p - 1) // 2]
+    lifts = _Horner([teichmuller_point(Q, x, y, p, W) for x, y in disks], m)
+    xbar = _generic_residue((q.x, q.y) for q in fp_points[1:])
+    audit = None
+    if xbar is not None:
+        audit = _SlopeHorner(
+            Q, xbar, sqrt_mod_pn(kernels.poly_eval_mod(Q, xbar, m), p, W), m)
+
     matrix_ints = [[0] * 6 for _ in range(6)]
-    prims = []
+    h_cols, dh = [], []
     pC = p ** C
     for col in range(6):
         # digits of x^(p col + p - 1) Psi, from the previous column's
         digits = _apply_digit_map(digits, xmaps[col > 0], m)
-        terms = [()] * (J + 1)
         carry = []
         for j, (s, e, inv) in enumerate(steps):
             c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]), carry, m)
                  if j < len(digits) else carry)
-            carry, terms[(s - 1) // 2] = _pole_step(c, s, e, inv, pmap, p, m)
+            carry, E = _pole_step(c, s, e, inv, pmap, p, m)
+            lifts.add(E)
+            if audit is not None:
+                audit.add(E, (s - 1) // 2)
         # the numerator over y^1: carry plus the digits from J on
         A = []
         for d in reversed(digits[J:]):
             A = kernels.poly_add_mod(kernels.poly_mul_mod(A, Q, m),
                                      kernels.poly_trim(d), m)
-        A, terms[0] = _degree_reduce(
-            kernels.poly_add_mod(A, carry, m), Q, Qd, p, m)
-        prims.append(tuple(terms))
+        A, mu = _degree_reduce(kernels.poly_add_mod(A, carry, m), Q, Qd, p, m)
+        h_cols.append(lifts.finish(mu))
+        if audit is not None:
+            dh.append(audit.finish(mu))
         for i in range(6):
             rep = A[i] if i < len(A) else 0
             val = kernels.balanced(rep, m)
@@ -387,15 +453,14 @@ def _compute(curve, p, N, k_max, C, W):
     if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:
         raise PrecisionError("zeta functional equation failed")
     fd = FrobeniusData(curve, p, N, C, W, k_max, matrix_ints, adjugate,
-                       tuple(prims), tuple(b), curve.fp_points(p))
+                       dict(zip(disks, zip(*h_cols))), tuple(b), fp_points)
     if fd.point_count() != len(fd.fp_points):
         raise PrecisionError("trace does not match the point count")
-    xbar = _generic_residue((q.x, q.y) for q in fd.fp_points[1:])
-    if xbar is None:
+    if audit is None:
         log.debug("p = %d: no residue x with F(x) a nonzero square mod p, "
                   "so no generic disk; identity audit skipped", p)
     else:
-        identity_check(fd, xbar)
+        identity_check(fd, xbar, audit.y, dh)
     return fd
 
 
@@ -668,24 +733,21 @@ def zeta_numerator(curve, p):
     return list(frobenius_data(curve, p, 6).zeta)
 
 
-def identity_check(fd, xbar):
+def identity_check(fd, x, y, dh):
     """Audit phi^* w_j = sum_i M[i][j] w_i + d h_j mod p^N, column by
-    column, at the point (x, y) over the residue xbar with F(xbar) a nonzero
-    square mod p, y known mod p^W; raise PrecisionError naming the first
-    column where it fails.
+    column, at the point (x, y) with 0 <= x < p, y a unit and y^2 = F(x)
+    mod p^W, from dh[j] = p^C dh_j/dx there mod p^W (_compute folds it as
+    it reduces); raise PrecisionError naming the first column where it
+    fails.
 
     In dx-coefficients, times 2 y: with u = y^-2 and z = Dt(x) u^p,
     phi^* w_j gives x^(pj+p-1) y^(1-p) sum_k c_k p^(k+1) z^k, whose terms
     k >= N - 1 vanish mod p^N, and the right side gives sum_i M[i][j] x^i
     + 2 y h_j'.  The primitive is known as p^C h_j mod p^(W-L), so both
     sides are compared times p^C, mod p^(C+N)."""
-    p, N, C, W = fd.p, fd.prec, fd.scale_exp, fd.work_exp
+    p, N, C = fd.p, fd.prec, fd.scale_exp
     mn = p ** N
-    x = xbar % p
-    f = fd.curve.f_coeffs_mod(p, W)
-    y = sqrt_mod_pn(kernels.poly_eval_mod(f, x, p ** W), p, W)
-    if y is None:
-        raise ValueError("the residue %d lies under no generic disk" % x)
+    f = fd.curve.f_coeffs_mod(p, fd.work_exp)
     fx = kernels.poly_eval_mod(f, x, p * mn)
     fxp = kernels.poly_eval_mod(f, x ** p, p * mn)
     dt = _exact_pdiv((fxp - pow(fx, p, p * mn)) % (p * mn), p, 1)
@@ -698,8 +760,7 @@ def identity_check(fd, xbar):
     lhs = series * pow(u, (p - 1) // 2, mn) * x ** (p - 1) % mn
     for col in range(6):
         rhs = sum(fd.matrix_ints[i][col] * x ** i for i in range(6))
-        if ((lhs - rhs) * p ** C
-                - 2 * y * fd._primitive_dx_acc(col, x, y)) % p ** (C + N):
+        if ((lhs - rhs) * p ** C - 2 * y * dh[col]) % p ** (C + N):
             raise PrecisionError(
                 "frobenius identity fails at column %d: the budget "
                 "argument of _compute failed" % col)

@@ -223,11 +223,14 @@ class _Analysis:
     def _isolate(self, series):
         """Complete root list, or None with the reason when the zeros are
         not simple enough to separate at working precision; the budget
-        prec - 2 is lowered to the digits the coefficients keep."""
+        prec - 2 is lowered to the digits the coefficients keep.  The
+        reason is the error's text: the error's traceback holds the
+        caller's frame, so keeping it would tie the analysis in a cycle
+        that outlives analyze_curve until the cycle collector runs."""
         try:
             return series_roots_in_disk(series, self.prec - 2), None
         except PrecisionError as exc:
-            return None, exc
+            return None, str(exc)
 
     def _filter_by_value(self, roots, other, data):
         """Roots of one functional that the other cannot exclude.

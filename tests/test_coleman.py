@@ -12,11 +12,13 @@ import pytest
 
 from g3chabauty import coleman
 from g3chabauty.coleman import ColemanContext, padic_linsolve
+from g3chabauty.frobenius import frobenius_data
 from g3chabauty.localdisk import LocalExpansion
 from g3chabauty.curve import CurvePoint, RationalPoint
 from g3chabauty.padic import INF, PadicNumber, ord_p, teichmuller_point
 
 from oracles import padic_sqrt, tiny_integral
+from test_frobenius import _primitive_acc_full, _spy_reduction
 
 PREC_A = 12
 PREC_C = 10
@@ -132,13 +134,19 @@ def test_integrate_form_combines_basis(ctx_a7, curve_a):
 
 
 @pytest.mark.parametrize("ctx_name", ["ctx_a7", "ctx_c11"])
-def test_mirror_primitive_is_negated_accumulator(ctx_name, request):
-    # h_i is odd in y: at (x_t, m - y_t) it is the wrapped -acc mod m.
+def test_mirror_primitive_is_negated_accumulator(ctx_name, request,
+                                                 monkeypatch):
+    # h_i is odd in y: at (x_t, m - y_t) it is the wrapped -acc mod m, so
+    # primitives_at reads the mirror disk from the canonical one's acc.
     # That oddness, h(P) - h(iota P) = 2 h(P), is what lets _build_disk
     # solve for a generic disk's constant from h(P) alone
     ctx = request.getfixturevalue(ctx_name)
     fd, p = ctx.fd, ctx.p
     m = p ** fd.work_exp
+    with monkeypatch.context() as patch:
+        columns, _ = _spy_reduction(patch)
+        assert frobenius_data(ctx.curve, p, ctx.prec) == fd
+    assert len(columns) == 6
     disks = sorted({d.canonical(p) for d in ctx.curve.fp_points(p)})
     generic = 0
     for disk in disks:
@@ -147,11 +155,14 @@ def test_mirror_primitive_is_negated_accumulator(ctx_name, request):
         generic += 1
         x_t, y_t = teichmuller_point(ctx.curve.f_coeffs_mod(p, fd.work_exp),
                                      disk.x, disk.y, p, fd.work_exp)
-        for i in range(6):
-            acc = fd._primitive_acc(i, x_t, y_t)
-            assert -acc % m == fd._primitive_acc(i, x_t, m - y_t)
-            mirror = fd._wrap_scaled(-acc % m)
-            direct = fd._wrap_scaled(fd._primitive_acc(i, x_t, m - y_t))
+        mirrored = fd.primitives_at(disk.x, p - disk.y)
+        for i, terms in enumerate(columns):
+            acc = fd.teich_prims[disk.x, disk.y][i]
+            assert acc == _primitive_acc_full(fd, terms, x_t, y_t)
+            assert -acc % m == _primitive_acc_full(fd, terms, x_t, m - y_t)
+            mirror = mirrored[i]
+            direct = fd._wrap_scaled(
+                _primitive_acc_full(fd, terms, x_t, m - y_t))
             assert (mirror.valuation, mirror.unit, mirror.rel_prec) == \
                 (direct.valuation, direct.unit, direct.rel_prec)
     assert generic >= 2
@@ -167,14 +178,19 @@ SOLVE_CASES = {"ctx_a7": ("curve_a", 7, 18), "ctx_c11": ("curve_c", 11, 26),
 def test_disk_constant_solves_the_frobenius_system(name, request,
                                                    monkeypatch):
     """Every generic disk's constant v solves (I - M^T) v = h(P): on the
-    integers matrix_ints and _primitive_acc, sum_j (delta_ij - M_ji) v_j
+    integers matrix_ints and p^C h(P) from the per-term oracle on the
+    terms the reduction made, sum_j (delta_ij - M_ji) v_j
     - h_i(P) vanishes mod p^abs_prec(v), in all six rows.  The solve keeps
     only v_0, v_1, v_2, the constants of the basis forms w0, w1, w2 and of
     the disk's half-integral series; v_3, v_4, v_5 come from the whole of
     fd.adjugate here.  The Cramer solve loses exactly v_p(#J(F_p)) of the
     N digits."""
     curve_name, p, keep = SOLVE_CASES[name]
-    ctx = ColemanContext(request.getfixturevalue(curve_name), p, 2 * p + 4)
+    with monkeypatch.context() as patch:
+        columns, _ = _spy_reduction(patch)
+        ctx = ColemanContext(request.getfixturevalue(curve_name), p,
+                             2 * p + 4)
+    assert len(columns) == 6
     fd = ctx.fd
     full_adj = [[PadicNumber.from_rational(v, p, abs_prec=fd.prec) if v
                  else PadicNumber.zero(p, fd.prec) for v in row]
@@ -208,8 +224,9 @@ def test_disk_constant_solves_the_frobenius_system(name, request,
                 (want.valuation, want.unit, want.rel_prec)
         residues = teichmuller_point(ctx.curve.f_coeffs_mod(p, fd.work_exp),
                                      disk.x, disk.y, p, fd.work_exp)
-        for i in range(6):
-            h_i = Fraction(fd._primitive_acc(i, *residues), p ** fd.scale_exp)
+        for i, terms in enumerate(columns):
+            h_i = Fraction(_primitive_acc_full(fd, terms, *residues),
+                           p ** fd.scale_exp)
             lhs = sum(((i == j) - fd.matrix_ints[j][i]) * value(v[j])
                       for j in range(6))
             assert ord_p(lhs - h_i, p) >= keep

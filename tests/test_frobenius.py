@@ -17,7 +17,7 @@ from g3chabauty.frobenius import (_budget, _compute, _digit_map,
                                   frobenius_data, identity_check,
                                   zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
-from g3chabauty.padic import ord_p, sqrt_mod_pn
+from g3chabauty.padic import ord_p, sqrt_mod_pn, teichmuller_point
 
 from test_jacobian import brute_zeta_coeffs
 
@@ -25,6 +25,16 @@ from test_jacobian import brute_zeta_coeffs
 @pytest.fixture(scope="module")
 def fd_a7(curve_a):
     return frobenius_data(curve_a, 7, 10)
+
+
+@pytest.fixture(scope="module")
+def a7_terms(curve_a):
+    """The terms of each column of fd_a7, captured from a second run."""
+    with pytest.MonkeyPatch.context() as patch:
+        columns, _ = _spy_reduction(patch)
+        frobenius_data(curve_a, 7, 10)
+    assert len(columns) == 6
+    return columns
 
 
 def test_zeta_matches_brute_curve_a(curve_a):
@@ -69,8 +79,8 @@ def test_jacobian_order_annihilates(curve_a, fd_a7):
 # SHA-256 of repr((matrix_ints, pole_prims, deg_prims, zeta)) of one
 # _compute run at the budget (k_max, C, W) in PINNED_BUDGETS: the raw
 # residues mod p^W, so each pins the telescope arithmetic at that budget.
-# The primitives are in the sparse layout FrobeniusData once kept
-# (_sparse_prims).
+# The primitives are the terms the reduction makes (_spy_reduction), in the
+# sparse layout FrobeniusData once kept (_sparse_prims).
 # They come from the per-column pole reduction that preceded the shared
 # Q-adic digits (the first three) and from the full-precision digits of Psi
 # that preceded the graded ones (the rest).  A key (curve, p, prec) holds the
@@ -160,17 +170,49 @@ def _wide_budget(p, prec):
     return prec + 3, C + 2, prec + 4 + 2 * (C + 2)
 
 
-def _sparse_prims(fd):
-    """(pole_prims, deg_prims) of fd.prims: per column the pole terms
-    (s, E_((s-1)/2)) in decreasing s with empty terms skipped, and the
-    degree-reduction terms (j, mu_j) of E_0 in decreasing j with zero
+def _spy_reduction(patch):
+    """Spy on _pole_step, _degree_reduce and identity_check, wrapping
+    whatever patch has put there already.  Returns (columns, audits):
+    columns gets, per column _compute reduces, its terms
+    (E_0, E_1, .., E_J) of p^C h_j = y sum_e u^e E_e(x), u = y^-2, the
+    dense layout FrobeniusData once kept; audits gets the (x, y, dh) of
+    each identity audit."""
+    columns, poles, audits = [], [], []
+    step, reduce = frobenius._pole_step, frobenius._degree_reduce
+    audit = frobenius.identity_check
+
+    def spy_step(*args):
+        carry, E = step(*args)
+        poles.append(E)
+        return carry, E
+
+    def spy_reduce(*args):
+        A, mu = reduce(*args)
+        columns.append((mu,) + tuple(reversed(poles)))
+        poles.clear()
+        return A, mu
+
+    def spy_audit(fd, x, y, dh):
+        audits.append((x, y, tuple(dh)))
+        return audit(fd, x, y, dh)
+
+    patch.setattr(frobenius, "_pole_step", spy_step)
+    patch.setattr(frobenius, "_degree_reduce", spy_reduce)
+    patch.setattr(frobenius, "identity_check", spy_audit)
+    return columns, audits
+
+
+def _sparse_prims(columns):
+    """(pole_prims, deg_prims) of the columns' terms: per column the pole
+    terms (s, E_((s-1)/2)) in decreasing s with empty terms skipped, and
+    the degree-reduction terms (j, mu_j) of E_0 in decreasing j with zero
     terms skipped."""
     pole = tuple(tuple((2 * e + 1, terms[e])
                        for e in range(len(terms) - 1, 0, -1) if terms[e])
-                 for terms in fd.prims)
+                 for terms in columns)
     deg = tuple(tuple((j, mu) for j, mu in reversed(list(enumerate(terms[0])))
                       if mu)
-                for terms in fd.prims)
+                for terms in columns)
     return pole, deg
 
 
@@ -188,15 +230,17 @@ def _canonical(curve, fd):
 
 @pytest.mark.parametrize("key", sorted(FROBENIUS_DIGESTS),
                          ids=lambda key: "-".join(map(str, key)))
-def test_frobenius_bookkeeping_pinned(key, request):
+def test_frobenius_bookkeeping_pinned(key, request, monkeypatch):
     curve, p, prec = key[:3]
     budget = PINNED_BUDGETS[key]
     if len(key) == 4:
         assert budget == _retry_budget(p, prec, key[3] - 1)
     else:
         assert budget == _wide_budget(p, prec)
+    columns, _ = _spy_reduction(monkeypatch)
     fd = _compute(request.getfixturevalue(curve), p, prec, *budget)
-    data = (fd.matrix_ints, *_sparse_prims(fd), fd.zeta)
+    assert len(columns) == 6
+    data = (fd.matrix_ints, *_sparse_prims(columns), fd.zeta)
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == FROBENIUS_DIGESTS[key]
 
@@ -217,7 +261,7 @@ def test_frobenius_canonical_values_pinned(key, request):
 def test_frobenius_transient_heap_is_small(curve_b, curve_c):
     """_compute reduces one column at a time, so at most two columns'
     Q-adic digits are alive at once: at p = 11 the heap it peaks at above
-    what it returns is about 0.2 MB, against 0.8 MB when all six columns'
+    what it returns is about 0.33 MB, against 0.8 MB when all six columns'
     digits were kept side by side."""
     frobenius_data(curve_b, 11, 26)  # warm-up: imports and first-call caches
     for curve in (curve_b, curve_c):
@@ -229,6 +273,23 @@ def test_frobenius_transient_heap_is_small(curve_b, curve_c):
         finally:
             tracemalloc.stop()
         assert peak - current < 0.4e6, (fd.p, peak, current)
+
+
+def test_frobenius_data_is_small(curve_b, curve_c):
+    """_compute folds every term of h into the values at the Teichmuller
+    points as it makes it, so FrobeniusData keeps no term: at p = 11 the
+    heap it holds is about 11 KB, against 520 KB when every column's
+    terms were kept."""
+    for curve in (curve_b, curve_c):
+        frobenius_data(curve, 11, 26)  # warm-up: imports and first-call caches
+    for curve in (curve_b, curve_c):
+        tracemalloc.start()
+        try:
+            fd = frobenius_data(curve, 11, 26)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fd.teich_prims and current < 0.05e6, (fd.p, current)
 
 
 def test_frobenius_data_is_built_whole(curve_c):
@@ -309,8 +370,18 @@ def _generic_residues(f, p):
             if pow(kernels.poly_eval_mod(f, x, p), (p - 1) // 2, p) == 1]
 
 
+def _audit_at(fd, columns, xbar):
+    """identity_check at the point (xbar, y) with y the root sqrt_mod_pn
+    gives, on dh_j/dx from the per-term oracle on the columns' terms."""
+    p, W = fd.p, fd.work_exp
+    f = fd.curve.f_coeffs_mod(p, W)
+    y = sqrt_mod_pn(kernels.poly_eval_mod(f, xbar, p ** W), p, W)
+    identity_check(fd, xbar, y, [_primitive_dx_full(fd, terms, xbar, y)
+                                 for terms in columns])
+
+
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
-def test_first_attempt_matches_wide_budget_on_random_curves(p):
+def test_first_attempt_matches_wide_budget_on_random_curves(p, monkeypatch):
     """One seeded random curve per precision, from 4 up to the default
     2p + 4: _budget gives the canonical values of the wide budget, the
     pullback identity holds at every generic residue, and for p <= 13 the
@@ -325,12 +396,14 @@ def test_first_attempt_matches_wide_budget_on_random_curves(p):
                 fbar = curve.f_coeffs_mod(p, 1)
                 if _generic_residues(fbar, p):
                     break
-        fd = frobenius_data(curve, p, prec)
+        with monkeypatch.context() as patch:
+            columns, _ = _spy_reduction(patch)
+            fd = frobenius_data(curve, p, prec)
         assert (fd.k_max, fd.scale_exp, fd.work_exp) == _budget(p, prec)
         wide = _compute(curve, p, prec, *_wide_budget(p, prec))
         assert _canonical(curve, fd) == _canonical(curve, wide)
         for xbar in _generic_residues(fbar, p):
-            identity_check(fd, xbar)
+            _audit_at(fd, columns, xbar)
         if p <= 13:
             assert list(fd.zeta) == kernels.brute_zeta_numerator(fbar, p)
 
@@ -441,23 +514,25 @@ def _pole_step_full(c, s, Q, Qd, beta, p, m):
     return kernels.poly_add_mod(a, kernels.poly_trim(corr), m), prim
 
 
-def _primitive_acc_full(fd, col, x_int, y_int):
-    """p^scale_exp h_col at (x_int, y_int) mod p^work_exp, one power of
-    y^-2 per pole term: the oracle for the Horner evaluation."""
+def _primitive_acc_full(fd, terms, x_int, y_int):
+    """p^scale_exp h at (x_int, y_int) mod p^work_exp for one column's
+    terms, one power of y^-2 per pole term: the oracle for the Horner
+    evaluation."""
     m = fd.p ** fd.work_exp
     yinv2 = pow(y_int * y_int % m, -1, m)
     acc = 0
-    for e, E in enumerate(fd.prims[col]):
+    for e, E in enumerate(terms):
         for j, c in enumerate(E):
             acc = (acc + c * pow(x_int, j, m) % m * y_int % m
                    * pow(yinv2, e, m)) % m
     return acc
 
 
-def _primitive_dx_full(fd, col, x_int, y_int):
-    """p^scale_exp dh_col/dx at (x_int, y_int) mod p^work_exp, each pole
-    term with its own powers of y and its own derivative polynomial: the
-    oracle for the Horner evaluation, using y' = F'(x) / 2y."""
+def _primitive_dx_full(fd, terms, x_int, y_int):
+    """p^scale_exp dh/dx at (x_int, y_int) mod p^work_exp for one column's
+    terms, each pole term with its own powers of y and its own derivative
+    polynomial: the oracle for the Horner evaluation, using
+    y' = F'(x) / 2y."""
     m = fd.p ** fd.work_exp
     Qd = kernels.poly_deriv_mod(fd.curve.f_coeffs_mod(fd.p, fd.work_exp), m)
     qd_val = kernels.poly_eval_mod(Qd, x_int, m)
@@ -465,7 +540,7 @@ def _primitive_dx_full(fd, col, x_int, y_int):
     yinv2 = yinv * yinv % m
     inv2 = pow(2, -1, m)
     acc = 0
-    for e, E in enumerate(fd.prims[col]):
+    for e, E in enumerate(terms):
         s = 2 * e + 1
         ye = pow(yinv2, e, m)
         for j, c in enumerate(E):
@@ -477,6 +552,39 @@ def _primitive_dx_full(fd, col, x_int, y_int):
             acc = (acc + (2 - s) * inv2 % m * c % m * pow(x_int, j, m) % m
                    * qd_val % m * ye % m * yinv) % m
     return acc
+
+
+def _fold(fd, terms, x_int, y_int):
+    """(p^C h, p^C dh/dx) at (x_int, y_int) of one column's terms, folded
+    by _compute's _Horner and _SlopeHorner in the order it makes them."""
+    m = fd.p ** fd.work_exp
+    h = frobenius._Horner([(x_int, y_int)], m)
+    dh = frobenius._SlopeHorner(fd.curve.f_coeffs_mod(fd.p, fd.work_exp),
+                                x_int, y_int, m)
+    for e in range(len(terms) - 1, 0, -1):
+        h.add(terms[e])
+        dh.add(terms[e], e)
+    return h.finish(terms[0])[0], dh.finish(terms[0])
+
+
+def _check_streamed(fd, columns, audits):
+    """The values _compute folded, against the per-term oracles on the
+    terms it made: p^C h_j at the Teichmuller point of every canonical
+    generic disk, and p^C dh_j/dx at the audit point."""
+    p, W = fd.p, fd.work_exp
+    f = fd.curve.f_coeffs_mod(p, W)
+    disks = {(q.x, q.y) for q in fd.fp_points[1:]
+             if 0 < q.y <= (p - 1) // 2}
+    assert set(fd.teich_prims) == disks
+    for (xbar, ybar), accs in fd.teich_prims.items():
+        x_t, y_t = teichmuller_point(f, xbar, ybar, p, W)
+        assert list(accs) == [_primitive_acc_full(fd, terms, x_t, y_t)
+                              for terms in columns]
+    assert len(audits) == (1 if disks else 0)
+    for x, y, dh in audits:
+        assert x == _generic_residue((q.x, q.y) for q in fd.fp_points[1:])
+        assert list(dh) == [_primitive_dx_full(fd, terms, x, y)
+                            for terms in columns]
 
 
 def _strip(digits):
@@ -491,8 +599,9 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     oracle: the graded _psi_digits against the full-precision digits,
     every packed x^e map against e passes of _times_x_once, every pole
     step on the one packed pole map, built once, against _pole_step_full,
-    and then the Horner _primitive_acc and _primitive_dx_acc of the result
-    against _primitive_acc_full and _primitive_dx_full."""
+    and the Horner values of the terms, _compute's own at the Teichmuller
+    and audit points and _fold's at random points, against
+    _primitive_acc_full and _primitive_dx_full."""
     graded = frobenius._psi_digits
     digit_map = frobenius._digit_map
     apply_map = frobenius._apply_digit_map
@@ -544,20 +653,22 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     monkeypatch.setattr(frobenius, "_apply_digit_map", checked_apply)
     monkeypatch.setattr(frobenius, "_pole_map", checked_map)
     monkeypatch.setattr(frobenius, "_pole_step", checked_step)
+    columns, audits = _spy_reduction(monkeypatch)
     fd = _attempt(curve, p, prec, attempt)
     assert len(seen["digits"]) == 1 and seen["digits"][0] > 0
     assert seen["x"] == 6 and seen["maps"] == 1
     assert seen["steps"] == 6 * (fd.k_max * p + (p - 1) // 2)
+    assert len(columns) == 6
+    _check_streamed(fd, columns, audits)
     m = p ** fd.work_exp
     rng = random.Random(p * prec + attempt)
-    for col in range(6):
+    for terms in columns:
         for _ in range(3):
             x_int = rng.randrange(m)
             y_int = rng.randrange(1, p) + p * rng.randrange(m // p)
-            assert fd._primitive_acc(col, x_int, y_int) == \
-                _primitive_acc_full(fd, col, x_int, y_int)
-            assert fd._primitive_dx_acc(col, x_int, y_int) == \
-                _primitive_dx_full(fd, col, x_int, y_int)
+            assert _fold(fd, terms, x_int, y_int) == \
+                (_primitive_acc_full(fd, terms, x_int, y_int),
+                 _primitive_dx_full(fd, terms, x_int, y_int))
 
 
 @pytest.mark.parametrize("curve,p,prec", [
@@ -634,35 +745,37 @@ def test_adjugate_inverts_one_minus_frobenius(curve, p, request):
             assert entry % m == (fd.jacobian_order() if i == j else 0) % m
 
 
-def test_pullback_identity_generic_points(fd_a7):
+def test_pullback_identity_generic_points(fd_a7, a7_terms):
     # the audit of frobenius_data runs at the least nonzero generic
-    # residue, where sum_i M_ij x^i reads every row of M
+    # residue, where sum_i M_ij x^i reads every row of M; every other
+    # residue has no point with y a unit to audit at
     fbar = fd_a7.curve.f_coeffs_mod(7, 1)
     assert _generic_residues(fbar, 7) == [0, 3, 4]
     assert _generic_residue(kernels.fp_curve_points(fbar, 7)) == 3
     for xbar in range(7):
         if xbar in (0, 3, 4):
-            identity_check(fd_a7, xbar)
+            _audit_at(fd_a7, a7_terms, xbar)
         else:
-            with pytest.raises(ValueError, match="no generic disk"):
-                identity_check(fd_a7, xbar)
+            assert sqrt_mod_pn(kernels.poly_eval_mod(fbar, xbar, 7), 7,
+                               1) is None
 
 
-def _mutated_primitive(col):
-    """FrobeniusData with p^(C+N-1) added to the x^0 coefficient of
-    column col's s = 3 primitive E_1: h_col off in its last reported
-    digit."""
-    made = frobenius.FrobeniusData
+def _mutated_primitive(col, C, prec):
+    """_pole_step with p^(C+N-1) added to the x^0 coefficient of the
+    s = 3 primitive E_1 that it returns for column col, N = prec: h_col
+    off in its last reported digit."""
+    real = frobenius._pole_step
+    seen = []
 
-    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate, prims,
-              zeta, fp_points):
-        prims = [list(terms) for terms in prims]
-        b = prims[col][1]
-        assert b
-        prims[col][1] = ((b[0] + p ** (C + prec - 1)) % p ** W,) + b[1:]
-        return made(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
-                    tuple(map(tuple, prims)), zeta, fp_points)
-    return build
+    def step(c, s, e, inv, pmap, p, m):
+        carry, b = real(c, s, e, inv, pmap, p, m)
+        if s == 3:
+            seen.append(b)
+            if len(seen) == col + 1:
+                assert b
+                b = ((b[0] + p ** (C + prec - 1)) % m,) + b[1:]
+        return carry, b
+    return step
 
 
 @pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
@@ -672,9 +785,11 @@ def test_identity_audit_catches_a_wrong_primitive_digit(curve, p, request,
     """Every zeta audit reads only M; the identity audit reads h too, so a
     primitive wrong in digit N - 1 must raise, naming its column."""
     curve = request.getfixturevalue(curve)
+    C = _budget(p, 2 * p + 4)[1]
     for col in range(6):
         with monkeypatch.context() as patch:
-            patch.setattr(frobenius, "FrobeniusData", _mutated_primitive(col))
+            patch.setattr(frobenius, "_pole_step",
+                          _mutated_primitive(col, C, 2 * p + 4))
             with pytest.raises(PrecisionError,
                                match="identity fails at column %d" % col):
                 frobenius_data(curve, p, 2 * p + 4)
@@ -694,12 +809,12 @@ def _mutated_matrix(row, col):
     its last reported digit after the zeta audits have read the true M."""
     made = frobenius.FrobeniusData
 
-    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate, prims,
-              zeta, fp_points):
+    def build(curve, p, prec, C, W, k_max, matrix_ints, adjugate,
+              teich_prims, zeta, fp_points):
         mat = [list(r) for r in matrix_ints]
         mat[row][col] = (mat[row][col] + p ** (prec - 1)) % p ** prec
-        return made(curve, p, prec, C, W, k_max, mat, adjugate, prims, zeta,
-                    fp_points)
+        return made(curve, p, prec, C, W, k_max, mat, adjugate, teich_prims,
+                    zeta, fp_points)
     return build
 
 
@@ -751,19 +866,24 @@ def test_pole_step_checks_the_division_by_p(curve, p, request):
 
 @pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
                                      ("curve_c", 11)])
-def test_primitive_dx_matches_the_per_term_oracle(curve, p, request):
+def test_primitive_dx_matches_the_per_term_oracle(curve, p, request,
+                                                  monkeypatch):
     curve = request.getfixturevalue(curve)
-    fd = frobenius_data(curve, p, 2 * p + 4)
+    with monkeypatch.context() as patch:
+        columns, audits = _spy_reduction(patch)
+        fd = frobenius_data(curve, p, 2 * p + 4)
+    _check_streamed(fd, columns, audits)
     m = p ** fd.work_exp
     rng = random.Random(p)
-    for col in range(6):
+    for terms in columns:
         for x_int in (0, 1, rng.randrange(m)):
             y_int = rng.randrange(1, p) + p * rng.randrange(m // p)
-            assert fd._primitive_dx_acc(col, x_int, y_int) == \
-                _primitive_dx_full(fd, col, x_int, y_int)
+            assert _fold(fd, terms, x_int, y_int)[1] == \
+                _primitive_dx_full(fd, terms, x_int, y_int)
 
 
-def test_primitive_dx_takes_one_dot_product_per_term(fd_a7, monkeypatch):
+def test_primitive_dx_takes_one_dot_product_per_term(fd_a7, a7_terms,
+                                                     monkeypatch):
     # E_e(x) and E_e'(x) come from one packed dot product per term, plus
     # the 8 products of F'(x)
     calls = []
@@ -772,14 +892,19 @@ def test_primitive_dx_takes_one_dot_product_per_term(fd_a7, monkeypatch):
         calls.append(1)
         return a * b
 
+    m = 7 ** fd_a7.work_exp
+    f = fd_a7.curve.f_coeffs_mod(7, fd_a7.work_exp)
     monkeypatch.setattr(frobenius, "mul", counting_mul)
-    for col in range(6):
+    for terms in a7_terms:
         calls.clear()
-        fd_a7._primitive_dx_acc(col, 3, 5)
-        assert len(calls) == 8 + sum(map(len, fd_a7.prims[col]))
+        dh = frobenius._SlopeHorner(f, 3, 5, m)
+        for e in range(len(terms) - 1, 0, -1):
+            dh.add(terms[e], e)
+        dh.finish(terms[0])
+        assert len(calls) == 8 + sum(map(len, terms))
 
 
-def test_primitive_dx_finite_difference(curve_a, fd_a7):
+def test_primitive_dx_finite_difference(curve_a, fd_a7, a7_terms):
     p = 7
     m = p ** fd_a7.work_exp
     Q = curve_a.f_coeffs_mod(p, fd_a7.work_exp)
@@ -791,10 +916,11 @@ def test_primitive_dx_finite_difference(curve_a, fd_a7):
     if (y1 - y0) % p ** 5 != 0:
         y1 = m - y1   # match the branch of the disk
     assert (y1 - y0) % p ** 4 == 0
-    for col in range(6):
-        h0 = fd_a7._wrap_scaled(fd_a7._primitive_acc(col, x0, y0))
-        h1 = fd_a7._wrap_scaled(fd_a7._primitive_acc(col, x0 + step, y1))
-        deriv = fd_a7._wrap_scaled(fd_a7._primitive_dx_acc(col, x0, y0))
+    for terms in a7_terms:
+        acc0, dacc0 = _fold(fd_a7, terms, x0, y0)
+        h0 = fd_a7._wrap_scaled(acc0)
+        h1 = fd_a7._wrap_scaled(_fold(fd_a7, terms, x0 + step, y1)[0])
+        deriv = fd_a7._wrap_scaled(dacc0)
         diff = (h1 - h0) - deriv * step
         # second-order remainder is O(step^2) = O(p^10), cut by prim scale
         assert diff.is_zero and diff.valuation >= 8

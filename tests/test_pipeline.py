@@ -7,6 +7,7 @@ polynomials divide the curve polynomial or reproduce its values).  They
 pin down the full observable behaviour of analyze_curve at p = 7 and 11.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -75,7 +76,17 @@ REPORT_SHA256 = {
     "ex2_p7": "89c98dfdd4fedef3fd18e04d98c0a89466e9c19bb7c92e6c97dfba58ee20c4d3",
     "ex2_p11": "bf9f233a9e235cfc2a02b5f137accb69fc15b54acf64e708cae578e7bd90752b",
     "ex3_p11": "3455bedd1ceca73a3d4b4b4228c63045bce8b9a8a6551db18ca4771ef6d5e5d5",
+    # computed at 40a565c, before _compute folded h at the Teichmuller
+    # points as it reduces: 54 disks and 1,060 pole steps per column
+    "ex1_p101": "a92ff5c28d78691a5dfe22c848a9d606ac7c87d969963b9c74dedb6b3e88e679",
 }
+
+
+@pytest.fixture(scope="module")
+def ex1_p101(curve_a):
+    """Example 1 with its known points at p = 101 and N = 10."""
+    return analyze_curve(curve_a, p=101, prec=10,
+                         knowns=parse_points(CURVE_A_KNOWN))
 
 
 def test_report_digests_pinned(request):
@@ -324,7 +335,7 @@ def _force_isolation_failure(monkeypatch, labels):
 
     def failing_isolate(self, series):
         if current[0] in labels:
-            return None, PrecisionError("isolation failed on purpose")
+            return None, "isolation failed on purpose"
         return isolate(self, series)
     monkeypatch.setattr(pipeline._Analysis, "process_disk", process_disk)
     monkeypatch.setattr(pipeline._Analysis, "_isolate", failing_isolate)
@@ -356,8 +367,30 @@ def test_count_certification_needs_the_bound(curve_a, monkeypatch):
     """Disk (0,1) holds a torsion zero and no known point, so when both
     isolations fail there the count cannot certify it."""
     _force_isolation_failure(monkeypatch, {"(0,1)"})
-    with pytest.raises(SimplicityError, match="do not reach the counting"):
+    with pytest.raises(SimplicityError, match="isolation failed on purpose "
+                       "/ isolation failed on purpose, and the 0 known "
+                       "points there do not reach the counting"):
         analyze_curve(curve_a, p=7)
+
+
+def test_analysis_is_freed_without_the_cycle_collector(curve_b):
+    """Nothing of an analysis outlives analyze_curve in a reference
+    cycle: with the cycle collector off, B@11, where one isolation fails
+    on the infinity disk, leaves no ColemanContext, and so no
+    FrobeniusData and no chart, behind."""
+    def contexts():
+        return {id(o) for o in gc.get_objects()
+                if isinstance(o, pipeline.ColemanContext)}
+
+    gc.collect()
+    before = contexts()
+    gc.disable()
+    try:
+        analyze_curve(curve_b, p=11)
+        left = contexts() - before
+    finally:
+        gc.enable()
+    assert not left
 
 
 def test_ex1_class_counts_at_n40(curve_a):
