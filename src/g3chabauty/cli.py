@@ -297,7 +297,11 @@ def cmd_integrate(args):
     src = _parse_point(getattr(args, "from"), "--from point")
     dst = _parse_point(args.to, "--to point")
     p = args.p
-    check_inputs(curve, p=p, prec=args.N, knowns=[src, dst])
+    check_inputs(curve, p=p, prec=args.N)
+    for pt, what in ((src, "--from point"), (dst, "--to point")):
+        if not curve.is_on_curve_original(pt):
+            raise InputError("%s %s is not on the curve"
+                             % (what, pt.coord_strings()))
     prec = default_precision(p) if args.N is None else args.N
     ctx = ColemanContext(curve, p, prec)
     vals = ctx.integral_holomorphic(curve.padic_point(src, p, prec),

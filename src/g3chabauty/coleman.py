@@ -71,8 +71,8 @@ class ColemanContext:
         self.prec = prec
         self.fd = frobenius_data(curve, p, prec)
         self._adj = tuple(
-            tuple(PadicNumber.from_rational(v, p, abs_prec=prec) if v
-                  else PadicNumber.zero(p, prec) for v in row[:3])
+            tuple(PadicNumber.from_rational(v, p, abs_prec=prec)
+                  for v in row[:3])
             for row in self.fd.adjugate)
         self._disks = {}
 

@@ -58,10 +58,10 @@ reduction also gives the primitive h_j of
 phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole terms b_s(x) y^(2-s), s
 odd, and its degree-reduction terms mu(x) y make h_j = y sum_e u^e E_e(x)
 in u = y^-2, with E_e = b_(2e+1) and E_0 = mu.  The steps make E_J down
-to E_0, which is Horner's order in u, so each term is folded into h_j at
-the Teichmuller point of every generic disk, the only points where
-Coleman integration reads it (_Horner), and into dh_j/dx at the audit
-point (_SlopeHorner), as it is made; no term is kept.
+to E_0, which is Horner's order in u, so each term is folded, as it is
+made, into h_j at the Teichmuller point of every generic disk, the only
+points where Coleman integration reads it, and into dh_j/dx at the first
+of them, the audit point (_Horner); no term is kept.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the Weil bounds, the functional equation and the
@@ -80,7 +80,7 @@ from operator import mul
 
 from . import _kernels as kernels
 from .errors import BadReductionError, PrecisionError
-from .padic import PadicNumber, ord_p, sqrt_mod_pn, teichmuller_point
+from .padic import PadicNumber, ord_p, teichmuller_point
 
 log = logging.getLogger(__name__)
 
@@ -154,88 +154,56 @@ class FrobeniusData(namedtuple(
         return [self._wrap_scaled(acc) for acc in accs]
 
     def _wrap_scaled(self, acc):
-        if acc == 0:
-            return PadicNumber.zero(self.p, self.prec)
         value = Fraction(acc, self.p ** self.scale_exp)
         return PadicNumber.from_rational(value, self.p, abs_prec=self.prec)
 
 
 class _Horner:
-    """p^C h_j mod m at the points (x, y), y a unit, folded one term at a
-    time in the order _compute makes them: h_j = y sum_e u^e E_e(x) with
-    u = y^-2, the pole terms E_J, .., E_1 (degree <= 6) and then
-    E_0 = mu(x).  A pole term is read at every point by one packed dot
-    product, on x^i at every point packed into one integer per i, and is
-    added by Horner's rule in u; mu, of any degree, is read by Horner's
-    rule in x."""
+    """p^C h_j mod m at the points (x, y), y a unit, and p^C dh_j/dx at the
+    first, folded in the order _compute makes the terms of
+    h_j = y sum_e u^e E_e(x), u = y^-2: E_J, .., E_1 (degree <= 6), then
+    E_0 = mu(x).  Both go by Horner's rule in u, as y' = F'(x)/2y gives
+    d(E_e y u^e)/dx = y u^e (E_e' + (1 - 2e)/2 F' u E_e).  One packed dot
+    product reads a pole term: slot k of column i holds x^i at point k, and
+    the last slot i x^(i-1) at the first point.  mu, of any degree, is read
+    by Horner's rule in x."""
 
-    def __init__(self, points, m):
+    def __init__(self, f, points, m):
         self.m = m
         self.points = [(x, y, pow(y * y % m, -1, m)) for x, y in points]
+        x0, _, u0 = self.points[0]
         powers = [_powers(x, 7, m) for x, _ in points]
+        slopes = [i * v % m for i, v in enumerate([0] + powers[0][:6])]
         # a slot holds any sum of 7 products of residues mod m
         self.slot = kernels.slot_bytes(m, 7)
-        self.xcols = [kernels.pack([xpow[i] for xpow in powers], self.slot)
-                      for i in range(7)]
+        self.xcols = [kernels.pack([xpow[i] for xpow in powers] + [slopes[i]],
+                                   self.slot) for i in range(7)]
+        fd0 = kernels.poly_eval_mod(kernels.poly_deriv_mod(f, m), x0, m)
+        self.half_fu = fd0 * u0 * pow(2, -1, m) % m
         self.accs = [0] * len(points)
+        self.dacc = 0
 
-    def add(self, E):
+    def add(self, E, e):
         m = self.m
-        vals = kernels.unpack(sum(map(mul, E, self.xcols)), self.slot,
-                              len(self.accs), m)
+        *vals, slope = kernels.unpack(sum(map(mul, E, self.xcols)), self.slot,
+                                      len(self.accs) + 1, m)
+        self.dacc = (self.dacc * self.points[0][2] + slope
+                     + (1 - 2 * e) * self.half_fu * vals[0]) % m
         self.accs = [(acc * u + v) % m for acc, (_, _, u), v
                      in zip(self.accs, self.points, vals)]
 
     def finish(self, mu):
-        """The values p^C h_j at the points; the next column starts at 0."""
+        """(values, dh): p^C h_j at the points and p^C dh_j/dx at the
+        first; the next column starts at 0."""
         m = self.m
-        out = [(acc * u + kernels.poly_eval_mod(mu, x, m)) * y % m
-               for acc, (x, y, u) in zip(self.accs, self.points)]
-        self.accs = [0] * len(out)
-        return out
-
-
-class _SlopeHorner:
-    """p^C dh_j/dx mod m at one point (x, y), y a unit, folded like
-    _Horner.  With u = y^-2 and y' = F'(x)/2y, the term of E_e has
-    d(E_e y u^e)/dx = y u^e (E_e' + (1 - 2e)/2 F' u E_e), which Horner's
-    rule in u sums; E_e(x) and E_e'(x) come from one packed dot product."""
-
-    def __init__(self, f, x, y, m):
-        self.x, self.y, self.m = x, y, m
-        self.u = pow(y * y % m, -1, m)
-        self._weigh(8)
-        # deg F = 7, so slopes[:8] reaches F'
-        self.half_fu = (sum(map(mul, f, self.slopes)) * self.u % m
-                        * pow(2, -1, m) % m)
-        self.acc = 0
-
-    def _weigh(self, n):
-        """weights[i] is x^i above i x^(i-1), for i < n: E's n residues
-        times slopes below n m sum below n^2 m^2."""
-        m = self.m
-        xpow = _powers(self.x, n, m)
-        # slopes[i] = i x^(i-1), the slope of x^i
-        self.slopes = [0] + [i * xpow[i - 1] for i in range(1, n)]
-        self.shift = 2 * (n * m).bit_length()
-        self.low = (1 << self.shift) - 1
-        self.weights = [v + (w << self.shift)
-                        for v, w in zip(self.slopes, xpow)]
-
-    def add(self, E, e):
-        if len(E) > len(self.weights):
-            self._weigh(len(E))
-        both = sum(map(mul, E, self.weights))
-        self.acc = (self.acc * self.u + (both & self.low)
-                    + (1 - 2 * e) * self.half_fu * (both >> self.shift)
-                    ) % self.m
-
-    def finish(self, mu):
-        """The value p^C dh_j/dx at the point; the next column starts at
-        0."""
-        self.add(mu, 0)
-        out, self.acc = self.acc * self.y % self.m, 0
-        return out
+        mus = [kernels.poly_eval_mod(mu, x, m) for x, _, _ in self.points]
+        values = [(acc * u + v) * y % m for acc, (_, y, u), v
+                  in zip(self.accs, self.points, mus)]
+        x0, y0, u0 = self.points[0]
+        slope = kernels.poly_eval_mod(kernels.poly_deriv_mod(mu, m), x0, m)
+        dh = (self.dacc * u0 + slope + self.half_fu * mus[0]) * y0 % m
+        self.accs, self.dacc = [0] * len(values), 0
+        return values, dh
 
 
 def _powers(x, n, m):
@@ -304,7 +272,7 @@ def _compute(curve, p, N, k_max, C, W):
     folded, as it is made, into p^C h_j at the Teichmuller point of every
     canonical generic disk, lifted mod p^W before the first column
     (FrobeniusData.teich_prims), and into p^C dh_j/dx at the audit point,
-    and then dropped.
+    the first of them, by the same packed product, and then dropped.
 
     Why the budget of _budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
@@ -367,12 +335,12 @@ def _compute(curve, p, N, k_max, C, W):
        block 0 at least one digit.
     So M and h are right to the N digits the report reads.  Every exact
     division stays checked, and the result is audited: the zeta, and M and
-    h together by identity_check at the point (x, y) over the least nonzero
-    residue x with F(x) a nonzero square mod p, so that every row of M
-    enters (x = 0 only when it is the one such residue), y the root
-    sqrt_mod_pn gives.  Without one, every affine point over F_p
-    has y = 0, so the proof has no generic disk: it reads neither M nor h,
-    only the zeta, and that audit is skipped.
+    h together by identity_check at the Teichmuller point over the least
+    nonzero residue x with F(x) a nonzero square mod p, so that every row
+    of M enters (x = 0 only when it is the one such residue), where h_j is
+    read from the same packed products.  Without one, every affine point
+    over F_p has y = 0, so the proof has no generic disk: it reads neither
+    M nor h, only the zeta, and that audit is skipped.
     """
     s_max = 2 * p * k_max + p
     m = p ** W
@@ -403,17 +371,17 @@ def _compute(curve, p, N, k_max, C, W):
         steps.append((s, e, pow((s - 2) // p ** e, -1, m)))
     digits = _psi_digits(Q, dt, cks, C, p, W)
 
-    # h_j is read only at the Teichmuller points (primitives_at) and
-    # dh_j/dx only at the audit point
+    # h_j is read only at the Teichmuller points (primitives_at), and dh_j/dx
+    # only by the audit, at the first: the one over _generic_residue's x
     fp_points = curve.fp_points(p)
     disks = [(q.x, q.y) for q in fp_points[1:]
              if 0 < q.y <= (p - 1) // 2]
-    lifts = _Horner([teichmuller_point(Q, x, y, p, W) for x, y in disks], m)
-    xbar = _generic_residue((q.x, q.y) for q in fp_points[1:])
-    audit = None
-    if xbar is not None:
-        audit = _SlopeHorner(
-            Q, xbar, sqrt_mod_pn(kernels.poly_eval_mod(Q, xbar, m), p, W), m)
+    xbar = _generic_residue(disks)
+    disks.sort(key=lambda disk: disk[0] != xbar)
+    lifts = None
+    if disks:
+        lifts = _Horner(Q, [teichmuller_point(Q, x, y, p, W)
+                            for x, y in disks], m)
 
     matrix_ints = [[0] * 6 for _ in range(6)]
     h_cols, dh = [], []
@@ -426,18 +394,18 @@ def _compute(curve, p, N, k_max, C, W):
             c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]), carry, m)
                  if j < len(digits) else carry)
             carry, E = _pole_step(c, s, e, inv, pmap, p, m)
-            lifts.add(E)
-            if audit is not None:
-                audit.add(E, (s - 1) // 2)
+            if lifts is not None:
+                lifts.add(E, (s - 1) // 2)
         # the numerator over y^1: carry plus the digits from J on
         A = []
         for d in reversed(digits[J:]):
             A = kernels.poly_add_mod(kernels.poly_mul_mod(A, Q, m),
                                      kernels.poly_trim(d), m)
         A, mu = _degree_reduce(kernels.poly_add_mod(A, carry, m), Q, Qd, p, m)
-        h_cols.append(lifts.finish(mu))
-        if audit is not None:
-            dh.append(audit.finish(mu))
+        if lifts is not None:
+            values, slope = lifts.finish(mu)
+            h_cols.append(values)
+            dh.append(slope)
         for i in range(6):
             rep = A[i] if i < len(A) else 0
             val = kernels.balanced(rep, m)
@@ -456,11 +424,12 @@ def _compute(curve, p, N, k_max, C, W):
                        dict(zip(disks, zip(*h_cols))), tuple(b), fp_points)
     if fd.point_count() != len(fd.fp_points):
         raise PrecisionError("trace does not match the point count")
-    if audit is None:
+    if lifts is None:
         log.debug("p = %d: no residue x with F(x) a nonzero square mod p, "
                   "so no generic disk; identity audit skipped", p)
     else:
-        identity_check(fd, xbar, audit.y, dh)
+        x0, y0, _ = lifts.points[0]
+        identity_check(fd, x0, y0, dh)
     return fd
 
 
@@ -735,10 +704,10 @@ def zeta_numerator(curve, p):
 
 def identity_check(fd, x, y, dh):
     """Audit phi^* w_j = sum_i M[i][j] w_i + d h_j mod p^N, column by
-    column, at the point (x, y) with 0 <= x < p, y a unit and y^2 = F(x)
-    mod p^W, from dh[j] = p^C dh_j/dx there mod p^W (_compute folds it as
-    it reduces); raise PrecisionError naming the first column where it
-    fails.
+    column, at the point (x, y) with x any residue mod p^W, y a unit and
+    y^2 = F(x) mod p^W, from dh[j] = p^C dh_j/dx there mod p^W (_compute
+    folds it as it reduces); raise PrecisionError naming the first column
+    where it fails.
 
     In dx-coefficients, times 2 y: with u = y^-2 and z = Dt(x) u^p,
     phi^* w_j gives x^(pj+p-1) y^(1-p) sum_k c_k p^(k+1) z^k, whose terms
@@ -749,7 +718,7 @@ def identity_check(fd, x, y, dh):
     mn = p ** N
     f = fd.curve.f_coeffs_mod(p, fd.work_exp)
     fx = kernels.poly_eval_mod(f, x, p * mn)
-    fxp = kernels.poly_eval_mod(f, x ** p, p * mn)
+    fxp = kernels.poly_eval_mod(f, pow(x, p, p * mn), p * mn)
     dt = _exact_pdiv((fxp - pow(fx, p, p * mn)) % (p * mn), p, 1)
     u = pow(y * y % mn, -1, mn)
     z = dt * pow(u, p, mn) % mn
@@ -757,11 +726,11 @@ def identity_check(fd, x, y, dh):
     for c in reversed(_half_binomial_units(N - 2, mn)):
         series = (series * z + c) * p % mn
     # column 0's left side; column j + 1's is x^p times column j's
-    lhs = series * pow(u, (p - 1) // 2, mn) * x ** (p - 1) % mn
+    lhs = series * pow(u, (p - 1) // 2, mn) * pow(x, p - 1, mn) % mn
     for col in range(6):
-        rhs = sum(fd.matrix_ints[i][col] * x ** i for i in range(6))
+        rhs = sum(fd.matrix_ints[i][col] * pow(x, i, mn) for i in range(6))
         if ((lhs - rhs) * p ** C - 2 * y * dh[col]) % p ** (C + N):
             raise PrecisionError(
                 "frobenius identity fails at column %d: the budget "
                 "argument of _compute failed" % col)
-        lhs = lhs * x ** p % mn
+        lhs = lhs * pow(x, p, mn) % mn

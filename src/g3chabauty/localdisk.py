@@ -238,7 +238,6 @@ def disk_center(curve, disk, p, prec):
         return CurvePoint.affine(x, PadicNumber.zero(p))
     x_t, y_t = teichmuller_point(curve.f_coeffs_mod(p, prec), disk.x, disk.y,
                                  p, prec)
-    x = PadicNumber.from_rational(x_t, p, abs_prec=prec) if x_t \
-        else PadicNumber.zero(p, prec)
+    x = PadicNumber.from_rational(x_t, p, abs_prec=prec)
     y = PadicNumber.from_rational(y_t, p, abs_prec=prec)
     return CurvePoint.affine(x, y)

@@ -72,12 +72,14 @@ class PadicNumber:
     def from_rational(value, prime, abs_prec=None, rel_prec=None):
         """Coerce an exact int or Fraction at the requested precision.
 
-        Exactly one of abs_prec / rel_prec decides how many digits are kept;
-        exact zero input yields the exact zero regardless.
+        Exactly one of abs_prec / rel_prec decides how many digits are kept.
+        Zero at abs_prec k is O(p^k); with rel_prec, or with no precision,
+        it is the exact zero, so x * 0 stays exact.
         """
         value = Fraction(value)
         if value == 0:
-            return PadicNumber.zero(prime)
+            exact = rel_prec is not None or abs_prec is None
+            return PadicNumber.zero(prime, INF if exact else abs_prec)
         v = ord_p(value, prime)
         if rel_prec is None:
             if abs_prec is None:
@@ -333,5 +335,4 @@ def hensel_lift_root(ints, x0, p, prec):
     if not kernels.poly_eval_mod(dints, x0, p):
         raise InputError("derivative vanishes mod p: root not simple")
     x = kernels.hensel_lift(ints, dints, x0, p, prec)
-    return PadicNumber.from_rational(x, p, abs_prec=prec) if x \
-        else PadicNumber.zero(p, prec)
+    return PadicNumber.from_rational(x, p, abs_prec=prec)

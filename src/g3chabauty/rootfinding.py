@@ -99,9 +99,9 @@ def series_roots_in_disk(series, prec):
     holds for every function within O(p^b) of the integral polynomial
     isolated here: each zero returned is simple, and none is missed.
 
-    A root in the coset t = 0 mod p^(e+1) comes back as the exact zero, as
-    PadicNumber.from_rational(0, ..) ignores abs_prec: it prints as "0"
-    though it is pinned only mod p^(e+1).  The reports pin that "0".
+    A root in the coset t = 0 mod p^(e+1) comes back as the exact zero,
+    built by name, though it is pinned only mod p^(e+1): the reports pin
+    the "0" it prints, where from_rational would give O(p^(e+1)).
     """
     p = series.prime
     for j in range(min(truncation_order(prec, p), len(series))):
@@ -127,7 +127,8 @@ def series_roots_in_disk(series, prec):
     h = [c // p ** k % mod for c in ints]
     roots = []
     for res, e in _zp_roots(h, p, budget):
-        roots.append(PadicNumber.from_rational(p * res, p, abs_prec=e + 1))
+        roots.append(PadicNumber.from_rational(p * res, p, abs_prec=e + 1)
+                     if res else PadicNumber.zero(p))
     roots.sort(key=lambda r: (0 if r.is_zero else 1,
                               0 if r.is_zero else r.unit * p ** r.valuation))
     return roots

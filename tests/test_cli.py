@@ -728,9 +728,16 @@ def test_integrate_matches_library(curve_a, tmp_path, capsys):
 
 
 def test_integrate_rejects_off_curve(tmp_path, capsys):
+    # each endpoint is named by its option, not as a known point
     curve = write_json(tmp_path / "c.json", CURVE_A_JSON)
     assert main(["integrate", "--curve", curve, "--p", "7",
                  "--from=1,1", "--to=infinity"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --from point ['1', '1'] is not on the curve\n"
+    assert main(["integrate", "--curve", curve, "--p", "7",
+                 "--from=infinity", "--to=2,3"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --to point ['2', '3'] is not on the curve\n"
 
 
 def test_exit_code_input(job_a):

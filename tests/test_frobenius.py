@@ -556,21 +556,21 @@ def _primitive_dx_full(fd, terms, x_int, y_int):
 
 def _fold(fd, terms, x_int, y_int):
     """(p^C h, p^C dh/dx) at (x_int, y_int) of one column's terms, folded
-    by _compute's _Horner and _SlopeHorner in the order it makes them."""
+    by _compute's _Horner in the order it makes them."""
     m = fd.p ** fd.work_exp
-    h = frobenius._Horner([(x_int, y_int)], m)
-    dh = frobenius._SlopeHorner(fd.curve.f_coeffs_mod(fd.p, fd.work_exp),
-                                x_int, y_int, m)
+    h = frobenius._Horner(fd.curve.f_coeffs_mod(fd.p, fd.work_exp),
+                          [(x_int, y_int)], m)
     for e in range(len(terms) - 1, 0, -1):
-        h.add(terms[e])
-        dh.add(terms[e], e)
-    return h.finish(terms[0])[0], dh.finish(terms[0])
+        h.add(terms[e], e)
+    values, dh = h.finish(terms[0])
+    return values[0], dh
 
 
 def _check_streamed(fd, columns, audits):
     """The values _compute folded, against the per-term oracles on the
     terms it made: p^C h_j at the Teichmuller point of every canonical
-    generic disk, and p^C dh_j/dx at the audit point."""
+    generic disk, and p^C dh_j/dx at the audit point, the Teichmuller
+    point over _generic_residue's residue."""
     p, W = fd.p, fd.work_exp
     f = fd.curve.f_coeffs_mod(p, W)
     disks = {(q.x, q.y) for q in fd.fp_points[1:]
@@ -582,7 +582,9 @@ def _check_streamed(fd, columns, audits):
                               for terms in columns]
     assert len(audits) == (1 if disks else 0)
     for x, y, dh in audits:
-        assert x == _generic_residue((q.x, q.y) for q in fd.fp_points[1:])
+        xbar = _generic_residue((q.x, q.y) for q in fd.fp_points[1:])
+        (ybar,) = [ybar for x_d, ybar in disks if x_d == xbar]
+        assert (x, y) == teichmuller_point(f, xbar, ybar, p, W)
         assert list(dh) == [_primitive_dx_full(fd, terms, x, y)
                             for terms in columns]
 
@@ -795,6 +797,39 @@ def test_identity_audit_catches_a_wrong_primitive_digit(curve, p, request,
                 frobenius_data(curve, p, 2 * p + 4)
 
 
+def _mutated_cube(delta):
+    """_Horner with delta added to x^3 in the power table of every point it
+    folds at, and nowhere else: h wrong at the Teichmuller points."""
+    real, powers = frobenius._Horner, frobenius._powers
+
+    def corrupt(x, n, m):
+        out = powers(x, n, m)
+        out[3] = (out[3] + delta) % m
+        return out
+
+    class Horner(real):
+        def __init__(self, *args):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(frobenius, "_powers", corrupt)
+                super().__init__(*args)
+    return Horner
+
+
+@pytest.mark.parametrize("curve,p", [("curve_a", 7), ("curve_b", 11),
+                                     ("curve_c", 11)])
+def test_identity_audit_reads_the_packed_values_of_h(curve, p, request,
+                                                     monkeypatch):
+    """The audit point is the first Teichmuller point _Horner folds at, and
+    dh there comes from the same packed products as h, so a power table
+    wrong in x^3 must raise.  x^3 is off by p^(C+N-5), which moves p^C h
+    by p^(C+N-1) at these curves: h off in its last reported digit."""
+    N = 2 * p + 4
+    C = _budget(p, N)[1]
+    monkeypatch.setattr(frobenius, "_Horner", _mutated_cube(p ** (C + N - 5)))
+    with pytest.raises(PrecisionError, match="identity fails at column"):
+        frobenius_data(request.getfixturevalue(curve), p, N)
+
+
 def test_generic_residue_takes_zero_only_when_alone():
     # x^7 = x mod 7, so F = x^7 + 2x^6 - x + c takes c at 0 and c + 2
     # elsewhere: with c = 1 only F(0) is a nonzero square, with c = 3 none
@@ -884,8 +919,9 @@ def test_primitive_dx_matches_the_per_term_oracle(curve, p, request,
 
 def test_primitive_dx_takes_one_dot_product_per_term(fd_a7, a7_terms,
                                                      monkeypatch):
-    # E_e(x) and E_e'(x) come from one packed dot product per term, plus
-    # the 8 products of F'(x)
+    # one packed dot product per pole term gives E_e at every point and
+    # E_e' at the first, one mul per coefficient of E_e; mu is read by
+    # Horner's rule, with no packed product
     calls = []
 
     def counting_mul(a, b):
@@ -897,11 +933,11 @@ def test_primitive_dx_takes_one_dot_product_per_term(fd_a7, a7_terms,
     monkeypatch.setattr(frobenius, "mul", counting_mul)
     for terms in a7_terms:
         calls.clear()
-        dh = frobenius._SlopeHorner(f, 3, 5, m)
+        h = frobenius._Horner(f, [(3, 5), (1, 2), (4, 1)], m)
         for e in range(len(terms) - 1, 0, -1):
-            dh.add(terms[e], e)
-        dh.finish(terms[0])
-        assert len(calls) == 8 + sum(map(len, terms))
+            h.add(terms[e], e)
+        h.finish(terms[0])
+        assert len(calls) == sum(map(len, terms[1:]))
 
 
 def test_primitive_dx_finite_difference(curve_a, fd_a7, a7_terms):

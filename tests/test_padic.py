@@ -112,6 +112,21 @@ def test_only_zero_is_exact():
     assert PadicNumber.zero(p).expansion_str() == "0"
 
 
+def test_zero_keeps_its_stated_precision():
+    # zero at abs_prec k is known only mod p^k; with rel_prec, or with no
+    # precision, it is the exact zero, so x * 0 stays exact
+    p = 7
+    zero = PadicNumber.from_rational(0, p, abs_prec=5)
+    assert not zero.is_exact_zero
+    assert zero.is_zero and zero.abs_prec == 5
+    assert zero.expansion_str() == "O(7^5)"
+    assert PadicNumber.from_rational(Fraction(0), p,
+                                     abs_prec=INF).is_exact_zero
+    assert PadicNumber.from_rational(0, p, rel_prec=5).is_exact_zero
+    assert PadicNumber.from_rational(0, p).is_exact_zero
+    assert (PadicNumber.from_rational(3, p, abs_prec=4) * 0).is_exact_zero
+
+
 def test_zero_digit_results_raise():
     p = 7
     with pytest.raises(PrecisionError):

@@ -120,9 +120,12 @@ def test_scale_and_shift_t():
 
 
 def test_mul_gains_t_precision_from_exact_zero_factor():
-    # multiplying O(t^4) data by an exactly-known t^2 shifts the unknown tail
+    # multiplying O(t^4) data by an exactly-known t^2 shifts the unknown tail;
+    # t^2 is built from exact zeros, as the series t squared
     s = S([1, 1], t_prec=4)
-    t2 = S([0, 0, 1], t_prec=6)
+    t = PadicPowerSeries.identity(P, 6, PREC)
+    t2 = t * t
+    assert t2[0].is_exact_zero and t2[1].is_exact_zero
     prod = s * t2
     assert prod.t_prec == 6
     assert prod[2] == 1 and prod[3] == 1
