@@ -10,13 +10,13 @@ counts over F_p and GF(p^k), and the zeta numerator those counts give
 (brute_zeta_numerator), which checks Frobenius without it.  It imports no
 package module but errors, so every layer can build on it.  Polynomials
 are little-endian integer coefficient lists; every function takes its
-(possibly huge) modulus explicitly.  Products of long operands use
-Kronecker substitution: both are packed into one Python int, so one
-C-level big-int multiplication does the work of the schoolbook loop.  The
-packed format is one integer holding residues in fixed slots of whole
-bytes, lowest first (pack, unpack, slot_bytes); Frobenius packs its linear
-maps the same way, so that one sum of integer multiples applies a map to a
-whole polynomial.
+(possibly huge) modulus explicitly.  Products are schoolbook: packing
+both operands into one integer (Kronecker substitution) was measurably
+faster only for the long squarings of Frobenius's Q^p at large p (about
+4% of a Frobenius run at p = 101).  The packed format is one integer
+holding residues in fixed slots of whole bytes, lowest first (pack,
+unpack, slot_bytes); Frobenius packs its linear maps that way, so that
+one sum of integer multiples applies a map to a whole polynomial.
 Division by a monic polynomial is schoolbook: every divisor has small
 degree, as Frobenius builds Psi by Horner's rule in Dt on packed Q-adic
 digits and never divides by Q^p.  The count over GF(p^k) runs on these
@@ -97,43 +97,27 @@ def slot_bytes(m, n):
     return (2 * m.bit_length() + (2 * n).bit_length() + 7) // 8
 
 
-# From this size on, products run as one big-int multiplication
-# (Kronecker substitution).
-KRONECKER_MIN_LEN = 16
-
-
-def _product(a, b, mod, n=None):
-    """a * b for nonempty a and b, coefficients not yet reduced mod mod;
-    with n, only the first n coefficients.
-
-    Once both operands have KRONECKER_MIN_LEN coefficients they are reduced
-    into [0, mod) and packed into one int each, in slots wide enough for any
-    coefficient of the product, a sum of at most min(len(a), len(b))
-    products; one multiplication then does the work of the whole schoolbook
-    loop.
-    """
+def _product(a, b, n=None):
+    """a * b for nonempty a and b, coefficients unreduced; with n, only
+    the first n coefficients."""
     if n is None:
         n = len(a) + len(b) - 1
     else:
         a, b = a[:n], b[:n]
-    if min(len(a), len(b)) < KRONECKER_MIN_LEN:
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b[:n - i]):
-                out[i + j] += ai * bj
-        return out
-    slot = slot_bytes(mod, min(len(a), len(b)))
-    prod = pack([c % mod for c in a], slot) * pack([c % mod for c in b], slot)
-    return unpack(prod & ((1 << 8 * slot * n) - 1), slot, n, 256 ** slot)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b[:n - i]):
+            out[i + j] += ai * bj
+    return out
 
 
 def poly_mul_mod(a, b, mod):
     """Dense product of coefficient lists modulo mod."""
     if not a or not b:
         return []
-    return poly_trim([c % mod for c in _product(a, b, mod)])
+    return poly_trim([c % mod for c in _product(a, b)])
 
 
 def poly_divmod_monic_mod(a, b, mod):

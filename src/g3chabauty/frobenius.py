@@ -23,12 +23,15 @@ So the digits of Psi are computed once, by Horner's rule in Dt with no
 division by F^p: H_(k_max) = c_(k_max),
 H_(k-1) = p Dt H_k + c_(k-1) F^(p (k_max - k + 1)) and Psi = p H_0 on
 F-adic digits, where multiplication by Dt is one packed linear map on a
-digit (_digit_map; Dt has degree below 7p, so a digit's image spans p + 1
-digits).  Each column's digits follow from the previous column's by the
-same kind of map, multiplication by x^p on a digit (x^(p-1) for column
-0), and the columns are reduced one at a time, each to its column of the
-matrix before the next is formed, so at most two columns' digits are
-alive at once.  Every pole step works on a polynomial of degree below 7.
+digit (_digit_columns; Dt has degree below 7p, so a digit's image spans
+p + 1 digits).  Each column's digits follow from the previous column's by
+the same kind of map, multiplication by x^p on a digit (x^(p-1) for
+column 0), read through a window one digit at a time (_window_step), and
+the six columns are reduced in lockstep: digit t of every column is made
+from digit t of the one before, goes through that column's pole step t
+and is dropped before digit t + 1 is made.  Psi's digits are lifted from
+its graded blocks as they are read, so a run holds nothing larger than
+those blocks.  Every pole step works on a polynomial of degree below 7.
 There the splitting A_0 = aF + bF' is linear in A_0: b = A_0 beta mod F for the
 cofactor beta with beta F' = 1 mod F, and a = (A_0 - bF')/F.  Both maps
 are built once per run as one packed map on the monomials x^0 .. x^6
@@ -59,9 +62,11 @@ phi^* w_j = sum_i M[i][j] w_i + d h_j: its pole terms b_s(x) y^(2-s), s
 odd, and its degree-reduction terms mu(x) y make h_j = y sum_e u^e E_e(x)
 in u = y^-2, with E_e = b_(2e+1) and E_0 = mu.  The steps make E_J down
 to E_0, which is Horner's order in u, so each term is folded, as it is
-made, into h_j at the Teichmuller point of every generic disk, the only
-points where Coleman integration reads it, and into dh_j/dx at the first
-of them, the audit point (_Horner); no term is kept.
+made, into h_j at the Teichmuller point of each generic disk the caller
+names, and into dh_j/dx at the first of them, the audit point (_Horner);
+no term is kept.  frobenius_data names every canonical generic disk, the
+only points where Coleman integration reads h; zeta_numerator, which
+reads no h, names the audit disk alone.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the Weil bounds, the functional equation and the
@@ -124,10 +129,11 @@ class FrobeniusData(namedtuple(
     holds adj(I - M), both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i +
     dh_j, and (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).
     teich_prims maps each canonical generic disk (xbar, ybar),
-    0 < ybar <= (p - 1) / 2, to the six values p^C h_j mod p^W at its
-    Teichmuller point, which _compute folds as it reduces; no term of h
-    is kept.  fp_points is C(F_p), infinity first (curve.fp_points), as the
-    trace audit counted it."""
+    0 < ybar <= (p - 1) / 2, that _compute folded at (every one, for
+    frobenius_data) to the six values p^C h_j mod p^W at its Teichmuller
+    point, which _compute folds as it reduces; no term of h is kept.
+    fp_points is C(F_p), infinity first (curve.fp_points), as the trace
+    audit counted it."""
 
     __slots__ = ()
 
@@ -160,13 +166,14 @@ class FrobeniusData(namedtuple(
 
 class _Horner:
     """p^C h_j mod m at the points (x, y), y a unit, and p^C dh_j/dx at the
-    first, folded in the order _compute makes the terms of
-    h_j = y sum_e u^e E_e(x), u = y^-2: E_J, .., E_1 (degree <= 6), then
-    E_0 = mu(x).  Both go by Horner's rule in u, as y' = F'(x)/2y gives
-    d(E_e y u^e)/dx = y u^e (E_e' + (1 - 2e)/2 F' u E_e).  One packed dot
-    product reads a pole term: slot k of column i holds x^i at point k, and
-    the last slot i x^(i-1) at the first point.  mu, of any degree, is read
-    by Horner's rule in x."""
+    first, for the six columns j at once, folded in the order _compute
+    makes the terms of h_j = y sum_e u^e E_e(x), u = y^-2: E_J, .., E_1
+    (degree <= 6), then E_0 = mu(x).  Both go by Horner's rule in u, as
+    y' = F'(x)/2y gives d(E_e y u^e)/dx = y u^e (E_e' + (1 - 2e)/2 F' u E_e).
+    Each column has its own accumulators, so the columns' terms may come
+    interleaved.  One packed dot product reads a pole term: slot k of column
+    i holds x^i at point k, and the last slot i x^(i-1) at the first point.
+    mu, of any degree, is read by Horner's rule in x."""
 
     def __init__(self, f, points, m):
         self.m = m
@@ -180,29 +187,28 @@ class _Horner:
                                    self.slot) for i in range(7)]
         fd0 = kernels.poly_eval_mod(kernels.poly_deriv_mod(f, m), x0, m)
         self.half_fu = fd0 * u0 * pow(2, -1, m) % m
-        self.accs = [0] * len(points)
-        self.dacc = 0
+        self.accs = [[0] * len(points) for _ in range(6)]
+        self.daccs = [0] * 6
 
-    def add(self, E, e):
+    def add(self, col, E, e):
         m = self.m
         *vals, slope = kernels.unpack(sum(map(mul, E, self.xcols)), self.slot,
-                                      len(self.accs) + 1, m)
-        self.dacc = (self.dacc * self.points[0][2] + slope
-                     + (1 - 2 * e) * self.half_fu * vals[0]) % m
-        self.accs = [(acc * u + v) % m for acc, (_, _, u), v
-                     in zip(self.accs, self.points, vals)]
+                                      len(self.points) + 1, m)
+        self.daccs[col] = (self.daccs[col] * self.points[0][2] + slope
+                           + (1 - 2 * e) * self.half_fu * vals[0]) % m
+        self.accs[col] = [(acc * u + v) % m for acc, (_, _, u), v
+                          in zip(self.accs[col], self.points, vals)]
 
-    def finish(self, mu):
-        """(values, dh): p^C h_j at the points and p^C dh_j/dx at the
-        first; the next column starts at 0."""
+    def finish(self, col, mu):
+        """(values, dh): p^C h_col at the points and p^C dh_col/dx at the
+        first."""
         m = self.m
         mus = [kernels.poly_eval_mod(mu, x, m) for x, _, _ in self.points]
         values = [(acc * u + v) * y % m for acc, (_, y, u), v
-                  in zip(self.accs, self.points, mus)]
+                  in zip(self.accs[col], self.points, mus)]
         x0, y0, u0 = self.points[0]
         slope = kernels.poly_eval_mod(kernels.poly_deriv_mod(mu, m), x0, m)
-        dh = (self.dacc * u0 + slope + self.half_fu * mus[0]) * y0 % m
-        self.accs, self.dacc = [0] * len(values), 0
+        dh = (self.daccs[col] * u0 + slope + self.half_fu * mus[0]) * y0 % m
         return values, dh
 
 
@@ -247,32 +253,40 @@ def _weil_ok(b, p):
     return True
 
 
-def _compute(curve, p, N, k_max, C, W):
+def _compute(curve, p, N, k_max, C, W, fp_points, disks):
     """The audited Frobenius structure to p^N: the telescopes run on p^C
     times each form, mod p^W, on the binomial series up to term k_max.
+    fp_points is C(F_p), infinity first, and h is folded at the
+    Teichmuller point of each of disks, canonical generic disks with the
+    audit disk first (_generic_disks).
 
     Per column j the numerator x^(pj+p-1) Psi comes, as Q-adic digits,
     from the previous column's by the packed x^p digit map (x^(p-1) from
     Psi itself): x^e x^i = sum_u r_(i,u) Q^u is precomputed for i < 7, so
     a digit's image is one sum of 7 integer multiples and digit t of the
-    result adds the images of digits t, t-1, .. at their offsets u.  Each
-    column is finished before the next is formed: its J pole steps, the
-    reassembly of what is left over y^1, the degree reduction and its
-    column of M, so at most two columns' digits are alive at once (the
-    previous column's, while the next is mapped from them).  The pole
-    steps run on the one packed map of _pole_map, built once, and on
-    s - 2 = p^e d' and 1/d' mod p^W, formed once per s before the first
-    column: the exact division by Q is checked once on x^0 .. x^6,
-    which covers every step, since the remainder c (1 - beta Q') mod Q is
-    linear in c mod p^W.  Where p does not divide s - 2 no division by p is
-    left; where p^e does, the divisions by p^e of the correction and of the
-    primitive are checked at every step (_pole_step).  The primitive of
-    step s is E_((s-1)/2) and the degree reduction's mu(x) is E_0 in
-    h_j = y sum_e E_e(x) y^-2e, made in Horner's order in y^-2: each is
-    folded, as it is made, into p^C h_j at the Teichmuller point of every
-    canonical generic disk, lifted mod p^W before the first column
-    (FrobeniusData.teich_prims), and into p^C dh_j/dx at the audit point,
-    the first of them, by the same packed product, and then dropped.
+    result adds the images of digits t, t-1, .. at their offsets u, which
+    one window per column carries (_window_step).  The six columns are
+    reduced in lockstep, one digit at a time: Psi's digit t, lifted from
+    its graded block as it is read (_psi_digits), gives column 0's digit
+    t, which gives column 1's, and so on; each goes at once into its
+    column's pole step t and is dropped, and only the digits from J on,
+    which the pole steps do not read, are kept for the reassembly of what
+    is left over y^1, the degree reduction and the column of M.  So a run
+    holds Psi's graded blocks, six windows and six carries, and never a
+    column's digits.  The pole steps run on the one packed map of
+    _pole_map, built once, and on s - 2 = p^e d' and 1/d' mod p^W, formed
+    once per s for the six columns' steps: the exact division by Q is
+    checked once on x^0 .. x^6, which covers every step, since the
+    remainder c (1 - beta Q') mod Q is linear in c mod p^W.  Where p does
+    not divide s - 2 no division by p is left; where p^e does, the
+    divisions by p^e of the correction and of the primitive are checked at
+    every step (_pole_step).  The primitive of step s is E_((s-1)/2) and
+    the degree reduction's mu(x) is E_0 in h_j = y sum_e E_e(x) y^-2e,
+    made in Horner's order in y^-2: each is folded, as it is made, into
+    its column's p^C h_j at the Teichmuller point of each disk, lifted mod
+    p^W before the first digit (FrobeniusData.teich_prims), and into
+    p^C dh_j/dx at the audit point, the first of them, by the same packed
+    product, and then dropped.
 
     Why the budget of _budget suffices, for the matrix M and the
     primitives h alike: k_max is the least length with
@@ -364,46 +378,58 @@ def _compute(curve, p, N, k_max, C, W):
     pmap = _pole_map(Q, Qd, beta, m)
     xmaps = (_digit_map(Q, [0] * (p - 1) + [1], m),
              _digit_map(Q, [0] * p + [1], m))
-    # (s, e, 1/d') with s - 2 = p^e d' for the steps s = s_max, .., 3
-    steps = []
-    for s in range(s_max, 1, -2):
-        e = ord_p(s - 2, p)
-        steps.append((s, e, pow((s - 2) // p ** e, -1, m)))
-    digits = _psi_digits(Q, dt, cks, C, p, W)
 
     # h_j is read only at the Teichmuller points (primitives_at), and dh_j/dx
-    # only by the audit, at the first: the one over _generic_residue's x
-    fp_points = curve.fp_points(p)
-    disks = [(q.x, q.y) for q in fp_points[1:]
-             if 0 < q.y <= (p - 1) // 2]
-    xbar = _generic_residue(disks)
-    disks.sort(key=lambda disk: disk[0] != xbar)
+    # only by the audit, at the first
     lifts = None
     if disks:
         lifts = _Horner(Q, [teichmuller_point(Q, x, y, p, W)
                             for x, y in disks], m)
 
+    # column col's digit t is read through its window from column
+    # col - 1's digit t (Psi's for column 0); digit t < J goes into pole
+    # step t at once, and the digits from J on are kept for s = 1
+    psi = _psi_digits(Q, dt, cks, C, p, W)
+    windows = [0] * 6
+    carries = [[] for _ in range(6)]
+    for t in range(J):
+        # step t lowers s = s_max - 2t, s - 2 = p^e d', and makes E_k
+        s = s_max - 2 * t
+        e = ord_p(s - 2, p)
+        inv = pow((s - 2) // p ** e, -1, m)
+        k = (s - 1) // 2
+        digit = next(psi, ())
+        for col in range(6):
+            digit, windows[col] = _window_step(windows[col], digit,
+                                               xmaps[col > 0], m)
+            c = kernels.poly_add_mod(kernels.poly_trim(digit), carries[col], m)
+            carries[col], E = _pole_step(c, s, e, inv, pmap, p, m)
+            if lifts is not None:
+                lifts.add(col, E, k)
+    tops = [[] for _ in range(6)]
+    while True:
+        digit = next(psi, None)
+        if digit is None and not any(windows):
+            break
+        digit = digit or ()
+        for col in range(6):
+            digit, windows[col] = _window_step(windows[col], digit,
+                                               xmaps[col > 0], m)
+            tops[col].append(digit)
+
     matrix_ints = [[0] * 6 for _ in range(6)]
     h_cols, dh = [], []
     pC = p ** C
     for col in range(6):
-        # digits of x^(p col + p - 1) Psi, from the previous column's
-        digits = _apply_digit_map(digits, xmaps[col > 0], m)
-        carry = []
-        for j, (s, e, inv) in enumerate(steps):
-            c = (kernels.poly_add_mod(kernels.poly_trim(digits[j]), carry, m)
-                 if j < len(digits) else carry)
-            carry, E = _pole_step(c, s, e, inv, pmap, p, m)
-            if lifts is not None:
-                lifts.add(E, (s - 1) // 2)
-        # the numerator over y^1: carry plus the digits from J on
+        # the numerator over y^1: the carry plus the digits from J on
         A = []
-        for d in reversed(digits[J:]):
+        for d in reversed(tops[col]):
             A = kernels.poly_add_mod(kernels.poly_mul_mod(A, Q, m),
                                      kernels.poly_trim(d), m)
-        A, mu = _degree_reduce(kernels.poly_add_mod(A, carry, m), Q, Qd, p, m)
+        A, mu = _degree_reduce(kernels.poly_add_mod(A, carries[col], m),
+                               Q, Qd, p, m)
         if lifts is not None:
-            values, slope = lifts.finish(mu)
+            values, slope = lifts.finish(col, mu)
             h_cols.append(values)
             dh.append(slope)
         for i in range(6):
@@ -433,6 +459,16 @@ def _compute(curve, p, N, k_max, C, W):
     return fd
 
 
+def _generic_disks(fp_points, p):
+    """The canonical generic disks (xbar, ybar), 0 < ybar <= (p - 1) / 2,
+    of the points fp_points of C(F_p), infinity first: the audit disk,
+    over _generic_residue's x, first."""
+    disks = [(q.x, q.y) for q in fp_points[1:] if 0 < q.y <= (p - 1) // 2]
+    xbar = _generic_residue(disks)
+    disks.sort(key=lambda disk: disk[0] != xbar)
+    return disks
+
+
 def _generic_residue(points):
     """The least nonzero x among the affine points (x, y) with y != 0 of
     y^2 = f(x) over F_p; else 0 if such a point has x = 0, else None.
@@ -452,8 +488,9 @@ def _floor_log(n, p):
 
 
 def _psi_digits(Q, dt, cks, C, p, W):
-    """Q-adic digits (7-coefficient lists, mod p^W) of
-    Psi = sum_k cks[k] p^(C+k+1) Dt^k Q^(p (K - k)), K = len(cks) - 1.
+    """The Q-adic digits (7-coefficient lists, mod p^W) of
+    Psi = sum_k cks[k] p^(C+k+1) Dt^k Q^(p (K - k)), K = len(cks) - 1,
+    lowest first, made as they are read.
 
     Horner's rule in Dt with E = Q^p: H_K = cks[K] and
     H_(k-1) = p Dt H_k + cks[k-1] E^(K-k+1) give Psi = p^(C+1) H_0.  Dt
@@ -472,10 +509,12 @@ def _psi_digits(Q, dt, cks, C, p, W):
 
         S'_n = lo(Dt S_n) + p hi(Dt S_(n-1))  mod p^(e_n),
 
-    and the new top block, n = K-k+1, is p hi(Dt S_(K-k)) + cks[k-1].  At
-    the end block n of Psi is p^(C+1+K-n) S_n mod p^W.  Psi has degree at
-    most 7pK, so block K is a constant; its trailing zero digits are
-    dropped.
+    and the new top block, n = K-k+1, is p hi(Dt S_(K-k)) + cks[k-1].
+    S'_n reads S_n and the hi of S_(n-1), so a step rewrites the blocks in
+    place, lowest first.  At the end block n of Psi is p^(C+1+K-n) S_n mod
+    p^W: each digit is lifted as it is read, and each block is dropped
+    once read, so Psi is never held lifted.  Psi has degree at most 7pK,
+    so block K is a constant; its trailing zero digits are not made.
 
     Q is monic, so the digits commute with reduction mod any p^M: the map
     is built once, mod p^(e_K), and packed for each band of blocks that
@@ -504,17 +543,17 @@ def _psi_digits(Q, dt, cks, C, p, W):
                     for col in columns]
             band = (slot, cols, 56 * slot, (1 << 56 * slot * p) - 1)
         bands[n] = band
+    del columns  # the bands hold the map, packed
     blocks = [[cks[K] % mods[0]] + [0] * (width - 1)]
     for k in range(K, 0, -1):
-        nxt = []
         hi = 0
         for n, block in enumerate(blocks):
             slot, cols, dbits, low = bands[n]
             image = 0
             for t in range(width - 7, -1, -7):
                 image = (image << dbits) + sum(map(mul, block[t:t + 7], cols))
-            nxt.append(kernels.unpack((image & low) + p * hi, slot, width,
-                                      mods[n]))
+            blocks[n] = kernels.unpack((image & low) + p * hi, slot, width,
+                                       mods[n])
             hi = image >> (p * dbits)
             if bands[n + 1] is not bands[n]:
                 hi = kernels.pack(kernels.unpack(hi, slot, width, mods[n]),
@@ -522,16 +561,16 @@ def _psi_digits(Q, dt, cks, C, p, W):
         n = len(blocks)
         top = kernels.unpack(p * hi, bands[n][0], width, mods[n])
         top[0] = (top[0] + cks[k - 1]) % mods[n]
-        blocks = nxt + [top]
+        blocks.append(top)
     m = p ** W
-    digits = []
-    for n, block in enumerate(blocks):
+    end = width
+    while end and not any(blocks[K][end - 7:end]):
+        end -= 7
+    for n in range(K + 1):
+        block, blocks[n] = blocks[n], None
         lift = p ** (C + 1 + K - n)
-        digits += [[c * lift % m for c in block[t:t + 7]]
-                   for t in range(0, width, 7)]
-    while len(digits) > p * K and not any(digits[-1]):
-        digits.pop()
-    return digits
+        for t in range(0, end if n == K else width, 7):
+            yield [c * lift % m for c in block[t:t + 7]]
 
 
 def _digit_columns(Q, g, m):
@@ -565,38 +604,30 @@ def _digit_columns(Q, g, m):
 
 
 def _digit_map(Q, g, m):
-    """The columns of _digit_columns for _apply_digit_map, each packed
-    into one integer, entry 7u + r in slot 7u + r; a slot holds any sum of
-    14U products of residues mod m."""
+    """The columns of _digit_columns for _window_step, each packed into
+    one integer, entry 7u + r in slot 7u + r; a slot holds any sum of 14U
+    products of residues mod m."""
     columns = _digit_columns(Q, g, m)
     slot = kernels.slot_bytes(m, len(columns[0]))
     return slot, [kernels.pack(col, slot) for col in columns]
 
 
-def _apply_digit_map(digits, dmap, m):
-    """Digits of g sum_t d_t Q^t for dmap = _digit_map(Q, g, M), mod m
-    for m dividing M.
+def _window_step(window, digit, dmap, m):
+    """Digit t of g sum_t d_t Q^t, for dmap = _digit_map(Q, g, M), mod m
+    for m dividing M, from d_t = digit (() past the last) and the window
+    the step before returned; returns (digit t, the next window).
 
     sum_i d_t[i] P_i packs the digits of g d_t, and digit t of the result
-    sums the u-th of them over d_(t-u), u < U.  So the packed images are
-    added into one window that is shifted down by a digit at every t: its
-    lowest 7 slots are then complete and form digit t.  Trailing zero
-    digits are dropped."""
+    sums the u-th of them over d_(t-u), u < U.  So the window holds the
+    packed images of d_0 .. d_(t-1) shifted down by t digits: adding that
+    of d_t completes its lowest 7 slots, which form digit t, and the rest,
+    shifted down by a digit, is the next window.  Past the last digit the
+    window runs empty, and every digit after is zero."""
     slot, cols = dmap
-    bits = 8 * 7 * slot
-    low = (1 << bits) - 1
-    out = []
-    window = 0
-    t = 0
-    while t < len(digits) or window:
-        if t < len(digits):
-            window += sum(map(mul, digits[t], cols))
-        out.append(kernels.unpack(window & low, slot, 7, m))
-        window >>= bits
-        t += 1
-    while out and not any(out[-1]):
-        out.pop()
-    return out
+    window += sum(map(mul, digit, cols))
+    bits = 56 * slot
+    return (kernels.unpack(window & ((1 << bits) - 1), slot, 7, m),
+            window >> bits)
 
 
 def _pole_map(Q, Qd, beta, m):
@@ -691,15 +722,23 @@ def _budget(p, N):
 
 
 def frobenius_data(curve, p, prec):
-    """The Frobenius structure to p^prec, audited by _compute."""
+    """The Frobenius structure to p^prec, with h at every canonical
+    generic disk, audited by _compute."""
     curve.check_prime(p)
-    return _compute(curve, p, prec, *_budget(p, prec))
+    fp_points = curve.fp_points(p)
+    return _compute(curve, p, prec, *_budget(p, prec), fp_points,
+                    _generic_disks(fp_points, p))
 
 
 def zeta_numerator(curve, p):
     """[b0..b6] with #C(F_{p^k}) determined by P(T) = sum b_i T^i."""
-    # the Weil bounds put every |b_i| below p^6 / 2, so 6 digits read them
-    return list(frobenius_data(curve, p, 6).zeta)
+    curve.check_prime(p)
+    fp_points = curve.fp_points(p)
+    # the Weil bounds put every |b_i| below p^6 / 2, so 6 digits read them;
+    # the zeta reads no h, so h is folded at the audit disk alone
+    fd = _compute(curve, p, 6, *_budget(p, 6), fp_points,
+                  _generic_disks(fp_points, p)[:1])
+    return list(fd.zeta)
 
 
 def identity_check(fd, x, y, dh):

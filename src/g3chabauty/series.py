@@ -208,8 +208,7 @@ class PadicPowerSeries:
             return PadicPowerSeries.zero(self.prime, t)
         n = min(la + lb - 1, t)
         a, b = self._ints, other._ints
-        bound = max(max(a), max(b)) + 1
-        vals = kernels._product(a, b, bound, n)
+        vals = kernels._product(a, b, n)
         abs_a, fl_a = self._abs, self._fl
         # b reversed, so that the j = k - i partners of i = i0 .. i1 - 1
         # form one ascending slice

@@ -2,6 +2,7 @@
 pullback identity that ties matrix and primitives together."""
 
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -13,9 +14,9 @@ from g3chabauty import frobenius
 from g3chabauty.curve import CurveModel
 from g3chabauty.errors import BadReductionError, PrecisionError
 from g3chabauty.frobenius import (_budget, _compute, _digit_map,
-                                  _apply_digit_map, _generic_residue,
-                                  frobenius_data, identity_check,
-                                  zeta_numerator)
+                                  _generic_disks, _generic_residue,
+                                  _window_step, frobenius_data,
+                                  identity_check, zeta_numerator)
 from g3chabauty.jacobian import MumfordDivisorFp
 from g3chabauty.padic import ord_p, sqrt_mod_pn, teichmuller_point
 
@@ -51,6 +52,35 @@ def test_zeta_matches_brute_curve_b(curve_b):
 def test_zeta_matches_brute_curve_c(curve_c):
     assert zeta_numerator(curve_c, 11) == \
         brute_zeta_coeffs(curve_c.f_coeffs_mod(11, 1), 11)
+
+
+@pytest.mark.parametrize("p,zeta", [
+    (7, None), (101, [1, 4, 97, 868, 9797, 40804, 1030301])])
+def test_zeta_folds_h_at_the_audit_point_only(curve_a, p, zeta,
+                                              monkeypatch):
+    """zeta_numerator reads no h, so its run folds h at the audit point
+    alone, where the identity audit still reads it, and gives the same
+    numerator: the brute count's at p = 7, where curve A has three
+    canonical generic disks, and the one pinned at p = 101."""
+    folded = []
+    real = frobenius._Horner
+
+    class Horner(real):
+        def __init__(self, f, points, m):
+            folded.append(len(points))
+            super().__init__(f, points, m)
+
+    monkeypatch.setattr(frobenius, "_Horner", Horner)
+    _, audits = _spy_reduction(monkeypatch)
+    got = zeta_numerator(curve_a, p)
+    assert got == (zeta or brute_zeta_coeffs(curve_a.f_coeffs_mod(p, 1), p))
+    assert folded == [1] and len(audits) == 1
+    disks = _generic_disks(curve_a.fp_points(p), p)
+    assert len(disks) > 1
+    W = _budget(p, 6)[2]
+    audit_point = teichmuller_point(curve_a.f_coeffs_mod(p, W), *disks[0],
+                                    p, W)
+    assert audits[0][:2] == audit_point
 
 
 def test_library_brute_agrees_with_oracle(curve_a):
@@ -155,11 +185,19 @@ def _retry_budget(p, prec, attempt):
     return k_max, C, prec + delta + 2 * C
 
 
+def _run(curve, p, prec, budget):
+    """_compute at budget (k_max, C, W), folding h at every canonical
+    generic disk, as frobenius_data does."""
+    fp_points = curve.fp_points(p)
+    return _compute(curve, p, prec, *budget, fp_points,
+                    _generic_disks(fp_points, p))
+
+
 def _attempt(curve, p, prec, attempt):
     """_compute at _budget on attempt 1 and at _retry_budget on 2, 3."""
     if attempt == 1:
-        return _compute(curve, p, prec, *_budget(p, prec))
-    return _compute(curve, p, prec, *_retry_budget(p, prec, attempt - 1))
+        return _run(curve, p, prec, _budget(p, prec))
+    return _run(curve, p, prec, _retry_budget(p, prec, attempt - 1))
 
 
 def _wide_budget(p, prec):
@@ -176,7 +214,9 @@ def _spy_reduction(patch):
     columns gets, per column _compute reduces, its terms
     (E_0, E_1, .., E_J) of p^C h_j = y sum_e u^e E_e(x), u = y^-2, the
     dense layout FrobeniusData once kept; audits gets the (x, y, dh) of
-    each identity audit."""
+    each identity audit.  _compute runs the six columns' pole steps in
+    lockstep, column 0 to 5 at each s, and then their degree reductions in
+    column order, so pole step i of a run belongs to column i mod 6."""
     columns, poles, audits = [], [], []
     step, reduce = frobenius._pole_step, frobenius._degree_reduce
     audit = frobenius.identity_check
@@ -188,8 +228,10 @@ def _spy_reduction(patch):
 
     def spy_reduce(*args):
         A, mu = reduce(*args)
-        columns.append((mu,) + tuple(reversed(poles)))
-        poles.clear()
+        col = len(columns) % 6
+        columns.append((mu,) + tuple(reversed(poles[col::6])))
+        if col == 5:
+            poles.clear()
         return A, mu
 
     def spy_audit(fd, x, y, dh):
@@ -238,7 +280,7 @@ def test_frobenius_bookkeeping_pinned(key, request, monkeypatch):
     else:
         assert budget == _wide_budget(p, prec)
     columns, _ = _spy_reduction(monkeypatch)
-    fd = _compute(request.getfixturevalue(curve), p, prec, *budget)
+    fd = _run(request.getfixturevalue(curve), p, prec, budget)
     assert len(columns) == 6
     data = (fd.matrix_ints, *_sparse_prims(columns), fd.zeta)
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
@@ -258,21 +300,37 @@ def test_frobenius_canonical_values_pinned(key, request):
     assert digest == CANONICAL_DIGESTS[key]
 
 
+def _transient_heap(curve, p, prec):
+    """The heap frobenius_data peaks at above what it returns, after a
+    warm-up call for imports and first-call caches."""
+    frobenius_data(curve, p, prec)
+    tracemalloc.start()
+    try:
+        # the result is held, so current counts what it keeps
+        fd = frobenius_data(curve, p, prec)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fd.teich_prims
+    return peak - current
+
+
 def test_frobenius_transient_heap_is_small(curve_b, curve_c):
-    """_compute reduces one column at a time, so at most two columns'
-    Q-adic digits are alive at once: at p = 11 the heap it peaks at above
-    what it returns is about 0.33 MB, against 0.8 MB when all six columns'
-    digits were kept side by side."""
-    frobenius_data(curve_b, 11, 26)  # warm-up: imports and first-call caches
+    """_compute builds Psi's graded blocks in place, lifts each digit of
+    Psi as it is read and reduces the six columns in lockstep, one digit
+    at a time, so it holds no column's digits: at p = 11 the heap it peaks
+    at above what it returns is about 0.18 MB, against 0.33 MB when Psi
+    was lifted whole and the columns reduced one at a time, and 0.8 MB
+    when all six columns' digits were kept side by side."""
     for curve in (curve_b, curve_c):
-        tracemalloc.start()
-        try:
-            # the result is held, so current counts what it keeps
-            fd = frobenius_data(curve, 11, 26)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - current < 0.4e6, (fd.p, peak, current)
+        assert _transient_heap(curve, 11, 26) < 0.27e6
+
+
+def test_frobenius_transient_heap_is_small_at_p13(curve_c):
+    """The same at p = 13 and the default N = 30: about 0.23 MB, against
+    0.44 MB when Psi was lifted whole and the columns reduced one at a
+    time."""
+    assert _transient_heap(curve_c, 13, 30) < 0.32e6
 
 
 def test_frobenius_data_is_small(curve_b, curve_c):
@@ -357,7 +415,7 @@ def test_denominator_bound_matches_wide_budget_on_random_curves():
         prec = rng.choice((6, 10, 14))
         fd = frobenius_data(curve, p, prec)
         assert (fd.k_max, fd.scale_exp, fd.work_exp) == _budget(p, prec)
-        wide = _compute(curve, p, prec, *_wide_budget(p, prec))
+        wide = _run(curve, p, prec, _wide_budget(p, prec))
         assert wide.work_exp > fd.work_exp
         assert _canonical(curve, fd) == _canonical(curve, wide)
         checked[p] += 1
@@ -400,7 +458,7 @@ def test_first_attempt_matches_wide_budget_on_random_curves(p, monkeypatch):
             columns, _ = _spy_reduction(patch)
             fd = frobenius_data(curve, p, prec)
         assert (fd.k_max, fd.scale_exp, fd.work_exp) == _budget(p, prec)
-        wide = _compute(curve, p, prec, *_wide_budget(p, prec))
+        wide = _run(curve, p, prec, _wide_budget(p, prec))
         assert _canonical(curve, fd) == _canonical(curve, wide)
         for xbar in _generic_residues(fbar, p):
             _audit_at(fd, columns, xbar)
@@ -418,10 +476,25 @@ def _digits_by_division(poly, Q, m):
     return out
 
 
+def _stream(digits, dmap, m):
+    """The digits of g sum_t d_t Q^t, dmap = _digit_map(Q, g, M), read
+    through _window_step until the window runs empty, trailing zero digits
+    dropped."""
+    out = []
+    window = 0
+    for t in itertools.count():
+        if t >= len(digits) and not window:
+            return _strip(out)
+        digit, window = _window_step(window, digits[t] if t < len(digits)
+                                     else (), dmap, m)
+        out.append(digit)
+
+
 def test_digit_map_matches_repeated_division():
-    """The packed map of multiplication by g, for g = x^e and g = Dt,
-    against multiplying by g and dividing by Q repeatedly, at moduli
-    dividing the map's, on blocks of p digits, of fewer and of none."""
+    """The packed map of multiplication by g, for g = x^e and g = Dt, read
+    through the window, against multiplying by g and dividing by Q
+    repeatedly, at moduli dividing the map's, on blocks of p digits, of
+    fewer and of none."""
     rng = random.Random(16)
     for p in (7, 11, 13):
         M = p ** 14
@@ -446,7 +519,7 @@ def test_digit_map_matches_repeated_division():
                             kernels.poly_mul_mod(poly, qm, m), d, m)
                     want = _digits_by_division(
                         kernels.poly_mul_mod(poly, g, m), qm, m)
-                    assert _apply_digit_map(block, gmap, m) == want
+                    assert _stream(block, gmap, m) == want
 
 
 def _psi_digits_full(Q, dt, pref, p, m):
@@ -561,8 +634,8 @@ def _fold(fd, terms, x_int, y_int):
     h = frobenius._Horner(fd.curve.f_coeffs_mod(fd.p, fd.work_exp),
                           [(x_int, y_int)], m)
     for e in range(len(terms) - 1, 0, -1):
-        h.add(terms[e], e)
-    values, dh = h.finish(terms[0])
+        h.add(0, terms[e], e)
+    values, dh = h.finish(0, terms[0])
     return values[0], dh
 
 
@@ -598,42 +671,45 @@ def _strip(digits):
 
 def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
     """Run one _compute attempt with each shortcut checked against its
-    oracle: the graded _psi_digits against the full-precision digits,
-    every packed x^e map against e passes of _times_x_once, every pole
+    oracle: the digits the graded _psi_digits yields against the
+    full-precision digits, every column's digits read through the packed
+    x^e window against e passes of _times_x_once on the digits it was fed
+    (Psi's for column 0, the previous column's for the rest), every pole
     step on the one packed pole map, built once, against _pole_step_full,
     and the Horner values of the terms, _compute's own at the Teichmuller
     and audit points and _fold's at random points, against
     _primitive_acc_full and _primitive_dx_full."""
     graded = frobenius._psi_digits
-    digit_map = frobenius._digit_map
-    apply_map = frobenius._apply_digit_map
+    digit_map, window_step = frobenius._digit_map, frobenius._window_step
     pole_map, pole_step = frobenius._pole_map, frobenius._pole_step
-    seen = {"digits": [], "x": 0, "maps": 0, "steps": 0}
+    seen = {"psi": [], "maps": 0, "steps": 0}
+    # per column, the digits fed to its window and the digits read out
+    fed, read = [[] for _ in range(6)], [[] for _ in range(6)]
     made = {}
 
     def checked(Q, dt, cks, C, p, W):
         m = p ** W
         pref = [c * pow(p, C + k + 1, m) % m for k, c in enumerate(cks)]
-        digits = graded(Q, dt, cks, C, p, W)
+        digits = list(graded(Q, dt, cks, C, p, W))
         assert digits == _psi_digits_full(Q, dt, pref, p, m)
-        seen["digits"].append(len(digits))
-        return digits
+        seen["psi"].append(digits)
+        return iter(digits)
 
     def checked_digit_map(Q, g, m):
         dmap = digit_map(Q, g, m)
-        made[id(dmap)] = (Q, g)
+        made[id(dmap)] = g
         return dmap
 
-    def checked_apply(digits, dmap, m):
-        Q, g = made[id(dmap)]
-        assert g == [0] * (len(g) - 1) + [1]
-        want = digits
-        for _ in range(len(g) - 1):
-            want = _times_x_once(want, Q, m)
-        got = apply_map(digits, dmap, m)
-        assert got == _strip(want)
-        seen["x"] += 1
-        return got
+    def checked_window(window, digit, dmap, m):
+        # _compute reads column 0 to 5 at each digit
+        col = sum(map(len, read)) % 6
+        g = made[id(dmap)]
+        assert g == [0] * (p - 1 if col == 0 else p) + [1]
+        got, window = window_step(window, digit, dmap, m)
+        if digit:
+            fed[col].append(list(digit))
+        read[col].append(got)
+        return got, window
 
     def checked_map(Q, Qd, beta, m):
         pmap = pole_map(Q, Qd, beta, m)
@@ -652,17 +728,28 @@ def _digits_match_oracle(monkeypatch, curve, p, prec, attempt=1):
 
     monkeypatch.setattr(frobenius, "_psi_digits", checked)
     monkeypatch.setattr(frobenius, "_digit_map", checked_digit_map)
-    monkeypatch.setattr(frobenius, "_apply_digit_map", checked_apply)
+    monkeypatch.setattr(frobenius, "_window_step", checked_window)
     monkeypatch.setattr(frobenius, "_pole_map", checked_map)
     monkeypatch.setattr(frobenius, "_pole_step", checked_step)
     columns, audits = _spy_reduction(monkeypatch)
     fd = _attempt(curve, p, prec, attempt)
-    assert len(seen["digits"]) == 1 and seen["digits"][0] > 0
-    assert seen["x"] == 6 and seen["maps"] == 1
+    assert len(seen["psi"]) == 1 and seen["psi"][0] and seen["maps"] == 1
     assert seen["steps"] == 6 * (fd.k_max * p + (p - 1) // 2)
+    # the windows ran in lockstep and each read its column's digits whole:
+    # x^(p-1) times Psi, then x^p times the column before
+    assert len({len(digits) for digits in read}) == 1
+    m = p ** fd.work_exp
+    Q = [c % m for c in curve.f_coeffs_mod(p, fd.work_exp)]
+    assert fed[0] == seen["psi"][0]
+    for col in range(6):
+        if col:
+            assert fed[col] == read[col - 1]
+        want = fed[col]
+        for _ in range(p - 1 if col == 0 else p):
+            want = _times_x_once(want, Q, m)
+        assert _strip(read[col]) == _strip(want)
     assert len(columns) == 6
     _check_streamed(fd, columns, audits)
-    m = p ** fd.work_exp
     rng = random.Random(p * prec + attempt)
     for terms in columns:
         for _ in range(3):
@@ -765,7 +852,8 @@ def test_pullback_identity_generic_points(fd_a7, a7_terms):
 def _mutated_primitive(col, C, prec):
     """_pole_step with p^(C+N-1) added to the x^0 coefficient of the
     s = 3 primitive E_1 that it returns for column col, N = prec: h_col
-    off in its last reported digit."""
+    off in its last reported digit.  The columns' s = 3 steps run last,
+    in column order, so column col's is the (col + 1)-th."""
     real = frobenius._pole_step
     seen = []
 
@@ -935,8 +1023,8 @@ def test_primitive_dx_takes_one_dot_product_per_term(fd_a7, a7_terms,
         calls.clear()
         h = frobenius._Horner(f, [(3, 5), (1, 2), (4, 1)], m)
         for e in range(len(terms) - 1, 0, -1):
-            h.add(terms[e], e)
-        h.finish(terms[0])
+            h.add(0, terms[e], e)
+        h.finish(0, terms[0])
         assert len(calls) == sum(map(len, terms[1:]))
 
 

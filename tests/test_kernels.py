@@ -251,10 +251,10 @@ def schoolbook_divmod(a, b, mod):
 
 
 def test_kronecker_mul_against_schoolbook():
-    # both sides of KRONECKER_MIN_LEN; negative and unreduced coefficients
+    # the lengths on both sides of 16, where products once switched to
+    # Kronecker substitution; negative and unreduced coefficients
     rng = random.Random(31)
-    t = kernels.KRONECKER_MIN_LEN
-    lengths = (1, 2, t - 1, t, t + 1, 2 * t, 100, 600)
+    lengths = (1, 2, 15, 16, 17, 32, 100, 600)
     for mod in MODULI:
         for la in lengths:
             for lb in lengths:
