@@ -11,7 +11,6 @@ from g3chabauty.curve import CurvePoint, FpPoint
 from g3chabauty.errors import InputError
 from g3chabauty.localdisk import LocalExpansion, disk_center, form_series
 from g3chabauty.padic import INF, PadicNumber, teichmuller_point
-from g3chabauty.pipeline import default_precision
 from g3chabauty.series import PadicPowerSeries
 
 from conftest import (CURVE_A_COEFFS, CURVE_B_COEFFS, CURVE_B_SCALING,
@@ -130,14 +129,24 @@ def test_infinity_chart_equation(curve, p, disk):
 
 # SHA-256 of repr of, for every canonical disk in sorted order, (kind,
 # t_prec, the coordinate series, the three basis forms), each series as
-# (t_prec, (valuation, unit, rel_prec) per coefficient), at N = 2p + 4 and
-# the t_prec N + 4 of LocalExpansion; from the Newton solver that ran every
-# step at full t-precision
+# (t_prec, (valuation, unit, rel_prec) per coefficient), at the N of the
+# key (18 and 26 are the defaults 2p + 4) and the t_prec N + 4 of
+# LocalExpansion.  The first two
+# come from the Newton solver that ran every step at full t-precision; the
+# other three were computed before the charts moved to integer vectors.
+# C@11 has a Weierstrass disk over x = 0, whose w2 has an O(p^2N) constant
+# term, and B@7 and A@37 at N = 10 are the census regime
 CHART_DIGESTS = {
-    ("curve_a", 7):
+    ("curve_a", 7, 18):
         "145533a079fa629ab52dc7458e90408c77dbf9a2291238bad5301f937493066b",
-    ("curve_b", 11):
+    ("curve_b", 11, 26):
         "4ec1a72d253f083881a1162b1d7575c1ab8a36dc282aa953d3bbee777ccf7aa5",
+    ("curve_c", 11, 26):
+        "ddbbc15c2f54ad5d8006237bca6a6369d45af1f1686a3c36178d7e08855495bb",
+    ("curve_b", 7, 10):
+        "e70ecb00d383b3ccf288181d8651d2dec7a7b6235f729d99f584c35dcdb75689",
+    ("curve_a", 37, 10):
+        "83e16def08a41c4c42071d957fea8d97e56c79ed6a9386b69a2117ad754bfbbe",
 }
 
 
@@ -146,22 +155,73 @@ def _series_data(s):
             tuple((c.valuation, c.unit, c.rel_prec) for c in s.coeffs))
 
 
-@pytest.mark.parametrize("curve,p", sorted(CHART_DIGESTS))
-def test_chart_digits_pinned(curve, p, request):
-    curve_obj = request.getfixturevalue(curve)
-    prec = default_precision(p)
-    charts = []
-    for disk in sorted({d.canonical(p) for d in curve_obj.fp_points(p)}):
-        center = disk_center(curve_obj, disk, p, prec)
-        exp = LocalExpansion(curve_obj, center, p, prec)
-        series = [getattr(exp, name) for name in
-                  ("x_series", "y_series", "u_series") if hasattr(exp, name)]
-        charts.append((exp.kind, exp.t_prec,
-                       tuple(_series_data(s) for s in series),
-                       tuple(_series_data(w)
-                             for w in exp.differential_series())))
+def _charts(curve, p, prec):
+    """(disk, chart) for every canonical disk of the curve at p, sorted."""
+    return [(disk, LocalExpansion(curve, disk_center(curve, disk, p, prec),
+                                  p, prec))
+            for disk in sorted({d.canonical(p) for d in curve.fp_points(p)})]
+
+
+def _coordinates(exp):
+    """The chart's coordinate series, by attribute name."""
+    return {name: getattr(exp, name) for name in
+            ("x_series", "y_series", "u_series") if hasattr(exp, name)}
+
+
+def _chart_id(key):
+    curve, p, prec = key
+    return "%s-%d" % (curve, p) + ("" if prec == 2 * p + 4 else "-N%d" % prec)
+
+
+@pytest.mark.parametrize("curve,p,prec", [
+    pytest.param(*key, id=_chart_id(key)) for key in sorted(CHART_DIGESTS)])
+def test_chart_digits_pinned(curve, p, prec, request):
+    charts = [(exp.kind, exp.t_prec,
+               tuple(_series_data(s) for s in _coordinates(exp).values()),
+               tuple(_series_data(w) for w in exp.differential_series()))
+              for _, exp in _charts(request.getfixturevalue(curve), p, prec)]
     digest = hashlib.sha256(repr(charts).encode()).hexdigest()
-    assert digest == CHART_DIGESTS[curve, p]
+    assert digest == CHART_DIGESTS[curve, p, prec]
+
+
+def _structural_zero(kind, name, i):
+    """Whether coefficient i of a chart series is an exact zero by the
+    chart's shape: x = x(P) + t on a generic chart and y = t on a
+    Weierstrass one; the odd coefficients of the even series on a
+    Weierstrass or infinity chart; and t^4 | w0, t^2 | w1 at infinity."""
+    if kind == "generic":
+        return name == "x_series" and i >= 2
+    if name == "y_series":
+        return i != 1
+    return i % 2 == 1 or (kind == "infinity" and
+                          i < {"w0": 4, "w1": 2}.get(name, 0))
+
+
+@pytest.mark.parametrize("curve,p,prec", [
+    ("curve_a", 7, 18), ("curve_b", 11, 26), ("curve_c", 11, 26),
+    ("curve_a", 7, 10), ("curve_b", 7, 10), ("curve_c", 11, 10),
+    ("curve_a", 37, 10)])
+def test_chart_precision_structure(curve, p, prec, request):
+    """Every chart series has t_prec N + 4; each coefficient is an exact
+    zero where the chart's shape makes it one, and is known to exactly N
+    digits everywhere else.  The one exception is w2's constant term x(P)^2
+    w0(0) on a disk over x = 0, where x(P) = O(p^N) makes it O(p^2N)."""
+    for disk, exp in _charts(request.getfixturevalue(curve), p, prec):
+        series = dict(_coordinates(exp))
+        series.update(zip(("w0", "w1", "w2"), exp.differential_series()))
+        for name, s in series.items():
+            where = (disk.label(), name)
+            assert s.t_prec == prec + 4, where
+            for i in range(s.t_prec):
+                c = s[i]
+                if _structural_zero(exp.kind, name, i):
+                    assert c.is_exact_zero, where + (i,)
+                    continue
+                want = prec
+                if name == "w2" and i == 0 and not disk.is_infinity \
+                        and disk.x == 0:
+                    want = 2 * prec
+                assert c.abs_prec == want, where + (i, c.abs_prec)
 
 
 # -- parameter / point round trips ----------------------------------------

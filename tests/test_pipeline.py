@@ -29,6 +29,7 @@ from g3chabauty.localdisk import form_series
 from g3chabauty.padic import PadicNumber
 from g3chabauty import _kernels as kernels
 from g3chabauty import pipeline
+from g3chabauty.cli import run_job
 from g3chabauty.pipeline import (analyze_curve, check_inputs,
                                  default_precision)
 from g3chabauty.recognize import (element_min_poly, eval_exact, exact_point,
@@ -79,6 +80,11 @@ REPORT_SHA256 = {
     # computed at 40a565c, before _compute folded h at the Teichmuller
     # points as it reduces: 54 disks and 1,060 pole steps per column
     "ex1_p101": "a92ff5c28d78691a5dfe22c848a9d606ac7c87d969963b9c74dedb6b3e88e679",
+    # the three lines of data/example_jobs.jsonl at N = 10, the census
+    # regime, computed before the charts moved to integer vectors
+    "ex1_p7_n10": "2bbf851affad0ce9ee172f13b5b8fb4e87470b39dbfd87b9171fe8d4392b187c",
+    "ex2_p7_n10": "177e0170681bf24cdfe8de5472b8b803f097f00cdd16ba65bc8504519badc565",
+    "ex3_p11_n10": "d8f70b87a2bf2155cb2ab4b328276e43aad4d6fbd4e50369697b6b5cdf2d9e72",
 }
 
 
@@ -87,6 +93,37 @@ def ex1_p101(curve_a):
     """Example 1 with its known points at p = 101 and N = 10."""
     return analyze_curve(curve_a, p=101, prec=10,
                          knowns=parse_points(CURVE_A_KNOWN))
+
+
+def _example_job_at_n10(line):
+    """The report of one line of data/example_jobs.jsonl at N = 10."""
+    text = (DATA / "example_jobs.jsonl").read_text("utf-8")
+    return run_job(json.loads(text.splitlines()[line]), prec=10)
+
+
+@pytest.fixture(scope="module")
+def ex1_p7_n10():
+    return _example_job_at_n10(0)
+
+
+@pytest.fixture(scope="module")
+def ex2_p7_n10():
+    return _example_job_at_n10(1)
+
+
+@pytest.fixture(scope="module")
+def ex3_p11_n10():
+    return _example_job_at_n10(2)
+
+
+def test_example_jobs_at_n10_class_counts(ex1_p7_n10, ex2_p7_n10,
+                                          ex3_p11_n10):
+    assert ex1_p7_n10["class_counts"] == {
+        "known_rational": 5, "torsion": 2, "weierstrass": 3}
+    assert ex2_p7_n10["class_counts"] == {
+        "known_rational": 5, "other_algebraic": 4}
+    assert ex3_p11_n10["class_counts"] == {
+        "known_rational": 4, "other_algebraic": 2, "weierstrass": 2}
 
 
 def test_report_digests_pinned(request):
