@@ -1,15 +1,16 @@
 """Local coordinates on residue disks and expansions of differentials.
 
 Three disk types on the monic odd model y^2 = F(x), deg F = 7.  Each chart
-is the simple root z(t) of one polynomial equation, solved by the one
-series Newton iteration _newton_root:
+is the simple root z of one polynomial equation G(Z) = 0 whose
+coefficients are series in s, solved by the one integer series Newton
+_newton:
 
-* generic (ybar != 0): t = x - x(P), y(t) solves y^2 = F(x(P) + t);
-* finite Weierstrass (ybar = 0): t = y - y(P), x(t) solves
-  F(x) = (y(P) + t)^2 (+ the dx/2y = dt/F'(x) identity for the
+* generic (ybar != 0): t = x - x(P) and s = t; y solves Z^2 = F(x(P) + t);
+* finite Weierstrass (y(P) = 0): t = y, and x is even in t, so with
+  s = t^2 it solves F(Z) = s (+ the dx/2y = dt/F'(x) identity for the
   differential);
-* infinity: t = x^3/y, x = u/t^2, y = u^3/t^7 with u(t) = 1 + O(t^2)
-  solving u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i = 0.
+* infinity: t = x^3/y, x = u/t^2, y = u^3/t^7, and u = 1 + O(t^2) is even
+  in t, so with s = t^2 it solves Z^7 - Z^6 + sum_i F_i s^(7-i) Z^i = 0.
 
 Each disk has one center (disk_center): the point at infinity, the finite
 Weierstrass point, or the Teichmuller point of a generic disk.  A chart
@@ -19,52 +20,78 @@ Basis differentials are w_i = x^i dx / 2y for i = 0, 1, 2 (holomorphic).
 A form is a coefficient triple (c0, c1, c2) of PadicNumbers meaning
 c0 w0 + c1 w1 + c2 w2.  One differential_series call expands the whole
 basis on a chart; form_series combines those expansions for any triple.
+
+Precision.  A chart is computed on integer lists mod p^N, to t-precision
+M = N + 4.  G'(z(0)) is a unit (2 y(P), F'(x(P)) at a good prime, 1 at
+infinity), so every coefficient is p-integral, and the center's N digits
+fix each one mod p^N.  Each series becomes a PadicPowerSeries once, with
+every coefficient known to N digits, as term-by-term PadicNumber
+arithmetic would record it, except for
+
+* the exact zeros that the chart's shape puts there: x = x(P) + t on a
+  generic chart, y = t on a Weierstrass one, the odd coefficients of the
+  series in s = t^2, and t^4 | w0, t^2 | w1 at infinity;
+* w2's constant term x(P)^2 w0(0), known to N + v(x(P)) digits: 2N on a
+  disk over x = 0, where x(P) = O(p^N).
+
+From there on the half-integrals keep PadicPowerSeries' per-coefficient
+rule: formal_integral loses ord_p(j + 1) digits on t^(j + 1).
 """
 
 from __future__ import annotations
 
-import math
 from operator import mul
 
+from . import _kernels as kernels
 from .curve import CurvePoint
 from .errors import InputError
-from .padic import INF, PadicNumber, hensel_lift_root, teichmuller_point
+from .padic import (INF, PadicNumber, hensel_lift_root, ord_p,
+                    teichmuller_point)
 from .series import PadicPowerSeries, min_tail_valuation
 
 
-def _powers(z, n):
-    """[None, z, z^2, .., z^n]: the powers a polynomial of degree n reads."""
-    zpows = [None, z]
-    for _ in range(1, n):
-        zpows.append(zpows[-1] * z)
-    return zpows
+def _mul(a, b, n, m):
+    """The first n coefficients of a b, mod m."""
+    return [c % m for c in kernels._product(a, b, n)]
 
 
-def _value(gs, zpows):
-    """G(z) for G = sum_i gs[i] Z^i, from zpows = _powers(z, deg G)."""
-    return sum(map(mul, gs[1:], zpows[1:]), gs[0])
+def _plus(a, b):
+    """a + b, for b no longer than a."""
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
 
 
-def _slope(gs, zpows, prec):
-    """G'(z) = sum_i i gs[i] z^(i-1), from zpows reaching z^(deg G - 1)."""
-    p = gs[0].prime
-    return sum((gs[i].scale(PadicNumber.from_rational(i, p, rel_prec=prec))
-                * zpows[i - 1] for i in range(2, len(gs))), gs[1])
+def _inverse(a, n, m):
+    """1/a to n terms mod m; a[0] must be a unit."""
+    w = pow(a[0], -1, m)
+    out = [w]
+    for k in range(1, n):
+        out.append(-w * sum(map(mul, a[1:k + 1], reversed(out))) % m)
+    return out
 
 
-def _newton_root(gs, z, prec):
-    """The simple root of G = sum_i gs[i] Z^i congruent to the start z mod
-    t, by series Newton z <- z - G(z)/G'(z); G'(z) must be a unit at t = 0.
-    Each step doubles the number of correct t-terms, starting from one, so
-    step i = 1 .. ceil(log2 M) runs at t-precision min(2^i, M), with every
-    series cut there; the last step runs at the full M = z.t_prec."""
-    M = z.t_prec
-    for i in range(1, math.ceil(math.log2(M)) + 1):
-        n = min(2 ** i, M)
-        z = z.with_t_prec(n)
-        gs_n = [s.truncate(n) for s in gs]
-        zpows = _powers(z, len(gs) - 1)
-        z = z - _value(gs_n, zpows) * _slope(gs_n, zpows, prec).invert_unit()
+def _horner(gs, z, n, m):
+    """(G(z), G'(z)) to n terms mod m, for G = sum_i gs[i] Z^i."""
+    val, slope = gs[-1][:n], [0]
+    for g in reversed(gs[:-1]):
+        slope = _plus(_mul(slope, z, n, m), val)
+        val = _plus(_mul(val, z, n, m), g[:n])
+    return val, slope
+
+
+def _newton(gs, z0, n, m):
+    """The root z of G = sum_i gs[i] Z^i with z(0) = z0, to n terms mod m,
+    by series Newton z <- z - G(z)/G'(z); G'(z0) must be a unit.  Each step
+    doubles the number of correct terms, starting from one, and runs at
+    that many terms."""
+    z, k = [z0], 1
+    while k < n:
+        k = min(2 * k, n)
+        val, slope = _horner(gs, z, k, m)
+        z = [(a - b) % m for a, b in
+             zip(z + [0] * k, _mul(val, _inverse(slope, k, m), k, m))]
     return z
 
 
@@ -82,54 +109,60 @@ class LocalExpansion:
         # terms.  The pinned chart digests and reports depend on this value
         self.t_prec = prec + 4
         self.prec = prec
+        m = p ** prec
+        # F's coefficients as constant series
+        self._F = F = [[c] for c in curve.f_coeffs_mod(p, prec)]
         if center.is_infinity:
             self.kind = "infinity"
-            self._build_infinity()
-            return
-        if center.x.valuation < 0 and not center.x.is_zero:
+        elif center.x.valuation < 0 and not center.x.is_zero:
             raise InputError("affine center must have integral x")
-        ybar = 0 if center.y.is_zero or center.y.valuation >= 1 \
-            else center.y.residue(1)
-        if ybar == 0:
+        elif center.y.is_zero:
             self.kind = "weierstrass"
-            self._build_weierstrass()
+        elif center.y.valuation >= 1:
+            raise InputError("a center over y = 0 mod p must have y = 0")
         else:
             self.kind = "generic"
-            self._build_generic()
+        # a generic chart is a series in s = t; the others are even in t,
+        # series in s = t^2 whose terms reach t^(t_prec - 1)
+        self._n = self.t_prec if self.kind == "generic" \
+            else (self.t_prec + 1) // 2
+        if self.kind == "infinity":
+            # u^7 - u^6 + sum_i F_i s^(7-i) u^i, with F_7 = 1
+            gs = [[0] * (7 - i) + c for i, c in enumerate(F)]
+            gs[6][0] = -1
+            self._u = _newton(gs, 1, self._n, m)
+            self.u_series = self._series(self._u, True)
+            return
+        x0 = center.x.residue(prec)
+        if self.kind == "weierstrass":
+            # F(x) = s, from the center's x, a root of F to its digits
+            self._x = _newton([[F[0][0], -1]] + F[1:], x0, self._n, m)
+            self.x_series = self._series(self._x, True)
+            self.y_series = self._series([None, 1], False)
+            return
+        self._x = [x0, 1]
+        fx = _horner(F, self._x, self._n, m)[0]
+        # y^2 = F(x(P) + t), from the center's y, a root to its digits
+        self._y = _newton([[-c for c in fx], [0], [1]],
+                          center.y.residue(prec), self._n, m)
+        self.x_series = self._series(self._x, False)
+        self.y_series = self._series(self._y, False)
 
-    # -- charts ----------------------------------------------------------
-
-    def _build_generic(self):
-        p, M, prec = self.prime, self.t_prec, self.prec
-        one = PadicNumber.from_rational(1, p, rel_prec=prec)
-        self.x_series = PadicPowerSeries(p, [self.center.x, one], M)
-        fx = _value(self._F_series(), _powers(self.x_series, 7))
-        # Newton from the center's own y, a root of F(x(P)) to its digits
-        self.y_series = _newton_root(
-            [-fx, PadicPowerSeries.zero(p, M),
-             PadicPowerSeries.constant(one, p, M)],
-            PadicPowerSeries(p, [self.center.y], M), prec)
-
-    def _build_weierstrass(self):
-        p, M, prec = self.prime, self.t_prec, self.prec
-        one = PadicNumber.from_rational(1, p, rel_prec=prec)
-        self.y_series = PadicPowerSeries(p, [self.center.y, one], M)
-        gs = self._F_series()
-        gs[0] = gs[0] - self.y_series * self.y_series
-        self.x_series = _newton_root(
-            gs, PadicPowerSeries(p, [self.center.x], M), prec)
-
-    def _build_infinity(self):
-        one = PadicPowerSeries.constant(1, self.prime, self.t_prec, self.prec)
-        # u^7 - u^6 + sum_i F_i t^(2(7-i)) u^i, with F_7 = 1
-        gs = [f.shift_t(2 * (7 - i)) for i, f in enumerate(self._F_series())]
-        gs[6] = gs[6] - one
-        self.u_series = _newton_root(gs, one, self.prec)
-
-    def _F_series(self):
-        """The coefficients of F as constant series known to `prec`."""
-        return [PadicPowerSeries.constant(c, self.prime, self.t_prec,
-                                          self.prec) for c in self.curve.F]
+    def _series(self, coeffs, even, abs0=None):
+        """The PadicPowerSeries to O(t^t_prec) of integer coefficients mod
+        p^prec, in s = t^2 when even, else in t; None is an exact zero, and
+        every other coefficient is known to prec digits (abs0 for the
+        constant term, when given)."""
+        if even:
+            t_coeffs = [None] * (2 * len(coeffs))
+            t_coeffs[::2] = coeffs
+            coeffs = t_coeffs
+        coeffs = coeffs[:self.t_prec]
+        abs_ = [INF if c is None else self.prec for c in coeffs]
+        if abs0 is not None:
+            abs_[0] = abs0
+        return PadicPowerSeries.from_ints(
+            self.prime, [c or 0 for c in coeffs], 0, abs_, self.t_prec)
 
     # -- point/parameter maps ------------------------------------------------
 
@@ -168,28 +201,31 @@ class LocalExpansion:
         The three expansions share one factor, expanded once: 1/2y(t) on a
         generic chart, 1/F'(x(t)) on a Weierstrass chart (dx/2y = dt/F'(x)),
         and -(u - t u'/2) u^-3 at infinity, where w_i is that factor times
-        t^4, t^2 u or u^2."""
-        p, prec = self.prime, self.prec
-        one = PadicNumber.from_rational(1, p, rel_prec=prec)
+        t^4, t^2 u or u^2.  In s = t^2, t u'/2 is s du/ds."""
+        n, m, even = self._n, self.prime ** self.prec, self.kind != "generic"
         if self.kind == "infinity":
-            u = self.u_series
-            up = u.derivative().shift_t(1)   # t * u'(t)
-            lead = u - up.scale(one / 2)
-            uinv = u.invert_unit()
-            shared = lead * (uinv * uinv * uinv)
-            t2 = PadicPowerSeries.identity(p, self.t_prec, prec)
-            t2 = t2 * t2
-            polys = _unit_scaled((t2 * t2, t2 * u, u * u), one)
-            return tuple(-(shared * poly) for poly in polys)
-        xs = self.x_series
+            u = self._u
+            u2 = _mul(u, u, n, m)
+            # -(u - s du/ds) = sum_k (k - 1) u_k s^k, over u^3
+            lead = [(k - 1) * c for k, c in enumerate(u)]
+            shared = _mul(lead, _inverse(_mul(u2, u, n, m), n, m), n, m)
+            forms = ([None, None] + shared[:n - 2],
+                     [None] + _mul(u, shared, n - 1, m),
+                     _mul(u2, shared, n, m))
+            return tuple(self._series(w, True) for w in forms)
+        x = self._x
         if self.kind == "generic":
-            shared = (self.y_series + self.y_series).invert_unit()
+            shared = _inverse([2 * c for c in self._y], n, m)
         else:
-            shared = _slope(self._F_series(), _powers(xs, 6),
-                            prec).invert_unit()
-        polys = _unit_scaled(
-            (PadicPowerSeries.constant(one, p, xs.t_prec), xs, xs * xs), one)
-        return tuple(num * shared for num in polys)
+            shared = _inverse(_horner(self._F, x, n, m)[1], n, m)
+        w1 = _mul(x, shared, n, m)
+        w2 = _mul(x, w1, n, m)
+        # x(P)^2 w0(0) is known mod p^(prec + v(x(P)))
+        x0 = x[0]
+        w2[0] = x0 * x0 * shared[0]
+        abs0 = self.prec + min(ord_p(x0, self.prime), self.prec)
+        return (self._series(shared, even), self._series(w1, even),
+                self._series(w2, even, abs0))
 
     def evaluate_antiderivative(self, F_series, t0):
         """F(t0) with the inverse-index tail bound for antiderivatives of
@@ -201,14 +237,6 @@ class LocalExpansion:
             raise InputError("point is not in the open disk")
         bound = min_tail_valuation(F_series.t_prec, w, self.prime)
         return F_series.evaluate(t0, tail_bound=bound)
-
-
-def _unit_scaled(polys, one):
-    """Each series times `one`, all cut to the least t_prec among them, so
-    a chart's three basis forms share one t-precision (the pinned reports
-    depend on those digits)."""
-    t = min(s.t_prec for s in polys)
-    return [s.scale(one).truncate(t) for s in polys]
 
 
 def form_series(coeffs, basis):

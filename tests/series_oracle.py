@@ -1,7 +1,9 @@
 """Power series with one PadicNumber per coefficient: the representation
 that g3chabauty.series used before it moved to integer vectors, kept as
 the oracle its operations are compared with, coefficient by coefficient.
-Every operation is the term-by-term PadicNumber arithmetic."""
+Every operation is the term-by-term PadicNumber arithmetic.  It keeps the
+ring operations the library no longer has (products, inverses, shifts),
+so the chart tests check the chart equations on it (as_reference)."""
 
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber
@@ -226,3 +228,8 @@ class ReferenceSeries:
             parts.append("...")
         parts.append("O(t^%d)" % self.t_prec)
         return " + ".join(parts)
+
+
+def as_reference(series):
+    """A PadicPowerSeries as the ReferenceSeries with the same data."""
+    return ReferenceSeries(series.prime, series.coeffs, series.t_prec)

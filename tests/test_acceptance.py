@@ -27,6 +27,8 @@ from g3chabauty.recognize import eval_exact
 from g3chabauty.rootfinding import series_roots_in_disk
 from g3chabauty.series import PadicPowerSeries
 
+from series_oracle import as_reference
+
 
 class criterion:
     """Prints one 'criterion N PASS/FAIL' line however the block exits."""
@@ -292,19 +294,21 @@ def close3(a, b):
 def basis_form_residual(exp, i, w):
     """w(t) dt against x^i dx / 2y without the chart's shared factor:
     w * 2y - x^i x' on a finite chart; at infinity, where x = u/t^2 and
-    y = u^3/t^7, w * 2u^3 - t^(4-2i) u^i (t u' - 2u)."""
+    y = u^3/t^7, w * 2u^3 - t^(4-2i) u^i (t u' - 2u).  The products run on
+    the reference series, which keeps the ring operations."""
     two = PadicNumber.from_rational(2, exp.prime, rel_prec=exp.prec)
+    w = as_reference(w)
     if exp.kind == "infinity":
-        u = exp.u_series
+        u = as_reference(exp.u_series)
         rhs = u.derivative().shift_t(1) - u.scale(two)
         for _ in range(i):
             rhs = rhs * u
         return w * (u * u * u).scale(two) - rhs.shift_t(4 - 2 * i)
-    x = exp.x_series
+    x = as_reference(exp.x_series)
     rhs = x.derivative()
     for _ in range(i):
         rhs = rhs * x
-    return w * exp.y_series.scale(two) - rhs
+    return w * as_reference(exp.y_series).scale(two) - rhs
 
 
 def random_disk_points(ctx, rng, count):

@@ -106,7 +106,7 @@ def test_zero_like_series_raises():
     with pytest.raises(PrecisionError):
         series_roots_in_disk(fuzzy, PREC)
     with pytest.raises(PrecisionError):
-        series_roots_in_disk(PadicPowerSeries.zero(p, 30), PREC)
+        series_roots_in_disk(PadicPowerSeries(p, [], 30), PREC)
 
 
 def test_non_integral_series_rejected():
