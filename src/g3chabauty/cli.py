@@ -303,9 +303,11 @@ def cmd_integrate(args):
             raise InputError("%s %s is not on the curve"
                              % (what, pt.coord_strings()))
     prec = default_precision(p) if args.N is None else args.N
-    ctx = ColemanContext(curve, p, prec)
-    vals = ctx.integral_holomorphic(curve.padic_point(src, p, prec),
-                                    curve.padic_point(dst, p, prec))
+    ends = [curve.padic_point(pt, p, prec) for pt in (src, dst)]
+    # h is read at the endpoints' disks alone, so it is folded only there
+    ctx = ColemanContext(curve, p, prec,
+                         [curve.reduce_curve_point(pt, p) for pt in ends])
+    vals = ctx.integral_holomorphic(*ends)
     wanted = range(3) if args.form == "all" else [int(args.form)]
     print(json.dumps({
         "prime": p,

@@ -63,13 +63,15 @@ class ColemanContext:
     Frobenius systems, exposing integrals of w0, w1, w2 between points.
     Columns 0 .. 2 of adj(I - M), those of the constants of w0, w1, w2, are
     wrapped as PadicNumbers to p^prec once, for the Cramer solve of every
-    generic disk."""
+    generic disk.  Given the points `disks` of C(F_p), h is folded only
+    at the generic disks under them (and the audit disk), so only their
+    integrals can be read."""
 
-    def __init__(self, curve, p, prec):
+    def __init__(self, curve, p, prec, disks=None):
         self.curve = curve
         self.p = p
         self.prec = prec
-        self.fd = frobenius_data(curve, p, prec)
+        self.fd = frobenius_data(curve, p, prec, disks)
         self._adj = tuple(
             tuple(PadicNumber.from_rational(v, p, abs_prec=prec)
                   for v in row[:3])

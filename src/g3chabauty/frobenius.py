@@ -65,7 +65,8 @@ to E_0, which is Horner's order in u, so each term is folded, as it is
 made, into h_j at the Teichmuller point of each generic disk the caller
 names, and into dh_j/dx at the first of them, the audit point (_Horner);
 no term is kept.  frobenius_data names every canonical generic disk, the
-only points where Coleman integration reads h; zeta_numerator, which
+only points where Coleman integration reads h, or, for integrate, the
+audit disk and the disks of the two endpoints; zeta_numerator, which
 reads no h, names the audit disk alone.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
@@ -129,8 +130,8 @@ class FrobeniusData(namedtuple(
     holds adj(I - M), both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i +
     dh_j, and (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).
     teich_prims maps each canonical generic disk (xbar, ybar),
-    0 < ybar <= (p - 1) / 2, that _compute folded at (every one, for
-    frobenius_data) to the six values p^C h_j mod p^W at its Teichmuller
+    0 < ybar <= (p - 1) / 2, that _compute folded at (every one, unless
+    frobenius_data is given the disks to read) to the six values p^C h_j mod p^W at its Teichmuller
     point, which _compute folds as it reduces; no term of h is kept.
     fp_points is C(F_p), infinity first (curve.fp_points), as the trace
     audit counted it."""
@@ -721,13 +722,18 @@ def _budget(p, N):
     return k_max, C, max(N + 2 * C, C + k_max + 2)
 
 
-def frobenius_data(curve, p, prec):
-    """The Frobenius structure to p^prec, with h at every canonical
-    generic disk, audited by _compute."""
+def frobenius_data(curve, p, prec, disks=None):
+    """The Frobenius structure to p^prec, audited by _compute, with h at
+    every canonical generic disk; given the points `disks` of C(F_p), with
+    h at the audit disk and at the canonical generic disks under them."""
     curve.check_prime(p)
     fp_points = curve.fp_points(p)
-    return _compute(curve, p, prec, *_budget(p, prec), fp_points,
-                    _generic_disks(fp_points, p))
+    folded = _generic_disks(fp_points, p)
+    if disks is not None:
+        wanted = {(d.x, d.y) for d in (q.canonical(p) for q in disks)
+                  if not d.is_infinity}
+        folded = folded[:1] + [d for d in folded[1:] if d in wanted]
+    return _compute(curve, p, prec, *_budget(p, prec), fp_points, folded)
 
 
 def zeta_numerator(curve, p):

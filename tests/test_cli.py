@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g3chabauty import cli, pipeline
+from g3chabauty import cli, frobenius, pipeline
 from g3chabauty.cli import main
 from g3chabauty.coleman import ColemanContext
 from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PRIME_CAP, RationalPoint,
@@ -725,6 +725,41 @@ def test_integrate_matches_library(curve_a, tmp_path, capsys):
            for xy in ((-1, -1), (1, 5))]
     vals = ctx.integral_holomorphic(*pts)
     assert data["integrals"] == {"w1": vals[1].expansion_str()}
+
+
+@pytest.mark.parametrize("ends", [
+    (RationalPoint.affine(-1, -1), RationalPoint.affine(1, 5)),
+    (RationalPoint.infinity(), RationalPoint.affine(1, -5))])
+def test_integrate_folds_h_at_the_audit_and_endpoint_disks(
+        curve_a, ends, tmp_path, capsys, monkeypatch):
+    """integrate reads h only at its endpoints' generic disks, so its
+    Frobenius run folds h there and at the audit disk alone, as the zeta
+    folds it at the audit disk alone, and prints the integrals of a run
+    that folds every generic disk."""
+    folded = []
+    real = frobenius._Horner
+
+    class Horner(real):
+        def __init__(self, f, points, m):
+            folded.append(sorted((x % 7, y % 7) for x, y in points))
+            super().__init__(f, points, m)
+
+    monkeypatch.setattr(frobenius, "_Horner", Horner)
+    curve = write_json(tmp_path / "c.json", CURVE_A_JSON)
+    args = ["--%s=%s" % (opt, ",".join(pt.coord_strings())
+                         if not pt.is_infinity else "infinity")
+            for opt, pt in zip(("from", "to"), ends)]
+    assert main(["integrate", "--curve", curve, "--p", "7"] + args) == 0
+    data = json.loads(capsys.readouterr().out)
+    pts = [curve_a.padic_point(pt, 7, 18) for pt in ends]
+    disks = [curve_a.reduce_curve_point(pt, 7).canonical(7) for pt in pts]
+    generic = frobenius._generic_disks(curve_a.fp_points(7), 7)
+    want = sorted({generic[0]} | {(d.x, d.y) for d in disks
+                                  if not d.is_infinity and d.y})
+    assert folded == [want] and len(want) < len(generic)
+    full = ColemanContext(curve_a, 7, 18).integral_holomorphic(*pts)
+    assert data["integrals"] == {"w%d" % i: v.expansion_str()
+                                 for i, v in enumerate(full)}
 
 
 def test_integrate_rejects_off_curve(tmp_path, capsys):
