@@ -131,8 +131,9 @@ class FrobeniusData(namedtuple(
     dh_j, and (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).
     teich_prims maps each canonical generic disk (xbar, ybar),
     0 < ybar <= (p - 1) / 2, that _compute folded at (every one, unless
-    frobenius_data is given the disks to read) to the six values p^C h_j mod p^W at its Teichmuller
-    point, which _compute folds as it reduces; no term of h is kept.
+    frobenius_data is given the disks to read) to the six values p^C h_j
+    mod p^W at its Teichmuller point, which _compute folds as it reduces;
+    no term of h is kept.
     fp_points is C(F_p), infinity first (curve.fp_points), as the trace
     audit counted it."""
 
@@ -730,8 +731,8 @@ def frobenius_data(curve, p, prec, disks=None):
     fp_points = curve.fp_points(p)
     folded = _generic_disks(fp_points, p)
     if disks is not None:
-        wanted = {(d.x, d.y) for d in (q.canonical(p) for q in disks)
-                  if not d.is_infinity}
+        # infinity's (0, 0), like a Weierstrass (x, 0), is no generic disk
+        wanted = {(d.x, d.y) for d in (q.canonical(p) for q in disks)}
         folded = folded[:1] + [d for d in folded[1:] if d in wanted]
     return _compute(curve, p, prec, *_budget(p, prec), fp_points, folded)
 

@@ -116,16 +116,6 @@ def ex3_p11_n10():
     return _example_job_at_n10(2)
 
 
-def test_example_jobs_at_n10_class_counts(ex1_p7_n10, ex2_p7_n10,
-                                          ex3_p11_n10):
-    assert ex1_p7_n10["class_counts"] == {
-        "known_rational": 5, "torsion": 2, "weierstrass": 3}
-    assert ex2_p7_n10["class_counts"] == {
-        "known_rational": 5, "other_algebraic": 4}
-    assert ex3_p11_n10["class_counts"] == {
-        "known_rational": 4, "other_algebraic": 2, "weierstrass": 2}
-
-
 def test_report_digests_pinned(request):
     got = {name: hashlib.sha256(
         request.getfixturevalue(name).to_json().encode("utf-8")).hexdigest()
