@@ -133,11 +133,11 @@ def test_infinity_chart_equation(curve, p, disk):
 # t_prec, the coordinate series, the three basis forms), each series as
 # (t_prec, (valuation, unit, rel_prec) per coefficient), at the N of the
 # key (18 and 26 are the defaults 2p + 4) and the t_prec N + 4 of
-# LocalExpansion.  The first two
-# come from the Newton solver that ran every step at full t-precision; the
-# other three were computed before the charts moved to integer vectors.
-# C@11 has a Weierstrass disk over x = 0, whose w2 has an O(p^2N) constant
-# term, and B@7 and A@37 at N = 10 are the census regime
+# LocalExpansion.  The first two come from the Newton solver that ran
+# every step at full t-precision; the other three were computed before
+# the charts moved to integer vectors.  C@11 has a Weierstrass disk over
+# x = 0, whose w2 has an O(p^2N) constant term, and B@7 and A@37 at
+# N = 10 are the census regime
 CHART_DIGESTS = {
     ("curve_a", 7, 18):
         "145533a079fa629ab52dc7458e90408c77dbf9a2291238bad5301f937493066b",
