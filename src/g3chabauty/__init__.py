@@ -16,8 +16,7 @@ from .frobenius import frobenius_data, zeta_numerator
 from .jacobian import MumfordDivisorFp
 from .padic import PadicNumber
 from .pipeline import AnalysisReport, analyze_curve, default_precision
-from .rootfinding import series_roots_in_disk
-from .series import PadicPowerSeries
+from .series import PadicPowerSeries, series_roots_in_disk
 
 __version__ = "0.1.0"
 

@@ -99,7 +99,7 @@ class ColemanContext:
             # integral between the two lifts solves (I - M^T) v = h(P),
             # by Cramer's rule with adj(I - M) and det(I - M) = #J(F_p)
             sol = padic_linsolve(self._adj, self.fd.jacobian_order(),
-                                 self.fd.primitives_at(disk.x, disk.y))
+                                 self.fd.primitives_at(disk))
             halfints = tuple(h + c for h, c in zip(halfints, sol))
         return _DiskData(expansion, halfints)
 
@@ -113,8 +113,7 @@ class ColemanContext:
         flipped = disk != disk.canonical(self.p)
         x = point.involution() if flipped else point
         t = data.expansion.t_of(x)
-        vals = tuple(data.expansion.evaluate_antiderivative(h, t)
-                     for h in data.halfints)
+        vals = tuple(h.evaluate_antiderivative(t) for h in data.halfints)
         return tuple(-v for v in vals) if flipped else vals
 
     def integral_holomorphic(self, start, end):

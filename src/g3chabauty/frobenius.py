@@ -66,8 +66,8 @@ made, into h_j at the Teichmuller point of each generic disk the caller
 names, and into dh_j/dx at the first of them, the audit point (_Horner);
 no term is kept.  frobenius_data names every canonical generic disk, the
 only points where Coleman integration reads h, or, for integrate, the
-audit disk and the disks of the two endpoints; zeta_numerator, which
-reads no h, names the audit disk alone.
+audit disk and the disks of the two endpoints; for zeta_numerator, which
+reads no h, it is given no disks and names the audit disk alone.
 
 The zeta numerator P(T) = det(1 - T M) follows from the characteristic
 polynomial; integrality, the Weil bounds, the functional equation and the
@@ -129,11 +129,10 @@ class FrobeniusData(namedtuple(
     _compute, read by no other module.  matrix_ints holds M and adjugate
     holds adj(I - M), both mod p^prec: phi^*(w_j) = sum_i M[i][j] w_i +
     dh_j, and (I - M) adj(I - M) = det(I - M) I with det(I - M) = #J(F_p).
-    teich_prims maps each canonical generic disk (xbar, ybar),
-    0 < ybar <= (p - 1) / 2, that _compute folded at (every one, unless
-    frobenius_data is given the disks to read) to the six values p^C h_j
-    mod p^W at its Teichmuller point, which _compute folds as it reduces;
-    no term of h is kept.
+    teich_prims maps each canonical generic disk, an FpPoint, that
+    _compute folded at (every one, unless frobenius_data is given the disks
+    to read) to the six values p^C h_j mod p^W at its Teichmuller point,
+    which _compute folds as it reduces; no term of h is kept.
     fp_points is C(F_p), infinity first (curve.fp_points), as the trace
     audit counted it."""
 
@@ -149,17 +148,10 @@ class FrobeniusData(namedtuple(
         """#C(F_p) = p + 1 + a_1, audited by _compute."""
         return self.p + 1 + self.zeta[1]
 
-    def primitives_at(self, xbar, ybar):
+    def primitives_at(self, disk):
         """(h_0, .., h_5) as PadicNumbers to p^prec at the Teichmuller point
-        over the generic disk (xbar, ybar), residues mod p.  h is odd in y,
-        so on the mirror half it is the canonical disk's, negated."""
-        p = self.p
-        if ybar <= (p - 1) // 2:
-            accs = self.teich_prims[xbar, ybar]
-        else:
-            m = p ** self.work_exp
-            accs = [-acc % m for acc in self.teich_prims[xbar, p - ybar]]
-        return [self._wrap_scaled(acc) for acc in accs]
+        over the canonical generic disk `disk`, an FpPoint."""
+        return [self._wrap_scaled(acc) for acc in self.teich_prims[disk]]
 
     def _wrap_scaled(self, acc):
         value = Fraction(acc, self.p ** self.scale_exp)
@@ -259,8 +251,8 @@ def _compute(curve, p, N, k_max, C, W, fp_points, disks):
     """The audited Frobenius structure to p^N: the telescopes run on p^C
     times each form, mod p^W, on the binomial series up to term k_max.
     fp_points is C(F_p), infinity first, and h is folded at the
-    Teichmuller point of each of disks, canonical generic disks with the
-    audit disk first (_generic_disks).
+    Teichmuller point of each of disks, canonical generic disks (FpPoints)
+    with the audit disk first (_generic_disks).
 
     Per column j the numerator x^(pj+p-1) Psi comes, as Q-adic digits,
     from the previous column's by the packed x^p digit map (x^(p-1) from
@@ -385,8 +377,8 @@ def _compute(curve, p, N, k_max, C, W, fp_points, disks):
     # only by the audit, at the first
     lifts = None
     if disks:
-        lifts = _Horner(Q, [teichmuller_point(Q, x, y, p, W)
-                            for x, y in disks], m)
+        lifts = _Horner(Q, [teichmuller_point(Q, d.x, d.y, p, W)
+                            for d in disks], m)
 
     # column col's digit t is read through its window from column
     # col - 1's digit t (Psi's for column 0); digit t < J goes into pole
@@ -462,21 +454,21 @@ def _compute(curve, p, N, k_max, C, W, fp_points, disks):
 
 
 def _generic_disks(fp_points, p):
-    """The canonical generic disks (xbar, ybar), 0 < ybar <= (p - 1) / 2,
-    of the points fp_points of C(F_p), infinity first: the audit disk,
-    over _generic_residue's x, first."""
-    disks = [(q.x, q.y) for q in fp_points[1:] if 0 < q.y <= (p - 1) // 2]
+    """The canonical generic disks of the points fp_points of C(F_p),
+    infinity first, as FpPoints: the audit disk, over _generic_residue's
+    x, first."""
+    disks = [q for q in fp_points[1:] if q.y and q == q.canonical(p)]
     xbar = _generic_residue(disks)
-    disks.sort(key=lambda disk: disk[0] != xbar)
+    disks.sort(key=lambda disk: disk.x != xbar)
     return disks
 
 
 def _generic_residue(points):
-    """The least nonzero x among the affine points (x, y) with y != 0 of
+    """The least nonzero x among the affine FpPoints with y != 0 of
     y^2 = f(x) over F_p; else 0 if such a point has x = 0, else None.
     At x = 0 the identity audit's sum_i M_ij x^i reads only row 0 of
     M; at a unit x it reads every row."""
-    xs = {x for x, y in points if y}
+    xs = {q.x for q in points if q.y}
     return min(xs - {0}, default=0 if 0 in xs else None)
 
 
@@ -731,21 +723,16 @@ def frobenius_data(curve, p, prec, disks=None):
     fp_points = curve.fp_points(p)
     folded = _generic_disks(fp_points, p)
     if disks is not None:
-        # infinity's (0, 0), like a Weierstrass (x, 0), is no generic disk
-        wanted = {(d.x, d.y) for d in (q.canonical(p) for q in disks)}
+        wanted = {q.canonical(p) for q in disks}
         folded = folded[:1] + [d for d in folded[1:] if d in wanted]
     return _compute(curve, p, prec, *_budget(p, prec), fp_points, folded)
 
 
 def zeta_numerator(curve, p):
     """[b0..b6] with #C(F_{p^k}) determined by P(T) = sum b_i T^i."""
-    curve.check_prime(p)
-    fp_points = curve.fp_points(p)
     # the Weil bounds put every |b_i| below p^6 / 2, so 6 digits read them;
     # the zeta reads no h, so h is folded at the audit disk alone
-    fd = _compute(curve, p, 6, *_budget(p, 6), fp_points,
-                  _generic_disks(fp_points, p)[:1])
-    return list(fd.zeta)
+    return list(frobenius_data(curve, p, 6, ()).zeta)
 
 
 def identity_check(fd, x, y, dh):

@@ -47,7 +47,7 @@ from .curve import CurvePoint
 from .errors import InputError
 from .padic import (INF, PadicNumber, hensel_lift_root, ord_p,
                     teichmuller_point)
-from .series import PadicPowerSeries, min_tail_valuation
+from .series import PadicPowerSeries
 
 
 def _mul(a, b, n, m):
@@ -106,7 +106,8 @@ class LocalExpansion:
         # t-terms to t^(prec + 3): for p >= 7 and prec <= PREC_CAP the
         # dropped tail of a half-integral is O(p^(prec + 3)) at v(t) >= 1,
         # and root isolation reads truncation_order(prec - 2, p) <= prec + 4
-        # terms.  The pinned chart digests and reports depend on this value
+        # terms (test_series.py::test_chart_length_covers_isolation_and_tail).
+        # The pinned chart digests and reports depend on this value
         self.t_prec = prec + 4
         self.prec = prec
         m = p ** prec
@@ -226,17 +227,6 @@ class LocalExpansion:
         abs0 = self.prec + min(ord_p(x0, self.prime), self.prec)
         return (self._series(shared, even), self._series(w1, even),
                 self._series(w2, even, abs0))
-
-    def evaluate_antiderivative(self, F_series, t0):
-        """F(t0) with the inverse-index tail bound for antiderivatives of
-        integral series."""
-        w = t0.valuation if not t0.is_zero else t0.abs_prec
-        if w == INF:
-            return F_series.evaluate(t0, tail_bound=INF)
-        if w < 1:
-            raise InputError("point is not in the open disk")
-        bound = min_tail_valuation(F_series.t_prec, w, self.prime)
-        return F_series.evaluate(t0, tail_bound=bound)
 
 
 def form_series(coeffs, basis):

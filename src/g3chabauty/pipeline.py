@@ -38,7 +38,7 @@ from .localdisk import form_series
 from .padic import INF, PadicNumber, ord_p
 from .recognize import (element_min_poly, exact_point, format_polynomial,
                         rational_reconstruct)
-from .rootfinding import series_roots_in_disk
+from .series import series_roots_in_disk
 
 log = logging.getLogger(__name__)
 
@@ -240,8 +240,7 @@ class _Analysis:
         r and z (its coefficients satisfy v(a_j) + j >= j - ord_p(j) >= 1),
         so a value of valuation below e certifies z is not a common zero.
         Values indistinguishable from zero keep the root as a candidate."""
-        vals = [data.expansion.evaluate_antiderivative(other, r)
-                for r in roots]
+        vals = [other.evaluate_antiderivative(r) for r in roots]
         return [r for r, v in zip(roots, vals)
                 if v.is_zero or v.valuation >= r.abs_prec]
 
@@ -313,7 +312,7 @@ class _Analysis:
         key = (disk.canonical(self.p), t.expansion_str())
         if key not in self._orders:
             order = None
-            if all(data.expansion.evaluate_antiderivative(h, t).is_zero
+            if all(h.evaluate_antiderivative(t).is_zero
                    for h in data.halfints):
                 order = MumfordDivisorFp.from_point(
                     disk, self.p, self.fbar).order(self.jac_order)

@@ -19,18 +19,38 @@ mod p^N (from_ints, called by localdisk).  What is left is what the
 half-integrals read: formal_integral (a disk's half-integral series), the
 sum with a series or a PadicNumber (a generic disk's constant halfint(P),
 and form_series), scale by a PadicNumber (form_series), derivative and
-reduction_order (the Strassmann bound of a disk), and evaluate, besides
-the coefficient access of root isolation.  Each gives every coefficient
-the precision that the same PadicNumber arithmetic done term by term would
+reduction_order (the Strassmann bound of a disk), evaluate and
+evaluate_antiderivative, and root isolation (series_roots_in_disk), which
+reads the integer vector itself.  Each gives every coefficient the
+precision that the same PadicNumber arithmetic done term by term would
 give: a sum is known to the least absolute precision of its terms, a
 product ca to min(abs_c + fl_a, fl_c + abs_a), zero factors included, and
 c_j / (j + 1) loses ord_p(j + 1) digits.
+
+The tail of an antiderivative.  A half-integral is the antiderivative of
+an integral series, so its coefficient c_j has v(c_j) >= -ord_p(j), and
+at v(t) = w >= 1 its terms j >= t_prec are O(p^b) with b the least
+j w - ord_p(j) over them (min_tail_valuation): the bound that
+evaluate_antiderivative gives its value and that truncation_order reads.
+
+Root isolation.  The rescaling g(s) = f(p s) has integral coefficients
+whenever v(c_j) >= -j, so the zeros of f with positive valuation biject
+with the zeros of g in Z_p.  Every such zero reduces to a residue of g mod
+p; residues where the derivative stays a unit lift uniquely by Hensel, and
+repeated residues recurse on the shifted series g(r + p s), whose content
+strictly shrinks the precision budget.  The search therefore either
+returns a provably complete list of simple zeros, each tagged with the
+modulus to which it is determined, or raises PrecisionError.  Truncation
+is sound for antiderivative-shaped input: the tail dropped at degree M is
+O(p^prec) on the disk as soon as j - ord_p(j) >= prec for all j >= M
+(truncation_order).
 """
 
 from __future__ import annotations
 
 import math
 
+from . import _kernels as kernels
 from .errors import InputError, PrecisionError
 from .padic import INF, PadicNumber, ord_p
 
@@ -49,11 +69,9 @@ class PadicPowerSeries:
 
     __slots__ = ("prime", "t_prec", "_e", "_ints", "_fl", "_abs")
 
-    def __init__(self, prime, coeffs, t_prec, coeff_prec=None):
-        nums = [c if isinstance(c, PadicNumber)
-                else PadicNumber.from_rational(c, prime, abs_prec=coeff_prec)
-                for c in coeffs[:t_prec]]
-        parts = [_parts(c) for c in nums]
+    def __init__(self, prime, coeffs, t_prec):
+        """The series of the PadicNumbers coeffs, to O(t^t_prec)."""
+        parts = [_parts(c) for c in coeffs[:t_prec]]
         e = max((pe for _, pe, _, _ in parts), default=0)
         self._set(prime, [x * prime ** (e - pe) for x, pe, _, _ in parts],
                   e, [a for _, _, _, a in parts], t_prec)
@@ -123,9 +141,6 @@ class PadicPowerSeries:
         if i >= self.t_prec:
             raise IndexError("coefficient beyond truncation order")
         return PadicNumber.zero(self.prime)
-
-    def __len__(self):
-        return len(self._ints)
 
     # -- the operations the half-integrals read ----------------------------
 
@@ -217,6 +232,17 @@ class PadicPowerSeries:
             acc = acc * t0 + c
         return acc._cap(tail_bound)
 
+    def evaluate_antiderivative(self, t0):
+        """Value at t0 of an antiderivative of an integral series, with the
+        tail bound min_tail_valuation gives its dropped terms."""
+        w = t0.valuation if not t0.is_zero else t0.abs_prec
+        if w == INF:
+            return self.evaluate(t0, tail_bound=INF)
+        if w < 1:
+            raise InputError("point is not in the open disk")
+        bound = min_tail_valuation(self.t_prec, w, self.prime)
+        return self.evaluate(t0, tail_bound=bound)
+
     def reduction_order(self):
         """Least i with c_i a unit (ord 0 exactly), i.e. ord_t of the mod-p
         reduction; returns None when every kept coefficient reduces to 0."""
@@ -245,3 +271,109 @@ def min_tail_valuation(start, w, p):
         if i * w - max_l > best:
             return best
         i += 1
+
+
+def truncation_order(prec, p):
+    """Least M so that tail terms j >= M of an antiderivative-shaped
+    series stay below p^-prec for v(t) >= 1."""
+    m = max(prec, 1)
+    while min_tail_valuation(m, 1, p) < prec:
+        m += 1
+    return m
+
+
+def _taylor_shift(h, r, mod):
+    """Coefficients of h(s + r) mod `mod` by iterated synthetic division."""
+    out = list(h)
+    n = len(out)
+    for i in range(n):
+        for k in range(n - 2, i - 1, -1):
+            out[k] = (out[k] + r * out[k + 1]) % mod
+    return out
+
+
+def _zp_roots(h, p, budget):
+    """(residue, exponent) pairs describing all zeros in Z_p of any function
+    within O(p^budget) of the integral polynomial h; each coset mod
+    p^exponent contains exactly one zero, and it is simple."""
+    mod = p ** budget
+    hd = kernels.poly_deriv_mod(h, mod)
+    found = []
+    for r in range(p):
+        if kernels.poly_eval_mod(h, r, p):
+            continue
+        if kernels.poly_eval_mod(hd, r, p):
+            found.append((kernels.hensel_lift(h, hd, r, p, budget), budget))
+            continue
+        # repeated residue: zoom in on r + p Z_p and shed the content
+        shifted = _taylor_shift(h, r, mod)
+        scaled = [shifted[j] * p ** j % mod for j in range(len(shifted))]
+        k = min([budget] + [ord_p(c, p) for c in scaled])
+        if k >= budget:
+            raise PrecisionError(
+                "series vanishes on a whole disk at working precision")
+        sub_budget = budget - k
+        if sub_budget < 2:
+            raise PrecisionError(
+                "cannot separate zeros near residue %d" % r)
+        sub_mod = p ** sub_budget
+        sub = [c // p ** k % sub_mod for c in scaled]
+        for res, e in _zp_roots(sub, p, sub_budget):
+            found.append(((r + p * res) % p ** (e + 1), e + 1))
+    return found
+
+
+def series_roots_in_disk(series, prec):
+    """All t with v(t) >= 1 where the function behind `series` vanishes.
+
+    The input must be antiderivative-shaped (v(coeff_j) >= -ord_p(j)) so
+    the truncation bound applies.  Returns PadicNumbers sorted by their
+    integer representative; each carries the modulus to which the zero is
+    pinned down, and each is a provably simple zero.
+
+    The budget b is prec lowered to min_j(abs_prec(c_j) + j), j <
+    truncation_order(prec), as after a solve that loses digits at an
+    anomalous prime.  That is sound: each c_j read, j < truncation_order(b)
+    <= truncation_order(prec), is known mod p^(b - j), and the tail is
+    O(p^b) on the disk by the antiderivative shape.  So the Hensel count
+    holds for every function within O(p^b) of the integral polynomial
+    isolated here: each zero returned is simple, and none is missed.
+    Coefficient j times p^j is ints[j] p^j / p^e, read mod p^b from the
+    integer vector: a nonzero one of negative valuation is rejected, and
+    one of valuation b or more reads as 0.
+
+    A root in the coset t = 0 mod p^(e+1) comes back as the exact zero,
+    built by name, though it is pinned only mod p^(e+1): the reports pin
+    the "0" it prints, where from_rational would give O(p^(e+1)).
+    """
+    p, pe = series.prime, series.prime ** series._e
+    prec = min([prec] + [a + j for j, a in enumerate(
+        series._abs[:truncation_order(prec, p)])])
+    m_order = truncation_order(prec, p)
+    if series.t_prec < m_order:
+        raise PrecisionError(
+            "need series terms up to t^%d, have t^%d" % (m_order, series.t_prec))
+    mod = p ** prec
+    ints = []
+    for j, (x, f) in enumerate(zip(series._ints[:m_order], series._fl)):
+        if x and f + j < 0:
+            raise InputError("series is not integral on the open disk")
+        ints.append(x * p ** j // pe % mod if x and f + j < prec else 0)
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        raise PrecisionError(
+            "series is indistinguishable from zero at this precision")
+    k = min([prec] + [ord_p(c, p) for c in ints if c])
+    budget = prec - k
+    if budget < 2:
+        raise PrecisionError("dominant coefficient eats the precision budget")
+    mod = p ** budget
+    h = [c // p ** k % mod for c in ints]
+    roots = []
+    for res, e in _zp_roots(h, p, budget):
+        roots.append(PadicNumber.from_rational(p * res, p, abs_prec=e + 1)
+                     if res else PadicNumber.zero(p))
+    roots.sort(key=lambda r: (0 if r.is_zero else 1,
+                              0 if r.is_zero else r.unit * p ** r.valuation))
+    return roots

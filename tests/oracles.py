@@ -68,10 +68,10 @@ def tiny_integral(curve, coeffs, P, Q, p, prec):
     center = CurvePoint.infinity() if dP.is_infinity else P
     exp = LocalExpansion(curve, center, p, prec)
     F = form_series(coeffs, exp.differential_series()).formal_integral()
-    hi = exp.evaluate_antiderivative(F, exp.t_of(Q))
+    hi = F.evaluate_antiderivative(exp.t_of(Q))
     if not dP.is_infinity:
         return hi
-    return hi - exp.evaluate_antiderivative(F, exp.t_of(P))
+    return hi - F.evaluate_antiderivative(exp.t_of(P))
 
 
 def _last_rootless_low(p, k):

@@ -11,7 +11,7 @@ import pytest
 
 from g3chabauty import _kernels as kernels
 from g3chabauty import frobenius
-from g3chabauty.curve import CurveModel
+from g3chabauty.curve import CurveModel, FpPoint
 from g3chabauty.errors import BadReductionError, PrecisionError
 from g3chabauty.frobenius import (_budget, _compute, _digit_map,
                                   _generic_disks, _generic_residue,
@@ -78,8 +78,8 @@ def test_zeta_folds_h_at_the_audit_point_only(curve_a, p, zeta,
     disks = _generic_disks(curve_a.fp_points(p), p)
     assert len(disks) > 1
     W = _budget(p, 6)[2]
-    audit_point = teichmuller_point(curve_a.f_coeffs_mod(p, W), *disks[0],
-                                    p, W)
+    audit_point = teichmuller_point(curve_a.f_coeffs_mod(p, W), disks[0].x,
+                                    disks[0].y, p, W)
     assert audits[0][:2] == audit_point
 
 
@@ -265,8 +265,11 @@ def _canonical(curve, fd):
     for disk in curve.fp_points(fd.p):
         if disk.is_infinity or disk.y == 0:
             continue
-        values.append(tuple(h.expansion_str()
-                            for h in fd.primitives_at(disk.x, disk.y)))
+        # h is odd in y: the mirror half reads the canonical disk, negated
+        hs = fd.primitives_at(disk.canonical(fd.p))
+        if disk != disk.canonical(fd.p):
+            hs = [-h for h in hs]
+        values.append(tuple(h.expansion_str() for h in hs))
     return fd.matrix_ints, fd.zeta, fd.point_count(), values
 
 
@@ -646,17 +649,16 @@ def _check_streamed(fd, columns, audits):
     point over _generic_residue's residue."""
     p, W = fd.p, fd.work_exp
     f = fd.curve.f_coeffs_mod(p, W)
-    disks = {(q.x, q.y) for q in fd.fp_points[1:]
-             if 0 < q.y <= (p - 1) // 2}
+    disks = {q for q in fd.fp_points[1:] if 0 < q.y <= (p - 1) // 2}
     assert set(fd.teich_prims) == disks
-    for (xbar, ybar), accs in fd.teich_prims.items():
-        x_t, y_t = teichmuller_point(f, xbar, ybar, p, W)
+    for disk, accs in fd.teich_prims.items():
+        x_t, y_t = teichmuller_point(f, disk.x, disk.y, p, W)
         assert list(accs) == [_primitive_acc_full(fd, terms, x_t, y_t)
                               for terms in columns]
     assert len(audits) == (1 if disks else 0)
     for x, y, dh in audits:
-        xbar = _generic_residue((q.x, q.y) for q in fd.fp_points[1:])
-        (ybar,) = [ybar for x_d, ybar in disks if x_d == xbar]
+        xbar = _generic_residue(fd.fp_points[1:])
+        (ybar,) = [d.y for d in disks if d.x == xbar]
         assert (x, y) == teichmuller_point(f, xbar, ybar, p, W)
         assert list(dh) == [_primitive_dx_full(fd, terms, x, y)
                             for terms in columns]
@@ -840,7 +842,7 @@ def test_pullback_identity_generic_points(fd_a7, a7_terms):
     # residue has no point with y a unit to audit at
     fbar = fd_a7.curve.f_coeffs_mod(7, 1)
     assert _generic_residues(fbar, 7) == [0, 3, 4]
-    assert _generic_residue(kernels.fp_curve_points(fbar, 7)) == 3
+    assert _generic_residue(fd_a7.fp_points[1:]) == 3
     for xbar in range(7):
         if xbar in (0, 3, 4):
             _audit_at(fd_a7, a7_terms, xbar)
@@ -921,10 +923,10 @@ def test_identity_audit_reads_the_packed_values_of_h(curve, p, request,
 def test_generic_residue_takes_zero_only_when_alone():
     # x^7 = x mod 7, so F = x^7 + 2x^6 - x + c takes c at 0 and c + 2
     # elsewhere: with c = 1 only F(0) is a nonzero square, with c = 3 none
-    assert _generic_residue(
-        kernels.fp_curve_points([1, 6, 0, 0, 0, 0, 2, 1], 7)) == 0
-    assert _generic_residue(
-        kernels.fp_curve_points([3, 6, 0, 0, 0, 0, 2, 1], 7)) is None
+    for c, xbar in ((1, 0), (3, None)):
+        points = kernels.fp_curve_points([c, 6, 0, 0, 0, 0, 2, 1], 7)
+        assert _generic_residue(
+            [FpPoint("affine", x, y) for x, y in points]) == xbar
 
 
 def _mutated_matrix(row, col):

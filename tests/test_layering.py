@@ -22,8 +22,8 @@ import sys
 import pytest
 
 PKG = pathlib.Path(__file__).resolve().parents[1] / "src" / "g3chabauty"
-LOWER = ("_kernels", "padic", "series", "localdisk", "rootfinding", "curve",
-         "jacobian", "recognize")
+LOWER = ("_kernels", "padic", "series", "localdisk", "curve", "jacobian",
+         "recognize")
 UPPER = {"frobenius", "coleman", "pipeline", "cli"}
 BUDGET = {"work_exp", "scale_exp"}
 MONIC = {"scale_x", "scale_y", "to_monic"}

@@ -12,8 +12,8 @@ import pytest
 
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber
-from g3chabauty.rootfinding import series_roots_in_disk, truncation_order
-from g3chabauty.series import PadicPowerSeries
+from g3chabauty.series import (PadicPowerSeries, series_roots_in_disk,
+                               truncation_order)
 
 PREC = 9
 
@@ -26,12 +26,19 @@ def poly_mul(a, b):
     return out
 
 
+def rational_series(p, coeffs, t_prec, prec):
+    """The series of the rationals coeffs, each known to prec digits."""
+    return PadicPowerSeries(
+        p, [PadicNumber.from_rational(c, p, abs_prec=prec) for c in coeffs],
+        t_prec)
+
+
 def planted_series(p, roots, wcoeffs, prec, t_prec=48):
     poly = [1]
     for r in roots:
         poly = poly_mul(poly, [-r, 1])
     poly = poly_mul(poly, [1] + [p * c for c in wcoeffs])
-    return PadicPowerSeries(p, poly, t_prec, coeff_prec=prec)
+    return rational_series(p, poly, t_prec, prec)
 
 
 def contains(root, value, p):
@@ -103,16 +110,15 @@ def test_double_root_raises():
 def test_zero_like_series_raises():
     p = 7
     fuzzy = PadicPowerSeries(p, [PadicNumber.zero(p, 4)] * 3, 30)
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="indistinguishable from zero"):
         series_roots_in_disk(fuzzy, PREC)
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="indistinguishable from zero"):
         series_roots_in_disk(PadicPowerSeries(p, [], 30), PREC)
 
 
 def test_non_integral_series_rejected():
     p = 7
-    bad = PadicPowerSeries(
-        p, [Fraction(0), Fraction(1, p * p)], 30, coeff_prec=PREC)
+    bad = rational_series(p, [Fraction(0), Fraction(1, p * p)], 30, PREC)
     with pytest.raises(InputError):
         series_roots_in_disk(bad, PREC)
 
@@ -137,6 +143,6 @@ def test_antiderivative_shaped_coefficients():
     # tail model and the only zero on the disk is t = 0
     p = 7
     coeffs = [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, 40)]
-    series = PadicPowerSeries(p, coeffs, 40, coeff_prec=PREC)
+    series = rational_series(p, coeffs, 40, PREC)
     found = series_roots_in_disk(series, PREC)
     assert len(found) == 1 and found[0].is_zero

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g3chabauty.curve import PREC_CAP, PREC_MIN, PRIME_CAP, is_prime
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber, ord_p
-from g3chabauty.series import PadicPowerSeries, min_tail_valuation
+from g3chabauty.series import (PadicPowerSeries, min_tail_valuation,
+                               truncation_order)
 
 from series_oracle import ReferenceSeries
 
@@ -17,9 +19,10 @@ P = 7
 PREC = 12
 
 
-def S(fracs, t_prec=10):
-    return PadicPowerSeries(P, [Fraction(c) for c in fracs], t_prec,
-                            coeff_prec=PREC)
+def S(fracs, t_prec=10, prec=PREC):
+    return PadicPowerSeries(
+        P, [PadicNumber.from_rational(c, P, abs_prec=prec) for c in fracs],
+        t_prec)
 
 
 def test_formal_integral_tracks_loss():
@@ -54,7 +57,7 @@ def test_evaluate_requires_disk():
 
 
 def test_evaluate_non_integral_needs_bound():
-    s = PadicPowerSeries(P, [Fraction(1, P)], 4, coeff_prec=6)
+    s = S([Fraction(1, P)], t_prec=4, prec=6)
     t0 = PadicNumber.from_rational(P, P, abs_prec=6)
     with pytest.raises(PrecisionError):
         s.evaluate(t0)
@@ -62,11 +65,25 @@ def test_evaluate_non_integral_needs_bound():
     assert v.abs_prec == 3
 
 
+def test_evaluate_antiderivative_caps_at_the_tail_bound():
+    # F = the integral of 1 + t + .. + t^5 has t_prec 7; at v(t0) = 1 its
+    # dropped terms j >= 7 are O(p^(j - ord_p(j))), least at j = 7: p^6,
+    # below the 12 digits that the kept terms carry
+    F = S([1] * 6, t_prec=6).formal_integral()
+    t0 = PadicNumber.from_rational(P, P, abs_prec=PREC)
+    v = F.evaluate_antiderivative(t0)
+    exact = sum(Fraction(P) ** j / j for j in range(1, 7))
+    assert v.abs_prec == min_tail_valuation(7, 1, P) == 6
+    assert v == PadicNumber.from_rational(exact, P, abs_prec=6)
+    assert F.evaluate_antiderivative(PadicNumber.zero(P)) == F[0]
+    with pytest.raises(InputError):
+        F.evaluate_antiderivative(PadicNumber.from_rational(3, P, abs_prec=5))
+
+
 def test_reduction_order():
-    s = PadicPowerSeries(P, [Fraction(P), Fraction(2 * P), Fraction(3)], 6,
-                         coeff_prec=8)
+    s = S([P, 2 * P, 3], t_prec=6, prec=8)
     assert s.reduction_order() == 2
-    z = PadicPowerSeries(P, [Fraction(P), Fraction(P * 5)], 6, coeff_prec=8)
+    z = S([P, P * 5], t_prec=6, prec=8)
     assert z.reduction_order() is None
 
 
@@ -77,6 +94,23 @@ def test_min_tail_valuation_brute():
             brute = min(i * w - ord_p(i, P) for i in range(start, start + 3000))
             assert got == brute
     assert min_tail_valuation(9, 2, P) == 18
+
+
+def test_chart_length_covers_isolation_and_tail():
+    """A chart keeps t-terms to t^(N + 3), t_prec N + 4 (localdisk), so
+    its half-integrals have t_prec N + 5.  At every prime and precision an
+    analysis takes, root isolation at the budget N - 2 that
+    pipeline._isolate passes reads no term past the chart's, and the tail
+    a half-integral drops is O(p^(N + 3)) at v(t) >= 1.  The chart's own
+    t_prec would not do for the tail: at p = 7 and N = 45 it gives only
+    O(p^(N + 2))."""
+    primes = [p for p in range(7, PRIME_CAP + 1) if is_prime(p)]
+    assert len(primes) == 59
+    for p in primes:
+        for n in range(PREC_MIN, PREC_CAP + 1):
+            assert truncation_order(n - 2, p) <= n + 4, (p, n)
+            assert min_tail_valuation(n + 5, 1, p) >= n + 3, (p, n)
+    assert min_tail_valuation(49, 1, 7) == 45 + 2
 
 
 # -- the integer-vector series against term-by-term PadicNumber arithmetic --
@@ -109,7 +143,7 @@ def series_cases(draw):
 
 
 def _data(s):
-    return (s.t_prec, len(s),
+    return (s.t_prec, len(s.coeffs),
             tuple((c.valuation, c.unit, c.rel_prec) for c in s.coeffs))
 
 
