@@ -97,7 +97,7 @@ def slot_bytes(m, n):
     return (2 * m.bit_length() + (2 * n).bit_length() + 7) // 8
 
 
-def _product(a, b, n=None):
+def poly_product(a, b, n=None):
     """a * b for nonempty a and b, coefficients unreduced; with n, only
     the first n coefficients."""
     if n is None:
@@ -117,7 +117,7 @@ def poly_mul_mod(a, b, mod):
     """Dense product of coefficient lists modulo mod."""
     if not a or not b:
         return []
-    return poly_trim([c % mod for c in _product(a, b)])
+    return poly_trim([c % mod for c in poly_product(a, b)])
 
 
 def poly_divmod_monic_mod(a, b, mod):

@@ -109,10 +109,10 @@ class ColemanContext:
         """(1/2) Int_{iota(point)}^{point} of (w0, w1, w2)."""
         disk = self.curve.reduce_curve_point(point, self.p)
         data = self.disk_data(disk)
-        # on the mirror half, read the canonical disk at iota(point)
+        # a mirror disk is generic, where t = x - x(P) reads no y: the
+        # point and iota(point) share t, and the half-integral flips sign
         flipped = disk != disk.canonical(self.p)
-        x = point.involution() if flipped else point
-        t = data.expansion.t_of(x)
+        t = data.expansion.t_of(point)
         vals = tuple(h.evaluate_antiderivative(t) for h in data.halfints)
         return tuple(-v for v in vals) if flipped else vals
 

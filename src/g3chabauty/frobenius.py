@@ -173,7 +173,7 @@ class _Horner:
         self.m = m
         self.points = [(x, y, pow(y * y % m, -1, m)) for x, y in points]
         x0, _, u0 = self.points[0]
-        powers = [_powers(x, 7, m) for x, _ in points]
+        powers = [[pow(x, i, m) for i in range(7)] for x, _ in points]
         slopes = [i * v % m for i, v in enumerate([0] + powers[0][:6])]
         # a slot holds any sum of 7 products of residues mod m
         self.slot = kernels.slot_bytes(m, 7)
@@ -204,14 +204,6 @@ class _Horner:
         slope = kernels.poly_eval_mod(kernels.poly_deriv_mod(mu, m), x0, m)
         dh = (self.daccs[col] * u0 + slope + self.half_fu * mus[0]) * y0 % m
         return values, dh
-
-
-def _powers(x, n, m):
-    """[x^0, .., x^(n-1)] mod m."""
-    out = [1]
-    for _ in range(n - 1):
-        out.append(out[-1] * x % m)
-    return out
 
 
 def _char_series_coeffs(mat, modulus):

@@ -70,13 +70,6 @@ class MumfordDivisorFp:
         return (isinstance(other, MumfordDivisorFp) and self.p == other.p
                 and self.u == other.u and self.v == other.v)
 
-    def __hash__(self):
-        return hash((self.p, self.u, self.v))
-
-    def __neg__(self):
-        return MumfordDivisorFp(self.p, self.f, list(self.u),
-                                kernels.poly_scale_mod(self.v, -1, self.p))
-
     def __add__(self, other):
         if not isinstance(other, MumfordDivisorFp):
             return NotImplemented
@@ -104,10 +97,9 @@ class MumfordDivisorFp:
         return MumfordDivisorFp(p, self.f, *self._reduce(p, f, u, v))
 
     def __rmul__(self, n):
-        if not isinstance(n, int):
+        # no negation: a negative n would never leave the doubling loop
+        if not isinstance(n, int) or n < 0:
             return NotImplemented
-        if n < 0:
-            return (-n) * (-self)
         acc = MumfordDivisorFp.identity(self.p, self.f)
         base = self
         while n:

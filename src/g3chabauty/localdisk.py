@@ -52,15 +52,7 @@ from .series import PadicPowerSeries
 
 def _mul(a, b, n, m):
     """The first n coefficients of a b, mod m."""
-    return [c % m for c in kernels._product(a, b, n)]
-
-
-def _plus(a, b):
-    """a + b, for b no longer than a."""
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
+    return [c % m for c in kernels.poly_product(a, b, n)]
 
 
 def _inverse(a, n, m):
@@ -76,8 +68,8 @@ def _horner(gs, z, n, m):
     """(G(z), G'(z)) to n terms mod m, for G = sum_i gs[i] Z^i."""
     val, slope = gs[-1][:n], [0]
     for g in reversed(gs[:-1]):
-        slope = _plus(_mul(slope, z, n, m), val)
-        val = _plus(_mul(val, z, n, m), g[:n])
+        slope = kernels.poly_add_mod(_mul(slope, z, n, m), val, m)
+        val = kernels.poly_add_mod(_mul(val, z, n, m), g[:n], m)
     return val, slope
 
 

@@ -176,12 +176,6 @@ class PadicNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other, False)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = self._coerce(other, True)
         if other is NotImplemented:
@@ -304,26 +298,18 @@ class PadicNumber:
 
 def teichmuller_point(f_ints, xbar, ybar, p, n):
     """The Frobenius-fixed point over the residue pair (xbar, ybar != 0) of
-    y^2 = f(x), as integers mod p^n from f's coefficients f_ints mod p^n:
-    the Teichmuller lift x of xbar and the root y of f(x) congruent to
-    ybar.  Both are unique, so the point mod p^k is the same at any n >= k."""
+    y^2 = f(x), as integers mod p^n from f's coefficients f_ints mod p^n.
+    x is the Teichmuller lift xbar^(p^(n-1)) mod p^n, and y the root of
+    Y^2 = f(x) that Hensel's lemma lifts from ybar, a simple root mod p as
+    2 ybar is a unit.  Both are unique, so the point mod p^k is the same at
+    any n >= k."""
     m = p ** n
-    x, prev = xbar % p, None
-    while x != prev:
-        x, prev = pow(x, p, m), x
-    y = sqrt_mod_pn(kernels.poly_eval_mod(f_ints, x, m), p, n)
-    if y is None or (y * y - ybar * ybar) % p:
+    x = pow(xbar % p, p ** (n - 1), m)
+    fx = kernels.poly_eval_mod(f_ints, x, m)
+    if ybar % p == 0 or (fx - ybar * ybar) % p:
         raise PrecisionError("no Teichmuller point over (%d, %d)"
                              % (xbar, ybar))
-    return x, y if (y - ybar) % p == 0 else m - y
-
-
-def sqrt_mod_pn(a_unit, p, n):
-    """A square root of the unit a_unit mod p^n, or None if a is not a QR."""
-    r0 = next((r for r in range(1, p) if (r * r - a_unit) % p == 0), None)
-    if r0 is None:
-        return None
-    return kernels.hensel_lift([-a_unit, 0, 1], [0, 2], r0, p, n)
+    return x, kernels.hensel_lift([-fx, 0, 1], [0, 2], ybar % p, p, n)
 
 
 def hensel_lift_root(ints, x0, p, prec):

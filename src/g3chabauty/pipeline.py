@@ -258,8 +258,8 @@ class _Analysis:
             "matched_known": None,
         }
         for k in knowns:
-            kp = k.point.involution() if mirrored else k.point
-            if k.disk == disk and (data.expansion.t_of(kp) - t).is_zero:
+            # a mirror disk is generic, and its t = x - x(P) reads no y
+            if k.disk == disk and (data.expansion.t_of(k.point) - t).is_zero:
                 self.matched.add(k.original)
                 base["class"] = "known_rational"
                 base["matched_known"] = k.original.coord_strings()

@@ -226,10 +226,6 @@ class QuadraticElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self._like(self.u - other.u, self.v - other.v)
-
     def __mul__(self, other):
         other = self._coerce(other)
         c0, c1, c2 = self.minpoly
@@ -263,16 +259,9 @@ class QuadraticElement:
             raise ZeroDivisionError("inverse of zero")
         return self._like((trace - self.u) / norm, -self.v / norm)
 
-    @property
-    def is_zero(self):
-        return self.u == 0 and self.v == 0
-
     def __eq__(self, other):
         other = self._coerce(other)
         return self.u == other.u and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.minpoly))
 
 
 def element_min_poly(el):

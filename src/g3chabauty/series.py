@@ -32,6 +32,12 @@ an integral series, so its coefficient c_j has v(c_j) >= -ord_p(j), and
 at v(t) = w >= 1 its terms j >= t_prec are O(p^b) with b the least
 j w - ord_p(j) over them (min_tail_valuation): the bound that
 evaluate_antiderivative gives its value and that truncation_order reads.
+That minimum is a closed form.  Let i_k be the least multiple of p^k with
+i_k >= t_prec.  A j with ord_p(j) = k is such a multiple, so j >= i_k, and
+i_k loses at least k digits: j w - k >= i_k w - ord_p(i_k).  Once
+p^k >= t_prec, i_k = p^k, and each further k adds (p - 1) p^k w - 1 > 0.
+So b is the least i_k w - ord_p(i_k) over k = 0, 1, .. up to the first k
+with p^k >= t_prec: at most log_p(t_prec) + 2 terms, in integers alone.
 
 Root isolation.  The rescaling g(s) = f(p s) has integral coefficients
 whenever v(c_j) >= -j, so the zeros of f with positive valuation biject
@@ -47,8 +53,6 @@ O(p^prec) on the disk as soon as j - ord_p(j) >= prec for all j >= M
 """
 
 from __future__ import annotations
-
-import math
 
 from . import _kernels as kernels
 from .errors import InputError, PrecisionError
@@ -258,19 +262,15 @@ class PadicPowerSeries:
 
 def min_tail_valuation(start, w, p):
     """min over i >= start of (i*w - ord_p(i)): the antiderivative pattern,
-    where coefficient i lost ord_p(i) digits."""
-    best = None
-    i = start
-    while True:
-        li = ord_p(i, p)
-        cand = i * w - li
-        if best is None or cand < best:
-            best = cand
-        # beyond this point even a maximal ord_p cannot undercut best
-        max_l = int(math.log(i + p, p)) + 2
-        if i * w - max_l > best:
-            return best
-        i += 1
+    where coefficient i lost ord_p(i) digits.  Exact from the least
+    multiple i_k of p^k at or past start, for k = 0, 1, .. up to the first
+    k with p^k >= start (the module docstring argues it)."""
+    best, q = start * w - ord_p(start, p), 1
+    while q < start:
+        q *= p
+        i = -(-start // q) * q
+        best = min(best, i * w - ord_p(i, p))
+    return best
 
 
 def truncation_order(prec, p):

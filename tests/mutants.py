@@ -78,6 +78,20 @@ MUTANTS = [
         "        bound = INF\n",
         ("tests/test_series.py::"
          "test_evaluate_antiderivative_caps_at_the_tail_bound",)),
+    Mutant(
+        "the closed-form tail minimum drops the digits i_k loses",
+        "series.py",
+        "        best = min(best, i * w - ord_p(i, p))\n",
+        "        best = min(best, i * w)\n",
+        ("tests/test_series.py::"
+         "test_min_tail_valuation_closed_form_matches_a_window_search",)),
+    # -- the Teichmuller point of a generic disk (padic) -------------------
+    Mutant(
+        "teichmuller_point lifts a residue that is off the curve or at y = 0",
+        "padic.py",
+        "    if ybar % p == 0 or (fx - ybar * ybar) % p:\n",
+        "    if False:\n",
+        ("tests/test_padic.py::test_teichmuller_point_exhaustive_oracle",)),
     # -- the disk key of h (frobenius) and its mirror (coleman) ------------
     Mutant(
         "h is folded at the mirror generic disks too",
@@ -100,6 +114,143 @@ MUTANTS = [
         "        return vals\n",
         ("tests/test_coleman.py::"
          "test_same_disk_agrees_with_direct_expansion",)),
+    # -- the audits of the Frobenius run (frobenius) -----------------------
+    Mutant(
+        "the Weil bound audit is skipped",
+        "frobenius.py",
+        "    if not _weil_ok(b, p):\n",
+        "    if False:\n",
+        ("tests/test_frobenius.py::"
+         "test_weil_audit_rejects_a_large_zeta_coefficient",)),
+    Mutant(
+        "the functional-equation audit is skipped",
+        "frobenius.py",
+        "    if b[6] != p ** 3 or b[5] != p ** 2 * b[1] or b[4] != p * b[2]:\n",
+        "    if False:\n",
+        ("tests/test_frobenius.py::"
+         "test_functional_equation_audit_rejects_a_wrong_b6",)),
+    Mutant(
+        "the trace audit is skipped",
+        "frobenius.py",
+        "    if fd.point_count() != len(fd.fp_points):\n",
+        "    if False:\n",
+        ("tests/test_frobenius.py::"
+         "test_trace_audit_rejects_a_wrong_point_count",)),
+    Mutant(
+        "the matrix p-integrality audit is skipped",
+        "frobenius.py",
+        "            if val % pC:\n",
+        "            if False:\n",
+        ("tests/test_frobenius.py::"
+         "test_matrix_audit_rejects_an_entry_off_the_prescale",)),
+    Mutant(
+        "the cofactor returns None instead of BadReductionError",
+        "frobenius.py",
+        "    if beta is None:\n",
+        "    if False:\n",
+        ("tests/test_frobenius.py::"
+         "test_cofactor_audit_rejects_a_repeated_root_mod_p",)),
+    Mutant(
+        "the Frobenius identity audit is skipped",
+        "frobenius.py",
+        "        if ((lhs - rhs) * p ** C - 2 * y * dh[col]) % p ** (C + N):\n",
+        "        if False:\n",
+        ("tests/test_frobenius.py::"
+         "test_identity_audit_catches_a_wrong_matrix_digit[curve_a-7]",)),
+    Mutant(
+        "_Horner packs h's values in slots 2 bytes short",
+        "frobenius.py",
+        "        self.slot = kernels.slot_bytes(m, 7)\n",
+        "        self.slot = kernels.slot_bytes(m, 7) - 2\n",
+        ("tests/test_frobenius.py::"
+         "test_primitive_dx_matches_the_per_term_oracle[curve_a-7]",)),
+    Mutant(
+        "_Horner's dh flips the sign of its (1 - 2e) term",
+        "frobenius.py",
+        "+ (1 - 2 * e) * self.half_fu * vals[0]) % m",
+        "+ (2 * e - 1) * self.half_fu * vals[0]) % m",
+        ("tests/test_frobenius.py::"
+         "test_primitive_dx_matches_the_per_term_oracle[curve_a-7]",)),
+    Mutant(
+        "_generic_disks does not put the audit disk first",
+        "frobenius.py",
+        "    disks.sort(key=lambda disk: disk.x != xbar)\n",
+        "",
+        ("tests/test_frobenius.py::"
+         "test_primitive_dx_matches_the_per_term_oracle[curve_a-7]",)),
+    Mutant(
+        "each block of Psi is kept once read",
+        "frobenius.py",
+        "        block, blocks[n] = blocks[n], None\n",
+        "        block = blocks[n]\n",
+        ("tests/test_frobenius.py::test_frobenius_transient_heap_is_small",),
+        expect="survives",
+        reason="the heap peaks at the end of Psi's build, before any block "
+               "is read, so keeping the read blocks does not raise it"),
+    # -- the proof's own checks (pipeline) ---------------------------------
+    Mutant(
+        "an unrecovered known point passes",
+        "pipeline.py",
+        "        if k.original not in run.matched:\n",
+        "        if False:\n",
+        ("tests/test_pipeline.py::test_unrecovered_known_point_raises",)),
+    Mutant(
+        "a disk may report more zeros than its counting bound",
+        "pipeline.py",
+        "        if len(zeros) > bound:\n",
+        "        if False:\n",
+        ("tests/test_pipeline.py::"
+         "test_more_zeros_than_the_counting_bound_raise",)),
+    Mutant(
+        "a functional vanishing mod p is not named",
+        "pipeline.py",
+        "        if order_a is None or order_b is None:\n",
+        "        if False:\n",
+        ("tests/test_pipeline.py::test_functional_vanishing_mod_p_raises",)),
+    Mutant(
+        "no known point of infinite order returns no base",
+        "pipeline.py",
+        '    raise InputError("no known point of infinite order; supply a '
+        'base point")\n',
+        "    return None, None\n",
+        ("tests/test_pipeline.py::"
+         "test_rejects_knowns_with_no_point_of_infinite_order",)),
+    # -- zeta --brute-check (cli) ------------------------------------------
+    Mutant(
+        "zeta --brute-check exits 0 on a mismatch",
+        "cli.py",
+        "        if brute != coeffs:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_zeta_brute_check_mismatch_exits_1",)),
+    # -- Cantor arithmetic's checks (jacobian) -----------------------------
+    Mutant(
+        "a Mumford u need not be monic",
+        "jacobian.py",
+        "        if not u or u[-1] != 1:\n",
+        "        if False:\n",
+        ("tests/test_jacobian.py::"
+         "test_constructor_checks_the_mumford_conditions",)),
+    Mutant(
+        "a Mumford u may have degree above 3",
+        "jacobian.py",
+        "        if len(u) - 1 > 3:\n",
+        "        if False:\n",
+        ("tests/test_jacobian.py::"
+         "test_constructor_checks_the_mumford_conditions",)),
+    Mutant(
+        "a Mumford v may have degree deg u",
+        "jacobian.py",
+        "        if len(v) >= len(u):\n",
+        "        if False:\n",
+        ("tests/test_jacobian.py::"
+         "test_constructor_checks_the_mumford_conditions",)),
+    Mutant(
+        "classes on different curves add",
+        "jacobian.py",
+        "        if self.p != other.p or self.f != other.f:\n",
+        "        if False:\n",
+        ("tests/test_jacobian.py::"
+         "test_constructor_checks_the_mumford_conditions",)),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Helpers that only tests call: a p-adic square root with a chosen branch,
-a random d whose square root is in Q_p but not in Q, the tiny integral,
+"""Helpers that only tests call: a square root mod p^n by residue search,
+a p-adic square root with a chosen branch, a random d whose square root is in Q_p but not in Q, the tiny integral,
 the termwise integral inside one residue disk that tests set against the
 Frobenius-based Coleman integrals, and a point count
 over GF(p^k) by Euler's criterion on a modulus of its own
@@ -8,10 +8,19 @@ under the brute-force zeta oracle."""
 
 from math import isqrt
 
+from g3chabauty import _kernels as kernels
 from g3chabauty.curve import CurvePoint
 from g3chabauty.errors import InputError
 from g3chabauty.localdisk import LocalExpansion, form_series
-from g3chabauty.padic import PadicNumber, sqrt_mod_pn
+from g3chabauty.padic import PadicNumber
+
+
+def sqrt_mod_pn(a_unit, p, n):
+    """A square root of the unit a_unit mod p^n, or None if a is not a QR."""
+    r0 = next((r for r in range(1, p) if (r * r - a_unit) % p == 0), None)
+    if r0 is None:
+        return None
+    return kernels.hensel_lift([-a_unit, 0, 1], [0, 2], r0, p, n)
 
 
 def padic_sqrt(a, branch=None):

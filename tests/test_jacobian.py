@@ -55,7 +55,8 @@ def test_group_axioms_random(setup_b7):
         assert (a + b_) + c == a + (b_ + c)
         assert a + b_ == b_ + a
         assert a + e == a
-        assert (a + (-a)).is_identity
+        # n kills every class, so (n - 1) a is the inverse of a
+        assert (a + (n - 1) * a).is_identity
 
 
 def test_degree_two_composition_oracle(setup_b7):
@@ -133,6 +134,25 @@ def test_reduction_class_and_flags(curve_a):
     o = d.order(n)
     assert o > 1 and n % o == 0
     assert (o * d).is_identity
+
+
+def test_negative_multiple_is_refused(curve_a):
+    """n D is defined for n >= 0 only (there is no negation, and the
+    doubling loop would not end on a negative n): -1 * D raises TypeError
+    at once.  order() still gives 12 on the classes of A@7's torsion
+    zeros (0, +-sqrt 8), whose disks are the points of C(F_7) over x = 0,
+    as the pinned report does."""
+    p = 7
+    f = curve_a.f_coeffs_mod(p, 1)
+    n = jac_order_from_zeta(brute_zeta_coeffs(f, p))
+    disks = [q for q in curve_a.fp_points(p)
+             if not q.is_infinity and q.x == 0]
+    assert len(disks) == 2
+    for q in disks:
+        d = MumfordDivisorFp.from_point(q, p, f)
+        with pytest.raises(TypeError):
+            -1 * d
+        assert d.order(n) == 12
 
 
 def test_validation_errors(setup_b7):

@@ -9,8 +9,9 @@ Frobenius budget (the prescale C = scale_exp and the working exponent
 W = work_exp) belongs to frobenius.py: no other module names it, and the
 monic model's scaling (scale_x, scale_y, to_monic) belongs to curve.py.
 The kernels are the leaf every layer builds on: they import only errors.
-One test imports the CLI in a fresh interpreter, to see which standard
-modules the package pulls in.
+No module reads a _private name of another: what one module calls in
+another is that module's public interface.  One test imports the CLI in
+a fresh interpreter, to see which standard modules the package pulls in.
 """
 
 import ast
@@ -65,6 +66,58 @@ def _names(tree):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
     return found
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree):
+    """(module, name) for every _name a module reads from another package
+    module: as module._name through a module it imported, or by
+    from .module import _name."""
+    modules = {}
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            if parts[0] != "g3chabauty":
+                continue
+            parts = parts[1:]
+        if parts and parts[0]:
+            found.update((parts[0], a.name) for a in node.names
+                         if _is_private(a.name))
+        else:
+            # from . import m as alias: the alias names module m
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def test_private_scanner_sees_every_form():
+    tree = ast.parse("from . import _kernels as kernels\n"
+                     "from g3chabauty import frobenius\n"
+                     "from .padic import _hidden, ord_p\n"
+                     "from g3chabauty.curve import _squarefree_mod\n"
+                     "kernels._product(a, b)\n"
+                     "kernels.poly_trim(a)\n"
+                     "frobenius._Horner.__init__\n"
+                     "self._disks\n")
+    assert _private_reads(tree) == {("_kernels", "_product"),
+                                    ("frobenius", "_Horner"),
+                                    ("padic", "_hidden"),
+                                    ("curve", "_squarefree_mod")}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PKG.glob("*.py")))
+def test_no_module_reads_a_private_name_of_another(module):
+    assert _private_reads(_tree(PKG / (module + ".py"))) == set()
 
 
 def test_import_scanner_sees_every_form():

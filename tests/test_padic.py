@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from g3chabauty import _kernels as kernels
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import (INF, PadicNumber, hensel_lift_root, ord_p,
                               teichmuller_point)
 from g3chabauty.recognize import rational_reconstruct
 
-from oracles import padic_sqrt
+from oracles import padic_sqrt, sqrt_mod_pn
 
 
 def test_ord_p():
@@ -178,6 +179,35 @@ def test_teichmuller_point_exhaustive_oracle():
         teichmuller_point(f, 1, 1, p, n)
     with pytest.raises(PrecisionError):
         teichmuller_point(f, 5, 0, p, n)
+
+
+def test_teichmuller_point_matches_the_search_oracle():
+    # the oracle iterates x -> x^p until x stops changing, searches the
+    # residues for a square root of f(x) and picks the one over ybar;
+    # teichmuller_point takes both in closed form
+    rng = random.Random(44)
+    primes = [7, 11, 13, 29, 53, 101]
+    fails = 0
+    for _ in range(300):
+        p, n = rng.choice(primes), rng.randint(1, 30)
+        m = p ** n
+        f = [rng.randrange(m) for _ in range(7)] + [1]
+        xbar = rng.randrange(p)
+        x, prev = xbar, None
+        while x != prev:
+            x, prev = pow(x, p, m), x
+        y = sqrt_mod_pn(kernels.poly_eval_mod(f, x, m), p, n)
+        # mostly a residue over the curve, else any
+        ybar = rng.randrange(p) if y is None or rng.random() < 0.25 \
+            else rng.choice((y, -y)) % p
+        if y is None or ybar == 0 or (y * y - ybar * ybar) % p:
+            fails += 1
+            with pytest.raises(PrecisionError, match="no Teichmuller point"):
+                teichmuller_point(f, xbar, ybar, p, n)
+            continue
+        want = (x, y if (y - ybar) % p == 0 else m - y)
+        assert teichmuller_point(f, xbar, ybar, p, n) == want, (p, n, xbar)
+    assert 50 < fails < 250
 
 
 def test_sqrt_squaring_oracle():

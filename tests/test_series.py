@@ -96,6 +96,20 @@ def test_min_tail_valuation_brute():
     assert min_tail_valuation(9, 2, P) == 18
 
 
+def test_min_tail_valuation_closed_form_matches_a_window_search():
+    """The closed form against a brute-force minimum over i in
+    [start, start + 16).  That window holds the true minimum: below 7^4 no
+    i has ord_p(i) > 3, so any i >= start + 4 gives i w - ord_p(i) >=
+    start w + 1, more than the value at i = start."""
+    primes = [p for p in range(7, PRIME_CAP + 1) if is_prime(p)]
+    for p in primes:
+        for start in range(1, 251):
+            for w in (1, 2, 3):
+                brute = min(i * w - ord_p(i, p)
+                            for i in range(start, start + 16))
+                assert min_tail_valuation(start, w, p) == brute, (p, start, w)
+
+
 def test_chart_length_covers_isolation_and_tail():
     """A chart keeps t-terms to t^(N + 3), t_prec N + 4 (localdisk), so
     its half-integrals have t_prec N + 5.  At every prime and precision an
