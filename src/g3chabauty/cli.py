@@ -150,6 +150,14 @@ def _out_dir(path):
     return out
 
 
+def _write(path, text):
+    """Write one output file; a path that cannot take it is bad input."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from None
+
+
 def cmd_analyze(args):
     job_id, kwargs = parse_job(_load_json(args.job), Path(args.job).stem,
                                args.p, args.N)
@@ -160,7 +168,7 @@ def cmd_analyze(args):
         print(report.to_json())
         return 0
     path = out / (job_id + ".json")
-    path.write_text(report.to_json() + "\n", encoding="utf-8")
+    _write(path, report.to_json() + "\n")
     print(path)
     return 0
 
@@ -238,8 +246,7 @@ def cmd_batch(args):
     for row, report_json in results:
         rows.append(row)
         if report_json is not None:
-            (out / (row["id"] + ".json")).write_text(report_json + "\n",
-                                                     encoding="utf-8")
+            _write(out / (row["id"] + ".json"), report_json + "\n")
         else:
             log.warning("job %s failed: %s", row["id"], row["error"])
             worst = max(worst, 1)
@@ -248,7 +255,7 @@ def cmd_batch(args):
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    (out / "summary.csv").write_text(buf.getvalue(), encoding="utf-8")
+    _write(out / "summary.csv", buf.getvalue())
     print(out / "summary.csv")
     return worst
 

@@ -28,9 +28,9 @@ PREC_MIN and every constant keeps at least one digit: no system here is
 singular.
 
 Each disk therefore keeps one series per basis form: H_i(t), the termwise
-integral of w_i from the center plus, on a generic disk, halfint(P) as its
-constant, so halfint is H_i at the point's parameter (negated on the
-mirror disk).  A form is a coefficient triple over (w0, w1, w2), and its
+integral of w_i from the center, whose constant term formal_integral sets
+to halfint(P) on a generic disk (the exact zero elsewhere), so halfint is
+H_i at the point's parameter (negated on the mirror disk).  A form is a coefficient triple over (w0, w1, w2), and its
 half-integral series is the same combination of H_0, H_1, H_2.  The chart
 needs only the curve, the disk and N (localdisk); h(P) comes from
 FrobeniusData.primitives_at, a lookup of the values the Frobenius run
@@ -92,15 +92,15 @@ class ColemanContext:
         disk, halfint(P) at the Teichmuller point P that Frobenius lifts."""
         center = disk_center(self.curve, disk, self.p, self.prec)
         expansion = LocalExpansion(self.curve, center, self.p, self.prec)
-        halfints = tuple(f.formal_integral()
-                         for f in expansion.differential_series())
+        consts = (None,) * 3
         if expansion.kind == "generic":
             # h is odd in y, so h(P) - h(iota P) = 2 h(P): the half
             # integral between the two lifts solves (I - M^T) v = h(P),
             # by Cramer's rule with adj(I - M) and det(I - M) = #J(F_p)
-            sol = padic_linsolve(self._adj, self.fd.jacobian_order(),
-                                 self.fd.primitives_at(disk))
-            halfints = tuple(h + c for h, c in zip(halfints, sol))
+            consts = padic_linsolve(self._adj, self.fd.jacobian_order(),
+                                    self.fd.primitives_at(disk))
+        halfints = tuple(f.formal_integral(c) for f, c in
+                         zip(expansion.differential_series(), consts))
         return _DiskData(expansion, halfints)
 
     # -- integrals ---------------------------------------------------------

@@ -19,7 +19,8 @@ needs only the curve, that center and N; nothing here reads Frobenius.
 Basis differentials are w_i = x^i dx / 2y for i = 0, 1, 2 (holomorphic).
 A form is a coefficient triple (c0, c1, c2) of PadicNumbers meaning
 c0 w0 + c1 w1 + c2 w2.  One differential_series call expands the whole
-basis on a chart; form_series combines those expansions for any triple.
+basis on a chart; series.form_series combines those expansions (or their
+half-integrals) for any triple.
 
 Precision.  A chart is computed on integer lists mod p^N, to t-precision
 M = N + 4.  G'(z(0)) is a unit (2 y(P), F'(x(P)) at a good prime, 1 at
@@ -154,8 +155,8 @@ class LocalExpansion:
         abs_ = [INF if c is None else self.prec for c in coeffs]
         if abs0 is not None:
             abs_[0] = abs0
-        return PadicPowerSeries.from_ints(
-            self.prime, [c or 0 for c in coeffs], 0, abs_, self.t_prec)
+        return PadicPowerSeries(self.prime, [c or 0 for c in coeffs], 0,
+                                abs_, self.t_prec)
 
     # -- point/parameter maps ------------------------------------------------
 
@@ -219,20 +220,6 @@ class LocalExpansion:
         abs0 = self.prec + min(ord_p(x0, self.prime), self.prec)
         return (self._series(shared, even), self._series(w1, even),
                 self._series(w2, even, abs0))
-
-
-def form_series(coeffs, basis):
-    """w(t) of the form sum_i coeffs[i] w_i, from the chart's basis
-    expansions; exact-zero coefficients are skipped."""
-    acc = None
-    for c, w in zip(coeffs, basis):
-        if c.is_exact_zero:
-            continue
-        term = w.scale(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise InputError("the zero form has no expansion worth computing")
-    return acc
 
 
 def disk_center(curve, disk, p, prec):

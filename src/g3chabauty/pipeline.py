@@ -34,11 +34,10 @@ from .curve import (COST_CAP_S, HEIGHT_CAP, PREC_CAP, PREC_MIN,
 from .errors import (InputError, PrecisionError, RecognitionError,
                      SimplicityError)
 from .jacobian import MumfordDivisorFp
-from .localdisk import form_series
 from .padic import INF, PadicNumber, ord_p
 from .recognize import (element_min_poly, exact_point, format_polynomial,
                         rational_reconstruct)
-from .series import series_roots_in_disk
+from .series import form_series, series_roots_in_disk
 
 log = logging.getLogger(__name__)
 
@@ -187,9 +186,9 @@ class _Analysis:
         if roots_a is not None and roots_b is not None:
             zeros = _match_roots(roots_a, roots_b)
         elif roots_a is not None:
-            zeros = self._filter_by_value(roots_a, series_b, data)
+            zeros = self._filter_by_value(roots_a, series_b)
         elif roots_b is not None:
-            zeros = self._filter_by_value(roots_b, series_a, data)
+            zeros = self._filter_by_value(roots_b, series_a)
         else:
             here = [k for k in knowns if k.disk == disk]
             if len(here) != bound:
@@ -232,7 +231,7 @@ class _Analysis:
         except PrecisionError as exc:
             return None, str(exc)
 
-    def _filter_by_value(self, roots, other, data):
+    def _filter_by_value(self, roots, other):
         """Roots of one functional that the other cannot exclude.
 
         For a root representative r isolated to p^-e around a true zero z,

@@ -14,18 +14,20 @@ fl[i] >= -e for every i.  These are exactly the data of the PadicNumber
 (valuation, unit, rel_prec) of each coefficient, which the boundary
 (coeffs, __getitem__, evaluate) builds on demand.
 
-Operations.  A chart builds each of its series once, from integer lists
-mod p^N (from_ints, called by localdisk).  What is left is what the
-half-integrals read: formal_integral (a disk's half-integral series), the
-sum with a series or a PadicNumber (a generic disk's constant halfint(P),
-and form_series), scale by a PadicNumber (form_series), derivative and
-reduction_order (the Strassmann bound of a disk), evaluate and
-evaluate_antiderivative, and root isolation (series_roots_in_disk), which
-reads the integer vector itself.  Each gives every coefficient the
-precision that the same PadicNumber arithmetic done term by term would
-give: a sum is known to the least absolute precision of its terms, a
-product ca to min(abs_c + fl_a, fl_c + abs_a), zero factors included, and
-c_j / (j + 1) loses ord_p(j + 1) digits.
+Operations.  The one constructor takes integer vectors: a chart builds
+each of its series once, from integer lists mod p^N (localdisk).  What is
+left is what the half-integrals read, each built as one series:
+formal_integral (a disk's half-integral series, whose t^0 coefficient is
+the constant it is given: halfint(P) on a generic disk, else the exact
+zero), form_series (the series of a form c0 w0 + c1 w1 + c2 w2, summed in
+one pass over the basis vectors), derivative and reduction_order (the
+Strassmann bound of a disk), evaluate and evaluate_antiderivative, and
+root isolation (series_roots_in_disk), which reads the integer vector
+itself.  Each gives every coefficient the precision that the same
+PadicNumber arithmetic done term by term would give: a sum is known to the
+least absolute precision of its terms, a product ca to
+min(abs_c + fl_a, fl_c + abs_a), zero factors included, and c_j / (j + 1)
+loses ord_p(j + 1) digits.
 
 The tail of an antiderivative.  A half-integral is the antiderivative of
 an integral series, so its coefficient c_j has v(c_j) >= -ord_p(j), and
@@ -73,17 +75,11 @@ class PadicPowerSeries:
 
     __slots__ = ("prime", "t_prec", "_e", "_ints", "_fl", "_abs")
 
-    def __init__(self, prime, coeffs, t_prec):
-        """The series of the PadicNumbers coeffs, to O(t^t_prec)."""
-        parts = [_parts(c) for c in coeffs[:t_prec]]
-        e = max((pe for _, pe, _, _ in parts), default=0)
-        self._set(prime, [x * prime ** (e - pe) for x, pe, _, _ in parts],
-                  e, [a for _, _, _, a in parts], t_prec)
-
-    def _set(self, prime, ints, e, abs_, t_prec):
-        """Fill the fields from values ints / p^e known to abs_, cut at
-        t_prec: reduce, find the floors, drop trailing exact zeros and
-        lower e as far as the floors allow."""
+    def __init__(self, prime, ints, e, abs_, t_prec):
+        """The series of the values ints[i] / p^e, each known to abs_[i]
+        absolute digits (INF: an exact zero), to O(t^t_prec): reduce, find
+        the floors, drop trailing exact zeros and lower e as far as the
+        floors allow."""
         if t_prec < 1:
             raise InputError("t_prec must be at least 1")
         n = min(len(ints), t_prec)
@@ -114,14 +110,6 @@ class PadicPowerSeries:
         self._fl = fls
         self._abs = list(abs_[:n])
 
-    @classmethod
-    def from_ints(cls, prime, ints, e, abs_, t_prec):
-        """The series of the values ints[i] / p^e, each known to abs_[i]
-        absolute digits (INF: an exact zero), to O(t^t_prec)."""
-        out = cls.__new__(cls)
-        out._set(prime, ints, e, abs_, t_prec)
-        return out
-
     # -- the PadicNumber boundary -------------------------------------------
 
     def _number(self, i):
@@ -148,56 +136,26 @@ class PadicPowerSeries:
 
     # -- the operations the half-integrals read ----------------------------
 
-    def __add__(self, other):
-        """self + other, for a series or a PadicNumber (a constant series),
-        coefficient by coefficient; a sum is known to the lesser absolute
-        precision of its terms."""
-        if isinstance(other, PadicNumber):
-            other = PadicPowerSeries(self.prime, [other], self.t_prec)
-        elif not isinstance(other, PadicPowerSeries):
-            return NotImplemented
-        p = self.prime
-        if other.prime != p:
-            raise InputError("mixed primes")
-        t = min(self.t_prec, other.t_prec)
-        n = max(min(len(self._ints), t), min(len(other._ints), t))
-        e = max(self._e, other._e)
-        sa = p ** (e - self._e)
-        sb = p ** (e - other._e)
-        pad = [0] * n
-        inf = [INF] * n
-        ints = [x * sa + y * sb for x, y in
-                zip(self._ints + pad, other._ints + pad)][:n]
-        abs_ = list(map(min, self._abs + inf, other._abs + inf))[:n]
-        return PadicPowerSeries.from_ints(p, ints, e, abs_, t)
-
-    def scale(self, a):
-        """Multiply every coefficient by the scalar a."""
-        if not isinstance(a, PadicNumber):
-            raise InputError("scale expects a PadicNumber")
-        x, e, fl, ab = _parts(a)
-        abs_ = [min(ai + fl, fi + ab) for ai, fi in zip(self._abs, self._fl)]
-        return PadicPowerSeries.from_ints(
-            self.prime, [v * x for v in self._ints], self._e + e, abs_,
-            self.t_prec)
-
     def derivative(self):
         p = self.prime
         ints = [i * x for i, x in enumerate(self._ints)][1:]
         abs_ = [a + ord_p(i, p) for i, a in enumerate(self._abs)][1:]
-        return PadicPowerSeries.from_ints(p, ints, self._e, abs_,
-                                          max(self.t_prec - 1, 1))
+        return PadicPowerSeries(p, ints, self._e, abs_,
+                                max(self.t_prec - 1, 1))
 
-    def formal_integral(self):
-        """Antiderivative with zero constant term.
+    def formal_integral(self, constant=None):
+        """Antiderivative with t^0 coefficient `constant`, a PadicNumber,
+        or the exact zero when it is omitted.
 
         Dividing c_j by j+1 costs ord_p(j+1) digits of absolute precision on
         that coefficient, as PadicNumber division records it."""
         p, e = self.prime, self._e
+        x0, e0, _, a0 = (_parts(constant) if constant is not None
+                         else (0, 0, INF, INF))
         n = len(self._ints)
-        top = max((ord_p(j, p) for j in range(1, n + 1)), default=0)
-        ints = [0]
-        abs_ = [INF]
+        top = max([0, e0 - e] + [ord_p(j, p) for j in range(1, n + 1)])
+        ints = [x0 * p ** (e + top - e0)]
+        abs_ = [a0]
         for j, (x, a) in enumerate(zip(self._ints, self._abs)):
             o = ord_p(j + 1, p)
             abs_.append(a - o)
@@ -206,8 +164,7 @@ class PadicPowerSeries:
                 continue
             u = (j + 1) // p ** o
             ints.append(x * pow(u, -1, p ** (a + e)) * p ** (top - o))
-        return PadicPowerSeries.from_ints(p, ints, e + top, abs_,
-                                          self.t_prec + 1)
+        return PadicPowerSeries(p, ints, e + top, abs_, self.t_prec + 1)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -221,7 +178,7 @@ class PadicPowerSeries:
         """
         if not isinstance(t0, PadicNumber):
             raise InputError("evaluation point must be a PadicNumber")
-        w = t0.valuation if not t0.is_zero else t0.abs_prec
+        w = t0.valuation
         if w < 1:
             raise InputError("evaluation point must lie in the open disk pZp")
         if tail_bound is None:
@@ -238,14 +195,10 @@ class PadicPowerSeries:
 
     def evaluate_antiderivative(self, t0):
         """Value at t0 of an antiderivative of an integral series, with the
-        tail bound min_tail_valuation gives its dropped terms."""
-        w = t0.valuation if not t0.is_zero else t0.abs_prec
-        if w == INF:
-            return self.evaluate(t0, tail_bound=INF)
-        if w < 1:
-            raise InputError("point is not in the open disk")
-        bound = min_tail_valuation(self.t_prec, w, self.prime)
-        return self.evaluate(t0, tail_bound=bound)
+        tail bound min_tail_valuation gives its dropped terms (INF at the
+        exact zero)."""
+        return self.evaluate(t0, tail_bound=min_tail_valuation(
+            self.t_prec, t0.valuation, self.prime))
 
     def reduction_order(self):
         """Least i with c_i a unit (ord 0 exactly), i.e. ord_t of the mod-p
@@ -258,6 +211,29 @@ class PadicPowerSeries:
             if not x and f <= 0:
                 raise PrecisionError("coefficient not known mod p")
         return None
+
+
+def form_series(coeffs, basis):
+    """w(t) of the form sum_i coeffs[i] w_i, from the chart's basis
+    expansions, in one pass over their integer vectors; exact-zero
+    coefficients are skipped.  A term c a_j is known to
+    min(abs_a + fl_c, fl_a + abs_c) digits, and the sum to the least of its
+    terms'."""
+    terms = [(_parts(c), w) for c, w in zip(coeffs, basis)
+             if not c.is_exact_zero]
+    if not terms:
+        raise InputError("the zero form has no expansion worth computing")
+    p = terms[0][1].prime
+    t_prec = min(w.t_prec for _, w in terms)
+    n = min(t_prec, max(len(w._ints) for _, w in terms))
+    e = max(ec + w._e for (_, ec, _, _), w in terms)
+    ints, abs_ = [0] * n, [INF] * n
+    for (xc, ec, flc, abc), w in terms:
+        s = xc * p ** (e - ec - w._e)
+        for j, (x, a, f) in enumerate(zip(w._ints[:n], w._abs, w._fl)):
+            ints[j] += x * s
+            abs_[j] = min(abs_[j], a + flc, f + abc)
+    return PadicPowerSeries(p, ints, e, abs_, t_prec)
 
 
 def min_tail_valuation(start, w, p):

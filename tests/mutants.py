@@ -74,10 +74,33 @@ MUTANTS = [
     Mutant(
         "an antiderivative's value drops its tail bound",
         "series.py",
-        "        bound = min_tail_valuation(self.t_prec, w, self.prime)\n",
-        "        bound = INF\n",
+        "tail_bound=min_tail_valuation(\n"
+        "            self.t_prec, t0.valuation, self.prime))",
+        "tail_bound=INF)",
         ("tests/test_series.py::"
          "test_evaluate_antiderivative_caps_at_the_tail_bound",)),
+    # -- one series per half-integral and per form (series) ----------------
+    Mutant(
+        "form_series drops its fl_a + abs_c term",
+        "series.py",
+        "            abs_[j] = min(abs_[j], a + flc, f + abc)\n",
+        "            abs_[j] = min(abs_[j], a + flc)\n",
+        ("tests/test_series.py::"
+         "test_series_ops_match_padicnumber_reference",)),
+    Mutant(
+        "formal_integral ignores its constant",
+        "series.py",
+        "(_parts(constant) if constant is not None",
+        "(_parts(constant) if False",
+        ("tests/test_series.py::"
+         "test_series_ops_match_padicnumber_reference",)),
+    Mutant(
+        "form_series accepts the zero form",
+        "series.py",
+        "    if not terms:\n",
+        "    if False:\n",
+        ("tests/test_localdisk.py::"
+         "test_form_series_skips_exact_zeros_and_rejects_zero_form",)),
     Mutant(
         "the closed-form tail minimum drops the digits i_k loses",
         "series.py",

@@ -11,8 +11,9 @@ from math import isqrt
 from g3chabauty import _kernels as kernels
 from g3chabauty.curve import CurvePoint
 from g3chabauty.errors import InputError
-from g3chabauty.localdisk import LocalExpansion, form_series
+from g3chabauty.localdisk import LocalExpansion
 from g3chabauty.padic import PadicNumber
+from g3chabauty.series import form_series
 
 
 def sqrt_mod_pn(a_unit, p, n):

@@ -3,10 +3,13 @@ that g3chabauty.series used before it moved to integer vectors, kept as
 the oracle its operations are compared with, coefficient by coefficient.
 Every operation is the term-by-term PadicNumber arithmetic.  It keeps the
 ring operations the library no longer has (products, inverses, shifts),
-so the chart tests check the chart equations on it (as_reference)."""
+so the chart tests check the chart equations on it (as_reference).
+padic_series builds the library's series from PadicNumbers, and
+reference_form is form_series as a chain of scale and +."""
 
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber
+from g3chabauty.series import PadicPowerSeries
 
 
 def _coerce_coeff(c, prime, coeff_prec):
@@ -233,3 +236,24 @@ class ReferenceSeries:
 def as_reference(series):
     """A PadicPowerSeries as the ReferenceSeries with the same data."""
     return ReferenceSeries(series.prime, series.coeffs, series.t_prec)
+
+
+def padic_series(prime, coeffs, t_prec):
+    """The PadicPowerSeries of the PadicNumbers coeffs, to O(t^t_prec):
+    each value over the one power p^e that clears every denominator."""
+    coeffs = coeffs[:t_prec]
+    e = max([0] + [-c.valuation for c in coeffs if not c.is_zero])
+    ints = [0 if c.is_zero else c.unit * prime ** (c.valuation + e)
+            for c in coeffs]
+    return PadicPowerSeries(prime, ints, e, [c.abs_prec for c in coeffs],
+                            t_prec)
+
+
+def reference_form(coeffs, basis):
+    """sum_i coeffs[i] basis[i] as a chain of scale and +, exact-zero
+    coefficients skipped; the zero form raises InputError."""
+    terms = [w.scale(c) for c, w in zip(coeffs, basis)
+             if not c.is_exact_zero]
+    if not terms:
+        raise InputError("the zero form has no expansion worth computing")
+    return sum(terms[1:], terms[0])

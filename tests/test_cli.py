@@ -477,6 +477,27 @@ def test_out_dir_is_checked_before_any_analysis(tmp_path, monkeypatch,
     assert stub.calls == []
 
 
+def test_report_that_cannot_be_written_exits_2(tmp_path, monkeypatch,
+                                               capsys):
+    # a report path that is a directory once failed after every job had
+    # run, with an IsADirectoryError traceback and exit 1
+    stub = RecordedCalls()
+    monkeypatch.setattr(cli, "analyze_curve", stub)
+    out = tmp_path / "out"
+    (out / "ex1.json").mkdir(parents=True)
+    (out / "summary.csv").mkdir()
+    job = write_json(tmp_path / "job.json", dict(GOOD_JOB, id="ex1"))
+    jobs = write_jobs(tmp_path / "jobs.jsonl", [dict(GOOD_JOB, id="ex2")])
+    for argv, path in ((["analyze", "--job", job, "--out", str(out)],
+                        out / "ex1.json"),
+                       (["batch", "--jobs", jobs, "--out", str(out)],
+                        out / "summary.csv")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "cannot write %s" % path in err and "Traceback" not in err
+    assert len(stub.calls) == 2
+
+
 def test_analyze_checks_the_id_without_out(tmp_path, monkeypatch, capsys):
     stub = RecordedCalls()
     monkeypatch.setattr(cli, "analyze_curve", stub)

@@ -25,7 +25,6 @@ from g3chabauty.curve import (HEIGHT_CAP, PREC_CAP, PREC_MIN, CurveModel,
 from g3chabauty.errors import (BadReductionError, InputError, PrecisionError,
                                SimplicityError)
 from g3chabauty.jacobian import MumfordDivisorFp
-from g3chabauty.localdisk import form_series
 from g3chabauty.padic import PadicNumber
 from g3chabauty import _kernels as kernels
 from g3chabauty import pipeline
@@ -35,6 +34,7 @@ from g3chabauty.pipeline import (analyze_curve, check_inputs,
 from g3chabauty.recognize import (element_min_poly, eval_exact, exact_point,
                                   format_polynomial, primitive_poly,
                                   rational_reconstruct)
+from g3chabauty.series import form_series
 
 from conftest import (CURVE_A_COEFFS, CURVE_A_KNOWN, CURVE_A_P0,
                       CURVE_B_COEFFS, CURVE_B_KNOWN, CURVE_B_SCALING,

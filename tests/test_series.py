@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from g3chabauty.curve import PREC_CAP, PREC_MIN, PRIME_CAP, is_prime
 from g3chabauty.errors import InputError, PrecisionError
 from g3chabauty.padic import PadicNumber, ord_p
-from g3chabauty.series import (PadicPowerSeries, min_tail_valuation,
-                               truncation_order)
+from g3chabauty.series import (PadicPowerSeries, form_series,
+                               min_tail_valuation, truncation_order)
 
-from series_oracle import ReferenceSeries
+from series_oracle import ReferenceSeries, padic_series, reference_form
 
 P = 7
 PREC = 12
 
 
 def S(fracs, t_prec=10, prec=PREC):
-    return PadicPowerSeries(
+    return padic_series(
         P, [PadicNumber.from_rational(c, P, abs_prec=prec) for c in fracs],
         t_prec)
 
@@ -152,7 +152,7 @@ def series_cases(draw):
     p = draw(st.sampled_from((5, 7)))
     coeffs = st.lists(numbers(p), max_size=9)
     return (p, draw(coeffs), draw(st.integers(1, 11)), draw(coeffs),
-            draw(st.integers(1, 11)), draw(numbers(p)),
+            draw(st.integers(1, 11)), draw(numbers(p)), draw(numbers(p)),
             draw(st.integers(0, 12)))
 
 
@@ -174,29 +174,47 @@ def _outcome(fn, *args):
     return out
 
 
+# each operation on series a and b, numbers c and d and an index k; a pair
+# is the library's operation and the chain of ReferenceSeries operations it
+# must match
 _SERIES_OPS = {
-    "add": lambda a, b, c, k: a + b,
-    "add_number": lambda a, b, c, k: a + c,
-    "scale": lambda a, b, c, k: a.scale(c),
-    "derivative": lambda a, b, c, k: a.derivative(),
-    "formal_integral": lambda a, b, c, k: a.formal_integral(),
-    "reduction_order": lambda a, b, c, k: a.reduction_order(),
-    "getitem": lambda a, b, c, k: a[min(k, a.t_prec - 1)],
-    "evaluate": lambda a, b, c, k: a.evaluate(
+    "derivative": lambda a, b, c, d, k: a.derivative(),
+    "formal_integral": lambda a, b, c, d, k: a.formal_integral(),
+    "integral_constant": (lambda a, b, c, d, k: a.formal_integral(c),
+                          lambda a, b, c, d, k: a.formal_integral() + c),
+    "form_one": (lambda a, b, c, d, k: form_series([c], [a]),
+                 lambda a, b, c, d, k: reference_form([c], [a])),
+    "form_two": (lambda a, b, c, d, k: form_series([c, d], [a, b]),
+                 lambda a, b, c, d, k: reference_form([c, d], [a, b])),
+    # an exact-zero coefficient leaves out its series, t_prec and all
+    "form_exact_zero": (
+        lambda a, b, c, d, k: form_series([c, PadicNumber.zero(a.prime)],
+                                          [a, b]),
+        lambda a, b, c, d, k: reference_form([c], [a])),
+    "reduction_order": lambda a, b, c, d, k: a.reduction_order(),
+    "getitem": lambda a, b, c, d, k: a[min(k, a.t_prec - 1)],
+    "evaluate": lambda a, b, c, d, k: a.evaluate(
         PadicNumber.from_rational(a.prime * (k + 1), a.prime, abs_prec=9),
         tail_bound=6),
-    # chains, so shared exponents and floors meet every other operation
-    "integral_plus": lambda a, b, c, k: a.formal_integral() + b,
-    "form": lambda a, b, c, k: (a.scale(c) + b).derivative() + c,
+    # a form of half-integrals and its differential, as the pipeline reads
+    # them, so shared exponents and floors meet every other operation
+    "form_of_integrals": (
+        lambda a, b, c, d, k: form_series(
+            [c, d], [a.formal_integral(d), b.formal_integral()]).derivative(),
+        lambda a, b, c, d, k: reference_form(
+            [c, d], [a.formal_integral() + d, b.formal_integral()]
+        ).derivative()),
 }
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(case=series_cases())
 def test_series_ops_match_padicnumber_reference(case):
-    p, ca, ta, cb, tb, c, k = case
-    new = (PadicPowerSeries(p, ca, ta), PadicPowerSeries(p, cb, tb))
+    p, ca, ta, cb, tb, c, d, k = case
+    new = (padic_series(p, ca, ta), padic_series(p, cb, tb))
     ref = (ReferenceSeries(p, ca, ta), ReferenceSeries(p, cb, tb))
     assert _data(new[0]) == _data(ref[0])
     for name, op in _SERIES_OPS.items():
-        assert _outcome(op, *new, c, k) == _outcome(op, *ref, c, k), name
+        new_op, ref_op = op if isinstance(op, tuple) else (op, op)
+        assert _outcome(new_op, *new, c, d, k) == \
+            _outcome(ref_op, *ref, c, d, k), name
