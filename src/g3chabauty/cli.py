@@ -315,13 +315,13 @@ def cmd_integrate(args):
     ctx = ColemanContext(curve, p, prec,
                          [curve.reduce_curve_point(pt, p) for pt in ends])
     vals = ctx.integral_holomorphic(*ends)
-    wanted = range(3) if args.form == "all" else [int(args.form)]
     print(json.dumps({
         "prime": p,
         "precision": prec,
         "from": src.coord_strings(),
         "to": dst.coord_strings(),
-        "integrals": {"w%d" % i: vals[i].expansion_str() for i in wanted},
+        "integrals": {"w%d" % i: v.expansion_str()
+                      for i, v in enumerate(vals)},
     }, indent=2, sort_keys=True))
     return 0
 
@@ -366,7 +366,6 @@ def build_parser():
     pi.add_argument("--curve", required=True, help="JSON curve file")
     pi.add_argument("--p", type=int, required=True)
     pi.add_argument("--N", type=int, help="working precision")
-    pi.add_argument("--form", default="all", choices=["0", "1", "2", "all"])
     pi.add_argument("--from", required=True, metavar="PT",
                     help="'infinity' or 'x,y' (use --from=-1,2 for negatives)")
     pi.add_argument("--to", required=True, metavar="PT")

@@ -232,10 +232,6 @@ class CurvePoint(_Point, namedtuple("CurvePoint", "kind x y",
 
     __slots__ = ()
 
-    @staticmethod
-    def affine(x, y):
-        return CurvePoint("affine", x, y)
-
     def __repr__(self):
         if self.is_infinity:
             return "CurvePoint(infinity)"
@@ -303,8 +299,8 @@ class CurveModel:
         if pt.is_infinity:
             return CurvePoint.infinity()
         m = self.to_monic(pt)
-        return CurvePoint.affine(
-            PadicNumber.from_rational(m.x, p, abs_prec=prec),
+        return CurvePoint(
+            "affine", PadicNumber.from_rational(m.x, p, abs_prec=prec),
             PadicNumber.from_rational(m.y, p, abs_prec=prec))
 
     def to_original(self, point: CurvePoint):

@@ -180,12 +180,12 @@ class LocalExpansion:
             u0 = self.u_series.evaluate(t0)
             x = u0 / (t0 * t0)
             y = x * x * x / t0
-            return CurvePoint.affine(x, y)
+            return CurvePoint("affine", x, y)
         if self.kind == "generic":
-            return CurvePoint.affine(self.center.x + t0,
-                                     self.y_series.evaluate(t0))
-        return CurvePoint.affine(self.x_series.evaluate(t0),
-                                 self.center.y + t0)
+            return CurvePoint("affine", self.center.x + t0,
+                              self.y_series.evaluate(t0))
+        return CurvePoint("affine", self.x_series.evaluate(t0),
+                          self.center.y + t0)
 
     # -- differentials ----------------------------------------------------------
 
@@ -232,9 +232,9 @@ def disk_center(curve, disk, p, prec):
         return CurvePoint.infinity()
     if disk.y == 0:
         x = hensel_lift_root(curve.f_coeffs_mod(p, prec), disk.x, p, prec)
-        return CurvePoint.affine(x, PadicNumber.zero(p))
+        return CurvePoint("affine", x, PadicNumber.zero(p))
     x_t, y_t = teichmuller_point(curve.f_coeffs_mod(p, prec), disk.x, disk.y,
                                  p, prec)
     x = PadicNumber.from_rational(x_t, p, abs_prec=prec)
     y = PadicNumber.from_rational(y_t, p, abs_prec=prec)
-    return CurvePoint.affine(x, y)
+    return CurvePoint("affine", x, y)

@@ -8,7 +8,9 @@ valuation.  Only zero can be exact: a nonzero element always has finitely
 many known digits, and asking for one with infinite precision raises
 PrecisionError.  All arithmetic propagates precision pessimistically:
 addition works at the minimum absolute precision of the operands,
-multiplication and division at the minimum relative precision.
+multiplication and division at the minimum relative precision.  Values
+compare by (a - b).is_zero: == raises TypeError, as equality at the lower
+of two precisions is not transitive.
 """
 
 from __future__ import annotations
@@ -229,28 +231,10 @@ class PadicNumber:
     # -- comparisons and representatives ----------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            try:
-                other = self._coerce(other, False)
-            except PrecisionError:
-                # self is the exact zero, the one exact value, and other
-                # is a nonzero rational
-                return False
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
-        if self.prime != other.prime:
-            return False
-        d = self - other
-        return d.unit == 0
+        raise TypeError("p-adic values compare by (a - b).is_zero, not ==")
 
-    __hash__ = None
-
-    def residue(self, abs_prec=None):
+    def residue(self, abs_prec):
         """Integer representative modulo p^abs_prec; needs valuation >= 0."""
-        if abs_prec is None:
-            abs_prec = self.abs_prec
-        if abs_prec == INF:
-            raise InputError("exact zero has no finite default modulus")
         if abs_prec > self.abs_prec:
             raise PrecisionError("representative requested beyond known digits")
         if self.unit == 0:

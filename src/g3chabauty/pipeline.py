@@ -245,8 +245,8 @@ class _Analysis:
 
     # -- classification ----------------------------------------------------
 
-    def classify(self, disk, mirrored, data, t, knowns):
-        """Record for one zero, emitted in the (possibly mirrored) disk."""
+    def classify(self, disk, data, t, knowns):
+        """Record for one zero in disk, reflected when disk is a mirror."""
         base = {
             "disk": disk.label(),
             "kind": data.expansion.kind,
@@ -278,7 +278,7 @@ class _Analysis:
                          "y": "0", "torsion_order": 2})
             return base
         point = data.expansion.point_at(t)
-        if mirrored:
+        if disk != disk.canonical(self.p):
             point = point.involution()
         x_o, y_o = self.curve.to_original(point)
         x, y = exact_point(self.curve.original, x_o, y_o,
@@ -443,13 +443,10 @@ def analyze_curve(curve, p=None, prec=None, knowns=None, base_point=None,
                   " (by known-point count)" if record["certified_by_count"]
                   else "")
         disk_records.append(record)
-        emitted = [(disk, False)]
         mirror = disk.involution(p)
-        if mirror != disk:
-            emitted.append((mirror, True))
-        for where, mirrored in emitted:
+        for where in (disk,) if mirror == disk else (disk, mirror):
             for t in zeros:
-                rec = run.classify(where, mirrored, data, t, known_pts)
+                rec = run.classify(where, data, t, known_pts)
                 tagged.append(((where.kind, where.x, where.y, rec["t"]), rec))
     tagged.sort(key=lambda pair: pair[0])
     zero_records = [rec for _, rec in tagged]

@@ -213,10 +213,6 @@ class QuadraticElement:
         self.v = Fraction(v)
         self.minpoly = tuple(minpoly)
 
-    @staticmethod
-    def generator(minpoly):
-        return QuadraticElement(0, 1, minpoly)
-
     def _like(self, u, v):
         return QuadraticElement(u, v, self.minpoly)
 
@@ -311,7 +307,7 @@ def exact_point(g, x_o, y_o, qx):
         r = eval_exact(g, qx)
         s = rational_sqrt(r)
         if s is None:
-            return qx, QuadraticElement.generator(primitive_poly((-r, 0, 1)))
+            return qx, QuadraticElement(0, 1, primitive_poly((-r, 0, 1)))
         for y in (s, -s):
             if (y_o - y).is_zero:
                 return qx, y
@@ -320,7 +316,7 @@ def exact_point(g, x_o, y_o, qx):
     rel = quadratic_relation(a_o)
     if rel is None or not is_irreducible_quadratic(rel):
         return None
-    a = QuadraticElement.generator(rel)
+    a = QuadraticElement(0, 1, rel)
     x = a.inverse() if inverted else a
     w = element_sqrt(eval_exact(g, x))
     if w is None:

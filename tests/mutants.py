@@ -115,6 +115,14 @@ MUTANTS = [
         "    if ybar % p == 0 or (fx - ybar * ybar) % p:\n",
         "    if False:\n",
         ("tests/test_padic.py::test_teichmuller_point_exhaustive_oracle",)),
+    # -- p-adic equality is refused (padic) --------------------------------
+    Mutant(
+        "== compares p-adic values by identity",
+        "padic.py",
+        '        raise TypeError("p-adic values compare by (a - b).is_zero, '
+        'not ==")\n',
+        "        return self is other\n",
+        ("tests/test_padic.py::test_equality_is_refused",)),
     # -- the disk key of h (frobenius) and its mirror (coleman) ------------
     Mutant(
         "h is folded at the mirror generic disks too",
@@ -224,6 +232,13 @@ MUTANTS = [
         "        if False:\n",
         ("tests/test_pipeline.py::"
          "test_more_zeros_than_the_counting_bound_raise",)),
+    Mutant(
+        "a mirror-disk zero is not reflected",
+        "pipeline.py",
+        "        if disk != disk.canonical(self.p):\n",
+        "        if False:\n",
+        ("tests/test_pipeline.py::"
+         "test_other_algebraic_report_digest_pinned",)),
     Mutant(
         "a functional vanishing mod p is not named",
         "pipeline.py",

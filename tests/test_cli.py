@@ -738,14 +738,20 @@ def test_search_points(tmp_path, capsys):
 
 def test_integrate_matches_library(curve_a, tmp_path, capsys):
     curve = write_json(tmp_path / "c.json", CURVE_A_JSON)
-    assert main(["integrate", "--curve", curve, "--p", "7", "--form", "1",
-                 "--from=-1,-1", "--to=1,5"]) == 0
+    argv = ["integrate", "--curve", curve, "--p", "7", "--from=-1,-1",
+            "--to=1,5"]
+    assert main(argv) == 0
     data = json.loads(capsys.readouterr().out)
     ctx = ColemanContext(curve_a, 7, 18)
     pts = [curve_a.padic_point(RationalPoint.affine(*xy), 7, 18)
            for xy in ((-1, -1), (1, 5))]
     vals = ctx.integral_holomorphic(*pts)
-    assert data["integrals"] == {"w1": vals[1].expansion_str()}
+    assert data["integrals"] == {"w%d" % i: v.expansion_str()
+                                 for i, v in enumerate(vals)}
+    # every run prints all three integrals, so there is no --form to pick one
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--form", "1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("ends", [

@@ -51,7 +51,7 @@ def test_torsion_point_integrals_vanish(ctx_a7, curve_a):
     x0 = PadicNumber.from_rational(0, 7)
     for branch in (1, -1):
         y0 = padic_sqrt(f0) if branch == 1 else -padic_sqrt(f0)
-        pt = CurvePoint.affine(x0, y0)
+        pt = CurvePoint("affine", x0, y0)
         vals = ctx_a7.integral_holomorphic(CurvePoint.infinity(), pt)
         for v in vals:
             assert_small(v, PREC_A - 3)

@@ -50,7 +50,7 @@ def test_arith_oracle_random():
                                (a * b, qa * qb), (a / b, qa / qb)):
                 want = PadicNumber.from_rational(exact, p,
                                                  abs_prec=got.abs_prec)
-                assert got == want, (p, qa, qb, exact)
+                assert (got - want).is_zero, (p, qa, qb, exact)
 
 
 def test_addition_cancellation_tracks_precision():
@@ -108,7 +108,8 @@ def test_only_zero_is_exact():
     with pytest.raises(PrecisionError):
         PadicNumber.zero(p) - Fraction(1, 3)
     assert (PadicNumber.zero(p) * 3).is_exact_zero
-    assert (PadicNumber.zero(p) == 3) is False
+    three = PadicNumber.from_rational(3, p, abs_prec=1)
+    assert not (PadicNumber.zero(p) - three).is_zero
     assert rational_reconstruct(PadicNumber.zero(p)) == 0
     assert PadicNumber.zero(p).expansion_str() == "0"
 
@@ -150,12 +151,29 @@ def test_underflow_window():
 def test_eq_and_residue():
     p = 7
     a = PadicNumber.from_rational(Fraction(1, 2), p, abs_prec=4)
-    assert a == Fraction(1, 2)
+    assert (a - Fraction(1, 2)).is_zero
     assert a.residue(1) == 4
     with pytest.raises(PrecisionError):
         a.residue(9)
     neg = PadicNumber.from_rational(-1, p, abs_prec=3)
     assert neg.residue(3) == 7 ** 3 - 1
+    assert PadicNumber.zero(p).residue(3) == 0
+
+
+def test_equality_is_refused():
+    # equality at the lower of two precisions is not transitive, so ==, !=
+    # and `in` raise instead of falling back to identity; values compare by
+    # (a - b).is_zero
+    p = 7
+    a = PadicNumber.from_rational(3, p, abs_prec=4)
+    b = PadicNumber.from_rational(3, p, abs_prec=2)
+    for compare in (lambda: a == a, lambda: a != b, lambda: a == 3,
+                    lambda: a in [b]):
+        with pytest.raises(TypeError, match="is_zero"):
+            compare()
+    # containment tries identity before ==, so only another object raises
+    assert a in [a]
+    assert (a - b).is_zero
 
 
 def test_teichmuller_point_exhaustive_oracle():
@@ -215,10 +233,10 @@ def test_sqrt_squaring_oracle():
     p, n = 7, 5
     a = PadicNumber.from_rational(2, p, abs_prec=n)
     r = padic_sqrt(a)
-    assert (r * r) == a
+    assert (r * r - a).is_zero
     assert 1 <= r.unit % p <= (p - 1) // 2   # canonical branch
     r2 = padic_sqrt(a, branch=4)
-    assert r2.unit % p == 4 and (r2 * r2) == a
+    assert r2.unit % p == 4 and (r2 * r2 - a).is_zero
     brute = [x for x in range(p ** n) if x * x % p ** n == 2]
     assert r.residue(n) in brute and r2.residue(n) in brute
 
@@ -235,7 +253,7 @@ def test_sqrt_even_valuation():
     p = 7
     a = PadicNumber.from_rational(2 * 49, p, abs_prec=6)
     r = padic_sqrt(a)
-    assert r.valuation == 1 and (r * r) == a
+    assert r.valuation == 1 and (r * r - a).is_zero
 
 
 def test_hensel_lift_oracle():

@@ -175,10 +175,10 @@ def test_relation_from_unbalanced_basis():
 
 def test_quadratic_element_arithmetic():
     mp = (1, -1, 1)
-    g = QuadraticElement.generator(mp)
+    g = QuadraticElement(0, 1, mp)
     assert g * g == QuadraticElement(-1, 1, mp)
     assert eval_exact([1, -1, 1], g) == 0
-    h = QuadraticElement.generator((3, 0, 1))
+    h = QuadraticElement(0, 1, (3, 0, 1))
     assert h * h + 3 == 0
 
 
