@@ -70,7 +70,7 @@ def _parse_point(text, what):
     """'infinity' or 'x,y' with exact fractions, e.g. '1/2,-3/8'."""
     s = text.strip()
     return RationalPoint.from_json(
-        "infinity" if s in ("infinity", "inf", "oo") else s.split(","), what)
+        s if s == "infinity" else s.split(","), what)
 
 
 # bytes in one file name on common file systems (ext4, XFS, APFS, tmpfs)

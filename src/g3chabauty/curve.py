@@ -409,15 +409,15 @@ class CurveModel:
 
     @staticmethod
     def from_json(obj):
-        if isinstance(obj, dict):
-            for key in obj:
-                if key not in ("coeffs", "scaling"):
-                    raise InputError("unknown curve key %r (expected coeffs, "
-                                     "scaling)" % (key,))
-            coeffs = obj.get("coeffs")
-            scaling = obj.get("scaling")
-        else:
-            coeffs, scaling = obj, None
+        if not isinstance(obj, dict):
+            raise InputError('curve JSON must be an object {"coeffs": [...], '
+                             '"scaling": [...]?}')
+        for key in obj:
+            if key not in ("coeffs", "scaling"):
+                raise InputError("unknown curve key %r (expected coeffs, "
+                                 "scaling)" % (key,))
+        coeffs = obj.get("coeffs")
+        scaling = obj.get("scaling")
         if not isinstance(coeffs, (list, tuple)):
             raise InputError("curve JSON needs a 'coeffs' list")
         cs = [parse_number(c, "coefficient %d" % i)

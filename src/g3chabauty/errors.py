@@ -33,7 +33,9 @@ class PrecisionError(G3Error, ArithmeticError):
 
 
 class SimplicityError(G3Error, ArithmeticError):
-    """Root isolation could not certify simple roots at working precision."""
+    """A disk's zeros are not certified: a functional vanishes identically
+    mod p on it, or root isolation certifies neither functional's roots
+    there and the known points there fall short of its counting bound."""
 
     exit_code = 4
 

@@ -8,7 +8,9 @@ by a height bound so that lattice noise of size ~ p^(N/3) is never
 mistaken for structure.  exact_point takes a zero's x as a fraction or
 from one such search, and y with no search, as the square root of g(x)
 over Q or in K = Q(x) that rational_sqrt or element_sqrt takes exactly.
-Candidates are only suggestions, verified with QuadraticElement
+A quadratic x is always the generator t of Q[t]/(minpoly): in the
+infinity disk the search runs on 1/x, and x's relation is that one
+reversed.  Candidates are only suggestions, verified with QuadraticElement
 arithmetic in Q[t]/(minpoly), with no radicals.
 """
 
@@ -248,13 +250,6 @@ class QuadraticElement:
                 self.u * self.u + self.u * self.v * tsum
                 + self.v * self.v * Fraction(c0, c2))
 
-    def inverse(self):
-        """Exact multiplicative inverse: the conjugate over the norm."""
-        trace, norm = self.trace_norm()
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._like((trace - self.u) / norm, -self.v / norm)
-
     def __eq__(self, other):
         other = self._coerce(other)
         return self.u == other.u and self.v == other.v
@@ -299,10 +294,12 @@ def exact_point(g, x_o, y_o, qx):
     (x_o).  A rational x gives y = +-s when g(x) = s^2, with the sign y_o
     shows, and the generator of Q[t]/(t^2 - g(x)) when g(x) is no rational
     square.  Otherwise (no qx, or a y_o that shows neither sign) one
-    lattice search finds a quadratic x, on 1/x_o where v(x_o) < 0 (the
-    infinity disk) so that its input is integral, and y is the square root
-    of g(x) in Q(x) that y_o shows.  A g(x) that is no square there, or a
-    y_o that matches both roots or neither, gives None."""
+    lattice search finds a relation rel on x_o, and x is the generator of
+    Q[t]/(rel).  Where v(x_o) < 0 (the infinity disk) the search runs on
+    1/x_o, so that its input is integral, and x generates Q[t]/(rel
+    reversed).  y is the square root u + v x of g(x) in Q(x) whose digits
+    u + v x_o match y_o.  A g(x) that is no square there, or a y_o that
+    matches both roots or neither, gives None."""
     if qx is not None:
         r = eval_exact(g, qx)
         s = rational_sqrt(r)
@@ -312,17 +309,16 @@ def exact_point(g, x_o, y_o, qx):
             if (y_o - y).is_zero:
                 return qx, y
     inverted = x_o.valuation < 0
-    a_o = 1 / x_o if inverted else x_o
-    rel = quadratic_relation(a_o)
+    rel = quadratic_relation(1 / x_o if inverted else x_o)
     if rel is None or not is_irreducible_quadratic(rel):
         return None
-    a = QuadraticElement(0, 1, rel)
-    x = a.inverse() if inverted else a
+    # 1/x is a root of rel exactly when x is a root of rel reversed
+    x = QuadraticElement(0, 1, rel[::-1] if inverted else rel)
     w = element_sqrt(eval_exact(g, x))
     if w is None:
         return None
-    # a root u + v a reads u + v a_o in Q_p
-    ys = [y for y in (w, w * -1) if (y_o - y.u - a_o * y.v).is_zero]
+    # a root u + v x reads u + v x_o in Q_p
+    ys = [y for y in (w, w * -1) if (y_o - y.u - x_o * y.v).is_zero]
     return (x, ys[0]) if len(ys) == 1 else None
 
 

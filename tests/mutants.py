@@ -253,6 +253,24 @@ MUTANTS = [
         "    return None, None\n",
         ("tests/test_pipeline.py::"
          "test_rejects_knowns_with_no_point_of_infinite_order",)),
+    # -- a quadratic zero's x (recognize.exact_point) ----------------------
+    Mutant(
+        "1/x's relation is not reversed",
+        "recognize.py",
+        "rel[::-1] if inverted else rel",
+        "rel",
+        ("tests/test_pipeline.py::"
+         "test_algebraic_point_takes_y_as_a_square_root[7-infinity]",)),
+    # -- the curve object (curve.CurveModel.from_json) ---------------------
+    Mutant(
+        "a bare-list curve is read as coefficients",
+        "curve.py",
+        "    def from_json(obj):\n",
+        "    def from_json(obj):\n"
+        "        obj = obj if isinstance(obj, dict) else {\"coeffs\": obj}\n",
+        ("tests/test_cli.py::"
+         "test_batch_with_a_malformed_job_exits_2_before_any_work"
+         "[1-curve-list]",)),
     # -- zeta --brute-check (cli) ------------------------------------------
     Mutant(
         "zeta --brute-check exits 0 on a mismatch",

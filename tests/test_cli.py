@@ -257,6 +257,9 @@ MALFORMED_JOBS = {
     "integer-field": (dict(GOOD_JOB, p="seven"), "field 'p' must be an int"),
     "curve": (dict(GOOD_JOB, curve={"coeffs": ["1", "2"]}), "degree-7"),
     "no-curve": ({"p": 7}, "needs a 'curve'"),
+    # a curve is the object {"coeffs": [...]}, never a bare coefficient list
+    "curve-list": (dict(GOOD_JOB, curve=CURVE_A_JSON["coeffs"]),
+                   'curve JSON must be an object {"coeffs": [...]'),
     "point": (dict(GOOD_JOB, known_points=[["a", "b"]]),
               "known point x must be a rational number"),
     "point-list": (dict(GOOD_JOB, known_points=5), "must be a list"),
@@ -692,6 +695,17 @@ def test_zeta_brute_check_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     assert "zeta mismatch against brute-force counts" in out.err
 
 
+def test_zeta_on_a_bare_list_curve_exits_2(tmp_path, monkeypatch, capsys):
+    # a --curve file is an object like data/curve_a.json, not its coeffs
+    calls = []
+    monkeypatch.setattr(cli, "zeta_numerator", lambda *a: calls.append(a))
+    curve = write_json(tmp_path / "c.json", CURVE_A_JSON["coeffs"])
+    assert main(["zeta", "--curve", curve, "--p", "7"]) == 2
+    assert capsys.readouterr().err == ('error: curve JSON must be an object '
+                                       '{"coeffs": [...], "scaling": [...]?}\n')
+    assert calls == []
+
+
 def test_batch_of_blank_lines_exits_2(tmp_path, capsys):
     jobs = tmp_path / "jobs.jsonl"
     jobs.write_text("\n  \n\t\n", encoding="utf-8")
@@ -800,6 +814,20 @@ def test_integrate_rejects_off_curve(tmp_path, capsys):
                  "--from=infinity", "--to=2,3"]) == 2
     assert capsys.readouterr().err == \
         "error: --to point ['2', '3'] is not on the curve\n"
+
+
+@pytest.mark.parametrize("spelling", ["inf", "oo"])
+def test_integrate_takes_infinity_only_spelled_out(spelling, tmp_path,
+                                                   monkeypatch, capsys):
+    # --from and --to take 'infinity' or x,y, as their help text says
+    calls = []
+    monkeypatch.setattr(cli, "ColemanContext", lambda *a: calls.append(a))
+    curve = write_json(tmp_path / "c.json", CURVE_A_JSON)
+    assert main(["integrate", "--curve", curve, "--p", "7",
+                 "--from", spelling, "--to=-1,-1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --from point must be 'infinity' or [x, y]\n"
+    assert calls == []
 
 
 def test_exit_code_input(job_a):

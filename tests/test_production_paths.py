@@ -30,8 +30,6 @@ ALLOWED = {
     "padic.py:PadicNumber.__rtruediv__":
         "1 / x for a zero in the infinity disk whose x no rational matches; "
         "no data job has a quadratic x there",
-    "recognize.py:QuadraticElement.inverse":
-        "x = 1/a for a quadratic zero in the infinity disk, as above",
     "padic.py:PadicNumber.__eq__":
         "refuses ==, so no caller may compare p-adic values that way",
     "cli.py:run_job": "the benchmark's entry point (perfbench/run.py)",
