@@ -35,7 +35,7 @@ class PrecisionError(G3Error, ArithmeticError):
 class SimplicityError(G3Error, ArithmeticError):
     """A disk's zeros are not certified: a functional vanishes identically
     mod p on it, or root isolation certifies neither functional's roots
-    there and the known points there fall short of its counting bound."""
+    on it and its known points fall short of its counting bound."""
 
     exit_code = 4
 
